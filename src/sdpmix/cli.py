@@ -13,10 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .ddouble import DOUBLE_DOUBLE
-from .errors import SdpmixError
+from .errors import SdpmixError, ValidationError
 from .formats import (
     parse_problem,
     read_graph,
@@ -27,9 +25,8 @@ from .formats import (
     write_warmstart,
 )
 from .instances import gen_random_sdp, maxcut_relaxation, theta_relaxation
-from .linops import project_psd
 from .precision import promote, solve_two_stage
-from .solver import SolverOptions, compute_errors, solve
+from .solver import SolverOptions, compute_errors, dual_slack, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -127,6 +124,9 @@ def cmd_solve(args) -> int:
                 warm_out = None
         else:
             sol, warm_out = solve(problem, options, warm_start=warm, progress=progress)
+    except ValidationError as exc:  # input that only solve can check, e.g. a warm start's shape
+        _log(f"error: {exc}")
+        return EXIT_INPUT
     except SdpmixError as exc:
         _log(f"solver aborted: {exc}")
         return EXIT_LIMIT
@@ -208,12 +208,7 @@ def cmd_check(args) -> int:
         _log(f"error: {exc}")
         return EXIT_INPUT
 
-    Z = sol.Z
-    if Z is None:
-        from .linops import apply_adjoint
-
-        combo = apply_adjoint(problem, np.concatenate([sol.y_a, sol.y_b]))
-        Z = [project_psd(problem.costs[b].to_dense() - combo[b]) for b in range(problem.q)]
+    Z = sol.Z if sol.Z is not None else dual_slack(problem, sol.y_a, sol.y_b)
     report = compute_errors(problem, sol.X, sol.y_a, sol.y_b, Z)
     for key, val in report.as_dict().items():
         print(f"{key} {val!r}")

@@ -301,10 +301,6 @@ def fsqrt(x):
     return math.sqrt(x)
 
 
-def fabs_(x):
-    return abs(x)
-
-
 def is_finite_scalar(x) -> bool:
     if isinstance(x, DDouble):
         return x.is_finite()

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from .ddouble import dot, fsqrt, kind_of, segment_sum
+from .ddouble import all_finite, dot, fsqrt, is_finite_scalar, kind_of, norm2, segment_sum, to_float_array
 from .errors import NumericalError
 from .problem import SdpProblem
 
@@ -289,8 +289,9 @@ def commit_column(cache: OperatorCache, slices: ColumnSlices, V_blocks, block: i
 def jacobi_eigh(M: np.ndarray, max_sweeps: int = 100):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
-    Works at either scalar kind (this is the reason it is hand-written);
-    returns eigenvalues ascending and the matching orthonormal columns.
+    Works at either scalar kind; project_psd uses it only to refine a
+    LAPACK starting basis in double-double. Returns eigenvalues ascending
+    and the matching orthonormal columns.
     """
     kind = kind_of(M)
     n = M.shape[0]
@@ -302,6 +303,8 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 100):
         return np.diag(A).copy(), U
 
     frob = fsqrt(np.sum(A * A))
+    if not is_finite_scalar(frob):
+        raise NumericalError(f"eigensolver: nonfinite matrix norm (order {n})")
     if not frob > 0:
         return np.diag(A).copy(), U
     tol = kind.from_float(float(4 * n)) * kind.from_float(kind.epsilon) * frob
@@ -346,12 +349,39 @@ def _rotate(A, U, p, q, c, s):
     U[:, q] = s * Up + c * Uq
 
 
-def project_psd(M: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
-    """Metric projection onto the PSD cone: zero out negative eigenvalues."""
-    S = (M + M.T) * 0.5
-    w, U = jacobi_eigh(S, max_sweeps=max_sweeps)
+def _refined_eigh(S: np.ndarray):
+    """Double-double eigendecomposition seeded from binary64 LAPACK.
+
+    The eigenvectors of the binary64 rounding of S are promoted exactly and
+    orthonormalized once in dd (modified Gram-Schmidt), giving Q. Q^T S Q is
+    then diagonal up to binary64 roundoff, so the Jacobi sweeps on it
+    converge quadratically from the first sweep (Ogita and Aishima 2018
+    refine the same kind of starting basis). Returns ascending eigenvalues
+    and Q W, W the Jacobi eigenvectors of Q^T S Q.
+    """
     kind = kind_of(S)
-    zero = kind.from_float(0.0)
-    wplus = np.maximum(w, zero) if w.dtype == object else np.maximum(w, 0.0)
-    Z = (U * wplus) @ U.T
+    _, U = np.linalg.eigh(to_float_array(S))
+    Q = kind.asarray(U)
+    for j in range(Q.shape[1]):
+        v = Q[:, j]
+        for i in range(j):
+            v = v - dot(Q[:, i], v) * Q[:, i]
+        Q[:, j] = v / norm2(v)
+    T = Q.T @ S @ Q
+    w, W = jacobi_eigh((T + T.T) * 0.5)
+    return w, Q @ W
+
+
+def project_psd(M: np.ndarray) -> np.ndarray:
+    """Metric projection onto the PSD cone: zero out negative eigenvalues.
+
+    binary64 input goes to LAPACK (np.linalg.eigh); double-double input to
+    _refined_eigh. Nonfinite input raises NumericalError.
+    """
+    if not all_finite(M):
+        raise NumericalError(f"PSD projection: nonfinite entry in the order-{M.shape[0]} input")
+    S = (M + M.T) * 0.5
+    kind = kind_of(S)
+    w, U = _refined_eigh(S) if kind.is_extended else np.linalg.eigh(S)
+    Z = (U * np.maximum(w, kind.from_float(0.0))) @ U.T
     return (Z + Z.T) * 0.5

@@ -322,9 +322,10 @@ def _cheap_errors(state: IterateState):
     return pinf, gap, compl_star
 
 
-def _dual_slack_blocks(problem: SdpProblem, y_a, y_b):
+def dual_slack(problem: SdpProblem, y_a, y_b):
+    """Z for the error report: C - sum_j y_j A_j projected onto the PSD cone, per block."""
     combo = apply_adjoint(problem, np.concatenate([y_a, y_b]))
-    return [problem.costs[b].to_dense() - combo[b] for b in range(problem.q)]
+    return [project_psd(problem.costs[b].to_dense() - combo[b]) for b in range(problem.q)]
 
 
 def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem) -> Solution:
@@ -345,7 +346,7 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     dual_factors = record.cost_norm / record.constraint_norms
     y_a = dual_factors[: original.m_eq] * sol.y_a
     y_b = dual_factors[original.m_eq :] * sol.y_b
-    Z = [project_psd(M) for M in _dual_slack_blocks(original, y_a, y_b)]
+    Z = dual_slack(original, y_a, y_b)
     report = compute_errors(original, X, y_a, y_b, Z)
     pobj = kind.from_float(0.0)
     for b, c in enumerate(original.costs):
@@ -454,7 +455,7 @@ def solve(
 
         proxy_ok = max(pinf, gap, compl_star) < options.tol
         if proxy_ok and iteration % options.iters_Z == 0:
-            Z_blocks = [project_psd(M) for M in _dual_slack_blocks(scaled, state.y_a, state.y_b)]
+            Z_blocks = dual_slack(scaled, state.y_a, state.y_b)
             X_blocks = [V.T @ V for V in state.V_blocks]
             full = compute_errors(scaled, X_blocks, state.y_a, state.y_b, Z_blocks)
             if max(full.pinf, full.gap, full.dinf, full.compl) < options.tol:

@@ -58,8 +58,38 @@ def test_criterion_01_maxcut_k3():
            f"basic={val_basic:.10f} in {t_basic:.2f}s, triangles={val_tri:.10f} in {t_tri:.2f}s")
 
 
+def _theta_prime_c5_closed_form():
+    """theta'(C5) = sqrt 5, with its optimal X checked for feasibility.
+
+    X = (I + t(P^2 + P^-2))/5, t = 2/(1+sqrt 5), P the cyclic shift: trace 1,
+    zero on the edges of C5 (distance 1), t/5 >= 0 on the non-edges
+    (distance 2), eigenvalues (1 + 2t cos(4 pi k/5))/5 >= 0. Its value
+    sum(X) = 1 + 2t = sqrt 5 meets theta'(C5) <= theta(C5) = sqrt 5.
+    """
+    n = 5
+    P = np.roll(np.eye(n), 1, axis=1)
+    t = 2.0 / (1.0 + math.sqrt(5))
+    X = (np.eye(n) + t * (P @ P + P.T @ P.T)) / n
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    dist = np.minimum(dist, n - dist)
+    assert abs(np.trace(X) - 1.0) <= 1e-15
+    assert np.all(X[dist == 1] == 0.0) and np.all(X[dist == 2] >= 0.0)
+    assert np.linalg.eigvalsh(X).min() >= -1e-15
+    assert abs(X.sum() - math.sqrt(5)) <= 1e-15
+    return math.sqrt(5)
+
+
+def _theta_prime_c5_cvxpy(cp):
+    n, edges = 5, {(i, (i + 1) % 5) for i in range(5)}
+    edges = {(min(i, j), max(i, j)) for i, j in edges}
+    X = cp.Variable((n, n), PSD=True)
+    cons = [cp.trace(X) == 1]
+    cons += [X[i, j] == 0 for i, j in edges]
+    cons += [X[i, j] >= 0 for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    return cp.Problem(cp.Maximize(cp.sum(X)), cons).solve(solver=cp.CLARABEL)
+
+
 def test_criterion_02_theta_values():
-    cp = pytest.importorskip("cvxpy")
     t_total = 0.0
     v_k5, s1, dt = _solve_reported(theta_relaxation(Graph.complete(5)), tol=1e-11)
     t_total += dt
@@ -70,28 +100,29 @@ def test_criterion_02_theta_values():
     v_c5p, s4, dt = _solve_reported(theta_relaxation(Graph.cycle(5), strengthened=True), tol=1e-10)
     t_total += dt
 
-    # independent reference solve for theta-prime of C5
-    n, edges = 5, {(i, (i + 1) % 5) for i in range(5)}
-    edges = {(min(i, j), max(i, j)) for i, j in edges}
-    X = cp.Variable((n, n), PSD=True)
-    cons = [cp.trace(X) == 1]
-    cons += [X[i, j] == 0 for i, j in edges]
-    cons += [X[i, j] >= 0 for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
-    ref_prob = cp.Problem(cp.Maximize(cp.sum(X)), cons)
-    t0 = time.perf_counter()
-    ref = ref_prob.solve(solver=cp.CLARABEL)
-    t_total += time.perf_counter() - t0
+    # independent references for theta-prime of C5: the closed form always,
+    # a cvxpy solve as well when cvxpy is installed
+    refs = {"closed form": _theta_prime_c5_closed_form()}
+    try:
+        import cvxpy as cp
+    except ImportError:
+        cp = None
+    if cp is not None:
+        t0 = time.perf_counter()
+        refs["cvxpy"] = _theta_prime_c5_cvxpy(cp)
+        t_total += time.perf_counter() - t0
 
     ok = (
         abs(v_k5 - 1.0) <= 1e-9
         and abs(v_e5 - 5.0) <= 1e-8
         and abs(v_c5 - math.sqrt(5)) <= 1e-7
-        and abs(v_c5p - ref) <= 1e-7
+        and all(abs(v_c5p - ref) <= 1e-7 for ref in refs.values())
         and all(s.status == "tol" for s in (s1, s2, s3, s4))
         and t_total < 5.0
     )
     finish(2, "theta: K5=1 (1e-9), empty5=5 (1e-8), C5=sqrt5 (1e-7), theta'(C5) vs reference (1e-7), < 5 s", ok,
-           f"K5={v_k5:.10f} E5={v_e5:.9f} C5={v_c5:.9f} C5'={v_c5p:.9f} ref={ref:.9f} t={t_total:.2f}s")
+           f"K5={v_k5:.10f} E5={v_e5:.9f} C5={v_c5:.9f} C5'={v_c5p:.9f} "
+           + " ".join(f"ref[{k}]={v:.9f}" for k, v in refs.items()) + f" t={t_total:.2f}s")
 
 
 def test_criterion_03_random_sdps():

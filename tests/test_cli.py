@@ -50,6 +50,19 @@ def test_solve_bad_options_exit_1(tmp_path):
     prob.write_text(TOY)
     assert main(["solve", str(prob), "--tol", "-1"]) == EXIT_INPUT
 
+TOY3 = """\
+1
+3
+1 2
+1.0
+0 1 1 1 1.0
+0 1 2 2 1.0
+0 1 3 3 1.0
+1 1 1 1 1.0
+1 1 2 2 1.0
+1 1 3 3 1.0
+"""
+
 
 def test_solve_saves_and_resumes_warm_start(tmp_path):
     prob = tmp_path / "toy.sdp"
@@ -63,6 +76,23 @@ def test_solve_saves_and_resumes_warm_start(tmp_path):
     code = main(["solve", str(prob), "-o", str(tmp_path / "b.sol"), "--tol", "1e-10",
                  "--iters-z", "5", "--max-iters", "500", "--warm-start", str(ws)])
     assert code == EXIT_OK
+
+
+def test_solve_mismatched_warm_start_exit_1(tmp_path, capsys):
+    small = tmp_path / "toy.sdp"
+    small.write_text(TOY)
+    ws = tmp_path / "toy.ws"
+    main(["solve", str(small), "-o", str(tmp_path / "a.sol"), "--max-iters", "3", "--save-warm-start", str(ws)])
+    big = tmp_path / "toy3.sdp"
+    big.write_text(TOY3)
+    capsys.readouterr()
+    for precision in ("double", "dd"):
+        code = main(["solve", str(big), "-o", str(tmp_path / "b.sol"), "--warm-start", str(ws),
+                     "--precision", precision])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "warm start block 1: 2 columns, block size 3" in err
+        assert "solver aborted" not in err
 
 
 def test_generate_rand_counts(tmp_path, capsys):

@@ -250,3 +250,79 @@ def test_project_psd_double_double():
     for i in range(2):
         for j in range(2):
             assert abs(float(Z[i, j]) - 0.5) < 1e-28
+
+
+def _random_orthogonal(rng, n):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q
+
+
+def _jacobi_projection(M):
+    w, U = jacobi_eigh(M)
+    Z = (U * np.maximum(w, 0.0)) @ U.T
+    return (Z + Z.T) / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 60, 100])
+def test_project_psd_double_matches_jacobi(n):
+    rng = np.random.default_rng(100 + n)
+    B = rng.standard_normal((n, n))
+    Q = _random_orthogonal(rng, n)
+    repeated = (Q * np.where(np.arange(n) < n // 2, -1.5, 2.0)) @ Q.T  # two eigenvalues, each repeated
+    F = rng.standard_normal((n, max(1, n // 3)))
+    cases = {
+        "random": (B + B.T) / 2,
+        "repeated": (repeated + repeated.T) / 2,
+        "zero": np.zeros((n, n)),
+        "rank_deficient_psd": F @ F.T,
+    }
+    for name, M in cases.items():
+        err = np.abs(project_psd(M) - _jacobi_projection(M)).max()
+        assert err <= 1e-12 * np.abs(M).max(), (name, err)
+
+
+def _dd_symmetric_with_lo_words(rng, H):
+    """dd matrix hi + lo, lo a random perturbation below half an ulp of hi."""
+    n = H.shape[0]
+    L = np.triu(H * rng.uniform(-1e-17, 1e-17, size=(n, n)))
+    L = L + np.triu(L, 1).T
+    M = DOUBLE_DOUBLE.asarray(H) + DOUBLE_DOUBLE.asarray(L)
+    assert any(x.lo != 0.0 for x in M.reshape(-1))
+    return M
+
+
+@pytest.mark.parametrize("case", ["random", "repeated"])
+def test_project_psd_double_double_matches_mpmath(case):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    n = 8
+    if case == "random":
+        B = rng.standard_normal((n, n))
+        H = B + B.T
+    else:
+        Q = _random_orthogonal(rng, n)
+        H = (Q * np.array([-1.0, -1.0, -1.0, 0.5, 0.5, 2.0, 2.0, 2.0])) @ Q.T
+        H = (H + H.T) / 2
+    M = _dd_symmetric_with_lo_words(rng, H)
+    Z = project_psd(M)
+
+    with mpmath.workdps(50):
+        A = mpmath.matrix([[mpmath.mpf(x.hi) + mpmath.mpf(x.lo) for x in row] for row in M])
+        E, U = mpmath.eigsy(A)
+        Zref = U * mpmath.diag([max(e, 0) for e in E]) * U.T
+        err = max(abs(mpmath.mpf(Z[i, j].hi) + mpmath.mpf(Z[i, j].lo) - Zref[i, j])
+                  for i in range(n) for j in range(n))
+        scale = max(abs(A[i, j]) for i in range(n) for j in range(n))
+        assert err <= mpmath.mpf("1e-28") * scale, float(err / scale)
+
+
+@pytest.mark.parametrize("kind", ["double", "dd"])
+def test_project_psd_nonfinite_input_raises(kind):
+    for bad in (np.nan, np.inf):
+        M = np.array([[1.0, bad], [bad, 2.0]])
+        if kind == "dd":
+            M = DOUBLE_DOUBLE.asarray(M)
+        with pytest.raises(NumericalError, match="nonfinite"):
+            project_psd(M)
+        with pytest.raises(NumericalError, match="nonfinite"):
+            jacobi_eigh(M)
