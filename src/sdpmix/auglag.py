@@ -19,7 +19,7 @@ from typing import List
 import numpy as np
 
 from .ddouble import dot, kind_of, segment_sum
-from .linops import ColumnSlices, OperatorCache, OperatorTables, apply_adjoint, column_deltas
+from .linops import ColumnSlices, OperatorCache, OperatorTables, column_deltas
 from .linops import commit_column as _cache_commit
 from .problem import SdpProblem
 
@@ -61,7 +61,7 @@ def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu,
                slices: ColumnSlices | None = None) -> IterateState:
     kind = problem.kind
     tables = tables or OperatorTables(problem)
-    slices = slices or ColumnSlices(problem)
+    slices = slices or ColumnSlices(problem, tables)
     cache = OperatorCache.fresh(problem, V_blocks, tables)
     return IterateState(
         problem=problem,
@@ -76,56 +76,6 @@ def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu,
     )
 
 
-def eval_auglag(state: IterateState):
-    """Full augmented Lagrangian at the current iterate (cache-consistent)."""
-    mu = state.mu
-    total = state.cache.cost_value
-    r = state.residual_eq()
-    if len(r):
-        total = total + dot(state.y_a, r) + 0.5 * mu * dot(r, r)
-    s = state.residual_ineq()
-    if len(s):
-        state.counters["hinge_evals"] += 1
-        t = state.y_b + mu * s
-        active = t > 0
-        if np.any(active):
-            sa = s[active]
-            total = total + dot(state.y_b[active], sa) + 0.5 * mu * dot(sa, sa)
-        if not np.all(active):
-            yi = state.y_b[~active]
-            total = total - dot(yi, yi) / (2.0 * mu)
-    return total
-
-
-def _multipliers(state: IterateState):
-    """Coefficients of A_j / B_j in the gradient, hinge applied."""
-    mu = state.mu
-    lam_a = state.y_a + mu * state.residual_eq()
-    t = state.y_b + mu * state.residual_ineq()
-    if len(t):
-        state.counters["hinge_evals"] += 1
-        zero = state.kind.from_float(0.0)
-        lam_b = np.where(t > 0, t, zero)
-    else:
-        lam_b = t
-    return lam_a, lam_b
-
-
-def full_gradient(state: IterateState) -> List[np.ndarray]:
-    """Gradient of the augmented Lagrangian with respect to every factor.
-
-    Diagnostic path: assembles dense per-block matrices. The per-column
-    kernel below is what the solver actually iterates with.
-    """
-    lam_a, lam_b = _multipliers(state)
-    combo = apply_adjoint(state.problem, np.concatenate([lam_a, lam_b]))
-    out = []
-    for b, V in enumerate(state.V_blocks):
-        M = state.problem.costs[b].to_dense() - combo[b]
-        out.append(2.0 * (V @ M))
-    return out
-
-
 class ColumnContext:
     """Restricted objective for one column; reusable across trial points."""
 
@@ -138,8 +88,8 @@ class ColumnContext:
         p = state.problem
         m_a = p.m_eq
         self.v_start = state.V_blocks[block][:, i].copy()
-        self.vals_start = state.cache.values[sl.sup] if len(sl.sup) else state.kind.zeros(0)
-        self.cost_start = state.cache.cost_value
+        # operator values on the column's slots: sup, then the cost
+        self.vals_start = np.concatenate([state.cache.values[sl.sup], [state.cache.cost_value]])
         self.mu = state.mu
 
         n_eq = int(np.searchsorted(sl.sup, m_a))
@@ -154,7 +104,7 @@ class ColumnContext:
         self.const_lin_eq = dot(state.y_a, r_all) - dot(self.y_sup_eq, r_sup0)
         self.const_quad_eq = dot(r_all, r_all) - dot(r_sup0, r_sup0)
         s_all = state.residual_ineq()
-        s_sup0 = self.rhs_sup[n_eq:] - self.vals_start[n_eq:]
+        s_sup0 = self.rhs_sup[n_eq:] - self.vals_start[n_eq:-1]
         self.const_hinge = self._hinge_sum(state.y_b, s_all) - self._hinge_sum(self.y_sup_ineq, s_sup0)
 
     def _hinge_sum(self, y, s):
@@ -181,40 +131,28 @@ class ColumnContext:
         V = state.V_blocks[self.block]
         n_eq = self.n_eq
 
-        delta, cost_delta = column_deltas(sl, V, self.i, self.v_start, v_trial)
-        vals = self.vals_start + delta
-        total = self.cost_start + cost_delta
+        vals = self.vals_start + column_deltas(sl, V, self.i, self.v_start, v_trial)
+        total = vals[-1]
 
         r_sup = self.rhs_sup[:n_eq] - vals[:n_eq]
         total = total + self.const_lin_eq + dot(self.y_sup_eq, r_sup)
         total = total + 0.5 * mu * (self.const_quad_eq + dot(r_sup, r_sup))
         lam_eq = self.y_sup_eq + mu * r_sup
 
-        s_sup = self.rhs_sup[n_eq:] - vals[n_eq:]
+        s_sup = self.rhs_sup[n_eq:] - vals[n_eq:-1]
         total = total + self.const_hinge + self._hinge_sum(self.y_sup_ineq, s_sup)
         t = self.y_sup_ineq + mu * s_sup
         zero = self.kind.from_float(0.0)
         lam_ineq = np.where(t > 0, t, zero) if len(t) else t
 
-        # dense n-vector C_(i) - sum_j lam_j (A_j)_(i), then two O(kn) products
+        # dense n-vector C_(i) - sum_j lam_j (A_j)_(i): the slots' coefficients
+        # are -lam and 1 for the cost, then two O(kn) products
         n = state.problem.block_sizes[self.block]
-        lam = np.concatenate([lam_eq, lam_ineq]) if len(sl.sup) else self.kind.zeros(0)
-        g_n = self.kind.zeros(n)
-        if len(sl.cost_row):
-            g_n[sl.cost_row] += sl.cost_val
-        if len(sl.row):
-            g_n -= segment_sum(sl.val * lam[sl.seg], sl.row, n)
-        g_i = self.kind.from_float(0.0) + sl.cost_diag
-        if len(sl.sup):
-            g_i = g_i - dot(lam, sl.diag)
-        g_n[self.i] += g_i
+        coef = np.concatenate([-lam_eq, -lam_ineq, state.slices.cost_coef])
+        g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else self.kind.zeros(n)
+        g_n[self.i] += dot(coef, sl.diag)
         grad = 2.0 * (V @ g_n + (v_trial - self.v_start) * g_n[self.i])
         return total, grad
-
-
-def column_objective_grad(state: IterateState, block: int, i: int, v_trial):
-    """Restricted augmented Lagrangian and its gradient at one trial column."""
-    return ColumnContext(state, block, i).value_and_grad(v_trial)
 
 
 def commit_column(state: IterateState, block: int, i: int, v_new) -> None:

@@ -9,11 +9,13 @@ and stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import typing
 from pathlib import Path
 
-from .ddouble import DOUBLE_DOUBLE
+from .ddouble import DOUBLE_DOUBLE, all_finite
 from .errors import SdpmixError, ValidationError
 from .formats import (
     parse_problem,
@@ -60,51 +62,58 @@ def _progress_printer():
     return emit
 
 
+# help text per SolverOptions field; flag names, types and defaults come from the fields
+_SOLVER_TYPES = typing.get_type_hints(SolverOptions)
+_SOLVER_HELP = {
+    "tol": "stopping tolerance",
+    "mu_start": "initial penalty (default sqrt of largest block)",
+    "time_limit": "wall-clock limit in seconds",
+    "max_iters": "outer iteration cap",
+    "iters_Z": "dual slack check cadence",
+    "scaling": "disable automatic data scaling",
+    "shuffling": "randomize column order each iteration",
+    "double_sweep": "forward then reverse column sweeps",
+    "p": "dual step size",
+    "delta": "relative column tolerance",
+    "epsilon": "absolute column tolerance",
+    "max_evals": "evaluation budget per column update",
+    "tau": "penalty update factor",
+    "rat_min": "lower ratio threshold",
+    "rat_max": "upper ratio threshold",
+    "seed": "initialization seed",
+}
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-12, help="stopping tolerance (default 1e-12)")
-    p.add_argument("--mu-start", type=float, default=None, help="initial penalty (default sqrt of largest block)")
-    p.add_argument("--time-limit", type=float, default=None, help="wall-clock limit in seconds")
-    p.add_argument("--max-iters", type=int, default=None, help="outer iteration cap")
-    p.add_argument("--iters-z", type=int, default=50, help="dual slack check cadence (default 50)")
-    p.add_argument("--no-scaling", action="store_true", help="disable automatic data scaling")
-    p.add_argument("--shuffling", action="store_true", help="randomize column order each iteration")
-    p.add_argument("--double-sweep", action="store_true", help="forward then reverse column sweeps")
-    p.add_argument("--p", type=float, default=1.0, help="dual step size (default 1)")
-    p.add_argument("--delta", type=float, default=0.01, help="relative column tolerance (default 0.01)")
-    p.add_argument("--epsilon", type=float, default=0.01, help="absolute column tolerance (default 0.01)")
-    p.add_argument("--max-evals", type=int, default=1000, help="evaluation budget per column update")
-    p.add_argument("--tau", type=float, default=1.03, help="penalty update factor (default 1.03)")
-    p.add_argument("--rat-min", type=float, default=0.8, help="lower ratio threshold (default 0.8)")
-    p.add_argument("--rat-max", type=float, default=1.2, help="upper ratio threshold (default 1.2)")
-    p.add_argument("--seed", type=int, default=0, help="initialization seed (default 0)")
+    """One flag per SolverOptions field: --kebab-case, or --no-<name> for a
+    switch that defaults to on."""
+    for f in dataclasses.fields(SolverOptions):
+        name = f.name.lower().replace("_", "-")
+        hint = _SOLVER_TYPES[f.name]
+        help_text = _SOLVER_HELP[f.name]
+        if hint is bool:
+            flag, action = (f"--no-{name}", "store_false") if f.default else (f"--{name}", "store_true")
+            p.add_argument(flag, dest=f.name, action=action, help=help_text)
+            continue
+        parse = next((t for t in typing.get_args(hint) if t is not type(None)), hint)  # Optional[T] parses as T
+        if f.default is not None:
+            help_text += f" (default {f.default})"
+        p.add_argument(f"--{name}", dest=f.name, type=parse, default=f.default, help=help_text)
 
 
 def _options_from(args) -> SolverOptions:
-    return SolverOptions(
-        tol=args.tol,
-        mu_start=args.mu_start,
-        time_limit=args.time_limit,
-        max_iters=args.max_iters,
-        iters_Z=args.iters_z,
-        scaling=not args.no_scaling,
-        shuffling=args.shuffling,
-        double_sweep=args.double_sweep,
-        p=args.p,
-        delta=args.delta,
-        epsilon=args.epsilon,
-        max_evals=args.max_evals,
-        tau=args.tau,
-        rat_min=args.rat_min,
-        rat_max=args.rat_max,
-        seed=args.seed,
-    )
+    return SolverOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolverOptions)})
 
 
 def cmd_solve(args) -> int:
+    out_path = args.output or str(Path(str(args.input)).with_suffix(".sol"))
     try:
         problem = parse_problem(args.input)
         options = _options_from(args)
         warm = read_warmstart(args.warm_start) if args.warm_start else None
+        for path in (out_path, args.save_warm_start):
+            if path and not Path(path).parent.is_dir():
+                raise ValidationError(f"{path}: output directory {Path(path).parent} does not exist")
     except (SdpmixError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_INPUT
@@ -131,13 +140,16 @@ def cmd_solve(args) -> int:
         _log(f"solver aborted: {exc}")
         return EXIT_LIMIT
 
-    out_path = args.output or str(Path(str(args.input)).with_suffix(".sol"))
-    write_solution(sol, out_path, include_z=not args.no_z)
-    if args.save_warm_start:
-        if warm_out is None:
-            _log("note: no warm start available from a two-stage run; rerun with --warm-start to resume")
-        else:
-            write_warmstart(warm_out, args.save_warm_start)
+    try:
+        write_solution(sol, out_path, include_z=not args.no_z)
+        if args.save_warm_start:
+            if warm_out is None:
+                _log("note: no warm start available from a two-stage run; rerun with --warm-start to resume")
+            else:
+                write_warmstart(warm_out, args.save_warm_start)
+    except OSError as exc:
+        _log(f"error: {exc}")
+        return EXIT_INPUT
 
     print(f"status {sol.status}")
     print(f"iterations {sol.iterations}")
@@ -204,6 +216,11 @@ def cmd_check(args) -> int:
                 )
         if len(sol.y_a) != problem.m_eq or len(sol.y_b) != problem.m_ineq:
             raise SdpmixError("dual vector lengths do not match the problem")
+        fields = [(f"factor {b + 1}", F) for b, F in enumerate(sol.factor)] + [("ya", sol.y_a), ("yb", sol.y_b)]
+        fields += [(f"Z {b + 1}", Z) for b, Z in enumerate(sol.Z or [])]
+        for name, values in fields:
+            if not all_finite(values):
+                raise SdpmixError(f"solution field {name} has a nonfinite value")
     except (SdpmixError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_INPUT

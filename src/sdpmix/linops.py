@@ -1,10 +1,11 @@
 """Sparse constraint-operator kernels on factored iterates.
 
 The primal matrix is never materialized: every kernel works on the factors
-V_i (shape k_i x n_i, X_i = V_i^T V_i) and on the upper-triangle triplets of
-the data. Off-diagonal stored entries carry an implicit factor 2 in inner
-products; the column slices below store each off-diagonal entry once per
-incident column, so the factor 2 appears exactly once in each formula.
+V_i (shape k_i x n_i, X_i = V_i^T V_i) and on one entry table per block
+(OperatorTables), which holds the constraints and, as row m, the cost.
+Off-diagonal stored entries carry an implicit factor 2 in inner products;
+the column slices below store each off-diagonal entry once per incident
+column, so the factor 2 appears exactly once in each formula.
 """
 
 from __future__ import annotations
@@ -19,71 +20,63 @@ from .errors import NumericalError
 from .problem import SdpProblem
 
 
-# -- full operator application ----------------------------------------------
+# -- entry tables and operator application ----------------------------------
 
 
 class OperatorTables:
-    """Flat per-block entry tables for vectorized operator evaluation."""
+    """One entry table per block: (con, row, col, val, wval) arrays.
+
+    A block's table lists the stored upper-triangle entries (row <= col) of
+    every constraint with a matrix in that block, constraint by constraint,
+    then those of the block's cost matrix with con = m: the cost is the last
+    row of the operator. wval is val with the off-diagonal factor 2 applied.
+
+    The cost must stay last: a column gradient sums -lambda_j a_j over the
+    constraints and then adds c, which rounds exactly like c - sum_j
+    lambda_j a_j; a cost summed first would round differently.
+    """
 
     def __init__(self, problem: SdpProblem):
         kind = problem.kind
+        terms = [[] for _ in range(problem.q)]
+        for j, con in enumerate(problem.constraints):
+            for b, mat in con:
+                terms[b].append((j, mat))
         self.blocks = []
-        self.cost_blocks = []
-        for b in range(problem.q):
-            cons_ids, rows, cols, wv = [], [], [], []
-            for j, con in enumerate(problem.constraints):
-                for bb, mat in con:
-                    if bb != b:
-                        continue
-                    cons_ids.extend([j] * mat.nnz)
-                    rows.extend(mat.rows.tolist())
-                    cols.extend(mat.cols.tolist())
-                    w = mat._weights()
-                    wv.extend((mat.vals * w).tolist())
-            self.blocks.append(
-                (
-                    np.array(cons_ids, dtype=np.int64),
-                    np.array(rows, dtype=np.int64),
-                    np.array(cols, dtype=np.int64),
-                    kind.asarray(wv),
-                )
-            )
-            cm = problem.costs[b]
-            self.cost_blocks.append((cm.rows, cm.cols, kind.asarray(cm.vals * cm._weights())))
+        for b, cost in enumerate(problem.costs):
+            ids, mats = zip(*terms[b], (problem.m, cost))
+            con = np.repeat(np.array(ids, dtype=np.int64), [mat.nnz for mat in mats])
+            row = np.concatenate([mat.rows for mat in mats])
+            col = np.concatenate([mat.cols for mat in mats])
+            val = kind.asarray(np.concatenate([mat.vals for mat in mats]))
+            self.blocks.append((con, row, col, val, val * np.where(row == col, 1.0, 2.0)))
+
+
+@dataclass
+class OperatorCache:
+    """Constraint values A(X)||B(X) and the cost value for the current V."""
+
+    values: np.ndarray
+    cost_value: object
+
+    @classmethod
+    def fresh(cls, problem: SdpProblem, V_blocks, tables: OperatorTables) -> "OperatorCache":
+        """Every row of the operator, cost included, in one segment sum per block."""
+        _check_shapes(problem, V_blocks)
+        kind = problem.kind
+        m = problem.m
+        out = kind.zeros(m + 1)
+        for V, (con, row, col, _, wval) in zip(V_blocks, tables.blocks):
+            if len(con) == 0:
+                continue
+            prod = np.sum(V[:, row] * V[:, col], axis=0) if V.shape[0] else kind.zeros(len(row))
+            out = out + segment_sum(wval * prod, con, m + 1)
+        return cls(out[:m], out[m])
 
 
 def apply_operator(problem: SdpProblem, V_blocks, tables: OperatorTables | None = None) -> np.ndarray:
     """Constraint values <A_j, V^T V> summed over blocks, no dense X."""
-    _check_shapes(problem, V_blocks)
-    if tables is None:
-        tables = OperatorTables(problem)
-    kind = problem.kind
-    out = kind.zeros(problem.m)
-    for b, (cons_ids, rows, cols, wv) in enumerate(tables.blocks):
-        if len(cons_ids) == 0:
-            continue
-        V = V_blocks[b]
-        prod = np.sum(V[:, rows] * V[:, cols], axis=0) if V.shape[0] else kind.zeros(len(rows))
-        out = out + segment_sum(wv * prod, cons_ids, problem.m)
-    return out
-
-
-def apply_cost(problem: SdpProblem, V_blocks, tables: OperatorTables | None = None):
-    """Objective value <C, V^T V>."""
-    _check_shapes(problem, V_blocks)
-    if tables is None:
-        tables = OperatorTables(problem)
-    kind = problem.kind
-    total = kind.from_float(0.0)
-    for b, (rows, cols, wv) in enumerate(tables.cost_blocks):
-        if len(rows) == 0:
-            continue
-        V = V_blocks[b]
-        if V.shape[0] == 0:
-            continue
-        prod = np.sum(V[:, rows] * V[:, cols], axis=0)
-        total = total + np.sum(wv * prod)
-    return total
+    return OperatorCache.fresh(problem, V_blocks, tables or OperatorTables(problem)).values
 
 
 def apply_adjoint(problem: SdpProblem, y: np.ndarray) -> List[np.ndarray]:
@@ -120,9 +113,10 @@ def _check_shapes(problem: SdpProblem, V_blocks) -> None:
 class ColSlice:
     """Everything touching one column of one block.
 
-    sup lists the constraints with any entry in this column; diag holds the
-    (i, i) coefficients aligned with sup; (seg, row, val) are the off-diagonal
-    full-column entries, seg mapping each to its position in sup.
+    sup lists the constraints with any entry in this column. The slots of a
+    column are sup's positions, then one more for the cost: diag holds the
+    (i, i) coefficient per slot, and (seg, row, val) are the off-diagonal
+    full-column entries, seg giving each entry's slot and row its partner.
     """
 
     sup: np.ndarray
@@ -130,108 +124,64 @@ class ColSlice:
     seg: np.ndarray
     row: np.ndarray
     val: np.ndarray
-    cost_row: np.ndarray
-    cost_val: np.ndarray
-    cost_diag: object
 
 
 class ColumnSlices:
-    """Per-column views of all constraint and cost data."""
+    """Per-column views of the entry tables, cost included.
 
-    def __init__(self, problem: SdpProblem):
+    Each table entry is listed under every column it lies in: a diagonal
+    entry once, an off-diagonal (r, c) under column r with partner c and
+    under column c with partner r. One lexsort by (column, constraint,
+    partner) makes each column's slice a contiguous run, constraints in
+    ascending order and the cost (constraint m) last.
+    """
+
+    def __init__(self, problem: SdpProblem, tables: OperatorTables):
         kind = problem.kind
-        self.kind = kind
+        m = problem.m
+        self.cost_coef = kind.asarray([1.0])  # the cost slot's coefficient in a column gradient
         self.by_block: List[List[ColSlice]] = []
-        for b, n in enumerate(problem.block_sizes):
-            diag_maps = [dict() for _ in range(n)]
-            off_maps = [dict() for _ in range(n)]  # col -> {j: [(row, val)]}
-            for j, con in enumerate(problem.constraints):
-                for bb, mat in con:
-                    if bb != b:
-                        continue
-                    for r, c, v in zip(mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()):
-                        if r == c:
-                            diag_maps[r][j] = v
-                        else:
-                            off_maps[r].setdefault(j, []).append((c, v))
-                            off_maps[c].setdefault(j, []).append((r, v))
-            cost = problem.costs[b]
+        for n, (con, row, col, val, _) in zip(problem.block_sizes, tables.blocks):
+            mirror = row != col
+            column = np.concatenate([row, col[mirror]])
+            partner = np.concatenate([col, row[mirror]])
+            cid = np.concatenate([con, con[mirror]])
+            v = np.concatenate([val, val[mirror]])
+            order = np.lexsort((partner, cid, column))
+            column, partner, cid, v = column[order], partner[order], cid[order], v[order]
+
+            # a group is one (column, constraint) run; its slot is its rank in
+            # the column, so the cost, when present, takes slot len(sup)
+            first = np.ones(len(cid), dtype=bool)
+            first[1:] = (column[1:] != column[:-1]) | (cid[1:] != cid[:-1])
+            gcid, gcol = cid[first], column[first]
+            gstart = np.searchsorted(gcol, np.arange(n + 1))
+            slot = np.cumsum(first) - 1 - gstart[column]
+
+            # every column's len(sup) + 1 slots, laid end to end
+            nsup = np.bincount(gcol[gcid < m], minlength=n)
+            base = np.concatenate([[0], np.cumsum(nsup + 1)])
+            on_diag = column == partner
+            diag = kind.zeros(int(base[-1]))
+            diag[(base[column] + slot)[on_diag]] = v[on_diag]
+
+            off = ~on_diag
+            seg, prow, pval = slot[off], partner[off], v[off]
+            ends = np.searchsorted(column[off], np.arange(n + 1))
             slices = []
             for i in range(n):
-                sup = sorted(set(diag_maps[i]) | set(off_maps[i]))
-                pos = {j: t for t, j in enumerate(sup)}
-                diag = kind.zeros(len(sup))
-                for j, v in diag_maps[i].items():
-                    diag[pos[j]] = v
-                seg, row, val = [], [], []
-                for j, pairs in off_maps[i].items():
-                    for r, v in pairs:
-                        seg.append(pos[j])
-                        row.append(r)
-                        val.append(v)
-                crow, cval = cost.column(i)
-                cdiag = kind.from_float(0.0)
-                keep = crow != i
-                if not np.all(keep):
-                    cdiag = cval[~keep][0]
-                slices.append(
-                    ColSlice(
-                        sup=np.array(sup, dtype=np.int64),
-                        diag=diag,
-                        seg=np.array(seg, dtype=np.int64),
-                        row=np.array(row, dtype=np.int64),
-                        val=kind.asarray(val),
-                        cost_row=crow[keep],
-                        cost_val=cval[keep] if len(cval) else kind.zeros(0),
-                        cost_diag=cdiag,
-                    )
-                )
+                lo, hi = ends[i], ends[i + 1]
+                slices.append(ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], diag=diag[base[i]:base[i + 1]],
+                                       seg=seg[lo:hi], row=prow[lo:hi], val=pval[lo:hi]))
             self.by_block.append(slices)
 
     def slice(self, block: int, i: int) -> ColSlice:
         return self.by_block[block][i]
 
-    def reassemble(self, problem: SdpProblem) -> bool:
-        """Check the slices reproduce the constraint matrices exactly."""
-        for b, n in enumerate(problem.block_sizes):
-            dense = {}
-            for i, sl in enumerate(self.by_block[b]):
-                for t, j in enumerate(sl.sup.tolist()):
-                    dense.setdefault(j, self.kind.zeros((n, n)))[i, i] += sl.diag[t]
-                for s, r, v in zip(sl.seg.tolist(), sl.row.tolist(), sl.val.tolist()):
-                    if r > i:
-                        j = int(sl.sup[s])
-                        D = dense.setdefault(j, self.kind.zeros((n, n)))
-                        D[i, r] += v
-                        D[r, i] += v
-            for j, con in enumerate(problem.constraints):
-                for bb, mat in con:
-                    if bb != b:
-                        continue
-                    got = dense.get(j, self.kind.zeros((n, n)))
-                    if not np.all(got == mat.to_dense()):
-                        return False
-        return True
 
-
-@dataclass
-class OperatorCache:
-    """Constraint values A(X)||B(X) and the cost value for the current V."""
-
-    values: np.ndarray
-    cost_value: object
-
-    @classmethod
-    def fresh(cls, problem: SdpProblem, V_blocks, tables: OperatorTables) -> "OperatorCache":
-        return cls(apply_operator(problem, V_blocks, tables), apply_cost(problem, V_blocks, tables))
-
-    def copy(self) -> "OperatorCache":
-        return OperatorCache(self.values.copy(), self.cost_value)
-
-
-def column_deltas(sl: ColSlice, V: np.ndarray, i: int, v_start, v_trial):
-    """Increments of the operator values on sl.sup when column i moves
-    from v_start to v_trial, plus the cost-value increment.
+def column_deltas(sl: ColSlice, V: np.ndarray, i: int, v_start, v_trial) -> np.ndarray:
+    """Increments of the operator values on sl.sup, then of the cost value,
+    when column i moves from v_start to v_trial.
 
     Cost O(k n + nnz of the slice): one dense V^T d product and sparse
     gathers; entries off the support are untouched.
@@ -242,31 +192,8 @@ def column_deltas(sl: ColSlice, V: np.ndarray, i: int, v_start, v_trial):
     dn = dot(v_trial, v_trial) - dot(v_start, v_start)
     delta = sl.diag * dn
     if len(sl.row):
-        contrib = segment_sum(sl.val * w[sl.row], sl.seg, len(sl.sup))
-        delta = delta + 2.0 * contrib
-    cost_delta = sl.cost_diag * dn
-    if len(sl.cost_row):
-        cost_delta = cost_delta + 2.0 * dot(sl.cost_val, w[sl.cost_row])
-    return delta, cost_delta
-
-
-def incremental_operator_values(
-    cache: OperatorCache,
-    slices: ColumnSlices,
-    V_blocks,
-    block: int,
-    i: int,
-    v_start,
-    v_trial,
-) -> np.ndarray:
-    """Operator values after substituting v_trial for column i of the given
-    block, from the cached values at v_start."""
-    sl = slices.slice(block, i)
-    delta, _ = column_deltas(sl, V_blocks[block], i, v_start, v_trial)
-    out = cache.values.copy()
-    if len(sl.sup):
-        out[sl.sup] += delta
-    return out
+        delta = delta + 2.0 * segment_sum(sl.val * w[sl.row], sl.seg, len(sl.diag))
+    return delta
 
 
 def commit_column(cache: OperatorCache, slices: ColumnSlices, V_blocks, block: int, i: int, v_new) -> None:
@@ -276,10 +203,10 @@ def commit_column(cache: OperatorCache, slices: ColumnSlices, V_blocks, block: i
     if np.array_equal(v_start, v_new):
         return
     sl = slices.slice(block, i)
-    delta, cost_delta = column_deltas(sl, V, i, v_start, v_new)
+    delta = column_deltas(sl, V, i, v_start, v_new)
     if len(sl.sup):
-        cache.values[sl.sup] += delta
-    cache.cost_value = cache.cost_value + cost_delta
+        cache.values[sl.sup] += delta[:-1]
+    cache.cost_value = cache.cost_value + delta[-1]
     V[:, i] = v_new
 
 

@@ -96,14 +96,6 @@ class SymMatrix:
     def scaled(self, factor) -> "SymMatrix":
         return replace(self, vals=self.vals * factor)
 
-    def column(self, i: int):
-        """Entries of column i of the full matrix as (row_indices, values)."""
-        on_r = self.rows == i
-        on_c = (self.cols == i) & ~on_r
-        idx_rows = np.concatenate([self.cols[on_r], self.rows[on_c]])
-        vals = np.concatenate([self.vals[on_r], self.vals[on_c]])
-        return idx_rows, vals
-
     def equals(self, other: "SymMatrix") -> bool:
         return (
             self.order == other.order

@@ -271,6 +271,28 @@ def compute_errors(problem: SdpProblem, X_blocks, y_a, y_b, Z_blocks=None) -> Er
     pobj = kind.from_float(0.0)
     for b, c in enumerate(problem.costs):
         pobj = pobj + c.inner_dense(X_blocks[b])
+    if Z_blocks is None:
+        return kkt_errors(problem, vals, pobj, y_a, y_b)
+    combo = apply_adjoint(problem, np.concatenate([y_a, y_b]))
+    resid_sq = kind.from_float(0.0)
+    cost_sq = kind.from_float(0.0)
+    xz = kind.from_float(0.0)
+    for b in range(problem.q):
+        Cd = problem.costs[b].to_dense()
+        R = Cd - combo[b] - Z_blocks[b]
+        resid_sq = resid_sq + np.sum(R * R)
+        cost_sq = cost_sq + problem.costs[b].frob_sq()
+        xz = xz + np.sum(X_blocks[b] * Z_blocks[b])
+    report = kkt_errors(problem, vals, pobj, y_a, y_b, xz)
+    report.dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(cost_sq)))
+    return report
+
+
+def kkt_errors(problem: SdpProblem, vals, pobj, y_a, y_b, xz=None) -> ErrorReport:
+    """pinf, gap and compl* from the constraint values and the objective
+    value (of a dense X in compute_errors, of the operator cache in the
+    solve loop); compl too when <X, Z> is given."""
+    kind = problem.kind
     a = problem.rhs_eq
     bvec = problem.rhs_ineq
     r = a - vals[: problem.m_eq]
@@ -286,40 +308,8 @@ def compute_errors(problem: SdpProblem, X_blocks, y_a, y_b, Z_blocks=None) -> Er
 
     dual_val = dot(y_a, vals[: problem.m_eq]) + dot(y_b, vals[problem.m_eq :])
     compl_star = abs(pobj - dual_val) / denom
-
-    report = ErrorReport(pinf=pinf, gap=gap, compl_star=compl_star)
-    if Z_blocks is not None:
-        combo = apply_adjoint(problem, np.concatenate([y_a, y_b]))
-        resid_sq = kind.from_float(0.0)
-        cost_sq = kind.from_float(0.0)
-        xz = kind.from_float(0.0)
-        for b in range(problem.q):
-            Cd = problem.costs[b].to_dense()
-            R = Cd - combo[b] - Z_blocks[b]
-            resid_sq = resid_sq + np.sum(R * R)
-            cost_sq = cost_sq + problem.costs[b].frob_sq()
-            xz = xz + np.sum(X_blocks[b] * Z_blocks[b])
-        report.dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(cost_sq)))
-        report.compl = abs(xz) / denom
-    return report
-
-
-def _cheap_errors(state: IterateState):
-    """pinf/gap/compl* of the scaled problem from the operator cache."""
-    p = state.problem
-    kind = state.kind
-    r = state.residual_eq()
-    s = state.residual_ineq()
-    viol = norm_inf(_pos_part(s, kind)) if len(s) else kind.from_float(0.0)
-    pinf_den = 1.0 + float(max(norm_inf(p.rhs_eq), norm_inf(p.rhs_ineq)))
-    pinf = max(norm_inf(r), viol) / pinf_den
-    pobj = state.cache.cost_value
-    dobj = dot(p.rhs_eq, state.y_a) + dot(p.rhs_ineq, state.y_b)
-    denom = 1.0 + abs(pobj) + abs(dobj)
-    gap = abs(pobj - dobj) / denom
-    dual_val = dot(state.y_a, state.values_eq()) + dot(state.y_b, state.values_ineq())
-    compl_star = abs(pobj - dual_val) / denom
-    return pinf, gap, compl_star
+    compl = None if xz is None else abs(xz) / denom
+    return ErrorReport(pinf=pinf, gap=gap, compl_star=compl_star, compl=compl)
 
 
 def dual_slack(problem: SdpProblem, y_a, y_b):
@@ -378,7 +368,7 @@ def solve(
         scaled, record = problem, ScalingRecord.identity(problem)
 
     tables = OperatorTables(scaled)
-    slices = ColumnSlices(scaled)
+    slices = ColumnSlices(scaled, tables)
     if warm_start is not None:
         state = state_from_warm(scaled, warm_start, tables=tables, slices=slices)
     else:
@@ -437,23 +427,23 @@ def solve(
         update_penalty(state, ratio, options)
         state.prev_values = state.cache.values.copy()
 
-        pinf, gap, compl_star = _cheap_errors(state)
-        err_level = float(max(pinf, gap, compl_star))
+        cheap = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y_a, state.y_b)
+        err_level = float(cheap.max_error())
         if progress is not None:
             progress(
                 {
                     "iter": iteration,
                     "mu": float(state.mu),
                     "ratio": ratio,
-                    "pinf": float(pinf),
-                    "gap": float(gap),
-                    "compl_star": float(compl_star),
+                    "pinf": float(cheap.pinf),
+                    "gap": float(cheap.gap),
+                    "compl_star": float(cheap.compl_star),
                     "elapsed": elapsed(),
                     "hinge_evals": state.counters["hinge_evals"],
                 }
             )
 
-        proxy_ok = max(pinf, gap, compl_star) < options.tol
+        proxy_ok = cheap.max_error() < options.tol
         if proxy_ok and iteration % options.iters_Z == 0:
             Z_blocks = dual_slack(scaled, state.y_a, state.y_b)
             X_blocks = [V.T @ V for V in state.V_blocks]

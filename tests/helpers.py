@@ -6,6 +6,9 @@ formula transcriptions, independent of the package's sparse kernels.
 
 import numpy as np
 
+from sdpmix.auglag import ColumnContext
+from sdpmix.ddouble import dot
+from sdpmix.linops import apply_adjoint, column_deltas
 from sdpmix.problem import SdpProblem, SymMatrix
 
 
@@ -107,3 +110,94 @@ def fd_gradient(f, x, h=1e-5):
         xm[i] -= h
         g[i] = (f(xp) - f(xm)) / (2 * h)
     return g
+
+
+# -- state-level shortcuts and oracles over the package's kernels ---------------
+
+
+def eval_auglag(state):
+    """Full augmented Lagrangian at the current iterate (cache-consistent)."""
+    mu = state.mu
+    total = state.cache.cost_value
+    r = state.residual_eq()
+    if len(r):
+        total = total + dot(state.y_a, r) + 0.5 * mu * dot(r, r)
+    s = state.residual_ineq()
+    if len(s):
+        state.counters["hinge_evals"] += 1
+        t = state.y_b + mu * s
+        active = t > 0
+        if np.any(active):
+            sa = s[active]
+            total = total + dot(state.y_b[active], sa) + 0.5 * mu * dot(sa, sa)
+        if not np.all(active):
+            yi = state.y_b[~active]
+            total = total - dot(yi, yi) / (2.0 * mu)
+    return total
+
+
+def multipliers(state):
+    """Coefficients of A_j / B_j in the gradient, hinge applied."""
+    mu = state.mu
+    lam_a = state.y_a + mu * state.residual_eq()
+    t = state.y_b + mu * state.residual_ineq()
+    if len(t):
+        state.counters["hinge_evals"] += 1
+        zero = state.kind.from_float(0.0)
+        lam_b = np.where(t > 0, t, zero)
+    else:
+        lam_b = t
+    return lam_a, lam_b
+
+
+def full_gradient(state):
+    """Gradient of the augmented Lagrangian with respect to every factor,
+    from dense per-block matrices."""
+    lam_a, lam_b = multipliers(state)
+    combo = apply_adjoint(state.problem, np.concatenate([lam_a, lam_b]))
+    out = []
+    for b, V in enumerate(state.V_blocks):
+        M = state.problem.costs[b].to_dense() - combo[b]
+        out.append(2.0 * (V @ M))
+    return out
+
+
+def column_objective_grad(state, block, i, v_trial):
+    """Restricted augmented Lagrangian and its gradient at one trial column."""
+    return ColumnContext(state, block, i).value_and_grad(v_trial)
+
+
+def incremental_operator_values(cache, slices, V_blocks, block, i, v_start, v_trial):
+    """Operator values after substituting v_trial for column i of the given
+    block, from the cached values at v_start."""
+    sl = slices.slice(block, i)
+    delta = column_deltas(sl, V_blocks[block], i, v_start, v_trial)
+    out = cache.values.copy()
+    if len(sl.sup):
+        out[sl.sup] += delta[:-1]
+    return out
+
+
+def reassemble(problem, slices):
+    """True when the column slices rebuild every constraint matrix and every
+    block's cost matrix (slot len(sup), constraint m) exactly.
+
+    Each incidence is placed once, at (partner, column): an off-diagonal
+    entry must therefore appear under both of its columns to rebuild."""
+    kind = problem.kind
+    m = problem.m
+    for b, n in enumerate(problem.block_sizes):
+        got = {}
+        for i, sl in enumerate(slices.by_block[b]):
+            ids = sl.sup.tolist() + [m]
+            assert len(sl.diag) == len(ids)
+            for t, j in enumerate(ids):
+                got.setdefault(j, kind.zeros((n, n)))[i, i] += sl.diag[t]
+            for s, r, v in zip(sl.seg.tolist(), sl.row.tolist(), sl.val.tolist()):
+                got.setdefault(ids[s], kind.zeros((n, n)))[r, i] += v
+        want = {j: mat.to_dense() for j, con in enumerate(problem.constraints) for bb, mat in con if bb == b}
+        want[m] = problem.costs[b].to_dense()
+        for j in set(got) | set(want):
+            if not np.all(got.get(j, kind.zeros((n, n))) == want.get(j, kind.zeros((n, n)))):
+                return False
+    return True

@@ -10,16 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from sdpmix.auglag import column_objective_grad, make_state
+from sdpmix.auglag import make_state
 from sdpmix.ddouble import norm2
 from sdpmix.formats import parse_native, read_solution, write_native, write_solution
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
-from sdpmix.linops import ColumnSlices, OperatorCache, OperatorTables, apply_operator, commit_column, incremental_operator_values
+from sdpmix.linops import ColumnSlices, OperatorCache, OperatorTables, apply_operator, commit_column
 from sdpmix.precision import solve_two_stage
 from sdpmix.problem import scale
 from sdpmix.solver import SolverOptions, WarmStart, compute_errors, rank_rule, solve, update_duals, update_penalty
 
-from helpers import random_problem
+from helpers import column_objective_grad, incremental_operator_values, random_problem
 from test_auglag import random_state, stagnation_fixture
 from test_instances import maxcut_enumeration_oracle
 
@@ -153,8 +153,7 @@ def test_criterion_04_stagnation_regression():
 
 
 def test_criterion_05_gradient_consistency():
-    from sdpmix.auglag import full_gradient
-    from helpers import dense_auglag_oracle, fd_gradient
+    from helpers import dense_auglag_oracle, fd_gradient, full_gradient
 
     h = 1e-5
     checked = 0
@@ -188,7 +187,8 @@ def test_criterion_06_incremental_operator_oracle():
     worst = 0.0
     for seed in range(25):
         p = random_problem(seed, block_sizes=(5, 3), m_eq=4, m_ineq=3, density=0.5)
-        tables, slices = OperatorTables(p), ColumnSlices(p)
+        tables = OperatorTables(p)
+        slices = ColumnSlices(p, tables)
         rng = np.random.default_rng(7000 + seed)
         from helpers import random_V_blocks
 
@@ -207,7 +207,8 @@ def test_criterion_06_incremental_operator_oracle():
             trials += 1
     # one full sweep of commits, then compare against a fresh recomputation
     p = random_problem(3, block_sizes=(6,), m_eq=5, m_ineq=3, density=0.6)
-    tables, slices = OperatorTables(p), ColumnSlices(p)
+    tables = OperatorTables(p)
+    slices = ColumnSlices(p, tables)
     rng = np.random.default_rng(1)
     from helpers import random_V_blocks
 

@@ -5,18 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from sdpmix.auglag import (
-    column_objective_grad,
-    commit_column,
-    eval_auglag,
-    full_gradient,
-    make_state,
-    refresh_cache,
-)
+from sdpmix.auglag import commit_column, make_state, refresh_cache
 from sdpmix.linops import apply_operator
 from sdpmix.problem import SdpProblem, SymMatrix
 
-from helpers import dense_auglag_oracle, fd_gradient, random_problem, random_V_blocks
+from helpers import (
+    column_objective_grad,
+    dense_auglag_oracle,
+    dense_constraint,
+    eval_auglag,
+    fd_gradient,
+    full_gradient,
+    multipliers,
+    random_problem,
+    random_V_blocks,
+)
 
 
 def stagnation_fixture():
@@ -138,6 +141,29 @@ def test_column_grad_matches_full_gradient_column():
                 _, g = column_objective_grad(st, b, i, st.V_blocks[b][:, i].copy())
                 ref = full[b][:, i]
                 assert np.abs(g - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
+
+
+def test_column_gradient_rounds_like_cost_minus_constraint_sum():
+    # the cost is the last slot of a column, so summing -lam_j a_j and then
+    # adding c rounds exactly like c - sum_j lam_j a_j summed in constraint
+    # order (here at most 7 terms per column, where numpy's sum is sequential)
+    for seed in range(8):
+        p, st = random_state(seed)
+        lam = np.concatenate(multipliers(st))
+        for b in range(p.q):
+            V = st.V_blocks[b]
+            C = p.costs[b].to_dense()
+            A = [dense_constraint(p, j)[b] for j in range(p.m)]
+            for i in range(p.block_sizes[b]):
+                g_n = np.empty(p.block_sizes[b])
+                for r in range(len(g_n)):
+                    total = 0.0
+                    for j in range(p.m):
+                        if A[j][r, i] != 0:
+                            total += lam[j] * A[j][r, i]
+                    g_n[r] = C[r, i] - total
+                _, got = column_objective_grad(st, b, i, V[:, i].copy())
+                assert np.array_equal(got, 2.0 * (V @ g_n))
 
 
 def test_column_value_matches_eval_at_current_column():

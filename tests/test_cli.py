@@ -1,9 +1,12 @@
 """CLI flows and exit codes."""
 
-from sdpmix.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, main
+import dataclasses
+
+from sdpmix.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, _options_from, build_parser, main
 from sdpmix.formats import parse_native, read_solution, read_warmstart, write_native
 
 from sdpmix.instances import gen_random_sdp
+from sdpmix.solver import SolverOptions
 
 
 K3 = "3 3\n1 2\n1 3\n2 3\n"
@@ -210,3 +213,42 @@ def test_check_shape_mismatch_exit_1(tmp_path, capsys):
     other = tmp_path / "q.sdp"
     write_native(gen_random_sdp((5,), 2, 1.0, seed=10), other)
     assert main(["check", str(other), str(out)]) == EXIT_INPUT
+
+
+def test_solver_flags_cover_every_option_field():
+    args = build_parser().parse_args(["solve", "x.sdp"])
+    for f in dataclasses.fields(SolverOptions):
+        assert getattr(args, f.name) == f.default, f.name
+    assert _options_from(args) == SolverOptions()
+    args = build_parser().parse_args(["solve", "x.sdp", "--iters-z", "7", "--no-scaling", "--shuffling",
+                                      "--max-iters", "9", "--mu-start", "0.5", "--rat-max", "1.5"])
+    assert _options_from(args) == SolverOptions(iters_Z=7, scaling=False, shuffling=True, max_iters=9,
+                                                mu_start=0.5, rat_max=1.5)
+
+
+def test_solve_missing_output_directory_exit_1(tmp_path, capsys):
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    missing = tmp_path / "missing_dir"
+    for flags in (["-o", str(missing / "x.sol")],
+                  ["-o", str(tmp_path / "x.sol"), "--save-warm-start", str(missing / "w.ws")]):
+        code = main(["solve", str(prob), "--max-iters", "3", *flags])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing_dir" in err
+    assert not missing.exists()
+
+
+def test_check_nonfinite_solution_value_exit_1(tmp_path, capsys):
+    prob = tmp_path / "p.sdp"
+    write_native(gen_random_sdp((3,), 2, 1.0, seed=11), prob)
+    out = tmp_path / "p.sol"
+    main(["solve", str(prob), "-o", str(out), "--max-iters", "2", "--no-z"])
+    capsys.readouterr()
+    text = out.read_text().splitlines()
+    t = next(t for t, line in enumerate(text) if line.startswith("ya "))
+    text[t + 1] = " ".join(["nan"] + text[t + 1].split()[1:])
+    out.write_text("\n".join(text) + "\n")
+    assert main(["check", str(prob), str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: solution field ya has a nonfinite value" in err

@@ -10,16 +10,24 @@ from sdpmix.linops import (
     OperatorCache,
     OperatorTables,
     apply_adjoint,
-    apply_cost,
     apply_operator,
+    column_deltas,
     commit_column,
-    incremental_operator_values,
     jacobi_eigh,
     project_psd,
 )
-from sdpmix.problem import SdpProblem, SymMatrix
+from sdpmix.problem import SdpProblem, SymMatrix, as_kind
 
-from helpers import dense_adjoint_oracle, dense_apply_oracle, gram_blocks, random_problem, random_V_blocks
+from helpers import (
+    dense_adjoint_oracle,
+    dense_apply_oracle,
+    dense_constraint,
+    gram_blocks,
+    incremental_operator_values,
+    random_problem,
+    random_V_blocks,
+    reassemble,
+)
 
 
 def one_constraint_problem(A: SymMatrix):
@@ -63,7 +71,7 @@ def test_apply_cost_matches_dense():
     rng = np.random.default_rng(7)
     V = random_V_blocks(rng, p)
     want = sum(np.tensordot(c.to_dense(), X) for c, X in zip(p.costs, gram_blocks(V)))
-    assert apply_cost(p, V) == pytest.approx(want, rel=1e-12)
+    assert OperatorCache.fresh(p, V, OperatorTables(p)).cost_value == pytest.approx(want, rel=1e-12)
 
 
 def test_apply_adjoint_cases():
@@ -97,12 +105,42 @@ def test_apply_operator_shape_mismatch():
 def test_column_slices_reassemble_exactly():
     for seed in range(10):
         p = random_problem(seed, block_sizes=(4, 3), m_eq=3, m_ineq=2, density=0.5)
-        assert ColumnSlices(p).reassemble(p)
+        for q in (p, as_kind(p, DOUBLE_DOUBLE)):
+            assert reassemble(q, ColumnSlices(q, OperatorTables(q)))
+
+
+def test_column_deltas_sum_each_slot_in_partner_order():
+    # slot t of column i: A_t[i, i] * dn + 2 * sum over partner rows r, in
+    # ascending order, of A_t[r, i] * w[r]; the cost is the last slot
+    for seed in range(5):
+        p = random_problem(seed, block_sizes=(5, 3), m_eq=4, m_ineq=3, density=0.5)
+        tables = OperatorTables(p)
+        slices = ColumnSlices(p, tables)
+        rng = np.random.default_rng(300 + seed)
+        V = random_V_blocks(rng, p)
+        for b, n in enumerate(p.block_sizes):
+            for i in range(n):
+                sl = slices.slice(b, i)
+                v_start = V[b][:, i].copy()
+                v_trial = v_start + rng.standard_normal(v_start.shape)
+                w = V[b].T @ (v_trial - v_start)
+                w[i] = 0.0
+                dn = np.sum(v_trial * v_trial) - np.sum(v_start * v_start)
+                mats = [dense_constraint(p, j)[b] for j in sl.sup] + [p.costs[b].to_dense()]
+                want = []
+                for M in mats:
+                    total = 0.0
+                    for r in range(n):
+                        if r != i and M[r, i] != 0:
+                            total += M[r, i] * w[r]
+                    want.append(M[i, i] * dn + 2.0 * total)
+                assert np.array_equal(column_deltas(sl, V[b], i, v_start, v_trial), want)
 
 
 def test_incremental_identity_when_column_unchanged():
     p = random_problem(2, block_sizes=(4,), m_eq=3, m_ineq=1)
-    tables, slices = OperatorTables(p), ColumnSlices(p)
+    tables = OperatorTables(p)
+    slices = ColumnSlices(p, tables)
     rng = np.random.default_rng(2)
     V = random_V_blocks(rng, p)
     cache = OperatorCache.fresh(p, V, tables)
@@ -115,7 +153,8 @@ def test_incremental_diagonal_only_constraint():
     # only the norm term moves the value: A diagonal means no off-diagonal slice
     A = SymMatrix.from_entries(3, [(0, 0, 2.0), (1, 1, 1.0)])
     p = one_constraint_problem(A)
-    tables, slices = OperatorTables(p), ColumnSlices(p)
+    tables = OperatorTables(p)
+    slices = ColumnSlices(p, tables)
     rng = np.random.default_rng(3)
     V = [rng.standard_normal((2, 3))]
     cache = OperatorCache.fresh(p, V, tables)
@@ -130,7 +169,8 @@ def test_incremental_random_vs_direct_recomputation():
     trials = 0
     for seed in range(25):
         p = random_problem(seed, block_sizes=(5, 3), m_eq=4, m_ineq=3, density=0.5)
-        tables, slices = OperatorTables(p), ColumnSlices(p)
+        tables = OperatorTables(p)
+        slices = ColumnSlices(p, tables)
         rng = np.random.default_rng(500 + seed)
         V = random_V_blocks(rng, p)
         cache = OperatorCache.fresh(p, V, tables)
@@ -150,7 +190,8 @@ def test_incremental_random_vs_direct_recomputation():
 
 def test_commit_column_agrees_with_direct_values():
     p = random_problem(9, block_sizes=(4, 4), m_eq=5, m_ineq=2)
-    tables, slices = OperatorTables(p), ColumnSlices(p)
+    tables = OperatorTables(p)
+    slices = ColumnSlices(p, tables)
     rng = np.random.default_rng(9)
     V = random_V_blocks(rng, p)
     cache = OperatorCache.fresh(p, V, tables)
@@ -158,12 +199,13 @@ def test_commit_column_agrees_with_direct_values():
     commit_column(cache, slices, V, 1, 2, v_new)
     direct = apply_operator(p, V, tables)
     assert np.all(np.abs(cache.values - direct) <= 1e-12 * (1 + np.abs(direct)))
-    assert cache.cost_value == pytest.approx(apply_cost(p, V, tables), rel=1e-12)
+    assert cache.cost_value == pytest.approx(OperatorCache.fresh(p, V, tables).cost_value, rel=1e-12)
 
 
 def test_commit_identical_column_keeps_cache_bitwise():
     p = random_problem(10, block_sizes=(3,), m_eq=2, m_ineq=1)
-    tables, slices = OperatorTables(p), ColumnSlices(p)
+    tables = OperatorTables(p)
+    slices = ColumnSlices(p, tables)
     rng = np.random.default_rng(10)
     V = random_V_blocks(rng, p)
     cache = OperatorCache.fresh(p, V, tables)
@@ -174,7 +216,8 @@ def test_commit_identical_column_keeps_cache_bitwise():
 
 def test_sweep_of_commits_low_drift():
     p = random_problem(11, block_sizes=(6,), m_eq=5, m_ineq=3, density=0.6)
-    tables, slices = OperatorTables(p), ColumnSlices(p)
+    tables = OperatorTables(p)
+    slices = ColumnSlices(p, tables)
     rng = np.random.default_rng(11)
     V = random_V_blocks(rng, p)
     cache = OperatorCache.fresh(p, V, tables)
