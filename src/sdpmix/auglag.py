@@ -19,7 +19,7 @@ from typing import List
 import numpy as np
 
 from .ddouble import dot, kind_of, segment_sum
-from .linops import ColumnSlices, OperatorCache, OperatorTables, column_deltas
+from .linops import ColumnSlices, OperatorCache, column_deltas
 from .linops import commit_column as _cache_commit
 from .problem import SdpProblem
 
@@ -35,7 +35,6 @@ class IterateState:
     mu: object
     cache: OperatorCache
     prev_values: np.ndarray
-    tables: OperatorTables
     slices: ColumnSlices
     counters: dict = field(default_factory=lambda: {"hinge_evals": 0, "column_evals": 0})
 
@@ -56,13 +55,10 @@ class IterateState:
         return self.problem.rhs_ineq - self.values_ineq()
 
 
-def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu,
-               tables: OperatorTables | None = None,
-               slices: ColumnSlices | None = None) -> IterateState:
+def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu) -> IterateState:
     kind = problem.kind
-    tables = tables or OperatorTables(problem)
-    slices = slices or ColumnSlices(problem, tables)
-    cache = OperatorCache.fresh(problem, V_blocks, tables)
+    slices = ColumnSlices(problem)
+    cache = OperatorCache.fresh(problem, V_blocks)
     return IterateState(
         problem=problem,
         V_blocks=[kind.asarray(V) for V in V_blocks],
@@ -71,7 +67,6 @@ def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu,
         mu=kind.coerce_scalar(mu),
         cache=cache,
         prev_values=cache.values.copy(),
-        tables=tables,
         slices=slices,
     )
 
@@ -162,4 +157,4 @@ def commit_column(state: IterateState, block: int, i: int, v_new) -> None:
 
 def refresh_cache(state: IterateState) -> None:
     """Full recomputation of the cached operator values (bounds drift)."""
-    state.cache = OperatorCache.fresh(state.problem, state.V_blocks, state.tables)
+    state.cache = OperatorCache.fresh(state.problem, state.V_blocks)

@@ -214,6 +214,9 @@ def cmd_check(args) -> int:
                 raise SdpmixError(
                     f"solution block {b + 1} has {F.shape[1]} columns, block size is {problem.block_sizes[b]}"
                 )
+        for b, Z in enumerate(sol.Z or []):
+            if len(Z) != problem.block_sizes[b]:
+                raise SdpmixError(f"solution Z block {b + 1} has order {len(Z)}, block size is {problem.block_sizes[b]}")
         if len(sol.y_a) != problem.m_eq or len(sol.y_b) != problem.m_ineq:
             raise SdpmixError("dual vector lengths do not match the problem")
         fields = [(f"factor {b + 1}", F) for b, F in enumerate(sol.factor)] + [("ya", sol.y_a), ("yb", sol.y_b)]

@@ -82,6 +82,16 @@ class _Tokens:
 # -- native problem format ----------------------------------------------------
 
 
+def _assemble(sizes, cost_entries, con_entries, rhs, ineq_start) -> SdpProblem:
+    """The validated problem of parsed (row, col, value) triplets: a list per
+    block for the costs, a dict of block to list for each constraint."""
+    costs = [SymMatrix.from_entries(n, ents) for n, ents in zip(sizes, cost_entries)]
+    constraints = [{b: SymMatrix.from_entries(sizes[b], ents) for b, ents in con.items()} for con in con_entries]
+    problem = SdpProblem.build(sizes, costs, constraints, np.array(rhs), ineq_start)
+    validate(problem)
+    return problem
+
+
 def parse_native(path) -> SdpProblem:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -117,13 +127,7 @@ def parse_native(path) -> SdpProblem:
         else:
             con_entries[cons - 1].setdefault(block - 1, []).append((row - 1, col - 1, val))
 
-    costs = [SymMatrix.from_entries(sizes[b], cost_entries[b]) for b in range(q)]
-    constraints = [
-        {b: SymMatrix.from_entries(sizes[b], ents) for b, ents in con.items()} for con in con_entries
-    ]
-    problem = SdpProblem.build(sizes, costs, constraints, np.array(rhs), ineq_start)
-    validate(problem)
-    return problem
+    return _assemble(sizes, cost_entries, con_entries, rhs, ineq_start)
 
 
 def write_native(problem: SdpProblem, path) -> None:
@@ -204,13 +208,7 @@ def parse_sdpa(path) -> SdpProblem:
         else:
             con_entries[matno - 1].setdefault(block, []).append((r, c, val))
 
-    costs = [SymMatrix.from_entries(sizes[b], cost_entries[b]) for b in range(len(sizes))]
-    constraints = [
-        {b: SymMatrix.from_entries(sizes[b], ents) for b, ents in con.items()} for con in con_entries
-    ]
-    problem = SdpProblem.build(sizes, costs, constraints, np.array(rhs), ineq_start=m + 1)
-    validate(problem)
-    return problem
+    return _assemble(sizes, cost_entries, con_entries, rhs, ineq_start=m + 1)
 
 
 def parse_problem(path) -> SdpProblem:
@@ -349,7 +347,9 @@ def read_solution(path) -> Solution:
                 raise FormatError(f"expected 'Z', got {tag!r}", path, toks.last_line)
             idx = toks.next_int("Z block index")
             n = toks.next_int("Z order")
-            Z.append(np.array([[toks.next_float("Z entry") for _ in range(n)] for _ in range(n)]))
+            if idx != b + 1:
+                raise FormatError(f"Z blocks out of order: got {idx}, expected {b + 1}", path, toks.last_line)
+            Z.append(np.array([[toks.next_float("Z entry") for _ in range(n)] for _ in range(n)]).reshape(n, n))
     report = None
     if rep["pinf"] is not None:
         report = ErrorReport(

@@ -2,7 +2,9 @@
 
 The primal matrix is never materialized: every kernel works on the factors
 V_i (shape k_i x n_i, X_i = V_i^T V_i) and on one entry table per block
-(OperatorTables), which holds the constraints and, as row m, the cost.
+(SdpProblem.tables), which holds the constraints and, as row m, the cost.
+The error report's dense kernels (operator_rows on a dense X, combine_rows)
+read the same tables.
 Off-diagonal stored entries carry an implicit factor 2 in inner products;
 the column slices below store each off-diagonal entry once per incident
 column, so the factor 2 appears exactly once in each formula.
@@ -17,39 +19,38 @@ import numpy as np
 
 from .ddouble import all_finite, dot, fsqrt, is_finite_scalar, kind_of, norm2, segment_sum, to_float_array
 from .errors import NumericalError
-from .problem import SdpProblem
+from .problem import OperatorTables, SdpProblem  # noqa: F401  (OperatorTables re-exported)
 
 
-# -- entry tables and operator application ----------------------------------
+# -- operator rows and dense combinations ------------------------------------
 
 
-class OperatorTables:
-    """One entry table per block: (con, row, col, val, wval) arrays.
+def operator_rows(problem: SdpProblem, entry_values) -> np.ndarray:
+    """<A_j, X> for every row j of the operator, the cost as row m.
 
-    A block's table lists the stored upper-triangle entries (row <= col) of
-    every constraint with a matrix in that block, constraint by constraint,
-    then those of the block's cost matrix with con = m: the cost is the last
-    row of the operator. wval is val with the off-diagonal factor 2 applied.
-
-    The cost must stay last: a column gradient sums -lambda_j a_j over the
-    constraints and then adds c, which rounds exactly like c - sum_j
-    lambda_j a_j; a cost summed first would round differently.
+    entry_values[b] holds X_b at block b's table entries; the rows are one
+    segment sum per block, each row summed in table order.
     """
+    m = problem.m
+    out = problem.kind.zeros(m + 1)
+    for x, (con, _, _, _, wval) in zip(entry_values, problem.tables.blocks):
+        if len(con):
+            out = out + segment_sum(wval * x, con, m + 1)
+    return out
 
-    def __init__(self, problem: SdpProblem):
-        kind = problem.kind
-        terms = [[] for _ in range(problem.q)]
-        for j, con in enumerate(problem.constraints):
-            for b, mat in con:
-                terms[b].append((j, mat))
-        self.blocks = []
-        for b, cost in enumerate(problem.costs):
-            ids, mats = zip(*terms[b], (problem.m, cost))
-            con = np.repeat(np.array(ids, dtype=np.int64), [mat.nnz for mat in mats])
-            row = np.concatenate([mat.rows for mat in mats])
-            col = np.concatenate([mat.cols for mat in mats])
-            val = kind.asarray(np.concatenate([mat.vals for mat in mats]))
-            self.blocks.append((con, row, col, val, val * np.where(row == col, 1.0, 2.0)))
+
+def combine_rows(problem: SdpProblem, coef: np.ndarray) -> List[np.ndarray]:
+    """sum_j coef_j A_j over the m+1 rows (coef[m] weighs the cost), one
+    dense symmetric matrix per block.
+
+    Each upper-triangle entry is one segment sum in table order, so it adds
+    the constraints' terms in constraint order and the cost's last.
+    """
+    out = []
+    for n, (con, row, col, val, _) in zip(problem.block_sizes, problem.tables.blocks):
+        upper = segment_sum(val * coef[con], row * n + col, n * n).reshape(n, n)
+        out.append(upper + upper.T - np.diag(np.diag(upper)))
+    return out
 
 
 @dataclass
@@ -60,40 +61,25 @@ class OperatorCache:
     cost_value: object
 
     @classmethod
-    def fresh(cls, problem: SdpProblem, V_blocks, tables: OperatorTables) -> "OperatorCache":
-        """Every row of the operator, cost included, in one segment sum per block."""
+    def fresh(cls, problem: SdpProblem, V_blocks) -> "OperatorCache":
+        """Every row of the operator, cost included, from the entries of V^T V."""
         _check_shapes(problem, V_blocks)
-        kind = problem.kind
-        m = problem.m
-        out = kind.zeros(m + 1)
-        for V, (con, row, col, _, wval) in zip(V_blocks, tables.blocks):
-            if len(con) == 0:
-                continue
-            prod = np.sum(V[:, row] * V[:, col], axis=0) if V.shape[0] else kind.zeros(len(row))
-            out = out + segment_sum(wval * prod, con, m + 1)
-        return cls(out[:m], out[m])
+        prods = [np.sum(V[:, row] * V[:, col], axis=0) if V.shape[0] else problem.kind.zeros(len(row))
+                 for V, (_, row, col, _, _) in zip(V_blocks, problem.tables.blocks)]
+        out = operator_rows(problem, prods)
+        return cls(out[:-1], out[-1])
 
 
-def apply_operator(problem: SdpProblem, V_blocks, tables: OperatorTables | None = None) -> np.ndarray:
+def apply_operator(problem: SdpProblem, V_blocks) -> np.ndarray:
     """Constraint values <A_j, V^T V> summed over blocks, no dense X."""
-    return OperatorCache.fresh(problem, V_blocks, tables or OperatorTables(problem)).values
+    return OperatorCache.fresh(problem, V_blocks).values
 
 
 def apply_adjoint(problem: SdpProblem, y: np.ndarray) -> List[np.ndarray]:
     """sum_j y_j A_j as one dense symmetric matrix per block."""
     if len(y) != problem.m:
         raise ValueError(f"dual vector length {len(y)} does not match {problem.m} constraints")
-    kind = problem.kind
-    out = [kind.zeros((n, n)) for n in problem.block_sizes]
-    for j, con in enumerate(problem.constraints):
-        yj = y[j]
-        for b, mat in con:
-            if mat.nnz:
-                out[b][mat.rows, mat.cols] += mat.vals * yj
-    for b in range(problem.q):
-        upper = out[b]
-        out[b] = upper + upper.T - np.diag(np.diag(upper))
-    return out
+    return combine_rows(problem, np.concatenate([y, problem.kind.zeros(1)]))
 
 
 def _check_shapes(problem: SdpProblem, V_blocks) -> None:
@@ -136,12 +122,12 @@ class ColumnSlices:
     ascending order and the cost (constraint m) last.
     """
 
-    def __init__(self, problem: SdpProblem, tables: OperatorTables):
+    def __init__(self, problem: SdpProblem):
         kind = problem.kind
         m = problem.m
         self.cost_coef = kind.asarray([1.0])  # the cost slot's coefficient in a column gradient
         self.by_block: List[List[ColSlice]] = []
-        for n, (con, row, col, val, _) in zip(problem.block_sizes, tables.blocks):
+        for n, (con, row, col, val, _) in zip(problem.block_sizes, problem.tables.blocks):
             mirror = row != col
             column = np.concatenate([row, col[mirror]])
             partner = np.concatenate([col, row[mirror]])

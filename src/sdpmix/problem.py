@@ -19,6 +19,7 @@ Frobenius norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -78,20 +79,11 @@ class SymMatrix:
         out[self.cols, self.rows] = self.vals
         return out
 
-    def _weights(self) -> np.ndarray:
-        return np.where(self.rows == self.cols, 1.0, 2.0)
-
     def frob_sq(self):
         """Squared Frobenius norm in the matrix's own arithmetic."""
         if self.nnz == 0:
             return self.kind.from_float(0.0)
-        return np.sum(self.vals * self.vals * self._weights())
-
-    def inner_dense(self, X: np.ndarray):
-        """<A, X> for a dense symmetric X."""
-        if self.nnz == 0:
-            return kind_of(X).from_float(0.0)
-        return np.sum(self.vals * X[self.rows, self.cols] * self._weights())
+        return np.sum(self.vals * self.vals * np.where(self.rows == self.cols, 1.0, 2.0))
 
     def scaled(self, factor) -> "SymMatrix":
         return replace(self, vals=self.vals * factor)
@@ -161,6 +153,11 @@ class SdpProblem:
     def kind(self) -> ScalarKind:
         return kind_of(self.rhs)
 
+    @cached_property
+    def tables(self) -> "OperatorTables":
+        """The per-block entry tables, built on first use; every kernel reads them."""
+        return OperatorTables(self)
+
     def constraint_frob_sq(self, j: int):
         total = self.kind.from_float(0.0)
         for _, mat in self.constraints[j]:
@@ -185,6 +182,35 @@ class SdpProblem:
                 if ba != bb or not ma.equals(mb):
                     return False
         return True
+
+
+class OperatorTables:
+    """One entry table per block: (con, row, col, val, wval) arrays.
+
+    A block's table lists the stored upper-triangle entries (row <= col) of
+    every constraint with a matrix in that block, constraint by constraint,
+    then those of the block's cost matrix with con = m: the cost is the last
+    row of the operator. wval is val with the off-diagonal factor 2 applied.
+
+    The cost must stay last: a column gradient sums -lambda_j a_j over the
+    constraints and then adds c, which rounds exactly like c - sum_j
+    lambda_j a_j; a cost summed first would round differently.
+    """
+
+    def __init__(self, problem: SdpProblem):
+        kind = problem.kind
+        terms = [[] for _ in range(problem.q)]
+        for j, con in enumerate(problem.constraints):
+            for b, mat in con:
+                terms[b].append((j, mat))
+        self.blocks = []
+        for b, cost in enumerate(problem.costs):
+            ids, mats = zip(*terms[b], (problem.m, cost))
+            con = np.repeat(np.array(ids, dtype=np.int64), [mat.nnz for mat in mats])
+            row = np.concatenate([mat.rows for mat in mats])
+            col = np.concatenate([mat.cols for mat in mats])
+            val = kind.asarray(np.concatenate([mat.vals for mat in mats]))
+            self.blocks.append((con, row, col, val, val * np.where(row == col, 1.0, 2.0)))
 
 
 def _check_symmatrix(mat: SymMatrix, order: int, where: str) -> None:

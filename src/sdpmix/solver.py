@@ -36,7 +36,7 @@ from .ddouble import (
 )
 from .errors import NumericalError, ValidationError
 from .lbfgs import InnerConfig, minimize_column
-from .linops import ColumnSlices, OperatorTables, apply_adjoint, project_psd
+from .linops import combine_rows, operator_rows, project_psd
 from .problem import ScalingRecord, SdpProblem, scale, validate
 
 
@@ -157,9 +157,7 @@ def _pos_part(arr: np.ndarray, kind: ScalarKind) -> np.ndarray:
     return np.maximum(arr, 0.0)
 
 
-def init_state(problem: SdpProblem, options: SolverOptions,
-               tables: OperatorTables | None = None,
-               slices: ColumnSlices | None = None) -> IterateState:
+def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
     """Columns i.i.d. uniform on the unit sphere, zero duals, mu = mu_start."""
     kind = problem.kind
     rng = np.random.default_rng(options.seed)
@@ -180,14 +178,10 @@ def init_state(problem: SdpProblem, options: SolverOptions,
         kind.zeros(problem.m_eq),
         kind.zeros(problem.m_ineq),
         kind.from_float(mu0),
-        tables=tables,
-        slices=slices,
     )
 
 
-def state_from_warm(problem: SdpProblem, warm: WarmStart,
-                    tables: OperatorTables | None = None,
-                    slices: ColumnSlices | None = None) -> IterateState:
+def state_from_warm(problem: SdpProblem, warm: WarmStart) -> IterateState:
     kind = problem.kind
     if len(warm.V_blocks) != problem.q:
         raise ValidationError(f"warm start has {len(warm.V_blocks)} blocks, problem has {problem.q}")
@@ -196,6 +190,10 @@ def state_from_warm(problem: SdpProblem, warm: WarmStart,
             raise ValidationError(f"warm start block {b + 1}: {V.shape[1]} columns, block size {problem.block_sizes[b]}")
     if len(warm.y_a) != problem.m_eq or len(warm.y_b) != problem.m_ineq:
         raise ValidationError("warm start dual vector lengths do not match the problem")
+    fields = [(f"V {b + 1}", V) for b, V in enumerate(warm.V_blocks)]
+    for name, values in fields + [("ya", warm.y_a), ("yb", warm.y_b), ("mu", np.array([warm.mu]))]:
+        if not all_finite(values):
+            raise ValidationError(f"warm start field {name} has a nonfinite value")
     if len(warm.y_b) and not bool(np.all(warm.y_b >= 0)):
         raise ValidationError("warm start has negative inequality multipliers")
     if not float(warm.mu) > 0:
@@ -206,8 +204,6 @@ def state_from_warm(problem: SdpProblem, warm: WarmStart,
         kind.asarray(warm.y_a),
         kind.asarray(warm.y_b),
         kind.coerce_scalar(warm.mu),
-        tables=tables,
-        slices=slices,
     )
 
 
@@ -263,29 +259,27 @@ def update_penalty(state: IterateState, ratio: float, options: SolverOptions) ->
 def compute_errors(problem: SdpProblem, X_blocks, y_a, y_b, Z_blocks=None) -> ErrorReport:
     """KKT error measures from dense X (and Z when supplied); independent of
     the factored-iterate caches."""
-    kind = problem.kind
-    vals = kind.zeros(problem.m)
-    for j, con in enumerate(problem.constraints):
-        for b, mat in con:
-            vals[j] = vals[j] + mat.inner_dense(X_blocks[b])
-    pobj = kind.from_float(0.0)
-    for b, c in enumerate(problem.costs):
-        pobj = pobj + c.inner_dense(X_blocks[b])
+    rows = dense_rows(problem, X_blocks)
+    vals, pobj = rows[:-1], rows[-1]
     if Z_blocks is None:
         return kkt_errors(problem, vals, pobj, y_a, y_b)
-    combo = apply_adjoint(problem, np.concatenate([y_a, y_b]))
-    resid_sq = kind.from_float(0.0)
-    cost_sq = kind.from_float(0.0)
-    xz = kind.from_float(0.0)
-    for b in range(problem.q):
-        Cd = problem.costs[b].to_dense()
-        R = Cd - combo[b] - Z_blocks[b]
-        resid_sq = resid_sq + np.sum(R * R)
-        cost_sq = cost_sq + problem.costs[b].frob_sq()
-        xz = xz + np.sum(X_blocks[b] * Z_blocks[b])
+    resid = [S - Z for S, Z in zip(cost_minus_adjoint(problem, y_a, y_b), Z_blocks)]
+    resid_sq = sum(np.sum(R * R) for R in resid)
+    cost_sq = sum(c.frob_sq() for c in problem.costs)
+    xz = sum(np.sum(X * Z) for X, Z in zip(X_blocks, Z_blocks))
     report = kkt_errors(problem, vals, pobj, y_a, y_b, xz)
     report.dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(cost_sq)))
     return report
+
+
+def dense_rows(problem: SdpProblem, X_blocks) -> np.ndarray:
+    """<A_j, X> for every constraint j and, as row m, <C, X>, from dense X."""
+    return operator_rows(problem, [X[row, col] for X, (_, row, col, _, _) in zip(X_blocks, problem.tables.blocks)])
+
+
+def cost_minus_adjoint(problem: SdpProblem, y_a, y_b) -> List[np.ndarray]:
+    """C - sum_j y_j A_j per block: the rows' combination with coefficients -y and 1."""
+    return combine_rows(problem, np.concatenate([-y_a, -y_b, problem.kind.asarray([1.0])]))
 
 
 def kkt_errors(problem: SdpProblem, vals, pobj, y_a, y_b, xz=None) -> ErrorReport:
@@ -314,8 +308,7 @@ def kkt_errors(problem: SdpProblem, vals, pobj, y_a, y_b, xz=None) -> ErrorRepor
 
 def dual_slack(problem: SdpProblem, y_a, y_b):
     """Z for the error report: C - sum_j y_j A_j projected onto the PSD cone, per block."""
-    combo = apply_adjoint(problem, np.concatenate([y_a, y_b]))
-    return [project_psd(problem.costs[b].to_dense() - combo[b]) for b in range(problem.q)]
+    return [project_psd(S) for S in cost_minus_adjoint(problem, y_a, y_b)]
 
 
 def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem) -> Solution:
@@ -326,7 +319,6 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     for b, X in enumerate(sol.X):
         if X.shape[0] != original.block_sizes[b]:
             raise ValidationError("scaling record / problem mismatch (block orders)")
-    kind = original.kind
     gamma = record.primal_scale
     sqrt_gamma = fsqrt(gamma)
     factor = [sqrt_gamma * V for V in sol.factor]
@@ -338,11 +330,8 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     y_b = dual_factors[original.m_eq :] * sol.y_b
     Z = dual_slack(original, y_a, y_b)
     report = compute_errors(original, X, y_a, y_b, Z)
-    pobj = kind.from_float(0.0)
-    for b, c in enumerate(original.costs):
-        pobj = pobj + c.inner_dense(X[b])
     return replace(
-        sol, X=X, factor=factor, y_a=y_a, y_b=y_b, Z=Z, report=report, objective=pobj
+        sol, X=X, factor=factor, y_a=y_a, y_b=y_b, Z=Z, report=report, objective=dense_rows(original, X)[-1]
     )
 
 
@@ -367,12 +356,10 @@ def solve(
     else:
         scaled, record = problem, ScalingRecord.identity(problem)
 
-    tables = OperatorTables(scaled)
-    slices = ColumnSlices(scaled, tables)
     if warm_start is not None:
-        state = state_from_warm(scaled, warm_start, tables=tables, slices=slices)
+        state = state_from_warm(scaled, warm_start)
     else:
-        state = init_state(scaled, options, tables=tables, slices=slices)
+        state = init_state(scaled, options)
 
     pairs = [(b, i) for b in range(scaled.q) for i in range(scaled.block_sizes[b])]
     status = None

@@ -36,6 +36,18 @@ def random_problem(seed, block_sizes=(4,), m_eq=3, m_ineq=0, density=0.6):
     return SdpProblem.build(block_sizes, costs, constraints, rhs, ineq_start=m_eq + 1)
 
 
+def uneven_problem(seed):
+    """Three blocks, two equalities and two inequalities: constraint 0 skips
+    block 0, block 1 has a zero cost, and no constraint touches block 2."""
+    rng = np.random.default_rng(seed)
+    sizes = (3, 4, 2)
+    costs = [random_symmatrix(rng, 3), SymMatrix.from_entries(4, []), random_symmatrix(rng, 2)]
+    constraints = [{1: random_symmatrix(rng, 4)}] + [
+        {0: random_symmatrix(rng, 3), 1: random_symmatrix(rng, 4)} for _ in range(3)
+    ]
+    return SdpProblem.build(sizes, costs, constraints, rng.uniform(-1.0, 1.0, size=4), ineq_start=3)
+
+
 def ceil_sqrt(x: int) -> int:
     import math
 

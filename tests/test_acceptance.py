@@ -14,7 +14,7 @@ from sdpmix.auglag import make_state
 from sdpmix.ddouble import norm2
 from sdpmix.formats import parse_native, read_solution, write_native, write_solution
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
-from sdpmix.linops import ColumnSlices, OperatorCache, OperatorTables, apply_operator, commit_column
+from sdpmix.linops import ColumnSlices, OperatorCache, apply_operator, commit_column
 from sdpmix.precision import solve_two_stage
 from sdpmix.problem import scale
 from sdpmix.solver import SolverOptions, WarmStart, compute_errors, rank_rule, solve, update_duals, update_penalty
@@ -187,13 +187,12 @@ def test_criterion_06_incremental_operator_oracle():
     worst = 0.0
     for seed in range(25):
         p = random_problem(seed, block_sizes=(5, 3), m_eq=4, m_ineq=3, density=0.5)
-        tables = OperatorTables(p)
-        slices = ColumnSlices(p, tables)
+        slices = ColumnSlices(p)
         rng = np.random.default_rng(7000 + seed)
         from helpers import random_V_blocks
 
         V = random_V_blocks(rng, p)
-        cache = OperatorCache.fresh(p, V, tables)
+        cache = OperatorCache.fresh(p, V)
         for _ in range(40):
             b = int(rng.integers(p.q))
             i = int(rng.integers(p.block_sizes[b]))
@@ -202,21 +201,20 @@ def test_criterion_06_incremental_operator_oracle():
             got = incremental_operator_values(cache, slices, V, b, i, v_start, v_trial)
             V2 = [W.copy() for W in V]
             V2[b][:, i] = v_trial
-            want = apply_operator(p, V2, tables)
+            want = apply_operator(p, V2)
             worst = max(worst, float(np.max(np.abs(got - want) / (1 + np.abs(want)))))
             trials += 1
     # one full sweep of commits, then compare against a fresh recomputation
     p = random_problem(3, block_sizes=(6,), m_eq=5, m_ineq=3, density=0.6)
-    tables = OperatorTables(p)
-    slices = ColumnSlices(p, tables)
+    slices = ColumnSlices(p)
     rng = np.random.default_rng(1)
     from helpers import random_V_blocks
 
     V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V, tables)
+    cache = OperatorCache.fresh(p, V)
     for i in range(6):
         commit_column(cache, slices, V, 0, i, V[0][:, i] + 0.2 * rng.standard_normal(V[0].shape[0]))
-    fresh = apply_operator(p, V, tables)
+    fresh = apply_operator(p, V)
     drift = float(np.max(np.abs(cache.values - fresh) / (1 + np.abs(fresh))))
     ok = trials >= 1000 and worst <= 1e-12 and drift <= 1e-11
     finish(6, "incremental operator values: 1000 random perturbations (1e-12), sweep drift (1e-11)", ok,

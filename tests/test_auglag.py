@@ -199,7 +199,7 @@ def test_commit_column_keeps_cache_consistent():
     for b in range(p.q):
         for i in range(p.block_sizes[b]):
             commit_column(st, b, i, st.V_blocks[b][:, i] + 0.05 * rng.standard_normal(st.V_blocks[b].shape[0]))
-    direct = apply_operator(p, st.V_blocks, st.tables)
+    direct = apply_operator(p, st.V_blocks)
     assert np.abs(st.cache.values - direct).max() <= 1e-11 * (1 + np.abs(direct).max())
     before = st.cache.values.copy()
     refresh_cache(st)

@@ -98,6 +98,26 @@ def test_solve_mismatched_warm_start_exit_1(tmp_path, capsys):
         assert "solver aborted" not in err
 
 
+def test_solve_nonfinite_warm_start_exit_1(tmp_path, capsys):
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    ws = tmp_path / "toy.ws"
+    main(["solve", str(prob), "-o", str(tmp_path / "a.sol"), "--max-iters", "3", "--save-warm-start", str(ws)])
+    capsys.readouterr()
+    lines = ws.read_text().splitlines()
+    row = lines.index(next(ln for ln in lines if ln.startswith("V 1 "))) + 1
+    lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+    bad = tmp_path / "bad.ws"
+    bad.write_text("\n".join(lines) + "\n")
+    for precision in ("double", "dd"):
+        code = main(["solve", str(prob), "-o", str(tmp_path / "b.sol"), "--warm-start", str(bad),
+                     "--precision", precision])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: warm start field V 1 has a nonfinite value" in err
+        assert "solver aborted" not in err
+
+
 def test_generate_rand_counts(tmp_path, capsys):
     out = tmp_path / "r.sdp"
     code = main(["generate", "rand", "--blocks", "8", "--m", "5", "--density", "1.0",
@@ -212,7 +232,14 @@ def test_check_shape_mismatch_exit_1(tmp_path, capsys):
     capsys.readouterr()
     other = tmp_path / "q.sdp"
     write_native(gen_random_sdp((5,), 2, 1.0, seed=10), other)
-    assert main(["check", str(other), str(out)]) == EXIT_INPUT
+    short_z = tmp_path / "short_z.sol"
+    text = out.read_text()
+    assert "\nZ 1 3\n" in text
+    short_z.write_text(text.replace("\nZ 1 3\n", "\nZ 1 2\n"))
+    for problem, solution, message in ((other, out, "error: solution block 1 has 3 columns"),
+                                       (prob, short_z, "error: solution Z block 1 has order 2")):
+        assert main(["check", str(problem), str(solution)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(message)
 
 
 def test_solver_flags_cover_every_option_field():

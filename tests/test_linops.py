@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from sdpmix.ddouble import DOUBLE_DOUBLE
+from sdpmix import linops
+from sdpmix import problem as problem_module
+from sdpmix.ddouble import DOUBLE_DOUBLE, kind_of, to_float_array
 from sdpmix.errors import NumericalError
 from sdpmix.linops import (
     ColumnSlices,
@@ -16,7 +18,7 @@ from sdpmix.linops import (
     jacobi_eigh,
     project_psd,
 )
-from sdpmix.problem import SdpProblem, SymMatrix, as_kind
+from sdpmix.problem import SdpProblem, SymMatrix, as_kind, scale
 
 from helpers import (
     dense_adjoint_oracle,
@@ -27,6 +29,7 @@ from helpers import (
     random_problem,
     random_V_blocks,
     reassemble,
+    uneven_problem,
 )
 
 
@@ -55,11 +58,10 @@ def test_apply_operator_random_vs_dense_oracle():
     trials = 0
     for seed in range(50):
         p = random_problem(seed, block_sizes=(4, 3), m_eq=4, m_ineq=2, density=0.5)
-        tables = OperatorTables(p)
         rng = np.random.default_rng(1000 + seed)
         for _ in range(20):
             V = random_V_blocks(rng, p)
-            got = apply_operator(p, V, tables)
+            got = apply_operator(p, V)
             want = dense_apply_oracle(p, gram_blocks(V))
             assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
             trials += 1
@@ -71,7 +73,7 @@ def test_apply_cost_matches_dense():
     rng = np.random.default_rng(7)
     V = random_V_blocks(rng, p)
     want = sum(np.tensordot(c.to_dense(), X) for c, X in zip(p.costs, gram_blocks(V)))
-    assert OperatorCache.fresh(p, V, OperatorTables(p)).cost_value == pytest.approx(want, rel=1e-12)
+    assert OperatorCache.fresh(p, V).cost_value == pytest.approx(want, rel=1e-12)
 
 
 def test_apply_adjoint_cases():
@@ -83,11 +85,33 @@ def test_apply_adjoint_cases():
     got = apply_adjoint(single, np.array([2.0]))[0]
     np.testing.assert_allclose(got, 2.0 * single.constraints[0][0][1].to_dense())
     rng = np.random.default_rng(4)
-    y = rng.standard_normal(p.m)
-    got = apply_adjoint(p, y)
-    want = dense_adjoint_oracle(p, y)
-    for G, W in zip(got, want):
-        np.testing.assert_allclose(G, W, atol=1e-13)
+    # multi-block with inequalities, and one with an untouched block, a zero
+    # cost and a constraint that skips a block; at both scalar kinds
+    uneven = uneven_problem(5)
+    touched = [{b for b, _ in con} for con in uneven.constraints]
+    assert 0 not in touched[0] and all(2 not in t for t in touched)
+    assert uneven.costs[1].nnz == 0 and uneven.m_ineq == 2
+    for prob in (p, uneven):
+        y = rng.standard_normal(prob.m)
+        want = dense_adjoint_oracle(prob, y)
+        for q, yq in ((prob, y), (as_kind(prob, DOUBLE_DOUBLE), DOUBLE_DOUBLE.asarray(y))):
+            got = apply_adjoint(q, yq)
+            assert [kind_of(G) for G in got] == [q.kind] * q.q
+            for G, W in zip(got, want):
+                np.testing.assert_allclose(to_float_array(G), W, atol=1e-13)
+            if prob is uneven:
+                assert np.all(to_float_array(got[2]) == 0)
+
+
+def test_tables_built_once_per_problem():
+    p = uneven_problem(2)
+    assert linops.OperatorTables is problem_module.OperatorTables
+    assert p.tables is p.tables
+    for q in (scale(p)[0], as_kind(p, DOUBLE_DOUBLE)):
+        assert q.tables is q.tables and q.tables is not p.tables
+        for got, want in zip(q.tables.blocks, OperatorTables(q).blocks):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert kind_of(as_kind(p, DOUBLE_DOUBLE).tables.blocks[0][3]) is DOUBLE_DOUBLE
 
 
 def test_apply_adjoint_length_mismatch():
@@ -106,7 +130,7 @@ def test_column_slices_reassemble_exactly():
     for seed in range(10):
         p = random_problem(seed, block_sizes=(4, 3), m_eq=3, m_ineq=2, density=0.5)
         for q in (p, as_kind(p, DOUBLE_DOUBLE)):
-            assert reassemble(q, ColumnSlices(q, OperatorTables(q)))
+            assert reassemble(q, ColumnSlices(q))
 
 
 def test_column_deltas_sum_each_slot_in_partner_order():
@@ -114,8 +138,7 @@ def test_column_deltas_sum_each_slot_in_partner_order():
     # ascending order, of A_t[r, i] * w[r]; the cost is the last slot
     for seed in range(5):
         p = random_problem(seed, block_sizes=(5, 3), m_eq=4, m_ineq=3, density=0.5)
-        tables = OperatorTables(p)
-        slices = ColumnSlices(p, tables)
+        slices = ColumnSlices(p)
         rng = np.random.default_rng(300 + seed)
         V = random_V_blocks(rng, p)
         for b, n in enumerate(p.block_sizes):
@@ -139,11 +162,10 @@ def test_column_deltas_sum_each_slot_in_partner_order():
 
 def test_incremental_identity_when_column_unchanged():
     p = random_problem(2, block_sizes=(4,), m_eq=3, m_ineq=1)
-    tables = OperatorTables(p)
-    slices = ColumnSlices(p, tables)
+    slices = ColumnSlices(p)
     rng = np.random.default_rng(2)
     V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V, tables)
+    cache = OperatorCache.fresh(p, V)
     v = V[0][:, 1].copy()
     out = incremental_operator_values(cache, slices, V, 0, 1, v, v)
     assert np.array_equal(out, cache.values)
@@ -153,11 +175,10 @@ def test_incremental_diagonal_only_constraint():
     # only the norm term moves the value: A diagonal means no off-diagonal slice
     A = SymMatrix.from_entries(3, [(0, 0, 2.0), (1, 1, 1.0)])
     p = one_constraint_problem(A)
-    tables = OperatorTables(p)
-    slices = ColumnSlices(p, tables)
+    slices = ColumnSlices(p)
     rng = np.random.default_rng(3)
     V = [rng.standard_normal((2, 3))]
-    cache = OperatorCache.fresh(p, V, tables)
+    cache = OperatorCache.fresh(p, V)
     v_start = V[0][:, 0].copy()
     v_trial = v_start * 2.0
     out = incremental_operator_values(cache, slices, V, 0, 0, v_start, v_trial)
@@ -169,11 +190,10 @@ def test_incremental_random_vs_direct_recomputation():
     trials = 0
     for seed in range(25):
         p = random_problem(seed, block_sizes=(5, 3), m_eq=4, m_ineq=3, density=0.5)
-        tables = OperatorTables(p)
-        slices = ColumnSlices(p, tables)
+        slices = ColumnSlices(p)
         rng = np.random.default_rng(500 + seed)
         V = random_V_blocks(rng, p)
-        cache = OperatorCache.fresh(p, V, tables)
+        cache = OperatorCache.fresh(p, V)
         for _ in range(40):
             b = rng.integers(p.q)
             i = rng.integers(p.block_sizes[b])
@@ -182,7 +202,7 @@ def test_incremental_random_vs_direct_recomputation():
             got = incremental_operator_values(cache, slices, V, b, i, v_start, v_trial)
             V2 = [W.copy() for W in V]
             V2[b][:, i] = v_trial
-            want = apply_operator(p, V2, tables)
+            want = apply_operator(p, V2)
             assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
             trials += 1
     assert trials == 1000
@@ -190,25 +210,23 @@ def test_incremental_random_vs_direct_recomputation():
 
 def test_commit_column_agrees_with_direct_values():
     p = random_problem(9, block_sizes=(4, 4), m_eq=5, m_ineq=2)
-    tables = OperatorTables(p)
-    slices = ColumnSlices(p, tables)
+    slices = ColumnSlices(p)
     rng = np.random.default_rng(9)
     V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V, tables)
+    cache = OperatorCache.fresh(p, V)
     v_new = V[1][:, 2] + rng.standard_normal(V[1].shape[0])
     commit_column(cache, slices, V, 1, 2, v_new)
-    direct = apply_operator(p, V, tables)
+    direct = apply_operator(p, V)
     assert np.all(np.abs(cache.values - direct) <= 1e-12 * (1 + np.abs(direct)))
-    assert cache.cost_value == pytest.approx(OperatorCache.fresh(p, V, tables).cost_value, rel=1e-12)
+    assert cache.cost_value == pytest.approx(OperatorCache.fresh(p, V).cost_value, rel=1e-12)
 
 
 def test_commit_identical_column_keeps_cache_bitwise():
     p = random_problem(10, block_sizes=(3,), m_eq=2, m_ineq=1)
-    tables = OperatorTables(p)
-    slices = ColumnSlices(p, tables)
+    slices = ColumnSlices(p)
     rng = np.random.default_rng(10)
     V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V, tables)
+    cache = OperatorCache.fresh(p, V)
     before = cache.values.copy()
     commit_column(cache, slices, V, 0, 1, V[0][:, 1].copy())
     assert np.array_equal(cache.values, before) and np.array_equal(cache.values, before)
@@ -216,14 +234,13 @@ def test_commit_identical_column_keeps_cache_bitwise():
 
 def test_sweep_of_commits_low_drift():
     p = random_problem(11, block_sizes=(6,), m_eq=5, m_ineq=3, density=0.6)
-    tables = OperatorTables(p)
-    slices = ColumnSlices(p, tables)
+    slices = ColumnSlices(p)
     rng = np.random.default_rng(11)
     V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V, tables)
+    cache = OperatorCache.fresh(p, V)
     for i in range(6):
         commit_column(cache, slices, V, 0, i, V[0][:, i] + 0.1 * rng.standard_normal(V[0].shape[0]))
-    fresh = apply_operator(p, V, tables)
+    fresh = apply_operator(p, V)
     assert np.all(np.abs(cache.values - fresh) <= 1e-11 * (1 + np.abs(fresh)))
 
 

@@ -1,10 +1,13 @@
-"""The benchmark's tracer (perfbench/tracer.py) wraps sdpmix functions and
-methods by name; a solve under it must still run and be traced."""
+"""The benchmark's hooks into sdpmix: its tracer (perfbench/tracer.py) wraps
+functions and methods by name, and its worker (perfbench/worker.py) times
+the set-up of a solve by stopping it at the first solver.ColumnContext."""
 
 import importlib.util
 from pathlib import Path
 
-from sdpmix import cli, linops
+import pytest
+
+from sdpmix import cli, linops, solver
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 K3 = "3 3\n1 2\n1 3\n2 3\n"
@@ -37,3 +40,29 @@ def test_tracer_hooks_trace_a_cli_solve(tmp_path, capsys):
     assert metrics["solver.iters"] > 0
     for key in ("linops.deltas_calls", "auglag.context_calls", "auglag.eval_calls", "lbfgs.calls"):
         assert metrics[key] > 0, key
+
+
+class SetUpDone(BaseException):
+    """Raised at the first column update; the CLI does not catch it."""
+
+
+def test_setup_hook_stops_after_the_layout_is_built(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "k3.txt"
+    graph.write_text(K3)
+    prob = tmp_path / "k3.sdp"
+    assert cli.main(["generate", "maxcut", "--triangles", "--graph", str(graph), "-o", str(prob)]) == cli.EXIT_OK
+    built = []
+    for cls in (linops.OperatorTables, linops.ColumnSlices):
+        def recording(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(_name)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+
+    def first_column(*args, **kwargs):
+        raise SetUpDone(list(built))
+
+    monkeypatch.setattr(solver, "ColumnContext", first_column)
+    with pytest.raises(SetUpDone) as done:
+        cli.main(["solve", str(prob), "-o", str(tmp_path / "k3.sol"), "--tol", "1e-8"])
+    assert done.value.args[0] == ["OperatorTables", "ColumnSlices"]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from sdpmix.auglag import make_state
+from sdpmix.ddouble import DOUBLE, DOUBLE_DOUBLE, to_float_array
 from sdpmix.errors import NumericalError, ValidationError
 from sdpmix.linops import project_psd
-from sdpmix.problem import SdpProblem, SymMatrix, scale
+from sdpmix.precision import promote
+from sdpmix.problem import SdpProblem, SymMatrix, as_kind, scale
 from sdpmix.solver import (
     ErrorReport,
     SolverOptions,
@@ -23,7 +25,15 @@ from sdpmix.solver import (
     update_penalty,
 )
 
-from helpers import random_problem
+from helpers import (
+    dense_adjoint_oracle,
+    dense_apply_oracle,
+    dense_cost,
+    gram_blocks,
+    random_problem,
+    random_V_blocks,
+    uneven_problem,
+)
 from test_auglag import stagnation_fixture
 
 
@@ -215,16 +225,21 @@ def one_var_problem():
     return SdpProblem.build((1,), [C], [{0: A}], [1.0], 2)
 
 
+KINDS = (DOUBLE, DOUBLE_DOUBLE)
+
+
 def test_compute_errors_exact_kkt_point():
-    p = one_var_problem()
-    rep = compute_errors(p, [np.array([[1.0]])], np.array([1.0]), np.zeros(0), [np.array([[0.0]])])
-    assert rep.pinf == 0 and rep.gap == 0 and rep.dinf == 0 and rep.compl == 0 and rep.compl_star == 0
+    for kind in KINDS:
+        p = as_kind(one_var_problem(), kind)
+        rep = compute_errors(p, [kind.asarray([[1.0]])], kind.asarray([1.0]), kind.zeros(0), [kind.asarray([[0.0]])])
+        assert rep.pinf == 0 and rep.gap == 0 and rep.dinf == 0 and rep.compl == 0 and rep.compl_star == 0
 
 
 def test_compute_errors_pinf_normalization():
-    p = one_var_problem()
-    rep = compute_errors(p, [np.array([[1.1]])], np.zeros(1), np.zeros(0))
-    assert float(rep.pinf) == pytest.approx(0.1 / 2.0, rel=1e-12)
+    for kind in KINDS:
+        p = as_kind(one_var_problem(), kind)
+        rep = compute_errors(p, [kind.asarray([[1.1]])], kind.zeros(1), kind.zeros(0))
+        assert float(rep.pinf) == pytest.approx(0.1 / 2.0, rel=1e-12)
 
 
 def test_compute_errors_dinf_zero_duals():
@@ -233,11 +248,53 @@ def test_compute_errors_dinf_zero_duals():
     M = (M + M.T) / 2
     C = SymMatrix.from_dense(M)
     A = SymMatrix.from_entries(3, [(0, 0, 1.0)])
-    p = SdpProblem.build((3,), [C], [{0: A}], [1.0], 2)
-    Z = project_psd(M)
-    rep = compute_errors(p, [np.eye(3)], np.zeros(1), np.zeros(0), [Z])
-    want = np.linalg.norm(M - Z) / (1.0 + np.linalg.norm(M))
-    assert float(rep.dinf) == pytest.approx(want, rel=1e-12)
+    for kind in KINDS:
+        p = as_kind(SdpProblem.build((3,), [C], [{0: A}], [1.0], 2), kind)
+        Z = project_psd(kind.asarray(M))
+        rep = compute_errors(p, [kind.asarray(np.eye(3))], kind.zeros(1), kind.zeros(0), [Z])
+        want = np.linalg.norm(M - to_float_array(Z)) / (1.0 + np.linalg.norm(M))
+        assert float(rep.dinf) == pytest.approx(want, rel=1e-12)
+
+
+def dense_kkt_oracle(problem, X, y_a, y_b, Z):
+    """The five KKT measures by their definitions, on dense binary64 matrices."""
+    vals = dense_apply_oracle(problem, X)
+    C = dense_cost(problem)
+    pobj = sum(np.tensordot(Cb, Xb) for Cb, Xb in zip(C, X))
+    ma = problem.m_eq
+    a, bvec = to_float_array(problem.rhs[:ma]), to_float_array(problem.rhs[ma:])
+    viol = max(np.max(np.abs(a - vals[:ma]), initial=0.0), np.max(bvec - vals[ma:], initial=0.0))
+    pinf = viol / (1.0 + max(np.max(np.abs(a), initial=0.0), np.max(np.abs(bvec), initial=0.0)))
+    dobj = a @ y_a + bvec @ y_b
+    denom = 1.0 + abs(pobj) + abs(dobj)
+    adj = dense_adjoint_oracle(problem, np.concatenate([y_a, y_b]))
+    resid = np.sqrt(sum(np.sum((Cb - Ab - Zb) ** 2) for Cb, Ab, Zb in zip(C, adj, Z)))
+    return {
+        "pinf": pinf,
+        "gap": abs(pobj - dobj) / denom,
+        "compl_star": abs(pobj - (y_a @ vals[:ma] + y_b @ vals[ma:])) / denom,
+        "dinf": resid / (1.0 + np.sqrt(sum(np.sum(Cb ** 2) for Cb in C))),
+        "compl": abs(sum(np.sum(Xb * Zb) for Xb, Zb in zip(X, Z))) / denom,
+    }
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_compute_errors_matches_dense_oracle(kind):
+    # multi-block with inequalities, and one with an untouched block, a zero
+    # cost and a constraint that skips a block
+    for seed, prob in enumerate((random_problem(4, block_sizes=(3, 2), m_eq=2, m_ineq=2), uneven_problem(6))):
+        rng = np.random.default_rng(80 + seed)
+        X = gram_blocks(random_V_blocks(rng, prob))
+        Z = gram_blocks([rng.standard_normal((2, n)) for n in prob.block_sizes])
+        y_a, y_b = rng.standard_normal(prob.m_eq), np.abs(rng.standard_normal(prob.m_ineq))
+        want = dense_kkt_oracle(prob, X, y_a, y_b, Z)
+        q = as_kind(prob, kind)
+        args = [[kind.asarray(Xb) for Xb in X], kind.asarray(y_a), kind.asarray(y_b)]
+        got = compute_errors(q, *args, [kind.asarray(Zb) for Zb in Z]).as_dict()
+        cheap = compute_errors(q, *args).as_dict()
+        for key, val in want.items():
+            assert got[key] == pytest.approx(val, rel=1e-12, abs=1e-15), key
+            assert cheap[key] == (None if key in ("dinf", "compl") else got[key]), key
 
 
 def test_error_report_max_and_dict():
@@ -369,6 +426,24 @@ def test_solve_rejects_negative_warm_duals():
     bad = WarmStart([np.ones((k, 6))], np.zeros(3), np.array([-1.0]), 1.0)
     with pytest.raises(ValidationError, match="negative"):
         solve(ineq, SolverOptions(max_iters=5), warm_start=bad)
+
+
+def test_solve_rejects_nonfinite_warm_start():
+    p = gen_rand(6, 4, 1.0, 14)
+    ineq = SdpProblem.build(p.block_sizes, p.costs, p.constraints, p.rhs, ineq_start=4)
+    k = rank_rule(6, 3, 1)
+    good = WarmStart([np.ones((k, 6))], np.zeros(3), np.array([0.5]), 1.0)
+    for kind in KINDS:
+        q = as_kind(ineq, kind)
+        for field in ("V 1", "ya", "yb", "mu"):
+            warm = promote(good, kind)
+            if field == "mu":
+                warm.mu = kind.from_float(math.nan)
+            else:
+                values = warm.V_blocks[0] if field == "V 1" else getattr(warm, field.replace("y", "y_"))
+                values[-1] = kind.from_float(math.inf if field == "yb" else math.nan)
+            with pytest.raises(ValidationError, match=f"warm start field {field} has a nonfinite value"):
+                solve(q, SolverOptions(max_iters=5), warm_start=warm)
 
 
 def test_solve_nonfinite_aborts_with_diagnostic():
