@@ -15,7 +15,6 @@ import sys
 import typing
 from pathlib import Path
 
-from .ddouble import DOUBLE_DOUBLE, all_finite
 from .errors import SdpmixError, ValidationError
 from .formats import (
     parse_problem,
@@ -27,8 +26,8 @@ from .formats import (
     write_warmstart,
 )
 from .instances import gen_random_sdp, maxcut_relaxation, theta_relaxation
-from .precision import promote, solve_two_stage
-from .solver import SolverOptions, compute_errors, dual_slack, solve
+from .precision import solve_two_stage
+from .solver import SolverOptions, check_fit, compute_errors, dual_slack, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -121,16 +120,7 @@ def cmd_solve(args) -> int:
     progress = _progress_printer()
     try:
         if args.precision == "dd":
-            if warm is not None:
-                from .problem import as_kind
-
-                sol, warm_out = solve(
-                    as_kind(problem, DOUBLE_DOUBLE), options, warm_start=promote(warm, DOUBLE_DOUBLE),
-                    progress=progress,
-                )
-            else:
-                sol = solve_two_stage(problem, args.tol, options, progress=progress)
-                warm_out = None
+            sol, warm_out = solve_two_stage(problem, args.tol, options, progress=progress, warm_start=warm)
         else:
             sol, warm_out = solve(problem, options, warm_start=warm, progress=progress)
     except ValidationError as exc:  # input that only solve can check, e.g. a warm start's shape
@@ -143,10 +133,7 @@ def cmd_solve(args) -> int:
     try:
         write_solution(sol, out_path, include_z=not args.no_z)
         if args.save_warm_start:
-            if warm_out is None:
-                _log("note: no warm start available from a two-stage run; rerun with --warm-start to resume")
-            else:
-                write_warmstart(warm_out, args.save_warm_start)
+            write_warmstart(warm_out, args.save_warm_start)
     except OSError as exc:
         _log(f"error: {exc}")
         return EXIT_INPUT
@@ -205,25 +192,7 @@ def cmd_check(args) -> int:
     try:
         problem = parse_problem(args.problem)
         sol = read_solution(args.solution)
-        if len(sol.factor) != problem.q:
-            raise SdpmixError(
-                f"solution has {len(sol.factor)} blocks, problem has {problem.q}"
-            )
-        for b, F in enumerate(sol.factor):
-            if F.shape[1] != problem.block_sizes[b]:
-                raise SdpmixError(
-                    f"solution block {b + 1} has {F.shape[1]} columns, block size is {problem.block_sizes[b]}"
-                )
-        for b, Z in enumerate(sol.Z or []):
-            if len(Z) != problem.block_sizes[b]:
-                raise SdpmixError(f"solution Z block {b + 1} has order {len(Z)}, block size is {problem.block_sizes[b]}")
-        if len(sol.y_a) != problem.m_eq or len(sol.y_b) != problem.m_ineq:
-            raise SdpmixError("dual vector lengths do not match the problem")
-        fields = [(f"factor {b + 1}", F) for b, F in enumerate(sol.factor)] + [("ya", sol.y_a), ("yb", sol.y_b)]
-        fields += [(f"Z {b + 1}", Z) for b, Z in enumerate(sol.Z or [])]
-        for name, values in fields:
-            if not all_finite(values):
-                raise SdpmixError(f"solution field {name} has a nonfinite value")
+        check_fit(problem, "solution", "factor", sol.factor, sol.y_a, sol.y_b, sol.Z or ())
     except (SdpmixError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_INPUT

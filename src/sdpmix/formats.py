@@ -16,9 +16,10 @@ constraint, the scalar vector the right-hand side; a negative block size -s
 denotes a diagonal block and expands into s blocks of order 1. Lines whose
 first nonblank character is '*' or '"' are comments.
 
-Solution and warm-start files are sectioned key/value text; numbers are
-written with repr so binary64 values round-trip exactly (warm-start files
-store double-double values as hi/lo pairs, also exact).
+Solution and warm-start files share one section grammar (see the section
+on them below); numbers are written with repr so binary64 values
+round-trip exactly (warm-start files store double-double values as hi/lo
+pairs, also exact).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .ddouble import DDouble, ScalarKind, kind_by_name, to_float_array
+from .ddouble import DOUBLE, DOUBLE_DOUBLE, DDouble, ScalarKind, kind_by_name, to_float_array
 from .errors import FormatError
 from .instances import Graph
 from .problem import SdpProblem, SymMatrix, validate
@@ -67,16 +68,78 @@ class _Tokens:
         except ValueError:
             raise FormatError(f"expected {what} (an integer), got {tok!r}", self.path, self.last_line) from None
 
-    def next_float(self, what: str) -> float:
+    def next_float(self, what: str, allow_none: bool = False):
         tok = self.next(what)
+        if allow_none and tok == "none":
+            return None
         try:
             return float(tok)
         except ValueError:
             raise FormatError(f"expected {what} (a number), got {tok!r}", self.path, self.last_line) from None
 
+    def next_count(self, what: str) -> int:
+        count = self.next_int(what)
+        if count < 0:
+            raise FormatError(f"{what} must be nonnegative, got {count}", self.path, self.last_line)
+        return count
+
     @property
     def exhausted(self) -> bool:
         return self.pos >= len(self.items)
+
+    # -- sections of solution and warm-start files
+
+    def expect(self, name: str) -> None:
+        tag = self.next(repr(name))
+        if tag != name:
+            raise FormatError(f"expected {name!r}, got {tag!r}", self.path, self.last_line)
+
+    def scalars(self, count: int, kind: ScalarKind) -> np.ndarray:
+        """The next `count` values of `kind`, each a hi/lo token pair at
+        double-double, converted in one pass over the tokens."""
+        need = (2 if kind.is_extended else 1) * count
+        chunk = self.items[self.pos : self.pos + need]
+        try:
+            words = [float(tok) for tok, _ in chunk]
+        except ValueError:
+            words = []
+        if len(words) < need:
+            for _ in range(need):
+                self.next_float("value")  # raises at the first token that is missing or not a number
+        self.pos += need
+        if need:
+            self.last_line = chunk[-1][1]
+        if not kind.is_extended:
+            return np.array(words, dtype=np.float64)
+        out = np.empty(count, dtype=object)
+        out[:] = [DDouble(hi, lo) for hi, lo in zip(words[::2], words[1::2])]
+        return out
+
+    def vector(self, name: str, kind: ScalarKind) -> np.ndarray:
+        """Section `name length`, then its values."""
+        self.expect(name)
+        return self.scalars(self.next_count(f"{name} length"), kind)
+
+    def matrix(self, tag: str, b: int, kind: ScalarKind, square: bool = False) -> np.ndarray:
+        """Section `tag b rows cols` (`tag b n` when square) of block b (0-based), then its rows."""
+        self.expect(tag)
+        idx = self.next_int(f"{tag} block index")
+        if idx != b + 1:
+            raise FormatError(f"{tag} blocks out of order: got {idx}, expected {b + 1}", self.path, self.last_line)
+        rows = self.next_count(f"{tag} rows")
+        cols = rows if square else self.next_count(f"{tag} columns")
+        return self.scalars(rows * cols, kind).reshape(rows, cols)
+
+    def finish(self) -> None:
+        """Reject any token after the last section."""
+        if not self.exhausted:
+            tok, line = self.items[self.pos]
+            raise FormatError(f"unexpected {tok!r} after the last section", self.path, line)
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # -- native problem format ----------------------------------------------------
@@ -148,8 +211,7 @@ def write_native(problem: SdpProblem, path) -> None:
     for j, con in enumerate(problem.constraints):
         for b, mat in con:
             emit(j + 1, b, mat)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 # -- SDPA sparse import --------------------------------------------------------
@@ -257,188 +319,110 @@ def read_graph(path) -> Graph:
     return Graph.build(n, edges)
 
 
-# -- solution files --------------------------------------------------------------
+# -- solution and warm-start files ---------------------------------------------
+#
+# Both hold an iterate in one section grammar: `blocks q`, then per block a
+# header `<tag> b rows cols` and its rows, then `ya length` and `yb length`,
+# each followed by one line of values. A solution may end with the sections
+# `Z b n` of the dual slack. Blocks come in order; nothing may follow the
+# last section.
+
+_REPORT_KEYS = ("pinf", "gap", "dinf", "compl", "compl_star")
 
 
-def _write_vector(lines, name, vec):
-    lines.append(f"{name} {len(vec)}")
-    if len(vec):
-        lines.append(" ".join(repr(float(x)) for x in to_float_array(vec)))
+def _words(values, extended: bool) -> np.ndarray:
+    """The binary64 words of an array: one per value, or hi then lo per value when extended."""
+    values = np.asarray(values)
+    if not extended:
+        return to_float_array(values)
+    pairs = [(d.hi, d.lo) for d in map(DOUBLE_DOUBLE.coerce_scalar, values.reshape(-1))]
+    return np.array(pairs, dtype=np.float64).reshape(values.shape[:-1] + (2 * values.shape[-1],))
 
 
-def _read_vector(toks, name):
-    tag = toks.next("section name")
-    if tag != name:
-        raise FormatError(f"expected section {name!r}, got {tag!r}", toks.path, toks.last_line)
-    count = toks.next_int(f"{name} length")
-    return np.array([toks.next_float(f"{name}[{t}]") for t in range(count)], dtype=np.float64)
+def _section(lines, header: str, rows, extended: bool = False) -> None:
+    """A header line, then one line of words per nonempty row (a vector is one row)."""
+    lines.append(header)
+    lines.extend(" ".join(map(repr, row)) for row in np.atleast_2d(_words(rows, extended)).tolist() if row)
+
+
+def _write_iterate(lines, tag: str, blocks, y_a, y_b, extended: bool = False) -> None:
+    lines.append(f"blocks {len(blocks)}")
+    for b, V in enumerate(blocks):
+        _section(lines, f"{tag} {b + 1} {V.shape[0]} {V.shape[1]}", V, extended)
+    _section(lines, f"ya {len(y_a)}", y_a, extended)
+    _section(lines, f"yb {len(y_b)}", y_b, extended)
+
+
+def _read_iterate(toks: _Tokens, tag: str, kind: ScalarKind):
+    """(blocks, y_a, y_b) as _write_iterate writes them."""
+    toks.expect("blocks")
+    blocks = [toks.matrix(tag, b, kind) for b in range(toks.next_count("block count"))]
+    return blocks, toks.vector("ya", kind), toks.vector("yb", kind)
 
 
 def write_solution(sol: Solution, path, include_z: bool = True) -> None:
-    lines = ["# sdpmix solution"]
-    lines.append(f"status {sol.status}")
-    lines.append(f"iterations {sol.iterations}")
-    lines.append(f"elapsed {sol.elapsed!r}")
+    lines = ["# sdpmix solution", f"status {sol.status}", f"iterations {sol.iterations}", f"elapsed {sol.elapsed!r}"]
     lines.append(f"objective {float(sol.objective)!r}")
     rep = sol.report.as_dict() if sol.report is not None else {}
-    for key in ("pinf", "gap", "dinf", "compl", "compl_star"):
+    for key in _REPORT_KEYS:
         val = rep.get(key)
         lines.append(f"{key} {'none' if val is None else repr(val)}")
-    lines.append(f"blocks {len(sol.factor)}")
-    for b, F in enumerate(sol.factor):
-        F64 = to_float_array(F)
-        lines.append(f"factor {b + 1} {F64.shape[0]} {F64.shape[1]}")
-        for r in range(F64.shape[0]):
-            lines.append(" ".join(repr(v) for v in F64[r].tolist()))
-    _write_vector(lines, "ya", sol.y_a)
-    _write_vector(lines, "yb", sol.y_b)
+    _write_iterate(lines, "factor", sol.factor, sol.y_a, sol.y_b)
     if include_z and sol.Z is not None:
         for b, Z in enumerate(sol.Z):
-            Z64 = to_float_array(Z)
-            lines.append(f"Z {b + 1} {Z64.shape[0]}")
-            for r in range(Z64.shape[0]):
-                lines.append(" ".join(repr(v) for v in Z64[r].tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            _section(lines, f"Z {b + 1} {len(Z)}", Z)
+    _write_lines(path, lines)
 
 
 def read_solution(path) -> Solution:
     with open(path, "r", encoding="utf-8") as fh:
         toks = _Tokens(fh.read(), path=path)
-
-    def expect(name):
-        tag = toks.next("key")
-        if tag != name:
-            raise FormatError(f"expected {name!r}, got {tag!r}", path, toks.last_line)
-
-    expect("status")
+    toks.expect("status")
     status = toks.next("status value")
-    expect("iterations")
+    toks.expect("iterations")
     iterations = toks.next_int("iterations")
-    expect("elapsed")
+    toks.expect("elapsed")
     elapsed = toks.next_float("elapsed")
-    expect("objective")
+    toks.expect("objective")
     objective = toks.next_float("objective")
     rep = {}
-    for key in ("pinf", "gap", "dinf", "compl", "compl_star"):
-        expect(key)
-        tok = toks.next(key)
-        rep[key] = None if tok == "none" else float(tok)
-    expect("blocks")
-    q = toks.next_int("block count")
-    factor = []
-    for b in range(q):
-        expect("factor")
-        idx = toks.next_int("factor block index")
-        k = toks.next_int("factor rows")
-        n = toks.next_int("factor cols")
-        if idx != b + 1:
-            raise FormatError(f"factor blocks out of order: got {idx}, expected {b + 1}", path, toks.last_line)
-        F = np.array([[toks.next_float("factor entry") for _ in range(n)] for _ in range(k)])
-        factor.append(F.reshape(k, n))
-    y_a = _read_vector(toks, "ya")
-    y_b = _read_vector(toks, "yb")
-    Z = None
-    if not toks.exhausted:
-        Z = []
-        for b in range(q):
-            tag = toks.next("section name")
-            if tag != "Z":
-                raise FormatError(f"expected 'Z', got {tag!r}", path, toks.last_line)
-            idx = toks.next_int("Z block index")
-            n = toks.next_int("Z order")
-            if idx != b + 1:
-                raise FormatError(f"Z blocks out of order: got {idx}, expected {b + 1}", path, toks.last_line)
-            Z.append(np.array([[toks.next_float("Z entry") for _ in range(n)] for _ in range(n)]).reshape(n, n))
-    report = None
-    if rep["pinf"] is not None:
-        report = ErrorReport(
-            pinf=rep["pinf"], gap=rep["gap"], compl_star=rep["compl_star"], dinf=rep["dinf"], compl=rep["compl"]
-        )
+    for key in _REPORT_KEYS:
+        toks.expect(key)
+        rep[key] = toks.next_float(key, allow_none=True)
+    factor, y_a, y_b = _read_iterate(toks, "factor", DOUBLE)
+    Z = None if toks.exhausted else [toks.matrix("Z", b, DOUBLE, square=True) for b in range(len(factor))]
+    toks.finish()
     return Solution(
-        X=[F.T @ F for F in factor],
         factor=factor,
         y_a=y_a,
         y_b=y_b,
         Z=Z,
         status=status,
-        report=report,
+        report=None if rep["pinf"] is None else ErrorReport(**rep),
         iterations=iterations,
         elapsed=elapsed,
         objective=objective,
     )
 
 
-# -- warm-start files ------------------------------------------------------------
-
-
-def _scalar_tokens(x, extended: bool) -> str:
-    if extended:
-        d = x if isinstance(x, DDouble) else DDouble.from_float(float(x))
-        return f"{d.hi!r} {d.lo!r}"
-    return repr(float(x))
-
-
-def _next_scalar(toks, kind: ScalarKind, what: str):
-    hi = toks.next_float(what)
-    if kind.is_extended:
-        lo = toks.next_float(what + " (low word)")
-        return DDouble(hi, lo)
-    return hi
-
-
 def write_warmstart(warm: WarmStart, path) -> None:
-    kind = warm.kind
-    ext = kind.is_extended
-    lines = ["# sdpmix warmstart", f"kind {kind.name}", f"mu {_scalar_tokens(warm.mu, ext)}"]
-    lines.append(f"blocks {len(warm.V_blocks)}")
-    for b, V in enumerate(warm.V_blocks):
-        lines.append(f"V {b + 1} {V.shape[0]} {V.shape[1]}")
-        for r in range(V.shape[0]):
-            lines.append(" ".join(_scalar_tokens(x, ext) for x in V[r].tolist()))
-    for name, vec in (("ya", warm.y_a), ("yb", warm.y_b)):
-        lines.append(f"{name} {len(vec)}")
-        if len(vec):
-            lines.append(" ".join(_scalar_tokens(x, ext) for x in vec.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ext = warm.kind.is_extended
+    mu = " ".join(map(repr, _words([warm.mu], ext).tolist()))
+    lines = ["# sdpmix warmstart", f"kind {warm.kind.name}", f"mu {mu}"]
+    _write_iterate(lines, "V", warm.V_blocks, warm.y_a, warm.y_b, ext)
+    _write_lines(path, lines)
 
 
 def read_warmstart(path) -> WarmStart:
     with open(path, "r", encoding="utf-8") as fh:
         toks = _Tokens(fh.read(), path=path)
-
-    def expect(name):
-        tag = toks.next("key")
-        if tag != name:
-            raise FormatError(f"expected {name!r}, got {tag!r}", path, toks.last_line)
-
-    expect("kind")
+    toks.expect("kind")
     try:
         kind = kind_by_name(toks.next("scalar kind"))
     except ValueError as exc:
         raise FormatError(str(exc), path, toks.last_line) from None
-    expect("mu")
-    mu = _next_scalar(toks, kind, "mu")
-    expect("blocks")
-    q = toks.next_int("block count")
-    V_blocks = []
-    for b in range(q):
-        expect("V")
-        toks.next_int("V block index")
-        k = toks.next_int("V rows")
-        n = toks.next_int("V cols")
-        V = kind.zeros((k, n))
-        for r in range(k):
-            for c in range(n):
-                V[r, c] = _next_scalar(toks, kind, "V entry")
-        V_blocks.append(V)
-    vecs = {}
-    for name in ("ya", "yb"):
-        expect(name)
-        count = toks.next_int(f"{name} length")
-        vec = kind.zeros(count)
-        for t in range(count):
-            vec[t] = _next_scalar(toks, kind, f"{name}[{t}]")
-        vecs[name] = vec
-    return WarmStart(V_blocks, vecs["ya"], vecs["yb"], mu)
+    toks.expect("mu")
+    (mu,) = toks.scalars(1, kind).tolist()
+    V_blocks, y_a, y_b = _read_iterate(toks, "V", kind)
+    toks.finish()
+    return WarmStart(V_blocks, y_a, y_b, mu)

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from .ddouble import DOUBLE, DOUBLE_DOUBLE, ScalarKind, at_least_as_precise
 from .problem import SdpProblem, as_kind
-from .solver import Solution, SolverOptions, WarmStart, solve
+from .solver import SolverOptions, WarmStart, solve
 
 STAGE1_TOL = 1e-12
 
@@ -36,24 +36,26 @@ def solve_two_stage(
     options: SolverOptions | None = None,
     kind: ScalarKind = DOUBLE_DOUBLE,
     progress=None,
-) -> Solution:
-    """Binary64 solve, then extended-precision refinement to target_tol."""
+    warm_start: WarmStart | None = None,
+):
+    """Binary64 solve, then extended-precision refinement to target_tol;
+    returns (Solution, WarmStart) like `solve`. A warm start skips the
+    binary64 stage: the refinement resumes from it."""
     options = options or SolverOptions()
     if problem.kind is not DOUBLE:
         raise ValueError("two-stage solve starts from binary64 problem data")
-    stage1 = replace(options, tol=STAGE1_TOL)
-    sol1, warm = solve(problem, stage1, progress=progress)
-    if sol1.status != "tol" or target_tol >= STAGE1_TOL:
-        # failure propagates; an already-met target needs no refinement
-        return sol1
+    iterations, elapsed, time_limit = 0, 0.0, options.time_limit
+    if warm_start is None:
+        sol1, warm_start = solve(problem, replace(options, tol=STAGE1_TOL), progress=progress)
+        if sol1.status != "tol" or target_tol >= STAGE1_TOL:
+            # failure propagates; an already-met target needs no refinement
+            return sol1, warm_start
+        iterations, elapsed = sol1.iterations, sol1.elapsed
+        if time_limit is not None:
+            time_limit = max(time_limit - elapsed, 1e-3)
 
-    problem_x = as_kind(problem, kind)
-    warm_x = promote(warm, kind)
-    remaining = None
-    if options.time_limit is not None:
-        remaining = max(options.time_limit - sol1.elapsed, 1e-3)
-    stage2 = replace(options, tol=target_tol, time_limit=remaining)
-    sol2, _ = solve(problem_x, stage2, warm_start=warm_x, progress=progress)
-    sol2.iterations += sol1.iterations
-    sol2.elapsed += sol1.elapsed
-    return sol2
+    stage2 = replace(options, tol=target_tol, time_limit=time_limit)
+    sol2, warm2 = solve(as_kind(problem, kind), stage2, warm_start=promote(warm_start, kind), progress=progress)
+    sol2.iterations += iterations
+    sol2.elapsed += elapsed
+    return sol2, warm2

@@ -58,13 +58,6 @@ class SymMatrix:
             kind = kind_of(vals[0]) if vals else kind_of(np.empty(0))
         return cls(order, rows_a, cols_a, kind.asarray(sorted_vals))
 
-    @classmethod
-    def from_dense(cls, M, kind: ScalarKind | None = None) -> "SymMatrix":
-        M = np.asarray(M)
-        n = M.shape[0]
-        entries = [(r, c, M[r, c]) for r in range(n) for c in range(r, n) if M[r, c] != 0]
-        return cls.from_entries(n, entries, kind=kind)
-
     @property
     def nnz(self) -> int:
         return len(self.vals)
@@ -72,12 +65,6 @@ class SymMatrix:
     @property
     def kind(self) -> ScalarKind:
         return kind_of(self.vals)
-
-    def to_dense(self) -> np.ndarray:
-        out = self.kind.zeros((self.order, self.order))
-        out[self.rows, self.cols] = self.vals
-        out[self.cols, self.rows] = self.vals
-        return out
 
     def frob_sq(self):
         """Squared Frobenius norm in the matrix's own arithmetic."""
@@ -87,15 +74,6 @@ class SymMatrix:
 
     def scaled(self, factor) -> "SymMatrix":
         return replace(self, vals=self.vals * factor)
-
-    def equals(self, other: "SymMatrix") -> bool:
-        return (
-            self.order == other.order
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.cols, other.cols)
-            and self.nnz == other.nnz
-            and bool(np.all(self.vals == other.vals))
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,25 +141,6 @@ class SdpProblem:
         for _, mat in self.constraints[j]:
             total = total + mat.frob_sq()
         return total
-
-    def equals(self, other: "SdpProblem") -> bool:
-        if (
-            self.block_sizes != other.block_sizes
-            or self.ineq_start != other.ineq_start
-            or self.m != other.m
-            or not np.array_equal(self.rhs, other.rhs)
-        ):
-            return False
-        for a, b in zip(self.costs, other.costs):
-            if not a.equals(b):
-                return False
-        for ca, cb in zip(self.constraints, other.constraints):
-            if len(ca) != len(cb):
-                return False
-            for (ba, ma), (bb, mb) in zip(ca, cb):
-                if ba != bb or not ma.equals(mb):
-                    return False
-        return True
 
 
 class OperatorTables:

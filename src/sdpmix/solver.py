@@ -133,7 +133,6 @@ class WarmStart:
 class Solution:
     """Primal-dual solution in the caller's (unscaled) data space."""
 
-    X: List[np.ndarray]
     factor: List[np.ndarray]
     y_a: np.ndarray
     y_b: np.ndarray
@@ -143,6 +142,11 @@ class Solution:
     iterations: int = 0
     elapsed: float = 0.0
     objective: object = None
+
+    @property
+    def X(self) -> List[np.ndarray]:
+        """The primal blocks, rebuilt from the factor on each access."""
+        return [F.T @ F for F in self.factor]
 
     @property
     def y(self) -> np.ndarray:
@@ -181,19 +185,33 @@ def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
     )
 
 
+def check_fit(problem: SdpProblem, what: str, tag: str, blocks, y_a, y_b, Z_blocks=()) -> None:
+    """Raise ValidationError unless a stored iterate fits `problem`: its block
+    count, the columns of each factor block (named `tag` in messages), the
+    order of each Z block, the dual lengths, and every value finite. `what`
+    names the iterate ("solution", "warm start")."""
+    sizes = problem.block_sizes
+    if len(blocks) != problem.q:
+        raise ValidationError(f"{what} has {len(blocks)} blocks, problem has {problem.q}")
+    for b, V in enumerate(blocks):
+        if V.shape[1] != sizes[b]:
+            raise ValidationError(f"{what} block {b + 1}: {V.shape[1]} columns, block size {sizes[b]}")
+    for b, Z in enumerate(Z_blocks):
+        if len(Z) != sizes[b]:
+            raise ValidationError(f"{what} Z block {b + 1} has order {len(Z)}, block size is {sizes[b]}")
+    if len(y_a) != problem.m_eq or len(y_b) != problem.m_ineq:
+        raise ValidationError(f"{what} dual vector lengths do not match the problem")
+    fields = [(f"{tag} {b + 1}", V) for b, V in enumerate(blocks)] + [("ya", y_a), ("yb", y_b)]
+    for name, values in fields + [(f"Z {b + 1}", Z) for b, Z in enumerate(Z_blocks)]:
+        if not all_finite(values):
+            raise ValidationError(f"{what} field {name} has a nonfinite value")
+
+
 def state_from_warm(problem: SdpProblem, warm: WarmStart) -> IterateState:
     kind = problem.kind
-    if len(warm.V_blocks) != problem.q:
-        raise ValidationError(f"warm start has {len(warm.V_blocks)} blocks, problem has {problem.q}")
-    for b, V in enumerate(warm.V_blocks):
-        if V.shape[1] != problem.block_sizes[b]:
-            raise ValidationError(f"warm start block {b + 1}: {V.shape[1]} columns, block size {problem.block_sizes[b]}")
-    if len(warm.y_a) != problem.m_eq or len(warm.y_b) != problem.m_ineq:
-        raise ValidationError("warm start dual vector lengths do not match the problem")
-    fields = [(f"V {b + 1}", V) for b, V in enumerate(warm.V_blocks)]
-    for name, values in fields + [("ya", warm.y_a), ("yb", warm.y_b), ("mu", np.array([warm.mu]))]:
-        if not all_finite(values):
-            raise ValidationError(f"warm start field {name} has a nonfinite value")
+    check_fit(problem, "warm start", "V", warm.V_blocks, warm.y_a, warm.y_b)
+    if not is_finite_scalar(warm.mu):
+        raise ValidationError("warm start field mu has a nonfinite value")
     if len(warm.y_b) and not bool(np.all(warm.y_b >= 0)):
         raise ValidationError("warm start has negative inequality multipliers")
     if not float(warm.mu) > 0:
@@ -316,14 +334,13 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     the error report (including a fresh dual slack projection) on it."""
     if len(record.constraint_norms) != original.m:
         raise ValidationError("scaling record does not match the problem (constraint count)")
-    for b, X in enumerate(sol.X):
-        if X.shape[0] != original.block_sizes[b]:
+    for b, F in enumerate(sol.factor):
+        if F.shape[1] != original.block_sizes[b]:
             raise ValidationError("scaling record / problem mismatch (block orders)")
-    gamma = record.primal_scale
-    sqrt_gamma = fsqrt(gamma)
+    sqrt_gamma = fsqrt(record.primal_scale)
     factor = [sqrt_gamma * V for V in sol.factor]
-    # X from the unscaled factor, so anything reconstructing X from a stored
-    # factor (e.g. the check command) reproduces these exact values
+    # the report is measured on Solution.X of the unscaled factor, which the
+    # check command rebuilds exactly from a stored factor
     X = [F.T @ F for F in factor]
     dual_factors = record.cost_norm / record.constraint_norms
     y_a = dual_factors[: original.m_eq] * sol.y_a
@@ -331,7 +348,7 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     Z = dual_slack(original, y_a, y_b)
     report = compute_errors(original, X, y_a, y_b, Z)
     return replace(
-        sol, X=X, factor=factor, y_a=y_a, y_b=y_b, Z=Z, report=report, objective=dense_rows(original, X)[-1]
+        sol, factor=factor, y_a=y_a, y_b=y_b, Z=Z, report=report, objective=dense_rows(original, X)[-1]
     )
 
 
@@ -445,7 +462,6 @@ def solve(
         state.mu,
     )
     scaled_sol = Solution(
-        X=[V.T @ V for V in state.V_blocks],
         factor=[V.copy() for V in state.V_blocks],
         y_a=state.y_a,
         y_b=state.y_b,

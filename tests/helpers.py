@@ -12,6 +12,47 @@ from sdpmix.linops import apply_adjoint, column_deltas
 from sdpmix.problem import SdpProblem, SymMatrix
 
 
+def to_dense(mat):
+    """A SymMatrix as a dense matrix of its scalar kind."""
+    out = mat.kind.zeros((mat.order, mat.order))
+    out[mat.rows, mat.cols] = mat.vals
+    out[mat.cols, mat.rows] = mat.vals
+    return out
+
+
+def from_dense(M):
+    """The SymMatrix of the nonzero upper-triangle entries of a dense symmetric M."""
+    M = np.asarray(M)
+    n = M.shape[0]
+    return SymMatrix.from_entries(n, [(r, c, M[r, c]) for r in range(n) for c in range(r, n) if M[r, c] != 0])
+
+
+def symmatrix_equals(a, b):
+    return (
+        a.order == b.order
+        and np.array_equal(a.rows, b.rows)
+        and np.array_equal(a.cols, b.cols)
+        and a.nnz == b.nnz
+        and bool(np.all(a.vals == b.vals))
+    )
+
+
+def problem_equals(p, q):
+    """Same block sizes, ineq_start, right-hand side and matrices, value for value."""
+    if p.block_sizes != q.block_sizes or p.ineq_start != q.ineq_start or p.m != q.m:
+        return False
+    if not np.array_equal(p.rhs, q.rhs):
+        return False
+    if not all(symmatrix_equals(a, b) for a, b in zip(p.costs, q.costs)):
+        return False
+    for ca, cb in zip(p.constraints, q.constraints):
+        if len(ca) != len(cb):
+            return False
+        if not all(ba == bb and symmatrix_equals(ma, mb) for (ba, ma), (bb, mb) in zip(ca, cb)):
+            return False
+    return True
+
+
 def random_symmatrix(rng, n, density=0.6, ensure_nonzero=True):
     entries = []
     for r in range(n):
@@ -64,14 +105,14 @@ def random_V_blocks(rng, problem, k=None):
 
 
 def dense_cost(problem):
-    return [c.to_dense() for c in problem.costs]
+    return [to_dense(c) for c in problem.costs]
 
 
 def dense_constraint(problem, j):
     """Per-block dense matrices of constraint j (zeros where absent)."""
     mats = [np.zeros((n, n)) for n in problem.block_sizes]
     for b, mat in problem.constraints[j]:
-        mats[b] = mat.to_dense()
+        mats[b] = to_dense(mat)
     return mats
 
 
@@ -80,7 +121,7 @@ def dense_apply_oracle(problem, X_blocks):
     out = np.zeros(problem.m)
     for j in range(problem.m):
         for b, mat in problem.constraints[j]:
-            out[j] += np.tensordot(mat.to_dense(), X_blocks[b])
+            out[j] += np.tensordot(to_dense(mat), X_blocks[b])
     return out
 
 
@@ -89,7 +130,7 @@ def dense_adjoint_oracle(problem, y):
     out = [np.zeros((n, n)) for n in problem.block_sizes]
     for j in range(problem.m):
         for b, mat in problem.constraints[j]:
-            out[b] += y[j] * mat.to_dense()
+            out[b] += y[j] * to_dense(mat)
     return out
 
 
@@ -101,7 +142,7 @@ def dense_auglag_oracle(problem, V_blocks, y_a, y_b, mu):
     """Augmented Lagrangian value from the hinge formula, dense arithmetic."""
     X = gram_blocks(V_blocks)
     vals = dense_apply_oracle(problem, X)
-    obj = sum(np.tensordot(c.to_dense(), X[b]) for b, c in enumerate(problem.costs))
+    obj = sum(np.tensordot(to_dense(c), X[b]) for b, c in enumerate(problem.costs))
     ma = problem.m_eq
     r = np.asarray(problem.rhs[:ma], dtype=float) - vals[:ma]
     s = np.asarray(problem.rhs[ma:], dtype=float) - vals[ma:]
@@ -169,7 +210,7 @@ def full_gradient(state):
     combo = apply_adjoint(state.problem, np.concatenate([lam_a, lam_b]))
     out = []
     for b, V in enumerate(state.V_blocks):
-        M = state.problem.costs[b].to_dense() - combo[b]
+        M = to_dense(state.problem.costs[b]) - combo[b]
         out.append(2.0 * (V @ M))
     return out
 
@@ -207,8 +248,8 @@ def reassemble(problem, slices):
                 got.setdefault(j, kind.zeros((n, n)))[i, i] += sl.diag[t]
             for s, r, v in zip(sl.seg.tolist(), sl.row.tolist(), sl.val.tolist()):
                 got.setdefault(ids[s], kind.zeros((n, n)))[r, i] += v
-        want = {j: mat.to_dense() for j, con in enumerate(problem.constraints) for bb, mat in con if bb == b}
-        want[m] = problem.costs[b].to_dense()
+        want = {j: to_dense(mat) for j, con in enumerate(problem.constraints) for bb, mat in con if bb == b}
+        want[m] = to_dense(problem.costs[b])
         for j in set(got) | set(want):
             if not np.all(got.get(j, kind.zeros((n, n))) == want.get(j, kind.zeros((n, n)))):
                 return False

@@ -285,7 +285,7 @@ def test_criterion_08_scaling_suite(tmp_path):
 def test_criterion_09_extended_precision():
     p = gen_random_sdp((10,), 10, 1.0, seed=42)
     t0 = time.perf_counter()
-    sol = solve_two_stage(p, 1e-20, SolverOptions(max_iters=100000, iters_Z=20))
+    sol, _ = solve_two_stage(p, 1e-20, SolverOptions(max_iters=100000, iters_Z=20))
     dt = time.perf_counter() - t0
     rep = sol.report.as_dict()
     four = [rep["pinf"], rep["gap"], rep["dinf"], rep["compl"]]

@@ -19,6 +19,7 @@ from helpers import (
     multipliers,
     random_problem,
     random_V_blocks,
+    to_dense,
 )
 
 
@@ -152,7 +153,7 @@ def test_column_gradient_rounds_like_cost_minus_constraint_sum():
         lam = np.concatenate(multipliers(st))
         for b in range(p.q):
             V = st.V_blocks[b]
-            C = p.costs[b].to_dense()
+            C = to_dense(p.costs[b])
             A = [dense_constraint(p, j)[b] for j in range(p.m)]
             for i in range(p.block_sizes[b]):
                 g_n = np.empty(p.block_sizes[b])

@@ -1,6 +1,7 @@
 """CLI flows and exit codes."""
 
 import dataclasses
+import re
 
 from sdpmix.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, _options_from, build_parser, main
 from sdpmix.formats import parse_native, read_solution, read_warmstart, write_native
@@ -79,6 +80,19 @@ def test_solve_saves_and_resumes_warm_start(tmp_path):
     code = main(["solve", str(prob), "-o", str(tmp_path / "b.sol"), "--tol", "1e-10",
                  "--iters-z", "5", "--max-iters", "500", "--warm-start", str(ws)])
     assert code == EXIT_OK
+
+
+def test_dd_solve_saves_and_resumes_warm_start(tmp_path, capsys):
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    ws = tmp_path / "toy.ws"
+    flags = ["--precision", "dd", "--tol", "1e-14", "--iters-z", "5", "--max-iters", "500"]
+    code = main(["solve", str(prob), "-o", str(tmp_path / "a.sol"), *flags, "--save-warm-start", str(ws)])
+    assert code == EXIT_OK
+    assert read_warmstart(ws).kind.name == "dd"
+    code = main(["solve", str(prob), "-o", str(tmp_path / "b.sol"), *flags, "--warm-start", str(ws)])
+    assert code == EXIT_OK
+    assert "status tol" in capsys.readouterr().out
 
 
 def test_solve_mismatched_warm_start_exit_1(tmp_path, capsys):
@@ -232,14 +246,22 @@ def test_check_shape_mismatch_exit_1(tmp_path, capsys):
     capsys.readouterr()
     other = tmp_path / "q.sdp"
     write_native(gen_random_sdp((5,), 2, 1.0, seed=10), other)
+    lines = out.read_text().splitlines()
+    t = lines.index("Z 1 3")
+    # the header says order 2 but three rows of three follow: the reader stops after four values
     short_z = tmp_path / "short_z.sol"
-    text = out.read_text()
-    assert "\nZ 1 3\n" in text
-    short_z.write_text(text.replace("\nZ 1 3\n", "\nZ 1 2\n"))
-    for problem, solution, message in ((other, out, "error: solution block 1 has 3 columns"),
-                                       (prob, short_z, "error: solution Z block 1 has order 2")):
+    short_z.write_text("\n".join(lines[:t] + ["Z 1 2"] + lines[t + 1 :]) + "\n")
+    # a well-formed Z block of order 2 for a block of order 3
+    order_2 = tmp_path / "order_2.sol"
+    rows = [" ".join(row.split()[:2]) for row in lines[t + 1 : t + 3]]
+    order_2.write_text("\n".join(lines[:t] + ["Z 1 2"] + rows) + "\n")
+    cases = ((other, out, r"error: solution block 1: 3 columns, block size 5"),
+             (prob, short_z, rf"error: {re.escape(str(short_z))}:{t + 3}: unexpected '\S+' after the last section"),
+             (prob, order_2, r"error: solution Z block 1 has order 2, block size is 3"))
+    for problem, solution, message in cases:
         assert main(["check", str(problem), str(solution)]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert re.fullmatch(message + "\n", err), err
 
 
 def test_solver_flags_cover_every_option_field():

@@ -1,9 +1,11 @@
 """File format round trips and error reporting."""
 
+import re
+
 import numpy as np
 import pytest
 
-from sdpmix.ddouble import DDouble, DOUBLE_DOUBLE
+from sdpmix.ddouble import DDouble, DOUBLE, DOUBLE_DOUBLE
 from sdpmix.errors import FormatError, ValidationError
 from sdpmix.formats import (
     parse_native,
@@ -20,7 +22,7 @@ from sdpmix.precision import promote
 from sdpmix.problem import SdpProblem, SymMatrix
 from sdpmix.solver import SolverOptions, WarmStart, solve
 
-from helpers import random_problem
+from helpers import problem_equals, random_problem, to_dense
 
 
 def test_native_round_trip_100_random_problems(tmp_path):
@@ -33,7 +35,7 @@ def test_native_round_trip_100_random_problems(tmp_path):
         path = tmp_path / f"p{seed}.sdp"
         write_native(p, path)
         q = parse_native(path)
-        assert q.equals(p), f"round trip failed for seed {seed}"
+        assert problem_equals(q, p), f"round trip failed for seed {seed}"
 
 
 def test_native_unconstrained_problem(tmp_path):
@@ -42,7 +44,7 @@ def test_native_unconstrained_problem(tmp_path):
     path = tmp_path / "empty.sdp"
     write_native(p, path)
     q = parse_native(path)
-    assert q.equals(p) and q.m == 0
+    assert problem_equals(q, p) and q.m == 0
 
 
 def test_native_malformed_triplet_reports_line(tmp_path):
@@ -97,7 +99,7 @@ def test_sdpa_minimal(tmp_path):
     p = parse_sdpa(path)
     assert p.q == 1 and p.block_sizes == (2,) and p.m == 1 and p.ineq_start == 2
     assert float(p.rhs[0]) == 1.0
-    assert p.costs[0].to_dense().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert to_dense(p.costs[0]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_sdpa_lp_block_expansion(tmp_path):
@@ -107,9 +109,9 @@ def test_sdpa_lp_block_expansion(tmp_path):
     p = parse_sdpa(path)
     assert p.block_sizes == (2, 1, 1)
     # diagonal block entry (1,1) landed in the first expanded 1x1 block
-    assert float(p.costs[1].to_dense()[0, 0]) == 3.0
+    assert float(to_dense(p.costs[1])[0, 0]) == 3.0
     con2 = dict(p.constraints[1])
-    assert float(con2[1].to_dense()[0, 0]) == 2.0
+    assert float(to_dense(con2[1])[0, 0]) == 2.0
 
 
 def test_sdpa_offdiagonal_in_lp_block_rejected(tmp_path):
@@ -142,7 +144,7 @@ def test_parse_problem_dispatch(tmp_path):
     p = random_problem(0)
     native = tmp_path / "x.sdp"
     write_native(p, native)
-    assert parse_problem(native).equals(p)
+    assert problem_equals(parse_problem(native), p)
 
 
 def test_read_graph_weighted_and_default(tmp_path):
@@ -178,6 +180,9 @@ def test_solution_round_trip(tmp_path):
     assert back.report.as_dict() == sol.report.as_dict()
     for X1, X2 in zip(back.X, sol.X):
         assert np.array_equal(X1, X2)  # X rebuilt from the stored factor
+    again = tmp_path / "again.sol"
+    write_solution(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_solution_without_z(tmp_path):
@@ -187,6 +192,44 @@ def test_solution_without_z(tmp_path):
     write_solution(sol, path, include_z=False)
     back = read_solution(path)
     assert back.Z is None
+    again = tmp_path / "again.sol"
+    write_solution(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def words(values):
+    """The exact (hi, lo) words of every value; lo is 0 for binary64."""
+    return [(x.hi, x.lo) if isinstance(x, DDouble) else (float(x), 0.0) for x in np.asarray(values).reshape(-1)]
+
+
+def more_warm_starts(kind):
+    """Two blocks; a k = 0 factor with empty ya and yb (an m = 0 problem);
+    at double-double, nonzero low words in V, ya, yb and mu."""
+    rng = np.random.default_rng(2)
+    two = WarmStart([rng.standard_normal((3, 4)), rng.standard_normal((3, 2))], rng.standard_normal(2),
+                    np.abs(rng.standard_normal(1)), 0.75)
+    empty = WarmStart([np.zeros((0, 3)), np.zeros((0, 1))], np.zeros(0), np.zeros(0), 2.0)
+    out = [promote(w, kind) for w in (two, empty)]
+    if kind is DOUBLE_DOUBLE:
+        def low(a):
+            return np.array([DDouble(x.hi, x.hi * 2.0**-60) for x in a.reshape(-1)], dtype=object).reshape(a.shape)
+
+        out.append(WarmStart([low(V) for V in out[0].V_blocks], low(out[0].y_a), low(out[0].y_b),
+                             DDouble(0.75, 2.0**-70)))
+    return out
+
+
+def assert_warmstart_round_trip(warm, path):
+    """write then read gives the same kind, shapes and words; read then write the same bytes."""
+    write_warmstart(warm, path)
+    back = read_warmstart(path)
+    assert back.kind is warm.kind and len(back.V_blocks) == len(warm.V_blocks)
+    for got, want in zip(back.V_blocks + [back.y_a, back.y_b], warm.V_blocks + [warm.y_a, warm.y_b]):
+        assert got.shape == want.shape and words(got) == words(want)
+    assert words([back.mu]) == words([warm.mu])
+    again = path.with_suffix(".again")
+    write_warmstart(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_warmstart_round_trip_double(tmp_path):
@@ -199,6 +242,8 @@ def test_warmstart_round_trip_double(tmp_path):
     assert np.array_equal(back.V_blocks[0], warm.V_blocks[0])
     assert np.array_equal(back.y_a, warm.y_a) and np.array_equal(back.y_b, warm.y_b)
     assert back.mu == warm.mu
+    for t, more in enumerate([warm] + more_warm_starts(DOUBLE)):
+        assert_warmstart_round_trip(more, tmp_path / f"w{t}.ws")
 
 
 def test_warmstart_round_trip_double_double(tmp_path):
@@ -218,6 +263,8 @@ def test_warmstart_round_trip_double_double(tmp_path):
     assert all(
         x == y for x, y in zip(back.V_blocks[0].reshape(-1), warm.V_blocks[0].reshape(-1))
     )
+    for t, more in enumerate([warm] + more_warm_starts(DOUBLE_DOUBLE)):
+        assert_warmstart_round_trip(more, tmp_path / f"w{t}.ws")
 
 
 def test_warmstart_unknown_kind(tmp_path):
@@ -225,3 +272,59 @@ def test_warmstart_unknown_kind(tmp_path):
     path.write_text("kind float128\nmu 1.0\nblocks 0\nya 0\nyb 0\n")
     with pytest.raises(FormatError, match="float128"):
         read_warmstart(path)
+
+
+@pytest.fixture(scope="module")
+def iterate_files(tmp_path_factory):
+    """Lines of a solution file with and without Z and of a warm-start file, two blocks each."""
+    tmp = tmp_path_factory.mktemp("iterate")
+    sol, warm = solve(random_problem(5, block_sizes=(3, 2), m_eq=2, m_ineq=1), SolverOptions(max_iters=2))
+    write_solution(sol, tmp / "z.sol")
+    write_solution(sol, tmp / "noz.sol", include_z=False)
+    write_warmstart(warm, tmp / "w.ws")
+    return {name: (tmp / name).read_text().splitlines() for name in ("z.sol", "noz.sol", "w.ws")}
+
+
+def renumber(prefix, new):
+    """A mutation that rewrites the header line starting with `prefix`."""
+    def mutate(lines):
+        t = next(t for t, line in enumerate(lines) if line.startswith(prefix))
+        return lines[:t] + [new + lines[t][len(prefix):]] + lines[t + 1 :], t + 1
+
+    return mutate
+
+
+def replace_token(prefix, token):
+    """A mutation that puts `token` second on the row after the header starting with `prefix`."""
+    def mutate(lines):
+        t = next(t for t, line in enumerate(lines) if line.startswith(prefix)) + 1
+        row = lines[t].split()
+        return lines[:t] + [" ".join(row[:1] + [token] + row[2:])] + lines[t + 1 :], t + 1
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "source, mutate, message",
+    [
+        ("z.sol", lambda lines: (lines + ["1.0 2.0 garbage"], len(lines) + 1), "unexpected '1.0' after the last section"),
+        ("noz.sol", lambda lines: (lines + ["1.0 2.0 garbage"], len(lines) + 1), "expected 'Z', got '1.0'"),
+        ("w.ws", lambda lines: (lines + ["junk 1 2 3"], len(lines) + 1), "unexpected 'junk' after the last section"),
+        ("z.sol", renumber("factor 2 ", "factor 3 "), "factor blocks out of order: got 3, expected 2"),
+        ("w.ws", renumber("V 1 ", "V 7 "), "V blocks out of order: got 7, expected 1"),
+        ("z.sol", renumber("Z 2 ", "Z 1 "), "Z blocks out of order: got 1, expected 2"),
+        ("z.sol", lambda lines: (lines[:-1], len(lines) - 1), "unexpected end of file"),
+        ("w.ws", replace_token("V 2 ", "1.0x"), "expected value (a number), got '1.0x'"),
+        ("noz.sol", renumber("ya 2", "ya -2"), "ya length must be nonnegative, got -2"),
+        ("noz.sol", renumber("pinf ", "pinf abc "), "expected pinf (a number), got 'abc'"),
+    ],
+    ids=["trailing_after_z", "trailing_without_z", "trailing_warm_start", "factor_order", "V_order", "Z_order",
+         "truncated", "not_a_number", "negative_length", "report_value"],
+)
+def test_iterate_file_rejections_name_path_and_line(tmp_path, iterate_files, source, mutate, message):
+    lines, line = mutate(iterate_files[source])
+    path = tmp_path / source
+    path.write_text("\n".join(lines) + "\n")
+    read = read_warmstart if source.endswith(".ws") else read_solution
+    with pytest.raises(FormatError, match=re.escape(f"{path}:{line}: {message}")):
+        read(path)

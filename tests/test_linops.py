@@ -29,6 +29,7 @@ from helpers import (
     random_problem,
     random_V_blocks,
     reassemble,
+    to_dense,
     uneven_problem,
 )
 
@@ -72,7 +73,7 @@ def test_apply_cost_matches_dense():
     p = random_problem(7, block_sizes=(4, 2), m_eq=3, m_ineq=1)
     rng = np.random.default_rng(7)
     V = random_V_blocks(rng, p)
-    want = sum(np.tensordot(c.to_dense(), X) for c, X in zip(p.costs, gram_blocks(V)))
+    want = sum(np.tensordot(to_dense(c), X) for c, X in zip(p.costs, gram_blocks(V)))
     assert OperatorCache.fresh(p, V).cost_value == pytest.approx(want, rel=1e-12)
 
 
@@ -83,7 +84,7 @@ def test_apply_adjoint_cases():
         assert np.all(Z == 0)
     single = one_constraint_problem(SymMatrix.from_entries(2, [(0, 1, 1.5), (1, 1, -2.0)]))
     got = apply_adjoint(single, np.array([2.0]))[0]
-    np.testing.assert_allclose(got, 2.0 * single.constraints[0][0][1].to_dense())
+    np.testing.assert_allclose(got, 2.0 * to_dense(single.constraints[0][0][1]))
     rng = np.random.default_rng(4)
     # multi-block with inequalities, and one with an untouched block, a zero
     # cost and a constraint that skips a block; at both scalar kinds
@@ -149,7 +150,7 @@ def test_column_deltas_sum_each_slot_in_partner_order():
                 w = V[b].T @ (v_trial - v_start)
                 w[i] = 0.0
                 dn = np.sum(v_trial * v_trial) - np.sum(v_start * v_start)
-                mats = [dense_constraint(p, j)[b] for j in sl.sup] + [p.costs[b].to_dense()]
+                mats = [dense_constraint(p, j)[b] for j in sl.sup] + [to_dense(p.costs[b])]
                 want = []
                 for M in mats:
                     total = 0.0

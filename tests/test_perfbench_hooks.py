@@ -1,13 +1,14 @@
 """The benchmark's hooks into sdpmix: its tracer (perfbench/tracer.py) wraps
 functions and methods by name, and its worker (perfbench/worker.py) times
-the set-up of a solve by stopping it at the first solver.ColumnContext."""
+the set-up of a solve by stopping it at the first solver.ColumnContext and
+keeps the Solution the CLI writes by swapping cli.write_solution."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from sdpmix import cli, linops, solver
+from sdpmix import cli, formats, linops, solver
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 K3 = "3 3\n1 2\n1 3\n2 3\n"
@@ -66,3 +67,21 @@ def test_setup_hook_stops_after_the_layout_is_built(tmp_path, capsys, monkeypatc
     with pytest.raises(SetUpDone) as done:
         cli.main(["solve", str(prob), "-o", str(tmp_path / "k3.sol"), "--tol", "1e-8"])
     assert done.value.args[0] == ["OperatorTables", "ColumnSlices"]
+
+
+def test_write_hook_keeps_the_solution_the_cli_writes(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "k3.txt"
+    graph.write_text(K3)
+    prob = tmp_path / "k3.sdp"
+    assert cli.main(["generate", "maxcut", "--graph", str(graph), "-o", str(prob)]) == cli.EXIT_OK
+    written = []
+
+    def keep_and_write(sol, path, include_z=True):
+        written.append(sol)
+        return formats.write_solution(sol, path, include_z=include_z)
+
+    monkeypatch.setattr(cli, "write_solution", keep_and_write)
+    out = tmp_path / "k3.sol"
+    assert cli.main(["solve", str(prob), "-o", str(out), "--tol", "1e-8"]) == cli.EXIT_OK
+    assert len(written) == 1 and isinstance(written[0], solver.Solution)
+    assert formats.read_solution(out).iterations == written[0].iterations

@@ -43,29 +43,30 @@ def test_promote_identity_and_narrowing():
 
 def test_two_stage_target_already_met_is_single_stage():
     p = gen_rand(6, 4, 1.0, 3)
-    sol = solve_two_stage(p, 1e-6, SolverOptions(max_iters=20000, iters_Z=10))
+    sol, _ = solve_two_stage(p, 1e-6, SolverOptions(max_iters=20000, iters_Z=10))
     assert sol.status == "tol"
     assert sol.X[0].dtype == np.float64  # stage 2 never ran
 
 
 def test_two_stage_propagates_stage1_failure():
     p = gen_rand(8, 6, 1.0, 4)
-    sol = solve_two_stage(p, 1e-20, SolverOptions(max_iters=3))
+    sol, _ = solve_two_stage(p, 1e-20, SolverOptions(max_iters=3))
     assert sol.status == "iter"
     assert sol.X[0].dtype == np.float64
 
 
 def test_two_stage_time_status_propagates():
     p = gen_rand(8, 6, 1.0, 5)
-    sol = solve_two_stage(p, 1e-20, SolverOptions(time_limit=1e-9))
+    sol, _ = solve_two_stage(p, 1e-20, SolverOptions(time_limit=1e-9))
     assert sol.status == "time"
 
 
 def test_two_stage_reaches_extended_accuracy():
     p = gen_rand(6, 5, 1.0, 21)
-    sol = solve_two_stage(p, 1e-20, SolverOptions(max_iters=20000, iters_Z=20))
+    sol, warm = solve_two_stage(p, 1e-20, SolverOptions(max_iters=20000, iters_Z=20))
     assert sol.status == "tol"
     assert sol.X[0].dtype == object  # refined stage output
+    assert warm.kind is DOUBLE_DOUBLE
     assert float(sol.report.max_error()) < 1e-18
 
 

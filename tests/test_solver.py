@@ -29,6 +29,7 @@ from helpers import (
     dense_adjoint_oracle,
     dense_apply_oracle,
     dense_cost,
+    from_dense,
     gram_blocks,
     random_problem,
     random_V_blocks,
@@ -246,7 +247,7 @@ def test_compute_errors_dinf_zero_duals():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((3, 3))
     M = (M + M.T) / 2
-    C = SymMatrix.from_dense(M)
+    C = from_dense(M)
     A = SymMatrix.from_entries(3, [(0, 0, 1.0)])
     for kind in KINDS:
         p = as_kind(SdpProblem.build((3,), [C], [{0: A}], [1.0], 2), kind)
