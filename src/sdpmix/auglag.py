@@ -100,11 +100,12 @@ class ColumnContext:
         self.const_quad_eq = dot(r_all, r_all) - dot(r_sup0, r_sup0)
         s_all = state.residual_ineq()
         s_sup0 = self.rhs_sup[n_eq:] - self.vals_start[n_eq:-1]
-        self.const_hinge = self._hinge_sum(state.y_b, s_all) - self._hinge_sum(self.y_sup_ineq, s_sup0)
+        self.const_hinge = self._hinge_sum(state.y_b, s_all)[0] - self._hinge_sum(self.y_sup_ineq, s_sup0)[0]
 
     def _hinge_sum(self, y, s):
+        """The hinge terms' value and their multipliers max(y + mu s, 0)."""
         if not len(s):
-            return self.kind.from_float(0.0)
+            return self.kind.from_float(0.0), s
         self.state.counters["hinge_evals"] += 1
         mu = self.mu
         t = y + mu * s
@@ -116,7 +117,7 @@ class ColumnContext:
         if not np.all(active):
             yi = y[~active]
             total = total - dot(yi, yi) / (2.0 * mu)
-        return total
+        return total, np.where(active, t, self.kind.from_float(0.0))
 
     def value_and_grad(self, v_trial):
         state = self.state
@@ -134,11 +135,8 @@ class ColumnContext:
         total = total + 0.5 * mu * (self.const_quad_eq + dot(r_sup, r_sup))
         lam_eq = self.y_sup_eq + mu * r_sup
 
-        s_sup = self.rhs_sup[n_eq:] - vals[n_eq:-1]
-        total = total + self.const_hinge + self._hinge_sum(self.y_sup_ineq, s_sup)
-        t = self.y_sup_ineq + mu * s_sup
-        zero = self.kind.from_float(0.0)
-        lam_ineq = np.where(t > 0, t, zero) if len(t) else t
+        hinge, lam_ineq = self._hinge_sum(self.y_sup_ineq, self.rhs_sup[n_eq:] - vals[n_eq:-1])
+        total = total + self.const_hinge + hinge
 
         # dense n-vector C_(i) - sum_j lam_j (A_j)_(i): the slots' coefficients
         # are -lam and 1 for the cost, then two O(kn) products

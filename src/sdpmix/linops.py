@@ -174,7 +174,6 @@ def column_deltas(sl: ColSlice, V: np.ndarray, i: int, v_start, v_trial) -> np.n
     """
     d = v_trial - v_start
     w = V.T @ d if V.shape[0] else kind_of(V).zeros(V.shape[1])
-    w[i] = w[i] * 0.0  # column i of V-bar(0) is zero
     dn = dot(v_trial, v_trial) - dot(v_start, v_start)
     delta = sl.diag * dn
     if len(sl.row):

@@ -8,10 +8,12 @@ residual norm to mu times the per-iteration change of the constraint
 values is held near 1, increasing mu above rat_max and decreasing it
 below rat_min.
 
-Termination measures the four KKT errors on the scaled problem. The dual
-slack matrix (a PSD projection) is expensive, so it is evaluated only
-every iters_Z iterations and only once the three cheap measures
-(pinf, gap, compl*) are already below tol.
+Status tol means that all five KKT errors of the returned solution,
+measured on the problem as given, are below tol. That report needs the
+dual slack matrix (a PSD projection), so it is built only every iters_Z
+iterations and only once the three cheap measures (pinf, gap, compl*) of
+the scaled iterate are already below tol; the solution it is built on is
+the one returned.
 """
 
 from __future__ import annotations
@@ -330,8 +332,9 @@ def dual_slack(problem: SdpProblem, y_a, y_b):
 
 
 def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem) -> Solution:
-    """Map a scaled-space solution back to the original data and recompute
-    the error report (including a fresh dual slack projection) on it."""
+    """Map a scaled-space solution back to the original data and measure
+    the error report (including a fresh dual slack projection) on it; solve
+    decides status tol on this report."""
     if len(record.constraint_norms) != original.m:
         raise ValidationError("scaling record does not match the problem (constraint count)")
     for b, F in enumerate(sol.factor):
@@ -393,6 +396,12 @@ def solve(
     def out_of_time() -> bool:
         return options.time_limit is not None and elapsed() >= options.time_limit
 
+    def unscaled(status: str) -> Solution:
+        # unscale_solution multiplies into new arrays, so the result shares
+        # nothing with the state the loop goes on updating in place
+        sol = Solution(state.V_blocks, state.y_a, state.y_b, Z=None, status=status, report=None, iterations=iteration)
+        return unscale_solution(sol, record, problem)
+
     while status is None:
         if options.max_iters is not None and iteration >= options.max_iters:
             status = "iter"
@@ -444,15 +453,13 @@ def solve(
                     "compl_star": float(cheap.compl_star),
                     "elapsed": elapsed(),
                     "hinge_evals": state.counters["hinge_evals"],
+                    "column_evals": state.counters["column_evals"],
                 }
             )
 
-        proxy_ok = cheap.max_error() < options.tol
-        if proxy_ok and iteration % options.iters_Z == 0:
-            Z_blocks = dual_slack(scaled, state.y_a, state.y_b)
-            X_blocks = [V.T @ V for V in state.V_blocks]
-            full = compute_errors(scaled, X_blocks, state.y_a, state.y_b, Z_blocks)
-            if max(full.pinf, full.gap, full.dinf, full.compl) < options.tol:
+        if cheap.max_error() < options.tol and iteration % options.iters_Z == 0:
+            solution = unscaled("tol")
+            if solution.report.max_error() < options.tol:
                 status = "tol"
 
     warm = WarmStart(
@@ -461,16 +468,7 @@ def solve(
         state.y_b.copy(),
         state.mu,
     )
-    scaled_sol = Solution(
-        factor=[V.copy() for V in state.V_blocks],
-        y_a=state.y_a,
-        y_b=state.y_b,
-        Z=None,
-        status=status,
-        report=None,
-        iterations=iteration,
-        elapsed=elapsed(),
-    )
-    solution = unscale_solution(scaled_sol, record, problem)
+    if status != "tol":
+        solution = unscaled(status)
     solution.elapsed = elapsed()
     return solution, warm

@@ -216,6 +216,15 @@ def test_check_threshold_exit_2(tmp_path, capsys):
     assert code == EXIT_LIMIT
 
 
+def test_check_passes_a_tol_solution_at_its_tol(tmp_path, capsys):
+    prob = tmp_path / "r.sdp"
+    out = tmp_path / "r.sol"
+    assert main(["generate", "rand", "--blocks", "12", "--m", "8", "--seed", "1", "-o", str(prob)]) == EXIT_OK
+    assert main(["solve", str(prob), "-o", str(out), "--tol", "1e-10", "--iters-z", "10"]) == EXIT_OK
+    assert "status tol" in capsys.readouterr().out
+    assert main(["check", str(prob), str(out), "--threshold", "1e-10"]) == EXIT_OK
+
+
 def test_check_perturbed_duals_show_dinf(tmp_path, capsys):
     prob = tmp_path / "p.sdp"
     write_native(gen_random_sdp((3,), 2, 1.0, seed=8), prob)

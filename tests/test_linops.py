@@ -131,7 +131,10 @@ def test_column_slices_reassemble_exactly():
     for seed in range(10):
         p = random_problem(seed, block_sizes=(4, 3), m_eq=3, m_ineq=2, density=0.5)
         for q in (p, as_kind(p, DOUBLE_DOUBLE)):
-            assert reassemble(q, ColumnSlices(q))
+            slices = ColumnSlices(q)
+            assert reassemble(q, slices)
+            # a column is never its own off-diagonal partner
+            assert all(i not in sl.row for block in slices.by_block for i, sl in enumerate(block))
 
 
 def test_column_deltas_sum_each_slot_in_partner_order():
