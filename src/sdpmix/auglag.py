@@ -5,10 +5,14 @@ linear and quadratic terms only while y_b[j] + mu * (b_j - <B_j, X>) > 0,
 and -y_b[j]^2 / (2 mu) otherwise; ties fall to the inactive branch (the
 value is identical either way by continuity).
 
-The restricted per-column objective keeps all off-column terms constant:
-only constraints whose column slice is nonempty are re-evaluated at a
-trial point, everything else is carried from the operator cache, so one
-evaluation costs O(k n + nnz of the column slice).
+A column subproblem is solved on its increment model (ColumnContext), in
+the manner of mixed-precision iterative refinement: the multipliers and
+the gradient at the column's start are formed once, in the problem's
+scalar kind, and rounded to binary64; every trial point then evaluates
+only the change of the objective and of the gradient, in binary64, from
+the column's slice (O(k n + nnz of the slice)). The accepted column is
+formed and committed in the problem's kind, so a double-double solve
+keeps double-double iterates while L-BFGS sees binary64 alone.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from typing import List
 
 import numpy as np
 
-from .ddouble import dot, kind_of, segment_sum
-from .linops import ColumnSlices, OperatorCache, column_deltas
+from .ddouble import dot, kind_of, segment_sum, to_float_array
+from .linops import ColumnSlices, OperatorCache, slot_increments
 from .linops import commit_column as _cache_commit
 from .problem import SdpProblem
 
@@ -36,7 +40,7 @@ class IterateState:
     cache: OperatorCache
     prev_values: np.ndarray
     slices: ColumnSlices
-    counters: dict = field(default_factory=lambda: {"hinge_evals": 0, "column_evals": 0})
+    counters: dict = field(default_factory=lambda: {"hinge_evals": 0, "column_evals": 0, "inner_unconverged": 0})
 
     @property
     def kind(self):
@@ -72,80 +76,87 @@ def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu) -> IterateState:
 
 
 class ColumnContext:
-    """Restricted objective for one column; reusable across trial points."""
+    """The increment model of one column's restricted objective.
+
+    Built once per column in the problem's kind: the slot multipliers
+    lam0 at v_start (for an inequality, max(t0, 0) with the activity
+    argument t0 = y + mu s), the n-vector g_n0 = C_(i) - sum_j lam0_j
+    (A_j)_(i) and the column gradient g0 = 2 V g_n0, then rounded to
+    binary64. value_and_grad(d) evaluates, in binary64 only, the increment
+    f(v_start + d) - f(v_start) and the gradient at v_start + d:
+
+        Df(d) = g0.d + g_n0[i] |d|^2 + sum_j phi_j(DV_j)
+        g(d)  = g0 + 2 (V Dg_n + d (g_n0[i] + Dg_n[i]))
+
+    DV are the slot increments, phi_j the second-order remainder of row j
+    (mu DV_j^2 / 2 while the row is an equality or an inequality active at
+    both ends, the exact hinge form when its activity changes) and Dg_n the
+    segment sum of the multiplier changes. No O(1) totals are formed, so
+    the rounding error of Df is relative to Df itself.
+    """
 
     def __init__(self, state: IterateState, block: int, i: int):
         self.state = state
         self.block = block
         self.i = i
-        self.sl = sl = state.slices.slice(block, i)
-        self.kind = state.kind
+        sl = state.slices.slice(block, i)
         p = state.problem
-        m_a = p.m_eq
-        self.v_start = state.V_blocks[block][:, i].copy()
-        # operator values on the column's slots: sup, then the cost
-        self.vals_start = np.concatenate([state.cache.values[sl.sup], [state.cache.cost_value]])
-        self.mu = state.mu
+        kind = state.kind
+        V = state.V_blocks[block]
+        self.v_start = V[:, i].copy()
+        self.n_eq = n_eq = int(np.searchsorted(sl.sup, p.m_eq))
+        mu = state.mu
 
-        n_eq = int(np.searchsorted(sl.sup, m_a))
-        self.n_eq = n_eq
-        self.rhs_sup = p.rhs[sl.sup] if len(sl.sup) else state.kind.zeros(0)
-        self.y_sup_eq = state.y_a[sl.sup[:n_eq]]
-        self.y_sup_ineq = state.y_b[sl.sup[n_eq:] - m_a]
+        # multipliers at v_start on the column's slots, then the cost slot
+        y = np.concatenate([state.y_a[sl.sup[:n_eq]], state.y_b[sl.sup[n_eq:] - p.m_eq]])
+        t = y + mu * (p.rhs[sl.sup] - state.cache.values[sl.sup])
+        t0 = t[n_eq:].copy()
+        if len(t0):
+            state.counters["hinge_evals"] += 1
+            t[n_eq:] = np.where(t0 > 0, t0, kind.from_float(0.0))
+        coef = np.concatenate([-t, state.slices.cost_coef])
+        n = p.block_sizes[block]
+        g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else kind.zeros(n)
+        g_n[i] += dot(coef, sl.diag)
 
-        # off-support terms are constant within this subproblem
-        r_all = state.residual_eq()
-        r_sup0 = self.rhs_sup[:n_eq] - self.vals_start[:n_eq]
-        self.const_lin_eq = dot(state.y_a, r_all) - dot(self.y_sup_eq, r_sup0)
-        self.const_quad_eq = dot(r_all, r_all) - dot(r_sup0, r_sup0)
-        s_all = state.residual_ineq()
-        s_sup0 = self.rhs_sup[n_eq:] - self.vals_start[n_eq:-1]
-        self.const_hinge = self._hinge_sum(state.y_b, s_all)[0] - self._hinge_sum(self.y_sup_ineq, s_sup0)[0]
+        self.sl = state.slices.slice64(block, i)
+        self.V = to_float_array(V)
+        self.v0 = to_float_array(self.v_start)
+        self.g0 = to_float_array(2.0 * (V @ g_n))
+        self.gi0 = float(g_n[i])
+        self.t0 = to_float_array(t0)
+        self.active0 = self.t0 > 0
+        self.mu = float(mu)
 
-    def _hinge_sum(self, y, s):
-        """The hinge terms' value and their multipliers max(y + mu s, 0)."""
-        if not len(s):
-            return self.kind.from_float(0.0), s
-        self.state.counters["hinge_evals"] += 1
-        mu = self.mu
-        t = y + mu * s
-        active = t > 0
-        total = self.kind.from_float(0.0)
-        if np.any(active):
-            sa = s[active]
-            total = total + dot(y[active], sa) + 0.5 * mu * dot(sa, sa)
-        if not np.all(active):
-            yi = y[~active]
-            total = total - dot(yi, yi) / (2.0 * mu)
-        return total, np.where(active, t, self.kind.from_float(0.0))
-
-    def value_and_grad(self, v_trial):
+    def value_and_grad(self, d):
+        """Df(d) and g(d) in binary64; d is the column's move from v_start."""
         state = self.state
         state.counters["column_evals"] += 1
-        sl = self.sl
-        mu = self.mu
-        V = state.V_blocks[self.block]
-        n_eq = self.n_eq
+        sl, mu, n_eq = self.sl, self.mu, self.n_eq
+        # the norm change as 2 v0.d + |d|^2: no cancellation of |v|^2 terms
+        dv = slot_increments(sl, self.V.T @ d, 2.0 * dot(self.v0, d) + dot(d, d))
+        dv[-1] = 0.0  # the cost is linear in X: fixed coefficient, no remainder
+        # coefficient changes -(lam - lam0) and remainders, equality form first
+        dcoef = mu * dv
+        phi = 0.5 * dcoef * dv
+        if len(self.t0):
+            state.counters["hinge_evals"] += 1
+            t0, a0, dvi = self.t0, self.active0, dv[n_eq:-1]
+            t1 = t0 - mu * dvi
+            a1 = t1 > 0
+            p0 = np.where(a0, t0, 0.0)
+            p1 = np.where(a1, t1, 0.0)
+            same = a0 & a1
+            dcoef[n_eq:-1] = np.where(same, dcoef[n_eq:-1], p0 - p1)
+            phi[n_eq:-1] = np.where(same, phi[n_eq:-1], (p1 * p1 - p0 * p0) / (2.0 * mu) + p0 * dvi)
+        value = dot(self.g0, d) + self.gi0 * dot(d, d) + np.add.reduce(phi)
 
-        vals = self.vals_start + column_deltas(sl, V, self.i, self.v_start, v_trial)
-        total = vals[-1]
-
-        r_sup = self.rhs_sup[:n_eq] - vals[:n_eq]
-        total = total + self.const_lin_eq + dot(self.y_sup_eq, r_sup)
-        total = total + 0.5 * mu * (self.const_quad_eq + dot(r_sup, r_sup))
-        lam_eq = self.y_sup_eq + mu * r_sup
-
-        hinge, lam_ineq = self._hinge_sum(self.y_sup_ineq, self.rhs_sup[n_eq:] - vals[n_eq:-1])
-        total = total + self.const_hinge + hinge
-
-        # dense n-vector C_(i) - sum_j lam_j (A_j)_(i): the slots' coefficients
-        # are -lam and 1 for the cost, then two O(kn) products
         n = state.problem.block_sizes[self.block]
-        coef = np.concatenate([-lam_eq, -lam_ineq, state.slices.cost_coef])
-        g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else self.kind.zeros(n)
-        g_n[self.i] += dot(coef, sl.diag)
-        grad = 2.0 * (V @ g_n + (v_trial - self.v_start) * g_n[self.i])
-        return total, grad
+        dg_n = segment_sum(sl.val * dcoef[sl.seg], sl.row, n) if len(sl.row) else np.zeros(n)
+        dg_i = dg_n[self.i] + dot(dcoef, sl.diag)
+        dg_n[self.i] = dg_i
+        grad = self.g0 + 2.0 * (self.V @ dg_n + d * (self.gi0 + dg_i))
+        return value, grad
 
 
 def commit_column(state: IterateState, block: int, i: int, v_new) -> None:

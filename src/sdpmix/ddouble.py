@@ -325,10 +325,11 @@ def to_float_array(arr: np.ndarray) -> np.ndarray:
 def dot(x: np.ndarray, y: np.ndarray):
     """Inner product in the arrays' own arithmetic; 0.0 for empty input.
 
-    np.sum is pairwise for binary64, keeping long accumulations accurate."""
+    The add reduction is pairwise for binary64, keeping long accumulations
+    accurate; it is the reduction np.sum makes, without np.sum's wrapper."""
     if x.size == 0:
         return kind_of(x).from_float(0.0)
-    return np.sum(x * y)
+    return np.add.reduce(x * y, axis=None)
 
 
 def norm2(x: np.ndarray):
@@ -338,7 +339,7 @@ def norm2(x: np.ndarray):
 def norm_inf(x: np.ndarray):
     if x.size == 0:
         return kind_of(x).from_float(0.0)
-    return np.max(np.abs(x))
+    return np.maximum.reduce(np.abs(x), axis=None)
 
 
 def segment_sum(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np.ndarray:

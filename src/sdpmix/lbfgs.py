@@ -1,9 +1,12 @@
 """Limited-memory BFGS for the small column subproblems.
 
-Works on vectors of either scalar kind. The stopping rule is relative to
-the gradient at the warm-start point: accept v once
+Works on binary64 vectors: the solver hands it the increment model of a
+column (auglag.ColumnContext), whose variable is the column's move d from
+its start and whose value is the objective's change, so a double-double
+solve runs L-BFGS in binary64 too. The stopping rule is relative to the
+gradient at the start point: accept x once
 
-    ||grad(v)||_inf < max(eps, delta * ||grad(v_start)||_inf).
+    ||grad(x)||_inf < max(eps, delta * ||grad(x_start)||_inf).
 
 History is cleared for every call (the objective changes between columns),
 and curvature pairs with s'y <= 1e-12 ||s|| ||y|| are skipped.
@@ -11,15 +14,15 @@ and curvature pairs with s'y <= 1e-12 ||s|| ||y|| are skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .ddouble import all_finite, dot, is_finite_scalar, kind_of, norm2, norm_inf
-
 _C1 = 1e-4  # Armijo constant
 _C2 = 0.9  # strong Wolfe curvature constant
+_EPS = 2.0**-53  # binary64 unit roundoff
 
 
 @dataclass(frozen=True)
@@ -53,75 +56,84 @@ class _SearchFailed(Exception):
 
 
 def minimize_column(
-    objective_grad: Callable[[np.ndarray], Tuple[object, np.ndarray]],
-    v_start: np.ndarray,
+    objective_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
+    x0: np.ndarray,
     config: InnerConfig = InnerConfig(),
 ) -> Tuple[np.ndarray, int, bool]:
-    """Minimize the callable from v_start; returns (v, evals, converged).
+    """Minimize the callable from x0; returns (x, evals, converged).
 
     The returned objective value never exceeds the start value: on budget
     exhaustion or line-search failure the best iterate found is returned,
-    and a nonfinite evaluation aborts the subproblem with v_start itself.
+    and a nonfinite evaluation aborts the subproblem with x0 itself.
     """
-    state = {"evals": 0, "best_f": None, "best_v": None}
+    state = {"evals": 0, "best_f": None, "best_x": None}
 
-    def ev(v):
+    def ev(x):
         if state["evals"] >= config.max_evals:
             raise _Budget
         state["evals"] += 1
-        f, g = objective_grad(v)
-        if not is_finite_scalar(f) or not all_finite(g):
+        f, g = objective_grad(x)
+        if not math.isfinite(f) or not np.all(np.isfinite(g)):
             raise _NonFinite
         if state["best_f"] is None or f < state["best_f"]:
             state["best_f"] = f
-            state["best_v"] = v.copy()
+            state["best_x"] = x.copy()
         return f, g
 
     try:
-        f0, g0 = ev(v_start)
+        f0, g0 = ev(x0)
     except _NonFinite:
-        return v_start, state["evals"], False
+        return x0, state["evals"], False
     except _Budget:  # max_evals == 0 is rejected by InnerConfig
-        return v_start, state["evals"], False
+        return x0, state["evals"], False
 
-    threshold = max(config.eps, config.delta * float(norm_inf(g0)))
-    if float(norm_inf(g0)) < threshold:
-        return v_start, state["evals"], True
+    threshold = max(config.eps, config.delta * _norm_inf(g0))
+    if _norm_inf(g0) < threshold:
+        return x0, state["evals"], True
 
-    v, f, g = v_start.copy(), f0, g0
+    x, f, g = x0.copy(), f0, g0
     history: list = []
-    eps_kind = kind_of(v_start).epsilon
 
     try:
         while True:
             d = _two_loop(g, history)
-            dphi0 = dot(g, d)
+            dphi0 = _dot(g, d)
             if not dphi0 < 0:
                 history.clear()
                 d = -g
-                dphi0 = dot(g, d)
+                dphi0 = _dot(g, d)
                 if not dphi0 < 0:
-                    return state["best_v"], state["evals"], False
-            alpha0 = 1.0 if history else min(1.0, 1.0 / (1.0 + float(norm_inf(g))))
-            noise = 128.0 * eps_kind * (1.0 + abs(float(f)))
-            alpha, f_new, g_new = _wolfe_search(ev, v, f, d, dphi0, alpha0, noise)
-            v_new = v + alpha * d
+                    return state["best_x"], state["evals"], False
+            alpha0 = 1.0 if history else min(1.0, 1.0 / (1.0 + _norm_inf(g)))
+            # rounding level of the objective at x; an increment model's
+            # value carries no O(1) total, so the level is relative to |f|
+            noise = 128.0 * _EPS * abs(f)
+            alpha, f_new, g_new = _wolfe_search(ev, x, f, d, dphi0, alpha0, noise)
+            x_new = x + alpha * d
             s = alpha * d
             yv = g_new - g
-            sy = dot(s, yv)
-            if sy > 1e-12 * float(norm2(s)) * float(norm2(yv)):
+            sy = _dot(s, yv)
+            if sy > 1e-12 * math.sqrt(_dot(s, s)) * math.sqrt(_dot(yv, yv)):
                 history.append((s, yv, 1.0 / sy))
                 if len(history) > config.memory:
                     history.pop(0)
-            v, f, g = v_new, f_new, g_new
-            if float(norm_inf(g)) < threshold:
+            x, f, g = x_new, f_new, g_new
+            if _norm_inf(g) < threshold:
                 if f > f0:  # roundoff-level ascent: keep the monotone contract
-                    return state["best_v"], state["evals"], False
-                return v, state["evals"], True
+                    return state["best_x"], state["evals"], False
+                return x, state["evals"], True
     except _NonFinite:
-        return v_start, state["evals"], False
+        return x0, state["evals"], False
     except (_Budget, _SearchFailed):
-        return state["best_v"], state["evals"], False
+        return state["best_x"], state["evals"], False
+
+
+def _dot(x, y) -> float:
+    return float(np.add.reduce(x * y, axis=None)) if x.size else 0.0
+
+
+def _norm_inf(x) -> float:
+    return float(np.maximum.reduce(np.abs(x), axis=None)) if x.size else 0.0
 
 
 def _two_loop(g, history):
@@ -129,14 +141,14 @@ def _two_loop(g, history):
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(history):
-        a = rho * dot(s, q)
+        a = rho * _dot(s, q)
         alphas.append(a)
         q = q - a * y
     if history:
         s, y, _ = history[-1]
-        q = q * (dot(s, y) / dot(y, y))
+        q = q * (_dot(s, y) / _dot(y, y))
     for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * dot(y, q)
+        b = rho * _dot(y, q)
         q = q + (a - b) * s
     return -q
 
@@ -153,7 +165,7 @@ def _wolfe_search(ev, v0, f0, d, dphi0, alpha0, noise):
     alpha = alpha0
     for it in range(40):
         f_a, g_a = ev(v0 + alpha * d)
-        dphi_a = dot(g_a, d)
+        dphi_a = _dot(g_a, d)
         armijo = not (f_a > f0 + _C1 * alpha * dphi0)
         if armijo and abs(dphi_a) <= -_C2 * dphi0:
             return alpha, f_a, g_a
@@ -174,7 +186,7 @@ def _zoom(ev, v0, f0, d, dphi0, lo, hi, f_lo, noise):
         if alpha == lo or alpha == hi:  # interval exhausted in floating point
             raise _SearchFailed
         f_a, g_a = ev(v0 + alpha * d)
-        dphi_a = dot(g_a, d)
+        dphi_a = _dot(g_a, d)
         armijo = not (f_a > f0 + _C1 * alpha * dphi0)
         if armijo and abs(dphi_a) <= -_C2 * dphi0:
             return alpha, f_a, g_a

@@ -62,10 +62,13 @@ class OperatorCache:
 
     @classmethod
     def fresh(cls, problem: SdpProblem, V_blocks) -> "OperatorCache":
-        """Every row of the operator, cost included, from the entries of V^T V."""
+        """Every row of the operator, cost included, from the entries of V^T V.
+
+        Each distinct position of a block's table is one product of two
+        columns of V, formed once and gathered for every entry there."""
         _check_shapes(problem, V_blocks)
-        prods = [np.sum(V[:, row] * V[:, col], axis=0) if V.shape[0] else problem.kind.zeros(len(row))
-                 for V, (_, row, col, _, _) in zip(V_blocks, problem.tables.blocks)]
+        prods = [np.sum(V[:, prow] * V[:, pcol], axis=0)[inverse] if V.shape[0] else problem.kind.zeros(len(inverse))
+                 for V, (prow, pcol, inverse) in zip(V_blocks, problem.tables.pairs)]
         out = operator_rows(problem, prods)
         return cls(out[:-1], out[-1])
 
@@ -119,7 +122,8 @@ class ColumnSlices:
     entry once, an off-diagonal (r, c) under column r with partner c and
     under column c with partner r. One lexsort by (column, constraint,
     partner) makes each column's slice a contiguous run, constraints in
-    ascending order and the cost (constraint m) last.
+    ascending order and the cost (constraint m) last. slice64 gives the same
+    slice with its coefficients rounded to binary64, for the column kernel.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -127,6 +131,7 @@ class ColumnSlices:
         m = problem.m
         self.cost_coef = kind.asarray([1.0])  # the cost slot's coefficient in a column gradient
         self.by_block: List[List[ColSlice]] = []
+        self.by_block64: List[List[ColSlice]] = []
         for n, (con, row, col, val, _) in zip(problem.block_sizes, problem.tables.blocks):
             mirror = row != col
             column = np.concatenate([row, col[mirror]])
@@ -154,15 +159,22 @@ class ColumnSlices:
             off = ~on_diag
             seg, prow, pval = slot[off], partner[off], v[off]
             ends = np.searchsorted(column[off], np.arange(n + 1))
-            slices = []
-            for i in range(n):
-                lo, hi = ends[i], ends[i + 1]
-                slices.append(ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], diag=diag[base[i]:base[i + 1]],
-                                       seg=seg[lo:hi], row=prow[lo:hi], val=pval[lo:hi]))
-            self.by_block.append(slices)
+
+            def cut(diag, pval):
+                return [ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], diag=diag[base[i]:base[i + 1]],
+                                 seg=seg[ends[i]:ends[i + 1]], row=prow[ends[i]:ends[i + 1]],
+                                 val=pval[ends[i]:ends[i + 1]])
+                        for i in range(n)]
+
+            self.by_block.append(cut(diag, pval))
+            self.by_block64.append(cut(to_float_array(diag), to_float_array(pval))
+                                   if kind.is_extended else self.by_block[-1])
 
     def slice(self, block: int, i: int) -> ColSlice:
         return self.by_block[block][i]
+
+    def slice64(self, block: int, i: int) -> ColSlice:
+        return self.by_block64[block][i]
 
 
 def column_deltas(sl: ColSlice, V: np.ndarray, i: int, v_start, v_trial) -> np.ndarray:
@@ -174,7 +186,12 @@ def column_deltas(sl: ColSlice, V: np.ndarray, i: int, v_start, v_trial) -> np.n
     """
     d = v_trial - v_start
     w = V.T @ d if V.shape[0] else kind_of(V).zeros(V.shape[1])
-    dn = dot(v_trial, v_trial) - dot(v_start, v_start)
+    return slot_increments(sl, w, dot(v_trial, v_trial) - dot(v_start, v_start))
+
+
+def slot_increments(sl: ColSlice, w: np.ndarray, dn) -> np.ndarray:
+    """The slots' increments from w = V^T d, V holding the column's old
+    value, and the change dn of the column's squared norm."""
     delta = sl.diag * dn
     if len(sl.row):
         delta = delta + 2.0 * segment_sum(sl.val * w[sl.row], sl.seg, len(sl.diag))

@@ -154,6 +154,10 @@ class OperatorTables:
     The cost must stay last: a column gradient sums -lambda_j a_j over the
     constraints and then adds c, which rounds exactly like c - sum_j
     lambda_j a_j; a cost summed first would round differently.
+
+    pairs[b] = (prow, pcol, inverse) lists the distinct (row, col) positions
+    of block b's table, and inverse maps each table entry to its position,
+    so that (prow[inverse], pcol[inverse]) == (row, col).
     """
 
     def __init__(self, problem: SdpProblem):
@@ -163,13 +167,16 @@ class OperatorTables:
             for b, mat in con:
                 terms[b].append((j, mat))
         self.blocks = []
-        for b, cost in enumerate(problem.costs):
+        self.pairs = []
+        for b, (n, cost) in enumerate(zip(problem.block_sizes, problem.costs)):
             ids, mats = zip(*terms[b], (problem.m, cost))
             con = np.repeat(np.array(ids, dtype=np.int64), [mat.nnz for mat in mats])
             row = np.concatenate([mat.rows for mat in mats])
             col = np.concatenate([mat.cols for mat in mats])
             val = kind.asarray(np.concatenate([mat.vals for mat in mats]))
             self.blocks.append((con, row, col, val, val * np.where(row == col, 1.0, 2.0)))
+            keys, inverse = np.unique(row * n + col, return_inverse=True)
+            self.pairs.append((keys // n, keys % n, inverse))
 
 
 def _check_symmatrix(mat: SymMatrix, order: int, where: str) -> None:

@@ -423,8 +423,10 @@ def solve(
                 break
             b, i = pairs[t]
             ctx = ColumnContext(state, b, i)
-            v_new, _, _ = minimize_column(ctx.value_and_grad, ctx.v_start, inner_cfg)
-            commit_column(state, b, i, v_new)
+            d, _, converged = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), inner_cfg)
+            if not converged:
+                state.counters["inner_unconverged"] += 1
+            commit_column(state, b, i, ctx.v_start + d)
         if status is not None:
             break
 
@@ -454,6 +456,7 @@ def solve(
                     "elapsed": elapsed(),
                     "hinge_evals": state.counters["hinge_evals"],
                     "column_evals": state.counters["column_evals"],
+                    "inner_unconverged": state.counters["inner_unconverged"],
                 }
             )
 

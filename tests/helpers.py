@@ -7,7 +7,7 @@ formula transcriptions, independent of the package's sparse kernels.
 import numpy as np
 
 from sdpmix.auglag import ColumnContext
-from sdpmix.ddouble import dot
+from sdpmix.ddouble import dot, to_float_array
 from sdpmix.linops import apply_adjoint, column_deltas
 from sdpmix.problem import SdpProblem, SymMatrix
 
@@ -216,8 +216,11 @@ def full_gradient(state):
 
 
 def column_objective_grad(state, block, i, v_trial):
-    """Restricted augmented Lagrangian and its gradient at one trial column."""
-    return ColumnContext(state, block, i).value_and_grad(v_trial)
+    """Restricted augmented Lagrangian and its gradient at one trial column:
+    eval_auglag at the current column plus the column kernel's increment."""
+    ctx = ColumnContext(state, block, i)
+    increment, grad = ctx.value_and_grad(to_float_array(v_trial - ctx.v_start))
+    return eval_auglag(state) + increment, grad
 
 
 def incremental_operator_values(cache, slices, V_blocks, block, i, v_start, v_trial):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sdpmix.auglag import commit_column, make_state, refresh_cache
+from sdpmix.auglag import ColumnContext, commit_column, make_state, refresh_cache
+from sdpmix.ddouble import DOUBLE_DOUBLE, DDouble
 from sdpmix.linops import apply_operator
-from sdpmix.problem import SdpProblem, SymMatrix
+from sdpmix.problem import SdpProblem, SymMatrix, as_kind
 
 from helpers import (
     column_objective_grad,
@@ -229,7 +230,6 @@ def test_hinge_crossing_is_continuous():
 
 def test_accepted_column_updates_never_increase_value():
     from sdpmix.lbfgs import InnerConfig, minimize_column
-    from sdpmix.auglag import ColumnContext
 
     p, st = random_state(17)
     cfg = InnerConfig(eps=1e-8, delta=0.01, max_evals=200)
@@ -238,7 +238,135 @@ def test_accepted_column_updates_never_increase_value():
             for i in range(p.block_sizes[b]):
                 before = eval_auglag(st)
                 ctx = ColumnContext(st, b, i)
-                v_new, _, _ = minimize_column(ctx.value_and_grad, ctx.v_start, cfg)
-                commit_column(st, b, i, v_new)
+                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg)
+                commit_column(st, b, i, ctx.v_start + d)
                 after = eval_auglag(st)
                 assert float(after) <= float(before) + 1e-10 * (1 + abs(float(before)))
+
+
+def _mp(x):
+    """The exact value of a binary64 or double-double scalar as an mpf."""
+    import mpmath
+
+    return mpmath.mpf(x.hi) + mpmath.mpf(x.lo) if isinstance(x, DDouble) else mpmath.mpf(float(x))
+
+
+def _mp_auglag(p, V_blocks, y_a, y_b, mu, block, i):
+    """Dense augmented Lagrangian and its gradient in column i of `block`,
+    in mpmath on the exact values of the iterate; also every inequality's
+    activity argument y_b + mu s."""
+    import mpmath
+
+    X = [mpmath.matrix(V).T * mpmath.matrix(V) for V in V_blocks]
+
+    def inner(mats, b):
+        M = mats[b]
+        return mpmath.fsum(mpmath.mpf(float(M[r, c])) * X[b][r, c] for r in range(len(M)) for c in range(len(M)))
+
+    cost = [to_dense(c) for c in p.costs]
+    cons = [dense_constraint(p, j) for j in range(p.m)]
+    obj = mpmath.fsum(inner(cost, b) for b in range(p.q))
+    total, lam, acts = obj, [], []
+    for j in range(p.m):
+        res = _mp(p.rhs[j]) - mpmath.fsum(inner(cons[j], b) for b in range(p.q))
+        if j < p.m_eq:
+            total += y_a[j] * res + mu / 2 * res**2
+            lam.append(y_a[j] + mu * res)
+        else:
+            t = y_b[j - p.m_eq] + mu * res
+            total += (max(t, 0) ** 2 - y_b[j - p.m_eq] ** 2) / (2 * mu)
+            lam.append(max(t, 0))
+            acts.append(t)
+    n = p.block_sizes[block]
+    M = [mpmath.mpf(float(cost[block][r, i])) - mpmath.fsum(lam[j] * mpmath.mpf(float(cons[j][block][r, i]))
+                                                            for j in range(p.m)) for r in range(n)]
+    V = V_blocks[block]
+    grad = [2 * mpmath.fsum(V[a][r] * M[r] for r in range(n)) for a in range(len(V))]
+    return total, grad, acts
+
+
+@pytest.mark.parametrize("kind", ["double", "dd"])
+def test_increment_kernel_matches_mpmath_difference(kind):
+    # Df(d) and g(d) of the column kernel against f(v0 + d) - f(v0) and the
+    # gradient at v0 + d of the dense augmented Lagrangian at 40 digits, for
+    # |d| from 1e-1 to 1e-12. In each case one inequality of the column gets
+    # its activity argument set to mu DV / 2, so the move takes it to
+    # -mu DV / 2 (active -> inactive when DV > 0, inactive -> active when
+    # DV < 0); the other inequalities keep their activity.
+    import mpmath
+
+    seen = set()
+    worst_f = worst_g = 0.0
+    for seed in range(4):
+        p0, st0 = random_state(seed)
+        rng = np.random.default_rng(20_000 + seed)
+        for size in 10.0 ** -np.arange(1.0, 13.0):
+            b = int(rng.integers(p0.q))
+            i = int(rng.integers(p0.block_sizes[b]))
+            sl = st0.slices.slice(b, i)
+            ineq = sl.sup[sl.sup >= p0.m_eq]
+            u = rng.standard_normal(st0.V_blocks[b].shape[0])
+            d = size * u / np.linalg.norm(u)
+            rhs = p0.rhs.copy()
+            if len(ineq):
+                j = int(rng.choice(ineq))
+                V2 = [W.copy() for W in st0.V_blocks]
+                V2[b][:, i] += d
+                dv = float(apply_operator(p0, V2)[j] - st0.cache.values[j])
+                t_now = float(st0.y_b[j - p0.m_eq] + st0.mu * st0.residual_ineq()[j - p0.m_eq])
+                rhs[j] += (0.5 * st0.mu * dv - t_now) / st0.mu
+            p = SdpProblem.build(p0.block_sizes, p0.costs, p0.constraints, rhs, p0.ineq_start)
+            st = make_state(p, st0.V_blocks, st0.y_a, st0.y_b, st0.mu)
+            if kind == "dd":
+                dd = DOUBLE_DOUBLE
+                st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
+                                dd.asarray(st.y_b), dd.coerce_scalar(st.mu))
+            df, g = ColumnContext(st, b, i).value_and_grad(d)
+            assert isinstance(df, float) and g.dtype == np.float64
+
+            with mpmath.workdps(40):
+                mu = _mp(st.mu)
+                y_a = [_mp(x) for x in st.y_a]
+                y_b = [_mp(x) for x in st.y_b]
+                V0 = [[[_mp(x) for x in row] for row in V] for V in st.V_blocks]
+                V1 = [[row[:] for row in V] for V in V0]
+                for a in range(len(d)):
+                    V1[b][a][i] += mpmath.mpf(float(d[a]))
+                f0, g0, t0 = _mp_auglag(p, V0, y_a, y_b, mu, b, i)
+                f1, g1, t1 = _mp_auglag(p, V1, y_a, y_b, mu, b, i)
+                seen.update((bool(a0 > 0), bool(a1 > 0)) for a0, a1 in zip(t0, t1))
+                # the scale of the increment: |d| times the larger gradient norm
+                scale = size * float(max(mpmath.norm(mpmath.matrix(g0)), mpmath.norm(mpmath.matrix(g1))))
+                worst_f = max(worst_f, abs(float(mpmath.mpf(float(df)) - (f1 - f0))) / scale)
+                g_err = max(abs(float(mpmath.mpf(float(x)) - y)) for x, y in zip(g, g1))
+                worst_g = max(worst_g, g_err / (1.0 + max(abs(float(y)) for y in g1)))
+    assert seen == {(True, True), (False, False), (True, False), (False, True)}
+    assert worst_f <= 1e-14
+    assert worst_g <= 1e-14
+
+
+def test_column_refinement_reaches_double_double_stationarity():
+    # rounds of the solver's column step at double-double: each round builds
+    # the context (gradient formed in dd), minimizes the binary64 increment
+    # and commits v_start + d in dd. The increments are accurate relative
+    # to themselves, so the rounds drive the column gradient far below
+    # binary64 resolution; the 40-digit gradient at the result confirms it.
+    import mpmath
+
+    from sdpmix.lbfgs import InnerConfig, minimize_column
+
+    dd = DOUBLE_DOUBLE
+    cfg = InnerConfig(eps=1e-30, delta=1e-10, max_evals=500)
+    for seed in range(3):
+        p, st64 = random_state(seed)
+        st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st64.V_blocks], dd.asarray(st64.y_a),
+                        dd.asarray(st64.y_b), dd.coerce_scalar(st64.mu))
+        b, i = 0, seed
+        for _ in range(4):
+            ctx = ColumnContext(st, b, i)
+            d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg)
+            commit_column(st, b, i, ctx.v_start + d)
+        with mpmath.workdps(40):
+            V = [[[_mp(x) for x in row] for row in W] for W in st.V_blocks]
+            _, g, _ = _mp_auglag(p, V, [_mp(x) for x in st.y_a], [_mp(x) for x in st.y_b], _mp(st.mu), b, i)
+            assert max(abs(float(x)) for x in g) < 1e-26

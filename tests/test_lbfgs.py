@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sdpmix.ddouble import DOUBLE_DOUBLE, norm_inf
+from sdpmix.ddouble import DOUBLE_DOUBLE, norm_inf, to_float_array
 from sdpmix.lbfgs import InnerConfig, minimize_column
 
 
@@ -138,16 +138,25 @@ def test_empty_vector_immediate():
 
 
 def test_double_double_quadratic_to_extreme_accuracy():
+    # the solver's double-double scheme on |v - c|^2: each round forms the
+    # gradient g0 at v in double-double, L-BFGS minimizes the increment
+    # f(v + d) - f(v) = g0.d + |d|^2 in binary64, and v + d is formed in
+    # double-double; c is not a binary64 vector, so one round cannot hit it
     kind = DOUBLE_DOUBLE
-    c = kind.asarray([0.5, -1.25, 2.0])
+    c = kind.asarray([0.5, -1.25, 2.0]) / 3.0
+    v = kind.asarray([3.0, 3.0, 3.0])
+    for rounds in range(1, 6):
+        g0 = to_float_array(2.0 * (v - c))
 
-    def f(v):
-        d = v - c
-        return np.dot(d, d), 2.0 * d
+        def f(d):
+            return g0 @ d + d @ d, g0 + 2.0 * d
 
-    v0 = kind.asarray([3.0, 3.0, 3.0])
-    v, evals, ok = minimize_column(f, v0, InnerConfig(eps=1e-24, delta=1e-30, max_evals=500))
-    assert ok
+        d, evals, ok = minimize_column(f, np.zeros(3), InnerConfig(eps=1e-24, delta=1e-10, max_evals=500))
+        assert ok and d.dtype == np.float64
+        if evals == 1:  # the start gradient is below eps: v is the minimizer
+            break
+        v = v + d
+    assert rounds <= 4
     err = max(abs(float(x - y)) for x, y in zip(v, c))
     assert err < 1e-22
 

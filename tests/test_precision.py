@@ -86,3 +86,28 @@ def test_first_iterate_agrees_across_kinds():
         assert rel.max() <= 1e-14  # at least 14 significant digits
     assert np.abs(w64.y_a - to_float_array(wdd.y_a)).max() <= 1e-14
     assert float(w64.mu) == float(wdd.mu)
+
+
+def test_dd_solve_hands_lbfgs_binary64_only(monkeypatch):
+    # the column kernel's model is binary64 at every kind: no double-double
+    # value reaches the inner solver, and the committed iterate stays dd
+    from sdpmix import solver
+
+    starts, evals = [], []
+    inner = solver.minimize_column
+
+    def recording(objective_grad, x0, config):
+        def checked(x):
+            f, g = objective_grad(x)
+            evals.append((x.dtype, type(f), g.dtype))
+            return f, g
+
+        starts.append(x0.dtype)
+        return inner(checked, x0, config)
+
+    monkeypatch.setattr(solver, "minimize_column", recording)
+    p = as_kind(gen_rand(5, 4, 1.0, 33), DOUBLE_DOUBLE)
+    _, warm = solve(p, SolverOptions(max_iters=2, seed=2))
+    assert len(starts) == 2 * 5 and set(starts) == {np.dtype(np.float64)}
+    assert evals and all(xt == np.float64 and issubclass(ft, float) and gt == np.float64 for xt, ft, gt in evals)
+    assert warm.V_blocks[0].dtype == object

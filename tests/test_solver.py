@@ -393,6 +393,13 @@ def test_solve_equality_only_never_runs_hinge_paths():
     evals = [row["column_evals"] for row in log]
     assert evals == sorted(evals)
     assert all(row["column_evals"] >= row["iter"] * sum(p.block_sizes) for row in log)
+    # so does the count of column solves that ended unconverged
+    unconverged = [row["inner_unconverged"] for row in log]
+    assert all(type(u) is int for u in unconverged) and unconverged == sorted(unconverged)
+    # a budget of one evaluation leaves every column that has to move unconverged
+    starved = []
+    solve(p, SolverOptions(max_iters=2, max_evals=1), progress=starved.append)
+    assert 0 < starved[-1]["inner_unconverged"] <= 2 * sum(p.block_sizes)
     # the same trajectory with inequalities present does run hinge code
     ineq = SdpProblem.build(p.block_sizes, p.costs, p.constraints, p.rhs, ineq_start=p.m)
     log2 = []
