@@ -11,7 +11,7 @@ from .errors import FormatError, NumericalError, SdpmixError, ValidationError
 from .lbfgs import InnerConfig, minimize_column
 from .linops import apply_adjoint, apply_operator, jacobi_eigh, project_psd
 from .precision import promote, solve_two_stage
-from .problem import ScalingRecord, SdpProblem, SymMatrix, as_kind, scale, validate
+from .problem import ScalingRecord, SdpProblem, as_kind, scale, validate
 from .solver import (
     ErrorReport,
     Solution,
@@ -39,7 +39,6 @@ __all__ = [
     "SdpmixError",
     "Solution",
     "SolverOptions",
-    "SymMatrix",
     "ValidationError",
     "WarmStart",
     "apply_adjoint",

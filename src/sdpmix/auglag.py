@@ -61,8 +61,8 @@ class IterateState:
 
 def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu) -> IterateState:
     kind = problem.kind
-    slices = ColumnSlices(problem)
     cache = OperatorCache.fresh(problem, V_blocks)
+    slices = ColumnSlices(problem)
     return IterateState(
         problem=problem,
         V_blocks=[kind.asarray(V) for V in V_blocks],

@@ -31,7 +31,7 @@ import numpy as np
 from .ddouble import DOUBLE, DOUBLE_DOUBLE, DDouble, ScalarKind, kind_by_name, to_float_array
 from .errors import FormatError
 from .instances import Graph
-from .problem import SdpProblem, SymMatrix, validate
+from .problem import SdpProblem, validate
 from .solver import ErrorReport, Solution, WarmStart
 
 
@@ -94,7 +94,7 @@ class _Tokens:
         if tag != name:
             raise FormatError(f"expected {name!r}, got {tag!r}", self.path, self.last_line)
 
-    def scalars(self, count: int, kind: ScalarKind) -> np.ndarray:
+    def scalars(self, count: int, kind: ScalarKind, what: str = "value") -> np.ndarray:
         """The next `count` values of `kind`, each a hi/lo token pair at
         double-double, converted in one pass over the tokens."""
         need = (2 if kind.is_extended else 1) * count
@@ -105,7 +105,7 @@ class _Tokens:
             words = []
         if len(words) < need:
             for _ in range(need):
-                self.next_float("value")  # raises at the first token that is missing or not a number
+                self.next_float(what)  # raises at the first token that is missing or not a number
         self.pos += need
         if need:
             self.last_line = chunk[-1][1]
@@ -130,6 +130,25 @@ class _Tokens:
         cols = rows if square else self.next_count(f"{tag} columns")
         return self.scalars(rows * cols, kind).reshape(rows, cols)
 
+    def entry_lines(self, names):
+        """The remaining tokens as entry lines of four integers (`names`)
+        and a value, converted in one pass: the four int64 columns, the
+        values and each line's number."""
+        rest = self.items[self.pos :]
+        try:
+            if len(rest) % 5:
+                raise ValueError
+            ints = [np.array([int(tok) for tok, _ in rest[k::5]], dtype=np.int64) for k in range(4)]
+            vals = np.array([float(tok) for tok, _ in rest[4::5]], dtype=np.float64)
+        except (ValueError, OverflowError):
+            while not self.exhausted:  # raises at the first token that is missing or not a number
+                for what in names:
+                    self.next_int(what)
+                self.next_float("value")
+            raise FormatError("entry index too large", self.path) from None
+        self.pos = len(self.items)
+        return ints, vals, np.array([line for _, line in rest[4::5]], dtype=np.int64)
+
     def finish(self) -> None:
         """Reject any token after the last section."""
         if not self.exhausted:
@@ -145,12 +164,21 @@ def _write_lines(path, lines) -> None:
 # -- native problem format ----------------------------------------------------
 
 
-def _assemble(sizes, cost_entries, con_entries, rhs, ineq_start) -> SdpProblem:
-    """The validated problem of parsed (row, col, value) triplets: a list per
-    block for the costs, a dict of block to list for each constraint."""
-    costs = [SymMatrix.from_entries(n, ents) for n, ents in zip(sizes, cost_entries)]
-    constraints = [{b: SymMatrix.from_entries(sizes[b], ents) for b, ents in con.items()} for con in con_entries]
-    problem = SdpProblem.build(sizes, costs, constraints, np.array(rhs), ineq_start)
+def _reject(path, lines, checks) -> None:
+    """Raise FormatError at the first entry line that fails a check; checks
+    are (mask of failing entries, message of failing entry t) pairs."""
+    bad = np.zeros(len(lines), dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise FormatError(next(message(t) for mask, message in checks if mask[t]), path, int(lines[t]))
+
+
+def _problem(sizes, rhs, ineq_start, cons, block, row, col, val) -> SdpProblem:
+    """The validated problem of 0-based entry columns whose constraint 0 is the cost."""
+    m = len(rhs)
+    problem = SdpProblem.from_entries(sizes, rhs, ineq_start, np.where(cons == 0, m, cons - 1), block, row, col, val)
     validate(problem)
     return problem
 
@@ -167,50 +195,35 @@ def parse_native(path) -> SdpProblem:
     if m < 0:
         raise FormatError(f"constraint count must be nonnegative, got {m}", path, toks.last_line)
     ineq_start = toks.next_int("ineq_start")
-    rhs = [toks.next_float(f"rhs entry {j + 1}") for j in range(m)]
+    rhs = toks.scalars(m, DOUBLE, "rhs entry")
 
-    cost_entries = [[] for _ in range(q)]
-    con_entries = [dict() for _ in range(m)]
-    while not toks.exhausted:
-        cons = toks.next_int("constraint index")
-        block = toks.next_int("block index")
-        row = toks.next_int("row")
-        col = toks.next_int("column")
-        val = toks.next_float("value")
-        line = toks.last_line
-        if not (0 <= cons <= m):
-            raise FormatError(f"constraint index {cons} out of range 0..{m}", path, line)
-        if not (1 <= block <= q):
-            raise FormatError(f"block index {block} out of range 1..{q}", path, line)
-        n = sizes[block - 1]
-        if not (1 <= row <= n and 1 <= col <= n):
-            raise FormatError(f"entry ({row},{col}) out of range for block of order {n}", path, line)
-        if cons == 0:
-            cost_entries[block - 1].append((row - 1, col - 1, val))
-        else:
-            con_entries[cons - 1].setdefault(block - 1, []).append((row - 1, col - 1, val))
-
-    return _assemble(sizes, cost_entries, con_entries, rhs, ineq_start)
+    (cons, block, row, col), val, lines = toks.entry_lines(("constraint index", "block index", "row", "column"))
+    n = np.array(sizes)[np.clip(block, 1, q) - 1]
+    _reject(path, lines, (
+        ((cons < 0) | (cons > m), lambda t: f"constraint index {cons[t]} out of range 0..{m}"),
+        ((block < 1) | (block > q), lambda t: f"block index {block[t]} out of range 1..{q}"),
+        ((row < 1) | (row > n) | (col < 1) | (col > n),
+         lambda t: f"entry ({row[t]},{col[t]}) out of range for block of order {n[t]}"),
+    ))
+    return _problem(sizes, rhs, ineq_start, cons, block - 1, row - 1, col - 1, val)
 
 
 def write_native(problem: SdpProblem, path) -> None:
+    """One entry line per table entry: the costs first (constraint 0), then
+    the constraints, each block by block in (row, col) order."""
     lines = ["# sdpmix problem"]
     lines.append(str(problem.q))
     lines.append(" ".join(str(n) for n in problem.block_sizes))
     lines.append(f"{problem.m} {problem.ineq_start}")
-    rhs64 = to_float_array(problem.rhs)
-    lines.append(" ".join(repr(float(v)) for v in rhs64) if problem.m else "")
+    lines.append(" ".join(map(repr, to_float_array(problem.rhs).tolist())))
 
-    def emit(cons_idx, block_idx, mat: SymMatrix):
-        vals = to_float_array(mat.vals)
-        for r, c, v in zip(mat.rows.tolist(), mat.cols.tolist(), vals.tolist()):
-            lines.append(f"{cons_idx} {block_idx + 1} {r + 1} {c + 1} {v!r}")
-
-    for b, cmat in enumerate(problem.costs):
-        emit(0, b, cmat)
-    for j, con in enumerate(problem.constraints):
-        for b, mat in con:
-            emit(j + 1, b, mat)
+    con, row, col, val = (np.concatenate(column) for column in zip(*problem.entries))
+    block = np.repeat(np.arange(1, problem.q + 1), [len(c) for c, *_ in problem.entries])
+    cons = (con + 1) % (problem.m + 1)
+    order = np.lexsort((block, cons))  # stable: each matrix keeps its (row, col) order
+    columns = (cons[order], block[order], row[order] + 1, col[order] + 1)
+    lines.extend(f"{j} {b} {r} {c} {v!r}" for j, b, r, c, v in
+                 zip(*(a.tolist() for a in columns), to_float_array(val)[order].tolist()))
     _write_lines(path, lines)
 
 
@@ -231,46 +244,27 @@ def parse_sdpa(path) -> SdpProblem:
     for s in raw_sizes:
         if s == 0:
             raise FormatError("malformed header: zero block size", path, toks.last_line)
-    rhs = [toks.next_float(f"rhs entry {j + 1}") for j in range(m)]
+    rhs = toks.scalars(m, DOUBLE, "rhs entry")
 
-    # expand diagonal (negative-size) blocks into 1x1 blocks
-    offsets, sizes = [], []
-    for s in raw_sizes:
-        offsets.append(len(sizes))
-        if s < 0:
-            sizes.extend([1] * (-s))
-        else:
-            sizes.append(s)
+    # a diagonal (negative-size) block expands into 1x1 blocks
+    raw = np.array(raw_sizes)
+    offsets = np.concatenate([[0], np.cumsum(np.where(raw < 0, -raw, 1))])
+    sizes = np.ones(offsets[-1], dtype=np.int64)
+    sizes[offsets[:-1][raw > 0]] = raw[raw > 0]
 
-    cost_entries = [[] for _ in sizes]
-    con_entries = [dict() for _ in range(m)]
-    while not toks.exhausted:
-        matno = toks.next_int("matrix index")
-        blkno = toks.next_int("block index")
-        i = toks.next_int("row")
-        j = toks.next_int("column")
-        val = toks.next_float("value")
-        line = toks.last_line
-        if not (0 <= matno <= m):
-            raise FormatError(f"matrix index {matno} out of range 0..{m}", path, line)
-        if not (1 <= blkno <= nblocks):
-            raise FormatError(f"block index {blkno} out of range 1..{nblocks}", path, line)
-        raw = raw_sizes[blkno - 1]
-        order = abs(raw)
-        if not (1 <= i <= order and 1 <= j <= order):
-            raise FormatError(f"entry ({i},{j}) out of range for block of order {order}", path, line)
-        if raw < 0:
-            if i != j:
-                raise FormatError(f"off-diagonal entry ({i},{j}) in a diagonal block", path, line)
-            block, r, c = offsets[blkno - 1] + (i - 1), 0, 0
-        else:
-            block, r, c = offsets[blkno - 1], i - 1, j - 1
-        if matno == 0:
-            cost_entries[block].append((r, c, val))
-        else:
-            con_entries[matno - 1].setdefault(block, []).append((r, c, val))
-
-    return _assemble(sizes, cost_entries, con_entries, rhs, ineq_start=m + 1)
+    (matno, blkno, i, j), val, lines = toks.entry_lines(("matrix index", "block index", "row", "column"))
+    b = np.clip(blkno, 1, nblocks) - 1
+    order, diagonal = np.abs(raw[b]), raw[b] < 0
+    _reject(path, lines, (
+        ((matno < 0) | (matno > m), lambda t: f"matrix index {matno[t]} out of range 0..{m}"),
+        ((blkno < 1) | (blkno > nblocks), lambda t: f"block index {blkno[t]} out of range 1..{nblocks}"),
+        ((i < 1) | (i > order) | (j < 1) | (j > order),
+         lambda t: f"entry ({i[t]},{j[t]}) out of range for block of order {order[t]}"),
+        (diagonal & (i != j), lambda t: f"off-diagonal entry ({i[t]},{j[t]}) in a diagonal block"),
+    ))
+    block = offsets[b] + np.where(diagonal, i - 1, 0)
+    row, col = np.where(diagonal, 0, i - 1), np.where(diagonal, 0, j - 1)
+    return _problem(sizes, rhs, m + 1, matno, block, row, col, val)
 
 
 def parse_problem(path) -> SdpProblem:

@@ -8,14 +8,15 @@ needed to state results in the family's usual orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, combinations
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .linops import apply_operator
-from .problem import SdpProblem, SymMatrix, validate
+from .problem import SdpProblem, validate
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_set(self) -> set:
-        return {(i, j) for i, j, _ in self.edges}
-
 
 @dataclass(frozen=True)
 class GeneratedInstance:
@@ -85,6 +83,17 @@ class GeneratedInstance:
         return self.sense * float(solver_value)
 
 
+def _problem(block_sizes, rhs, ineq_start, pieces) -> SdpProblem:
+    """The validated problem of entry pieces: (con, block, row, col, val)
+    arrays broadcast together, one entry per element; the cost is
+    constraint len(rhs)."""
+    columns = zip(*(np.broadcast_arrays(*piece) for piece in pieces))
+    problem = SdpProblem.from_entries(block_sizes, rhs, ineq_start,
+                                      *(np.concatenate([a.ravel() for a in column]) for column in columns))
+    validate(problem)
+    return problem
+
+
 def gen_random_sdp(block_sizes: Sequence[int], m: int, density: float, seed: int) -> SdpProblem:
     """Random equality-constrained SDP with A_1 = I and a_j = trace(A_j),
     so X = I is strictly feasible by construction."""
@@ -95,27 +104,25 @@ def gen_random_sdp(block_sizes: Sequence[int], m: int, density: float, seed: int
     block_sizes = tuple(int(n) for n in block_sizes)
     rng = np.random.default_rng(seed)
 
-    def random_sym(n: int) -> SymMatrix:
-        entries = [
-            (r, c, rng.uniform(-1.0, 1.0))
-            for r in range(n)
-            for c in range(r, n)
-            if rng.random() < density
-        ]
-        return SymMatrix.from_entries(n, entries)
+    def random_sym(j: int):
+        """Entries (j, block, row, col, value) of one random matrix per block;
+        each upper-triangle position is kept with probability density."""
+        return [(j, b, r, c, rng.uniform(-1.0, 1.0))
+                for b, n in enumerate(block_sizes)
+                for r in range(n)
+                for c in range(r, n)
+                if rng.random() < density]
 
-    costs = [random_sym(n) for n in block_sizes]
-    constraints = [{b: SymMatrix.from_entries(n, [(i, i, 1.0) for i in range(n)]) for b, n in enumerate(block_sizes)}]
-    for _ in range(m - 1):
-        while True:
-            con = {b: random_sym(n) for b, n in enumerate(block_sizes)}
-            if any(mat.nnz for mat in con.values()):
-                break
-        constraints.append(con)
+    entries = random_sym(m)  # the cost
+    entries += [(0, b, i, i, 1.0) for b, n in enumerate(block_sizes) for i in range(n)]
+    for j in range(1, m):
+        drawn = random_sym(j)
+        while not drawn:
+            drawn = random_sym(j)
+        entries += drawn
 
-    shell = SdpProblem.build(block_sizes, costs, constraints, np.zeros(m), m + 1)
-    rhs = apply_operator(shell, [np.eye(n) for n in block_sizes])
-    problem = SdpProblem.build(block_sizes, costs, constraints, rhs, m + 1)
+    shell = SdpProblem.from_entries(block_sizes, np.zeros(m), m + 1, *zip(*entries))
+    problem = replace(shell, rhs=apply_operator(shell, [np.eye(n) for n in block_sizes]))
     validate(problem)
     return problem
 
@@ -126,30 +133,28 @@ def maxcut_relaxation(graph: Graph, with_triangles: bool = False) -> GeneratedIn
     The cost diagonal is identically 1/4 of the weighted degrees and only
     shifts the objective by a constant under diag(X) = 1, so it is dropped
     from the data and reported as the instance offset. Optionally all
-    4 C(n,3) triangle inequalities are added.
+    4 C(n,3) triangle inequalities are added: for each triple i < j < k,
+    one constraint per sign pattern, with entries (i, j), (i, k), (j, k).
     """
     n = graph.n
     if with_triangles and n < 3:
         raise ValidationError("triangle inequalities need at least 3 vertices")
     total_weight = sum(w for _, _, w in graph.edges)
-    # (-C) off-diagonal: C_ij = -w/4 for edges, so the emitted cost is +w/4
-    cost = SymMatrix.from_entries(n, [(i, j, w / 4.0) for i, j, w in graph.edges])
-    constraints = [{0: SymMatrix.from_entries(n, [(i, i, 1.0)])} for i in range(n)]
-    rhs = [1.0] * n
-    m_eq = n
-    if with_triangles:
-        signs = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for s_ij, s_ik, s_jk in signs:
-                        mat = SymMatrix.from_entries(
-                            n, [(i, j, s_ij * 0.5), (i, k, s_ik * 0.5), (j, k, s_jk * 0.5)]
-                        )
-                        constraints.append({0: mat})
-                        rhs.append(-1.0)
-    problem = SdpProblem.build((n,), [cost], constraints, rhs, ineq_start=m_eq + 1)
-    validate(problem)
+    ei, ej, w = np.array(graph.edges, dtype=np.float64).reshape(-1, 3).T
+    triples = combinations(range(n), 3) if with_triangles else ()
+    tri = np.fromiter(chain.from_iterable(triples), dtype=np.int64).reshape(-1, 1, 3)
+    signs = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+    m = n + 4 * len(tri)
+    diag = np.arange(n)
+    pieces = [
+        # (-C) off-diagonal: C_ij = -w/4 for edges, so the emitted cost is +w/4
+        (m, 0, ei.astype(np.int64), ej.astype(np.int64), w / 4.0),
+        (diag, 0, diag, diag, 1.0),
+        # axes: triple, sign pattern, entry
+        (np.arange(n, m).reshape(-1, 4, 1), 0, tri[..., [0, 0, 1]], tri[..., [1, 2, 2]], signs * 0.5),
+    ]
+    rhs = np.concatenate([np.ones(n), np.full(m - n, -1.0)])
+    problem = _problem((n,), rhs, n + 1, pieces)
     return GeneratedInstance(problem, family="maxcut", sense=-1, offset=total_weight / 2.0)
 
 
@@ -157,22 +162,21 @@ def theta_relaxation(graph: Graph, strengthened: bool = False) -> GeneratedInsta
     """Stability-number SDP bound (maximize <J, X>, trace 1, zeros on edges);
     strengthened adds entrywise nonnegativity off the edges."""
     n = graph.n
-    cost = SymMatrix.from_entries(n, [(i, j, -1.0) for i in range(n) for j in range(i, n)])
-    constraints = []
-    rhs = []
-    for i, j, _ in graph.edges:
-        constraints.append({0: SymMatrix.from_entries(n, [(i, j, 0.5)])})
-        rhs.append(0.0)
-    constraints.append({0: SymMatrix.from_entries(n, [(i, i, 1.0) for i in range(n)])})
-    rhs.append(1.0)
-    m_eq = len(constraints)
-    if strengthened:
-        edge_set = graph.edge_set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in edge_set:
-                    constraints.append({0: SymMatrix.from_entries(n, [(i, j, 0.5)])})
-                    rhs.append(0.0)
-    problem = SdpProblem.build((n,), [cost], constraints, rhs, ineq_start=m_eq + 1)
-    validate(problem)
+    ei, ej = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.int64).reshape(-1, 2).T
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[ei, ej] = True
+    oi, oj = np.triu_indices(n, 1)
+    off = ~adjacent[oi, oj] if strengthened else np.zeros(len(oi), dtype=bool)
+    m_eq = graph.m + 1
+    m = m_eq + int(off.sum())
+    diag = np.arange(n)
+    pieces = [
+        (m, 0, *np.triu_indices(n), -1.0),
+        (np.arange(graph.m), 0, ei, ej, 0.5),
+        (graph.m, 0, diag, diag, 1.0),
+        (np.arange(m_eq, m), 0, oi[off], oj[off], 0.5),
+    ]
+    rhs = np.zeros(m)
+    rhs[graph.m] = 1.0
+    problem = _problem((n,), rhs, m_eq + 1, pieces)
     return GeneratedInstance(problem, family="theta", sense=-1, offset=0.0)

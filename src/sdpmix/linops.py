@@ -2,7 +2,8 @@
 
 The primal matrix is never materialized: every kernel works on the factors
 V_i (shape k_i x n_i, X_i = V_i^T V_i) and on one entry table per block
-(SdpProblem.tables), which holds the constraints and, as row m, the cost.
+(SdpProblem.entries), which holds the constraints and, as row m, the cost,
+and on what SdpProblem.tables derives from them.
 The error report's dense kernels (operator_rows on a dense X, combine_rows)
 read the same tables.
 Off-diagonal stored entries carry an implicit factor 2 in inner products;
@@ -17,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from .ddouble import all_finite, dot, fsqrt, is_finite_scalar, kind_of, norm2, segment_sum, to_float_array
+from .ddouble import all_finite, dot, fsqrt, kind_of, norm2, segment_sum, to_float_array
 from .errors import NumericalError
 from .problem import OperatorTables, SdpProblem  # noqa: F401  (OperatorTables re-exported)
 
@@ -33,7 +34,7 @@ def operator_rows(problem: SdpProblem, entry_values) -> np.ndarray:
     """
     m = problem.m
     out = problem.kind.zeros(m + 1)
-    for x, (con, _, _, _, wval) in zip(entry_values, problem.tables.blocks):
+    for x, (con, *_), wval in zip(entry_values, problem.entries, problem.tables.wval):
         if len(con):
             out = out + segment_sum(wval * x, con, m + 1)
     return out
@@ -47,7 +48,7 @@ def combine_rows(problem: SdpProblem, coef: np.ndarray) -> List[np.ndarray]:
     the constraints' terms in constraint order and the cost's last.
     """
     out = []
-    for n, (con, row, col, val, _) in zip(problem.block_sizes, problem.tables.blocks):
+    for n, (con, row, col, val) in zip(problem.block_sizes, problem.entries):
         upper = segment_sum(val * coef[con], row * n + col, n * n).reshape(n, n)
         out.append(upper + upper.T - np.diag(np.diag(upper)))
     return out
@@ -132,7 +133,7 @@ class ColumnSlices:
         self.cost_coef = kind.asarray([1.0])  # the cost slot's coefficient in a column gradient
         self.by_block: List[List[ColSlice]] = []
         self.by_block64: List[List[ColSlice]] = []
-        for n, (con, row, col, val, _) in zip(problem.block_sizes, problem.tables.blocks):
+        for n, (con, row, col, val) in zip(problem.block_sizes, problem.entries):
             mirror = row != col
             column = np.concatenate([row, col[mirror]])
             partner = np.concatenate([col, row[mirror]])
@@ -224,6 +225,8 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 100):
     """
     kind = kind_of(M)
     n = M.shape[0]
+    if not all_finite(M):
+        raise NumericalError(f"eigensolver: nonfinite entry in the order-{n} input")
     A = kind.asarray(M).copy()
     U = kind.zeros((n, n))
     for t in range(n):
@@ -232,8 +235,6 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 100):
         return np.diag(A).copy(), U
 
     frob = fsqrt(np.sum(A * A))
-    if not is_finite_scalar(frob):
-        raise NumericalError(f"eigensolver: nonfinite matrix norm (order {n})")
     if not frob > 0:
         return np.diag(A).copy(), U
     tol = kind.from_float(float(4 * n)) * kind.from_float(kind.epsilon) * frob

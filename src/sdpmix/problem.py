@@ -10,98 +10,71 @@ An SDP here is
 with constraints ordered equalities first. ineq_start is 1-based; a
 problem without inequalities has ineq_start = m + 1.
 
-Symmetric matrices are stored as upper-triangle triplets. An off-diagonal
-stored entry (r, c, v) with r < c represents both (r, c) and (c, r), so it
-contributes 2*v*X[r, c] to an inner product and 2*v^2 to the squared
+The data is one entry table per block: the stored upper-triangle entries
+(con, row, col, val) of every constraint with a matrix in that block,
+constraint by constraint and each by (row, col), then those of the block's
+cost with con = m: the cost is the last row of the operator. An
+off-diagonal entry (r, c, v) with r < c represents both (r, c) and (c, r),
+so it contributes 2*v*X[r, c] to an inner product and 2*v^2 to the squared
 Frobenius norm.
+
+The cost must stay last: a column gradient sums -lambda_j a_j over the
+constraints and then adds c, which rounds exactly like c - sum_j lambda_j
+a_j; a cost summed first would round differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .ddouble import ScalarKind, all_finite, fsqrt, kind_of, norm2
+from .ddouble import ScalarKind, all_finite, kind_of, norm2, segment_sum, to_float_array
 from .errors import ValidationError
 
-# A constraint is a sorted tuple of (block_index, SymMatrix) pairs.
-BlockTerms = Tuple[Tuple[int, "SymMatrix"], ...]
+# a block's entry table: (con, row, col, val) columns
+Entries = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
-class SymMatrix:
-    """Sparse symmetric matrix: upper-triangle triplets, canonically sorted."""
-
-    order: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @classmethod
-    def from_entries(cls, order: int, entries: Sequence, kind: ScalarKind | None = None) -> "SymMatrix":
-        """Build from (row, col, value) triplets; lower-triangle input is mirrored."""
-        rows, cols, vals = [], [], []
-        for r, c, v in entries:
-            if r > c:
-                r, c = c, r
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        order_idx = np.lexsort((np.array(cols, dtype=np.int64), np.array(rows, dtype=np.int64))) if rows else np.array([], dtype=np.int64)
-        rows_a = np.array(rows, dtype=np.int64)[order_idx]
-        cols_a = np.array(cols, dtype=np.int64)[order_idx]
-        sorted_vals = [vals[i] for i in order_idx]
-        if kind is None:
-            kind = kind_of(vals[0]) if vals else kind_of(np.empty(0))
-        return cls(order, rows_a, cols_a, kind.asarray(sorted_vals))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
-
-    @property
-    def kind(self) -> ScalarKind:
-        return kind_of(self.vals)
-
-    def frob_sq(self):
-        """Squared Frobenius norm in the matrix's own arithmetic."""
-        if self.nnz == 0:
-            return self.kind.from_float(0.0)
-        return np.sum(self.vals * self.vals * np.where(self.rows == self.cols, 1.0, 2.0))
-
-    def scaled(self, factor) -> "SymMatrix":
-        return replace(self, vals=self.vals * factor)
+def _row_name(j: int, m: int, b: int) -> str:
+    return f"cost block {b + 1}" if j == m else f"constraint {j + 1}, block {b + 1}"
 
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """Multi-block SDP data (immutable after construction)."""
+    """Multi-block SDP data (immutable after construction); entries[b] is
+    block b's entry table."""
 
     block_sizes: Tuple[int, ...]
-    costs: Tuple[SymMatrix, ...]
-    constraints: Tuple[BlockTerms, ...]
+    entries: Tuple[Entries, ...]
     rhs: np.ndarray
     ineq_start: int
 
     @classmethod
-    def build(cls, block_sizes, costs, constraints, rhs, ineq_start, kind: ScalarKind | None = None) -> "SdpProblem":
-        """Normalize containers; `constraints` items are dicts or pair-sequences."""
-        norm_cons = []
-        for con in constraints:
-            pairs = sorted(con.items()) if isinstance(con, dict) else sorted(con)
-            norm_cons.append(tuple((int(b), m) for b, m in pairs))
-        if kind is None:
-            kind = kind_of(costs[0].vals) if costs else kind_of(np.asarray(rhs))
-        return cls(
-            block_sizes=tuple(int(n) for n in block_sizes),
-            costs=tuple(costs),
-            constraints=tuple(norm_cons),
-            rhs=kind.asarray(rhs),
-            ineq_start=int(ineq_start),
-        )
+    def from_entries(cls, block_sizes, rhs, ineq_start, con, block, row, col, val) -> "SdpProblem":
+        """The problem of one entry per index: the columns of native entry
+        lines, 0-based, with the cost as constraint m = len(rhs).
+
+        Lower-triangle entries are mirrored; one sort puts every block's
+        table in order. The values' kind (binary64 unless they are
+        double-double) is the problem's; the result is not validated.
+        """
+        block_sizes = tuple(int(n) for n in block_sizes)
+        con, block, row, col = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (con, block, row, col))
+        val = np.asarray(val).reshape(-1)
+        kind = kind_of(val)
+        bad = np.flatnonzero((block < 0) | (block >= len(block_sizes)))
+        if len(bad):
+            name = _row_name(int(con[bad[0]]), len(rhs), int(block[bad[0]]))
+            raise ValidationError(f"{name}: block index out of range 1..{len(block_sizes)}")
+        row, col = np.minimum(row, col), np.maximum(row, col)
+        order = np.lexsort((col, row, con, block))
+        con, block, row, col, val = con[order], block[order], row[order], col[order], kind.asarray(val[order])
+        cuts = np.searchsorted(block, np.arange(len(block_sizes) + 1))
+        entries = tuple((con[s:e], row[s:e], col[s:e], val[s:e]) for s, e in zip(cuts[:-1], cuts[1:]))
+        return cls(block_sizes, entries, kind.asarray(rhs), int(ineq_start))
 
     @property
     def q(self) -> int:
@@ -109,7 +82,7 @@ class SdpProblem:
 
     @property
     def m(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
 
     @property
     def m_eq(self) -> int:
@@ -133,27 +106,14 @@ class SdpProblem:
 
     @cached_property
     def tables(self) -> "OperatorTables":
-        """The per-block entry tables, built on first use; every kernel reads them."""
+        """What the kernels derive from the entry tables, built on first use."""
         return OperatorTables(self)
-
-    def constraint_frob_sq(self, j: int):
-        total = self.kind.from_float(0.0)
-        for _, mat in self.constraints[j]:
-            total = total + mat.frob_sq()
-        return total
 
 
 class OperatorTables:
-    """One entry table per block: (con, row, col, val, wval) arrays.
+    """Per-block data the kernels derive from the entry tables.
 
-    A block's table lists the stored upper-triangle entries (row <= col) of
-    every constraint with a matrix in that block, constraint by constraint,
-    then those of the block's cost matrix with con = m: the cost is the last
-    row of the operator. wval is val with the off-diagonal factor 2 applied.
-
-    The cost must stay last: a column gradient sums -lambda_j a_j over the
-    constraints and then adds c, which rounds exactly like c - sum_j
-    lambda_j a_j; a cost summed first would round differently.
+    wval[b] is block b's val with the off-diagonal factor 2 applied.
 
     pairs[b] = (prow, pcol, inverse) lists the distinct (row, col) positions
     of block b's table, and inverse maps each table entry to its position,
@@ -161,80 +121,70 @@ class OperatorTables:
     """
 
     def __init__(self, problem: SdpProblem):
-        kind = problem.kind
-        terms = [[] for _ in range(problem.q)]
-        for j, con in enumerate(problem.constraints):
-            for b, mat in con:
-                terms[b].append((j, mat))
-        self.blocks = []
+        self.wval = []
         self.pairs = []
-        for b, (n, cost) in enumerate(zip(problem.block_sizes, problem.costs)):
-            ids, mats = zip(*terms[b], (problem.m, cost))
-            con = np.repeat(np.array(ids, dtype=np.int64), [mat.nnz for mat in mats])
-            row = np.concatenate([mat.rows for mat in mats])
-            col = np.concatenate([mat.cols for mat in mats])
-            val = kind.asarray(np.concatenate([mat.vals for mat in mats]))
-            self.blocks.append((con, row, col, val, val * np.where(row == col, 1.0, 2.0)))
+        for n, (_, row, col, val) in zip(problem.block_sizes, problem.entries):
+            self.wval.append(val * np.where(row == col, 1.0, 2.0))
             keys, inverse = np.unique(row * n + col, return_inverse=True)
             self.pairs.append((keys // n, keys % n, inverse))
 
 
-def _check_symmatrix(mat: SymMatrix, order: int, where: str) -> None:
-    if mat.order != order:
-        raise ValidationError(f"{where}: dimension mismatch (matrix order {mat.order}, block size {order})")
-    if mat.nnz == 0:
-        return
-    if mat.rows.min() < 0 or mat.cols.max() >= order:
-        raise ValidationError(f"{where}: entry index out of range for order {order}")
-    if np.any(mat.rows > mat.cols):
-        raise ValidationError(f"{where}: entry below the diagonal")
-    keys = mat.rows * order + mat.cols
-    if len(np.unique(keys)) != mat.nnz:
-        raise ValidationError(f"{where}: duplicate entry")
-    if not all_finite(mat.vals):
-        raise ValidationError(f"{where}: nonfinite value")
+def row_norms_sq(problem: SdpProblem) -> np.ndarray:
+    """Squared Frobenius norms of the m + 1 rows, the cost last: one segment
+    sum of val^2 (off-diagonal entries weighted 2) per block, each row
+    summed in table order."""
+    m = problem.m
+    out = problem.kind.zeros(m + 1)
+    for con, row, col, val in problem.entries:
+        out = out + segment_sum(val * val * np.where(row == col, 1.0, 2.0), con, m + 1)
+    return out
 
 
 def validate(problem: SdpProblem) -> None:
-    """Check all SdpProblem invariants; raise ValidationError otherwise."""
+    """Check all SdpProblem invariants; raise ValidationError otherwise.
+
+    A fault in an entry table is named by its row (constraint or cost),
+    block and entry."""
     if problem.q < 1:
         raise ValidationError("problem needs at least one block")
     for i, n in enumerate(problem.block_sizes):
         if n < 1:
             raise ValidationError(f"block {i + 1}: size must be positive, got {n}")
-    if len(problem.costs) != problem.q:
-        raise ValidationError(f"expected {problem.q} cost matrices, got {len(problem.costs)}")
-    for i, c in enumerate(problem.costs):
-        _check_symmatrix(c, problem.block_sizes[i], f"cost block {i + 1}")
+    if len(problem.entries) != problem.q:
+        raise ValidationError(f"expected {problem.q} entry tables, got {len(problem.entries)}")
     m = problem.m
     if not (1 <= problem.ineq_start <= m + 1):
         raise ValidationError(f"ineq_start out of range: {problem.ineq_start} with {m} constraints")
-    if len(problem.rhs) != m:
-        raise ValidationError(f"rhs length {len(problem.rhs)} does not match {m} constraints")
     if not all_finite(problem.rhs):
         raise ValidationError("nonfinite value in rhs")
-    for j, con in enumerate(problem.constraints):
-        total_nnz = 0
-        seen_blocks = set()
-        for b, mat in con:
-            if not (0 <= b < problem.q):
-                raise ValidationError(f"constraint {j + 1}: block index {b + 1} out of range")
-            if b in seen_blocks:
-                raise ValidationError(f"constraint {j + 1}: block {b + 1} listed twice")
-            seen_blocks.add(b)
-            _check_symmatrix(mat, problem.block_sizes[b], f"constraint {j + 1}, block {b + 1}")
-            total_nnz += mat.nnz
-        if total_nnz == 0:
-            raise ValidationError(f"constraint {j + 1}: touches no block")
+    touched = np.zeros(m + 1, dtype=np.int64)
+    for b, (n, (con, row, col, val)) in enumerate(zip(problem.block_sizes, problem.entries)):
+        if np.any((con < 0) | (con > m)):
+            raise ValidationError(f"block {b + 1}: constraint index out of range 0..{m}")
+        # (con, row * n + col) strictly increasing: table order, and no entry twice
+        step = np.diff(con, prepend=-1)
+        step = np.where(step != 0, step, np.diff(row * n + col, prepend=-1))
+        faults = (
+            ((row < 0) | (col < 0) | (row >= n) | (col >= n), f"entry outside the block's order {n}"),
+            (row > col, "entry below the diagonal"),
+            (step == 0, "duplicate entry"),
+            (step < 0, "entry out of table order"),
+            (~np.isfinite(to_float_array(val)), "nonfinite value"),
+        )
+        for bad, what in faults:
+            if np.any(bad):
+                t = int(np.argmax(bad))
+                raise ValidationError(f"{_row_name(int(con[t]), m, b)}: {what} at ({row[t] + 1},{col[t] + 1})")
+        touched += np.bincount(con, minlength=m + 1)
+    empty = np.flatnonzero(touched[:m] == 0)
+    if len(empty):
+        raise ValidationError(f"constraint {empty[0] + 1}: touches no block")
 
 
 def as_kind(problem: SdpProblem, kind: ScalarKind) -> SdpProblem:
     """Re-instantiate the problem data at another scalar kind (exact promotion)."""
-    costs = tuple(replace(c, vals=kind.asarray(c.vals)) for c in problem.costs)
-    constraints = tuple(
-        tuple((b, replace(mat, vals=kind.asarray(mat.vals))) for b, mat in con) for con in problem.constraints
-    )
-    return replace(problem, costs=costs, constraints=constraints, rhs=kind.asarray(problem.rhs))
+    entries = tuple((con, row, col, kind.asarray(val)) for con, row, col, val in problem.entries)
+    return replace(problem, entries=entries, rhs=kind.asarray(problem.rhs))
 
 
 @dataclass(frozen=True)
@@ -264,32 +214,26 @@ def scale(problem: SdpProblem) -> tuple[SdpProblem, ScalingRecord]:
     """
     kind = problem.kind
     one = kind.from_float(1.0)
+    zero = kind.from_float(0.0)
 
-    cost_sq = kind.from_float(0.0)
-    for c in problem.costs:
-        cost_sq = cost_sq + c.frob_sq()
-    cost_norm = fsqrt(cost_sq)
-    if not cost_norm > 0:
-        cost_norm = one
-    costs = tuple(c.scaled(one / cost_norm) for c in problem.costs)
+    norms = np.sqrt(row_norms_sq(problem))
+    vacuous = np.flatnonzero(~(norms[:-1] > zero).astype(bool))
+    if len(vacuous):
+        raise ValidationError(f"constraint {vacuous[0] + 1}: zero-norm matrix (vacuous constraint)")
+    if not norms[-1] > 0:
+        norms[-1] = one
+    inverse = one / norms
+    entries = tuple((con, row, col, val * inverse[con]) for con, row, col, val in problem.entries)
 
-    norms = kind.zeros(problem.m)
-    constraints = []
-    for j, con in enumerate(problem.constraints):
-        nj = fsqrt(problem.constraint_frob_sq(j))
-        if not nj > 0:
-            raise ValidationError(f"constraint {j + 1}: zero-norm matrix (vacuous constraint)")
-        norms[j] = nj
-        constraints.append(tuple((b, mat.scaled(one / nj)) for b, mat in con))
-
+    cost_norm, norms = norms[-1], norms[:-1]
     rbar = problem.rhs / norms if problem.m else problem.rhs.copy()
-    s_eq = norm2(rbar[: problem.m_eq]) if problem.m_eq else kind.from_float(0.0)
-    s_ineq = norm2(rbar[problem.m_eq :]) if problem.m_ineq else kind.from_float(0.0)
+    s_eq = norm2(rbar[: problem.m_eq]) if problem.m_eq else zero
+    s_ineq = norm2(rbar[problem.m_eq :]) if problem.m_ineq else zero
     rhs_eq_norm = s_eq if s_eq > 0 else one
     rhs_ineq_norm = s_ineq if s_ineq > 0 else one
     primal = rhs_eq_norm if problem.m_eq else rhs_ineq_norm
     scaled_rhs = rbar / primal if problem.m else rbar
 
-    scaled = replace(problem, costs=costs, constraints=tuple(constraints), rhs=scaled_rhs)
+    scaled = replace(problem, entries=entries, rhs=scaled_rhs)
     record = ScalingRecord(cost_norm, norms, rhs_eq_norm, rhs_ineq_norm, primal)
     return scaled, record

@@ -39,7 +39,7 @@ from .ddouble import (
 from .errors import NumericalError, ValidationError
 from .lbfgs import InnerConfig, minimize_column
 from .linops import combine_rows, operator_rows, project_psd
-from .problem import ScalingRecord, SdpProblem, scale, validate
+from .problem import ScalingRecord, SdpProblem, row_norms_sq, scale, validate
 
 
 def ceil_sqrt(x: int) -> int:
@@ -285,7 +285,7 @@ def compute_errors(problem: SdpProblem, X_blocks, y_a, y_b, Z_blocks=None) -> Er
         return kkt_errors(problem, vals, pobj, y_a, y_b)
     resid = [S - Z for S, Z in zip(cost_minus_adjoint(problem, y_a, y_b), Z_blocks)]
     resid_sq = sum(np.sum(R * R) for R in resid)
-    cost_sq = sum(c.frob_sq() for c in problem.costs)
+    cost_sq = row_norms_sq(problem)[-1]
     xz = sum(np.sum(X * Z) for X, Z in zip(X_blocks, Z_blocks))
     report = kkt_errors(problem, vals, pobj, y_a, y_b, xz)
     report.dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(cost_sq)))
@@ -294,7 +294,7 @@ def compute_errors(problem: SdpProblem, X_blocks, y_a, y_b, Z_blocks=None) -> Er
 
 def dense_rows(problem: SdpProblem, X_blocks) -> np.ndarray:
     """<A_j, X> for every constraint j and, as row m, <C, X>, from dense X."""
-    return operator_rows(problem, [X[row, col] for X, (_, row, col, _, _) in zip(X_blocks, problem.tables.blocks)])
+    return operator_rows(problem, [X[row, col] for X, (_, row, col, _) in zip(X_blocks, problem.entries)])
 
 
 def cost_minus_adjoint(problem: SdpProblem, y_a, y_b) -> List[np.ndarray]:

@@ -9,51 +9,53 @@ import numpy as np
 from sdpmix.auglag import ColumnContext
 from sdpmix.ddouble import dot, to_float_array
 from sdpmix.linops import apply_adjoint, column_deltas
-from sdpmix.problem import SdpProblem, SymMatrix
+from sdpmix.problem import SdpProblem
 
 
-def to_dense(mat):
-    """A SymMatrix as a dense matrix of its scalar kind."""
-    out = mat.kind.zeros((mat.order, mat.order))
-    out[mat.rows, mat.cols] = mat.vals
-    out[mat.cols, mat.rows] = mat.vals
+def build_problem(block_sizes, costs, constraints, rhs, ineq_start):
+    """The problem of per-matrix (row, col, value) triplets: costs[b] lists
+    block b's cost entries, constraints[j] maps a block to the entries of
+    constraint j there. The triplets are flattened into from_entries."""
+    m = len(rhs)
+    lines = [(m, b, r, c, v) for b, ents in enumerate(costs) for r, c, v in ents]
+    lines += [(j, b, r, c, v) for j, con in enumerate(constraints) for b, ents in dict(con).items() for r, c, v in ents]
+    return SdpProblem.from_entries(block_sizes, rhs, ineq_start, *(zip(*lines) if lines else ([],) * 5))
+
+
+def dense_row(problem, j, b):
+    """Row j of the operator (the cost when j == m) in block b, as a dense
+    symmetric matrix of the problem's kind, from the entry table."""
+    con, row, col, val = problem.entries[b]
+    n = problem.block_sizes[b]
+    out = problem.kind.zeros((n, n))
+    at = con == j
+    out[row[at], col[at]] = val[at]
+    out[col[at], row[at]] = val[at]
     return out
 
 
-def from_dense(M):
-    """The SymMatrix of the nonzero upper-triangle entries of a dense symmetric M."""
+def dense_entries(M):
+    """The (row, col, value) triplets of the nonzero upper-triangle entries of a dense symmetric M."""
     M = np.asarray(M)
     n = M.shape[0]
-    return SymMatrix.from_entries(n, [(r, c, M[r, c]) for r in range(n) for c in range(r, n) if M[r, c] != 0])
-
-
-def symmatrix_equals(a, b):
-    return (
-        a.order == b.order
-        and np.array_equal(a.rows, b.rows)
-        and np.array_equal(a.cols, b.cols)
-        and a.nnz == b.nnz
-        and bool(np.all(a.vals == b.vals))
-    )
+    return [(r, c, M[r, c]) for r in range(n) for c in range(r, n) if M[r, c] != 0]
 
 
 def problem_equals(p, q):
-    """Same block sizes, ineq_start, right-hand side and matrices, value for value."""
+    """Same block sizes, ineq_start, right-hand side and entry tables, value for value."""
     if p.block_sizes != q.block_sizes or p.ineq_start != q.ineq_start or p.m != q.m:
         return False
     if not np.array_equal(p.rhs, q.rhs):
         return False
-    if not all(symmatrix_equals(a, b) for a, b in zip(p.costs, q.costs)):
-        return False
-    for ca, cb in zip(p.constraints, q.constraints):
-        if len(ca) != len(cb):
-            return False
-        if not all(ba == bb and symmatrix_equals(ma, mb) for (ba, ma), (bb, mb) in zip(ca, cb)):
-            return False
-    return True
+    return all(
+        len(a) == len(b) and bool(np.all(a == b))
+        for ta, tb in zip(p.entries, q.entries)
+        for a, b in zip(ta, tb)
+    )
 
 
-def random_symmatrix(rng, n, density=0.6, ensure_nonzero=True):
+def random_triplets(rng, n, density=0.6, ensure_nonzero=True):
+    """(row, col, value) triplets of a random symmetric matrix of order n."""
     entries = []
     for r in range(n):
         for c in range(r, n):
@@ -61,20 +63,20 @@ def random_symmatrix(rng, n, density=0.6, ensure_nonzero=True):
                 entries.append((r, c, rng.uniform(-1.0, 1.0)))
     if ensure_nonzero and not entries:
         entries.append((0, min(1, n - 1), rng.uniform(0.5, 1.0)))
-    return SymMatrix.from_entries(n, entries)
+    return entries
 
 
 def random_problem(seed, block_sizes=(4,), m_eq=3, m_ineq=0, density=0.6):
     """A random well-formed SDP; every constraint touches every block."""
     rng = np.random.default_rng(seed)
     block_sizes = tuple(block_sizes)
-    costs = [random_symmatrix(rng, n, density) for n in block_sizes]
+    costs = [random_triplets(rng, n, density) for n in block_sizes]
     constraints = []
     m = m_eq + m_ineq
     for _ in range(m):
-        constraints.append({b: random_symmatrix(rng, n, density) for b, n in enumerate(block_sizes)})
+        constraints.append({b: random_triplets(rng, n, density) for b, n in enumerate(block_sizes)})
     rhs = rng.uniform(-1.0, 1.0, size=m)
-    return SdpProblem.build(block_sizes, costs, constraints, rhs, ineq_start=m_eq + 1)
+    return build_problem(block_sizes, costs, constraints, rhs, ineq_start=m_eq + 1)
 
 
 def uneven_problem(seed):
@@ -82,11 +84,11 @@ def uneven_problem(seed):
     block 0, block 1 has a zero cost, and no constraint touches block 2."""
     rng = np.random.default_rng(seed)
     sizes = (3, 4, 2)
-    costs = [random_symmatrix(rng, 3), SymMatrix.from_entries(4, []), random_symmatrix(rng, 2)]
-    constraints = [{1: random_symmatrix(rng, 4)}] + [
-        {0: random_symmatrix(rng, 3), 1: random_symmatrix(rng, 4)} for _ in range(3)
+    costs = [random_triplets(rng, 3), [], random_triplets(rng, 2)]
+    constraints = [{1: random_triplets(rng, 4)}] + [
+        {0: random_triplets(rng, 3), 1: random_triplets(rng, 4)} for _ in range(3)
     ]
-    return SdpProblem.build(sizes, costs, constraints, rng.uniform(-1.0, 1.0, size=4), ineq_start=3)
+    return build_problem(sizes, costs, constraints, rng.uniform(-1.0, 1.0, size=4), ineq_start=3)
 
 
 def ceil_sqrt(x: int) -> int:
@@ -105,23 +107,20 @@ def random_V_blocks(rng, problem, k=None):
 
 
 def dense_cost(problem):
-    return [to_dense(c) for c in problem.costs]
+    return [dense_row(problem, problem.m, b) for b in range(problem.q)]
 
 
 def dense_constraint(problem, j):
     """Per-block dense matrices of constraint j (zeros where absent)."""
-    mats = [np.zeros((n, n)) for n in problem.block_sizes]
-    for b, mat in problem.constraints[j]:
-        mats[b] = to_dense(mat)
-    return mats
+    return [dense_row(problem, j, b) for b in range(problem.q)]
 
 
 def dense_apply_oracle(problem, X_blocks):
     """<A_j, X> summed over blocks, via dense matrices."""
     out = np.zeros(problem.m)
     for j in range(problem.m):
-        for b, mat in problem.constraints[j]:
-            out[j] += np.tensordot(to_dense(mat), X_blocks[b])
+        for b, A in enumerate(dense_constraint(problem, j)):
+            out[j] += np.tensordot(A, X_blocks[b])
     return out
 
 
@@ -129,8 +128,19 @@ def dense_adjoint_oracle(problem, y):
     """sum_j y_j A_j per block, via dense matrices."""
     out = [np.zeros((n, n)) for n in problem.block_sizes]
     for j in range(problem.m):
-        for b, mat in problem.constraints[j]:
-            out[b] += y[j] * to_dense(mat)
+        for b, A in enumerate(dense_constraint(problem, j)):
+            out[b] += y[j] * A
+    return out
+
+
+def dense_row_norms_sq(problem):
+    """Squared Frobenius norms of the m + 1 rows, the cost last, as sums
+    over every entry of the dense matrices, in the problem's kind."""
+    out = problem.kind.zeros(problem.m + 1)
+    for j in range(problem.m + 1):
+        for b in range(problem.q):
+            D = dense_row(problem, j, b)
+            out[j] = out[j] + np.sum(D * D)
     return out
 
 
@@ -142,7 +152,7 @@ def dense_auglag_oracle(problem, V_blocks, y_a, y_b, mu):
     """Augmented Lagrangian value from the hinge formula, dense arithmetic."""
     X = gram_blocks(V_blocks)
     vals = dense_apply_oracle(problem, X)
-    obj = sum(np.tensordot(to_dense(c), X[b]) for b, c in enumerate(problem.costs))
+    obj = sum(np.tensordot(C, X[b]) for b, C in enumerate(dense_cost(problem)))
     ma = problem.m_eq
     r = np.asarray(problem.rhs[:ma], dtype=float) - vals[:ma]
     s = np.asarray(problem.rhs[ma:], dtype=float) - vals[ma:]
@@ -210,7 +220,7 @@ def full_gradient(state):
     combo = apply_adjoint(state.problem, np.concatenate([lam_a, lam_b]))
     out = []
     for b, V in enumerate(state.V_blocks):
-        M = to_dense(state.problem.costs[b]) - combo[b]
+        M = dense_row(state.problem, state.problem.m, b) - combo[b]
         out.append(2.0 * (V @ M))
     return out
 
@@ -251,9 +261,7 @@ def reassemble(problem, slices):
                 got.setdefault(j, kind.zeros((n, n)))[i, i] += sl.diag[t]
             for s, r, v in zip(sl.seg.tolist(), sl.row.tolist(), sl.val.tolist()):
                 got.setdefault(ids[s], kind.zeros((n, n)))[r, i] += v
-        want = {j: to_dense(mat) for j, con in enumerate(problem.constraints) for bb, mat in con if bb == b}
-        want[m] = to_dense(problem.costs[b])
-        for j in set(got) | set(want):
-            if not np.all(got.get(j, kind.zeros((n, n))) == want.get(j, kind.zeros((n, n)))):
+        for j in set(got) | set(problem.entries[b][0].tolist()) | {m}:
+            if not np.all(got.get(j, kind.zeros((n, n))) == dense_row(problem, j, b)):
                 return False
     return True

@@ -1,6 +1,7 @@
 """Augmented Lagrangian value/gradient against dense and finite-difference oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,29 +9,28 @@ import pytest
 from sdpmix.auglag import ColumnContext, commit_column, make_state, refresh_cache
 from sdpmix.ddouble import DOUBLE_DOUBLE, DDouble
 from sdpmix.linops import apply_operator
-from sdpmix.problem import SdpProblem, SymMatrix, as_kind
+from sdpmix.problem import as_kind
 
 from helpers import (
+    build_problem,
     column_objective_grad,
     dense_auglag_oracle,
     dense_constraint,
+    dense_cost,
+    dense_row,
     eval_auglag,
     fd_gradient,
     full_gradient,
     multipliers,
     random_problem,
     random_V_blocks,
-    to_dense,
 )
 
 
 def stagnation_fixture():
     """Two 1x1 blocks: min x1 s.t. x1 + x2 = 2, x2 = 1."""
-    C1 = SymMatrix.from_entries(1, [(0, 0, 1.0)])
-    C2 = SymMatrix.from_entries(1, [])
-    A1 = {0: SymMatrix.from_entries(1, [(0, 0, 1.0)]), 1: SymMatrix.from_entries(1, [(0, 0, 1.0)])}
-    A2 = {1: SymMatrix.from_entries(1, [(0, 0, 1.0)])}
-    problem = SdpProblem.build((1, 1), [C1, C2], [A1, A2], [2.0, 1.0], ineq_start=3)
+    one = [(0, 0, 1.0)]
+    problem = build_problem((1, 1), [one, []], [{0: one, 1: one}, {1: one}], [2.0, 1.0], ineq_start=3)
     V = [np.array([[0.0]]), np.array([[math.sqrt(1.5)]])]
     return problem, V, np.array([2.0, -2.0])
 
@@ -50,16 +50,14 @@ def test_eval_feasible_zero_duals_is_objective():
     rng = np.random.default_rng(0)
     V = random_V_blocks(rng, p)
     vals = apply_operator(p, V)
-    feasible = SdpProblem.build(p.block_sizes, p.costs, p.constraints, vals, p.ineq_start)
+    feasible = replace(p, rhs=vals)
     st = make_state(feasible, V, np.zeros(p.m_eq), np.zeros(p.m_ineq), 2.0)
     assert eval_auglag(st) == pytest.approx(st.cache.cost_value, rel=1e-13)
 
 
 def test_eval_hand_case_1x1():
     # C = 0, one equality x = 1, v = 0, y = 0, mu = 2: L = (mu/2) * 1 = 1
-    C = SymMatrix.from_entries(1, [])
-    A = SymMatrix.from_entries(1, [(0, 0, 1.0)])
-    p = SdpProblem.build((1,), [C], [{0: A}], [1.0], 2)
+    p = build_problem((1,), [[]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
     st = make_state(p, [np.array([[0.0]])], np.zeros(1), np.zeros(0), 2.0)
     assert eval_auglag(st) == pytest.approx(1.0, abs=1e-15)
 
@@ -117,8 +115,7 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_zero_cases():
     # no data: C = 0 and no constraints
-    C = SymMatrix.from_entries(2, [])
-    p = SdpProblem.build((2,), [C], [], [], ineq_start=1)
+    p = build_problem((2,), [[]], [], [], ineq_start=1)
     st = make_state(p, [np.ones((1, 2))], np.zeros(0), np.zeros(0), 1.0)
     assert np.all(full_gradient(st)[0] == 0)
     val, g = column_objective_grad(st, 0, 0, np.array([1.0]))
@@ -154,7 +151,7 @@ def test_column_gradient_rounds_like_cost_minus_constraint_sum():
         lam = np.concatenate(multipliers(st))
         for b in range(p.q):
             V = st.V_blocks[b]
-            C = to_dense(p.costs[b])
+            C = dense_row(p, p.m, b)
             A = [dense_constraint(p, j)[b] for j in range(p.m)]
             for i in range(p.block_sizes[b]):
                 g_n = np.empty(p.block_sizes[b])
@@ -210,9 +207,7 @@ def test_commit_column_keeps_cache_consistent():
 
 def test_hinge_crossing_is_continuous():
     # one inequality x >= 0 with y_b + mu*(0 - x) crossing zero at x = 1
-    C = SymMatrix.from_entries(1, [])
-    B = SymMatrix.from_entries(1, [(0, 0, 1.0)])
-    p = SdpProblem.build((1,), [C], [{0: B}], [0.0], ineq_start=1)
+    p = build_problem((1,), [[]], [{0: [(0, 0, 1.0)]}], [0.0], ineq_start=1)
     vstar = 1.0  # t = y_b - mu*v^2 = 0 at v = 1 with y_b = mu = 1
     vals = []
     for dv in (-1e-9, 0.0, 1e-9):
@@ -263,7 +258,7 @@ def _mp_auglag(p, V_blocks, y_a, y_b, mu, block, i):
         M = mats[b]
         return mpmath.fsum(mpmath.mpf(float(M[r, c])) * X[b][r, c] for r in range(len(M)) for c in range(len(M)))
 
-    cost = [to_dense(c) for c in p.costs]
+    cost = dense_cost(p)
     cons = [dense_constraint(p, j) for j in range(p.m)]
     obj = mpmath.fsum(inner(cost, b) for b in range(p.q))
     total, lam, acts = obj, [], []
@@ -315,7 +310,7 @@ def test_increment_kernel_matches_mpmath_difference(kind):
                 dv = float(apply_operator(p0, V2)[j] - st0.cache.values[j])
                 t_now = float(st0.y_b[j - p0.m_eq] + st0.mu * st0.residual_ineq()[j - p0.m_eq])
                 rhs[j] += (0.5 * st0.mu * dv - t_now) / st0.mu
-            p = SdpProblem.build(p0.block_sizes, p0.costs, p0.constraints, rhs, p0.ineq_start)
+            p = replace(p0, rhs=rhs)
             st = make_state(p, st0.V_blocks, st0.y_a, st0.y_b, st0.mu)
             if kind == "dd":
                 dd = DOUBLE_DOUBLE

@@ -19,10 +19,9 @@ from sdpmix.formats import (
     write_warmstart,
 )
 from sdpmix.precision import promote
-from sdpmix.problem import SdpProblem, SymMatrix
 from sdpmix.solver import SolverOptions, WarmStart, solve
 
-from helpers import problem_equals, random_problem, to_dense
+from helpers import build_problem, dense_row, problem_equals, random_problem
 
 
 def test_native_round_trip_100_random_problems(tmp_path):
@@ -39,8 +38,7 @@ def test_native_round_trip_100_random_problems(tmp_path):
 
 
 def test_native_unconstrained_problem(tmp_path):
-    C = SymMatrix.from_entries(2, [(0, 1, 1.0)])
-    p = SdpProblem.build((2,), [C], [], [], ineq_start=1)
+    p = build_problem((2,), [[(0, 1, 1.0)]], [], [], ineq_start=1)
     path = tmp_path / "empty.sdp"
     write_native(p, path)
     q = parse_native(path)
@@ -76,8 +74,9 @@ def test_native_comments_and_mirrored_entries(tmp_path):
     path = tmp_path / "c.sdp"
     path.write_text("# header comment\n1\n3\n1 2\n2.5\n0 1 1 1 1.0\n1 1 3 1 0.5\n")
     p = parse_native(path)
-    assert p.constraints[0][0][1].rows.tolist() == [0]
-    assert p.constraints[0][0][1].cols.tolist() == [2]
+    con, row, col, val = p.entries[0]
+    assert con.tolist() == [0, 1] and row.tolist() == [0, 0] and col.tolist() == [2, 0]
+    assert val.tolist() == [0.5, 1.0]
 
 
 SDPA_MINIMAL = """\
@@ -99,7 +98,7 @@ def test_sdpa_minimal(tmp_path):
     p = parse_sdpa(path)
     assert p.q == 1 and p.block_sizes == (2,) and p.m == 1 and p.ineq_start == 2
     assert float(p.rhs[0]) == 1.0
-    assert to_dense(p.costs[0]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert dense_row(p, p.m, 0).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_sdpa_lp_block_expansion(tmp_path):
@@ -109,9 +108,8 @@ def test_sdpa_lp_block_expansion(tmp_path):
     p = parse_sdpa(path)
     assert p.block_sizes == (2, 1, 1)
     # diagonal block entry (1,1) landed in the first expanded 1x1 block
-    assert float(to_dense(p.costs[1])[0, 0]) == 3.0
-    con2 = dict(p.constraints[1])
-    assert float(to_dense(con2[1])[0, 0]) == 2.0
+    assert float(dense_row(p, p.m, 1)[0, 0]) == 3.0
+    assert float(dense_row(p, 1, 1)[0, 0]) == 2.0
 
 
 def test_sdpa_offdiagonal_in_lp_block_rejected(tmp_path):

@@ -1,12 +1,15 @@
 """Generators against enumeration / analytic oracles."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from sdpmix import cli
 from sdpmix.errors import ValidationError
+from sdpmix.formats import parse_native, write_native
 from sdpmix.instances import GeneratedInstance, Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
 from sdpmix.linops import apply_operator
 from sdpmix.problem import validate
@@ -56,7 +59,7 @@ def test_gen_random_sdp_structure():
     # A_1 is the identity, so a_1 = sum of block sizes
     assert float(p.rhs[0]) == 5.0
     # density 1: every upper-triangle cost position present
-    assert p.costs[0].nnz == 5 * 6 // 2
+    assert np.count_nonzero(p.entries[0][0] == p.m) == 5 * 6 // 2
 
 
 def test_gen_random_sdp_multiblock_identity_rhs():
@@ -167,3 +170,40 @@ def test_reported_objective_orientation():
     inst = GeneratedInstance(problem=None, family="x", sense=-1, offset=1.5)
     assert inst.reported_objective(-2.0) == 3.5
     assert inst.shifted_objective(-2.0) == 2.0
+
+
+# sha256 prefixes of `sdpmix generate` outputs that the benchmark's workloads
+# and the acceptance ladder are built from; a generator change that moves
+# any of them changes those instances
+G16 = [(i + 1, j + 1) for i, j in itertools.combinations(range(16), 2)]
+GENERATED_DIGESTS = {
+    "rand_100": (["rand", "--blocks", "100", "--m", "3", "--density", "0.05", "--seed", "0"], "658909a99490b3e9"),
+    "rand_10": (["rand", "--blocks", "10", "--m", "10", "--density", "1.0", "--seed", "42"], "5b09e23baddc1f97"),
+    "rand_30": (["rand", "--blocks", "30", "--m", "20", "--density", "1.0", "--seed", "0"], "f9c5abcb1a37e85c"),
+    "rand_2x20": (["rand", "--blocks", "2x20", "--m", "15", "--density", "0.5", "--seed", "1"], "6cd36a69c9109824"),
+    "maxcut_g16": (["maxcut", "--triangles"], "fa6d0e887d205235"),
+    "theta_c5": (["theta", "--strengthened"], "84b249781807f2b9"),
+}
+
+
+def graph_text(name: str) -> str:
+    """G(16, 0.5) drawn from default_rng(0) over the pairs i < j in order, or C5."""
+    if name == "theta_c5":
+        return "5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
+    rng = np.random.default_rng(0)
+    edges = [(i, j) for i, j in G16 if rng.random() < 0.5]
+    return f"16 {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges)
+
+
+@pytest.mark.parametrize("name", GENERATED_DIGESTS)
+def test_generated_instances_stay_the_same(name, tmp_path, capsys):
+    args, digest = GENERATED_DIGESTS[name]
+    if args[0] != "rand":
+        (tmp_path / "graph.txt").write_text(graph_text(name))
+        args = args + ["--graph", str(tmp_path / "graph.txt")]
+    out = tmp_path / "problem.sdp"
+    assert cli.main(["generate", *args, "-o", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+    # writing the parsed problem gives the same bytes
+    write_native(parse_native(out), tmp_path / "again.sdp")
+    assert (tmp_path / "again.sdp").read_bytes() == out.read_bytes()

@@ -18,38 +18,37 @@ from sdpmix.linops import (
     jacobi_eigh,
     project_psd,
 )
-from sdpmix.problem import SdpProblem, SymMatrix, as_kind, scale
+from sdpmix.problem import as_kind, scale
 
 from helpers import (
+    build_problem,
     dense_adjoint_oracle,
     dense_apply_oracle,
-    dense_constraint,
+    dense_cost,
+    dense_row,
     gram_blocks,
     incremental_operator_values,
     random_problem,
     random_V_blocks,
     reassemble,
-    to_dense,
     uneven_problem,
 )
 
 
-def one_constraint_problem(A: SymMatrix):
-    C = SymMatrix.from_entries(A.order, [(0, 0, 1.0)])
-    return SdpProblem.build((A.order,), [C], [{0: A}], [1.0], 2)
+def one_constraint_problem(n, entries):
+    """Order n, cost (0, 0) = 1, and one constraint of the given triplets."""
+    return build_problem((n,), [[(0, 0, 1.0)]], [{0: entries}], [1.0], 2)
 
 
 def test_apply_operator_rank_one_hand_case():
-    A = SymMatrix.from_entries(2, [(0, 1, 1.0)])
-    p = one_constraint_problem(A)
+    p = one_constraint_problem(2, [(0, 1, 1.0)])
     V = [np.array([[1.0, 1.0]])]
     assert apply_operator(p, V)[0] == pytest.approx(2.0)
 
 
 def test_apply_operator_identity_gives_frobenius_sq():
     n = 5
-    A = SymMatrix.from_entries(n, [(i, i, 1.0) for i in range(n)])
-    p = one_constraint_problem(A)
+    p = one_constraint_problem(n, [(i, i, 1.0) for i in range(n)])
     rng = np.random.default_rng(0)
     V = [rng.standard_normal((3, n))]
     assert apply_operator(p, V)[0] == pytest.approx(np.sum(V[0] ** 2), rel=1e-13)
@@ -73,7 +72,7 @@ def test_apply_cost_matches_dense():
     p = random_problem(7, block_sizes=(4, 2), m_eq=3, m_ineq=1)
     rng = np.random.default_rng(7)
     V = random_V_blocks(rng, p)
-    want = sum(np.tensordot(to_dense(c), X) for c, X in zip(p.costs, gram_blocks(V)))
+    want = sum(np.tensordot(C, X) for C, X in zip(dense_cost(p), gram_blocks(V)))
     assert OperatorCache.fresh(p, V).cost_value == pytest.approx(want, rel=1e-12)
 
 
@@ -82,16 +81,16 @@ def test_apply_adjoint_cases():
     zero = apply_adjoint(p, np.zeros(p.m))
     for Z in zero:
         assert np.all(Z == 0)
-    single = one_constraint_problem(SymMatrix.from_entries(2, [(0, 1, 1.5), (1, 1, -2.0)]))
+    single = one_constraint_problem(2, [(0, 1, 1.5), (1, 1, -2.0)])
     got = apply_adjoint(single, np.array([2.0]))[0]
-    np.testing.assert_allclose(got, 2.0 * to_dense(single.constraints[0][0][1]))
+    np.testing.assert_allclose(got, 2.0 * dense_row(single, 0, 0))
     rng = np.random.default_rng(4)
     # multi-block with inequalities, and one with an untouched block, a zero
     # cost and a constraint that skips a block; at both scalar kinds
     uneven = uneven_problem(5)
-    touched = [{b for b, _ in con} for con in uneven.constraints]
-    assert 0 not in touched[0] and all(2 not in t for t in touched)
-    assert uneven.costs[1].nnz == 0 and uneven.m_ineq == 2
+    con = [c for c, *_ in uneven.entries]
+    assert 0 not in con[0] and set(con[2].tolist()) == {uneven.m}
+    assert uneven.m not in con[1] and uneven.m_ineq == 2
     for prob in (p, uneven):
         y = rng.standard_normal(prob.m)
         want = dense_adjoint_oracle(prob, y)
@@ -110,9 +109,11 @@ def test_tables_built_once_per_problem():
     assert p.tables is p.tables
     for q in (scale(p)[0], as_kind(p, DOUBLE_DOUBLE)):
         assert q.tables is q.tables and q.tables is not p.tables
-        for got, want in zip(q.tables.blocks, OperatorTables(q).blocks):
+        fresh = OperatorTables(q)
+        assert all(np.array_equal(a, b) for a, b in zip(q.tables.wval, fresh.wval))
+        for got, want in zip(q.tables.pairs, fresh.pairs):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert kind_of(as_kind(p, DOUBLE_DOUBLE).tables.blocks[0][3]) is DOUBLE_DOUBLE
+    assert kind_of(as_kind(p, DOUBLE_DOUBLE).tables.wval[0]) is DOUBLE_DOUBLE
 
 
 def test_apply_adjoint_length_mismatch():
@@ -153,7 +154,7 @@ def test_column_deltas_sum_each_slot_in_partner_order():
                 w = V[b].T @ (v_trial - v_start)
                 w[i] = 0.0
                 dn = np.sum(v_trial * v_trial) - np.sum(v_start * v_start)
-                mats = [dense_constraint(p, j)[b] for j in sl.sup] + [to_dense(p.costs[b])]
+                mats = [dense_row(p, j, b) for j in sl.sup] + [dense_row(p, p.m, b)]
                 want = []
                 for M in mats:
                     total = 0.0
@@ -177,8 +178,7 @@ def test_incremental_identity_when_column_unchanged():
 
 def test_incremental_diagonal_only_constraint():
     # only the norm term moves the value: A diagonal means no off-diagonal slice
-    A = SymMatrix.from_entries(3, [(0, 0, 2.0), (1, 1, 1.0)])
-    p = one_constraint_problem(A)
+    p = one_constraint_problem(3, [(0, 0, 2.0), (1, 1, 1.0)])
     slices = ColumnSlices(p)
     rng = np.random.default_rng(3)
     V = [rng.standard_normal((2, 3))]

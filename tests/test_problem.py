@@ -1,22 +1,23 @@
 """Data model, validation, and scaling."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sdpmix.ddouble import DOUBLE_DOUBLE, norm2
+from sdpmix.ddouble import DOUBLE_DOUBLE, norm2, to_float_array
 from sdpmix.errors import ValidationError
-from sdpmix.problem import ScalingRecord, SdpProblem, SymMatrix, as_kind, scale, validate
+from sdpmix.problem import ScalingRecord, SdpProblem, as_kind, row_norms_sq, scale, validate
 
-from helpers import problem_equals, random_problem, to_dense
+from helpers import build_problem, dense_row, dense_row_norms_sq, problem_equals, random_problem
 
 
 def minimal_problem():
     # 1 block n=2, C=I, one equality trace(X)=1
-    C = SymMatrix.from_entries(2, [(0, 0, 1.0), (1, 1, 1.0)])
-    A = SymMatrix.from_entries(2, [(0, 0, 1.0), (1, 1, 1.0)])
-    return SdpProblem.build((2,), [C], [{0: A}], [1.0], ineq_start=2)
+    identity = [(0, 0, 1.0), (1, 1, 1.0)]
+    return build_problem((2,), [identity], [{0: identity}], [1.0], ineq_start=2)
 
 
 def test_validate_accepts_minimal():
@@ -24,33 +25,22 @@ def test_validate_accepts_minimal():
 
 
 def test_validate_ineq_start_out_of_range():
-    p = minimal_problem()
-    bad = SdpProblem.build(p.block_sizes, p.costs, p.constraints, p.rhs, ineq_start=5)
+    bad = replace(minimal_problem(), ineq_start=5)
     with pytest.raises(ValidationError, match="ineq_start out of range"):
         validate(bad)
 
 
-def test_validate_dimension_mismatch():
-    C = SymMatrix.from_entries(2, [(0, 0, 1.0)])
-    A = SymMatrix.from_entries(3, [(0, 0, 1.0)])
-    p = SdpProblem.build((2,), [C], [{0: A}], [1.0], ineq_start=2)
-    with pytest.raises(ValidationError, match="dimension mismatch"):
-        validate(p)
-
-
 def test_validate_duplicate_entry():
-    C = SymMatrix(2, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
-    p = SdpProblem.build((2,), [C], [{0: SymMatrix.from_entries(2, [(0, 0, 1.0)])}], [1.0], 2)
+    p = build_problem((2,), [[(0, 1, 1.0), (0, 1, 2.0)]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
     with pytest.raises(ValidationError, match="duplicate"):
         validate(p)
 
 
 def test_validate_nonfinite_and_empty_constraint():
-    C = SymMatrix.from_entries(2, [(0, 0, math.nan)])
-    p = SdpProblem.build((2,), [C], [{0: SymMatrix.from_entries(2, [(0, 0, 1.0)])}], [1.0], 2)
+    p = build_problem((2,), [[(0, 0, math.nan)]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
     with pytest.raises(ValidationError, match="nonfinite"):
         validate(p)
-    q = SdpProblem.build((2,), [SymMatrix.from_entries(2, [])], [{}], [1.0], 2)
+    q = build_problem((2,), [[]], [{}], [1.0], 2)
     with pytest.raises(ValidationError, match="touches no block"):
         validate(q)
 
@@ -60,34 +50,91 @@ def test_validate_accepts_random_problems():
         validate(random_problem(seed, block_sizes=(3, 2), m_eq=4, m_ineq=3))
 
 
-def test_symmatrix_mirrors_lower_triangle_and_sorts():
-    m = SymMatrix.from_entries(3, [(2, 0, 5.0), (1, 1, 2.0)])
-    assert m.rows.tolist() == [0, 1] and m.cols.tolist() == [2, 1]
-    D = to_dense(m)
+# 40 constraints over 3 blocks; every constraint, and the cost (constraint
+# 40), has a diagonal and an off-diagonal entry in every block. Constraint
+# index 6 holds (2, 2, 7.0) and (0, 3, 0.5) in block 1, the cost holds
+# (0, 0, 41.0) and (0, 3, 0.5) there.
+SIZES = (3, 4, 2)
+M = 40
+
+
+def many_constraint_lines():
+    return [(j, b, j % n, j % n, 1.0 + j) for j in range(M + 1) for b, n in enumerate(SIZES)] + [
+        (j, b, 0, n - 1, 0.5) for j in range(M + 1) for b, n in enumerate(SIZES)
+    ]
+
+
+def many_constraint_problem(lines):
+    return SdpProblem.from_entries(SIZES, np.ones(M), 21, *zip(*lines))
+
+
+def set_value(lines, line, value):
+    return [(j, b, r, c, value) if (j, b, r, c) == line else (j, b, r, c, v) for j, b, r, c, v in lines]
+
+
+FAULTS = {
+    "duplicate": (lambda ls: ls + [(6, 1, 2, 2, 3.0)], "constraint 7, block 2: duplicate entry"),
+    "mirrored_duplicate": (lambda ls: ls + [(6, 1, 3, 0, 0.5)], "constraint 7, block 2: duplicate entry"),
+    "nonfinite": (lambda ls: set_value(ls, (6, 1, 2, 2), math.inf), "constraint 7, block 2: nonfinite value"),
+    "outside_order": (lambda ls: ls + [(6, 1, 1, 4, 1.0)], "constraint 7, block 2: entry outside the block's order 4"),
+    "block_index": (lambda ls: ls + [(6, 3, 0, 0, 1.0)], "constraint 7, block 4: block index out of range 1..3"),
+    "no_entry": (lambda ls: [line for line in ls if line[0] != 6], "constraint 7: touches no block"),
+    "cost_duplicate": (lambda ls: ls + [(M, 1, 3, 0, 2.0)], "cost block 2: duplicate entry"),
+    "cost_nonfinite": (lambda ls: set_value(ls, (M, 1, 0, 0), math.nan), "cost block 2: nonfinite value"),
+}
+
+
+def test_many_constraint_problem_is_valid():
+    validate(many_constraint_problem(many_constraint_lines()))
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_validate_names_the_faulty_row(fault):
+    mutate, message = FAULTS[fault]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate(many_constraint_problem(mutate(many_constraint_lines())))
+
+
+@pytest.mark.parametrize("kind", ["double", "dd"])
+def test_row_norms_match_dense_oracle(kind):
+    for p in (many_constraint_problem(many_constraint_lines()), random_problem(3, (3, 4), m_eq=4, m_ineq=3)):
+        if kind == "dd":
+            p = as_kind(p, DOUBLE_DOUBLE)
+        got, want = row_norms_sq(p), dense_row_norms_sq(p)
+        bound = (1e-30 if kind == "dd" else 1e-15) * (1.0 + np.abs(to_float_array(want)))
+        assert np.all(np.abs(to_float_array(got - want)) <= bound)
+        _, rec = scale(p)
+        norms = np.concatenate([rec.constraint_norms, [rec.cost_norm]])
+        assert np.all(np.abs(to_float_array(norms * norms - want)) <= 4 * bound)
+
+
+def test_from_entries_mirrors_lower_triangle_and_sorts():
+    p = build_problem((3,), [[(2, 0, 5.0), (1, 1, 2.0)]], [], [], 1)
+    con, row, col, val = p.entries[0]
+    assert row.tolist() == [0, 1] and col.tolist() == [2, 1] and val.tolist() == [5.0, 2.0]
+    D = dense_row(p, p.m, 0)
     assert D[0, 2] == 5.0 and D[2, 0] == 5.0 and D[1, 1] == 2.0
 
 
-def test_symmatrix_frobenius_counts_offdiagonal_twice():
-    m = SymMatrix.from_entries(2, [(0, 1, 3.0)])
-    assert m.frob_sq() == pytest.approx(18.0)
+def test_row_norms_count_offdiagonal_twice():
+    p = build_problem((2,), [[(0, 1, 3.0)]], [], [], 1)
+    assert row_norms_sq(p)[-1] == pytest.approx(18.0)
 
 
 def test_scale_identity_cost():
     # C = 2*I2 has Frobenius norm 2*sqrt(2); scaled cost is I2/sqrt(2)
-    C = SymMatrix.from_entries(2, [(0, 0, 2.0), (1, 1, 2.0)])
-    A = SymMatrix.from_entries(2, [(0, 0, 1.0)])
-    p = SdpProblem.build((2,), [C], [{0: A}], [1.0], 2)
+    p = build_problem((2,), [[(0, 0, 2.0), (1, 1, 2.0)]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
     scaled, _ = scale(p)
-    np.testing.assert_allclose(scaled.costs[0].vals, [1 / math.sqrt(2)] * 2, rtol=1e-15)
+    con, _, _, val = scaled.entries[0]
+    np.testing.assert_allclose(val[con == p.m], [1 / math.sqrt(2)] * 2, rtol=1e-15)
 
 
 def test_scale_single_equality_example():
     # A1 = I3, a1 = 3: matrix scaled by 1/sqrt(3), rhs ends up exactly 1
-    C = SymMatrix.from_entries(3, [(0, 1, 1.0)])
-    A = SymMatrix.from_entries(3, [(i, i, 1.0) for i in range(3)])
-    p = SdpProblem.build((3,), [C], [{0: A}], [3.0], 2)
+    p = build_problem((3,), [[(0, 1, 1.0)]], [{0: [(i, i, 1.0) for i in range(3)]}], [3.0], 2)
     scaled, rec = scale(p)
-    np.testing.assert_allclose(scaled.constraints[0][0][1].vals, [1 / math.sqrt(3)] * 3, rtol=1e-15)
+    con, _, _, val = scaled.entries[0]
+    np.testing.assert_allclose(val[con == 0], [1 / math.sqrt(3)] * 3, rtol=1e-15)
     assert rec.constraint_norms[0] == pytest.approx(math.sqrt(3), rel=1e-15)
     assert rec.rhs_eq_norm == pytest.approx(math.sqrt(3), rel=1e-15)
     assert scaled.rhs[0] == pytest.approx(1.0, rel=1e-15)
@@ -95,9 +142,7 @@ def test_scale_single_equality_example():
 
 def test_scale_fixed_point_on_normalized_problem():
     # 0.6^2 + 0.8^2 == 1 exactly in binary64, so this data is exactly unit-norm
-    C = SymMatrix.from_entries(2, [(0, 0, 0.6), (1, 1, 0.8)])
-    A = SymMatrix.from_entries(2, [(0, 0, 0.8), (1, 1, 0.6)])
-    p = SdpProblem.build((2,), [C], [{0: A}], [1.0], 2)
+    p = build_problem((2,), [[(0, 0, 0.6), (1, 1, 0.8)]], [{0: [(0, 0, 0.8), (1, 1, 0.6)]}], [1.0], 2)
     scaled, rec = scale(p)
     assert problem_equals(scaled, p)
     assert rec.cost_norm == 1.0 and rec.rhs_eq_norm == 1.0 and rec.primal_scale == 1.0
@@ -107,10 +152,10 @@ def test_scale_fixed_point_on_normalized_problem():
 def test_scale_unit_norms_and_idempotence(seed):
     p = random_problem(seed, block_sizes=(3, 4), m_eq=4, m_ineq=3)
     scaled, rec = scale(p)
+    norms_sq = dense_row_norms_sq(scaled)
     for j in range(scaled.m):
-        assert float(scaled.constraint_frob_sq(j)) == pytest.approx(1.0, rel=1e-15)
-    total = sum(float(c.frob_sq()) for c in scaled.costs)
-    assert total == pytest.approx(1.0, rel=1e-14)
+        assert float(norms_sq[j]) == pytest.approx(1.0, rel=1e-15)
+    assert float(norms_sq[-1]) == pytest.approx(1.0, rel=1e-14)
     # equality sub-vector is unit norm; recorded norms normalize each sub-vector
     assert float(norm2(scaled.rhs_eq)) == pytest.approx(1.0, rel=1e-14)
     rbar = p.rhs / rec.constraint_norms
@@ -120,9 +165,8 @@ def test_scale_unit_norms_and_idempotence(seed):
     assert float(rec2.cost_norm) == pytest.approx(1.0, rel=1e-14)
     np.testing.assert_allclose(rec2.constraint_norms.astype(float), 1.0, rtol=1e-14)
     np.testing.assert_allclose(again.rhs.astype(float), scaled.rhs.astype(float), rtol=1e-14)
-    for j in range(p.m):
-        for (b1, m1), (b2, m2) in zip(again.constraints[j], scaled.constraints[j]):
-            np.testing.assert_allclose(m1.vals.astype(float), m2.vals.astype(float), rtol=1e-15)
+    for (_, _, _, v1), (_, _, _, v2) in zip(again.entries, scaled.entries):
+        np.testing.assert_allclose(v1.astype(float), v2.astype(float), rtol=1e-15)
 
 
 def test_scale_ineq_only_normalizes_b():
@@ -133,17 +177,13 @@ def test_scale_ineq_only_normalizes_b():
 
 
 def test_scale_rejects_zero_norm_constraint():
-    C = SymMatrix.from_entries(2, [(0, 0, 1.0)])
-    Z = SymMatrix(2, np.array([0]), np.array([0]), np.array([0.0]))
-    p = SdpProblem.build((2,), [C], [{0: Z}], [1.0], 2)
+    p = build_problem((2,), [[(0, 0, 1.0)]], [{0: [(0, 0, 0.0)]}], [1.0], 2)
     with pytest.raises(ValidationError, match="zero-norm"):
         scale(p)
 
 
 def test_scale_zero_rhs_subvector_records_one():
-    C = SymMatrix.from_entries(2, [(0, 0, 1.0)])
-    A = SymMatrix.from_entries(2, [(0, 0, 1.0), (1, 1, 1.0)])
-    p = SdpProblem.build((2,), [C], [{0: A}], [0.0], 2)
+    p = build_problem((2,), [[(0, 0, 1.0)]], [{0: [(0, 0, 1.0), (1, 1, 1.0)]}], [0.0], 2)
     scaled, rec = scale(p)
     assert float(rec.rhs_eq_norm) == 1.0 and float(rec.primal_scale) == 1.0
     assert float(scaled.rhs[0]) == 0.0
@@ -153,8 +193,9 @@ def test_as_kind_round_trip_exact():
     p = random_problem(5, block_sizes=(3,), m_eq=2, m_ineq=1)
     pdd = as_kind(p, DOUBLE_DOUBLE)
     assert pdd.kind is DOUBLE_DOUBLE
-    for c64, cdd in zip(p.costs, pdd.costs):
-        assert np.array_equal(c64.vals, np.array([float(v) for v in cdd.vals]))
+    for t64, tdd in zip(p.entries, pdd.entries):
+        assert all(np.array_equal(a, b) for a, b in zip(t64[:3], tdd[:3]))
+        assert np.array_equal(t64[3], np.array([float(v) for v in tdd[3]]))
     back = [float(v) for v in pdd.rhs]
     assert np.array_equal(np.asarray(p.rhs, dtype=float), back)
 

@@ -1,6 +1,7 @@
 """Outer loop: rank rule, updates, error measures, termination, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from sdpmix.errors import NumericalError, ValidationError
 from sdpmix.instances import gen_random_sdp
 from sdpmix.linops import project_psd
 from sdpmix.precision import promote
-from sdpmix.problem import SdpProblem, SymMatrix, as_kind, scale
+from sdpmix.problem import as_kind
 from sdpmix.solver import (
     ErrorReport,
     SolverOptions,
@@ -27,10 +28,11 @@ from sdpmix.solver import (
 )
 
 from helpers import (
+    build_problem,
     dense_adjoint_oracle,
     dense_apply_oracle,
     dense_cost,
-    from_dense,
+    dense_entries,
     gram_blocks,
     random_problem,
     random_V_blocks,
@@ -40,9 +42,8 @@ from test_auglag import stagnation_fixture
 
 
 def toy_trace_problem():
-    C = SymMatrix.from_entries(2, [(0, 0, 1.0), (1, 1, 1.0)])
-    A = SymMatrix.from_entries(2, [(0, 0, 1.0), (1, 1, 1.0)])
-    return SdpProblem.build((2,), [C], [{0: A}], [1.0], 2)
+    identity = [(0, 0, 1.0), (1, 1, 1.0)]
+    return build_problem((2,), [identity], [{0: identity}], [1.0], 2)
 
 
 def gen_rand(n, m, density, seed, blocks=1):
@@ -52,20 +53,20 @@ def gen_rand(n, m, density, seed, blocks=1):
         entries = [(r, c, rng.uniform(-1, 1)) for r in range(order) for c in range(r, order) if rng.random() < density]
         if not entries:
             entries = [(0, 0, rng.uniform(0.2, 1.0))]
-        return SymMatrix.from_entries(order, entries)
+        return entries
 
     sizes = (n,) * blocks
     costs = [randsym(n) for _ in range(blocks)]
-    cons = [{b: SymMatrix.from_entries(n, [(i, i, 1.0) for i in range(n)]) for b in range(blocks)}]
+    cons = [{b: [(i, i, 1.0) for i in range(n)] for b in range(blocks)}]
     for _ in range(m - 1):
         cons.append({b: randsym(n) for b in range(blocks)})
     rhs = []
     for con in cons:
         tot = 0.0
-        for b, M in con.items():
-            tot += sum(float(v) for r, c, v in zip(M.rows, M.cols, M.vals) if r == c)
+        for b, entries in con.items():
+            tot += sum(float(v) for r, c, v in entries if r == c)
         rhs.append(tot)
-    return SdpProblem.build(sizes, costs, cons, rhs, m + 1)
+    return build_problem(sizes, costs, cons, rhs, m + 1)
 
 
 # -- rank rule ----------------------------------------------------------------
@@ -128,14 +129,12 @@ def test_update_duals_cases():
     rng = np.random.default_rng(0)
     st = make_state(p, [rng.standard_normal((2, 3))], np.array([1.0]), np.array([0.0]), 2.0)
     # zero residuals: duals unchanged
-    feasible = SdpProblem.build(p.block_sizes, p.costs, p.constraints, st.cache.values.copy(), p.ineq_start)
+    feasible = replace(p, rhs=st.cache.values.copy())
     stf = make_state(feasible, st.V_blocks, np.array([1.0]), np.array([0.5]), 2.0)
     update_duals(stf, feasible, 1.0)
     assert float(stf.y_a[0]) == 1.0 and float(stf.y_b[0]) == 0.5
     # y_a = 1, residual 0.5, p = 1, mu = 2  ->  y_a = 2
-    rigged = SdpProblem.build(p.block_sizes, p.costs, p.constraints,
-                              np.array([float(st.cache.values[0]) + 0.5, float(st.cache.values[1]) - 1.0]),
-                              p.ineq_start)
+    rigged = replace(p, rhs=np.array([float(st.cache.values[0]) + 0.5, float(st.cache.values[1]) - 1.0]))
     str_ = make_state(rigged, st.V_blocks, np.array([1.0]), np.array([0.0]), 2.0)
     update_duals(str_, rigged, 1.0)
     assert float(str_.y_a[0]) == pytest.approx(2.0, rel=1e-14)
@@ -222,9 +221,7 @@ def test_update_penalty_branches():
 
 
 def one_var_problem():
-    C = SymMatrix.from_entries(1, [(0, 0, 1.0)])
-    A = SymMatrix.from_entries(1, [(0, 0, 1.0)])
-    return SdpProblem.build((1,), [C], [{0: A}], [1.0], 2)
+    return build_problem((1,), [[(0, 0, 1.0)]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
 
 
 KINDS = (DOUBLE, DOUBLE_DOUBLE)
@@ -248,10 +245,9 @@ def test_compute_errors_dinf_zero_duals():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((3, 3))
     M = (M + M.T) / 2
-    C = from_dense(M)
-    A = SymMatrix.from_entries(3, [(0, 0, 1.0)])
+    C = dense_entries(M)
     for kind in KINDS:
-        p = as_kind(SdpProblem.build((3,), [C], [{0: A}], [1.0], 2), kind)
+        p = as_kind(build_problem((3,), [C], [{0: [(0, 0, 1.0)]}], [1.0], 2), kind)
         Z = project_psd(kind.asarray(M))
         rep = compute_errors(p, [kind.asarray(np.eye(3))], kind.zeros(1), kind.zeros(0), [Z])
         want = np.linalg.norm(M - to_float_array(Z)) / (1.0 + np.linalg.norm(M))
@@ -331,11 +327,8 @@ def test_solve_reports_errors_recomputed_on_original_data():
 
 def test_solve_with_inequalities_active():
     # min 2 X01 s.t. diag(X) = 1, X01 >= -0.3: optimum -0.6 with the bound active
-    C = SymMatrix.from_entries(2, [(0, 1, 1.0)])
-    A1 = SymMatrix.from_entries(2, [(0, 0, 1.0)])
-    A2 = SymMatrix.from_entries(2, [(1, 1, 1.0)])
-    B = SymMatrix.from_entries(2, [(0, 1, 0.5)])
-    p = SdpProblem.build((2,), [C], [{0: A1}, {0: A2}, {0: B}], [1.0, 1.0, -0.3], ineq_start=3)
+    constraints = [{0: [(0, 0, 1.0)]}, {0: [(1, 1, 1.0)]}, {0: [(0, 1, 0.5)]}]
+    p = build_problem((2,), [[(0, 1, 1.0)]], constraints, [1.0, 1.0, -0.3], ineq_start=3)
     sol, _ = solve(p, SolverOptions(tol=1e-10, max_iters=3000, iters_Z=10))
     assert sol.status == "tol"
     assert float(sol.objective) == pytest.approx(-0.6, abs=1e-8)
@@ -401,7 +394,7 @@ def test_solve_equality_only_never_runs_hinge_paths():
     solve(p, SolverOptions(max_iters=2, max_evals=1), progress=starved.append)
     assert 0 < starved[-1]["inner_unconverged"] <= 2 * sum(p.block_sizes)
     # the same trajectory with inequalities present does run hinge code
-    ineq = SdpProblem.build(p.block_sizes, p.costs, p.constraints, p.rhs, ineq_start=p.m)
+    ineq = replace(p, ineq_start=p.m)
     log2 = []
     solve(ineq, SolverOptions(max_iters=5), progress=log2.append)
     assert log2[-1]["hinge_evals"] > 0
@@ -434,7 +427,7 @@ def test_solve_warm_start_shape_mismatch():
 
 def test_solve_rejects_negative_warm_duals():
     p = gen_rand(6, 4, 1.0, 14)
-    ineq = SdpProblem.build(p.block_sizes, p.costs, p.constraints, p.rhs, ineq_start=4)
+    ineq = replace(p, ineq_start=4)
     k = rank_rule(6, 3, 1)
     bad = WarmStart([np.ones((k, 6))], np.zeros(3), np.array([-1.0]), 1.0)
     with pytest.raises(ValidationError, match="negative"):
@@ -443,7 +436,7 @@ def test_solve_rejects_negative_warm_duals():
 
 def test_solve_rejects_nonfinite_warm_start():
     p = gen_rand(6, 4, 1.0, 14)
-    ineq = SdpProblem.build(p.block_sizes, p.costs, p.constraints, p.rhs, ineq_start=4)
+    ineq = replace(p, ineq_start=4)
     k = rank_rule(6, 3, 1)
     good = WarmStart([np.ones((k, 6))], np.zeros(3), np.array([0.5]), 1.0)
     for kind in KINDS:
@@ -460,9 +453,7 @@ def test_solve_rejects_nonfinite_warm_start():
 
 
 def test_solve_nonfinite_aborts_with_diagnostic():
-    C = SymMatrix.from_entries(1, [(0, 0, 1.0)])
-    A = SymMatrix.from_entries(1, [(0, 0, 1.0)])
-    p = SdpProblem.build((1,), [C], [{0: A}], [1e308], 2)
+    p = build_problem((1,), [[(0, 0, 1.0)]], [{0: [(0, 0, 1.0)]}], [1e308], 2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError):
             solve(p, SolverOptions(max_iters=50, scaling=False))
@@ -516,8 +507,7 @@ def test_status_tol_means_the_reported_errors(seed):
 
 def test_solve_unconstrained_psd_cost():
     # m = 0: rank rule gives the empty factor, X = 0 is optimal for PSD C
-    C = SymMatrix.from_entries(2, [(0, 0, 1.0), (1, 1, 2.0)])
-    p = SdpProblem.build((2,), [C], [], [], ineq_start=1)
+    p = build_problem((2,), [[(0, 0, 1.0), (1, 1, 2.0)]], [], [], ineq_start=1)
     sol, _ = solve(p, SolverOptions(tol=1e-10, max_iters=200, iters_Z=2))
     assert sol.status == "tol"
     assert float(sol.objective) == 0.0
