@@ -1,13 +1,14 @@
 """File formats.
 
-Native problem format (UTF-8, line oriented, '#' starts a comment):
+Native problem format (UTF-8, line oriented; a comment is a whole line whose
+first nonblank character is '#'):
 
     q                      number of blocks
     n_1 ... n_q            block orders
     m ineq_start           constraint count, 1-based first inequality index
     r_1 ... r_m            right-hand side (may span lines)
     cons block row col value
-    ...                    one entry per line; cons 0 is the cost matrix,
+    ...                    exactly one entry per line; cons 0 is the cost matrix,
                            cons 1..m the constraints; block/row/col 1-based,
                            upper or lower triangle accepted
 
@@ -24,7 +25,7 @@ pairs, also exact).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from itertools import cycle
 
 import numpy as np
 
@@ -35,47 +36,78 @@ from .problem import SdpProblem, validate
 from .solver import ErrorReport, Solution, WarmStart
 
 
-class _Tokens:
-    """Whitespace tokenizer that remembers line numbers for error messages."""
+_PUNCT = str.maketrans("{}(),", "     ")
+_ENTRY = np.dtype("i8,i8,i8,i8,f8")  # an entry line: four indices and a value
 
-    def __init__(self, text: str, path=None, comment_chars=("#",), strip_punct=False):
-        self.path = path
-        self.items: List[Tuple[str, int]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.lstrip()
-            if not stripped or stripped[0] in comment_chars:
-                continue
-            if strip_punct:
-                for ch in "{}(),":
-                    line = line.replace(ch, " ")
-            for tok in line.split():
-                self.items.append((tok, lineno))
-        self.pos = 0
+
+class _Tokens:
+    """The whitespace tokens of a file, each line split only when a token of
+    it is asked for; remembers line numbers for error messages.
+
+    A comment is a whole line whose first nonblank character is one of
+    `comment_chars`; `strip_punct` reads the characters {}(), as blanks.
+    """
+
+    def __init__(self, path, comment_chars="#", strip_punct=False):
+        with open(path, "r", encoding="utf-8") as fh:
+            self.lines = fh.read().splitlines()
+        self.path, self.comment_chars, self.strip_punct = path, comment_chars, strip_punct
+        self.pos = 0  # lines read
+        self.tokens, self.col, self.line = [], 0, 0  # the tokens of line `line`; the next one is at `col`
         self.last_line = 0
 
+    def _text(self, line: str):
+        """The text of a line to split, or None for a blank or comment line."""
+        text = line.strip()
+        if not text or text[0] in self.comment_chars:
+            return None
+        if self.strip_punct:
+            text = text.translate(_PUNCT).strip()
+        return text or None
+
+    def more(self) -> bool:
+        """Whether a token is left, reading lines until one is."""
+        while self.col >= len(self.tokens):
+            if self.pos >= len(self.lines):
+                return False
+            self.pos += 1
+            text = self._text(self.lines[self.pos - 1])
+            self.tokens, self.col, self.line = text.split() if text else [], 0, self.pos
+        return True
+
     def next(self, what: str) -> str:
-        if self.pos >= len(self.items):
+        if not self.more():
             raise FormatError(f"unexpected end of file, expected {what}", self.path, self.last_line or None)
-        tok, line = self.items[self.pos]
-        self.pos += 1
-        self.last_line = line
-        return tok
+        self.col += 1
+        self.last_line = self.line
+        return self.tokens[self.col - 1]
+
+    def _values(self, pieces, fields, width=None) -> list:
+        """The tokens of `pieces` ((tokens, line) pairs) converted by the
+        cycled `fields` ((what, int or float) pairs). A line of other than
+        `width` tokens, a token that does not convert or an int beyond int64
+        is a FormatError at its line."""
+        values = []
+        for tokens, line in pieces:
+            self.last_line = line
+            if width and len(tokens) != width:
+                raise FormatError(f"expected {width} fields, got {len(tokens)}", self.path, self.last_line)
+            for tok, (what, convert) in zip(tokens, cycle(fields)):
+                try:
+                    values.append(convert(tok))
+                except ValueError:
+                    kind = "an integer" if convert is int else "a number"
+                    raise FormatError(f"expected {what} ({kind}), got {tok!r}", self.path, self.last_line) from None
+                if convert is int and not -(2**63) <= values[-1] < 2**63:
+                    raise FormatError(f"{what} {tok} too large", self.path, self.last_line)
+        return values
 
     def next_int(self, what: str) -> int:
-        tok = self.next(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise FormatError(f"expected {what} (an integer), got {tok!r}", self.path, self.last_line) from None
+        return self._values([([self.next(what)], self.line)], [(what, int)])[0]
 
     def next_float(self, what: str, allow_none: bool = False):
         tok = self.next(what)
-        if allow_none and tok == "none":
-            return None
-        try:
-            return float(tok)
-        except ValueError:
-            raise FormatError(f"expected {what} (a number), got {tok!r}", self.path, self.last_line) from None
+        return None if allow_none and tok == "none" else self._values([([tok], self.line)], [(what, float)])[0]
 
     def next_count(self, what: str) -> int:
         count = self.next_int(what)
@@ -83,9 +115,14 @@ class _Tokens:
             raise FormatError(f"{what} must be nonnegative, got {count}", self.path, self.last_line)
         return count
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.items)
+    def rest(self):
+        """The remaining nonblank, noncomment lines as texts, and their line
+        numbers; a line partly read comes whole."""
+        start = self.pos - (self.col < len(self.tokens))
+        texts = list(map(self._text, self.lines[start:]))
+        numbers = [t for t, text in enumerate(texts, start + 1) if text]
+        self.pos, self.col = len(self.lines), len(self.tokens)
+        return list(filter(None, texts)), numbers
 
     # -- sections of solution and warm-start files
 
@@ -96,19 +133,15 @@ class _Tokens:
 
     def scalars(self, count: int, kind: ScalarKind, what: str = "value") -> np.ndarray:
         """The next `count` values of `kind`, each a hi/lo token pair at
-        double-double, converted in one pass over the tokens."""
+        double-double; they may span lines."""
         need = (2 if kind.is_extended else 1) * count
-        chunk = self.items[self.pos : self.pos + need]
-        try:
-            words = [float(tok) for tok, _ in chunk]
-        except ValueError:
-            words = []
+        words = []
+        while len(words) < need and self.more():
+            take = self.tokens[self.col : self.col + need - len(words)]
+            self.col += len(take)
+            words += self._values([(take, self.line)], [(what, float)])
         if len(words) < need:
-            for _ in range(need):
-                self.next_float(what)  # raises at the first token that is missing or not a number
-        self.pos += need
-        if need:
-            self.last_line = chunk[-1][1]
+            self.next(what)  # raises: the file ends inside the section
         if not kind.is_extended:
             return np.array(words, dtype=np.float64)
         out = np.empty(count, dtype=object)
@@ -131,29 +164,24 @@ class _Tokens:
         return self.scalars(rows * cols, kind).reshape(rows, cols)
 
     def entry_lines(self, names):
-        """The remaining tokens as entry lines of four integers (`names`)
-        and a value, converted in one pass: the four int64 columns, the
-        values and each line's number."""
-        rest = self.items[self.pos :]
+        """The remaining lines as entry lines, one per line, of four integers
+        (`names`) and a value: the four int64 columns, the values and each
+        line's number."""
+        texts, numbers = self.rest()
         try:
-            if len(rest) % 5:
-                raise ValueError
-            ints = [np.array([int(tok) for tok, _ in rest[k::5]], dtype=np.int64) for k in range(4)]
-            vals = np.array([float(tok) for tok, _ in rest[4::5]], dtype=np.float64)
-        except (ValueError, OverflowError):
-            while not self.exhausted:  # raises at the first token that is missing or not a number
-                for what in names:
-                    self.next_int(what)
-                self.next_float("value")
-            raise FormatError("entry index too large", self.path) from None
-        self.pos = len(self.items)
-        return ints, vals, np.array([line for _, line in rest[4::5]], dtype=np.int64)
+            if not texts:
+                raise ValueError  # np.loadtxt warns on empty input
+            columns = np.loadtxt(texts, dtype=_ENTRY, comments=None, unpack=True, ndmin=1)
+        except ValueError:  # names the line that does not convert, or converts what np.loadtxt does not
+            fields = [(what, int) for what in names] + [("value", float)]
+            flat = self._values(zip((text.split() for text in texts), numbers), fields, width=len(fields))
+            columns = [np.array(flat[k :: len(fields)], dtype=_ENTRY[k]) for k in range(len(fields))]
+        return (*columns, np.array(numbers, dtype=np.int64))
 
     def finish(self) -> None:
         """Reject any token after the last section."""
-        if not self.exhausted:
-            tok, line = self.items[self.pos]
-            raise FormatError(f"unexpected {tok!r} after the last section", self.path, line)
+        if self.more():
+            raise FormatError(f"unexpected {self.tokens[self.col]!r} after the last section", self.path, self.line)
 
 
 def _write_lines(path, lines) -> None:
@@ -184,20 +212,16 @@ def _problem(sizes, rhs, ineq_start, cons, block, row, col, val) -> SdpProblem:
 
 
 def parse_native(path) -> SdpProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    toks = _Tokens(text, path=path)
+    toks = _Tokens(path)
     q = toks.next_int("block count")
     if q < 1:
         raise FormatError(f"block count must be positive, got {q}", path, toks.last_line)
     sizes = [toks.next_int(f"size of block {b + 1}") for b in range(q)]
-    m = toks.next_int("constraint count")
-    if m < 0:
-        raise FormatError(f"constraint count must be nonnegative, got {m}", path, toks.last_line)
+    m = toks.next_count("constraint count")
     ineq_start = toks.next_int("ineq_start")
     rhs = toks.scalars(m, DOUBLE, "rhs entry")
 
-    (cons, block, row, col), val, lines = toks.entry_lines(("constraint index", "block index", "row", "column"))
+    cons, block, row, col, val, lines = toks.entry_lines(("constraint index", "block index", "row", "column"))
     n = np.array(sizes)[np.clip(block, 1, q) - 1]
     _reject(path, lines, (
         ((cons < 0) | (cons > m), lambda t: f"constraint index {cons[t]} out of range 0..{m}"),
@@ -231,9 +255,7 @@ def write_native(problem: SdpProblem, path) -> None:
 
 
 def parse_sdpa(path) -> SdpProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    toks = _Tokens(text, path=path, comment_chars=("*", '"'), strip_punct=True)
+    toks = _Tokens(path, comment_chars='*"', strip_punct=True)
     m = toks.next_int("constraint count")
     if m < 0:
         raise FormatError(f"malformed header: negative constraint count {m}", path, toks.last_line)
@@ -252,7 +274,7 @@ def parse_sdpa(path) -> SdpProblem:
     sizes = np.ones(offsets[-1], dtype=np.int64)
     sizes[offsets[:-1][raw > 0]] = raw[raw > 0]
 
-    (matno, blkno, i, j), val, lines = toks.entry_lines(("matrix index", "block index", "row", "column"))
+    matno, blkno, i, j, val, lines = toks.entry_lines(("matrix index", "block index", "row", "column"))
     b = np.clip(blkno, 1, nblocks) - 1
     order, diagonal = np.abs(raw[b]), raw[b] < 0
     _reject(path, lines, (
@@ -281,35 +303,24 @@ def parse_problem(path) -> SdpProblem:
 def read_graph(path) -> Graph:
     """Edge-list text: 'n m' header, then one edge per line 'i j [w]'
     (1-based, weight defaults to 1)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    lines = []
-    for lineno, line in enumerate(raw_lines, start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((lineno, stripped))
-    if not lines:
+    texts, numbers = _Tokens(path).rest()
+    if not texts:
         raise FormatError("empty graph file", path)
-    head = lines[0][1].split()
-    if len(head) != 2:
-        raise FormatError("expected 'n m' header", path, lines[0][0])
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, texts[0].split())
     except ValueError:
-        raise FormatError("expected 'n m' header", path, lines[0][0]) from None
-    if len(lines) - 1 != m:
-        raise FormatError(f"header declares {m} edges but file has {len(lines) - 1}", path, lines[0][0])
+        raise FormatError("expected 'n m' header", path, numbers[0]) from None
+    if len(texts) - 1 != m:
+        raise FormatError(f"header declares {m} edges but file has {len(texts) - 1}", path, numbers[0])
     edges = []
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise FormatError(f"expected 'i j [w]', got {line!r}", path, lineno)
+    for text, line in zip(texts[1:], numbers[1:]):
+        parts = text.split()
         try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
+            if len(parts) not in (2, 3):
+                raise ValueError
+            edges.append((int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2]) if len(parts) == 3 else 1.0))
         except ValueError:
-            raise FormatError(f"expected 'i j [w]', got {line!r}", path, lineno) from None
-        edges.append((i - 1, j - 1, w))
+            raise FormatError(f"expected 'i j [w]', got {text!r}", path, line) from None
     return Graph.build(n, edges)
 
 
@@ -369,34 +380,19 @@ def write_solution(sol: Solution, path, include_z: bool = True) -> None:
 
 
 def read_solution(path) -> Solution:
-    with open(path, "r", encoding="utf-8") as fh:
-        toks = _Tokens(fh.read(), path=path)
-    toks.expect("status")
-    status = toks.next("status value")
-    toks.expect("iterations")
-    iterations = toks.next_int("iterations")
-    toks.expect("elapsed")
-    elapsed = toks.next_float("elapsed")
-    toks.expect("objective")
-    objective = toks.next_float("objective")
-    rep = {}
+    toks = _Tokens(path)
+    head, rep = {}, {}
+    for key, read in (("status", toks.next), ("iterations", toks.next_int), ("elapsed", toks.next_float),
+                      ("objective", toks.next_float)):
+        toks.expect(key)
+        head[key] = read(key)
     for key in _REPORT_KEYS:
         toks.expect(key)
         rep[key] = toks.next_float(key, allow_none=True)
     factor, y_a, y_b = _read_iterate(toks, "factor", DOUBLE)
-    Z = None if toks.exhausted else [toks.matrix("Z", b, DOUBLE, square=True) for b in range(len(factor))]
+    Z = [toks.matrix("Z", b, DOUBLE, square=True) for b in range(len(factor))] if toks.more() else None
     toks.finish()
-    return Solution(
-        factor=factor,
-        y_a=y_a,
-        y_b=y_b,
-        Z=Z,
-        status=status,
-        report=None if rep["pinf"] is None else ErrorReport(**rep),
-        iterations=iterations,
-        elapsed=elapsed,
-        objective=objective,
-    )
+    return Solution(factor, y_a, y_b, Z, report=None if rep["pinf"] is None else ErrorReport(**rep), **head)
 
 
 def write_warmstart(warm: WarmStart, path) -> None:
@@ -408,8 +404,7 @@ def write_warmstart(warm: WarmStart, path) -> None:
 
 
 def read_warmstart(path) -> WarmStart:
-    with open(path, "r", encoding="utf-8") as fh:
-        toks = _Tokens(fh.read(), path=path)
+    toks = _Tokens(path)
     toks.expect("kind")
     try:
         kind = kind_by_name(toks.next("scalar kind"))

@@ -251,8 +251,11 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 100):
                 if not abs(apq) > 0:
                     continue
                 tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                root = fsqrt(1.0 + tau * tau)
-                t_rot = 1.0 / (tau + root) if tau >= 0 else 1.0 / (tau - root)
+                if abs(tau) > 1.0 / kind.epsilon:
+                    t_rot = 0.5 / tau  # tau * tau would overflow, and dd turns inf into NaN
+                else:
+                    root = fsqrt(1.0 + tau * tau)
+                    t_rot = 1.0 / (tau + root) if tau >= 0 else 1.0 / (tau - root)
                 c = 1.0 / fsqrt(1.0 + t_rot * t_rot)
                 s = t_rot * c
                 _rotate(A, U, p, q, c, s)

@@ -24,6 +24,18 @@ from sdpmix.solver import SolverOptions, WarmStart, solve
 from helpers import build_problem, dense_row, problem_equals, random_problem
 
 
+def reflowed(lines, rng):
+    """The same native file with its rhs split over two lines and blank and
+    comment lines (indented or not) between its lines."""
+    rhs = lines[4].split()
+    lines = lines[:4] + [" ".join(rhs[:1]), " ".join(rhs[1:])] + lines[5:]
+    out = []
+    for line in lines:
+        out.append(line)
+        out.extend(rng.choice(["", "   ", "# note", "  \t# 1 1 1 1 1.0"], size=rng.integers(0, 2)).tolist())
+    return out
+
+
 def test_native_round_trip_100_random_problems(tmp_path):
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -35,6 +47,8 @@ def test_native_round_trip_100_random_problems(tmp_path):
         write_native(p, path)
         q = parse_native(path)
         assert problem_equals(q, p), f"round trip failed for seed {seed}"
+        path.write_text("\n".join(reflowed(path.read_text().splitlines(), rng)) + "\n")
+        assert problem_equals(parse_native(path), p), f"reflowed file failed for seed {seed}"
 
 
 def test_native_unconstrained_problem(tmp_path):
@@ -72,11 +86,13 @@ def test_native_invariant_violation_via_validate(tmp_path):
 
 def test_native_comments_and_mirrored_entries(tmp_path):
     path = tmp_path / "c.sdp"
-    path.write_text("# header comment\n1\n3\n1 2\n2.5\n0 1 1 1 1.0\n1 1 3 1 0.5\n")
-    p = parse_native(path)
-    con, row, col, val = p.entries[0]
-    assert con.tolist() == [0, 1] and row.tolist() == [0, 0] and col.tolist() == [2, 0]
-    assert val.tolist() == [0.5, 1.0]
+    # the second file spells an index and a value in Python syntax that np.loadtxt rejects
+    for entries in ("0 1 1 1 1.0\n1 1 3 1 0.5\n", "0 1 1 1 1.0\n1 1 0_3 1 0.500_0\n"):
+        path.write_text("# header comment\n1\n3\n1 2\n2.5\n" + entries)
+        p = parse_native(path)
+        con, row, col, val = p.entries[0]
+        assert con.tolist() == [0, 1] and row.tolist() == [0, 0] and col.tolist() == [2, 0]
+        assert val.tolist() == [0.5, 1.0]
 
 
 SDPA_MINIMAL = """\
@@ -102,7 +118,7 @@ def test_sdpa_minimal(tmp_path):
 
 
 def test_sdpa_lp_block_expansion(tmp_path):
-    content = "2\n2\n{2, -2}\n1.0 2.0\n0 1 1 2 0.5\n0 2 1 1 3.0\n1 1 1 1 1.0\n1 2 2 2 1.5\n2 1 2 2 1.0\n2 2 1 1 2.0\n"
+    content = "* comment\n  \" comment\n2\n2\n{2, -2}\n1.0 2.0\n0 1 1 2 0.5\n0 2 1 1 3.0\n1 1 1 1 1.0\n1 2 2 2 1.5\n2 1 2 2 1.0\n2 2 1 1 2.0\n"
     path = tmp_path / "lp.dat-s"
     path.write_text(content)
     p = parse_sdpa(path)
@@ -154,13 +170,52 @@ def test_read_graph_weighted_and_default(tmp_path):
 
 
 def test_read_graph_errors(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3\n1 2\n")
-    with pytest.raises(FormatError, match="header"):
-        read_graph(path)
-    path.write_text("3 2\n1 2\n")
-    with pytest.raises(FormatError, match="declares 2 edges"):
-        read_graph(path)
+    for t, (text, line, message) in enumerate([
+        ("3\n1 2\n", 1, "expected 'n m' header"),
+        ("# c\n\n3 x\n1 2\n", 3, "expected 'n m' header"),
+        ("3 2 1\n1 2\n", 1, "expected 'n m' header"),
+        ("3 2\n1 2\n", 1, "header declares 2 edges but file has 1"),
+        ("3 2\n1 2\n# c\n\n2\n", 5, "expected 'i j [w]', got '2'"),
+        ("3 1\n 1 2 1.0 4 \n", 2, "expected 'i j [w]', got '1 2 1.0 4'"),
+        ("3 2\n1 2\n2 x\n", 3, "expected 'i j [w]', got '2 x'"),
+        ("3 1\n1 2 w\n", 2, "expected 'i j [w]', got '1 2 w'"),
+        ("# only a comment\n\n", None, "empty graph file"),
+    ]):
+        path = tmp_path / f"bad{t}.txt"
+        path.write_text(text)
+        where = path if line is None else f"{path}:{line}"
+        with pytest.raises(FormatError, match=re.escape(f"{where}: {message}")):
+            read_graph(path)
+
+
+NATIVE_HEAD = "1\n2\n1 2\n1.0\n"
+SDPA_HEAD = '* c\n" c\n1\n2\n{2, -2}\n1.0\n'
+
+
+PROBLEM_REJECTIONS = [
+    ("four.sdp", NATIVE_HEAD + "0 1 1 1 1.0\n1 1 1 1\n", 6, "expected 5 fields, got 4"),
+    ("six.sdp", NATIVE_HEAD + "1 1 1 1 1.0 2.0\n", 5, "expected 5 fields, got 6"),
+    ("wrapped.sdp", NATIVE_HEAD + "1 1 1\n1 1.0\n", 5, "expected 5 fields, got 3"),
+    ("rhs_line.sdp", "1\n2\n1 2\n1.0 1 1 1 1 1.0\n", 4, "expected 5 fields, got 6"),
+    ("trailing.sdp", NATIVE_HEAD + "1 1 1 1 1.0 # note\n", 5, "expected 5 fields, got 7"),
+    ("after_comments.sdp", NATIVE_HEAD + "0 1 1 1 1.0\n\n# c\n  # c\n\n1 1 x 1 1.0\n", 10,
+     "expected row (an integer), got 'x'"),
+    ("big.sdp", NATIVE_HEAD + "1 1 1 99999999999999999999 5.0\n", 5, "column 99999999999999999999 too large"),
+    ("value.sdp", NATIVE_HEAD + "1 1 1 1 1.0x\n", 5, "expected value (a number), got '1.0x'"),
+    ("big.dat-s", SDPA_HEAD + "1 1 1 99999999999999999999 5.0\n", 7, "column 99999999999999999999 too large"),
+    ("after_comments.dat-s", SDPA_HEAD + "0 1 1 1 1.0\n* c\n\n\" c\n{1 2 2 2 x}\n", 11,
+     "expected value (a number), got 'x'"),
+    ("wrapped.dat-s", SDPA_HEAD + "1 1 1\n1 1.0\n", 7, "expected 5 fields, got 3"),
+    ("range.dat-s", SDPA_HEAD + "* c\n1 2 1 2 1.0\n", 8, "off-diagonal entry (1,2) in a diagonal block"),
+]
+
+
+@pytest.mark.parametrize("name, text, line, message", PROBLEM_REJECTIONS, ids=[case[0] for case in PROBLEM_REJECTIONS])
+def test_problem_file_rejections_name_path_and_line(tmp_path, name, text, line, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{path}:{line}: {message}")):
+        parse_problem(path)
 
 
 def test_solution_round_trip(tmp_path):

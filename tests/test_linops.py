@@ -355,19 +355,32 @@ def _dd_symmetric_with_lo_words(rng, H):
     return M
 
 
-@pytest.mark.parametrize("case", ["random", "repeated"])
+def _rank3_psd():
+    """A promoted rank-3 PSD matrix of order 10: a Jacobi rotation meets an
+    off-diagonal far below its diagonal gap, where tau * tau overflows."""
+    rng = np.random.default_rng(0)
+    Q = _random_orthogonal(rng, 10)
+    w = np.zeros(10)
+    w[:3] = rng.uniform(0.5, 3, 3)
+    M = Q @ np.diag(w) @ Q.T
+    return DOUBLE_DOUBLE.asarray((M + M.T) / 2)
+
+
+@pytest.mark.parametrize("case", ["random", "repeated", "rank3"])
 def test_project_psd_double_double_matches_mpmath(case):
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(7)
     n = 8
     if case == "random":
         B = rng.standard_normal((n, n))
-        H = B + B.T
-    else:
+        M = _dd_symmetric_with_lo_words(rng, B + B.T)
+    elif case == "repeated":
         Q = _random_orthogonal(rng, n)
         H = (Q * np.array([-1.0, -1.0, -1.0, 0.5, 0.5, 2.0, 2.0, 2.0])) @ Q.T
-        H = (H + H.T) / 2
-    M = _dd_symmetric_with_lo_words(rng, H)
+        M = _dd_symmetric_with_lo_words(rng, (H + H.T) / 2)
+    else:
+        M = _rank3_psd()
+        n = 10
     Z = project_psd(M)
 
     with mpmath.workdps(50):
