@@ -25,7 +25,7 @@ pairs, also exact).
 
 from __future__ import annotations
 
-from itertools import cycle
+import warnings
 
 import numpy as np
 
@@ -82,32 +82,27 @@ class _Tokens:
         self.last_line = self.line
         return self.tokens[self.col - 1]
 
-    def _values(self, pieces, fields, width=None) -> list:
-        """The tokens of `pieces` ((tokens, line) pairs) converted by the
-        cycled `fields` ((what, int or float) pairs). A line of other than
-        `width` tokens, a token that does not convert or an int beyond int64
-        is a FormatError at its line."""
-        values = []
-        for tokens, line in pieces:
-            self.last_line = line
-            if width and len(tokens) != width:
-                raise FormatError(f"expected {width} fields, got {len(tokens)}", self.path, self.last_line)
-            for tok, (what, convert) in zip(tokens, cycle(fields)):
-                try:
-                    values.append(convert(tok))
-                except ValueError:
-                    kind = "an integer" if convert is int else "a number"
-                    raise FormatError(f"expected {what} ({kind}), got {tok!r}", self.path, self.last_line) from None
-                if convert is int and not -(2**63) <= values[-1] < 2**63:
-                    raise FormatError(f"{what} {tok} too large", self.path, self.last_line)
-        return values
+    def _convert(self, tok: str, what: str, convert):
+        """`convert(tok)` for int or float: the one conversion of a token that
+        names it. A token that does not convert or an int beyond int64 is a
+        FormatError at `last_line`."""
+        try:
+            value = convert(tok)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise FormatError(f"expected {what} ({kind}), got {tok!r}", self.path, self.last_line) from None
+        if convert is int and not -(2**63) <= value < 2**63:
+            raise FormatError(f"{what} {tok} too large", self.path, self.last_line)
+        return value
 
     def next_int(self, what: str) -> int:
-        return self._values([([self.next(what)], self.line)], [(what, int)])[0]
+        return self._convert(self.next(what), what, int)
 
     def next_float(self, what: str, allow_none: bool = False):
         tok = self.next(what)
-        return None if allow_none and tok == "none" else self._values([([tok], self.line)], [(what, float)])[0]
+        if allow_none and tok == "none":
+            return None
+        return self._convert(tok, what, float)
 
     def next_count(self, what: str) -> int:
         count = self.next_int(what)
@@ -139,7 +134,11 @@ class _Tokens:
         while len(words) < need and self.more():
             take = self.tokens[self.col : self.col + need - len(words)]
             self.col += len(take)
-            words += self._values([(take, self.line)], [(what, float)])
+            self.last_line = self.line
+            try:
+                words += [float(tok) for tok in take]
+            except ValueError:
+                words += [self._convert(tok, what, float) for tok in take]  # raises at the bad token
         if len(words) < need:
             self.next(what)  # raises: the file ends inside the section
         if not kind.is_extended:
@@ -171,10 +170,20 @@ class _Tokens:
         try:
             if not texts:
                 raise ValueError  # np.loadtxt warns on empty input
-            columns = np.loadtxt(texts, dtype=_ENTRY, comments=None, unpack=True, ndmin=1)
-        except ValueError:  # names the line that does not convert, or converts what np.loadtxt does not
+            with warnings.catch_warnings():
+                # older numpy reads an int field such as '2.7' through a float and
+                # only warns; make that fail, whatever the caller's filters
+                warnings.simplefilter("error", DeprecationWarning)
+                columns = np.loadtxt(texts, dtype=_ENTRY, comments=None, unpack=True, ndmin=1)
+        except (ValueError, DeprecationWarning):  # the walk names the bad line, or converts what np.loadtxt does not
             fields = [(what, int) for what in names] + [("value", float)]
-            flat = self._values(zip((text.split() for text in texts), numbers), fields, width=len(fields))
+            flat = []
+            for text, line in zip(texts, numbers):
+                self.last_line = line
+                tokens = text.split()
+                if len(tokens) != len(fields):
+                    raise FormatError(f"expected {len(fields)} fields, got {len(tokens)}", self.path, self.last_line)
+                flat += [self._convert(tok, what, convert) for tok, (what, convert) in zip(tokens, fields)]
             columns = [np.array(flat[k :: len(fields)], dtype=_ENTRY[k]) for k in range(len(fields))]
         return (*columns, np.array(numbers, dtype=np.int64))
 
@@ -263,9 +272,8 @@ def parse_sdpa(path) -> SdpProblem:
     if nblocks < 1:
         raise FormatError(f"malformed header: block count {nblocks}", path, toks.last_line)
     raw_sizes = [toks.next_int(f"size of block {b + 1}") for b in range(nblocks)]
-    for s in raw_sizes:
-        if s == 0:
-            raise FormatError("malformed header: zero block size", path, toks.last_line)
+    if 0 in raw_sizes:
+        raise FormatError("malformed header: zero block size", path, toks.last_line)
     rhs = toks.scalars(m, DOUBLE, "rhs entry")
 
     # a diagonal (negative-size) block expands into 1x1 blocks
@@ -381,18 +389,24 @@ def write_solution(sol: Solution, path, include_z: bool = True) -> None:
 
 def read_solution(path) -> Solution:
     toks = _Tokens(path)
-    head, rep = {}, {}
-    for key, read in (("status", toks.next), ("iterations", toks.next_int), ("elapsed", toks.next_float),
-                      ("objective", toks.next_float)):
-        toks.expect(key)
-        head[key] = read(key)
+    toks.expect("status")
+    status = toks.next("status value")
+    toks.expect("iterations")
+    iterations = toks.next_int("iterations")
+    toks.expect("elapsed")
+    elapsed = toks.next_float("elapsed")
+    toks.expect("objective")
+    objective = toks.next_float("objective")
+    rep = {}
     for key in _REPORT_KEYS:
         toks.expect(key)
         rep[key] = toks.next_float(key, allow_none=True)
     factor, y_a, y_b = _read_iterate(toks, "factor", DOUBLE)
     Z = [toks.matrix("Z", b, DOUBLE, square=True) for b in range(len(factor))] if toks.more() else None
     toks.finish()
-    return Solution(factor, y_a, y_b, Z, report=None if rep["pinf"] is None else ErrorReport(**rep), **head)
+    report = None if rep["pinf"] is None else ErrorReport(**rep)
+    return Solution(factor, y_a, y_b, Z=Z, status=status, report=report,
+                    iterations=iterations, elapsed=elapsed, objective=objective)
 
 
 def write_warmstart(warm: WarmStart, path) -> None:

@@ -1,6 +1,7 @@
 """File format round trips and error reporting."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -202,9 +203,13 @@ PROBLEM_REJECTIONS = [
      "expected row (an integer), got 'x'"),
     ("big.sdp", NATIVE_HEAD + "1 1 1 99999999999999999999 5.0\n", 5, "column 99999999999999999999 too large"),
     ("value.sdp", NATIVE_HEAD + "1 1 1 1 1.0x\n", 5, "expected value (a number), got '1.0x'"),
+    ("float_row.sdp", NATIVE_HEAD + "1 1 2.5 1 1.0\n", 5, "expected row (an integer), got '2.5'"),
+    ("float_one.sdp", NATIVE_HEAD + "1 1 1.0 1 1.0\n", 5, "expected row (an integer), got '1.0'"),
+    ("exponent.sdp", NATIVE_HEAD + "1 1e0 1 1 1.0\n", 5, "expected block index (an integer), got '1e0'"),
     ("big.dat-s", SDPA_HEAD + "1 1 1 99999999999999999999 5.0\n", 7, "column 99999999999999999999 too large"),
     ("after_comments.dat-s", SDPA_HEAD + "0 1 1 1 1.0\n* c\n\n\" c\n{1 2 2 2 x}\n", 11,
      "expected value (a number), got 'x'"),
+    ("float_one.dat-s", SDPA_HEAD + "1 1 1 1.0 1.0\n", 7, "expected column (an integer), got '1.0'"),
     ("wrapped.dat-s", SDPA_HEAD + "1 1 1\n1 1.0\n", 7, "expected 5 fields, got 3"),
     ("range.dat-s", SDPA_HEAD + "* c\n1 2 1 2 1.0\n", 8, "off-diagonal entry (1,2) in a diagonal block"),
 ]
@@ -212,10 +217,31 @@ PROBLEM_REJECTIONS = [
 
 @pytest.mark.parametrize("name, text, line, message", PROBLEM_REJECTIONS, ids=[case[0] for case in PROBLEM_REJECTIONS])
 def test_problem_file_rejections_name_path_and_line(tmp_path, name, text, line, message):
+    """Under the default filters of a CLI run, which ignore a DeprecationWarning:
+    the rejection may not depend on a numpy warning being raised as an error."""
     path = tmp_path / name
     path.write_text(text)
-    with pytest.raises(FormatError, match=re.escape(f"{path}:{line}: {message}")):
+    with warnings.catch_warnings(), pytest.raises(FormatError, match=re.escape(f"{path}:{line}: {message}")):
+        warnings.simplefilter("ignore")
         parse_problem(path)
+
+
+def test_entry_conversion_ignores_caller_warning_filters(tmp_path, monkeypatch):
+    """Older numpy's loadtxt reads an int field spelled '2.5' by truncation
+    and only warns; with that loadtxt and the warning ignored, the entry is
+    still rejected at its line."""
+    loadtxt = np.loadtxt
+
+    def warns_only(texts, **kw):
+        warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+        return loadtxt([" ".join(str(int(float(tok))) for tok in text.split()) for text in texts], **kw)
+
+    monkeypatch.setattr(np, "loadtxt", warns_only)
+    path = tmp_path / "float_row.sdp"
+    path.write_text(NATIVE_HEAD + "1 1 2.5 1 1.0\n")
+    with warnings.catch_warnings(), pytest.raises(FormatError, match=re.escape(f"{path}:5: expected row")):
+        warnings.simplefilter("ignore")
+        parse_native(path)
 
 
 def test_solution_round_trip(tmp_path):
