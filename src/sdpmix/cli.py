@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import typing
@@ -207,7 +208,11 @@ def cmd_check(args) -> int:
     return EXIT_OK if max_err < args.threshold else EXIT_LIMIT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse's objects
+    form reference cycles, so a parser per call would leave them for the
+    cycle collector on every call."""
     parser = argparse.ArgumentParser(prog="sdpmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

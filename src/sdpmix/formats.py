@@ -26,10 +26,11 @@ pairs, also exact).
 from __future__ import annotations
 
 import warnings
+from itertools import compress
 
 import numpy as np
 
-from .ddouble import DOUBLE, DOUBLE_DOUBLE, DDouble, ScalarKind, kind_by_name, to_float_array
+from .ddouble import DOUBLE, DOUBLE_DOUBLE, DDArray, ScalarKind, kind_by_name, to_float_array
 from .errors import FormatError
 from .instances import Graph
 from .problem import SdpProblem, validate
@@ -114,10 +115,17 @@ class _Tokens:
         """The remaining nonblank, noncomment lines as texts, and their line
         numbers; a line partly read comes whole."""
         start = self.pos - (self.col < len(self.tokens))
-        texts = list(map(self._text, self.lines[start:]))
-        numbers = [t for t, text in enumerate(texts, start + 1) if text]
+        stripped = list(map(str.strip, self.lines[start:]))
+        comment = self.comment_chars
+        keep = [text[:1] not in comment for text in stripped]  # '' is in every string: blank lines go too
+        texts = list(compress(stripped, keep))
+        numbers = list(compress(range(start + 1, len(self.lines) + 1), keep))
+        if self.strip_punct:
+            texts = [text.translate(_PUNCT).strip() for text in texts]
+            numbers = list(compress(numbers, texts))
+            texts = list(filter(None, texts))
         self.pos, self.col = len(self.lines), len(self.tokens)
-        return list(filter(None, texts)), numbers
+        return texts, numbers
 
     # -- sections of solution and warm-start files
 
@@ -143,9 +151,7 @@ class _Tokens:
             self.next(what)  # raises: the file ends inside the section
         if not kind.is_extended:
             return np.array(words, dtype=np.float64)
-        out = np.empty(count, dtype=object)
-        out[:] = [DDouble(hi, lo) for hi, lo in zip(words[::2], words[1::2])]
-        return out
+        return DDArray(np.array(words[::2], dtype=np.float64), np.array(words[1::2], dtype=np.float64))
 
     def vector(self, name: str, kind: ScalarKind) -> np.ndarray:
         """Section `name length`, then its values."""
@@ -345,11 +351,10 @@ _REPORT_KEYS = ("pinf", "gap", "dinf", "compl", "compl_star")
 
 def _words(values, extended: bool) -> np.ndarray:
     """The binary64 words of an array: one per value, or hi then lo per value when extended."""
-    values = np.asarray(values)
     if not extended:
         return to_float_array(values)
-    pairs = [(d.hi, d.lo) for d in map(DOUBLE_DOUBLE.coerce_scalar, values.reshape(-1))]
-    return np.array(pairs, dtype=np.float64).reshape(values.shape[:-1] + (2 * values.shape[-1],))
+    dd = DOUBLE_DOUBLE.asarray(values)
+    return np.stack([dd.hi, dd.lo], axis=-1).reshape(dd.shape[:-1] + (2 * dd.shape[-1],))
 
 
 def _section(lines, header: str, rows, extended: bool = False) -> None:
@@ -411,8 +416,9 @@ def read_solution(path) -> Solution:
 
 def write_warmstart(warm: WarmStart, path) -> None:
     ext = warm.kind.is_extended
-    mu = " ".join(map(repr, _words([warm.mu], ext).tolist()))
-    lines = ["# sdpmix warmstart", f"kind {warm.kind.name}", f"mu {mu}"]
+    mu = warm.kind.coerce_scalar(warm.mu)
+    mu_words = f"{float(mu.hi)!r} {float(mu.lo)!r}" if ext else repr(mu)
+    lines = ["# sdpmix warmstart", f"kind {warm.kind.name}", f"mu {mu_words}"]
     _write_iterate(lines, "V", warm.V_blocks, warm.y_a, warm.y_b, ext)
     _write_lines(path, lines)
 
@@ -425,7 +431,7 @@ def read_warmstart(path) -> WarmStart:
     except ValueError as exc:
         raise FormatError(str(exc), path, toks.last_line) from None
     toks.expect("mu")
-    (mu,) = toks.scalars(1, kind).tolist()
+    mu = kind.coerce_scalar(toks.scalars(1, kind)[0])
     V_blocks, y_a, y_b = _read_iterate(toks, "V", kind)
     toks.finish()
     return WarmStart(V_blocks, y_a, y_b, mu)

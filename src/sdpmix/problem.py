@@ -31,7 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .ddouble import ScalarKind, all_finite, kind_of, norm2, segment_sum, to_float_array
+from .ddouble import DDArray, ScalarKind, all_finite, kind_of, norm2, segment_sum, to_float_array
 from .errors import ValidationError
 
 # a block's entry table: (con, row, col, val) columns
@@ -63,7 +63,7 @@ class SdpProblem:
         """
         block_sizes = tuple(int(n) for n in block_sizes)
         con, block, row, col = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (con, block, row, col))
-        val = np.asarray(val).reshape(-1)
+        val = (val if isinstance(val, DDArray) else np.asarray(val)).reshape(-1)
         kind = kind_of(val)
         bad = np.flatnonzero((block < 0) | (block >= len(block_sizes)))
         if len(bad):

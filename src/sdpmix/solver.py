@@ -155,14 +155,6 @@ class Solution:
         return np.concatenate([self.y_a, self.y_b])
 
 
-def _pos_part(arr: np.ndarray, kind: ScalarKind) -> np.ndarray:
-    if len(arr) == 0:
-        return arr
-    if arr.dtype == object:
-        return np.where(arr > 0, arr, kind.from_float(0.0))
-    return np.maximum(arr, 0.0)
-
-
 def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
     """Columns i.i.d. uniform on the unit sphere, zero duals, mu = mu_start."""
     kind = problem.kind
@@ -243,14 +235,12 @@ def update_duals(state: IterateState, problem: SdpProblem, p: float) -> None:
     """First-order multiplier step; inequality duals clipped at zero."""
     mu = state.mu
     state.y_a = state.y_a + (p * mu) * state.residual_eq()
-    t = state.y_b + (p * mu) * state.residual_ineq()
-    state.y_b = _pos_part(t, state.kind)
+    state.y_b = np.maximum(state.y_b + (p * mu) * state.residual_ineq(), 0.0)
 
 
 def penalty_ratio(state: IterateState, problem: SdpProblem):
     """Residual norm over mu times the constraint-value movement, on the
     active inequalities (nonnegative residual or positive multiplier)."""
-    kind = state.kind
     m_a = problem.m_eq
     r = state.residual_eq()
     s = state.residual_ineq()
@@ -306,12 +296,11 @@ def kkt_errors(problem: SdpProblem, vals, pobj, y_a, y_b, xz=None) -> ErrorRepor
     """pinf, gap and compl* from the constraint values and the objective
     value (of a dense X in compute_errors, of the operator cache in the
     solve loop); compl too when <X, Z> is given."""
-    kind = problem.kind
     a = problem.rhs_eq
     bvec = problem.rhs_ineq
     r = a - vals[: problem.m_eq]
     s = bvec - vals[problem.m_eq :]
-    viol = norm_inf(_pos_part(s, kind)) if len(s) else kind.from_float(0.0)
+    viol = norm_inf(np.maximum(s, 0.0))
     pinf_num = max(norm_inf(r), viol)
     pinf_den = 1.0 + float(max(norm_inf(a), norm_inf(bvec)))
     pinf = pinf_num / pinf_den

@@ -259,7 +259,7 @@ def reassemble(problem, slices):
             assert len(sl.diag) == len(ids)
             for t, j in enumerate(ids):
                 got.setdefault(j, kind.zeros((n, n)))[i, i] += sl.diag[t]
-            for s, r, v in zip(sl.seg.tolist(), sl.row.tolist(), sl.val.tolist()):
+            for s, r, v in zip(sl.seg.tolist(), sl.row.tolist(), list(sl.val)):
                 got.setdefault(ids[s], kind.zeros((n, n)))[r, i] += v
         for j in set(got) | set(problem.entries[b][0].tolist()) | {m}:
             if not np.all(got.get(j, kind.zeros((n, n))) == dense_row(problem, j, b)):

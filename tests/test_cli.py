@@ -1,5 +1,6 @@
 """CLI flows and exit codes."""
 
+import argparse
 import dataclasses
 import re
 
@@ -310,3 +311,24 @@ def test_check_nonfinite_solution_value_exit_1(tmp_path, capsys):
     assert main(["check", str(prob), str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "error: solution field ya has a nonfinite value" in err
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # argparse objects form reference cycles; one parser per process leaves
+    # none for the cycle collector per call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    assert main(["solve", str(prob), "-o", str(tmp_path / "toy.sol")]) == EXIT_OK
+    built.clear()
+    assert main(["check", str(prob), str(tmp_path / "toy.sol")]) == EXIT_OK
+    assert main(["solve", str(prob), "-o", str(tmp_path / "toy.sol")]) == EXIT_OK
+    assert built == []
+    assert build_parser() is build_parser()

@@ -1,24 +1,33 @@
 """The benchmark's hooks into sdpmix: its tracer (perfbench/tracer.py) wraps
 functions and methods by name, and its worker (perfbench/worker.py) times
-the set-up of a solve by stopping it at the first solver.ColumnContext and
-keeps the Solution the CLI writes by swapping cli.write_solution."""
+the set-up of a solve by stopping it at the first solver.ColumnContext,
+keeps the Solution the CLI writes by swapping cli.write_solution and hands
+the oracle its exact double-double words (exact_pairs)."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdpmix import cli, formats, linops, solver
+from sdpmix.ddouble import DDArray, DDouble
+from sdpmix.instances import gen_random_sdp
+from sdpmix.precision import solve_two_stage
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 K3 = "3 3\n1 2\n1 3\n2 3\n"
 
 
-def load_tracer_class():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Tracer
+    return module
+
+
+def load_tracer_class():
+    return load_perfbench_module("tracer").Tracer
 
 
 def test_tracer_hooks_trace_a_cli_solve(tmp_path, capsys):
@@ -85,3 +94,28 @@ def test_write_hook_keeps_the_solution_the_cli_writes(tmp_path, capsys, monkeypa
     assert cli.main(["solve", str(prob), "-o", str(out), "--tol", "1e-8"]) == cli.EXIT_OK
     assert len(written) == 1 and isinstance(written[0], solver.Solution)
     assert formats.read_solution(out).iterations == written[0].iterations
+
+
+def test_dd_solve_makes_no_object_array_and_exact_pairs_reads_its_words(tmp_path, monkeypatch):
+    # np.asarray(dd_array) is the only way to an object array of DDouble; a
+    # two-stage solve, or writing and reading back its files, that reached it
+    # would fail here
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("object array made on the double-double solve path")
+
+    monkeypatch.setattr(DDArray, "__array__", refuse)
+    sol, warm = solve_two_stage(gen_random_sdp((4,), 3, 1.0, seed=5), 1e-20, solver.SolverOptions(iters_Z=10))
+    formats.write_solution(sol, tmp_path / "dd.sol")
+    formats.write_warmstart(warm, tmp_path / "dd.ws")
+    back = formats.read_warmstart(tmp_path / "dd.ws")
+    monkeypatch.undo()
+    assert np.array_equal(back.V_blocks[0].lo, warm.V_blocks[0].lo) and back.mu == warm.mu
+    assert sol.status == "tol" and isinstance(sol.factor[0], DDArray) and isinstance(sol.objective, DDouble)
+    assert isinstance(warm.V_blocks[0], DDArray)
+
+    # the benchmark's oracle reads the solution's exact words through exact_pairs
+    exact_pairs = load_perfbench_module("worker").exact_pairs
+    for values in (sol.factor[0], sol.y_a):
+        assert exact_pairs(values) == {"hi": values.hi.tolist(), "lo": values.lo.tolist()}
+    assert np.any(sol.factor[0].lo != 0.0)
+    assert exact_pairs([sol.objective]) == {"hi": [sol.objective.hi], "lo": [sol.objective.lo]}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdpmix.ddouble import DDouble, DOUBLE, DOUBLE_DOUBLE, to_float_array
+from sdpmix.ddouble import DDArray, DDouble, DOUBLE, DOUBLE_DOUBLE, to_float_array
 from sdpmix.precision import promote, solve_two_stage
 from sdpmix.problem import as_kind
 from sdpmix.solver import SolverOptions, WarmStart, solve
@@ -65,7 +65,7 @@ def test_two_stage_reaches_extended_accuracy():
     p = gen_rand(6, 5, 1.0, 21)
     sol, warm = solve_two_stage(p, 1e-20, SolverOptions(max_iters=20000, iters_Z=20))
     assert sol.status == "tol"
-    assert sol.X[0].dtype == object  # refined stage output
+    assert isinstance(sol.X[0], DDArray)  # refined stage output
     assert warm.kind is DOUBLE_DOUBLE
     assert float(sol.report.max_error()) < 1e-18
 
@@ -110,4 +110,4 @@ def test_dd_solve_hands_lbfgs_binary64_only(monkeypatch):
     _, warm = solve(p, SolverOptions(max_iters=2, seed=2))
     assert len(starts) == 2 * 5 and set(starts) == {np.dtype(np.float64)}
     assert evals and all(xt == np.float64 and issubclass(ft, float) and gt == np.float64 for xt, ft, gt in evals)
-    assert warm.V_blocks[0].dtype == object
+    assert isinstance(warm.V_blocks[0], DDArray)
