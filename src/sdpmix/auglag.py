@@ -9,10 +9,11 @@ A column subproblem is solved on its increment model (ColumnContext), in
 the manner of mixed-precision iterative refinement: the multipliers and
 the gradient at the column's start are formed once, in the problem's
 scalar kind, and rounded to binary64; every trial point then evaluates
-only the change of the objective and of the gradient, in binary64, from
-the column's slice (O(k n + nnz of the slice)). The accepted column is
-formed and committed in the problem's kind, so a double-double solve
-keeps double-double iterates while L-BFGS sees binary64 alone.
+only the change of the objective, its gradient and its k x k Hessian, in
+binary64, from the column's slot matrix (O(k slots)) or its slice
+(O(k n + nnz of the slice)). The accepted column is formed and committed
+in the problem's kind, so a double-double solve keeps double-double
+iterates while the Newton column solver sees binary64 alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import List
 import numpy as np
 
 from .ddouble import dot, kind_of, segment_sum, to_float_array
-from .linops import ColumnSlices, OperatorCache, slot_increments
+from .linops import ColSlice, ColumnSlices, OperatorCache
 from .linops import commit_column as _cache_commit
 from .problem import SdpProblem
 
@@ -75,6 +76,15 @@ def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu) -> IterateState:
     )
 
 
+# The most slots x n x k multiply-adds spent on forming a column's slot
+# matrix U = M V^T. Past it the column model gathers through V: U saves
+# numpy calls on every evaluation, but its product outgrows them. On
+# Max-Cut with triangle inequalities (x86, 2 vCPUs, one BLAS thread), a
+# column solve with U was faster over G(24, 0.5), at 0.6e6, and slower
+# over G(30, 0.5), at 1.5e6, and 1.5x slower over G(40, 0.5).
+_SLOT_MATRIX_WORK = 1 << 20
+
+
 class ColumnContext:
     """The increment model of one column's restricted objective.
 
@@ -82,23 +92,31 @@ class ColumnContext:
     lam0 at v_start (for an inequality, max(t0, 0) with the activity
     argument t0 = y + mu s), the n-vector g_n0 = C_(i) - sum_j lam0_j
     (A_j)_(i) and the column gradient g0 = 2 V g_n0, then rounded to
-    binary64. value_and_grad(d) evaluates, in binary64 only, the increment
-    f(v_start + d) - f(v_start) and the gradient at v_start + d:
+    binary64; so is the slot matrix U, whose row j is sum val V[:, partner]
+    over slot j's off-diagonal entries. value_and_grad(d) evaluates, in
+    binary64 only, the increment f(v_start + d) - f(v_start) and the
+    gradient at v_start + d:
 
+        DV    = diag (2 v0.d + |d|^2) + 2 U d
         Df(d) = g0.d + g_n0[i] |d|^2 + sum_j phi_j(DV_j)
-        g(d)  = g0 + 2 (V Dg_n + d (g_n0[i] + Dg_n[i]))
+        g(d)  = g0 + 2 (g_n0[i] d + U^T phi' + (v0 + d) diag.phi')
 
     DV are the slot increments, phi_j the second-order remainder of row j
     (mu DV_j^2 / 2 while the row is an equality or an inequality active at
-    both ends, the exact hinge form when its activity changes) and Dg_n the
-    segment sum of the multiplier changes. No O(1) totals are formed, so
-    the rounding error of Df is relative to Df itself.
+    both ends, the exact hinge form when its activity changes). No O(1)
+    totals are formed, so the rounding error of Df is relative to Df
+    itself. hessian(d) is the model's (semismooth) Hessian
+
+        2 (g_n0[i] + diag.phi') I + 4 W^T diag(phi'') W,  W = diag (v0 + d)^T + U,
+
+    phi'' being mu on equalities and on inequalities active at d. Where
+    forming U would take more than _SLOT_MATRIX_WORK multiply-adds, U d and
+    U^T phi' are gathered through V^T d and V instead. The Hessian forms
+    only the rows of W with phi'' != 0.
     """
 
     def __init__(self, state: IterateState, block: int, i: int):
         self.state = state
-        self.block = block
-        self.i = i
         sl = state.slices.slice(block, i)
         p = state.problem
         kind = state.kind
@@ -119,44 +137,92 @@ class ColumnContext:
         g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else kind.zeros(n)
         g_n[i] += dot(coef, sl.diag)
 
-        self.sl = state.slices.slice64(block, i)
-        self.V = to_float_array(V)
+        self.sl = sl64 = state.slices.slice64(block, i)
+        self.V = V64 = to_float_array(V)
+        self.diag = sl64.diag
+        dense = len(sl64.diag) * V64.size <= _SLOT_MATRIX_WORK
+        self.U = _slot_matrix(sl64, V64) if dense else None
         self.v0 = to_float_array(self.v_start)
         self.g0 = to_float_array(2.0 * (V @ g_n))
         self.gi0 = float(g_n[i])
         self.t0 = to_float_array(t0)
         self.active0 = self.t0 > 0
         self.mu = float(mu)
+        self._last = (None, 0.0, None)
+
+    def _remainders(self, d):
+        """At d: phi' (the slot coefficient changes -(lam - lam0)), the
+        remainders phi, and the inequalities' activity (None without any)."""
+        mu, n_eq, sl = self.mu, self.n_eq, self.sl
+        if self.U is not None:
+            Ud = self.U @ d
+        else:
+            Ud = segment_sum(sl.val * (self.V.T @ d)[sl.row], sl.seg, len(sl.diag))
+        # the norm change as 2 v0.d + |d|^2: no cancellation of |v|^2 terms
+        dv = self.diag * (2.0 * (self.v0 @ d) + d @ d) + 2.0 * Ud
+        dv[-1] = 0.0  # the cost is linear in X: fixed coefficient, no remainder
+        # equality form first
+        dcoef = mu * dv
+        phi = 0.5 * dcoef * dv
+        if not len(self.t0):
+            return dcoef, phi, None
+        t0, a0, dvi = self.t0, self.active0, dv[n_eq:-1]
+        t1 = t0 - mu * dvi
+        a1 = t1 > 0
+        p0 = np.where(a0, t0, 0.0)
+        p1 = np.where(a1, t1, 0.0)
+        same = a0 & a1
+        dcoef[n_eq:-1] = np.where(same, dcoef[n_eq:-1], p0 - p1)
+        phi[n_eq:-1] = np.where(same, phi[n_eq:-1], (p1 * p1 - p0 * p0) / (2.0 * mu) + p0 * dvi)
+        return dcoef, phi, a1
 
     def value_and_grad(self, d):
         """Df(d) and g(d) in binary64; d is the column's move from v_start."""
-        state = self.state
-        state.counters["column_evals"] += 1
-        sl, mu, n_eq = self.sl, self.mu, self.n_eq
-        # the norm change as 2 v0.d + |d|^2: no cancellation of |v|^2 terms
-        dv = slot_increments(sl, self.V.T @ d, 2.0 * dot(self.v0, d) + dot(d, d))
-        dv[-1] = 0.0  # the cost is linear in X: fixed coefficient, no remainder
-        # coefficient changes -(lam - lam0) and remainders, equality form first
-        dcoef = mu * dv
-        phi = 0.5 * dcoef * dv
+        counters, sl = self.state.counters, self.sl
+        counters["column_evals"] += 1
         if len(self.t0):
-            state.counters["hinge_evals"] += 1
-            t0, a0, dvi = self.t0, self.active0, dv[n_eq:-1]
-            t1 = t0 - mu * dvi
-            a1 = t1 > 0
-            p0 = np.where(a0, t0, 0.0)
-            p1 = np.where(a1, t1, 0.0)
-            same = a0 & a1
-            dcoef[n_eq:-1] = np.where(same, dcoef[n_eq:-1], p0 - p1)
-            phi[n_eq:-1] = np.where(same, phi[n_eq:-1], (p1 * p1 - p0 * p0) / (2.0 * mu) + p0 * dvi)
-        value = dot(self.g0, d) + self.gi0 * dot(d, d) + np.add.reduce(phi)
+            counters["hinge_evals"] += 1
+        if not d.any():  # the start: every increment is exactly 0
+            self._last = (d, 0.0, self.active0 if len(self.t0) else None)
+            return 0.0, self.g0.copy()
+        dcoef, phi, active = self._remainders(d)
+        value = self.g0 @ d + self.gi0 * (d @ d) + np.add.reduce(phi)
+        if self.U is not None:
+            Uc = self.U.T @ dcoef
+        else:
+            Uc = self.V @ segment_sum(sl.val * dcoef[sl.seg], sl.row, self.V.shape[1])
+        c = self.diag @ dcoef
+        self._last = (d, c, active)  # the Newton solver asks for the Hessian here
+        return value, self.g0 + 2.0 * ((self.gi0 + c) * d + Uc + c * self.v0)
 
-        n = state.problem.block_sizes[self.block]
-        dg_n = segment_sum(sl.val * dcoef[sl.seg], sl.row, n) if len(sl.row) else np.zeros(n)
-        dg_i = dg_n[self.i] + dot(dcoef, sl.diag)
-        dg_n[self.i] = dg_i
-        grad = self.g0 + 2.0 * (self.V @ dg_n + d * (self.gi0 + dg_i))
-        return value, grad
+    def hessian(self, d):
+        """The model's k x k Hessian at d, binary64."""
+        last, c, active = self._last
+        if last is not d:
+            dcoef, _, active = self._remainders(d)
+            c = self.diag @ dcoef
+        curved = np.ones(len(self.diag), dtype=bool)
+        curved[-1] = False
+        if active is not None:
+            curved[self.n_eq:-1] = active
+        U = self.U[curved] if self.U is not None else _slot_matrix(self.sl, self.V, curved)
+        W = np.outer(self.diag[curved], self.v0 + d) + U
+        H = (4.0 * self.mu) * (W.T @ W)
+        H.flat[:: len(d) + 1] += 2.0 * (self.gi0 + c)
+        return H
+
+
+def _slot_matrix(sl: ColSlice, V: np.ndarray, keep=None) -> np.ndarray:
+    """The slot matrix M V^T, M holding each slot's entries by partner (one
+    bincount); only the rows of the slots that the mask `keep` selects,
+    when given."""
+    seg, row, val, rows = sl.seg, sl.row, sl.val, len(sl.diag)
+    if keep is not None:
+        sel = keep[sl.seg]
+        rank = np.cumsum(keep) - 1
+        seg, row, val, rows = rank[seg[sel]], row[sel], val[sel], int(rank[-1]) + 1
+    n = V.shape[1]
+    return np.bincount(seg * n + row, weights=val, minlength=rows * n).reshape(rows, n) @ V.T
 
 
 def commit_column(state: IterateState, block: int, i: int, v_new) -> None:

@@ -187,13 +187,7 @@ def column_deltas(sl: ColSlice, V: np.ndarray, i: int, v_start, v_trial) -> np.n
     """
     d = v_trial - v_start
     w = V.T @ d if V.shape[0] else kind_of(V).zeros(V.shape[1])
-    return slot_increments(sl, w, dot(v_trial, v_trial) - dot(v_start, v_start))
-
-
-def slot_increments(sl: ColSlice, w: np.ndarray, dn) -> np.ndarray:
-    """The slots' increments from w = V^T d, V holding the column's old
-    value, and the change dn of the column's squared norm."""
-    delta = sl.diag * dn
+    delta = sl.diag * (dot(v_trial, v_trial) - dot(v_start, v_start))
     if len(sl.row):
         delta = delta + 2.0 * segment_sum(sl.val * w[sl.row], sl.seg, len(sl.diag))
     return delta

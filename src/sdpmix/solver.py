@@ -1,7 +1,8 @@
 """Outer loop: column sweeps, dual updates, dynamic penalty, termination.
 
 One outer iteration minimizes the augmented Lagrangian approximately over
-every column of every factor block (warm-started L-BFGS per column), then
+every column of every factor block (a damped Newton solve per column, on
+the column's increment model and its exact k x k Hessian), then
 applies the first-order dual update and steers the penalty parameter so
 that the primal residual keeps shrinking geometrically: the ratio of the
 residual norm to mu times the per-iteration change of the constraint
@@ -401,7 +402,6 @@ def solve(
         iteration += 1
 
         inner_cfg = InnerConfig(
-            memory=10,
             eps=max(options.epsilon * min(1.0, err_level), 1e-300),
             delta=options.delta,
             max_evals=options.max_evals,
@@ -412,7 +412,7 @@ def solve(
                 break
             b, i = pairs[t]
             ctx = ColumnContext(state, b, i)
-            d, _, converged = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), inner_cfg)
+            d, _, converged = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), inner_cfg, ctx.hessian)
             if not converged:
                 state.counters["inner_unconverged"] += 1
             commit_column(state, b, i, ctx.v_start + d)

@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sdpmix import auglag
 from sdpmix.auglag import ColumnContext, commit_column, make_state, refresh_cache
 from sdpmix.ddouble import DOUBLE_DOUBLE, DDouble
+from sdpmix.instances import Graph, maxcut_relaxation
 from sdpmix.linops import apply_operator
 from sdpmix.problem import as_kind
 
@@ -205,6 +207,92 @@ def test_commit_column_keeps_cache_consistent():
     assert np.abs(st.cache.values - before).max() <= 1e-11 * (1 + np.abs(before).max())
 
 
+def triangle_state(seed):
+    """Max-Cut of K7 with its 140 triangle inequalities at a random iterate:
+    per column, 60 triangle slots of two entries each, the shape for which
+    large graphs gather through V instead of forming the slot matrix."""
+    p = maxcut_relaxation(Graph.complete(7), with_triangles=True).problem
+    rng = np.random.default_rng(30_000 + seed)
+    V = random_V_blocks(rng, p)
+    y_b = np.abs(rng.standard_normal(p.m_ineq)) * rng.integers(0, 2, p.m_ineq)
+    return p, make_state(p, V, rng.standard_normal(p.m_eq), y_b, rng.uniform(0.5, 3.0))
+
+
+def test_gathered_column_model_matches_dense_oracle(monkeypatch):
+    monkeypatch.setattr(auglag, "_SLOT_MATRIX_WORK", 0)  # gather at any size
+    for seed in range(3):
+        p, st = triangle_state(seed)
+        rng = np.random.default_rng(seed)
+        for i in range(p.block_sizes[0]):
+            assert ColumnContext(st, 0, i).U is None
+            v_new = st.V_blocks[0][:, i] + 0.1 * rng.standard_normal(st.V_blocks[0].shape[0])
+            val, g = column_objective_grad(st, 0, i, v_new)
+            V2 = [W.copy() for W in st.V_blocks]
+            V2[0][:, i] = v_new
+            st2 = make_state(p, V2, st.y_a, st.y_b, st.mu)
+            assert val == pytest.approx(dense_auglag_oracle(p, V2, st.y_a, st.y_b, st.mu), rel=1e-11, abs=1e-11)
+            ref = full_gradient(st2)[0][:, i]
+            assert np.abs(g - ref).max() <= 1e-11 * (1 + np.abs(ref).max())
+
+
+def test_column_model_gathers_only_for_large_slot_matrices():
+    # K7 with triangles forms U (62 slots x 7 x 7 multiply-adds); K30 with
+    # triangles, whose U would take 1626 x 30 x 30, gathers through V
+    for n, gathered in ((7, False), (30, True)):
+        p = maxcut_relaxation(Graph.complete(n), with_triangles=True).problem
+        V = random_V_blocks(np.random.default_rng(0), p)
+        st = make_state(p, V, np.zeros(p.m_eq), np.zeros(p.m_ineq), 1.0)
+        assert (ColumnContext(st, 0, 0).U is None) == gathered
+
+
+def _activity(p, st, block, i, v):
+    """The inequalities' activity y_b + mu s > 0 with column i set to v."""
+    V = [W.copy() for W in st.V_blocks]
+    V[block][:, i] = v
+    s = np.asarray(p.rhs[p.m_eq:], float) - apply_operator(p, [np.asarray(W, float) for W in V])[p.m_eq:]
+    return np.asarray(st.y_b, float) + float(st.mu) * s > 0
+
+
+@pytest.mark.parametrize("case", ["double", "dd", "gathered"])
+def test_column_hessian_matches_central_differences(case, monkeypatch):
+    # hessian(d) against central differences (step 1e-5) of value_and_grad's
+    # gradient, at moves d that change the activity of some inequality, as
+    # in criterion 05; samples whose difference stencil crosses a hinge
+    # (where the Hessian jumps) are skipped
+    if case == "gathered":
+        monkeypatch.setattr(auglag, "_SLOT_MATRIX_WORK", 0)
+    h = 1e-5
+    changed = checked = 0
+    worst = 0.0
+    for seed in range(30):
+        p, st = triangle_state(seed) if case == "gathered" else random_state(seed)
+        if case == "dd":
+            dd = DOUBLE_DOUBLE
+            st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
+                            dd.asarray(st.y_b), dd.coerce_scalar(st.mu))
+        rng = np.random.default_rng(40_000 + seed)
+        for b in range(p.q):
+            for i in range(p.block_sizes[b]):
+                ctx = ColumnContext(st, b, i)
+                assert (ctx.U is None) == (case == "gathered")
+                v0 = np.asarray(ctx.v0, float)
+                k = len(v0)
+                d = rng.standard_normal(k) * rng.choice([0.05, 0.3, 1.0])
+                act = _activity(p, st, b, i, v0 + d)
+                stencil = [v0 + d + s * h * e for e in np.eye(k) for s in (1.0, -1.0)]
+                if any(np.any(_activity(p, st, b, i, v) != act) for v in stencil):
+                    continue
+                changed += bool(np.any(act != _activity(p, st, b, i, v0)))
+                checked += 1
+                H = ctx.hessian(d)
+                assert H.dtype == np.float64 and H.shape == (k, k)
+                fd = np.column_stack([(ctx.value_and_grad(d + h * e)[1] - ctx.value_and_grad(d - h * e)[1]) / (2 * h)
+                                      for e in np.eye(k)])
+                worst = max(worst, np.abs(H - fd).max() / (1.0 + np.abs(H).max()))
+    assert checked >= 100 and changed >= 15
+    assert worst <= 1e-6
+
+
 def test_hinge_crossing_is_continuous():
     # one inequality x >= 0 with y_b + mu*(0 - x) crossing zero at x = 1
     p = build_problem((1,), [[]], [{0: [(0, 0, 1.0)]}], [0.0], ineq_start=1)
@@ -233,7 +321,7 @@ def test_accepted_column_updates_never_increase_value():
             for i in range(p.block_sizes[b]):
                 before = eval_auglag(st)
                 ctx = ColumnContext(st, b, i)
-                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg)
+                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg, ctx.hessian)
                 commit_column(st, b, i, ctx.v_start + d)
                 after = eval_auglag(st)
                 assert float(after) <= float(before) + 1e-10 * (1 + abs(float(before)))
@@ -359,7 +447,7 @@ def test_column_refinement_reaches_double_double_stationarity():
         b, i = 0, seed
         for _ in range(4):
             ctx = ColumnContext(st, b, i)
-            d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg)
+            d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg, ctx.hessian)
             commit_column(st, b, i, ctx.v_start + d)
         with mpmath.workdps(40):
             V = [[[_mp(x) for x in row] for row in W] for W in st.V_blocks]

@@ -4,10 +4,6 @@ Field operations must stay within 2**-99 (1 + |want|) of the exact result
 of their exact operands, and an addition that cancels within 2**-104 of
 its result; reductions of N terms within N 2**-104 times the sum of the
 terms' magnitudes. Operands carry nonzero low words.
-
-Under the project's warning filters a falsifying example can surface as a
-pytest INTERNALERROR (hypothesis's report hook trips a DeprecationWarning
-of one of its imports); rerun with -W ignore::DeprecationWarning to read it.
 """
 
 import math

@@ -90,24 +90,31 @@ def test_first_iterate_agrees_across_kinds():
 
 def test_dd_solve_hands_lbfgs_binary64_only(monkeypatch):
     # the column kernel's model is binary64 at every kind: no double-double
-    # value reaches the inner solver, and the committed iterate stays dd
+    # value reaches the inner solver (objective, gradient or Hessian), and
+    # the committed iterate stays dd
     from sdpmix import solver
 
-    starts, evals = [], []
+    starts, evals, hessians = [], [], []
     inner = solver.minimize_column
 
-    def recording(objective_grad, x0, config):
+    def recording(objective_grad, x0, config, hessian):
         def checked(x):
             f, g = objective_grad(x)
             evals.append((x.dtype, type(f), g.dtype))
             return f, g
 
+        def checked_hessian(x):
+            H = hessian(x)
+            hessians.append((x.dtype, H.dtype, H.shape == (len(x), len(x))))
+            return H
+
         starts.append(x0.dtype)
-        return inner(checked, x0, config)
+        return inner(checked, x0, config, checked_hessian)
 
     monkeypatch.setattr(solver, "minimize_column", recording)
     p = as_kind(gen_rand(5, 4, 1.0, 33), DOUBLE_DOUBLE)
     _, warm = solve(p, SolverOptions(max_iters=2, seed=2))
     assert len(starts) == 2 * 5 and set(starts) == {np.dtype(np.float64)}
     assert evals and all(xt == np.float64 and issubclass(ft, float) and gt == np.float64 for xt, ft, gt in evals)
+    assert hessians and all(xt == np.float64 and ht == np.float64 and square for xt, ht, square in hessians)
     assert isinstance(warm.V_blocks[0], DDArray)
