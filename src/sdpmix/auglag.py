@@ -10,10 +10,10 @@ the manner of mixed-precision iterative refinement: the multipliers and
 the gradient at the column's start are formed once, in the problem's
 scalar kind, and rounded to binary64; every trial point then evaluates
 only the change of the objective, its gradient and its k x k Hessian, in
-binary64, from the column's slot matrix (O(k slots)) or its slice
-(O(k n + nnz of the slice)). The accepted column is formed and committed
-in the problem's kind, so a double-double solve keeps double-double
-iterates while the Newton column solver sees binary64 alone.
+binary64, from the column's slot matrix (O(k slots)). The accepted column
+is formed and committed in the problem's kind, so a double-double solve
+keeps double-double iterates while the Newton column solver sees binary64
+alone.
 """
 
 from __future__ import annotations
@@ -76,15 +76,6 @@ def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu) -> IterateState:
     )
 
 
-# The most slots x n x k multiply-adds spent on forming a column's slot
-# matrix U = M V^T. Past it the column model gathers through V: U saves
-# numpy calls on every evaluation, but its product outgrows them. On
-# Max-Cut with triangle inequalities (x86, 2 vCPUs, one BLAS thread), a
-# column solve with U was faster over G(24, 0.5), at 0.6e6, and slower
-# over G(30, 0.5), at 1.5e6, and 1.5x slower over G(40, 0.5).
-_SLOT_MATRIX_WORK = 1 << 20
-
-
 class ColumnContext:
     """The increment model of one column's restricted objective.
 
@@ -109,10 +100,7 @@ class ColumnContext:
 
         2 (g_n0[i] + diag.phi') I + 4 W^T diag(phi'') W,  W = diag (v0 + d)^T + U,
 
-    phi'' being mu on equalities and on inequalities active at d. Where
-    forming U would take more than _SLOT_MATRIX_WORK multiply-adds, U d and
-    U^T phi' are gathered through V^T d and V instead. The Hessian forms
-    only the rows of W with phi'' != 0.
+    phi'' being mu on equalities and on inequalities active at d.
     """
 
     def __init__(self, state: IterateState, block: int, i: int):
@@ -137,11 +125,9 @@ class ColumnContext:
         g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else kind.zeros(n)
         g_n[i] += dot(coef, sl.diag)
 
-        self.sl = sl64 = state.slices.slice64(block, i)
-        self.V = V64 = to_float_array(V)
+        sl64 = state.slices.slice64(block, i)
         self.diag = sl64.diag
-        dense = len(sl64.diag) * V64.size <= _SLOT_MATRIX_WORK
-        self.U = _slot_matrix(sl64, V64) if dense else None
+        self.U = _slot_matrix(sl64, to_float_array(V))
         self.v0 = to_float_array(self.v_start)
         self.g0 = to_float_array(2.0 * (V @ g_n))
         self.gi0 = float(g_n[i])
@@ -153,13 +139,9 @@ class ColumnContext:
     def _remainders(self, d):
         """At d: phi' (the slot coefficient changes -(lam - lam0)), the
         remainders phi, and the inequalities' activity (None without any)."""
-        mu, n_eq, sl = self.mu, self.n_eq, self.sl
-        if self.U is not None:
-            Ud = self.U @ d
-        else:
-            Ud = segment_sum(sl.val * (self.V.T @ d)[sl.row], sl.seg, len(sl.diag))
+        mu, n_eq = self.mu, self.n_eq
         # the norm change as 2 v0.d + |d|^2: no cancellation of |v|^2 terms
-        dv = self.diag * (2.0 * (self.v0 @ d) + d @ d) + 2.0 * Ud
+        dv = self.diag * (2.0 * (self.v0 @ d) + d @ d) + 2.0 * (self.U @ d)
         dv[-1] = 0.0  # the cost is linear in X: fixed coefficient, no remainder
         # equality form first
         dcoef = mu * dv
@@ -178,7 +160,7 @@ class ColumnContext:
 
     def value_and_grad(self, d):
         """Df(d) and g(d) in binary64; d is the column's move from v_start."""
-        counters, sl = self.state.counters, self.sl
+        counters = self.state.counters
         counters["column_evals"] += 1
         if len(self.t0):
             counters["hinge_evals"] += 1
@@ -187,13 +169,9 @@ class ColumnContext:
             return 0.0, self.g0.copy()
         dcoef, phi, active = self._remainders(d)
         value = self.g0 @ d + self.gi0 * (d @ d) + np.add.reduce(phi)
-        if self.U is not None:
-            Uc = self.U.T @ dcoef
-        else:
-            Uc = self.V @ segment_sum(sl.val * dcoef[sl.seg], sl.row, self.V.shape[1])
         c = self.diag @ dcoef
         self._last = (d, c, active)  # the Newton solver asks for the Hessian here
-        return value, self.g0 + 2.0 * ((self.gi0 + c) * d + Uc + c * self.v0)
+        return value, self.g0 + 2.0 * ((self.gi0 + c) * d + self.U.T @ dcoef + c * self.v0)
 
     def hessian(self, d):
         """The model's k x k Hessian at d, binary64."""
@@ -205,24 +183,17 @@ class ColumnContext:
         curved[-1] = False
         if active is not None:
             curved[self.n_eq:-1] = active
-        U = self.U[curved] if self.U is not None else _slot_matrix(self.sl, self.V, curved)
-        W = np.outer(self.diag[curved], self.v0 + d) + U
+        W = np.outer(self.diag[curved], self.v0 + d) + self.U[curved]
         H = (4.0 * self.mu) * (W.T @ W)
         H.flat[:: len(d) + 1] += 2.0 * (self.gi0 + c)
         return H
 
 
-def _slot_matrix(sl: ColSlice, V: np.ndarray, keep=None) -> np.ndarray:
+def _slot_matrix(sl: ColSlice, V: np.ndarray) -> np.ndarray:
     """The slot matrix M V^T, M holding each slot's entries by partner (one
-    bincount); only the rows of the slots that the mask `keep` selects,
-    when given."""
-    seg, row, val, rows = sl.seg, sl.row, sl.val, len(sl.diag)
-    if keep is not None:
-        sel = keep[sl.seg]
-        rank = np.cumsum(keep) - 1
-        seg, row, val, rows = rank[seg[sel]], row[sel], val[sel], int(rank[-1]) + 1
-    n = V.shape[1]
-    return np.bincount(seg * n + row, weights=val, minlength=rows * n).reshape(rows, n) @ V.T
+    bincount)."""
+    n, rows = V.shape[1], len(sl.diag)
+    return np.bincount(sl.seg * n + sl.row, weights=sl.val, minlength=rows * n).reshape(rows, n) @ V.T
 
 
 def commit_column(state: IterateState, block: int, i: int, v_new) -> None:

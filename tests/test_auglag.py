@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sdpmix import auglag
 from sdpmix.auglag import ColumnContext, commit_column, make_state, refresh_cache
 from sdpmix.ddouble import DOUBLE_DOUBLE, DDouble
 from sdpmix.instances import Graph, maxcut_relaxation
@@ -209,40 +208,12 @@ def test_commit_column_keeps_cache_consistent():
 
 def triangle_state(seed):
     """Max-Cut of K7 with its 140 triangle inequalities at a random iterate:
-    per column, 60 triangle slots of two entries each, the shape for which
-    large graphs gather through V instead of forming the slot matrix."""
+    per column, 60 triangle slots of two entries each."""
     p = maxcut_relaxation(Graph.complete(7), with_triangles=True).problem
     rng = np.random.default_rng(30_000 + seed)
     V = random_V_blocks(rng, p)
     y_b = np.abs(rng.standard_normal(p.m_ineq)) * rng.integers(0, 2, p.m_ineq)
     return p, make_state(p, V, rng.standard_normal(p.m_eq), y_b, rng.uniform(0.5, 3.0))
-
-
-def test_gathered_column_model_matches_dense_oracle(monkeypatch):
-    monkeypatch.setattr(auglag, "_SLOT_MATRIX_WORK", 0)  # gather at any size
-    for seed in range(3):
-        p, st = triangle_state(seed)
-        rng = np.random.default_rng(seed)
-        for i in range(p.block_sizes[0]):
-            assert ColumnContext(st, 0, i).U is None
-            v_new = st.V_blocks[0][:, i] + 0.1 * rng.standard_normal(st.V_blocks[0].shape[0])
-            val, g = column_objective_grad(st, 0, i, v_new)
-            V2 = [W.copy() for W in st.V_blocks]
-            V2[0][:, i] = v_new
-            st2 = make_state(p, V2, st.y_a, st.y_b, st.mu)
-            assert val == pytest.approx(dense_auglag_oracle(p, V2, st.y_a, st.y_b, st.mu), rel=1e-11, abs=1e-11)
-            ref = full_gradient(st2)[0][:, i]
-            assert np.abs(g - ref).max() <= 1e-11 * (1 + np.abs(ref).max())
-
-
-def test_column_model_gathers_only_for_large_slot_matrices():
-    # K7 with triangles forms U (62 slots x 7 x 7 multiply-adds); K30 with
-    # triangles, whose U would take 1626 x 30 x 30, gathers through V
-    for n, gathered in ((7, False), (30, True)):
-        p = maxcut_relaxation(Graph.complete(n), with_triangles=True).problem
-        V = random_V_blocks(np.random.default_rng(0), p)
-        st = make_state(p, V, np.zeros(p.m_eq), np.zeros(p.m_ineq), 1.0)
-        assert (ColumnContext(st, 0, 0).U is None) == gathered
 
 
 def _activity(p, st, block, i, v):
@@ -253,19 +224,17 @@ def _activity(p, st, block, i, v):
     return np.asarray(st.y_b, float) + float(st.mu) * s > 0
 
 
-@pytest.mark.parametrize("case", ["double", "dd", "gathered"])
-def test_column_hessian_matches_central_differences(case, monkeypatch):
+@pytest.mark.parametrize("case", ["double", "dd", "triangles"])
+def test_column_hessian_matches_central_differences(case):
     # hessian(d) against central differences (step 1e-5) of value_and_grad's
     # gradient, at moves d that change the activity of some inequality, as
     # in criterion 05; samples whose difference stencil crosses a hinge
     # (where the Hessian jumps) are skipped
-    if case == "gathered":
-        monkeypatch.setattr(auglag, "_SLOT_MATRIX_WORK", 0)
     h = 1e-5
     changed = checked = 0
     worst = 0.0
     for seed in range(30):
-        p, st = triangle_state(seed) if case == "gathered" else random_state(seed)
+        p, st = triangle_state(seed) if case == "triangles" else random_state(seed)
         if case == "dd":
             dd = DOUBLE_DOUBLE
             st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
@@ -274,7 +243,6 @@ def test_column_hessian_matches_central_differences(case, monkeypatch):
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
                 ctx = ColumnContext(st, b, i)
-                assert (ctx.U is None) == (case == "gathered")
                 v0 = np.asarray(ctx.v0, float)
                 k = len(v0)
                 d = rng.standard_normal(k) * rng.choice([0.05, 0.3, 1.0])
@@ -291,6 +259,50 @@ def test_column_hessian_matches_central_differences(case, monkeypatch):
                 worst = max(worst, np.abs(H - fd).max() / (1.0 + np.abs(H).max()))
     assert checked >= 100 and changed >= 15
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["double", "dd", "triangles"])
+def test_column_start_returns_full_gradient(case):
+    # at d = 0, value_and_grad returns 0 and g0 without evaluating the model
+    for seed in range(5):
+        p, st = triangle_state(seed) if case == "triangles" else random_state(seed)
+        if case == "dd":
+            dd = DOUBLE_DOUBLE
+            st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
+                            dd.asarray(st.y_b), dd.coerce_scalar(st.mu))
+        grads = full_gradient(st)
+        for b in range(p.q):
+            for i in range(p.block_sizes[b]):
+                ctx = ColumnContext(st, b, i)
+                f, g = ctx.value_and_grad(np.zeros(len(ctx.v0)))
+                ref = np.asarray(grads[b][:, i], float)
+                assert f == 0.0 and np.abs(g - ref).max() <= 1e-11 * (1 + np.abs(ref).max())
+
+
+@pytest.mark.parametrize("kind", ["double", "dd"])
+def test_cached_column_hessian_matches_recomputation(kind, monkeypatch):
+    # hessian(d) reuses what value_and_grad computed at the same array d;
+    # at every Hessian a short solve asks for, it must equal hessian on a
+    # copy of d, which recomputes; on Max-Cut with triangles and on a
+    # random problem with inequalities
+    from sdpmix import solver
+
+    moved = []
+    inner = solver.minimize_column
+
+    def recording(objective_grad, x0, config, hessian):
+        def checked(x):
+            H = hessian(x)
+            assert np.array_equal(H, hessian(x.copy()))
+            moved.append(bool(x.any()))
+            return H
+
+        return inner(objective_grad, x0, config, checked)
+
+    monkeypatch.setattr(solver, "minimize_column", recording)
+    for p in (maxcut_relaxation(Graph.complete(7), with_triangles=True).problem, random_state(3)[0]):
+        solver.solve(as_kind(p, DOUBLE_DOUBLE) if kind == "dd" else p, solver.SolverOptions(max_iters=6, seed=1))
+    assert moved.count(True) >= 20 and moved.count(False) >= 20  # at d = 0 and away from it
 
 
 def test_hinge_crossing_is_continuous():
