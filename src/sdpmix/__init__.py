@@ -6,7 +6,7 @@ variables follow first-order updates and the penalty parameter is steered
 dynamically. A double-double mode refines solutions far past binary64.
 """
 
-from .ddouble import DDArray, DDouble, DOUBLE, DOUBLE_DOUBLE, ScalarKind, kind_by_name
+from .ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, ScalarKind, kind_by_name
 from .errors import FormatError, NumericalError, SdpmixError, ValidationError
 from .lbfgs import InnerConfig, minimize_column
 from .linops import apply_adjoint, apply_operator, jacobi_eigh, project_psd
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DDArray",
-    "DDouble",
     "DOUBLE",
     "DOUBLE_DOUBLE",
     "ErrorReport",

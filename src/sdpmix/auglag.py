@@ -69,7 +69,7 @@ def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu) -> IterateState:
         V_blocks=[kind.asarray(V) for V in V_blocks],
         y_a=kind.asarray(y_a),
         y_b=kind.asarray(y_b),
-        mu=kind.coerce_scalar(mu),
+        mu=kind.scalar(mu),
         cache=cache,
         prev_values=cache.values.copy(),
         slices=slices,
@@ -119,7 +119,7 @@ class ColumnContext:
         t0 = t[n_eq:].copy()
         if len(t0):
             state.counters["hinge_evals"] += 1
-            t[n_eq:] = np.where(t0 > 0, t0, kind.from_float(0.0))
+            t[n_eq:] = np.where(t0 > 0, t0, kind.scalar(0.0))
         coef = np.concatenate([-t, state.slices.cost_coef])
         n = p.block_sizes[block]
         g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else kind.zeros(n)

@@ -1,10 +1,12 @@
-"""Double-double scalars and arrays, and the scalar-kind abstraction.
+"""Double-double arrays, and the scalar-kind abstraction.
 
 A double-double value is an unevaluated sum hi + lo of two binary64 values,
 kept normalized (hi = fl(hi + lo), so |lo| <= ulp(hi) / 2): about 31
-significant decimal digits. DDouble is one such scalar. DDArray is an array
-of them as a struct of arrays: two float64 ndarrays `hi` and `lo` of one
-shape, so every operation is a handful of whole-array numpy expressions.
+significant decimal digits. DDArray is the one double-double type: an array
+of such values as a struct of arrays, two float64 ndarrays `hi` and `lo` of
+one shape, so every operation is a handful of whole-array numpy
+expressions. A double-double scalar is a 0-d DDArray, whose words are
+np.float64 scalars.
 
 Arithmetic is built from the error-free transforms of Hida, Li and Bailey
 (QD, 2001): two-sum (Knuth), fast two-sum (Dekker) and two-product by
@@ -27,13 +29,14 @@ factor in chunks, so it never holds all of its products at once.
 
 The kernels are written once for both kinds: DDArray implements the numpy
 operators, ufuncs and functions they use (arithmetic, sqrt, abs,
-comparisons, where, maximum, concatenate, diag, sum, argsort,
+comparisons, where, maximum, concatenate, append, diag, sum, argsort,
 array_equal, indexing and index assignment). Indexing one element or
-reducing to a scalar gives a DDouble. The boundary to everything else is
-np.asarray(dd_array), an object array of DDouble holding the exact words:
-any numpy function not listed sees that array, and DOUBLE_DOUBLE.asarray
-and to_float_array accept it back. Binary64 arrays stay plain float64
-ndarrays and never pass through this module's double-double code.
+reducing to a scalar gives a 0-d DDArray. The boundary to everything else
+is np.asarray(dd_array), an object array of Words records holding the
+exact words: any numpy function not listed sees that array, and
+DOUBLE_DOUBLE.asarray and to_float_array accept it back. Binary64 arrays
+stay plain float64 ndarrays and never pass through this module's
+double-double code.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 
-# The error-free transforms below work on Python floats and on float64
-# arrays alike.
+# The error-free transforms below work on Python floats, np.float64 scalars
+# and float64 arrays alike.
 
 
 def _two_sum(a, b):
@@ -81,9 +84,9 @@ def _two_prod(a, b):
 
 # -- double-word algorithms -------------------------------------------------------
 #
-# The helpers below take words (hi, lo) of Python floats (DDouble) or of
-# float64 arrays (DDArray); lo is None for a binary64 operand, which saves
-# the work on a zero word and gives the same result as a zero word would.
+# The helpers below take the words (hi, lo) of a DDArray; lo is None for a
+# binary64 operand, which saves the work on a zero word and gives the same
+# result as a zero word would.
 
 
 def _add(ah, al, bh, bl):
@@ -113,11 +116,6 @@ def _div(ah, al, bh, bl):
     return _quick_two_sum(s, e + rh / bh)
 
 
-def _sqrt_residual(x, ah, al):
-    """The high word of a - x^2, for the Newton step of a square root."""
-    return _add(ah, al, *_neg(*_two_prod(x, x)))[0]
-
-
 def _neg(h, l):
     return -h, (None if l is None else -l)
 
@@ -128,154 +126,6 @@ def _less(a, b, strict):
     (ah, al), (bh, bl) = _words(a), _words(b)
     al, bl = (0.0 if al is None else al), (0.0 if bl is None else bl)
     return (ah < bh) | ((ah == bh) & ((al < bl) if strict else (al <= bl)))
-
-
-class DDouble:
-    """Immutable double-double number."""
-
-    __slots__ = ("hi", "lo")
-
-    def __init__(self, hi: float = 0.0, lo: float = 0.0):
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "lo", lo)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DDouble is immutable")
-
-    # -- construction / conversion -------------------------------------
-
-    @staticmethod
-    def from_float(x) -> "DDouble":
-        return DDouble(float(x), 0.0)
-
-    def __float__(self) -> float:
-        return self.hi + self.lo
-
-    def __repr__(self) -> str:
-        return f"DDouble({self.hi!r}, {self.lo!r})"
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.hi) and math.isfinite(self.lo)
-
-    # -- arithmetic ------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, DDouble):
-            return x
-        if isinstance(x, (int, float, np.floating, np.integer)):
-            return DDouble(float(x), 0.0)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = DDouble._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return DDouble(*_add(self.hi, self.lo, o.hi, o.lo))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DDouble(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        o = DDouble._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.__add__(DDouble(-o.hi, -o.lo))
-
-    def __rsub__(self, other):
-        o = DDouble._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__sub__(self)
-
-    def __mul__(self, other):
-        o = DDouble._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return DDouble(*_mul(self.hi, self.lo, o.hi, o.lo))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = DDouble._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return DDouble(*_div(self.hi, self.lo, o.hi, o.lo))
-
-    def __rtruediv__(self, other):
-        o = DDouble._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __abs__(self):
-        return DDouble(-self.hi, -self.lo) if self.hi < 0.0 else self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = DDouble(1.0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def sqrt(self) -> "DDouble":
-        """One Newton step x + (a - x^2) / (2x) from the binary64 root x."""
-        if self.hi == 0.0 and self.lo == 0.0:
-            return DDouble(0.0)
-        if self.hi < 0.0:
-            raise ValueError("sqrt of negative DDouble")
-        x = math.sqrt(self.hi)
-        return DDouble(*_quick_two_sum(x, _sqrt_residual(x, self.hi, self.lo) / (2.0 * x)))
-
-    # -- ordering ----------------------------------------------------------
-    # (hi, lo) is normalized, so lexicographic order is numeric order.
-
-    def _cmp(self, other):
-        o = DDouble._coerce(other)
-        if o is NotImplemented:
-            return None
-        if self.hi != o.hi:
-            return -1 if self.hi < o.hi else 1
-        if self.lo != o.lo:
-            return -1 if self.lo < o.lo else 1
-        return 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
-
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
-
-    def __ne__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c != 0
-
-    def __hash__(self):
-        return hash((self.hi, self.lo))
-
-    def __bool__(self):
-        return self.hi != 0.0 or self.lo != 0.0
 
 
 # -- double-double arrays ------------------------------------------------------
@@ -346,7 +196,7 @@ def _matmul_chunk(ah, al, bh, bl):
 def _words(x):
     """(hi, lo) of a double-double or binary64 operand; lo is None for
     binary64. None for anything else."""
-    if isinstance(x, (DDArray, DDouble)):
+    if isinstance(x, DDArray):
         return x.hi, x.lo
     if isinstance(x, (float, int, np.floating, np.integer)):
         return float(x), None
@@ -357,27 +207,32 @@ def _words(x):
     return None
 
 
+@dataclass(frozen=True, slots=True)
+class Words:
+    """The exact words of one double-double value, as np.asarray(dd_array)
+    hands them to plain numpy: a record, with no arithmetic of its own."""
+
+    hi: float
+    lo: float
+
+
 def _object_words(a: np.ndarray):
-    """The words of an object array of DDouble (or of plain numbers)."""
+    """The words of an object array of Words, of 0-d DDArrays (numpy keeps
+    those when it converts a list of them) or of plain numbers."""
     hi, lo = _WORDS_OF(a)
     return np.asarray(hi, dtype=np.float64), np.asarray(lo, dtype=np.float64)
 
 
-_WORDS_OF = np.frompyfunc(lambda x: (x.hi, x.lo) if isinstance(x, DDouble) else (float(x), 0.0), 1, 2)
-_TO_OBJECTS = np.frompyfunc(DDouble, 2, 1)
-
-
-def _result(hi, lo):
-    """A DDArray, or a DDouble for a 0-d result."""
-    if not getattr(hi, "ndim", 0):
-        return DDouble(float(hi), float(lo))
-    return DDArray(hi, lo)
+_WORDS_OF = np.frompyfunc(lambda x: (x.hi, x.lo) if isinstance(x, (Words, DDArray)) else (float(x), 0.0), 1, 2)
+_TO_OBJECTS = np.frompyfunc(Words, 2, 1)
 
 
 class DDArray:
     """An array of double-double values: float64 ndarrays hi and lo of one
-    shape, each pair normalized. Build one with DOUBLE_DOUBLE.asarray or
-    DOUBLE_DOUBLE.zeros; the constructor takes the words as they are."""
+    shape, each pair normalized; a 0-d DDArray, with np.float64 words, is a
+    double-double scalar. Build one with DOUBLE_DOUBLE.asarray,
+    DOUBLE_DOUBLE.zeros or DOUBLE_DOUBLE.scalar; the constructor takes the
+    words as they are."""
 
     __slots__ = ("hi", "lo")
     __hash__ = None
@@ -417,7 +272,7 @@ class DDArray:
         return DDArray(self.hi.reshape(*shape), self.lo.reshape(*shape))
 
     def __getitem__(self, key):
-        return _result(self.hi[key], self.lo[key])
+        return DDArray(self.hi[key], self.lo[key])
 
     def __setitem__(self, key, value):
         words = _words(value)
@@ -428,6 +283,14 @@ class DDArray:
 
     def __repr__(self) -> str:
         return f"DDArray(hi={self.hi!r}, lo={self.lo!r})"
+
+    def __float__(self) -> float:
+        return float(self.hi + self.lo)
+
+    def __bool__(self) -> bool:
+        """As numpy's: the truth of a single value, an error for more. A
+        normalized value is zero exactly when its hi word is."""
+        return bool(self.hi)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -465,20 +328,21 @@ class DDArray:
         w = _words(other)
         if w is None:
             return NotImplemented
-        return _result(*_matmul(self.hi, self.lo, np.asarray(w[0]), w[1]))
+        return DDArray(*_matmul(self.hi, self.lo, np.asarray(w[0]), w[1]))
 
     def __neg__(self) -> "DDArray":
         return DDArray(-self.hi, -self.lo)
 
     def __abs__(self) -> "DDArray":
         neg = self.hi < 0
-        return DDArray(np.abs(self.hi), np.where(neg, -self.lo, self.lo))
+        return DDArray(np.abs(self.hi), np.where(neg, -self.lo, self.lo)[()])  # [()] as in _where
 
     def sqrt(self) -> "DDArray":
         """One Newton step x + (a - x^2) / (2x) from the binary64 root x; 0
         at 0, and NaN (with numpy's warning) below 0."""
         x = np.sqrt(self.hi)
-        r = np.divide(_sqrt_residual(x, self.hi, self.lo), 2.0 * x, out=np.zeros_like(x), where=x > 0)
+        residual = _add(self.hi, self.lo, *_neg(*_two_prod(x, x)))[0]  # the high word of a - x^2
+        r = np.divide(residual, 2.0 * x, out=np.zeros_like(x), where=x > 0)
         return DDArray(*_quick_two_sum(x, r))
 
     # -- comparisons -------------------------------------------------------
@@ -508,23 +372,23 @@ class DDArray:
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis=None):
-        """Compensated sum over all elements (a DDouble) or along one axis."""
+        """Compensated sum over all elements (a 0-d DDArray) or along one axis."""
         hi, lo = self.hi, self.lo
         if axis is None:
             hi, lo = hi.reshape(-1), lo.reshape(-1)
         elif axis != 0:
             hi, lo = np.moveaxis(hi, axis, 0), np.moveaxis(lo, axis, 0)
-        return _result(*_reduce(hi, np.add.reduce(lo, axis=0)))
+        return DDArray(*_reduce(hi, np.add.reduce(lo, axis=0)))
 
     def max(self):
-        """The largest element, a DDouble; NaN when any hi word is NaN."""
+        """The largest element, a 0-d DDArray; NaN when any hi word is NaN."""
         top = np.lexsort((self.lo.reshape(-1), self.hi.reshape(-1)))[-1]
-        return DDouble(float(self.hi.reshape(-1)[top]), float(self.lo.reshape(-1)[top]))
+        return DDArray(self.hi.reshape(-1)[top], self.lo.reshape(-1)[top])
 
     # -- numpy protocols ---------------------------------------------------
 
     def __array__(self, dtype=None, copy=None):
-        """The boundary to plain numpy: an object array of DDouble with the
+        """The boundary to plain numpy: an object array of Words with the
         exact words, or the binary64 rounding for a float dtype; always a
         new array."""
         if copy is False:
@@ -575,8 +439,9 @@ def _full_words(x):
 
 
 def _where(cond, x, y):
+    # [()] turns np.where's 0-d arrays into the np.float64 words of a scalar
     (xh, xl), (yh, yl) = _full_words(x), _full_words(y)
-    return DDArray(np.where(cond, xh, yh), np.where(cond, xl, yl))
+    return DDArray(np.where(cond, xh, yh)[()], np.where(cond, xl, yl)[()])
 
 
 def _maximum(x, y):
@@ -585,8 +450,13 @@ def _maximum(x, y):
 
 
 def _concatenate(arrays, axis=0):
+    """As np.concatenate: axis None joins the raveled operands."""
     words = [_full_words(a) for a in arrays]
     return DDArray(np.concatenate([h for h, _ in words], axis), np.concatenate([lo for _, lo in words], axis))
+
+
+def _append(arr, values, axis=None):
+    return _concatenate([arr, values], axis)
 
 
 def _diag(v, k=0):
@@ -629,6 +499,7 @@ _UFUNCS = {
 _FUNCTIONS = {
     np.where: _where,
     np.concatenate: _concatenate,
+    np.append: _append,
     np.diag: _diag,
     np.sum: _sum,
     np.argsort: _argsort,
@@ -647,10 +518,12 @@ class ScalarKind:
     epsilon: float
     is_extended: bool
 
-    def from_float(self, x: float):
-        if self.is_extended:
-            return DDouble.from_float(x)
-        return float(x)
+    def scalar(self, x):
+        """A number of either kind as one of this kind (exact when
+        widening): a float, or a 0-d DDArray."""
+        if not self.is_extended:
+            return float(x)
+        return x if isinstance(x, DDArray) else DDArray(np.float64(x), np.float64(0.0))
 
     def asarray(self, values):
         """Copy `values` into a new array of this kind (exact promotion)."""
@@ -663,12 +536,6 @@ class ScalarKind:
         if self.is_extended:
             return DDArray(np.zeros(shape), np.zeros(shape))
         return np.zeros(shape, dtype=np.float64)
-
-    def coerce_scalar(self, x):
-        """Bring a scalar of either kind to this kind (exact when widening)."""
-        if self.is_extended:
-            return x if isinstance(x, DDouble) else DDouble.from_float(x)
-        return float(x)
 
 
 DOUBLE = ScalarKind("double", 2.0**-53, False)
@@ -687,7 +554,7 @@ def kind_by_name(name: str) -> ScalarKind:
 
 def kind_of(arr) -> ScalarKind:
     """Infer the kind of an array (or scalar)."""
-    if isinstance(arr, (DDArray, DDouble)):
+    if isinstance(arr, DDArray):
         return DOUBLE_DOUBLE
     if isinstance(arr, np.ndarray) and arr.dtype == object:
         return DOUBLE_DOUBLE
@@ -703,18 +570,13 @@ def at_least_as_precise(target: ScalarKind, source: ScalarKind) -> bool:
 
 def fsqrt(x):
     """Square root for either scalar kind."""
-    if isinstance(x, DDouble):
+    if isinstance(x, DDArray):
         return x.sqrt()
     return math.sqrt(x)
 
 
-def is_finite_scalar(x) -> bool:
-    if isinstance(x, DDouble):
-        return x.is_finite()
-    return math.isfinite(x)
-
-
 def all_finite(arr) -> bool:
+    """Whether every value of an array or scalar of either kind is finite."""
     if isinstance(arr, DDArray):
         return bool(np.isfinite(arr.hi).all() and np.isfinite(arr.lo).all())
     return bool(np.all(np.isfinite(arr)))
@@ -722,7 +584,7 @@ def all_finite(arr) -> bool:
 
 def to_float_array(arr) -> np.ndarray:
     """Round an array of either kind (a DDArray, or an object array of
-    DDouble) down to binary64."""
+    Words) down to binary64."""
     if isinstance(arr, DDArray):
         return arr.hi + arr.lo
     a = np.asarray(arr)
@@ -740,7 +602,7 @@ def dot(x, y):
     Double-double products feed their exact error terms straight into the
     compensated sum."""
     if x.size == 0:
-        return kind_of(x).from_float(0.0)
+        return kind_of(x).scalar(0.0)
     if isinstance(x, DDArray) or isinstance(y, DDArray):
         (xh, xl), (yh, yl) = _words(x), _words(y)
         p, e = _two_prod(xh, yh)
@@ -748,7 +610,7 @@ def dot(x, y):
             e = e + xl * yh
         if yl is not None:
             e = e + xh * yl
-        return _result(*_reduce(p.reshape(-1), np.add.reduce(e, axis=None)))
+        return DDArray(*_reduce(p.reshape(-1), np.add.reduce(e, axis=None)))
     return np.add.reduce(x * y, axis=None)
 
 
@@ -758,7 +620,7 @@ def norm2(x):
 
 def norm_inf(x):
     if x.size == 0:
-        return kind_of(x).from_float(0.0)
+        return kind_of(x).scalar(0.0)
     return np.maximum.reduce(np.abs(x), axis=None)
 
 

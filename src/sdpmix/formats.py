@@ -416,7 +416,7 @@ def read_solution(path) -> Solution:
 
 def write_warmstart(warm: WarmStart, path) -> None:
     ext = warm.kind.is_extended
-    mu = warm.kind.coerce_scalar(warm.mu)
+    mu = warm.kind.scalar(warm.mu)
     mu_words = f"{float(mu.hi)!r} {float(mu.lo)!r}" if ext else repr(mu)
     lines = ["# sdpmix warmstart", f"kind {warm.kind.name}", f"mu {mu_words}"]
     _write_iterate(lines, "V", warm.V_blocks, warm.y_a, warm.y_b, ext)
@@ -431,7 +431,7 @@ def read_warmstart(path) -> WarmStart:
     except ValueError as exc:
         raise FormatError(str(exc), path, toks.last_line) from None
     toks.expect("mu")
-    mu = kind.coerce_scalar(toks.scalars(1, kind)[0])
+    mu = kind.scalar(toks.scalars(1, kind)[0])
     V_blocks, y_a, y_b = _read_iterate(toks, "V", kind)
     toks.finish()
     return WarmStart(V_blocks, y_a, y_b, mu)

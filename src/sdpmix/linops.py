@@ -224,17 +224,17 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 100):
     A = kind.asarray(M).copy()
     U = kind.zeros((n, n))
     for t in range(n):
-        U[t, t] = kind.from_float(1.0)
+        U[t, t] = kind.scalar(1.0)
     if n <= 1:
         return np.diag(A).copy(), U
 
     frob = fsqrt(np.sum(A * A))
     if not frob > 0:
         return np.diag(A).copy(), U
-    tol = kind.from_float(float(4 * n)) * kind.from_float(kind.epsilon) * frob
+    tol = kind.scalar(float(4 * n)) * kind.scalar(kind.epsilon) * frob
 
     for _ in range(max_sweeps):
-        off_sq = kind.from_float(0.0)
+        off_sq = kind.scalar(0.0)
         for p in range(n - 1):
             off_sq = off_sq + dot(A[p, p + 1 :], A[p, p + 1 :])
         if not fsqrt(off_sq + off_sq) > tol:
@@ -310,5 +310,5 @@ def project_psd(M: np.ndarray) -> np.ndarray:
     S = (M + M.T) * 0.5
     kind = kind_of(S)
     w, U = _refined_eigh(S) if kind.is_extended else np.linalg.eigh(S)
-    Z = (U * np.maximum(w, kind.from_float(0.0))) @ U.T
+    Z = (U * np.maximum(w, kind.scalar(0.0))) @ U.T
     return (Z + Z.T) * 0.5

@@ -26,7 +26,7 @@ def promote(warm: WarmStart, kind: ScalarKind) -> WarmStart:
         [kind.asarray(V) for V in warm.V_blocks],
         kind.asarray(warm.y_a),
         kind.asarray(warm.y_b),
-        kind.coerce_scalar(warm.mu),
+        kind.scalar(warm.mu),
     )
 
 

@@ -200,7 +200,7 @@ class ScalingRecord:
     @classmethod
     def identity(cls, problem: SdpProblem) -> "ScalingRecord":
         kind = problem.kind
-        one = kind.from_float(1.0)
+        one = kind.scalar(1.0)
         ones = kind.asarray(np.ones(problem.m))
         return cls(one, ones, one, one, one)
 
@@ -213,8 +213,8 @@ def scale(problem: SdpProblem) -> tuple[SdpProblem, ScalingRecord]:
     the scaled problem is an exact reparametrization of the original.
     """
     kind = problem.kind
-    one = kind.from_float(1.0)
-    zero = kind.from_float(0.0)
+    one = kind.scalar(1.0)
+    zero = kind.scalar(0.0)
 
     norms = np.sqrt(row_norms_sq(problem))
     vacuous = np.flatnonzero(~(norms[:-1] > zero).astype(bool))

@@ -32,7 +32,6 @@ from .ddouble import (
     all_finite,
     dot,
     fsqrt,
-    is_finite_scalar,
     kind_of,
     norm2,
     norm_inf,
@@ -176,7 +175,7 @@ def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
         V_blocks,
         kind.zeros(problem.m_eq),
         kind.zeros(problem.m_ineq),
-        kind.from_float(mu0),
+        kind.scalar(mu0),
     )
 
 
@@ -205,7 +204,7 @@ def check_fit(problem: SdpProblem, what: str, tag: str, blocks, y_a, y_b, Z_bloc
 def state_from_warm(problem: SdpProblem, warm: WarmStart) -> IterateState:
     kind = problem.kind
     check_fit(problem, "warm start", "V", warm.V_blocks, warm.y_a, warm.y_b)
-    if not is_finite_scalar(warm.mu):
+    if not all_finite(warm.mu):
         raise ValidationError("warm start field mu has a nonfinite value")
     if len(warm.y_b) and not bool(np.all(warm.y_b >= 0)):
         raise ValidationError("warm start has negative inequality multipliers")
@@ -216,7 +215,7 @@ def state_from_warm(problem: SdpProblem, warm: WarmStart) -> IterateState:
         [kind.asarray(V) for V in warm.V_blocks],
         kind.asarray(warm.y_a),
         kind.asarray(warm.y_b),
-        kind.coerce_scalar(warm.mu),
+        kind.scalar(warm.mu),
     )
 
 
@@ -420,11 +419,11 @@ def solve(
             break
 
         refresh_cache(state)
-        if not all_finite(state.cache.values) or not is_finite_scalar(state.cache.cost_value):
+        if not all_finite(state.cache.values) or not all_finite(state.cache.cost_value):
             raise NumericalError(f"nonfinite iterate at outer iteration {iteration} (mu={float(state.mu):.3e})")
 
         update_duals(state, scaled, options.p)
-        if not (all_finite(state.y_a) and all_finite(state.y_b) and is_finite_scalar(state.mu)):
+        if not (all_finite(state.y_a) and all_finite(state.y_b) and all_finite(state.mu)):
             raise NumericalError(f"nonfinite duals at outer iteration {iteration} (mu={float(state.mu):.3e})")
         assert len(state.y_b) == 0 or bool(np.all(state.y_b >= 0))
         ratio = penalty_ratio(state, scaled)

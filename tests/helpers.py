@@ -206,7 +206,7 @@ def multipliers(state):
     t = state.y_b + mu * state.residual_ineq()
     if len(t):
         state.counters["hinge_evals"] += 1
-        zero = state.kind.from_float(0.0)
+        zero = state.kind.scalar(0.0)
         lam_b = np.where(t > 0, t, zero)
     else:
         lam_b = t

@@ -7,6 +7,7 @@ capture; every criterion also asserts, so failures break the build.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from sdpmix.solver import SolverOptions, WarmStart, compute_errors, rank_rule, s
 from helpers import column_objective_grad, incremental_operator_values, random_problem
 from test_auglag import random_state, stagnation_fixture
 from test_instances import maxcut_enumeration_oracle
+from test_perfbench_hooks import load_perfbench_module
 
 
 def finish(num: int, desc: str, ok: bool, detail: str = ""):
@@ -281,16 +283,31 @@ def test_criterion_08_scaling_suite(tmp_path):
            ", ".join(details))
 
 
-def test_criterion_09_extended_precision():
+def test_criterion_09_extended_precision(tmp_path):
     p = gen_random_sdp((10,), 10, 1.0, seed=42)
     t0 = time.perf_counter()
     sol, _ = solve_two_stage(p, 1e-20, SolverOptions(max_iters=100000, iters_Z=20))
     dt = time.perf_counter() - t0
     rep = sol.report.as_dict()
     four = [rep["pinf"], rep["gap"], rep["dinf"], rep["compl"]]
-    ok = sol.status == "tol" and max(four) < 1e-18 and dt < 600.0
-    finish(9, "two-stage double-double on rand_10_10_1.0 at tol 1e-20: unscaled errors < 1e-18, < 10 min", ok,
-           f"status={sol.status}, max4={max(four):.2e}, t={dt:.1f}s, iters={sol.iterations}")
+    # the same four measures recomputed independently of the solver's
+    # arithmetic: the benchmark's mpmath oracle (50 digits) on the problem
+    # file and the solution's exact hi/lo words
+    oracle = load_perfbench_module("oracle")
+    write_native(p, tmp_path / "rand_10_10.sdp")
+    with mpmath.workdps(oracle.MP_DIGITS):
+        def exact(a):
+            return [mpmath.mpf(h) + mpmath.mpf(lo) for h, lo in zip(a.hi.ravel().tolist(), a.lo.ravel().tolist())]
+
+        factor = [mpmath.matrix([exact(row) for row in F]) for F in sol.factor]
+        errors = oracle.kkt_mpmath(oracle.read_problem(tmp_path / "rand_10_10.sdp"), factor, exact(sol.y_a),
+                                   exact(sol.y_b))
+    mp_four = [errors[k] for k in ("pinf", "gap", "dinf", "compl")]
+    ok = sol.status == "tol" and max(four) < 1e-18 and max(mp_four) < 1e-18 and dt < 600.0
+    finish(9, "two-stage double-double on rand_10_10_1.0 at tol 1e-20: unscaled errors < 1e-18, also in 50-digit "
+           "mpmath from the raw data, < 10 min", ok,
+           f"status={sol.status}, max4={max(four):.2e}, mpmath max4={max(mp_four):.2e}, t={dt:.1f}s, "
+           f"iters={sol.iterations}")
 
 
 def test_criterion_10_rank_rule():

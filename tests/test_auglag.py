@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdpmix.auglag import ColumnContext, commit_column, make_state, refresh_cache
-from sdpmix.ddouble import DOUBLE_DOUBLE, DDouble
+from sdpmix.ddouble import DOUBLE_DOUBLE, DDArray
 from sdpmix.instances import Graph, maxcut_relaxation
 from sdpmix.linops import apply_operator
 from sdpmix.problem import as_kind
@@ -238,7 +238,7 @@ def test_column_hessian_matches_central_differences(case):
         if case == "dd":
             dd = DOUBLE_DOUBLE
             st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
-                            dd.asarray(st.y_b), dd.coerce_scalar(st.mu))
+                            dd.asarray(st.y_b), dd.scalar(st.mu))
         rng = np.random.default_rng(40_000 + seed)
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
@@ -269,7 +269,7 @@ def test_column_start_returns_full_gradient(case):
         if case == "dd":
             dd = DOUBLE_DOUBLE
             st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
-                            dd.asarray(st.y_b), dd.coerce_scalar(st.mu))
+                            dd.asarray(st.y_b), dd.scalar(st.mu))
         grads = full_gradient(st)
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
@@ -343,7 +343,7 @@ def _mp(x):
     """The exact value of a binary64 or double-double scalar as an mpf."""
     import mpmath
 
-    return mpmath.mpf(x.hi) + mpmath.mpf(x.lo) if isinstance(x, DDouble) else mpmath.mpf(float(x))
+    return mpmath.mpf(x.hi) + mpmath.mpf(x.lo) if isinstance(x, DDArray) else mpmath.mpf(float(x))
 
 
 def _mp_auglag(p, V_blocks, y_a, y_b, mu, block, i):
@@ -415,7 +415,7 @@ def test_increment_kernel_matches_mpmath_difference(kind):
             if kind == "dd":
                 dd = DOUBLE_DOUBLE
                 st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
-                                dd.asarray(st.y_b), dd.coerce_scalar(st.mu))
+                                dd.asarray(st.y_b), dd.scalar(st.mu))
             df, g = ColumnContext(st, b, i).value_and_grad(d)
             assert isinstance(df, float) and g.dtype == np.float64
 
@@ -455,7 +455,7 @@ def test_column_refinement_reaches_double_double_stationarity():
     for seed in range(3):
         p, st64 = random_state(seed)
         st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st64.V_blocks], dd.asarray(st64.y_a),
-                        dd.asarray(st64.y_b), dd.coerce_scalar(st64.mu))
+                        dd.asarray(st64.y_b), dd.scalar(st64.mu))
         b, i = 0, seed
         for _ in range(4):
             ctx = ColumnContext(st, b, i)

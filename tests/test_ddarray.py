@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpmix import ddouble
-from sdpmix.ddouble import DOUBLE_DOUBLE, DDArray, DDouble, dot, segment_sum, to_float_array
+from sdpmix.ddouble import DOUBLE_DOUBLE, DDArray, Words, dot, segment_sum, to_float_array
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 FIELD = mpmath.mpf(2) ** -99
@@ -34,6 +34,11 @@ def word_pair(mantissa, exponent, tail):
 mantissas = st.floats(0.5, 1.0, exclude_max=True) | st.floats(-1.0, -0.5, exclude_min=True)
 nonzero = st.builds(word_pair, mantissas, st.integers(-40, 40), st.floats(-1.0, 1.0))
 values = nonzero | st.just((0.0, 0.0))
+
+
+def scalar(hi, lo=0.0):
+    """A 0-d DDArray, the double-double scalar, of the words hi and lo."""
+    return DDArray(np.float64(hi), np.float64(lo))
 
 
 def dd(pairs, shape=None):
@@ -57,6 +62,11 @@ def assert_normalized(a):
     assert np.array_equal(a.hi + a.lo, a.hi)
 
 
+def assert_scalar(x):
+    assert isinstance(x, DDArray) and x.shape == ()
+    assert type(x.hi) is np.float64 and type(x.lo) is np.float64
+
+
 def check_field(got, want):
     assert isinstance(got, DDArray) and len(got) == len(want)
     assert_normalized(got)
@@ -70,12 +80,12 @@ def pairs_of(n, elements=values):
 
 def operand(pairs, kind):
     """The pairs as a DDArray, as its binary64 hi words, or (the first) as a
-    DDouble scalar; and the exact values it stands for, one per pair."""
+    0-d DDArray; and the exact values it stands for, one per pair."""
     if kind == "binary64":
         a = dd(pairs).hi
         return a, [mpmath.mpf(float(v)) for v in a]
     if kind == "scalar":
-        a = DDouble(*pairs[0])
+        a = scalar(*pairs[0])
         return a, [mp(a)] * len(pairs)
     a = dd(pairs)
     return a, exact(a)
@@ -107,6 +117,20 @@ def test_field_ops_match_mpmath(operands, other):
 
 
 @SETTINGS
+@given(values, values, nonzero)
+def test_scalar_field_ops_match_mpmath(a, b, c):
+    # 0-d op 0-d: double-double scalars stay 0-d DDArrays
+    with mpmath.workdps(60):
+        x, y, z = scalar(*a), scalar(*b), scalar(*c)
+        mx, my, mz = mp(x), mp(y), mp(z)
+        for got, want in [(x + y, mx + my), (x - y, mx - my), (x * y, mx * my), (x / z, mx / mz),
+                          (y / z, my / mz), (-x, -mx), (abs(x), abs(mx)), (np.sqrt(abs(x)), mpmath.sqrt(abs(mx)))]:
+            assert_scalar(got)
+            assert_normalized(got)
+            assert abs(mp(got) - want) <= FIELD * (1 + abs(want))
+
+
+@SETTINGS
 @given(st.integers(1, 10).flatmap(lambda n: pairs_of(n)), st.integers(-60, -1))
 def test_cancellation_keeps_the_tail(xs, tail_exponent):
     # x + (-x + tiny): the high words cancel and the result is tiny, exact
@@ -135,7 +159,7 @@ def test_dot_and_sum_match_mpmath(operands):
         mx, my = exact(x), exact(y)
         n = len(mx)
         got = dot(x, y)
-        assert isinstance(got, DDouble)
+        assert_scalar(got)
         check_reduction(got, mpmath.fsum(a * b for a, b in zip(mx, my)), sum(abs(a * b) for a, b in zip(mx, my)), n)
         got = np.add.reduce(x, axis=None)
         check_reduction(got, mpmath.fsum(mx), sum(abs(a) for a in mx), n)
@@ -169,7 +193,7 @@ def test_matmul_matches_mpmath(operands):
             terms = [mv[t] * mB[t][j] for t in range(k)]
             check_reduction(got[j], mpmath.fsum(terms), sum(abs(t) for t in terms), k)
         got = v @ v
-        assert isinstance(got, DDouble)
+        assert_scalar(got)
         terms = [t * t for t in mv]
         check_reduction(got, mpmath.fsum(terms), sum(abs(t) for t in terms), k)
         # a binary64 operand on either side
@@ -255,7 +279,7 @@ def test_matmul_chunks_give_the_rows_of_one_product(monkeypatch):
 
 def test_empty_and_order_one_shapes():
     e = DOUBLE_DOUBLE.zeros(0)
-    for got in (e + e, e - 1.0, e * e, e / DDouble(3.0), np.sqrt(e), abs(e)):
+    for got in (e + e, e - 1.0, e * e, e / DOUBLE_DOUBLE.scalar(3.0), np.sqrt(e), abs(e)):
         assert isinstance(got, DDArray) and got.shape == (0,)
     assert float(dot(e, e)) == 0.0 and float(np.add.reduce(e, axis=None)) == 0.0
     assert segment_sum(e, np.zeros(0, dtype=np.int64), 3).shape == (3,)
@@ -268,7 +292,7 @@ def test_empty_and_order_one_shapes():
 
 def test_compare_where_maximum_and_indexing():
     x = DDArray(np.array([1.0, 1.0, -2.0, 0.0]), np.array([2.0**-60, -(2.0**-60), 0.0, 0.0]))
-    one = DDouble(1.0)
+    one = DOUBLE_DOUBLE.scalar(1.0)
     assert (x > one).tolist() == [True, False, False, False]
     assert (x <= 1.0).tolist() == [False, True, True, True]
     assert (x == x).all() and not (x != x).any()
@@ -280,9 +304,24 @@ def test_compare_where_maximum_and_indexing():
     assert np.maximum.reduce(x, axis=None).lo == 2.0**-60
     y = x.copy()
     y[1:3] = np.array([5.0, 6.0])
-    y[0] = DDouble(7.0, 2.0**-55)
+    y[0] = scalar(7.0, 2.0**-55)
     assert y[0].lo == 2.0**-55 and y[1].hi == 5.0 and y[1].lo == 0.0 and x[0].hi == 1.0
     assert np.array_equal(np.concatenate([x, np.ones(1)]).hi, [1.0, 1.0, -2.0, 0.0, 1.0])
+    for got in (x[0], x.sum(), x.max(), np.where(x[0] > 0, x[0], one)):
+        assert_scalar(got)
+    joined = np.append(x, scalar(2.0, 2.0**-80))
+    assert isinstance(joined, DDArray)
+    assert joined.hi.tolist() == [1.0, 1.0, -2.0, 0.0, 2.0] and joined.lo.tolist() == x.lo.tolist() + [2.0**-80]
+    grid = np.append(x.reshape(2, 2), np.ones((1, 2)), axis=0)
+    assert isinstance(grid, DDArray) and grid.shape == (3, 2) and grid.lo[0, 0] == 2.0**-60
+
+
+def test_truth_value_follows_numpy():
+    assert not DOUBLE_DOUBLE.zeros(1) and not DOUBLE_DOUBLE.scalar(0.0)
+    assert DOUBLE_DOUBLE.asarray([-2.0]) and DOUBLE_DOUBLE.scalar(0.5)
+    for shape in [(2,), (0,)]:
+        with pytest.raises(ValueError, match="ambiguous"):
+            bool(DOUBLE_DOUBLE.zeros(shape))
 
 
 def test_object_array_boundary_is_exact():
@@ -290,13 +329,21 @@ def test_object_array_boundary_is_exact():
     objects = np.asarray(x)
     assert objects.dtype == object and objects.shape == (1, 2)
     assert [(v.hi, v.lo) for v in objects.ravel()] == [(1.0, 2.0**-70), (-3.0, 2.0**-60)]
+    assert all(isinstance(v, Words) for v in objects.ravel())
+    with pytest.raises(TypeError):
+        objects - objects  # the words records carry no arithmetic
     back = DOUBLE_DOUBLE.asarray(objects)
     assert np.array_equal(back.hi, x.hi) and np.array_equal(back.lo, x.lo)
     assert np.array_equal(to_float_array(objects), to_float_array(x))
     assert np.asarray(x, dtype=float).dtype == np.float64
     # a numpy function DDArray does not implement sees the object array
-    joined = np.append(x, DDouble(2.0, 2.0**-80))
-    assert joined.dtype == object and joined[-1].lo == 2.0**-80
+    flipped = np.flip(x, axis=1)
+    assert flipped.dtype == object and flipped[0, 0].lo == 2.0**-60
+    assert np.array_equal(DOUBLE_DOUBLE.asarray(flipped).lo, x.lo[:, ::-1])
+    assert np.asarray(x[0, 1])[()] == Words(-3.0, 2.0**-60)
+    # numpy keeps the 0-d DDArrays of a list in its object array
+    scalars = DOUBLE_DOUBLE.asarray([x[0, 1], x[0, 0]])
+    assert scalars.hi.tolist() == [-3.0, 1.0] and scalars.lo.tolist() == [2.0**-60, 2.0**-70]
 
 
 @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (2, 3)])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sdpmix.ddouble import DDouble, DOUBLE, DOUBLE_DOUBLE
+from sdpmix.ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, Words
 from sdpmix.errors import FormatError, ValidationError
 from sdpmix.formats import (
     parse_native,
@@ -277,8 +277,10 @@ def test_solution_without_z(tmp_path):
 
 
 def words(values):
-    """The exact (hi, lo) words of every value; lo is 0 for binary64."""
-    return [(x.hi, x.lo) if isinstance(x, DDouble) else (float(x), 0.0) for x in np.asarray(values).reshape(-1)]
+    """The exact (hi, lo) words of every value; lo is 0 for binary64. numpy
+    keeps the 0-d DDArrays of a list in its object array."""
+    return [(float(x.hi), float(x.lo)) if isinstance(x, (Words, DDArray)) else (float(x), 0.0)
+            for x in np.asarray(values).reshape(-1)]
 
 
 def more_warm_starts(kind):
@@ -291,10 +293,10 @@ def more_warm_starts(kind):
     out = [promote(w, kind) for w in (two, empty)]
     if kind is DOUBLE_DOUBLE:
         def low(a):
-            return np.array([DDouble(x.hi, x.hi * 2.0**-60) for x in a.reshape(-1)], dtype=object).reshape(a.shape)
+            return np.array([Words(h, h * 2.0**-60) for h in a.hi.reshape(-1).tolist()], dtype=object).reshape(a.shape)
 
         out.append(WarmStart([low(V) for V in out[0].V_blocks], low(out[0].y_a), low(out[0].y_b),
-                             DDouble(0.75, 2.0**-70)))
+                             DDArray(np.float64(0.75), np.float64(2.0**-70))))
     return out
 
 
@@ -332,7 +334,7 @@ def test_warmstart_round_trip_double_double(tmp_path):
         DOUBLE_DOUBLE,
     )
     tweaked = warm.V_blocks[0].copy()
-    tweaked[0, 0] = DDouble(1.0, 2.0**-80)  # exercise a nonzero low word
+    tweaked[0, 0] = DDArray(np.float64(1.0), np.float64(2.0**-80))  # exercise a nonzero low word
     warm = WarmStart([tweaked], warm.y_a, warm.y_b, warm.mu)
     path = tmp_path / "w.ws"
     write_warmstart(warm, path)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sdpmix import cli, formats, linops, solver
-from sdpmix.ddouble import DDArray, DDouble
+from sdpmix.ddouble import DDArray
 from sdpmix.instances import gen_random_sdp
 from sdpmix.precision import solve_two_stage
 
@@ -97,7 +97,7 @@ def test_write_hook_keeps_the_solution_the_cli_writes(tmp_path, capsys, monkeypa
 
 
 def test_dd_solve_makes_no_object_array_and_exact_pairs_reads_its_words(tmp_path, monkeypatch):
-    # np.asarray(dd_array) is the only way to an object array of DDouble; a
+    # np.asarray(dd_array) is the only way to an object array of Words; a
     # two-stage solve, or writing and reading back its files, that reached it
     # would fail here
     def refuse(self, dtype=None, copy=None):
@@ -110,7 +110,8 @@ def test_dd_solve_makes_no_object_array_and_exact_pairs_reads_its_words(tmp_path
     back = formats.read_warmstart(tmp_path / "dd.ws")
     monkeypatch.undo()
     assert np.array_equal(back.V_blocks[0].lo, warm.V_blocks[0].lo) and back.mu == warm.mu
-    assert sol.status == "tol" and isinstance(sol.factor[0], DDArray) and isinstance(sol.objective, DDouble)
+    assert sol.status == "tol" and isinstance(sol.factor[0], DDArray) and isinstance(sol.objective, DDArray)
+    assert sol.objective.shape == ()
     assert isinstance(warm.V_blocks[0], DDArray)
 
     # the benchmark's oracle reads the solution's exact words through exact_pairs

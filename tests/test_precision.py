@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdpmix.ddouble import DDArray, DDouble, DOUBLE, DOUBLE_DOUBLE, to_float_array
+from sdpmix.ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, to_float_array
 from sdpmix.precision import promote, solve_two_stage
 from sdpmix.problem import as_kind
 from sdpmix.solver import SolverOptions, WarmStart, solve
@@ -23,7 +23,7 @@ def test_promote_is_exact_embedding():
     assert np.array_equal(to_float_array(up.V_blocks[0]), warm.V_blocks[0])
     assert all(v.lo == 0.0 for v in up.V_blocks[0].reshape(-1))
     assert np.array_equal(to_float_array(up.y_a), warm.y_a)
-    assert float(up.mu) == warm.mu and isinstance(up.mu, DDouble)
+    assert float(up.mu) == warm.mu and isinstance(up.mu, DDArray) and up.mu.shape == ()
 
 
 def test_promote_empty_duals():

@@ -444,10 +444,10 @@ def test_solve_rejects_nonfinite_warm_start():
         for field in ("V 1", "ya", "yb", "mu"):
             warm = promote(good, kind)
             if field == "mu":
-                warm.mu = kind.from_float(math.nan)
+                warm.mu = kind.scalar(math.nan)
             else:
                 values = warm.V_blocks[0] if field == "V 1" else getattr(warm, field.replace("y", "y_"))
-                values[-1] = kind.from_float(math.inf if field == "yb" else math.nan)
+                values[-1] = kind.scalar(math.inf if field == "yb" else math.nan)
             with pytest.raises(ValidationError, match=f"warm start field {field} has a nonfinite value"):
                 solve(q, SolverOptions(max_iters=5), warm_start=warm)
 
