@@ -9,7 +9,7 @@ dynamically. A double-double mode refines solutions far past binary64.
 from .ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, ScalarKind, kind_by_name
 from .errors import FormatError, NumericalError, SdpmixError, ValidationError
 from .lbfgs import InnerConfig, minimize_column
-from .linops import apply_adjoint, apply_operator, jacobi_eigh, project_psd
+from .linops import apply_adjoint, apply_operator, project_psd
 from .precision import promote, solve_two_stage
 from .problem import ScalingRecord, SdpProblem, as_kind, scale, validate
 from .solver import (
@@ -45,7 +45,6 @@ __all__ = [
     "apply_operator",
     "as_kind",
     "compute_errors",
-    "jacobi_eigh",
     "kind_by_name",
     "minimize_column",
     "project_psd",

@@ -28,7 +28,8 @@ from .formats import (
 )
 from .instances import gen_random_sdp, maxcut_relaxation, theta_relaxation
 from .precision import solve_two_stage
-from .solver import SolverOptions, check_fit, compute_errors, dual_slack, solve
+from .linops import project_psd
+from .solver import SolverOptions, check_fit, compute_errors, cost_minus_adjoint, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -54,9 +55,11 @@ def _progress_printer():
 
     def emit(row: dict) -> None:
         if row["iter"] % stride == 0:
+            zcheck = "-" if row["zcheck"] is None else f"{row['zcheck']:9.3e}"
             _log(
                 "iter {iter:6d}  mu {mu:9.3e}  ratio {ratio:9.3e}  pinf {pinf:9.3e}  "
-                "gap {gap:9.3e}  compl* {compl_star:9.3e}  t {elapsed:8.2f}s".format(**row)
+                "gap {gap:9.3e}  compl* {compl_star:9.3e}  zcheck {zcheck:>9}  t {elapsed:8.2f}s".format(
+                    **{**row, "zcheck": zcheck})
             )
 
     return emit
@@ -69,7 +72,8 @@ _SOLVER_HELP = {
     "mu_start": "initial penalty (default sqrt of largest block)",
     "time_limit": "wall-clock limit in seconds",
     "max_iters": "outer iteration cap",
-    "iters_Z": "dual slack check cadence",
+    "iters_Z": "longest gap between dual-slack checks, which back off 1, 2, 4, ... iterations and also fall on "
+               "its multiples",
     "scaling": "disable automatic data scaling",
     "shuffling": "randomize column order each iteration",
     "double_sweep": "forward then reverse column sweeps",
@@ -198,8 +202,9 @@ def cmd_check(args) -> int:
         _log(f"error: {exc}")
         return EXIT_INPUT
 
-    Z = sol.Z if sol.Z is not None else dual_slack(problem, sol.y_a, sol.y_b)
-    report = compute_errors(problem, sol.X, sol.y_a, sol.y_b, Z)
+    slack = cost_minus_adjoint(problem, sol.y_a, sol.y_b)
+    Z = sol.Z if sol.Z is not None else [project_psd(S) for S in slack]
+    report = compute_errors(problem, sol.X, sol.y_a, sol.y_b, Z, slack=slack)
     for key, val in report.as_dict().items():
         print(f"{key} {val!r}")
     max_err = float(report.max_error())

@@ -18,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from .ddouble import all_finite, dot, fsqrt, kind_of, norm2, segment_sum, to_float_array
+from .ddouble import DOUBLE_DOUBLE, all_finite, dot, kind_of, segment_sum, to_float_array
 from .errors import NumericalError
 from .problem import OperatorTables, SdpProblem  # noqa: F401  (OperatorTables re-exported)
 
@@ -207,108 +207,92 @@ def commit_column(cache: OperatorCache, slices: ColumnSlices, V_blocks, block: i
     V[:, i] = v_new
 
 
-# -- eigendecomposition and PSD projection ----------------------------------
+# -- PSD projection -------------------------------------------------------------
+
+_REFINE_STEPS = 10  # quadratic convergence needs 2 or 3 from a LAPACK start; close pairs a few more
 
 
-def jacobi_eigh(M: np.ndarray, max_sweeps: int = 100):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+def _refined_basis(S):
+    """Ogita and Aishima's refinement (JJIAM 35, 2018) of the binary64
+    LAPACK eigenvectors of a double-double symmetric S.
 
-    Works at either scalar kind; project_psd uses it only to refine a
-    LAPACK starting basis in double-double. Returns eigenvalues ascending
-    and the matching orthonormal columns.
+    Each step forms R = I - X^T X and T = X^T S X in double-double, takes
+    the eigenvalue estimates lam_i = t_ii / (1 - r_ii) and moves X to
+    X (I + E), with E_ij = (t_ij + lam_j r_ij) / (lam_j - lam_i) between
+    eigenvalues of different clusters and r_ij / 2 within one; E needs only
+    binary64 precision. A cluster is a chain of estimates closer than
+    2 (||T - diag(lam)|| + ||S|| ||R||), fixed at the first step. Returns X,
+    T and each column's cluster label once R and T's entries between
+    clusters are down to double-double roundoff (or after _REFINE_STEPS
+    steps): X is orthonormal and T block diagonal over the clusters.
     """
-    kind = kind_of(M)
-    n = M.shape[0]
-    if not all_finite(M):
-        raise NumericalError(f"eigensolver: nonfinite entry in the order-{n} input")
-    A = kind.asarray(M).copy()
-    U = kind.zeros((n, n))
-    for t in range(n):
-        U[t, t] = kind.scalar(1.0)
-    if n <= 1:
-        return np.diag(A).copy(), U
-
-    frob = fsqrt(np.sum(A * A))
-    if not frob > 0:
-        return np.diag(A).copy(), U
-    tol = kind.scalar(float(4 * n)) * kind.scalar(kind.epsilon) * frob
-
-    for _ in range(max_sweeps):
-        off_sq = kind.scalar(0.0)
-        for p in range(n - 1):
-            off_sq = off_sq + dot(A[p, p + 1 :], A[p, p + 1 :])
-        if not fsqrt(off_sq + off_sq) > tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if not abs(apq) > 0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(tau) > 1.0 / kind.epsilon:
-                    t_rot = 0.5 / tau  # tau * tau would overflow, and dd turns inf into NaN
-                else:
-                    root = fsqrt(1.0 + tau * tau)
-                    t_rot = 1.0 / (tau + root) if tau >= 0 else 1.0 / (tau - root)
-                c = 1.0 / fsqrt(1.0 + t_rot * t_rot)
-                s = t_rot * c
-                _rotate(A, U, p, q, c, s)
-    else:
-        raise NumericalError(f"eigensolver: no convergence in {max_sweeps} sweeps (order {n})")
-
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], U[:, order]
+    n = len(S)
+    w, X = np.linalg.eigh(to_float_array(S))
+    X = kind_of(S).asarray(X)
+    norm = float(np.abs(w).max(initial=0.0))
+    tol = n * DOUBLE_DOUBLE.epsilon
+    for step in range(_REFINE_STEPS + 1):
+        T = (S @ X).T @ X
+        T = (T + T.T) * 0.5
+        R = np.eye(n) - X.T @ X
+        lam = np.diag(T) / (1.0 - np.diag(R))
+        T64, R64 = to_float_array(T), to_float_array(R)
+        if step == 0:
+            lam64 = to_float_array(lam)
+            delta = 2.0 * (np.linalg.norm(T64 - np.diag(lam64)) + norm * np.linalg.norm(R64))
+            order = np.argsort(lam64)
+            label = np.empty(n, dtype=np.intp)
+            label[order] = np.cumsum(np.diff(lam64[order], prepend=lam64[order[:1]]) > delta)
+            between = label[:, None] != label[None, :]
+        converged = np.abs(R64).max() <= tol and np.abs(T64[between]).max(initial=0.0) <= tol * norm
+        if converged or step == _REFINE_STEPS:
+            return X, T, label
+        num = to_float_array(T + lam[None, :] * R)
+        gap = to_float_array(lam[None, :] - lam[:, None])
+        E = 0.5 * R64
+        E[between] = num[between] / gap[between]
+        X = X + X @ E
 
 
-def _rotate(A, U, p, q, c, s):
-    Ap = A[:, p].copy()
-    Aq = A[:, q].copy()
-    A[:, p] = c * Ap - s * Aq
-    A[:, q] = s * Ap + c * Aq
-    Ap = A[p, :].copy()
-    Aq = A[q, :].copy()
-    A[p, :] = c * Ap - s * Aq
-    A[q, :] = s * Ap + c * Aq
-    Up = U[:, p].copy()
-    Uq = U[:, q].copy()
-    U[:, p] = c * Up - s * Uq
-    U[:, q] = s * Up + c * Uq
-
-
-def _refined_eigh(S: np.ndarray):
-    """Double-double eigendecomposition seeded from binary64 LAPACK.
-
-    The eigenvectors of the binary64 rounding of S are promoted exactly and
-    orthonormalized once in dd (modified Gram-Schmidt), giving Q. Q^T S Q is
-    then diagonal up to binary64 roundoff, so the Jacobi sweeps on it
-    converge quadratically from the first sweep (Ogita and Aishima 2018
-    refine the same kind of starting basis). Returns ascending eigenvalues
-    and Q W, W the Jacobi eigenvectors of Q^T S Q.
-    """
+def _refined_projection(S):
+    """PSD projection of a double-double symmetric S on the refined basis
+    X: Z = X P X^T, P the projection of T = X^T S X cluster by cluster. A
+    single eigenvalue keeps max(t_ii, 0); a cluster keeps its block of T
+    when the block's eigenvalues are all >= 0 and is dropped when they are
+    all <= 0. A cluster that straddles 0 has eigenvalues within its spread
+    of 0, so its entries are tiny and a binary64 eigh splits it accurately
+    enough."""
+    X, T, label = _refined_basis(S)
     kind = kind_of(S)
-    _, U = np.linalg.eigh(to_float_array(S))
-    Q = kind.asarray(U)
-    for j in range(Q.shape[1]):
-        v = Q[:, j]
-        for i in range(j):
-            v = v - dot(Q[:, i], v) * Q[:, i]
-        Q[:, j] = v / norm2(v)
-    T = Q.T @ S @ Q
-    w, W = jacobi_eigh((T + T.T) * 0.5)
-    return w, Q @ W
+    sizes = np.bincount(label)
+    d = np.diag(T)
+    single = np.flatnonzero((sizes[label] == 1) & (d > 0))
+    cols, rows = [X[:, single] * d[single]], [X[:, single]]
+    for c in np.flatnonzero(sizes > 1):
+        idx = np.flatnonzero(label == c)
+        B = T[np.ix_(idx, idx)]
+        w, W = np.linalg.eigh(to_float_array(B))
+        if w[-1] <= 0:
+            continue
+        if w[0] < 0:
+            B = kind.asarray((W * np.maximum(w, 0.0)) @ W.T)
+        cols.append(X[:, idx] @ B)
+        rows.append(X[:, idx])
+    return np.concatenate(cols, axis=1) @ np.concatenate(rows, axis=1).T
 
 
 def project_psd(M: np.ndarray) -> np.ndarray:
     """Metric projection onto the PSD cone: zero out negative eigenvalues.
 
     binary64 input goes to LAPACK (np.linalg.eigh); double-double input to
-    _refined_eigh. Nonfinite input raises NumericalError.
+    _refined_projection. Nonfinite input raises NumericalError.
     """
     if not all_finite(M):
         raise NumericalError(f"PSD projection: nonfinite entry in the order-{M.shape[0]} input")
     S = (M + M.T) * 0.5
-    kind = kind_of(S)
-    w, U = _refined_eigh(S) if kind.is_extended else np.linalg.eigh(S)
-    Z = (U * np.maximum(w, kind.scalar(0.0))) @ U.T
+    if kind_of(S).is_extended:
+        Z = _refined_projection(S)
+    else:
+        w, U = np.linalg.eigh(S)
+        Z = (U * np.maximum(w, 0.0)) @ U.T
     return (Z + Z.T) * 0.5

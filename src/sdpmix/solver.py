@@ -11,10 +11,13 @@ below rat_min.
 
 Status tol means that all five KKT errors of the returned solution,
 measured on the problem as given, are below tol. That report needs the
-dual slack matrix (a PSD projection), so it is built only every iters_Z
-iterations and only once the three cheap measures (pinf, gap, compl*) of
-the scaled iterate are already below tol; the solution it is built on is
-the one returned.
+dual slack matrix (a PSD projection), so it is built only once the three
+cheap measures (pinf, gap, compl*) of the scaled iterate are below tol:
+first at the first such iteration, then, while it fails, after gaps of 1,
+2, 4, ... iterations capped at iters_Z, and at every multiple of iters_Z.
+A check leaves the iterate untouched, so this stops no later than checking
+at the multiples of iters_Z alone. The solution the passing report is
+built on is the one returned.
 """
 
 from __future__ import annotations
@@ -266,14 +269,19 @@ def update_penalty(state: IterateState, ratio: float, options: SolverOptions) ->
     # unchanged otherwise
 
 
-def compute_errors(problem: SdpProblem, X_blocks, y_a, y_b, Z_blocks=None) -> ErrorReport:
+def compute_errors(problem: SdpProblem, X_blocks, y_a, y_b, Z_blocks=None, rows=None, slack=None) -> ErrorReport:
     """KKT error measures from dense X (and Z when supplied); independent of
-    the factored-iterate caches."""
-    rows = dense_rows(problem, X_blocks)
+    the factored-iterate caches. A caller that has formed them already may
+    pass rows = dense_rows(problem, X_blocks) and, with Z, slack =
+    cost_minus_adjoint(problem, y_a, y_b)."""
+    if rows is None:
+        rows = dense_rows(problem, X_blocks)
     vals, pobj = rows[:-1], rows[-1]
     if Z_blocks is None:
         return kkt_errors(problem, vals, pobj, y_a, y_b)
-    resid = [S - Z for S, Z in zip(cost_minus_adjoint(problem, y_a, y_b), Z_blocks)]
+    if slack is None:
+        slack = cost_minus_adjoint(problem, y_a, y_b)
+    resid = [S - Z for S, Z in zip(slack, Z_blocks)]
     resid_sq = sum(np.sum(R * R) for R in resid)
     cost_sq = row_norms_sq(problem)[-1]
     xz = sum(np.sum(X * Z) for X, Z in zip(X_blocks, Z_blocks))
@@ -315,11 +323,6 @@ def kkt_errors(problem: SdpProblem, vals, pobj, y_a, y_b, xz=None) -> ErrorRepor
     return ErrorReport(pinf=pinf, gap=gap, compl_star=compl_star, compl=compl)
 
 
-def dual_slack(problem: SdpProblem, y_a, y_b):
-    """Z for the error report: C - sum_j y_j A_j projected onto the PSD cone, per block."""
-    return [project_psd(S) for S in cost_minus_adjoint(problem, y_a, y_b)]
-
-
 def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem) -> Solution:
     """Map a scaled-space solution back to the original data and measure
     the error report (including a fresh dual slack projection) on it; solve
@@ -337,11 +340,11 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     dual_factors = record.cost_norm / record.constraint_norms
     y_a = dual_factors[: original.m_eq] * sol.y_a
     y_b = dual_factors[original.m_eq :] * sol.y_b
-    Z = dual_slack(original, y_a, y_b)
-    report = compute_errors(original, X, y_a, y_b, Z)
-    return replace(
-        sol, factor=factor, y_a=y_a, y_b=y_b, Z=Z, report=report, objective=dense_rows(original, X)[-1]
-    )
+    rows = dense_rows(original, X)
+    slack = cost_minus_adjoint(original, y_a, y_b)
+    Z = [project_psd(S) for S in slack]  # the dual slack: C - A^T y projected onto the PSD cone
+    report = compute_errors(original, X, y_a, y_b, Z, rows, slack)
+    return replace(sol, factor=factor, y_a=y_a, y_b=y_b, Z=Z, report=report, objective=rows[-1])
 
 
 def solve(
@@ -378,6 +381,8 @@ def solve(
     # gradients drop below it and stall the solve at that level, while the
     # relative part (delta) alone would over-solve the early subproblems.
     err_level = 1.0
+    # the next dual-slack check falls due at next_check (see the module docstring)
+    next_check, check_gap = 0, 1
 
     def elapsed() -> float:
         return time.perf_counter() - t_start
@@ -432,6 +437,14 @@ def solve(
 
         cheap = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y_a, state.y_b)
         err_level = float(cheap.max_error())
+        zcheck = None
+        if cheap.max_error() < options.tol and (iteration >= next_check or iteration % options.iters_Z == 0):
+            solution = unscaled("tol")
+            zcheck = float(solution.report.max_error())
+            if solution.report.max_error() < options.tol:
+                status = "tol"
+            else:
+                next_check, check_gap = iteration + check_gap, min(2 * check_gap, options.iters_Z)
         if progress is not None:
             progress(
                 {
@@ -441,17 +454,13 @@ def solve(
                     "pinf": float(cheap.pinf),
                     "gap": float(cheap.gap),
                     "compl_star": float(cheap.compl_star),
+                    "zcheck": zcheck,
                     "elapsed": elapsed(),
                     "hinge_evals": state.counters["hinge_evals"],
                     "column_evals": state.counters["column_evals"],
                     "inner_unconverged": state.counters["inner_unconverged"],
                 }
             )
-
-        if cheap.max_error() < options.tol and iteration % options.iters_Z == 0:
-            solution = unscaled("tol")
-            if solution.report.max_error() < options.tol:
-                status = "tol"
 
     warm = WarmStart(
         [V.copy() for V in state.V_blocks],

@@ -8,6 +8,7 @@ import numpy as np
 
 from sdpmix.auglag import ColumnContext
 from sdpmix.ddouble import dot, to_float_array
+from sdpmix.errors import NumericalError
 from sdpmix.linops import apply_adjoint, column_deltas
 from sdpmix.problem import SdpProblem
 
@@ -142,6 +143,38 @@ def dense_row_norms_sq(problem):
             D = dense_row(problem, j, b)
             out[j] = out[j] + np.sum(D * D)
     return out
+
+
+def jacobi_eigh(M, max_sweeps=100):
+    """Cyclic Jacobi eigendecomposition of a binary64 symmetric matrix, an
+    oracle independent of LAPACK. Returns eigenvalues ascending and the
+    matching orthonormal columns; NumericalError on a nonfinite entry or
+    after max_sweeps sweeps without convergence."""
+    A = np.array(M, dtype=np.float64)
+    n = len(A)
+    if not np.all(np.isfinite(A)):
+        raise NumericalError(f"eigensolver: nonfinite entry in the order-{n} input")
+    U = np.eye(n)
+    tol = 4 * n * np.finfo(np.float64).eps / 2 * np.linalg.norm(A)
+    for _ in range(max_sweeps):
+        if not np.linalg.norm(np.triu(A, 1)) * np.sqrt(2.0) > tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if A[p, q] == 0.0:
+                    continue
+                tau = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
+                t = np.sign(tau or 1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if abs(tau) < 1e150 else 0.5 / tau
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                G = np.array([[c, t * c], [-t * c, c]])  # columns p, q rotate by G
+                A[:, [p, q]] = A[:, [p, q]] @ G
+                A[[p, q], :] = G.T @ A[[p, q], :]
+                U[:, [p, q]] = U[:, [p, q]] @ G
+    else:
+        raise NumericalError(f"eigensolver: no convergence in {max_sweeps} sweeps (order {n})")
+    w = np.diag(A)
+    order = np.argsort(w, kind="stable")
+    return w[order], U[:, order]
 
 
 def gram_blocks(V_blocks):

@@ -26,6 +26,20 @@ TOY = """\
 """
 
 
+def test_verbose_rows_show_the_dual_slack_checks(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SDPMIX_VERBOSE", "2")
+    prob = tmp_path / "rand.sdp"
+    write_native(gen_random_sdp((6,), 4, 1.0, seed=3), prob)
+    assert main(["solve", str(prob), "-o", str(tmp_path / "rand.sol"), "--tol", "1e-9"]) == EXIT_OK
+    captured = capsys.readouterr()
+    rows = [line for line in captured.err.splitlines() if line.startswith("iter")]
+    assert len(rows) == int(re.search(r"iterations (\d+)", captured.out).group(1))
+    # rows without a check show "-"; the last row's check passed, earlier ones failed
+    zcheck = [re.search(r"zcheck +(\S+)", line).group(1) for line in rows]
+    assert zcheck[0] == "-" and float(zcheck[-1]) < 1e-9
+    assert all(z == "-" or float(z) >= 1e-9 for z in zcheck[:-1])
+
+
 def test_solve_toy_exit_ok(tmp_path, capsys):
     prob = tmp_path / "toy.sdp"
     prob.write_text(TOY)

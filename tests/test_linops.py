@@ -15,7 +15,6 @@ from sdpmix.linops import (
     apply_operator,
     column_deltas,
     commit_column,
-    jacobi_eigh,
     project_psd,
 )
 from sdpmix.problem import as_kind, scale
@@ -28,6 +27,7 @@ from helpers import (
     dense_row,
     gram_blocks,
     incremental_operator_values,
+    jacobi_eigh,
     random_problem,
     random_V_blocks,
     reassemble,
@@ -297,17 +297,6 @@ def test_project_psd_optimality_properties():
         np.testing.assert_allclose(Z, want, atol=1e-11 * max(1.0, fro))
 
 
-def test_jacobi_double_double_small():
-    M64 = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
-    M = DOUBLE_DOUBLE.asarray(M64)
-    w, U = jacobi_eigh(M)
-    wf = np.array([float(x) for x in w])
-    np.testing.assert_allclose(np.sort(wf), np.linalg.eigvalsh(M64), atol=1e-14)
-    R = U @ np.diag(w) @ U.T
-    err = max(abs(float(R[i, j] - M[i, j])) for i in range(3) for j in range(3))
-    assert err < 1e-25
-
-
 def test_project_psd_double_double():
     M64 = np.array([[0.0, 1.0], [1.0, 0.0]])
     Z = project_psd(DOUBLE_DOUBLE.asarray(M64))
@@ -356,8 +345,8 @@ def _dd_symmetric_with_lo_words(rng, H):
 
 
 def _rank3_psd():
-    """A promoted rank-3 PSD matrix of order 10: a Jacobi rotation meets an
-    off-diagonal far below its diagonal gap, where tau * tau overflows."""
+    """A promoted rank-3 PSD matrix of order 10: its seven zero eigenvalues
+    are one cluster, split by rounding into eigenvalues of either sign."""
     rng = np.random.default_rng(0)
     Q = _random_orthogonal(rng, 10)
     w = np.zeros(10)
@@ -366,26 +355,50 @@ def _rank3_psd():
     return DOUBLE_DOUBLE.asarray((M + M.T) / 2)
 
 
-@pytest.mark.parametrize("case", ["random", "repeated", "rank3"])
+def _random_dd(rng, n):
+    B = rng.standard_normal((n, n))
+    return _dd_symmetric_with_lo_words(rng, B + B.T)
+
+
+def _repeated_dd(rng, eigenvalues):
+    Q = _random_orthogonal(rng, len(eigenvalues))
+    H = (Q * np.asarray(eigenvalues)) @ Q.T
+    return _dd_symmetric_with_lo_words(rng, (H + H.T) / 2)
+
+
+def _straddling_dd(rng):
+    """Q diag(-8e-24, 5e-24, 0.7, ...) Q^T of order 10, formed in
+    double-double: two eigenvalues far below binary64 roundoff, one on each
+    side of 0, as in the final C - A^T y of the two-stage solve."""
+    w = np.concatenate([[-8e-24, 5e-24, 0.7], rng.uniform(-2.0, 2.0, 7)])
+    Q = DOUBLE_DOUBLE.asarray(_random_orthogonal(rng, 10))
+    M = (Q * DOUBLE_DOUBLE.asarray(w)) @ Q.T
+    return (M + M.T) * 0.5
+
+
+_MPMATH_CASES = {
+    "random": lambda rng: _random_dd(rng, 8),
+    "repeated": lambda rng: _repeated_dd(rng, [-1.0, -1.0, -1.0, 0.5, 0.5, 2.0, 2.0, 2.0]),
+    "rank3": lambda rng: _rank3_psd(),
+    "random40": lambda rng: _random_dd(rng, 40),
+    "random60": lambda rng: _random_dd(rng, 60),
+    "repeated20": lambda rng: _repeated_dd(rng, np.repeat([-1.5, 0.25, 0.75, 3.0], [6, 5, 1, 8])),
+    "straddling": _straddling_dd,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MPMATH_CASES))
 def test_project_psd_double_double_matches_mpmath(case):
     mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(7)
-    n = 8
-    if case == "random":
-        B = rng.standard_normal((n, n))
-        M = _dd_symmetric_with_lo_words(rng, B + B.T)
-    elif case == "repeated":
-        Q = _random_orthogonal(rng, n)
-        H = (Q * np.array([-1.0, -1.0, -1.0, 0.5, 0.5, 2.0, 2.0, 2.0])) @ Q.T
-        M = _dd_symmetric_with_lo_words(rng, (H + H.T) / 2)
-    else:
-        M = _rank3_psd()
-        n = 10
+    M = _MPMATH_CASES[case](np.random.default_rng(7))
+    n = len(M)
     Z = project_psd(M)
 
     with mpmath.workdps(50):
         A = mpmath.matrix([[mpmath.mpf(x.hi) + mpmath.mpf(x.lo) for x in row] for row in M])
         E, U = mpmath.eigsy(A)
+        if case == "straddling":
+            assert sum(-1e-23 < e < 0 for e in E) == 1 and sum(0 < e < 1e-23 for e in E) == 1
         Zref = U * mpmath.diag([max(e, 0) for e in E]) * U.T
         err = max(abs(mpmath.mpf(Z[i, j].hi) + mpmath.mpf(Z[i, j].lo) - Zref[i, j])
                   for i in range(n) for j in range(n))
@@ -401,5 +414,3 @@ def test_project_psd_nonfinite_input_raises(kind):
             M = DOUBLE_DOUBLE.asarray(M)
         with pytest.raises(NumericalError, match="nonfinite"):
             project_psd(M)
-        with pytest.raises(NumericalError, match="nonfinite"):
-            jacobi_eigh(M)

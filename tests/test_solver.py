@@ -9,7 +9,7 @@ import pytest
 from sdpmix.auglag import make_state
 from sdpmix.ddouble import DOUBLE, DOUBLE_DOUBLE, to_float_array
 from sdpmix.errors import NumericalError, ValidationError
-from sdpmix.instances import gen_random_sdp
+from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
 from sdpmix.linops import project_psd
 from sdpmix.precision import promote
 from sdpmix.problem import as_kind
@@ -493,6 +493,104 @@ def test_unscale_round_trip_toy_within_slack():
     sol, _ = solve(p, SolverOptions(tol=tol, max_iters=20000, iters_Z=10))
     assert sol.status == "tol"
     assert compute_errors(p, sol.X, sol.y_a, sol.y_b, sol.Z).max_error() < tol
+
+
+def test_report_pieces_formed_once_match_a_fresh_report():
+    # unscale_solution hands its dense rows and C - A^T y to compute_errors;
+    # the report must equal one computed from scratch, bit for bit
+    for kind in (DOUBLE, DOUBLE_DOUBLE):
+        p = as_kind(gen_rand(6, 4, 1.0, 19), kind)
+        sol, _ = solve(p, SolverOptions(tol=1e-30, max_iters=15))
+        fresh = compute_errors(p, sol.X, sol.y_a, sol.y_b, sol.Z)
+        for key in ("pinf", "gap", "compl_star", "dinf", "compl"):
+            assert np.array_equal(getattr(fresh, key), getattr(sol.report, key)), (kind.name, key)
+
+
+# -- cadence of the dual-slack check -------------------------------------------
+
+
+def record_checks(monkeypatch, fail=False):
+    """Record the report max error of every dual-slack check of the solves
+    that follow, by iteration; with fail=True every check reports a failure
+    to the solver, so the solve runs on to max_iters."""
+    from sdpmix import solver
+
+    log = {}
+    unscale = solver.unscale_solution
+
+    def recording(sol, record, problem):
+        out = unscale(sol, record, problem)
+        if sol.status == "tol":  # a check; the final report of a stopped solve passes its own status
+            log[sol.iterations] = float(out.report.max_error())
+            if fail:
+                out.report.dinf = math.inf
+        return out
+
+    monkeypatch.setattr(solver, "unscale_solution", recording)
+    return log
+
+
+def cheap_passes(row, tol):
+    return max(row["pinf"], row["gap"], row["compl_star"]) < tol
+
+
+def test_checks_back_off_and_fall_on_multiples_of_iters_Z(monkeypatch):
+    # every check fails, so the whole schedule shows: the first check at the
+    # first iteration whose cheap measures pass, then gaps of 1, 2, 4, ...
+    # capped at iters_Z, cut short by each multiple of iters_Z
+    checks = record_checks(monkeypatch, fail=True)
+    p, tol, iters_Z = gen_rand(8, 5, 1.0, 5), 1e-9, 16
+    rows = []
+    sol, _ = solve(p, SolverOptions(tol=tol, iters_Z=iters_Z, max_iters=140), progress=rows.append)
+    assert sol.status == "iter"
+    first = next(r["iter"] for r in rows if cheap_passes(r, tol))
+    assert all(cheap_passes(r, tol) for r in rows[first - 1:])  # so no check waits on the cheap measures
+    want, t, gap = [first], first, 1
+    while True:
+        t = min(t + gap, (t // iters_Z + 1) * iters_Z)
+        gap = min(2 * gap, iters_Z)
+        if t > 140:
+            break
+        want.append(t)
+    assert sorted(checks) == want
+    # 41, then + 1, + 2, + 4 = 48 (also 3 * 16), + 8 = 56; the capped gap of 16 is cut at 64 = 4 * 16
+    assert first == 41 and want[:9] == [41, 42, 44, 48, 56, 64, 80, 96, 112]
+    # the progress rows mark each check with the max error the solver saw
+    assert [r["iter"] for r in rows if r["zcheck"] is not None] == want
+    assert all(r["zcheck"] in (None, math.inf) for r in rows)
+
+
+def _cadence_instances():
+    return {
+        "rand_8_5": (gen_rand(8, 5, 1.0, 5), 1e-9),
+        "rand_10_6": (gen_rand(10, 6, 1.0, 6), 1e-12),
+        "rand_12_8": (gen_random_sdp((12,), 8, 1.0, seed=1), 1e-12),
+        "rand_2x8_6": (gen_rand(8, 6, 0.7, 13, blocks=2), 1e-9),
+        "maxcut_K4_triangles": (maxcut_relaxation(Graph.complete(4), with_triangles=True).problem, 1e-10),
+        "theta_prime_C5": (theta_relaxation(Graph.cycle(5), strengthened=True).problem, 1e-10),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cadence_instances()))
+def test_back_off_stops_no_later_than_checking_at_multiples(monkeypatch, name):
+    p, tol = _cadence_instances()[name]
+    iters_Z, horizon = 20, 200
+    # checks leave the trajectory alone, so one iters_Z=1 run whose checks
+    # all fail gives the report at every iteration whose cheap measures pass
+    every = record_checks(monkeypatch, fail=True)
+    solve(p, SolverOptions(tol=tol, iters_Z=1, max_iters=horizon))
+    old_stop = min(t for t, err in every.items() if t % iters_Z == 0 and err < tol)
+
+    monkeypatch.undo()
+    checks = record_checks(monkeypatch)
+    rows = []
+    sol, _ = solve(p, SolverOptions(tol=tol, iters_Z=iters_Z, max_iters=horizon), progress=rows.append)
+    assert sol.status == "tol" and sol.report.max_error() < tol
+    assert {r["iter"]: r["zcheck"] for r in rows if r["zcheck"] is not None} == checks
+    assert sol.iterations <= old_stop
+    assert sol.iterations == min(t for t, err in every.items() if err < tol and t in checks)
+    assert all(checks[t] == every[t] for t in checks)  # the same trajectory, bit for bit
+    assert min(checks) == min(every)  # the first check at the first cheap pass
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
