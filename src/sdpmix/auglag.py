@@ -11,9 +11,10 @@ the gradient at the column's start are formed once, in the problem's
 scalar kind, and rounded to binary64; every trial point then evaluates
 only the change of the objective, its gradient and its k x k Hessian, in
 binary64, from the column's slot matrix (O(k slots)). The accepted column
-is formed and committed in the problem's kind, so a double-double solve
+v_start + d is installed in the problem's kind, so a double-double solve
 keeps double-double iterates while the Newton column solver sees binary64
-alone.
+alone; the operator cache takes the model's binary64 slot increments at d,
+and refresh_cache recomputes it in the problem's kind after every sweep.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import List
 import numpy as np
 
 from .ddouble import dot, kind_of, segment_sum, to_float_array
-from .linops import ColSlice, ColumnSlices, OperatorCache
-from .linops import commit_column as _cache_commit
+from .linops import ColumnSlices, OperatorCache, _slot_matrix, column_deltas
 from .problem import SdpProblem
 
 
@@ -92,11 +92,12 @@ class ColumnContext:
         Df(d) = g0.d + g_n0[i] |d|^2 + sum_j phi_j(DV_j)
         g(d)  = g0 + 2 (g_n0[i] d + U^T phi' + (v0 + d) diag.phi')
 
-    DV are the slot increments, phi_j the second-order remainder of row j
-    (mu DV_j^2 / 2 while the row is an equality or an inequality active at
-    both ends, the exact hinge form when its activity changes). No O(1)
-    totals are formed, so the rounding error of Df is relative to Df
-    itself. hessian(d) is the model's (semismooth) Hessian
+    DV are the slot increments (linops.column_deltas; the commit adds them
+    at the accepted d to the cache), phi_j the second-order remainder of
+    row j (mu DV_j^2 / 2 while the row is an equality or an inequality
+    active at both ends, the exact hinge form when its activity changes).
+    No O(1) totals are formed, so the rounding error of Df is relative to
+    Df itself. hessian(d) is the model's (semismooth) Hessian
 
         2 (g_n0[i] + diag.phi') I + 4 W^T diag(phi'') W,  W = diag (v0 + d)^T + U,
 
@@ -110,6 +111,7 @@ class ColumnContext:
         kind = state.kind
         V = state.V_blocks[block]
         self.v_start = V[:, i].copy()
+        self.sup = sl.sup
         self.n_eq = n_eq = int(np.searchsorted(sl.sup, p.m_eq))
         mu = state.mu
 
@@ -140,8 +142,7 @@ class ColumnContext:
         """At d: phi' (the slot coefficient changes -(lam - lam0)), the
         remainders phi, and the inequalities' activity (None without any)."""
         mu, n_eq = self.mu, self.n_eq
-        # the norm change as 2 v0.d + |d|^2: no cancellation of |v|^2 terms
-        dv = self.diag * (2.0 * (self.v0 @ d) + d @ d) + 2.0 * (self.U @ d)
+        dv = column_deltas(self.diag, self.U, self.v0, d)
         dv[-1] = 0.0  # the cost is linear in X: fixed coefficient, no remainder
         # equality form first
         dcoef = mu * dv
@@ -189,18 +190,6 @@ class ColumnContext:
         return H
 
 
-def _slot_matrix(sl: ColSlice, V: np.ndarray) -> np.ndarray:
-    """The slot matrix M V^T, M holding each slot's entries by partner (one
-    bincount)."""
-    n, rows = V.shape[1], len(sl.diag)
-    return np.bincount(sl.seg * n + sl.row, weights=sl.val, minlength=rows * n).reshape(rows, n) @ V.T
-
-
-def commit_column(state: IterateState, block: int, i: int, v_new) -> None:
-    """Install an accepted column; the operator cache follows incrementally."""
-    _cache_commit(state.cache, state.slices, state.V_blocks, block, i, v_new)
-
-
 def refresh_cache(state: IterateState) -> None:
-    """Full recomputation of the cached operator values (bounds drift)."""
+    """Recompute the cached operator values in the problem's kind."""
     state.cache = OperatorCache.fresh(state.problem, state.V_blocks)

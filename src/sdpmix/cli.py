@@ -155,13 +155,16 @@ def cmd_solve(args) -> int:
 
 def _parse_blocks(spec: str):
     sizes = []
-    for part in spec.split(","):
-        part = part.strip()
-        if "x" in part:
-            count, size = part.split("x", 1)
-            sizes.extend([int(size)] * int(count))
-        elif part:
-            sizes.append(int(part))
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if "x" in part:
+                count, size = part.split("x", 1)
+                sizes.extend([int(size)] * int(count))
+            elif part:
+                sizes.append(int(part))
+    except ValueError:
+        sizes = []
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError(f"bad block specification {spec!r}")
     return tuple(sizes)

@@ -18,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from .ddouble import DOUBLE_DOUBLE, all_finite, dot, kind_of, segment_sum, to_float_array
+from .ddouble import DOUBLE_DOUBLE, all_finite, kind_of, segment_sum, to_float_array
 from .errors import NumericalError
 from .problem import OperatorTables, SdpProblem  # noqa: F401  (OperatorTables re-exported)
 
@@ -178,33 +178,32 @@ class ColumnSlices:
         return self.by_block64[block][i]
 
 
-def column_deltas(sl: ColSlice, V: np.ndarray, i: int, v_start, v_trial) -> np.ndarray:
-    """Increments of the operator values on sl.sup, then of the cost value,
-    when column i moves from v_start to v_trial.
-
-    Cost O(k n + nnz of the slice): one dense V^T d product and sparse
-    gathers; entries off the support are untouched.
-    """
-    d = v_trial - v_start
-    w = V.T @ d if V.shape[0] else kind_of(V).zeros(V.shape[1])
-    delta = sl.diag * (dot(v_trial, v_trial) - dot(v_start, v_start))
-    if len(sl.row):
-        delta = delta + 2.0 * segment_sum(sl.val * w[sl.row], sl.seg, len(sl.diag))
-    return delta
+def _slot_matrix(sl: ColSlice, V: np.ndarray) -> np.ndarray:
+    """The slot matrix U = M V^T, M holding each slot's entries by partner
+    (one bincount): row j is sum val V[:, partner] over slot j's entries."""
+    n, rows = V.shape[1], len(sl.diag)
+    return np.bincount(sl.seg * n + sl.row, weights=sl.val, minlength=rows * n).reshape(rows, n) @ V.T
 
 
-def commit_column(cache: OperatorCache, slices: ColumnSlices, V_blocks, block: int, i: int, v_new) -> None:
-    """Replace column i and update the cache through the incremental rule."""
-    V = V_blocks[block]
-    v_start = V[:, i].copy()
-    if np.array_equal(v_start, v_new):
+def column_deltas(diag: np.ndarray, U: np.ndarray, v0: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Increments DV = diag (2 v0.d + |d|^2) + 2 U d of a column's slots (sup,
+    then the cost) when it moves by d from v0, in binary64 on its slot
+    matrix U. No |v|^2 terms cancel, so DV_j is accurate to a few units of
+    roundoff of its terms' magnitudes."""
+    return diag * (2.0 * (v0 @ d) + d @ d) + 2.0 * (U @ d)
+
+
+def commit_column(cache: OperatorCache, V: np.ndarray, i: int, model, d: np.ndarray) -> None:
+    """Install column i = model.v_start + d in the problem's kind and add the
+    increments of the column's model (auglag.ColumnContext: its sup, diag, U
+    and v0) at d to the cache, which stays accurate relative to the
+    increments until its next fresh recomputation."""
+    if not d.any():
         return
-    sl = slices.slice(block, i)
-    delta = column_deltas(sl, V, i, v_start, v_new)
-    if len(sl.sup):
-        cache.values[sl.sup] += delta[:-1]
+    delta = column_deltas(model.diag, model.U, model.v0, d)
+    cache.values[model.sup] += delta[:-1]
     cache.cost_value = cache.cost_value + delta[-1]
-    V[:, i] = v_new
+    V[:, i] = model.v_start + d
 
 
 # -- PSD projection -------------------------------------------------------------

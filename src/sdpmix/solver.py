@@ -29,7 +29,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .auglag import ColumnContext, IterateState, commit_column, make_state, refresh_cache
+from .auglag import ColumnContext, IterateState, make_state, refresh_cache
 from .ddouble import (
     ScalarKind,
     all_finite,
@@ -41,7 +41,7 @@ from .ddouble import (
 )
 from .errors import NumericalError, ValidationError
 from .lbfgs import InnerConfig, minimize_column
-from .linops import combine_rows, operator_rows, project_psd
+from .linops import combine_rows, commit_column, operator_rows, project_psd
 from .problem import ScalingRecord, SdpProblem, row_norms_sq, scale, validate
 
 
@@ -329,6 +329,8 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     decides status tol on this report."""
     if len(record.constraint_norms) != original.m:
         raise ValidationError("scaling record does not match the problem (constraint count)")
+    if len(sol.factor) != original.q:
+        raise ValidationError(f"solution has {len(sol.factor)} factor blocks, problem has {original.q}")
     for b, F in enumerate(sol.factor):
         if F.shape[1] != original.block_sizes[b]:
             raise ValidationError("scaling record / problem mismatch (block orders)")
@@ -419,7 +421,7 @@ def solve(
             d, _, converged = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), inner_cfg, ctx.hessian)
             if not converged:
                 state.counters["inner_unconverged"] += 1
-            commit_column(state, b, i, ctx.v_start + d)
+            commit_column(state.cache, state.V_blocks[b], i, ctx, d)
         if status is not None:
             break
 

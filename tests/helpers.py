@@ -4,12 +4,14 @@ The oracles here deliberately work on dense numpy matrices and straight
 formula transcriptions, independent of the package's sparse kernels.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from sdpmix.auglag import ColumnContext
 from sdpmix.ddouble import dot, to_float_array
 from sdpmix.errors import NumericalError
-from sdpmix.linops import apply_adjoint, column_deltas
+from sdpmix.linops import _slot_matrix, apply_adjoint, column_deltas, commit_column
 from sdpmix.problem import SdpProblem
 
 
@@ -268,13 +270,33 @@ def column_objective_grad(state, block, i, v_trial):
 
 def incremental_operator_values(cache, slices, V_blocks, block, i, v_start, v_trial):
     """Operator values after substituting v_trial for column i of the given
-    block, from the cached values at v_start."""
-    sl = slices.slice(block, i)
-    delta = column_deltas(sl, V_blocks[block], i, v_start, v_trial)
+    block, from the cached values at v_start and the binary64 increments of
+    column_deltas on the column's slot matrix."""
+    sl = slices.slice64(block, i)
+    U = _slot_matrix(sl, to_float_array(V_blocks[block]))
+    delta = column_deltas(sl.diag, U, to_float_array(v_start), to_float_array(v_trial - v_start))
     out = cache.values.copy()
     if len(sl.sup):
         out[sl.sup] += delta[:-1]
     return out
+
+
+def increment_terms(sl, V64, i, d):
+    """The magnitudes of the terms of column_deltas' DV for column i of the
+    binary64 factor V64 moving by d, on the binary64 slice sl: its diagonal,
+    v0.d, |d|^2 and the slot-matrix products taken in absolute value. DV is
+    accurate to a few units of binary64 roundoff of these."""
+    absolute = replace(sl, diag=np.abs(sl.diag), val=np.abs(sl.val))
+    return (absolute.diag * (2.0 * (np.abs(V64[:, i]) @ np.abs(d)) + d @ d)
+            + 2.0 * (_slot_matrix(absolute, np.abs(V64)) @ np.abs(d)))
+
+
+def commit_move(state, block, i, v_new):
+    """Commit v_new as column i of `block` the way the solver's sweep does:
+    the move d = v_new - v_start, rounded to binary64, through the column
+    model at the current iterate."""
+    ctx = ColumnContext(state, block, i)
+    commit_column(state.cache, state.V_blocks[block], i, ctx, to_float_array(v_new - ctx.v_start))
 
 
 def reassemble(problem, slices):

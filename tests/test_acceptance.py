@@ -15,12 +15,12 @@ from sdpmix.auglag import make_state
 from sdpmix.ddouble import norm2
 from sdpmix.formats import parse_native, read_solution, write_native, write_solution
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
-from sdpmix.linops import ColumnSlices, OperatorCache, apply_operator, commit_column
+from sdpmix.linops import ColumnSlices, OperatorCache, apply_operator
 from sdpmix.precision import solve_two_stage
 from sdpmix.problem import row_norms_sq, scale
 from sdpmix.solver import SolverOptions, WarmStart, compute_errors, rank_rule, solve, update_duals, update_penalty
 
-from helpers import column_objective_grad, incremental_operator_values, random_problem
+from helpers import column_objective_grad, commit_move, incremental_operator_values, random_problem
 from test_auglag import random_state, stagnation_fixture
 from test_instances import maxcut_enumeration_oracle
 from test_perfbench_hooks import load_perfbench_module
@@ -208,16 +208,14 @@ def test_criterion_06_incremental_operator_oracle():
             trials += 1
     # one full sweep of commits, then compare against a fresh recomputation
     p = random_problem(3, block_sizes=(6,), m_eq=5, m_ineq=3, density=0.6)
-    slices = ColumnSlices(p)
     rng = np.random.default_rng(1)
     from helpers import random_V_blocks
 
-    V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V)
+    st = make_state(p, random_V_blocks(rng, p), np.zeros(p.m_eq), np.zeros(p.m_ineq), 1.0)
     for i in range(6):
-        commit_column(cache, slices, V, 0, i, V[0][:, i] + 0.2 * rng.standard_normal(V[0].shape[0]))
-    fresh = apply_operator(p, V)
-    drift = float(np.max(np.abs(cache.values - fresh) / (1 + np.abs(fresh))))
+        commit_move(st, 0, i, st.V_blocks[0][:, i] + 0.2 * rng.standard_normal(st.V_blocks[0].shape[0]))
+    fresh = apply_operator(p, st.V_blocks)
+    drift = float(np.max(np.abs(st.cache.values - fresh) / (1 + np.abs(fresh))))
     ok = trials >= 1000 and worst <= 1e-12 and drift <= 1e-11
     finish(6, "incremental operator values: 1000 random perturbations (1e-12), sweep drift (1e-11)", ok,
            f"trials={trials}, worst={worst:.2e}, drift={drift:.2e}")

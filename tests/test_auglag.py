@@ -6,15 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sdpmix.auglag import ColumnContext, commit_column, make_state, refresh_cache
-from sdpmix.ddouble import DOUBLE_DOUBLE, DDArray
+from sdpmix.auglag import ColumnContext, make_state, refresh_cache
+from sdpmix.ddouble import DOUBLE_DOUBLE, DDArray, to_float_array
 from sdpmix.instances import Graph, maxcut_relaxation
-from sdpmix.linops import apply_operator
+from sdpmix.linops import OperatorCache, apply_operator, commit_column
 from sdpmix.problem import as_kind
 
 from helpers import (
     build_problem,
     column_objective_grad,
+    commit_move,
     dense_auglag_oracle,
     dense_constraint,
     dense_cost,
@@ -22,6 +23,7 @@ from helpers import (
     eval_auglag,
     fd_gradient,
     full_gradient,
+    increment_terms,
     multipliers,
     random_problem,
     random_V_blocks,
@@ -198,7 +200,7 @@ def test_commit_column_keeps_cache_consistent():
     rng = np.random.default_rng(2)
     for b in range(p.q):
         for i in range(p.block_sizes[b]):
-            commit_column(st, b, i, st.V_blocks[b][:, i] + 0.05 * rng.standard_normal(st.V_blocks[b].shape[0]))
+            commit_move(st, b, i, st.V_blocks[b][:, i] + 0.05 * rng.standard_normal(st.V_blocks[b].shape[0]))
     direct = apply_operator(p, st.V_blocks)
     assert np.abs(st.cache.values - direct).max() <= 1e-11 * (1 + np.abs(direct).max())
     before = st.cache.values.copy()
@@ -334,7 +336,7 @@ def test_accepted_column_updates_never_increase_value():
                 before = eval_auglag(st)
                 ctx = ColumnContext(st, b, i)
                 d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg, ctx.hessian)
-                commit_column(st, b, i, ctx.v_start + d)
+                commit_column(st.cache, st.V_blocks[b], i, ctx, d)
                 after = eval_auglag(st)
                 assert float(after) <= float(before) + 1e-10 * (1 + abs(float(before)))
 
@@ -440,11 +442,48 @@ def test_increment_kernel_matches_mpmath_difference(kind):
     assert worst_g <= 1e-14
 
 
+def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
+    # one sweep of the solver's column steps at double-double adds binary64
+    # increments to the dd cache: each row then differs from its fresh
+    # recomputation by a few units of binary64 roundoff of the magnitudes of
+    # the increments' terms summed over the sweep, not of the row's value;
+    # refresh_cache makes it exact again
+    from sdpmix.lbfgs import InnerConfig, minimize_column
+
+    dd = DOUBLE_DOUBLE
+    cfg = InnerConfig(eps=1e-12, delta=0.01, max_evals=200)
+    moved = 0
+    for seed in range(3):
+        p, st64 = random_state(seed)
+        st = make_state(as_kind(p, dd), [dd.asarray(V) / 3.0 for V in st64.V_blocks], dd.asarray(st64.y_a),
+                        dd.asarray(st64.y_b), dd.scalar(st64.mu))
+        budget = np.zeros(p.m + 1)
+        for b in range(p.q):
+            for i in range(p.block_sizes[b]):
+                ctx = ColumnContext(st, b, i)
+                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg, ctx.hessian)
+                sl = st.slices.slice64(b, i)
+                budget[np.append(sl.sup, p.m)] += increment_terms(sl, to_float_array(st.V_blocks[b]), i, d)
+                moved += bool(d.any())
+                commit_column(st.cache, st.V_blocks[b], i, ctx, d)
+        incremental = np.append(st.cache.values, st.cache.cost_value)
+        refresh_cache(st)
+        fresh = OperatorCache.fresh(st.problem, st.V_blocks)
+        exact = np.append(fresh.values, fresh.cost_value)
+        refreshed = np.append(st.cache.values, st.cache.cost_value)
+        assert np.array_equal(refreshed.hi, exact.hi) and np.array_equal(refreshed.lo, exact.lo)
+        err = np.abs(to_float_array(incremental - exact))
+        assert np.all(err <= 8 * 2.0**-53 * budget)
+    assert moved >= 15
+
+
 def test_column_refinement_reaches_double_double_stationarity():
     # rounds of the solver's column step at double-double: each round builds
-    # the context (gradient formed in dd), minimizes the binary64 increment
-    # and commits v_start + d in dd. The increments are accurate relative
-    # to themselves, so the rounds drive the column gradient far below
+    # the context (gradient formed in dd), minimizes the binary64 increment,
+    # installs v_start + d in dd and adds the binary64 slot increments to
+    # the cache, which refresh_cache then recomputes in dd, as the solver
+    # does after each sweep. The increments are accurate relative to
+    # themselves, so the rounds drive the column gradient far below
     # binary64 resolution; the 40-digit gradient at the result confirms it.
     import mpmath
 
@@ -460,7 +499,8 @@ def test_column_refinement_reaches_double_double_stationarity():
         for _ in range(4):
             ctx = ColumnContext(st, b, i)
             d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg, ctx.hessian)
-            commit_column(st, b, i, ctx.v_start + d)
+            commit_column(st.cache, st.V_blocks[b], i, ctx, d)
+            refresh_cache(st)
         with mpmath.workdps(40):
             V = [[[_mp(x) for x in row] for row in W] for W in st.V_blocks]
             _, g, _ = _mp_auglag(p, V, [_mp(x) for x in st.y_a], [_mp(x) for x in st.y_b], _mp(st.mu), b, i)

@@ -4,6 +4,8 @@ import argparse
 import dataclasses
 import re
 
+import pytest
+
 from sdpmix.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, _options_from, build_parser, main
 from sdpmix.formats import parse_native, read_solution, read_warmstart, write_native
 
@@ -163,6 +165,14 @@ def test_generate_rand_multiblock_spec(tmp_path, capsys):
     assert code == EXIT_OK
     p = parse_native(out)
     assert p.block_sizes == (4, 4)
+
+
+@pytest.mark.parametrize("spec", ["2x", "x4", "2xa", "1.5"])
+def test_generate_rand_bad_block_spec_exit_1(tmp_path, capsys, spec):
+    out = tmp_path / "r.sdp"
+    assert main(["generate", "rand", "--blocks", spec, "--m", "3", "-o", str(out)]) == EXIT_INPUT
+    assert f"bad block specification {spec!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_maxcut_triangle_counts(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdpmix import linops
+from sdpmix.auglag import make_state
 from sdpmix import problem as problem_module
 from sdpmix.ddouble import DOUBLE_DOUBLE, kind_of, to_float_array
 from sdpmix.errors import NumericalError
@@ -14,18 +15,19 @@ from sdpmix.linops import (
     apply_adjoint,
     apply_operator,
     column_deltas,
-    commit_column,
     project_psd,
 )
 from sdpmix.problem import as_kind, scale
 
 from helpers import (
     build_problem,
+    commit_move,
     dense_adjoint_oracle,
     dense_apply_oracle,
     dense_cost,
     dense_row,
     gram_blocks,
+    increment_terms,
     incremental_operator_values,
     jacobi_eigh,
     random_problem,
@@ -138,31 +140,36 @@ def test_column_slices_reassemble_exactly():
             assert all(i not in sl.row for block in slices.by_block for i, sl in enumerate(block))
 
 
-def test_column_deltas_sum_each_slot_in_partner_order():
-    # slot t of column i: A_t[i, i] * dn + 2 * sum over partner rows r, in
-    # ascending order, of A_t[r, i] * w[r]; the cost is the last slot
+@pytest.mark.parametrize("kind", ["double", "dd"])
+def test_column_deltas_match_the_dense_oracle(kind):
+    # DV of column_deltas, on the binary64 slot matrix of V, against
+    # fresh(after) - fresh(before) on the column's slots and the cost, both
+    # recomputed in double-double: within a few units of binary64 roundoff of
+    # the magnitudes of DV's terms. At dd the data and V carry low words
+    # that the binary64 slice and slot matrix round away.
+    dd = DOUBLE_DOUBLE
     for seed in range(5):
         p = random_problem(seed, block_sizes=(5, 3), m_eq=4, m_ineq=3, density=0.5)
-        slices = ColumnSlices(p)
         rng = np.random.default_rng(300 + seed)
         V = random_V_blocks(rng, p)
+        if kind == "dd":
+            p = scale(as_kind(p, dd))[0]
+            V = [dd.asarray(W) / 3.0 for W in V]
+        slices = ColumnSlices(p)
+        exact = as_kind(p, dd)
+        before = OperatorCache.fresh(exact, [dd.asarray(W) for W in V])
         for b, n in enumerate(p.block_sizes):
+            V64 = to_float_array(V[b])
             for i in range(n):
-                sl = slices.slice(b, i)
-                v_start = V[b][:, i].copy()
-                v_trial = v_start + rng.standard_normal(v_start.shape)
-                w = V[b].T @ (v_trial - v_start)
-                w[i] = 0.0
-                dn = np.sum(v_trial * v_trial) - np.sum(v_start * v_start)
-                mats = [dense_row(p, j, b) for j in sl.sup] + [dense_row(p, p.m, b)]
-                want = []
-                for M in mats:
-                    total = 0.0
-                    for r in range(n):
-                        if r != i and M[r, i] != 0:
-                            total += M[r, i] * w[r]
-                    want.append(M[i, i] * dn + 2.0 * total)
-                assert np.array_equal(column_deltas(sl, V[b], i, v_start, v_trial), want)
+                sl = slices.slice64(b, i)
+                d = 10.0 ** rng.uniform(-8.0, 0.0) * rng.standard_normal(V64.shape[0])
+                got = column_deltas(sl.diag, linops._slot_matrix(sl, V64), V64[:, i], d)
+                moved = [dd.asarray(W) for W in V]
+                moved[b][:, i] = moved[b][:, i] + d
+                after = OperatorCache.fresh(exact, moved)
+                want = np.append(after.values[sl.sup] - before.values[sl.sup], after.cost_value - before.cost_value)
+                err = np.abs(to_float_array(want - got))
+                assert np.all(err <= 8 * 2.0**-53 * increment_terms(sl, V64, i, d))
 
 
 def test_incremental_identity_when_column_unchanged():
@@ -212,40 +219,38 @@ def test_incremental_random_vs_direct_recomputation():
     assert trials == 1000
 
 
+def zero_dual_state(p, V):
+    return make_state(p, V, np.zeros(p.m_eq), np.zeros(p.m_ineq), 1.0)
+
+
 def test_commit_column_agrees_with_direct_values():
     p = random_problem(9, block_sizes=(4, 4), m_eq=5, m_ineq=2)
-    slices = ColumnSlices(p)
     rng = np.random.default_rng(9)
-    V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V)
-    v_new = V[1][:, 2] + rng.standard_normal(V[1].shape[0])
-    commit_column(cache, slices, V, 1, 2, v_new)
-    direct = apply_operator(p, V)
-    assert np.all(np.abs(cache.values - direct) <= 1e-12 * (1 + np.abs(direct)))
-    assert cache.cost_value == pytest.approx(OperatorCache.fresh(p, V).cost_value, rel=1e-12)
+    st = zero_dual_state(p, random_V_blocks(rng, p))
+    commit_move(st, 1, 2, st.V_blocks[1][:, 2] + rng.standard_normal(st.V_blocks[1].shape[0]))
+    direct = apply_operator(p, st.V_blocks)
+    assert np.all(np.abs(st.cache.values - direct) <= 1e-12 * (1 + np.abs(direct)))
+    assert st.cache.cost_value == pytest.approx(OperatorCache.fresh(p, st.V_blocks).cost_value, rel=1e-12)
 
 
 def test_commit_identical_column_keeps_cache_bitwise():
     p = random_problem(10, block_sizes=(3,), m_eq=2, m_ineq=1)
-    slices = ColumnSlices(p)
     rng = np.random.default_rng(10)
-    V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V)
-    before = cache.values.copy()
-    commit_column(cache, slices, V, 0, 1, V[0][:, 1].copy())
-    assert np.array_equal(cache.values, before) and np.array_equal(cache.values, before)
+    st = zero_dual_state(p, random_V_blocks(rng, p))
+    before, cost_before, column = st.cache.values.copy(), st.cache.cost_value, st.V_blocks[0][:, 1].copy()
+    commit_move(st, 0, 1, column)
+    assert np.array_equal(st.cache.values, before) and st.cache.cost_value == cost_before
+    assert np.array_equal(st.V_blocks[0][:, 1], column)
 
 
 def test_sweep_of_commits_low_drift():
     p = random_problem(11, block_sizes=(6,), m_eq=5, m_ineq=3, density=0.6)
-    slices = ColumnSlices(p)
     rng = np.random.default_rng(11)
-    V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V)
+    st = zero_dual_state(p, random_V_blocks(rng, p))
     for i in range(6):
-        commit_column(cache, slices, V, 0, i, V[0][:, i] + 0.1 * rng.standard_normal(V[0].shape[0]))
-    fresh = apply_operator(p, V)
-    assert np.all(np.abs(cache.values - fresh) <= 1e-11 * (1 + np.abs(fresh)))
+        commit_move(st, 0, i, st.V_blocks[0][:, i] + 0.1 * rng.standard_normal(st.V_blocks[0].shape[0]))
+    fresh = apply_operator(p, st.V_blocks)
+    assert np.all(np.abs(st.cache.values - fresh) <= 1e-11 * (1 + np.abs(fresh)))
 
 
 # -- eigendecomposition ------------------------------------------------------

@@ -30,26 +30,42 @@ def load_tracer_class():
     return load_perfbench_module("tracer").Tracer
 
 
-def test_tracer_hooks_trace_a_cli_solve(tmp_path, capsys):
+def traced_k3_solve(tmp_path, *flags):
+    """Trace a CLI solve of Max-Cut K3 with perfbench's tracer; returns the
+    tracer, uninstalled."""
     graph = tmp_path / "k3.txt"
     graph.write_text(K3)
     prob = tmp_path / "k3.sdp"
     assert cli.main(["generate", "maxcut", "--graph", str(graph), "-o", str(prob)]) == cli.EXIT_OK
-    column_deltas = linops.column_deltas
 
     tracer = load_tracer_class()()
     tracer.install()
     try:
-        code = tracer.wrap("cli.main", cli.main)(["solve", str(prob), "-o", str(tmp_path / "k3.sol"), "--tol", "1e-8"])
+        code = tracer.wrap("cli.main", cli.main)(["solve", str(prob), "-o", str(tmp_path / "k3.sol"), *flags])
     finally:
         tracer.uninstall()
     assert code == cli.EXIT_OK
+    return tracer
+
+
+def test_tracer_hooks_trace_a_cli_solve(tmp_path, capsys):
+    column_deltas = linops.column_deltas
+    tracer = traced_k3_solve(tmp_path, "--tol", "1e-8")
     assert linops.column_deltas is column_deltas
 
     metrics = tracer.metrics(1.0)
     assert metrics["solver.iters"] > 0
     for key in ("linops.deltas_calls", "auglag.context_calls", "auglag.eval_calls", "lbfgs.calls"):
         assert metrics[key] > 0, key
+
+
+def test_tracer_hooks_trace_a_two_stage_dd_cli_solve(tmp_path, capsys):
+    # the path of the benchmark's traced dd_refine run: a binary64 stage,
+    # then a double-double one whose refreshes go through the drift hook
+    tracer = traced_k3_solve(tmp_path, "--precision", "dd", "--tol", "1e-20")
+    assert tracer.names.count("solver.solve") == 2
+    assert tracer.metrics(1.0)["linops.deltas_calls"] > 0
+    assert tracer.drift and all(np.isfinite(tracer.drift))
 
 
 class SetUpDone(BaseException):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdpmix.ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, to_float_array
+from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation
 from sdpmix.precision import promote, solve_two_stage
 from sdpmix.problem import as_kind
 from sdpmix.solver import SolverOptions, WarmStart, solve
@@ -68,6 +69,22 @@ def test_two_stage_reaches_extended_accuracy():
     assert isinstance(sol.X[0], DDArray)  # refined stage output
     assert warm.kind is DOUBLE_DOUBLE
     assert float(sol.report.max_error()) < 1e-18
+
+
+@pytest.mark.parametrize("name", ["rand_6_5", "maxcut_k5_triangles"])
+def test_dd_solve_from_scratch_reaches_below_1e20(name):
+    # a double-double solve from the random start: every sweep commits the
+    # column model's binary64 increments and refreshes the cache in dd, and
+    # that is enough to reach a 1e-20 report, with and without inequalities
+    if name == "rand_6_5":
+        p = gen_random_sdp((6, 5), 8, 0.7, 3)
+        assert p.m_ineq == 0
+    else:
+        p = maxcut_relaxation(Graph.complete(5), with_triangles=True).problem
+        assert p.m_ineq > 0
+    sol, _ = solve(as_kind(p, DOUBLE_DOUBLE), SolverOptions(tol=1e-20))
+    assert sol.status == "tol" and isinstance(sol.factor[0], DDArray)
+    assert float(sol.report.max_error()) < 1e-20
 
 
 def test_two_stage_rejects_extended_input():

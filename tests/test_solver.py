@@ -12,9 +12,10 @@ from sdpmix.errors import NumericalError, ValidationError
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
 from sdpmix.linops import project_psd
 from sdpmix.precision import promote
-from sdpmix.problem import as_kind
+from sdpmix.problem import ScalingRecord, as_kind
 from sdpmix.solver import (
     ErrorReport,
+    Solution,
     SolverOptions,
     WarmStart,
     compute_errors,
@@ -23,6 +24,7 @@ from sdpmix.solver import (
     rank_rule,
     solve,
     sweep_order,
+    unscale_solution,
     update_duals,
     update_penalty,
 )
@@ -493,6 +495,17 @@ def test_unscale_round_trip_toy_within_slack():
     sol, _ = solve(p, SolverOptions(tol=tol, max_iters=20000, iters_Z=10))
     assert sol.status == "tol"
     assert compute_errors(p, sol.X, sol.y_a, sol.y_b, sol.Z).max_error() < tol
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_unscale_rejects_a_factor_with_the_wrong_block_count(count):
+    # the kernels zip the blocks, so a missing block would drop out of the
+    # report unnoticed and an extra one would index past the block sizes
+    p = gen_rand(3, 2, 1.0, 0, blocks=2)
+    sol = Solution([np.ones((2, 3))] * count, np.zeros(p.m_eq), np.zeros(p.m_ineq), Z=None, status="iter",
+                   report=None)
+    with pytest.raises(ValidationError, match=f"solution has {count} factor blocks, problem has 2"):
+        unscale_solution(sol, ScalingRecord.identity(p), p)
 
 
 def test_report_pieces_formed_once_match_a_fresh_report():
