@@ -1,8 +1,8 @@
 """Augmented Lagrangian value and gradients on the factored iterate.
 
 Inequalities enter through the hinge form: an index j contributes its
-linear and quadratic terms only while y_b[j] + mu * (b_j - <B_j, X>) > 0,
-and -y_b[j]^2 / (2 mu) otherwise; ties fall to the inactive branch (the
+linear and quadratic terms only while y[j] + mu * (b_j - <B_j, X>) > 0,
+and -y[j]^2 / (2 mu) otherwise; ties fall to the inactive branch (the
 value is identical either way by continuity).
 
 A column subproblem is solved on its increment model (ColumnContext), in
@@ -35,8 +35,7 @@ class IterateState:
 
     problem: SdpProblem
     V_blocks: List[np.ndarray]
-    y_a: np.ndarray
-    y_b: np.ndarray
+    y: np.ndarray  # one multiplier per constraint, in the problem's row order
     mu: object
     cache: OperatorCache
     prev_values: np.ndarray
@@ -47,32 +46,25 @@ class IterateState:
     def kind(self):
         return kind_of(self.cache.values)
 
-    def values_eq(self) -> np.ndarray:
-        return self.cache.values[: self.problem.m_eq]
-
-    def values_ineq(self) -> np.ndarray:
-        return self.cache.values[self.problem.m_eq :]
-
-    def residual_eq(self) -> np.ndarray:
-        return self.problem.rhs_eq - self.values_eq()
-
-    def residual_ineq(self) -> np.ndarray:
-        return self.problem.rhs_ineq - self.values_ineq()
+    def residual(self) -> np.ndarray:
+        """rhs_j - <A_j, X> for every constraint j."""
+        return self.problem.rhs - self.cache.values
 
 
-def make_state(problem: SdpProblem, V_blocks, y_a, y_b, mu) -> IterateState:
+def make_state(problem: SdpProblem, V_blocks, y, mu) -> IterateState:
+    """A state owning copies of V_blocks and y in the problem's kind, its
+    cache formed from those copies."""
     kind = problem.kind
+    V_blocks = [kind.asarray(V) for V in V_blocks]
     cache = OperatorCache.fresh(problem, V_blocks)
-    slices = ColumnSlices(problem)
     return IterateState(
         problem=problem,
-        V_blocks=[kind.asarray(V) for V in V_blocks],
-        y_a=kind.asarray(y_a),
-        y_b=kind.asarray(y_b),
+        V_blocks=V_blocks,
+        y=kind.asarray(y),
         mu=kind.scalar(mu),
         cache=cache,
         prev_values=cache.values.copy(),
-        slices=slices,
+        slices=ColumnSlices(problem),
     )
 
 
@@ -80,13 +72,13 @@ class ColumnContext:
     """The increment model of one column's restricted objective.
 
     Built once per column in the problem's kind: the slot multipliers
-    lam0 at v_start (for an inequality, max(t0, 0) with the activity
-    argument t0 = y + mu s), the n-vector g_n0 = C_(i) - sum_j lam0_j
-    (A_j)_(i) and the column gradient g0 = 2 V g_n0, then rounded to
-    binary64; so is the slot matrix U, whose row j is sum val V[:, partner]
-    over slot j's off-diagonal entries. value_and_grad(d) evaluates, in
-    binary64 only, the increment f(v_start + d) - f(v_start) and the
-    gradient at v_start + d:
+    lam0_j = y[j] + mu s_j at v_start over the column's slots j (for an
+    inequality, max(t0_j, 0) of that activity argument t0_j), the n-vector
+    g_n0 = C_(i) - sum_j lam0_j (A_j)_(i) and the column gradient
+    g0 = 2 V g_n0, then rounded to binary64; so is the slot matrix U, whose
+    row j is sum val V[:, partner] over slot j's off-diagonal entries.
+    value_and_grad(d) evaluates, in binary64 only, the increment
+    f(v_start + d) - f(v_start) and the gradient at v_start + d:
 
         DV    = diag (2 v0.d + |d|^2) + 2 U d
         Df(d) = g0.d + g_n0[i] |d|^2 + sum_j phi_j(DV_j)
@@ -116,8 +108,7 @@ class ColumnContext:
         mu = state.mu
 
         # multipliers at v_start on the column's slots, then the cost slot
-        y = np.concatenate([state.y_a[sl.sup[:n_eq]], state.y_b[sl.sup[n_eq:] - p.m_eq]])
-        t = y + mu * (p.rhs[sl.sup] - state.cache.values[sl.sup])
+        t = state.y[sl.sup] + mu * (p.rhs[sl.sup] - state.cache.values[sl.sup])
         t0 = t[n_eq:].copy()
         if len(t0):
             state.counters["hinge_evals"] += 1

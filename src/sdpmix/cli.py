@@ -205,9 +205,9 @@ def cmd_check(args) -> int:
         _log(f"error: {exc}")
         return EXIT_INPUT
 
-    slack = cost_minus_adjoint(problem, sol.y_a, sol.y_b)
+    slack = cost_minus_adjoint(problem, sol.y)
     Z = sol.Z if sol.Z is not None else [project_psd(S) for S in slack]
-    report = compute_errors(problem, sol.X, sol.y_a, sol.y_b, Z, slack=slack)
+    report = compute_errors(problem, sol.X, sol.y, Z, slack=slack)
     for key, val in report.as_dict().items():
         print(f"{key} {val!r}")
     max_err = float(report.max_error())

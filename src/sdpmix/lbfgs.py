@@ -45,18 +45,6 @@ class InnerConfig:
             raise ValueError("max_evals must be at least 1")
 
 
-class _Budget(Exception):
-    pass
-
-
-class _NonFinite(Exception):
-    pass
-
-
-class _SearchFailed(Exception):
-    pass
-
-
 def minimize_column(
     objective_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
@@ -69,66 +57,52 @@ def minimize_column(
     exhaustion or line-search failure the best iterate found is returned,
     and a nonfinite evaluation aborts the subproblem with x0 itself.
     """
-    state = {"evals": 0, "best_f": None, "best_x": None}
-
-    def ev(x):
-        if state["evals"] >= config.max_evals:
-            raise _Budget
-        state["evals"] += 1
-        f, g = objective_grad(x)
-        if not (math.isfinite(f) and np.isfinite(g).all()):
-            raise _NonFinite
-        if state["best_f"] is None or f < state["best_f"]:
-            state["best_f"] = f
-            state["best_x"] = x
-        return f, g
-
-    try:
-        f0, g0 = ev(x0)
-    except _NonFinite:
-        return x0, state["evals"], False
-
+    f0, g0 = objective_grad(x0)
+    evals = 1
+    if not (math.isfinite(f0) and np.isfinite(g0).all()):
+        return x0, evals, False
     g_start = _norm_inf(g0)
     threshold = max(config.eps, config.delta * g_start)
     if g_start < threshold:
-        return x0, state["evals"], True
+        return x0, evals, True
 
     x, f, g, g_norm = x0, f0, g0, g_start
-    try:
+    best_x, best_f = x0, f0
+    while True:
+        w, Q = np.linalg.eigh(hessian(x))
+        curv = np.abs(w)
+        floor = max(_FLOOR * float(curv.max()), _EPS * g_norm)
+        p = Q @ ((Q.T @ g) / -np.maximum(curv, floor))
+        slope = float(g @ p)
+        # rounding level of the objective at x; an increment model's
+        # value carries no O(1) total, so the level is relative to |f|
+        noise = 128.0 * _EPS * abs(f)
+        alpha = 1.0
         while True:
-            w, Q = np.linalg.eigh(hessian(x))
-            curv = np.abs(w)
-            floor = max(_FLOOR * float(curv.max()), _EPS * g_norm)
-            p = Q @ ((Q.T @ g) / -np.maximum(curv, floor))
-            slope = float(g @ p)
-            # rounding level of the objective at x; an increment model's
-            # value carries no O(1) total, so the level is relative to |f|
-            noise = 128.0 * _EPS * abs(f)
-            alpha = 1.0
-            while True:
-                x_new = x + alpha * p
-                f_new, g_new = ev(x_new)
-                if f_new <= f + _C1 * alpha * slope:
-                    break
-                # a decrease below the value's rounding: accept while the
-                # slope along p has not turned (approximate Armijo, Hager-Zhang)
-                if f_new <= f + noise and float(g_new @ p) <= (2.0 * _C1 - 1.0) * slope:
-                    break
-                # minimizer of the quadratic through f, slope and f_new
-                excess = f_new - f - alpha * slope
-                alpha *= min(0.5, max(0.1, -0.5 * alpha * slope / excess))
-                if alpha < _MIN_STEP:
-                    raise _SearchFailed
-            x, f, g = x_new, f_new, g_new
-            g_norm = _norm_inf(g)
-            if g_norm < threshold:
-                if f > f0:  # roundoff-level ascent: keep the monotone contract
-                    return state["best_x"], state["evals"], False
-                return x, state["evals"], True
-    except _NonFinite:
-        return x0, state["evals"], False
-    except (_Budget, _SearchFailed):
-        return state["best_x"], state["evals"], False
+            if evals >= config.max_evals or alpha < _MIN_STEP:
+                return best_x, evals, False
+            x_new = x + alpha * p
+            f_new, g_new = objective_grad(x_new)
+            evals += 1
+            if not (math.isfinite(f_new) and np.isfinite(g_new).all()):
+                return x0, evals, False
+            if f_new < best_f:
+                best_x, best_f = x_new, f_new
+            if f_new <= f + _C1 * alpha * slope:
+                break
+            # a decrease below the value's rounding: accept while the
+            # slope along p has not turned (approximate Armijo, Hager-Zhang)
+            if f_new <= f + noise and float(g_new @ p) <= (2.0 * _C1 - 1.0) * slope:
+                break
+            # minimizer of the quadratic through f, slope and f_new
+            excess = f_new - f - alpha * slope
+            alpha *= min(0.5, max(0.1, -0.5 * alpha * slope / excess))
+        x, f, g = x_new, f_new, g_new
+        g_norm = _norm_inf(g)
+        if g_norm < threshold:
+            if f > f0:  # roundoff-level ascent: keep the monotone contract
+                return best_x, evals, False
+            return x, evals, True
 
 
 def _norm_inf(x) -> float:

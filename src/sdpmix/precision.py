@@ -3,7 +3,8 @@
 Stage 1 solves at binary64 with tol 1e-12; stage 2 re-instantiates the
 problem data at double-double, promotes the warm start (exactly: every
 binary64 value embeds in double-double), and resumes until the target
-tolerance. Iteration and time totals cover both stages.
+tolerance. Iteration and time totals cover both stages, and so do the
+max_iters and time_limit caps.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def solve_two_stage(
     options = options or SolverOptions()
     if problem.kind is not DOUBLE:
         raise ValueError("two-stage solve starts from binary64 problem data")
-    iterations, elapsed, time_limit = 0, 0.0, options.time_limit
+    iterations, elapsed, time_limit, max_iters = 0, 0.0, options.time_limit, options.max_iters
     if warm_start is None:
         sol1, warm_start = solve(problem, replace(options, tol=STAGE1_TOL), progress=progress)
         if sol1.status != "tol" or target_tol >= STAGE1_TOL:
@@ -53,8 +54,12 @@ def solve_two_stage(
         iterations, elapsed = sol1.iterations, sol1.elapsed
         if time_limit is not None:
             time_limit = max(time_limit - elapsed, 1e-3)
+        if max_iters is not None:
+            if iterations >= max_iters:  # the cap is spent: the binary64 solution, unrefined
+                return replace(sol1, status="iter"), warm_start
+            max_iters -= iterations
 
-    stage2 = replace(options, tol=target_tol, time_limit=time_limit)
+    stage2 = replace(options, tol=target_tol, time_limit=time_limit, max_iters=max_iters)
     sol2, warm2 = solve(as_kind(problem, kind), stage2, warm_start=promote(warm_start, kind), progress=progress)
     sol2.iterations += iterations
     sol2.elapsed += elapsed

@@ -93,14 +93,6 @@ class SdpProblem:
         return self.m - self.m_eq
 
     @property
-    def rhs_eq(self) -> np.ndarray:
-        return self.rhs[: self.m_eq]
-
-    @property
-    def rhs_ineq(self) -> np.ndarray:
-        return self.rhs[self.m_eq :]
-
-    @property
     def kind(self) -> ScalarKind:
         return kind_of(self.rhs)
 

@@ -17,7 +17,9 @@ first at the first such iteration, then, while it fails, after gaps of 1,
 2, 4, ... iterations capped at iters_Z, and at every multiple of iters_Z.
 A check leaves the iterate untouched, so this stops no later than checking
 at the multiples of iters_Z alone. The solution the passing report is
-built on is the one returned.
+built on is the one returned. A run stopped by max_iters or time_limit
+builds the report of its last iterate anyway, and is labelled tol when
+that report meets tol.
 """
 
 from __future__ import annotations
@@ -155,7 +157,13 @@ class Solution:
 
     @property
     def y(self) -> np.ndarray:
+        """The multipliers as one vector, in the problem's row order."""
         return np.concatenate([self.y_a, self.y_b])
+
+    def with_y(self, y, **changes) -> "Solution":
+        """A copy with the multipliers y (in row order) and `changes`."""
+        m_eq = len(self.y_a)
+        return replace(self, y_a=y[:m_eq], y_b=y[m_eq:], **changes)
 
 
 def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
@@ -173,13 +181,7 @@ def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
                 V[:, i] = col / nrm
         V_blocks.append(V)
     mu0 = options.mu_start if options.mu_start is not None else math.sqrt(max(problem.block_sizes))
-    return make_state(
-        problem,
-        V_blocks,
-        kind.zeros(problem.m_eq),
-        kind.zeros(problem.m_ineq),
-        kind.scalar(mu0),
-    )
+    return make_state(problem, V_blocks, kind.zeros(problem.m), mu0)
 
 
 def check_fit(problem: SdpProblem, what: str, tag: str, blocks, y_a, y_b, Z_blocks=()) -> None:
@@ -205,7 +207,6 @@ def check_fit(problem: SdpProblem, what: str, tag: str, blocks, y_a, y_b, Z_bloc
 
 
 def state_from_warm(problem: SdpProblem, warm: WarmStart) -> IterateState:
-    kind = problem.kind
     check_fit(problem, "warm start", "V", warm.V_blocks, warm.y_a, warm.y_b)
     if not all_finite(warm.mu):
         raise ValidationError("warm start field mu has a nonfinite value")
@@ -213,13 +214,7 @@ def state_from_warm(problem: SdpProblem, warm: WarmStart) -> IterateState:
         raise ValidationError("warm start has negative inequality multipliers")
     if not float(warm.mu) > 0:
         raise ValidationError("warm start has nonpositive mu")
-    return make_state(
-        problem,
-        [kind.asarray(V) for V in warm.V_blocks],
-        kind.asarray(warm.y_a),
-        kind.asarray(warm.y_b),
-        kind.scalar(warm.mu),
-    )
+    return make_state(problem, warm.V_blocks, np.concatenate([warm.y_a, warm.y_b]), warm.mu)
 
 
 def sweep_order(n: int, iteration: int, options: SolverOptions) -> np.ndarray:
@@ -235,27 +230,24 @@ def sweep_order(n: int, iteration: int, options: SolverOptions) -> np.ndarray:
 
 
 def update_duals(state: IterateState, problem: SdpProblem, p: float) -> None:
-    """First-order multiplier step; inequality duals clipped at zero."""
-    mu = state.mu
-    state.y_a = state.y_a + (p * mu) * state.residual_eq()
-    state.y_b = np.maximum(state.y_b + (p * mu) * state.residual_ineq(), 0.0)
+    """First-order multiplier step; the inequality tail clipped at zero."""
+    y = state.y + (p * state.mu) * state.residual()
+    y[problem.m_eq :] = np.maximum(y[problem.m_eq :], 0.0)
+    state.y = y
 
 
 def penalty_ratio(state: IterateState, problem: SdpProblem):
     """Residual norm over mu times the constraint-value movement, on the
-    active inequalities (nonnegative residual or positive multiplier)."""
-    m_a = problem.m_eq
-    r = state.residual_eq()
-    s = state.residual_ineq()
-    active = (s >= 0) | (state.y_b > 0) if len(s) else np.zeros(0, dtype=bool)
-    num_sq = dot(r, r) + dot(s[active], s[active])
-    num = fsqrt(num_sq)
+    active rows: the equalities, and the inequalities with a nonnegative
+    residual or a positive multiplier."""
+    r = state.residual()
+    active = (r >= 0) | (state.y > 0)
+    active[: problem.m_eq] = True
+    num = fsqrt(dot(r[active], r[active]))
     if not float(num) > 0.0:
         return 0.0
-    diff = state.cache.values - state.prev_values
-    d_eq = diff[:m_a]
-    d_in = diff[m_a:][active]
-    den = state.mu * fsqrt(dot(d_eq, d_eq) + dot(d_in, d_in))
+    diff = (state.cache.values - state.prev_values)[active]
+    den = state.mu * fsqrt(dot(diff, diff))
     if not float(den) > 0.0:
         return math.inf
     return float(num / den)
@@ -269,23 +261,23 @@ def update_penalty(state: IterateState, ratio: float, options: SolverOptions) ->
     # unchanged otherwise
 
 
-def compute_errors(problem: SdpProblem, X_blocks, y_a, y_b, Z_blocks=None, rows=None, slack=None) -> ErrorReport:
-    """KKT error measures from dense X (and Z when supplied); independent of
-    the factored-iterate caches. A caller that has formed them already may
-    pass rows = dense_rows(problem, X_blocks) and, with Z, slack =
-    cost_minus_adjoint(problem, y_a, y_b)."""
+def compute_errors(problem: SdpProblem, X_blocks, y, Z_blocks=None, rows=None, slack=None) -> ErrorReport:
+    """KKT error measures from dense X and the multipliers y in row order
+    (and Z when supplied); independent of the factored-iterate caches. A
+    caller that has formed them already may pass rows = dense_rows(problem,
+    X_blocks) and, with Z, slack = cost_minus_adjoint(problem, y)."""
     if rows is None:
         rows = dense_rows(problem, X_blocks)
     vals, pobj = rows[:-1], rows[-1]
     if Z_blocks is None:
-        return kkt_errors(problem, vals, pobj, y_a, y_b)
+        return kkt_errors(problem, vals, pobj, y)
     if slack is None:
-        slack = cost_minus_adjoint(problem, y_a, y_b)
+        slack = cost_minus_adjoint(problem, y)
     resid = [S - Z for S, Z in zip(slack, Z_blocks)]
     resid_sq = sum(np.sum(R * R) for R in resid)
     cost_sq = row_norms_sq(problem)[-1]
     xz = sum(np.sum(X * Z) for X, Z in zip(X_blocks, Z_blocks))
-    report = kkt_errors(problem, vals, pobj, y_a, y_b, xz)
+    report = kkt_errors(problem, vals, pobj, y, xz)
     report.dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(cost_sq)))
     return report
 
@@ -295,29 +287,24 @@ def dense_rows(problem: SdpProblem, X_blocks) -> np.ndarray:
     return operator_rows(problem, [X[row, col] for X, (_, row, col, _) in zip(X_blocks, problem.entries)])
 
 
-def cost_minus_adjoint(problem: SdpProblem, y_a, y_b) -> List[np.ndarray]:
+def cost_minus_adjoint(problem: SdpProblem, y) -> List[np.ndarray]:
     """C - sum_j y_j A_j per block: the rows' combination with coefficients -y and 1."""
-    return combine_rows(problem, np.concatenate([-y_a, -y_b, problem.kind.asarray([1.0])]))
+    return combine_rows(problem, np.concatenate([-y, problem.kind.asarray([1.0])]))
 
 
-def kkt_errors(problem: SdpProblem, vals, pobj, y_a, y_b, xz=None) -> ErrorReport:
+def kkt_errors(problem: SdpProblem, vals, pobj, y, xz=None) -> ErrorReport:
     """pinf, gap and compl* from the constraint values and the objective
     value (of a dense X in compute_errors, of the operator cache in the
     solve loop); compl too when <X, Z> is given."""
-    a = problem.rhs_eq
-    bvec = problem.rhs_ineq
-    r = a - vals[: problem.m_eq]
-    s = bvec - vals[problem.m_eq :]
-    viol = norm_inf(np.maximum(s, 0.0))
-    pinf_num = max(norm_inf(r), viol)
-    pinf_den = 1.0 + float(max(norm_inf(a), norm_inf(bvec)))
-    pinf = pinf_num / pinf_den
+    r = problem.rhs - vals
+    r[problem.m_eq :] = np.maximum(r[problem.m_eq :], 0.0)  # an inequality counts only when violated
+    pinf = norm_inf(r) / (1.0 + float(norm_inf(problem.rhs)))
 
-    dobj = dot(a, y_a) + dot(bvec, y_b)
+    dobj = dot(problem.rhs, y)
     denom = 1.0 + abs(pobj) + abs(dobj)
     gap = abs(pobj - dobj) / denom
 
-    dual_val = dot(y_a, vals[: problem.m_eq]) + dot(y_b, vals[problem.m_eq :])
+    dual_val = dot(y, vals)
     compl_star = abs(pobj - dual_val) / denom
     compl = None if xz is None else abs(xz) / denom
     return ErrorReport(pinf=pinf, gap=gap, compl_star=compl_star, compl=compl)
@@ -339,14 +326,12 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     # the report is measured on Solution.X of the unscaled factor, which the
     # check command rebuilds exactly from a stored factor
     X = [F.T @ F for F in factor]
-    dual_factors = record.cost_norm / record.constraint_norms
-    y_a = dual_factors[: original.m_eq] * sol.y_a
-    y_b = dual_factors[original.m_eq :] * sol.y_b
+    y = record.cost_norm / record.constraint_norms * sol.y
     rows = dense_rows(original, X)
-    slack = cost_minus_adjoint(original, y_a, y_b)
+    slack = cost_minus_adjoint(original, y)
     Z = [project_psd(S) for S in slack]  # the dual slack: C - A^T y projected onto the PSD cone
-    report = compute_errors(original, X, y_a, y_b, Z, rows, slack)
-    return replace(sol, factor=factor, y_a=y_a, y_b=y_b, Z=Z, report=report, objective=rows[-1])
+    report = compute_errors(original, X, y, Z, rows, slack)
+    return sol.with_y(y, factor=factor, Z=Z, report=report, objective=rows[-1])
 
 
 def solve(
@@ -376,6 +361,7 @@ def solve(
         state = init_state(scaled, options)
 
     pairs = [(b, i) for b in range(scaled.q) for i in range(scaled.block_sizes[b])]
+    m_eq = scaled.m_eq  # Solution and WarmStart hold the multipliers split here
     status = None
     iteration = 0
     # The absolute part of the column stopping rule follows the outer KKT
@@ -395,7 +381,8 @@ def solve(
     def unscaled(status: str) -> Solution:
         # unscale_solution multiplies into new arrays, so the result shares
         # nothing with the state the loop goes on updating in place
-        sol = Solution(state.V_blocks, state.y_a, state.y_b, Z=None, status=status, report=None, iterations=iteration)
+        y = state.y
+        sol = Solution(state.V_blocks, y[:m_eq], y[m_eq:], Z=None, status=status, report=None, iterations=iteration)
         return unscale_solution(sol, record, problem)
 
     while status is None:
@@ -430,14 +417,14 @@ def solve(
             raise NumericalError(f"nonfinite iterate at outer iteration {iteration} (mu={float(state.mu):.3e})")
 
         update_duals(state, scaled, options.p)
-        if not (all_finite(state.y_a) and all_finite(state.y_b) and all_finite(state.mu)):
+        if not (all_finite(state.y) and all_finite(state.mu)):
             raise NumericalError(f"nonfinite duals at outer iteration {iteration} (mu={float(state.mu):.3e})")
-        assert len(state.y_b) == 0 or bool(np.all(state.y_b >= 0))
+        assert bool(np.all(state.y[m_eq:] >= 0))
         ratio = penalty_ratio(state, scaled)
         update_penalty(state, ratio, options)
         state.prev_values = state.cache.values.copy()
 
-        cheap = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y_a, state.y_b)
+        cheap = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y)
         err_level = float(cheap.max_error())
         zcheck = None
         if cheap.max_error() < options.tol and (iteration >= next_check or iteration % options.iters_Z == 0):
@@ -464,13 +451,10 @@ def solve(
                 }
             )
 
-    warm = WarmStart(
-        [V.copy() for V in state.V_blocks],
-        state.y_a.copy(),
-        state.y_b.copy(),
-        state.mu,
-    )
+    warm = WarmStart([V.copy() for V in state.V_blocks], state.y[:m_eq].copy(), state.y[m_eq:].copy(), state.mu)
     if status != "tol":
         solution = unscaled(status)
+        if solution.report.max_error() < options.tol:  # stopped by a limit, yet the report meets tol
+            solution.status = "tol"
     solution.elapsed = elapsed()
     return solution, warm

@@ -183,14 +183,16 @@ def gram_blocks(V_blocks):
     return [V.T @ V for V in V_blocks]
 
 
-def dense_auglag_oracle(problem, V_blocks, y_a, y_b, mu):
-    """Augmented Lagrangian value from the hinge formula, dense arithmetic."""
+def dense_auglag_oracle(problem, V_blocks, y, mu):
+    """Augmented Lagrangian value from the hinge formula, dense arithmetic;
+    y holds the multipliers in row order."""
     X = gram_blocks(V_blocks)
     vals = dense_apply_oracle(problem, X)
     obj = sum(np.tensordot(C, X[b]) for b, C in enumerate(dense_cost(problem)))
     ma = problem.m_eq
     r = np.asarray(problem.rhs[:ma], dtype=float) - vals[:ma]
     s = np.asarray(problem.rhs[ma:], dtype=float) - vals[ma:]
+    y_a, y_b = y[:ma], y[ma:]
     total = obj + y_a @ r + 0.5 * mu * (r @ r)
     active = y_b + mu * s > 0
     total += y_b[active] @ s[active] + 0.5 * mu * (s[active] @ s[active])
@@ -215,44 +217,42 @@ def fd_gradient(f, x, h=1e-5):
 
 def eval_auglag(state):
     """Full augmented Lagrangian at the current iterate (cache-consistent)."""
-    mu = state.mu
+    mu, m_eq = state.mu, state.problem.m_eq
     total = state.cache.cost_value
-    r = state.residual_eq()
+    y_a, y_b = state.y[:m_eq], state.y[m_eq:]
+    res = state.residual()
+    r, s = res[:m_eq], res[m_eq:]
     if len(r):
-        total = total + dot(state.y_a, r) + 0.5 * mu * dot(r, r)
-    s = state.residual_ineq()
+        total = total + dot(y_a, r) + 0.5 * mu * dot(r, r)
     if len(s):
         state.counters["hinge_evals"] += 1
-        t = state.y_b + mu * s
+        t = y_b + mu * s
         active = t > 0
         if np.any(active):
             sa = s[active]
-            total = total + dot(state.y_b[active], sa) + 0.5 * mu * dot(sa, sa)
+            total = total + dot(y_b[active], sa) + 0.5 * mu * dot(sa, sa)
         if not np.all(active):
-            yi = state.y_b[~active]
+            yi = y_b[~active]
             total = total - dot(yi, yi) / (2.0 * mu)
     return total
 
 
 def multipliers(state):
-    """Coefficients of A_j / B_j in the gradient, hinge applied."""
-    mu = state.mu
-    lam_a = state.y_a + mu * state.residual_eq()
-    t = state.y_b + mu * state.residual_ineq()
-    if len(t):
+    """Coefficients of the rows A_j in the gradient, in row order, the
+    hinge applied to the inequalities."""
+    m_eq = state.problem.m_eq
+    lam = state.y + state.mu * state.residual()
+    if m_eq < len(lam):
         state.counters["hinge_evals"] += 1
-        zero = state.kind.scalar(0.0)
-        lam_b = np.where(t > 0, t, zero)
-    else:
-        lam_b = t
-    return lam_a, lam_b
+        t = lam[m_eq:]
+        lam[m_eq:] = np.where(t > 0, t, state.kind.scalar(0.0))
+    return lam
 
 
 def full_gradient(state):
     """Gradient of the augmented Lagrangian with respect to every factor,
     from dense per-block matrices."""
-    lam_a, lam_b = multipliers(state)
-    combo = apply_adjoint(state.problem, np.concatenate([lam_a, lam_b]))
+    combo = apply_adjoint(state.problem, multipliers(state))
     out = []
     for b, V in enumerate(state.V_blocks):
         M = dense_row(state.problem, state.problem.m, b) - combo[b]

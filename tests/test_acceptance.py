@@ -144,7 +144,7 @@ def test_criterion_03_random_sdps():
 
 def test_criterion_04_stagnation_regression():
     problem, V, y = stagnation_fixture()
-    st = make_state(problem, V, y, np.zeros(0), 4.0)
+    st = make_state(problem, V, y, 4.0)
     _, g1 = column_objective_grad(st, 0, 0, np.array([0.0]))
     warm = WarmStart([v.copy() for v in V], y.copy(), np.zeros(0), 4.0)
     sol, wend = solve(problem, SolverOptions(max_iters=100, scaling=False), warm_start=warm)
@@ -163,7 +163,7 @@ def test_criterion_05_gradient_consistency():
     worst = 0.0
     for seed in range(100):
         p, st = random_state(seed)
-        t = np.asarray(st.y_b, float) + float(st.mu) * np.asarray(st.residual_ineq(), float)
+        t = np.asarray(st.y + st.mu * st.residual(), float)[p.m_eq:]
         if np.any(t > 0) and np.any(t <= 0):
             both += 1
         grads = full_gradient(st)
@@ -173,7 +173,7 @@ def test_criterion_05_gradient_consistency():
             def f(flat):
                 Vb = [W.copy() for W in st.V_blocks]
                 Vb[b] = flat.reshape(shape)
-                return dense_auglag_oracle(p, Vb, np.asarray(st.y_a, float), np.asarray(st.y_b, float), float(st.mu))
+                return dense_auglag_oracle(p, Vb, np.asarray(st.y, float), float(st.mu))
 
             fd = fd_gradient(f, st.V_blocks[b].ravel().copy(), h=h).reshape(shape)
             rel = np.abs(grads[b] - fd).max() / (1.0 + np.abs(grads[b]).max())
@@ -211,7 +211,7 @@ def test_criterion_06_incremental_operator_oracle():
     rng = np.random.default_rng(1)
     from helpers import random_V_blocks
 
-    st = make_state(p, random_V_blocks(rng, p), np.zeros(p.m_eq), np.zeros(p.m_ineq), 1.0)
+    st = make_state(p, random_V_blocks(rng, p), np.zeros(p.m), 1.0)
     for i in range(6):
         commit_move(st, 0, i, st.V_blocks[0][:, i] + 0.2 * rng.standard_normal(st.V_blocks[0].shape[0]))
     fresh = apply_operator(p, st.V_blocks)
@@ -224,7 +224,7 @@ def test_criterion_06_incremental_operator_oracle():
 def test_criterion_07_penalty_and_dual_rules():
     p = random_problem(2, block_sizes=(3,), m_eq=2, m_ineq=0)
     rng = np.random.default_rng(5)
-    st = make_state(p, [rng.standard_normal((2, 3))], np.zeros(2), np.zeros(0), 1.0)
+    st = make_state(p, [rng.standard_normal((2, 3))], np.zeros(2), 1.0)
     opts = SolverOptions()
     branch_ok = True
     for ratio, factor in ((1.2000000001, 1.03), (1.2, 1.0), (1.0, 1.0), (0.8, 1.0), (0.7999999999, 1 / 1.03), (math.inf, 1.03)):
@@ -233,14 +233,14 @@ def test_criterion_07_penalty_and_dual_rules():
         branch_ok = branch_ok and abs(float(st.mu) - factor) < 1e-15
 
     fuzz = random_problem(7, block_sizes=(4,), m_eq=2, m_ineq=5)
-    stf = make_state(fuzz, [rng.standard_normal((3, 4))], np.zeros(2), np.zeros(5), 1.0)
+    stf = make_state(fuzz, [rng.standard_normal((3, 4))], np.zeros(7), 1.0)
     nonneg = True
     for _ in range(1000):
-        stf.y_b = np.abs(rng.standard_normal(5)) * rng.choice([0.0, 1.0], size=5)
+        stf.y[2:] = np.abs(rng.standard_normal(5)) * rng.choice([0.0, 1.0], size=5)
         stf.cache.values = rng.standard_normal(fuzz.m) * 3
         stf.mu = rng.uniform(0.05, 20.0)
         update_duals(stf, fuzz, rng.uniform(0.1, 2.0))
-        nonneg = nonneg and bool(np.all(stf.y_b >= 0))
+        nonneg = nonneg and bool(np.all(stf.y[2:] >= 0))
     ok = branch_ok and nonneg
     finish(7, "penalty branches fire exactly at 0.8/1.2 with tau 1.03; y_b >= 0 in 1000-step fuzz", ok)
 
@@ -254,7 +254,7 @@ def test_criterion_08_scaling_suite(tmp_path):
         norms_sq = row_norms_sq(scaled).astype(float)
         ok = ok and bool(np.all(np.abs(norms_sq[:-1] - 1.0) <= 4e-15))
         ok = ok and abs(norms_sq[-1] - 1.0) <= 4e-15
-        ok = ok and abs(float(norm2(scaled.rhs_eq)) - 1.0) <= 4e-15
+        ok = ok and abs(float(norm2(scaled.rhs[: p.m_eq])) - 1.0) <= 4e-15
         rbar = p.rhs / rec.constraint_norms
         ok = ok and abs(float(norm2(rbar[: p.m_eq] / rec.rhs_eq_norm)) - 1.0) <= 4e-15
         ok = ok and abs(float(norm2(rbar[p.m_eq :] / rec.rhs_ineq_norm)) - 1.0) <= 4e-15
@@ -263,7 +263,7 @@ def test_criterion_08_scaling_suite(tmp_path):
         ok = ok and np.allclose(again.rhs.astype(float), scaled.rhs.astype(float), rtol=1e-14, atol=1e-300)
     ineq_only = random_problem(11, block_sizes=(4,), m_eq=0, m_ineq=5)
     s2, _ = scale(ineq_only)
-    ok = ok and abs(float(norm2(s2.rhs_ineq)) - 1.0) <= 4e-15
+    ok = ok and abs(float(norm2(s2.rhs[ineq_only.m_eq :])) - 1.0) <= 4e-15
 
     # unscaled-solution errors match an independent check recomputation
     p = gen_random_sdp((6,), 5, 1.0, seed=3)
@@ -272,7 +272,7 @@ def test_criterion_08_scaling_suite(tmp_path):
     sol, _ = solve(parse_native(prob_path), SolverOptions(tol=1e-10, max_iters=20000, iters_Z=10))
     write_solution(sol, sol_path)
     back = read_solution(sol_path)
-    rep = compute_errors(parse_native(prob_path), back.X, back.y_a, back.y_b, back.Z)
+    rep = compute_errors(parse_native(prob_path), back.X, back.y, back.Z)
     for key, val in rep.as_dict().items():
         diff = abs(val - sol.report.as_dict()[key])
         ok = ok and diff <= 1e-14

@@ -42,10 +42,9 @@ def random_state(seed, m_ineq=3):
     p = random_problem(seed, block_sizes=(4, 3), m_eq=3, m_ineq=m_ineq, density=0.6)
     rng = np.random.default_rng(10_000 + seed)
     V = random_V_blocks(rng, p)
-    y_a = rng.standard_normal(p.m_eq)
-    y_b = np.abs(rng.standard_normal(p.m_ineq))
+    y = np.concatenate([rng.standard_normal(p.m_eq), np.abs(rng.standard_normal(p.m_ineq))])
     mu = rng.uniform(0.5, 3.0)
-    return p, make_state(p, V, y_a, y_b, mu)
+    return p, make_state(p, V, y, mu)
 
 
 def test_eval_feasible_zero_duals_is_objective():
@@ -54,14 +53,14 @@ def test_eval_feasible_zero_duals_is_objective():
     V = random_V_blocks(rng, p)
     vals = apply_operator(p, V)
     feasible = replace(p, rhs=vals)
-    st = make_state(feasible, V, np.zeros(p.m_eq), np.zeros(p.m_ineq), 2.0)
+    st = make_state(feasible, V, np.zeros(p.m), 2.0)
     assert eval_auglag(st) == pytest.approx(st.cache.cost_value, rel=1e-13)
 
 
 def test_eval_hand_case_1x1():
     # C = 0, one equality x = 1, v = 0, y = 0, mu = 2: L = (mu/2) * 1 = 1
     p = build_problem((1,), [[]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
-    st = make_state(p, [np.array([[0.0]])], np.zeros(1), np.zeros(0), 2.0)
+    st = make_state(p, [np.array([[0.0]])], np.zeros(1), 2.0)
     assert eval_auglag(st) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -69,10 +68,10 @@ def test_eval_stagnation_fixture_value():
     # direct evaluation of the hinge formula gives 3 here (objective 0,
     # linear terms 1 + 1, penalty 0.5 + 0.5)
     p, V, y = stagnation_fixture()
-    st = make_state(p, V, y, np.zeros(0), 4.0)
+    st = make_state(p, V, y, 4.0)
     got = eval_auglag(st)
     assert got == pytest.approx(3.0, abs=1e-12)
-    assert got == pytest.approx(dense_auglag_oracle(p, V, y, np.zeros(0), 4.0), abs=1e-12)
+    assert got == pytest.approx(dense_auglag_oracle(p, V, y, 4.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -81,8 +80,7 @@ def test_eval_matches_dense_oracle(seed):
     want = dense_auglag_oracle(
         p,
         st.V_blocks,
-        np.asarray(st.y_a, dtype=float),
-        np.asarray(st.y_b, dtype=float),
+        np.asarray(st.y, dtype=float),
         float(st.mu),
     )
     assert eval_auglag(st) == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -94,7 +92,7 @@ def test_gradient_matches_finite_differences():
     both_branch_states = 0
     for seed in range(100):
         p, st = random_state(seed)
-        t = np.asarray(st.y_b, dtype=float) + float(st.mu) * np.asarray(st.residual_ineq(), dtype=float)
+        t = np.asarray(st.y + st.mu * st.residual(), dtype=float)[p.m_eq:]
         if np.any(t > 0) and np.any(t <= 0):
             both_branch_states += 1
         grads = full_gradient(st)
@@ -104,9 +102,7 @@ def test_gradient_matches_finite_differences():
             def f(flat):
                 Vb = [W.copy() for W in st.V_blocks]
                 Vb[b] = flat.reshape(shape)
-                return dense_auglag_oracle(
-                    p, Vb, np.asarray(st.y_a, float), np.asarray(st.y_b, float), float(st.mu)
-                )
+                return dense_auglag_oracle(p, Vb, np.asarray(st.y, float), float(st.mu))
 
             fd = fd_gradient(f, st.V_blocks[b].ravel().copy(), h=h).reshape(shape)
             scale = 1.0 + np.abs(grads[b]).max()
@@ -119,7 +115,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_zero_cases():
     # no data: C = 0 and no constraints
     p = build_problem((2,), [[]], [], [], ineq_start=1)
-    st = make_state(p, [np.ones((1, 2))], np.zeros(0), np.zeros(0), 1.0)
+    st = make_state(p, [np.ones((1, 2))], np.zeros(0), 1.0)
     assert np.all(full_gradient(st)[0] == 0)
     val, g = column_objective_grad(st, 0, 0, np.array([1.0]))
     assert val == 0 and np.all(g == 0)
@@ -151,7 +147,7 @@ def test_column_gradient_rounds_like_cost_minus_constraint_sum():
     # order (here at most 7 terms per column, where numpy's sum is sequential)
     for seed in range(8):
         p, st = random_state(seed)
-        lam = np.concatenate(multipliers(st))
+        lam = multipliers(st)
         for b in range(p.q):
             V = st.V_blocks[b]
             C = dense_row(p, p.m, b)
@@ -182,13 +178,13 @@ def test_column_value_matches_eval_after_move():
     val, _ = column_objective_grad(st, 0, 2, v_new)
     V2 = [W.copy() for W in st.V_blocks]
     V2[0][:, 2] = v_new
-    st2 = make_state(p, V2, st.y_a, st.y_b, st.mu)
+    st2 = make_state(p, V2, st.y, st.mu)
     assert val == pytest.approx(eval_auglag(st2), rel=1e-11, abs=1e-11)
 
 
 def test_stagnation_fixture_column_gradient_zero():
     p, V, y = stagnation_fixture()
-    st = make_state(p, V, y, np.zeros(0), 4.0)
+    st = make_state(p, V, y, 4.0)
     _, g1 = column_objective_grad(st, 0, 0, np.array([0.0]))
     _, g2 = column_objective_grad(st, 1, 0, V[1][:, 0].copy())
     assert abs(g1[0]) <= 1e-12
@@ -215,15 +211,15 @@ def triangle_state(seed):
     rng = np.random.default_rng(30_000 + seed)
     V = random_V_blocks(rng, p)
     y_b = np.abs(rng.standard_normal(p.m_ineq)) * rng.integers(0, 2, p.m_ineq)
-    return p, make_state(p, V, rng.standard_normal(p.m_eq), y_b, rng.uniform(0.5, 3.0))
+    return p, make_state(p, V, np.concatenate([rng.standard_normal(p.m_eq), y_b]), rng.uniform(0.5, 3.0))
 
 
 def _activity(p, st, block, i, v):
-    """The inequalities' activity y_b + mu s > 0 with column i set to v."""
+    """The inequalities' activity y + mu s > 0 with column i set to v."""
     V = [W.copy() for W in st.V_blocks]
     V[block][:, i] = v
     s = np.asarray(p.rhs[p.m_eq:], float) - apply_operator(p, [np.asarray(W, float) for W in V])[p.m_eq:]
-    return np.asarray(st.y_b, float) + float(st.mu) * s > 0
+    return np.asarray(st.y[p.m_eq:], float) + float(st.mu) * s > 0
 
 
 @pytest.mark.parametrize("case", ["double", "dd", "triangles"])
@@ -239,8 +235,7 @@ def test_column_hessian_matches_central_differences(case):
         p, st = triangle_state(seed) if case == "triangles" else random_state(seed)
         if case == "dd":
             dd = DOUBLE_DOUBLE
-            st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
-                            dd.asarray(st.y_b), dd.scalar(st.mu))
+            st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y), dd.scalar(st.mu))
         rng = np.random.default_rng(40_000 + seed)
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
@@ -270,8 +265,7 @@ def test_column_start_returns_full_gradient(case):
         p, st = triangle_state(seed) if case == "triangles" else random_state(seed)
         if case == "dd":
             dd = DOUBLE_DOUBLE
-            st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
-                            dd.asarray(st.y_b), dd.scalar(st.mu))
+            st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y), dd.scalar(st.mu))
         grads = full_gradient(st)
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
@@ -308,20 +302,20 @@ def test_cached_column_hessian_matches_recomputation(kind, monkeypatch):
 
 
 def test_hinge_crossing_is_continuous():
-    # one inequality x >= 0 with y_b + mu*(0 - x) crossing zero at x = 1
+    # one inequality x >= 0 with y + mu*(0 - x) crossing zero at x = 1
     p = build_problem((1,), [[]], [{0: [(0, 0, 1.0)]}], [0.0], ineq_start=1)
-    vstar = 1.0  # t = y_b - mu*v^2 = 0 at v = 1 with y_b = mu = 1
+    vstar = 1.0  # t = y - mu*v^2 = 0 at v = 1 with y = mu = 1
     vals = []
     for dv in (-1e-9, 0.0, 1e-9):
-        st = make_state(p, [np.array([[vstar + dv]])], np.zeros(0), np.array([1.0]), 1.0)
+        st = make_state(p, [np.array([[vstar + dv]])], np.array([1.0]), 1.0)
         vals.append(float(eval_auglag(st)))
     assert abs(vals[0] - vals[1]) <= 1e-8 * (1 + abs(vals[1]))
     assert abs(vals[2] - vals[1]) <= 1e-8 * (1 + abs(vals[1]))
     # membership flips across the crossing
-    st_lo = make_state(p, [np.array([[vstar - 1e-9]])], np.zeros(0), np.array([1.0]), 1.0)
-    st_hi = make_state(p, [np.array([[vstar + 1e-9]])], np.zeros(0), np.array([1.0]), 1.0)
-    t_lo = 1.0 + 1.0 * float(st_lo.residual_ineq()[0])
-    t_hi = 1.0 + 1.0 * float(st_hi.residual_ineq()[0])
+    st_lo = make_state(p, [np.array([[vstar - 1e-9]])], np.array([1.0]), 1.0)
+    st_hi = make_state(p, [np.array([[vstar + 1e-9]])], np.array([1.0]), 1.0)
+    t_lo = 1.0 + 1.0 * float(st_lo.residual()[0])
+    t_hi = 1.0 + 1.0 * float(st_hi.residual()[0])
     assert t_lo > 0 >= t_hi
 
 
@@ -348,10 +342,10 @@ def _mp(x):
     return mpmath.mpf(x.hi) + mpmath.mpf(x.lo) if isinstance(x, DDArray) else mpmath.mpf(float(x))
 
 
-def _mp_auglag(p, V_blocks, y_a, y_b, mu, block, i):
+def _mp_auglag(p, V_blocks, y, mu, block, i):
     """Dense augmented Lagrangian and its gradient in column i of `block`,
-    in mpmath on the exact values of the iterate; also every inequality's
-    activity argument y_b + mu s."""
+    in mpmath on the exact values of the iterate (multipliers y in row
+    order); also every inequality's activity argument y + mu s."""
     import mpmath
 
     X = [mpmath.matrix(V).T * mpmath.matrix(V) for V in V_blocks]
@@ -367,11 +361,11 @@ def _mp_auglag(p, V_blocks, y_a, y_b, mu, block, i):
     for j in range(p.m):
         res = _mp(p.rhs[j]) - mpmath.fsum(inner(cons[j], b) for b in range(p.q))
         if j < p.m_eq:
-            total += y_a[j] * res + mu / 2 * res**2
-            lam.append(y_a[j] + mu * res)
+            total += y[j] * res + mu / 2 * res**2
+            lam.append(y[j] + mu * res)
         else:
-            t = y_b[j - p.m_eq] + mu * res
-            total += (max(t, 0) ** 2 - y_b[j - p.m_eq] ** 2) / (2 * mu)
+            t = y[j] + mu * res
+            total += (max(t, 0) ** 2 - y[j] ** 2) / (2 * mu)
             lam.append(max(t, 0))
             acts.append(t)
     n = p.block_sizes[block]
@@ -410,27 +404,26 @@ def test_increment_kernel_matches_mpmath_difference(kind):
                 V2 = [W.copy() for W in st0.V_blocks]
                 V2[b][:, i] += d
                 dv = float(apply_operator(p0, V2)[j] - st0.cache.values[j])
-                t_now = float(st0.y_b[j - p0.m_eq] + st0.mu * st0.residual_ineq()[j - p0.m_eq])
+                t_now = float(st0.y[j] + st0.mu * st0.residual()[j])
                 rhs[j] += (0.5 * st0.mu * dv - t_now) / st0.mu
             p = replace(p0, rhs=rhs)
-            st = make_state(p, st0.V_blocks, st0.y_a, st0.y_b, st0.mu)
+            st = make_state(p, st0.V_blocks, st0.y, st0.mu)
             if kind == "dd":
                 dd = DOUBLE_DOUBLE
-                st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y_a),
-                                dd.asarray(st.y_b), dd.scalar(st.mu))
+                st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks],
+                                dd.asarray(st.y), dd.scalar(st.mu))
             df, g = ColumnContext(st, b, i).value_and_grad(d)
             assert isinstance(df, float) and g.dtype == np.float64
 
             with mpmath.workdps(40):
                 mu = _mp(st.mu)
-                y_a = [_mp(x) for x in st.y_a]
-                y_b = [_mp(x) for x in st.y_b]
+                y = [_mp(x) for x in st.y]
                 V0 = [[[_mp(x) for x in row] for row in V] for V in st.V_blocks]
                 V1 = [[row[:] for row in V] for V in V0]
                 for a in range(len(d)):
                     V1[b][a][i] += mpmath.mpf(float(d[a]))
-                f0, g0, t0 = _mp_auglag(p, V0, y_a, y_b, mu, b, i)
-                f1, g1, t1 = _mp_auglag(p, V1, y_a, y_b, mu, b, i)
+                f0, g0, t0 = _mp_auglag(p, V0, y, mu, b, i)
+                f1, g1, t1 = _mp_auglag(p, V1, y, mu, b, i)
                 seen.update((bool(a0 > 0), bool(a1 > 0)) for a0, a1 in zip(t0, t1))
                 # the scale of the increment: |d| times the larger gradient norm
                 scale = size * float(max(mpmath.norm(mpmath.matrix(g0)), mpmath.norm(mpmath.matrix(g1))))
@@ -455,8 +448,8 @@ def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
     moved = 0
     for seed in range(3):
         p, st64 = random_state(seed)
-        st = make_state(as_kind(p, dd), [dd.asarray(V) / 3.0 for V in st64.V_blocks], dd.asarray(st64.y_a),
-                        dd.asarray(st64.y_b), dd.scalar(st64.mu))
+        st = make_state(as_kind(p, dd), [dd.asarray(V) / 3.0 for V in st64.V_blocks],
+                        dd.asarray(st64.y), dd.scalar(st64.mu))
         budget = np.zeros(p.m + 1)
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
@@ -493,8 +486,8 @@ def test_column_refinement_reaches_double_double_stationarity():
     cfg = InnerConfig(eps=1e-30, delta=1e-10, max_evals=500)
     for seed in range(3):
         p, st64 = random_state(seed)
-        st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st64.V_blocks], dd.asarray(st64.y_a),
-                        dd.asarray(st64.y_b), dd.scalar(st64.mu))
+        st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st64.V_blocks],
+                        dd.asarray(st64.y), dd.scalar(st64.mu))
         b, i = 0, seed
         for _ in range(4):
             ctx = ColumnContext(st, b, i)
@@ -503,5 +496,5 @@ def test_column_refinement_reaches_double_double_stationarity():
             refresh_cache(st)
         with mpmath.workdps(40):
             V = [[[_mp(x) for x in row] for row in W] for W in st.V_blocks]
-            _, g, _ = _mp_auglag(p, V, [_mp(x) for x in st.y_a], [_mp(x) for x in st.y_b], _mp(st.mu), b, i)
+            _, g, _ = _mp_auglag(p, V, [_mp(x) for x in st.y], _mp(st.mu), b, i)
             assert max(abs(float(x)) for x in g) < 1e-26

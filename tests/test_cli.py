@@ -112,6 +112,16 @@ def test_dd_solve_saves_and_resumes_warm_start(tmp_path, capsys):
     assert "status tol" in capsys.readouterr().out
 
 
+def test_dd_solve_max_iters_counts_both_stages(tmp_path, capsys):
+    # dd_refine's instance: 65 binary64 and 39 double-double iterations uncapped
+    prob = tmp_path / "rand.sdp"
+    assert main(["generate", "rand", "--blocks", "10", "--m", "10", "--seed", "42", "-o", str(prob)]) == EXIT_OK
+    code = main(["solve", str(prob), "-o", str(tmp_path / "rand.sol"), "--precision", "dd", "--tol", "1e-20",
+                 "--max-iters", "70"])
+    out = capsys.readouterr().out
+    assert code == EXIT_LIMIT and "status iter\n" in out and "iterations 70\n" in out
+
+
 def test_solve_mismatched_warm_start_exit_1(tmp_path, capsys):
     small = tmp_path / "toy.sdp"
     small.write_text(TOY)

@@ -220,7 +220,7 @@ def test_incremental_random_vs_direct_recomputation():
 
 
 def zero_dual_state(p, V):
-    return make_state(p, V, np.zeros(p.m_eq), np.zeros(p.m_ineq), 1.0)
+    return make_state(p, V, np.zeros(p.m), 1.0)
 
 
 def test_commit_column_agrees_with_direct_values():

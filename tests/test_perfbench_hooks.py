@@ -136,3 +136,24 @@ def test_dd_solve_makes_no_object_array_and_exact_pairs_reads_its_words(tmp_path
         assert exact_pairs(values) == {"hi": values.hi.tolist(), "lo": values.lo.tolist()}
     assert np.any(sol.factor[0].lo != 0.0)
     assert exact_pairs([sol.objective]) == {"hi": [sol.objective.hi], "lo": [sol.objective.lo]}
+
+
+def test_oracle_reads_the_cli_solution_and_agrees_with_its_report(tmp_path, capsys):
+    # the solution file is the benchmark's correctness boundary: the oracle
+    # parses its ya/yb sections with its own reader and recomputes the KKT
+    # measures in dense numpy; a slip in the dual layout would show here
+    graph = tmp_path / "k4.txt"
+    graph.write_text("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    prob, out = tmp_path / "k4.sdp", tmp_path / "k4.sol"
+    assert cli.main(["generate", "maxcut", "--triangles", "--graph", str(graph), "-o", str(prob)]) == cli.EXIT_OK
+    assert cli.main(["solve", str(prob), "-o", str(out), "--tol", "1e-8"]) == cli.EXIT_OK
+
+    oracle = load_perfbench_module("oracle")
+    problem = oracle.read_problem(prob)
+    status, _, factor, y_a, y_b = oracle.read_solution_file(out)
+    assert status == "tol" and len(y_a) == 4 and len(y_b) == 16 and np.any(y_b > 0)
+    errors = oracle.kkt_numpy(problem, factor, y_a, y_b)
+    assert errors["y_b_min"] >= 0.0
+    report = formats.read_solution(out).report.as_dict()
+    for key in ("pinf", "gap", "dinf", "compl"):
+        assert abs(errors[key] - report[key]) <= 1e-12, key

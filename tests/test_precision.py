@@ -62,6 +62,16 @@ def test_two_stage_time_status_propagates():
     assert sol.status == "time"
 
 
+@pytest.mark.parametrize("cap", [64, 65, 70])
+def test_two_stage_max_iters_caps_both_stages_together(cap):
+    # the binary64 stage meets 1e-12 at 65 iterations (the dd_refine
+    # instance); a cap it uses up, exactly or not, leaves no refinement
+    p = gen_random_sdp((10,), 10, 1.0, seed=42)
+    sol, _ = solve_two_stage(p, 1e-20, SolverOptions(max_iters=cap))
+    assert sol.status == "iter" and sol.iterations == cap
+    assert isinstance(sol.X[0], DDArray) == (cap > 65)  # stage 2 ran on what was left
+
+
 def test_two_stage_reaches_extended_accuracy():
     p = gen_rand(6, 5, 1.0, 21)
     sol, warm = solve_two_stage(p, 1e-20, SolverOptions(max_iters=20000, iters_Z=20))

@@ -157,7 +157,7 @@ def test_scale_unit_norms_and_idempotence(seed):
         assert float(norms_sq[j]) == pytest.approx(1.0, rel=1e-15)
     assert float(norms_sq[-1]) == pytest.approx(1.0, rel=1e-14)
     # equality sub-vector is unit norm; recorded norms normalize each sub-vector
-    assert float(norm2(scaled.rhs_eq)) == pytest.approx(1.0, rel=1e-14)
+    assert float(norm2(scaled.rhs[: p.m_eq])) == pytest.approx(1.0, rel=1e-14)
     rbar = p.rhs / rec.constraint_norms
     assert float(norm2(rbar[: p.m_eq] / rec.rhs_eq_norm)) == pytest.approx(1.0, rel=1e-14)
     assert float(norm2(rbar[p.m_eq :] / rec.rhs_ineq_norm)) == pytest.approx(1.0, rel=1e-14)
@@ -172,7 +172,7 @@ def test_scale_unit_norms_and_idempotence(seed):
 def test_scale_ineq_only_normalizes_b():
     p = random_problem(11, block_sizes=(4,), m_eq=0, m_ineq=5)
     scaled, rec = scale(p)
-    assert float(norm2(scaled.rhs_ineq)) == pytest.approx(1.0, rel=1e-14)
+    assert float(norm2(scaled.rhs[p.m_eq :])) == pytest.approx(1.0, rel=1e-14)
     assert float(rec.primal_scale) == pytest.approx(float(rec.rhs_ineq_norm))
 
 

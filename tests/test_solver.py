@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdpmix.auglag import make_state
-from sdpmix.ddouble import DOUBLE, DOUBLE_DOUBLE, to_float_array
+from sdpmix.ddouble import DOUBLE, DOUBLE_DOUBLE, kind_of, to_float_array
 from sdpmix.errors import NumericalError, ValidationError
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
 from sdpmix.linops import project_psd
@@ -41,6 +41,8 @@ from helpers import (
     uneven_problem,
 )
 from test_auglag import stagnation_fixture
+
+KINDS = (DOUBLE, DOUBLE_DOUBLE)
 
 
 def toy_trace_problem():
@@ -126,34 +128,37 @@ def test_sweep_order_shuffling_reproducible():
 # -- dual update --------------------------------------------------------------
 
 
-def test_update_duals_cases():
-    p = random_problem(1, block_sizes=(3,), m_eq=1, m_ineq=1)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_update_duals_cases(kind):
+    # one equality, then one inequality: y = (y_eq, y_ineq)
+    p = as_kind(random_problem(1, block_sizes=(3,), m_eq=1, m_ineq=1), kind)
     rng = np.random.default_rng(0)
-    st = make_state(p, [rng.standard_normal((2, 3))], np.array([1.0]), np.array([0.0]), 2.0)
+    st = make_state(p, [rng.standard_normal((2, 3))], np.array([1.0, 0.0]), 2.0)
     # zero residuals: duals unchanged
     feasible = replace(p, rhs=st.cache.values.copy())
-    stf = make_state(feasible, st.V_blocks, np.array([1.0]), np.array([0.5]), 2.0)
+    stf = make_state(feasible, st.V_blocks, np.array([1.0, 0.5]), 2.0)
     update_duals(stf, feasible, 1.0)
-    assert float(stf.y_a[0]) == 1.0 and float(stf.y_b[0]) == 0.5
-    # y_a = 1, residual 0.5, p = 1, mu = 2  ->  y_a = 2
-    rigged = replace(p, rhs=np.array([float(st.cache.values[0]) + 0.5, float(st.cache.values[1]) - 1.0]))
-    str_ = make_state(rigged, st.V_blocks, np.array([1.0]), np.array([0.0]), 2.0)
+    assert float(stf.y[0]) == 1.0 and float(stf.y[1]) == 0.5
+    # y_eq = 1, residual 0.5, p = 1, mu = 2  ->  y_eq = 2
+    rigged = replace(p, rhs=kind.asarray([float(st.cache.values[0]) + 0.5, float(st.cache.values[1]) - 1.0]))
+    str_ = make_state(rigged, st.V_blocks, np.array([1.0, 0.0]), 2.0)
     update_duals(str_, rigged, 1.0)
-    assert float(str_.y_a[0]) == pytest.approx(2.0, rel=1e-14)
-    # y_b clipped at zero when the inequality is slack (residual -1)
-    assert float(str_.y_b[0]) == 0.0
+    assert float(str_.y[0]) == pytest.approx(2.0, rel=1e-14)
+    # y_ineq clipped at zero when the inequality is slack (residual -1)
+    assert float(str_.y[1]) == 0.0
+    assert kind_of(str_.y) is kind
 
 
 def test_dual_update_nonnegativity_fuzz():
     rng = np.random.default_rng(99)
     p = random_problem(7, block_sizes=(4,), m_eq=2, m_ineq=5)
-    st = make_state(p, [rng.standard_normal((3, 4))], np.zeros(2), np.zeros(5), 1.0)
+    st = make_state(p, [rng.standard_normal((3, 4))], np.zeros(7), 1.0)
     for step in range(1000):
-        st.y_b = np.abs(rng.standard_normal(5)) * rng.choice([0.0, 1.0], size=5)
+        st.y[2:] = np.abs(rng.standard_normal(5)) * rng.choice([0.0, 1.0], size=5)
         st.cache.values = rng.standard_normal(p.m) * 2
         st.mu = rng.uniform(0.1, 10.0)
         update_duals(st, p, rng.uniform(0.1, 2.0))
-        assert np.all(st.y_b >= 0)
+        assert np.all(st.y[2:] >= 0)
 
 
 # -- penalty ratio and update -------------------------------------------------
@@ -162,7 +167,7 @@ def test_dual_update_nonnegativity_fuzz():
 def rigged_state_for_ratio():
     p = random_problem(2, block_sizes=(3,), m_eq=2, m_ineq=0)
     rng = np.random.default_rng(1)
-    st = make_state(p, [rng.standard_normal((2, 3))], np.zeros(2), np.zeros(0), 2.0)
+    st = make_state(p, [rng.standard_normal((2, 3))], np.zeros(2), 2.0)
     return p, st
 
 
@@ -189,19 +194,25 @@ def test_penalty_ratio_stalled_is_inf():
     assert penalty_ratio(st, p) == math.inf
 
 
-def test_penalty_ratio_active_set():
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_penalty_ratio_active_set(kind):
     # inactive inequality (negative residual, zero multiplier) is excluded
-    p = random_problem(3, block_sizes=(3,), m_eq=1, m_ineq=1)
+    p = as_kind(random_problem(3, block_sizes=(3,), m_eq=1, m_ineq=1), kind)
     rng = np.random.default_rng(2)
-    st = make_state(p, [rng.standard_normal((2, 3))], np.zeros(1), np.zeros(1), 1.0)
-    st.cache.values = np.asarray(p.rhs, float) + np.array([-0.6, 0.8])  # r_eq=0.6, s=-0.8 slack
-    st.prev_values = st.cache.values - np.array([0.3, 123.0])
+    st = make_state(p, [rng.standard_normal((2, 3))], np.zeros(2), 1.0)
+    st.cache.values = p.rhs + kind.asarray([-0.6, 0.8])  # r_eq=0.6, s=-0.8 slack
+    st.prev_values = st.cache.values - kind.asarray([0.3, 123.0])
     assert penalty_ratio(st, p) == pytest.approx(0.6 / (1.0 * 0.3), rel=1e-12)
     # positive multiplier pulls the inequality back in
-    st.y_b = np.array([0.5])
+    st.y = kind.asarray([0.0, 0.5])
     num = math.hypot(0.6, -0.8)
     den = math.hypot(0.3, 123.0)
     assert penalty_ratio(st, p) == pytest.approx(num / den, rel=1e-12)
+    # an equality counts whatever the sign of its residual and its multiplier
+    st.y = kind.zeros(2)
+    st.cache.values = p.rhs + kind.asarray([0.6, 0.8])  # r_eq=-0.6, s=-0.8 slack
+    st.prev_values = st.cache.values - kind.asarray([0.3, 123.0])
+    assert penalty_ratio(st, p) == pytest.approx(0.6 / 0.3, rel=1e-12)
 
 
 def test_update_penalty_branches():
@@ -226,20 +237,17 @@ def one_var_problem():
     return build_problem((1,), [[(0, 0, 1.0)]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
 
 
-KINDS = (DOUBLE, DOUBLE_DOUBLE)
-
-
 def test_compute_errors_exact_kkt_point():
     for kind in KINDS:
         p = as_kind(one_var_problem(), kind)
-        rep = compute_errors(p, [kind.asarray([[1.0]])], kind.asarray([1.0]), kind.zeros(0), [kind.asarray([[0.0]])])
+        rep = compute_errors(p, [kind.asarray([[1.0]])], kind.asarray([1.0]), [kind.asarray([[0.0]])])
         assert rep.pinf == 0 and rep.gap == 0 and rep.dinf == 0 and rep.compl == 0 and rep.compl_star == 0
 
 
 def test_compute_errors_pinf_normalization():
     for kind in KINDS:
         p = as_kind(one_var_problem(), kind)
-        rep = compute_errors(p, [kind.asarray([[1.1]])], kind.zeros(1), kind.zeros(0))
+        rep = compute_errors(p, [kind.asarray([[1.1]])], kind.zeros(1))
         assert float(rep.pinf) == pytest.approx(0.1 / 2.0, rel=1e-12)
 
 
@@ -251,7 +259,7 @@ def test_compute_errors_dinf_zero_duals():
     for kind in KINDS:
         p = as_kind(build_problem((3,), [C], [{0: [(0, 0, 1.0)]}], [1.0], 2), kind)
         Z = project_psd(kind.asarray(M))
-        rep = compute_errors(p, [kind.asarray(np.eye(3))], kind.zeros(1), kind.zeros(0), [Z])
+        rep = compute_errors(p, [kind.asarray(np.eye(3))], kind.zeros(1), [Z])
         want = np.linalg.norm(M - to_float_array(Z)) / (1.0 + np.linalg.norm(M))
         assert float(rep.dinf) == pytest.approx(want, rel=1e-12)
 
@@ -289,7 +297,7 @@ def test_compute_errors_matches_dense_oracle(kind):
         y_a, y_b = rng.standard_normal(prob.m_eq), np.abs(rng.standard_normal(prob.m_ineq))
         want = dense_kkt_oracle(prob, X, y_a, y_b, Z)
         q = as_kind(prob, kind)
-        args = [[kind.asarray(Xb) for Xb in X], kind.asarray(y_a), kind.asarray(y_b)]
+        args = [[kind.asarray(Xb) for Xb in X], kind.asarray(np.concatenate([y_a, y_b]))]
         got = compute_errors(q, *args, [kind.asarray(Zb) for Zb in Z]).as_dict()
         cheap = compute_errors(q, *args).as_dict()
         for key, val in want.items():
@@ -320,7 +328,7 @@ def test_solve_reports_errors_recomputed_on_original_data():
     p = gen_rand(10, 6, 1.0, 5)
     sol, _ = solve(p, SolverOptions(tol=1e-9, max_iters=5000, iters_Z=10))
     assert sol.status == "tol"
-    fresh = compute_errors(p, sol.X, sol.y_a, sol.y_b, sol.Z)
+    fresh = compute_errors(p, sol.X, sol.y, sol.Z)
     for key, val in fresh.as_dict().items():
         assert val == pytest.approx(sol.report.as_dict()[key], abs=1e-15)
     # dinf matches its definition with the returned Z, recomputed here
@@ -494,7 +502,7 @@ def test_unscale_round_trip_toy_within_slack():
     tol = 1e-9
     sol, _ = solve(p, SolverOptions(tol=tol, max_iters=20000, iters_Z=10))
     assert sol.status == "tol"
-    assert compute_errors(p, sol.X, sol.y_a, sol.y_b, sol.Z).max_error() < tol
+    assert compute_errors(p, sol.X, sol.y, sol.Z).max_error() < tol
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -514,7 +522,7 @@ def test_report_pieces_formed_once_match_a_fresh_report():
     for kind in (DOUBLE, DOUBLE_DOUBLE):
         p = as_kind(gen_rand(6, 4, 1.0, 19), kind)
         sol, _ = solve(p, SolverOptions(tol=1e-30, max_iters=15))
-        fresh = compute_errors(p, sol.X, sol.y_a, sol.y_b, sol.Z)
+        fresh = compute_errors(p, sol.X, sol.y, sol.Z)
         for key in ("pinf", "gap", "compl_star", "dinf", "compl"):
             assert np.array_equal(getattr(fresh, key), getattr(sol.report, key)), (kind.name, key)
 
@@ -555,7 +563,8 @@ def test_checks_back_off_and_fall_on_multiples_of_iters_Z(monkeypatch):
     p, tol, iters_Z = gen_rand(8, 5, 1.0, 5), 1e-9, 16
     rows = []
     sol, _ = solve(p, SolverOptions(tol=tol, iters_Z=iters_Z, max_iters=140), progress=rows.append)
-    assert sol.status == "iter"
+    # the checks were made to fail; the final report of the capped run meets tol
+    assert sol.iterations == 140 and sol.status == "tol"
     first = next(r["iter"] for r in rows if cheap_passes(r, tol))
     assert all(cheap_passes(r, tol) for r in rows[first - 1:])  # so no check waits on the cheap measures
     want, t, gap = [first], first, 1
@@ -604,6 +613,16 @@ def test_back_off_stops_no_later_than_checking_at_multiples(monkeypatch, name):
     assert sol.iterations == min(t for t, err in every.items() if err < tol and t in checks)
     assert all(checks[t] == every[t] for t in checks)  # the same trajectory, bit for bit
     assert min(checks) == min(every)  # the first check at the first cheap pass
+
+
+def test_capped_solve_whose_final_report_meets_tol_is_labelled_tol():
+    # the cap falls between the backed-off checks at 190 (which fails) and
+    # 198; the report built on the iterate at the cap meets tol
+    tol, rows = 1e-10, []
+    sol, _ = solve(gen_random_sdp((30,), 20, 1.0, 1), SolverOptions(tol=tol, max_iters=194), progress=rows.append)
+    checks = {r["iter"]: r["zcheck"] for r in rows if r["zcheck"] is not None}
+    assert max(checks) == 190 and checks[190] >= tol
+    assert sol.iterations == 194 and sol.status == "tol" and sol.report.max_error() < tol
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
