@@ -28,8 +28,7 @@ from .formats import (
 )
 from .instances import gen_random_sdp, maxcut_relaxation, theta_relaxation
 from .precision import solve_two_stage
-from .linops import project_psd
-from .solver import SolverOptions, check_fit, compute_errors, cost_minus_adjoint, solve
+from .solver import SolverOptions, check_fit, compute_errors, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -198,16 +197,17 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args) -> int:
     try:
+        if not 0 < args.threshold < float("inf"):
+            raise ValueError(f"threshold must be positive and finite, got {args.threshold!r}")
         problem = parse_problem(args.problem)
         sol = read_solution(args.solution)
+        # a stored Z must fit, but the report projects its own and measures with that
         check_fit(problem, "solution", "factor", sol.factor, sol.y_a, sol.y_b, sol.Z or ())
     except (SdpmixError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_INPUT
 
-    slack = cost_minus_adjoint(problem, sol.y)
-    Z = sol.Z if sol.Z is not None else [project_psd(S) for S in slack]
-    report = compute_errors(problem, sol.X, sol.y, Z, slack=slack)
+    report, _, _ = compute_errors(problem, sol.X, sol.y)
     for key, val in report.as_dict().items():
         print(f"{key} {val!r}")
     max_err = float(report.max_error())

@@ -542,7 +542,6 @@ DOUBLE = ScalarKind("double", 2.0**-53, False)
 DOUBLE_DOUBLE = ScalarKind("dd", 2.0**-104, True)
 
 _KINDS = {k.name: k for k in (DOUBLE, DOUBLE_DOUBLE)}
-_KIND_RANK = {"double": 0, "dd": 1}
 
 
 def kind_by_name(name: str) -> ScalarKind:
@@ -559,10 +558,6 @@ def kind_of(arr) -> ScalarKind:
     if isinstance(arr, np.ndarray) and arr.dtype == object:
         return DOUBLE_DOUBLE
     return DOUBLE
-
-
-def at_least_as_precise(target: ScalarKind, source: ScalarKind) -> bool:
-    return _KIND_RANK[target.name] >= _KIND_RANK[source.name]
 
 
 # -- generic helpers used by the kernels -----------------------------------

@@ -55,7 +55,7 @@ def minimize_column(
 
     The returned objective value never exceeds the start value: on budget
     exhaustion or line-search failure the best iterate found is returned,
-    and a nonfinite evaluation aborts the subproblem with x0 itself.
+    and a nonfinite evaluation or Hessian aborts the subproblem with x0 itself.
     """
     f0, g0 = objective_grad(x0)
     evals = 1
@@ -69,7 +69,10 @@ def minimize_column(
     x, f, g, g_norm = x0, f0, g0, g_start
     best_x, best_f = x0, f0
     while True:
-        w, Q = np.linalg.eigh(hessian(x))
+        try:
+            w, Q = np.linalg.eigh(hessian(x))
+        except np.linalg.LinAlgError:  # eigh fails on a nonfinite Hessian
+            return x0, evals, False
         curv = np.abs(w)
         floor = max(_FLOOR * float(curv.max()), _EPS * g_norm)
         p = Q @ ((Q.T @ g) / -np.maximum(curv, floor))

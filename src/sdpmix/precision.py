@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .ddouble import DOUBLE, DOUBLE_DOUBLE, ScalarKind, at_least_as_precise
+from .ddouble import DOUBLE, DOUBLE_DOUBLE, ScalarKind
 from .problem import SdpProblem, as_kind
 from .solver import SolverOptions, WarmStart, solve
 
@@ -21,7 +21,7 @@ STAGE1_TOL = 1e-12
 def promote(warm: WarmStart, kind: ScalarKind) -> WarmStart:
     """Convert a warm start to `kind`; widening only, values exact."""
     source = warm.kind
-    if not at_least_as_precise(kind, source):
+    if source.is_extended and not kind.is_extended:
         raise ValueError(f"narrowing conversion requested: {source.name} -> {kind.name}")
     return WarmStart(
         [kind.asarray(V) for V in warm.V_blocks],
@@ -35,7 +35,6 @@ def solve_two_stage(
     problem: SdpProblem,
     target_tol: float,
     options: SolverOptions | None = None,
-    kind: ScalarKind = DOUBLE_DOUBLE,
     progress=None,
     warm_start: WarmStart | None = None,
 ):
@@ -60,7 +59,8 @@ def solve_two_stage(
             max_iters -= iterations
 
     stage2 = replace(options, tol=target_tol, time_limit=time_limit, max_iters=max_iters)
-    sol2, warm2 = solve(as_kind(problem, kind), stage2, warm_start=promote(warm_start, kind), progress=progress)
+    sol2, warm2 = solve(as_kind(problem, DOUBLE_DOUBLE), stage2, warm_start=promote(warm_start, DOUBLE_DOUBLE),
+                        progress=progress)
     sol2.iterations += iterations
     sol2.elapsed += elapsed
     return sol2, warm2

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,6 +77,9 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("tol", "mu_start", "p", "tau", "delta", "epsilon"):  # time_limit and rat_max may be inf
+            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.mu_start is not None and not self.mu_start > 0:
@@ -261,35 +264,21 @@ def update_penalty(state: IterateState, ratio: float, options: SolverOptions) ->
     # unchanged otherwise
 
 
-def compute_errors(problem: SdpProblem, X_blocks, y, Z_blocks=None, rows=None, slack=None) -> ErrorReport:
-    """KKT error measures from dense X and the multipliers y in row order
-    (and Z when supplied); independent of the factored-iterate caches. A
-    caller that has formed them already may pass rows = dense_rows(problem,
-    X_blocks) and, with Z, slack = cost_minus_adjoint(problem, y)."""
-    if rows is None:
-        rows = dense_rows(problem, X_blocks)
-    vals, pobj = rows[:-1], rows[-1]
-    if Z_blocks is None:
-        return kkt_errors(problem, vals, pobj, y)
-    if slack is None:
-        slack = cost_minus_adjoint(problem, y)
+def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[np.ndarray], object]:
+    """The report of dense X and the multipliers y in row order, measured
+    with the dual slack Z: C - A^T y projected onto the PSD cone. Returns
+    (ErrorReport, Z_blocks, <C, X>); independent of the factored-iterate
+    caches."""
+    rows = operator_rows(problem, [X[row, col] for X, (_, row, col, _) in zip(X_blocks, problem.entries)])
+    # C - sum_j y_j A_j per block: the rows' combination with coefficients -y and 1
+    slack = combine_rows(problem, np.concatenate([-y, problem.kind.asarray([1.0])]))
+    Z_blocks = [project_psd(S) for S in slack]
     resid = [S - Z for S, Z in zip(slack, Z_blocks)]
     resid_sq = sum(np.sum(R * R) for R in resid)
-    cost_sq = row_norms_sq(problem)[-1]
     xz = sum(np.sum(X * Z) for X, Z in zip(X_blocks, Z_blocks))
-    report = kkt_errors(problem, vals, pobj, y, xz)
-    report.dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(cost_sq)))
-    return report
-
-
-def dense_rows(problem: SdpProblem, X_blocks) -> np.ndarray:
-    """<A_j, X> for every constraint j and, as row m, <C, X>, from dense X."""
-    return operator_rows(problem, [X[row, col] for X, (_, row, col, _) in zip(X_blocks, problem.entries)])
-
-
-def cost_minus_adjoint(problem: SdpProblem, y) -> List[np.ndarray]:
-    """C - sum_j y_j A_j per block: the rows' combination with coefficients -y and 1."""
-    return combine_rows(problem, np.concatenate([-y, problem.kind.asarray([1.0])]))
+    report = kkt_errors(problem, rows[:-1], rows[-1], y, xz)
+    report.dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(row_norms_sq(problem)[-1])))
+    return report, Z_blocks, rows[-1]
 
 
 def kkt_errors(problem: SdpProblem, vals, pobj, y, xz=None) -> ErrorReport:
@@ -316,22 +305,15 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     decides status tol on this report."""
     if len(record.constraint_norms) != original.m:
         raise ValidationError("scaling record does not match the problem (constraint count)")
-    if len(sol.factor) != original.q:
-        raise ValidationError(f"solution has {len(sol.factor)} factor blocks, problem has {original.q}")
-    for b, F in enumerate(sol.factor):
-        if F.shape[1] != original.block_sizes[b]:
-            raise ValidationError("scaling record / problem mismatch (block orders)")
+    check_fit(original, "solution", "factor", sol.factor, sol.y_a, sol.y_b)
     sqrt_gamma = fsqrt(record.primal_scale)
     factor = [sqrt_gamma * V for V in sol.factor]
     # the report is measured on Solution.X of the unscaled factor, which the
     # check command rebuilds exactly from a stored factor
     X = [F.T @ F for F in factor]
     y = record.cost_norm / record.constraint_norms * sol.y
-    rows = dense_rows(original, X)
-    slack = cost_minus_adjoint(original, y)
-    Z = [project_psd(S) for S in slack]  # the dual slack: C - A^T y projected onto the PSD cone
-    report = compute_errors(original, X, y, Z, rows, slack)
-    return sol.with_y(y, factor=factor, Z=Z, report=report, objective=rows[-1])
+    report, Z, objective = compute_errors(original, X, y)
+    return sol.with_y(y, factor=factor, Z=Z, report=report, objective=objective)
 
 
 def solve(

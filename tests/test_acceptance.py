@@ -272,7 +272,7 @@ def test_criterion_08_scaling_suite(tmp_path):
     sol, _ = solve(parse_native(prob_path), SolverOptions(tol=1e-10, max_iters=20000, iters_Z=10))
     write_solution(sol, sol_path)
     back = read_solution(sol_path)
-    rep = compute_errors(parse_native(prob_path), back.X, back.y, back.Z)
+    rep, _, _ = compute_errors(parse_native(prob_path), back.X, back.y)
     for key, val in rep.as_dict().items():
         diff = abs(val - sol.report.as_dict()[key])
         ok = ok and diff <= 1e-14

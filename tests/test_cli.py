@@ -3,18 +3,24 @@
 import argparse
 import dataclasses
 import re
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdpmix.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, _options_from, build_parser, main
-from sdpmix.formats import parse_native, read_solution, read_warmstart, write_native
+from sdpmix.formats import parse_native, read_solution, read_warmstart, write_native, write_solution
 
 from sdpmix.instances import gen_random_sdp
 from sdpmix.solver import SolverOptions
 
+from helpers import dense_adjoint_oracle, dense_cost
+
 
 K3 = "3 3\n1 2\n1 3\n2 3\n"
 C5 = "5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
+K4 = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 
 TOY = """\
 1
@@ -83,6 +89,27 @@ TOY3 = """\
 1 1 2 2 1.0
 1 1 3 3 1.0
 """
+
+
+@pytest.mark.parametrize("flag", ["tol", "mu-start", "p", "tau", "delta", "epsilon"])
+def test_solve_infinite_option_exit_1(tmp_path, capsys, flag):
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    assert main(["solve", str(prob), f"--{flag}", "inf"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {flag.replace('-', '_')} must be finite\n"
+
+
+def test_solve_overflowing_penalty_aborts_without_traceback(tmp_path, capsys):
+    # mu near the binary64 range overflows the column Hessians to inf, on
+    # which LAPACK's eigensolver fails; the column moves are abandoned and
+    # the nonfinite duals stop the solve
+    prob, out = tmp_path / "r.sdp", tmp_path / "r.sol"
+    assert main(["generate", "rand", "--blocks", "5", "--m", "3", "--seed", "1", "-o", str(prob)]) == EXIT_OK
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["solve", str(prob), "-o", str(out), "--mu-start", "1e308", "--max-iters", "200"])
+    assert code == EXIT_LIMIT
+    assert capsys.readouterr().err.startswith("solver aborted: nonfinite duals at outer iteration 2 ")
 
 
 def test_solve_saves_and_resumes_warm_start(tmp_path):
@@ -282,6 +309,66 @@ def test_check_perturbed_duals_show_dinf(tmp_path, capsys):
     assert dinf > 1e-6
 
 
+def check_report(capsys, problem, solution):
+    """Exit code and printed measures of `sdpmix check`."""
+    code = main(["check", str(problem), str(solution)])
+    return code, {key: float(val) for key, val in (line.split() for line in capsys.readouterr().out.splitlines())}
+
+
+def solve_generated(tmp_path, capsys, instance, *flags):
+    """Generate `instance` (Max-Cut K4 with triangles, or a multi-block
+    random SDP), solve it to 1e-8, and return the two file paths."""
+    prob, out = tmp_path / f"{instance}.sdp", tmp_path / f"{instance}.sol"
+    if instance == "k4":
+        (tmp_path / "k4.txt").write_text(K4)
+        gen = ["maxcut", "--graph", str(tmp_path / "k4.txt"), "--triangles"]
+    else:
+        gen = ["rand", "--blocks", "3,2x4", "--m", "6", "--seed", "2"]
+    assert main(["generate", *gen, "-o", str(prob)]) == EXIT_OK
+    assert main(["solve", str(prob), "-o", str(out), "--tol", "1e-8", *flags]) == EXIT_OK
+    capsys.readouterr()
+    return prob, out
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-z"]], ids=["z", "no-z"])
+@pytest.mark.parametrize("instance", ["k4", "rand"])
+def test_check_prints_the_stored_report_bit_for_bit(tmp_path, capsys, instance, flags):
+    prob, out = solve_generated(tmp_path, capsys, instance, *flags)
+    assert (read_solution(out).Z is None) == bool(flags)
+    code, printed = check_report(capsys, prob, out)
+    assert code == EXIT_OK
+    for key, val in read_solution(out).report.as_dict().items():
+        assert printed[key] == val, key
+
+
+def test_check_projects_the_slack_and_ignores_a_stored_z(tmp_path, capsys):
+    # shifting the duals of two diagonal constraints by +-0.5 keeps b^T y
+    # and compl*, but makes C - A^T y indefinite; a file that stores that
+    # unprojected slack as Z must fail on dinf like a file without Z
+    prob, out = solve_generated(tmp_path, capsys, "k4")
+    sol, problem = read_solution(out), parse_native(prob)
+    y_a = sol.y_a + np.array([0.5, -0.5, 0.0, 0.0])
+    adjoint = dense_adjoint_oracle(problem, np.concatenate([y_a, sol.y_b]))
+    slack = [C - A for C, A in zip(dense_cost(problem), adjoint)]
+    assert np.linalg.eigvalsh(slack[0])[0] < -0.4
+    write_solution(replace(sol, y_a=y_a, Z=slack), tmp_path / "tampered.sol")
+    write_solution(replace(sol, y_a=y_a), tmp_path / "no_z.sol", include_z=False)
+    code, tampered = check_report(capsys, prob, tmp_path / "tampered.sol")
+    assert code == EXIT_LIMIT
+    assert check_report(capsys, prob, tmp_path / "no_z.sol") == (EXIT_LIMIT, tampered)
+    assert tampered["dinf"] > 0.2
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])
+def test_check_bad_threshold_exit_1(tmp_path, capsys, threshold):
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    assert main(["solve", str(prob), "-o", str(tmp_path / "toy.sol"), "--max-iters", "2"]) == EXIT_LIMIT
+    capsys.readouterr()
+    assert main(["check", str(prob), str(tmp_path / "toy.sol"), "--threshold", threshold]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: threshold must be positive and finite")
+
+
 def test_check_shape_mismatch_exit_1(tmp_path, capsys):
     prob = tmp_path / "p.sdp"
     write_native(gen_random_sdp((3,), 2, 1.0, seed=9), prob)
@@ -317,6 +404,28 @@ def test_solver_flags_cover_every_option_field():
                                       "--max-iters", "9", "--mu-start", "0.5", "--rat-max", "1.5"])
     assert _options_from(args) == SolverOptions(iters_Z=7, scaling=False, shuffling=True, max_iters=9,
                                                 mu_start=0.5, rat_max=1.5)
+
+
+def test_readme_solver_table_matches_the_generated_flags():
+    # README's "Solver parameters" table repeats the SolverOptions defaults by hand
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Solver parameters", 1)[1].split("\n#", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            flags, defaults = [cell.strip() for cell in line.strip("|").split("|")][:2]
+            documented.update(zip(re.findall(r"`(--[a-z-]+)`", flags), defaults.split(" / "), strict=True))
+    solve_parser = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["solve"]
+    fields = {f.name: f for f in dataclasses.fields(SolverOptions)}
+    generated = {a.option_strings[0]: fields[a.dest].default for a in solve_parser._actions if a.dest in fields}
+    assert documented.keys() == generated.keys()
+    for flag, default in generated.items():
+        if isinstance(default, bool):  # a switch: the flag is off unless given
+            assert documented[flag] == "off", flag
+        elif default is None:
+            assert documented[flag] == "none", flag
+        else:
+            assert float(documented[flag]) == default, flag
 
 
 def test_solve_missing_output_directory_exit_1(tmp_path, capsys):

@@ -159,6 +159,19 @@ def test_nonfinite_objective_returns_start():
     assert not ok and evals == 1 and np.array_equal(v, v0)
 
 
+def test_failed_eigendecomposition_returns_start():
+    # LAPACK gives up on an all-inf 3 x 3 Hessian (as after a penalty near
+    # the binary64 range); the subproblem aborts like a nonfinite evaluation
+    def inf_hessian(v):
+        return np.full((3, 3), math.inf)
+
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(inf_hessian(None))
+    v0 = np.array([1.0, 2.0, 3.0])
+    v, evals, ok = minimize_column(quadratic(np.zeros(3)), v0, InnerConfig(), inf_hessian)
+    assert v is v0 and evals == 1 and not ok
+
+
 def test_concave_function_no_crash_and_monotone():
     # negative curvature everywhere: the step follows |eigenvalues| downhill
     def f(v):

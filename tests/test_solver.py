@@ -240,14 +240,15 @@ def one_var_problem():
 def test_compute_errors_exact_kkt_point():
     for kind in KINDS:
         p = as_kind(one_var_problem(), kind)
-        rep = compute_errors(p, [kind.asarray([[1.0]])], kind.asarray([1.0]), [kind.asarray([[0.0]])])
+        rep, Z, _ = compute_errors(p, [kind.asarray([[1.0]])], kind.asarray([1.0]))
+        assert float(Z[0][0, 0]) == 0.0
         assert rep.pinf == 0 and rep.gap == 0 and rep.dinf == 0 and rep.compl == 0 and rep.compl_star == 0
 
 
 def test_compute_errors_pinf_normalization():
     for kind in KINDS:
         p = as_kind(one_var_problem(), kind)
-        rep = compute_errors(p, [kind.asarray([[1.1]])], kind.zeros(1))
+        rep, _, _ = compute_errors(p, [kind.asarray([[1.1]])], kind.zeros(1))
         assert float(rep.pinf) == pytest.approx(0.1 / 2.0, rel=1e-12)
 
 
@@ -259,13 +260,14 @@ def test_compute_errors_dinf_zero_duals():
     for kind in KINDS:
         p = as_kind(build_problem((3,), [C], [{0: [(0, 0, 1.0)]}], [1.0], 2), kind)
         Z = project_psd(kind.asarray(M))
-        rep = compute_errors(p, [kind.asarray(np.eye(3))], kind.zeros(1), [Z])
+        rep, _, _ = compute_errors(p, [kind.asarray(np.eye(3))], kind.zeros(1))
         want = np.linalg.norm(M - to_float_array(Z)) / (1.0 + np.linalg.norm(M))
         assert float(rep.dinf) == pytest.approx(want, rel=1e-12)
 
 
-def dense_kkt_oracle(problem, X, y_a, y_b, Z):
-    """The five KKT measures by their definitions, on dense binary64 matrices."""
+def dense_kkt_oracle(problem, X, y_a, y_b):
+    """The five KKT measures by their definitions, on dense binary64 matrices,
+    with Z the eigh projection of C - A^T y onto the PSD cone."""
     vals = dense_apply_oracle(problem, X)
     C = dense_cost(problem)
     pobj = sum(np.tensordot(Cb, Xb) for Cb, Xb in zip(C, X))
@@ -276,6 +278,10 @@ def dense_kkt_oracle(problem, X, y_a, y_b, Z):
     dobj = a @ y_a + bvec @ y_b
     denom = 1.0 + abs(pobj) + abs(dobj)
     adj = dense_adjoint_oracle(problem, np.concatenate([y_a, y_b]))
+    Z = []
+    for Cb, Ab in zip(C, adj):
+        w, Q = np.linalg.eigh(Cb - Ab)
+        Z.append((Q * np.maximum(w, 0.0)) @ Q.T)
     resid = np.sqrt(sum(np.sum((Cb - Ab - Zb) ** 2) for Cb, Ab, Zb in zip(C, adj, Z)))
     return {
         "pinf": pinf,
@@ -293,16 +299,12 @@ def test_compute_errors_matches_dense_oracle(kind):
     for seed, prob in enumerate((random_problem(4, block_sizes=(3, 2), m_eq=2, m_ineq=2), uneven_problem(6))):
         rng = np.random.default_rng(80 + seed)
         X = gram_blocks(random_V_blocks(rng, prob))
-        Z = gram_blocks([rng.standard_normal((2, n)) for n in prob.block_sizes])
         y_a, y_b = rng.standard_normal(prob.m_eq), np.abs(rng.standard_normal(prob.m_ineq))
-        want = dense_kkt_oracle(prob, X, y_a, y_b, Z)
+        want = dense_kkt_oracle(prob, X, y_a, y_b)
         q = as_kind(prob, kind)
-        args = [[kind.asarray(Xb) for Xb in X], kind.asarray(np.concatenate([y_a, y_b]))]
-        got = compute_errors(q, *args, [kind.asarray(Zb) for Zb in Z]).as_dict()
-        cheap = compute_errors(q, *args).as_dict()
+        got = compute_errors(q, [kind.asarray(Xb) for Xb in X], kind.asarray(np.concatenate([y_a, y_b])))[0].as_dict()
         for key, val in want.items():
             assert got[key] == pytest.approx(val, rel=1e-12, abs=1e-15), key
-            assert cheap[key] == (None if key in ("dinf", "compl") else got[key]), key
 
 
 def test_error_report_max_and_dict():
@@ -328,7 +330,7 @@ def test_solve_reports_errors_recomputed_on_original_data():
     p = gen_rand(10, 6, 1.0, 5)
     sol, _ = solve(p, SolverOptions(tol=1e-9, max_iters=5000, iters_Z=10))
     assert sol.status == "tol"
-    fresh = compute_errors(p, sol.X, sol.y, sol.Z)
+    fresh, _, _ = compute_errors(p, sol.X, sol.y)
     for key, val in fresh.as_dict().items():
         assert val == pytest.approx(sol.report.as_dict()[key], abs=1e-15)
     # dinf matches its definition with the returned Z, recomputed here
@@ -493,6 +495,13 @@ def test_invalid_options_rejected():
     ):
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
+    SolverOptions(time_limit=math.inf, rat_max=math.inf)  # no time limit, never raise mu
+
+
+@pytest.mark.parametrize("field", ["tol", "mu_start", "p", "tau", "delta", "epsilon"])
+def test_infinite_options_rejected(field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        SolverOptions(**{field: math.inf})
 
 
 def test_unscale_round_trip_toy_within_slack():
@@ -502,7 +511,7 @@ def test_unscale_round_trip_toy_within_slack():
     tol = 1e-9
     sol, _ = solve(p, SolverOptions(tol=tol, max_iters=20000, iters_Z=10))
     assert sol.status == "tol"
-    assert compute_errors(p, sol.X, sol.y, sol.Z).max_error() < tol
+    assert compute_errors(p, sol.X, sol.y)[0].max_error() < tol
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -512,19 +521,20 @@ def test_unscale_rejects_a_factor_with_the_wrong_block_count(count):
     p = gen_rand(3, 2, 1.0, 0, blocks=2)
     sol = Solution([np.ones((2, 3))] * count, np.zeros(p.m_eq), np.zeros(p.m_ineq), Z=None, status="iter",
                    report=None)
-    with pytest.raises(ValidationError, match=f"solution has {count} factor blocks, problem has 2"):
+    with pytest.raises(ValidationError, match=f"solution has {count} blocks, problem has 2"):
         unscale_solution(sol, ScalingRecord.identity(p), p)
 
 
 def test_report_pieces_formed_once_match_a_fresh_report():
-    # unscale_solution hands its dense rows and C - A^T y to compute_errors;
-    # the report must equal one computed from scratch, bit for bit
+    # the report, Z and objective of unscale_solution must equal a fresh
+    # compute_errors on the returned solution, bit for bit
     for kind in (DOUBLE, DOUBLE_DOUBLE):
         p = as_kind(gen_rand(6, 4, 1.0, 19), kind)
         sol, _ = solve(p, SolverOptions(tol=1e-30, max_iters=15))
-        fresh = compute_errors(p, sol.X, sol.y, sol.Z)
+        fresh, Z, objective = compute_errors(p, sol.X, sol.y)
         for key in ("pinf", "gap", "compl_star", "dinf", "compl"):
             assert np.array_equal(getattr(fresh, key), getattr(sol.report, key)), (kind.name, key)
+        assert np.array_equal(objective, sol.objective) and all(np.array_equal(a, b) for a, b in zip(Z, sol.Z))
 
 
 # -- cadence of the dual-slack check -------------------------------------------
