@@ -8,7 +8,6 @@ dynamically. A double-double mode refines solutions far past binary64.
 
 from .ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, ScalarKind, kind_by_name
 from .errors import FormatError, NumericalError, SdpmixError, ValidationError
-from .lbfgs import InnerConfig, minimize_column
 from .linops import apply_adjoint, apply_operator, project_psd
 from .precision import promote, solve_two_stage
 from .problem import ScalingRecord, SdpProblem, as_kind, scale, validate
@@ -31,7 +30,6 @@ __all__ = [
     "DOUBLE_DOUBLE",
     "ErrorReport",
     "FormatError",
-    "InnerConfig",
     "NumericalError",
     "ScalarKind",
     "ScalingRecord",
@@ -46,7 +44,6 @@ __all__ = [
     "as_kind",
     "compute_errors",
     "kind_by_name",
-    "minimize_column",
     "project_psd",
     "promote",
     "rank_rule",

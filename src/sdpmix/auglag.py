@@ -19,7 +19,7 @@ and refresh_cache recomputes it in the problem's kind after every sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -40,7 +40,6 @@ class IterateState:
     cache: OperatorCache
     prev_values: np.ndarray
     slices: ColumnSlices
-    counters: dict = field(default_factory=lambda: {"hinge_evals": 0, "column_evals": 0, "inner_unconverged": 0})
 
     @property
     def kind(self):
@@ -94,10 +93,11 @@ class ColumnContext:
         2 (g_n0[i] + diag.phi') I + 4 W^T diag(phi'') W,  W = diag (v0 + d)^T + U,
 
     phi'' being mu on equalities and on inequalities active at d.
+
+    It reads the state only while it is built, and counts nothing.
     """
 
     def __init__(self, state: IterateState, block: int, i: int):
-        self.state = state
         sl = state.slices.slice(block, i)
         p = state.problem
         kind = state.kind
@@ -111,7 +111,6 @@ class ColumnContext:
         t = state.y[sl.sup] + mu * (p.rhs[sl.sup] - state.cache.values[sl.sup])
         t0 = t[n_eq:].copy()
         if len(t0):
-            state.counters["hinge_evals"] += 1
             t[n_eq:] = np.where(t0 > 0, t0, kind.scalar(0.0))
         coef = np.concatenate([-t, state.slices.cost_coef])
         n = p.block_sizes[block]
@@ -152,10 +151,6 @@ class ColumnContext:
 
     def value_and_grad(self, d):
         """Df(d) and g(d) in binary64; d is the column's move from v_start."""
-        counters = self.state.counters
-        counters["column_evals"] += 1
-        if len(self.t0):
-            counters["hinge_evals"] += 1
         if not d.any():  # the start: every increment is exactly 0
             self._last = (d, 0.0, self.active0 if len(self.t0) else None)
             return 0.0, self.g0.copy()

@@ -16,6 +16,8 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from .errors import SdpmixError, ValidationError
 from .formats import (
     parse_problem,
@@ -123,10 +125,12 @@ def cmd_solve(args) -> int:
 
     progress = _progress_printer()
     try:
-        if args.precision == "dd":
-            sol, warm_out = solve_two_stage(problem, args.tol, options, progress=progress, warm_start=warm)
-        else:
-            sol, warm_out = solve(problem, options, warm_start=warm, progress=progress)
+        # the solver checks finiteness itself: numpy's overflow warnings would only repeat it
+        with np.errstate(all="ignore"):
+            if args.precision == "dd":
+                sol, warm_out = solve_two_stage(problem, args.tol, options, progress=progress, warm_start=warm)
+            else:
+                sol, warm_out = solve(problem, options, warm_start=warm, progress=progress)
     except ValidationError as exc:  # input that only solve can check, e.g. a warm start's shape
         _log(f"error: {exc}")
         return EXIT_INPUT
@@ -147,7 +151,7 @@ def cmd_solve(args) -> int:
     print(f"elapsed {sol.elapsed:.3f}")
     print(f"objective {float(sol.objective)!r}")
     for key, val in sol.report.as_dict().items():
-        print(f"{key} {'none' if val is None else repr(val)}")
+        print(f"{key} {val!r}")
     print(f"solution {out_path}")
     return EXIT_OK if sol.status == "tol" else EXIT_LIMIT
 

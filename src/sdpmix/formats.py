@@ -99,11 +99,8 @@ class _Tokens:
     def next_int(self, what: str) -> int:
         return self._convert(self.next(what), what, int)
 
-    def next_float(self, what: str, allow_none: bool = False):
-        tok = self.next(what)
-        if allow_none and tok == "none":
-            return None
-        return self._convert(tok, what, float)
+    def next_float(self, what: str) -> float:
+        return self._convert(self.next(what), what, float)
 
     def next_count(self, what: str) -> int:
         count = self.next_int(what)
@@ -381,10 +378,7 @@ def _read_iterate(toks: _Tokens, tag: str, kind: ScalarKind):
 def write_solution(sol: Solution, path, include_z: bool = True) -> None:
     lines = ["# sdpmix solution", f"status {sol.status}", f"iterations {sol.iterations}", f"elapsed {sol.elapsed!r}"]
     lines.append(f"objective {float(sol.objective)!r}")
-    rep = sol.report.as_dict() if sol.report is not None else {}
-    for key in _REPORT_KEYS:
-        val = rep.get(key)
-        lines.append(f"{key} {'none' if val is None else repr(val)}")
+    lines.extend(f"{key} {float(getattr(sol.report, key))!r}" for key in _REPORT_KEYS)
     _write_iterate(lines, "factor", sol.factor, sol.y_a, sol.y_b)
     if include_z and sol.Z is not None:
         for b, Z in enumerate(sol.Z):
@@ -405,12 +399,11 @@ def read_solution(path) -> Solution:
     rep = {}
     for key in _REPORT_KEYS:
         toks.expect(key)
-        rep[key] = toks.next_float(key, allow_none=True)
+        rep[key] = toks.next_float(key)
     factor, y_a, y_b = _read_iterate(toks, "factor", DOUBLE)
     Z = [toks.matrix("Z", b, DOUBLE, square=True) for b in range(len(factor))] if toks.more() else None
     toks.finish()
-    report = None if rep["pinf"] is None else ErrorReport(**rep)
-    return Solution(factor, y_a, y_b, Z=Z, status=status, report=report,
+    return Solution(factor, y_a, y_b, Z=Z, status=status, report=ErrorReport(**rep),
                     iterations=iterations, elapsed=elapsed, objective=objective)
 
 

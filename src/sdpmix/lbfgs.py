@@ -6,7 +6,9 @@ its start and whose value is the objective's change, with the model's
 k x k Hessian, so a double-double solve runs Newton in binary64 too. The
 stopping rule is relative to the gradient at the start point: accept x once
 
-    ||grad(x)||_inf < max(eps, delta * ||grad(x_start)||_inf).
+    ||grad(x)||_inf < max(eps, 1e-300, delta * ||grad(x_start)||_inf),
+
+the floor accepting a zero gradient whatever eps the solver passes.
 
 Each step solves with the absolute eigenvalues of the Hessian, floored
 relative to the largest, so a negative or vanishing curvature still gives
@@ -19,7 +21,6 @@ the benchmark's tracer wraps sdpmix.lbfgs.minimize_column by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -30,28 +31,16 @@ _FLOOR = 2.0**-26  # smallest curvature used, relative to the largest
 _MIN_STEP = 2.0**-60  # backtracking gives up below this step length
 
 
-@dataclass(frozen=True)
-class InnerConfig:
-    eps: float = 0.01
-    delta: float = 0.01
-    max_evals: int = 1000
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be at least 1")
-
-
 def minimize_column(
     objective_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
-    config: InnerConfig,
     hessian: Callable[[np.ndarray], np.ndarray],
+    eps: float,
+    delta: float,
+    max_evals: int,
 ) -> Tuple[np.ndarray, int, bool]:
-    """Minimize the callable from x0; returns (x, evals, converged).
+    """Minimize from x0 in at most max_evals >= 1 evaluations, with delta > 0
+    (SolverOptions checks both); returns (x, evals, converged).
 
     The returned objective value never exceeds the start value: on budget
     exhaustion or line-search failure the best iterate found is returned,
@@ -62,7 +51,7 @@ def minimize_column(
     if not (math.isfinite(f0) and np.isfinite(g0).all()):
         return x0, evals, False
     g_start = _norm_inf(g0)
-    threshold = max(config.eps, config.delta * g_start)
+    threshold = max(eps, 1e-300, delta * g_start)
     if g_start < threshold:
         return x0, evals, True
 
@@ -82,7 +71,7 @@ def minimize_column(
         noise = 128.0 * _EPS * abs(f)
         alpha = 1.0
         while True:
-            if evals >= config.max_evals or alpha < _MIN_STEP:
+            if evals >= max_evals or alpha < _MIN_STEP:
                 return best_x, evals, False
             x_new = x + alpha * p
             f_new, g_new = objective_grad(x_new)

@@ -185,8 +185,6 @@ class ScalingRecord:
 
     cost_norm: object
     constraint_norms: np.ndarray
-    rhs_eq_norm: object
-    rhs_ineq_norm: object
     primal_scale: object
 
     @classmethod
@@ -194,7 +192,7 @@ class ScalingRecord:
         kind = problem.kind
         one = kind.scalar(1.0)
         ones = kind.asarray(np.ones(problem.m))
-        return cls(one, ones, one, one, one)
+        return cls(one, ones, one)
 
 
 def scale(problem: SdpProblem) -> tuple[SdpProblem, ScalingRecord]:
@@ -219,13 +217,11 @@ def scale(problem: SdpProblem) -> tuple[SdpProblem, ScalingRecord]:
 
     cost_norm, norms = norms[-1], norms[:-1]
     rbar = problem.rhs / norms if problem.m else problem.rhs.copy()
-    s_eq = norm2(rbar[: problem.m_eq]) if problem.m_eq else zero
-    s_ineq = norm2(rbar[problem.m_eq :]) if problem.m_ineq else zero
-    rhs_eq_norm = s_eq if s_eq > 0 else one
-    rhs_ineq_norm = s_ineq if s_ineq > 0 else one
-    primal = rhs_eq_norm if problem.m_eq else rhs_ineq_norm
+    sub = rbar[: problem.m_eq] if problem.m_eq else rbar  # the inequalities' when there are no equalities
+    s = norm2(sub) if len(sub) else zero
+    primal = s if s > 0 else one
     scaled_rhs = rbar / primal if problem.m else rbar
 
     scaled = replace(problem, entries=entries, rhs=scaled_rhs)
-    record = ScalingRecord(cost_norm, norms, rhs_eq_norm, rhs_ineq_norm, primal)
+    record = ScalingRecord(cost_norm, norms, primal)
     return scaled, record

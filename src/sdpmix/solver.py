@@ -20,6 +20,10 @@ at the multiples of iters_Z alone. The solution the passing report is
 built on is the one returned. A run stopped by max_iters or time_limit
 builds the report of its last iterate anyway, and is labelled tol when
 that report meets tol.
+
+The loop counts for its progress rows from what each column solve returns:
+the evaluations, the hinge's (those of a column with inequality slots,
+plus one at its start) and the unconverged solves.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .ddouble import (
     norm_inf,
 )
 from .errors import NumericalError, ValidationError
-from .lbfgs import InnerConfig, minimize_column
+from .lbfgs import minimize_column
 from .linops import combine_rows, commit_column, operator_rows, project_psd
 from .problem import ScalingRecord, SdpProblem, row_norms_sq, scale, validate
 
@@ -98,31 +102,25 @@ class SolverOptions:
             raise ValueError("need 0 < rat_min < rat_max")
         if not self.delta > 0 or not self.epsilon > 0 or self.max_evals < 1:
             raise ValueError("delta/epsilon must be positive and max_evals at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
 class ErrorReport:
-    """Normalized KKT error measures; dinf/compl appear once Z is known."""
+    """The five normalized KKT error measures of a solution."""
 
     pinf: object
     gap: object
     compl_star: object
-    dinf: object = None
-    compl: object = None
+    dinf: object
+    compl: object
 
     def max_error(self):
-        vals = [self.pinf, self.gap, self.compl_star]
-        if self.dinf is not None:
-            vals.append(self.dinf)
-        if self.compl is not None:
-            vals.append(self.compl)
-        return max(vals)
+        return max(self.pinf, self.gap, self.compl_star, self.dinf, self.compl)
 
     def as_dict(self) -> dict:
-        out = {"pinf": float(self.pinf), "gap": float(self.gap), "compl_star": float(self.compl_star)}
-        out["dinf"] = None if self.dinf is None else float(self.dinf)
-        out["compl"] = None if self.compl is None else float(self.compl)
-        return out
+        return {key: float(val) for key, val in vars(self).items()}
 
 
 @dataclass
@@ -276,15 +274,14 @@ def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[
     resid = [S - Z for S, Z in zip(slack, Z_blocks)]
     resid_sq = sum(np.sum(R * R) for R in resid)
     xz = sum(np.sum(X * Z) for X, Z in zip(X_blocks, Z_blocks))
-    report = kkt_errors(problem, rows[:-1], rows[-1], y, xz)
-    report.dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(row_norms_sq(problem)[-1])))
-    return report, Z_blocks, rows[-1]
+    pinf, gap, compl_star, denom = kkt_errors(problem, rows[:-1], rows[-1], y)
+    dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(row_norms_sq(problem)[-1])))
+    return ErrorReport(pinf, gap, compl_star, dinf, abs(xz) / denom), Z_blocks, rows[-1]
 
 
-def kkt_errors(problem: SdpProblem, vals, pobj, y, xz=None) -> ErrorReport:
-    """pinf, gap and compl* from the constraint values and the objective
-    value (of a dense X in compute_errors, of the operator cache in the
-    solve loop); compl too when <X, Z> is given."""
+def kkt_errors(problem: SdpProblem, vals, pobj, y):
+    """(pinf, gap, compl*, 1 + |pobj| + |dobj|) from the constraint values and
+    the objective value: of a dense X in compute_errors, of the cache in solve."""
     r = problem.rhs - vals
     r[problem.m_eq :] = np.maximum(r[problem.m_eq :], 0.0)  # an inequality counts only when violated
     pinf = norm_inf(r) / (1.0 + float(norm_inf(problem.rhs)))
@@ -295,8 +292,7 @@ def kkt_errors(problem: SdpProblem, vals, pobj, y, xz=None) -> ErrorReport:
 
     dual_val = dot(y, vals)
     compl_star = abs(pobj - dual_val) / denom
-    compl = None if xz is None else abs(xz) / denom
-    return ErrorReport(pinf=pinf, gap=gap, compl_star=compl_star, compl=compl)
+    return pinf, gap, compl_star, denom
 
 
 def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem) -> Solution:
@@ -353,6 +349,7 @@ def solve(
     err_level = 1.0
     # the next dual-slack check falls due at next_check (see the module docstring)
     next_check, check_gap = 0, 1
+    column_evals = hinge_evals = inner_unconverged = 0  # see the module docstring
 
     def elapsed() -> float:
         return time.perf_counter() - t_start
@@ -376,20 +373,19 @@ def solve(
             break
         iteration += 1
 
-        inner_cfg = InnerConfig(
-            eps=max(options.epsilon * min(1.0, err_level), 1e-300),
-            delta=options.delta,
-            max_evals=options.max_evals,
-        )
+        eps = options.epsilon * min(1.0, float(err_level))
         for t in sweep_order(len(pairs), iteration, options):
             if out_of_time():
                 status = "time"
                 break
             b, i = pairs[t]
             ctx = ColumnContext(state, b, i)
-            d, _, converged = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), inner_cfg, ctx.hessian)
-            if not converged:
-                state.counters["inner_unconverged"] += 1
+            d, evals, converged = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian,
+                                                  eps, options.delta, options.max_evals)
+            column_evals += evals
+            if len(ctx.t0):
+                hinge_evals += evals + 1
+            inner_unconverged += not converged
             commit_column(state.cache, state.V_blocks[b], i, ctx, d)
         if status is not None:
             break
@@ -406,10 +402,10 @@ def solve(
         update_penalty(state, ratio, options)
         state.prev_values = state.cache.values.copy()
 
-        cheap = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y)
-        err_level = float(cheap.max_error())
+        pinf, gap, compl_star, _ = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y)
+        err_level = max(pinf, gap, compl_star)
         zcheck = None
-        if cheap.max_error() < options.tol and (iteration >= next_check or iteration % options.iters_Z == 0):
+        if err_level < options.tol and (iteration >= next_check or iteration % options.iters_Z == 0):
             solution = unscaled("tol")
             zcheck = float(solution.report.max_error())
             if solution.report.max_error() < options.tol:
@@ -422,14 +418,14 @@ def solve(
                     "iter": iteration,
                     "mu": float(state.mu),
                     "ratio": ratio,
-                    "pinf": float(cheap.pinf),
-                    "gap": float(cheap.gap),
-                    "compl_star": float(cheap.compl_star),
+                    "pinf": float(pinf),
+                    "gap": float(gap),
+                    "compl_star": float(compl_star),
                     "zcheck": zcheck,
                     "elapsed": elapsed(),
-                    "hinge_evals": state.counters["hinge_evals"],
-                    "column_evals": state.counters["column_evals"],
-                    "inner_unconverged": state.counters["inner_unconverged"],
+                    "hinge_evals": hinge_evals,
+                    "column_evals": column_evals,
+                    "inner_unconverged": inner_unconverged,
                 }
             )
 

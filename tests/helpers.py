@@ -225,7 +225,6 @@ def eval_auglag(state):
     if len(r):
         total = total + dot(y_a, r) + 0.5 * mu * dot(r, r)
     if len(s):
-        state.counters["hinge_evals"] += 1
         t = y_b + mu * s
         active = t > 0
         if np.any(active):
@@ -243,7 +242,6 @@ def multipliers(state):
     m_eq = state.problem.m_eq
     lam = state.y + state.mu * state.residual()
     if m_eq < len(lam):
-        state.counters["hinge_evals"] += 1
         t = lam[m_eq:]
         lam[m_eq:] = np.where(t > 0, t, state.kind.scalar(0.0))
     return lam

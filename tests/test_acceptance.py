@@ -256,8 +256,8 @@ def test_criterion_08_scaling_suite(tmp_path):
         ok = ok and abs(norms_sq[-1] - 1.0) <= 4e-15
         ok = ok and abs(float(norm2(scaled.rhs[: p.m_eq])) - 1.0) <= 4e-15
         rbar = p.rhs / rec.constraint_norms
-        ok = ok and abs(float(norm2(rbar[: p.m_eq] / rec.rhs_eq_norm)) - 1.0) <= 4e-15
-        ok = ok and abs(float(norm2(rbar[p.m_eq :] / rec.rhs_ineq_norm)) - 1.0) <= 4e-15
+        ok = ok and abs(float(norm2(rbar[: p.m_eq] / rec.primal_scale)) - 1.0) <= 4e-15
+        ok = ok and np.allclose((rbar / rec.primal_scale).astype(float), scaled.rhs.astype(float), rtol=4e-15, atol=0)
         again, rec2 = scale(scaled)
         ok = ok and np.allclose(rec2.constraint_norms.astype(float), 1.0, rtol=4e-15, atol=0)
         ok = ok and np.allclose(again.rhs.astype(float), scaled.rhs.astype(float), rtol=1e-14, atol=1e-300)

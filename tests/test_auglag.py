@@ -122,12 +122,12 @@ def test_gradient_zero_cases():
 
 
 def test_equality_only_never_touches_hinge_paths():
+    # the hinge branches of a column's model run only on its inequality slots
     p, st = random_state(42, m_ineq=0)
-    eval_auglag(st)
-    full_gradient(st)
-    for i in range(p.block_sizes[0]):
-        column_objective_grad(st, 0, i, st.V_blocks[0][:, i] + 0.1)
-    assert st.counters["hinge_evals"] == 0
+    for b in range(p.q):
+        for i in range(p.block_sizes[b]):
+            ctx = ColumnContext(st, b, i)
+            assert ctx.n_eq == len(ctx.sup) and len(ctx.t0) == 0
 
 
 def test_column_grad_matches_full_gradient_column():
@@ -286,14 +286,14 @@ def test_cached_column_hessian_matches_recomputation(kind, monkeypatch):
     moved = []
     inner = solver.minimize_column
 
-    def recording(objective_grad, x0, config, hessian):
+    def recording(objective_grad, x0, hessian, *budget):
         def checked(x):
             H = hessian(x)
             assert np.array_equal(H, hessian(x.copy()))
             moved.append(bool(x.any()))
             return H
 
-        return inner(objective_grad, x0, config, checked)
+        return inner(objective_grad, x0, checked, *budget)
 
     monkeypatch.setattr(solver, "minimize_column", recording)
     for p in (maxcut_relaxation(Graph.complete(7), with_triangles=True).problem, random_state(3)[0]):
@@ -320,16 +320,15 @@ def test_hinge_crossing_is_continuous():
 
 
 def test_accepted_column_updates_never_increase_value():
-    from sdpmix.lbfgs import InnerConfig, minimize_column
+    from sdpmix.lbfgs import minimize_column
 
     p, st = random_state(17)
-    cfg = InnerConfig(eps=1e-8, delta=0.01, max_evals=200)
     for sweep in range(3):
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
                 before = eval_auglag(st)
                 ctx = ColumnContext(st, b, i)
-                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg, ctx.hessian)
+                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian, 1e-8, 0.01, 200)
                 commit_column(st.cache, st.V_blocks[b], i, ctx, d)
                 after = eval_auglag(st)
                 assert float(after) <= float(before) + 1e-10 * (1 + abs(float(before)))
@@ -441,10 +440,9 @@ def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
     # recomputation by a few units of binary64 roundoff of the magnitudes of
     # the increments' terms summed over the sweep, not of the row's value;
     # refresh_cache makes it exact again
-    from sdpmix.lbfgs import InnerConfig, minimize_column
+    from sdpmix.lbfgs import minimize_column
 
     dd = DOUBLE_DOUBLE
-    cfg = InnerConfig(eps=1e-12, delta=0.01, max_evals=200)
     moved = 0
     for seed in range(3):
         p, st64 = random_state(seed)
@@ -454,7 +452,7 @@ def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
                 ctx = ColumnContext(st, b, i)
-                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg, ctx.hessian)
+                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian, 1e-12, 0.01, 200)
                 sl = st.slices.slice64(b, i)
                 budget[np.append(sl.sup, p.m)] += increment_terms(sl, to_float_array(st.V_blocks[b]), i, d)
                 moved += bool(d.any())
@@ -480,10 +478,9 @@ def test_column_refinement_reaches_double_double_stationarity():
     # binary64 resolution; the 40-digit gradient at the result confirms it.
     import mpmath
 
-    from sdpmix.lbfgs import InnerConfig, minimize_column
+    from sdpmix.lbfgs import minimize_column
 
     dd = DOUBLE_DOUBLE
-    cfg = InnerConfig(eps=1e-30, delta=1e-10, max_evals=500)
     for seed in range(3):
         p, st64 = random_state(seed)
         st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st64.V_blocks],
@@ -491,7 +488,7 @@ def test_column_refinement_reaches_double_double_stationarity():
         b, i = 0, seed
         for _ in range(4):
             ctx = ColumnContext(st, b, i)
-            d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), cfg, ctx.hessian)
+            d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian, 1e-30, 1e-10, 500)
             commit_column(st.cache, st.V_blocks[b], i, ctx, d)
             refresh_cache(st)
         with mpmath.workdps(40):

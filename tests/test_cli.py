@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from sdpmix.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, _options_from, build_par
 from sdpmix.formats import parse_native, read_solution, read_warmstart, write_native, write_solution
 
 from sdpmix.instances import gen_random_sdp
-from sdpmix.solver import SolverOptions
+from sdpmix.solver import SolverOptions, solve
 
 from helpers import dense_adjoint_oracle, dense_cost
 
@@ -102,14 +103,24 @@ def test_solve_infinite_option_exit_1(tmp_path, capsys, flag):
 def test_solve_overflowing_penalty_aborts_without_traceback(tmp_path, capsys):
     # mu near the binary64 range overflows the column Hessians to inf, on
     # which LAPACK's eigensolver fails; the column moves are abandoned and
-    # the nonfinite duals stop the solve
+    # the nonfinite duals stop the solve. The solver checks finiteness
+    # itself, so numpy's overflow warnings stay off stderr
     prob, out = tmp_path / "r.sdp", tmp_path / "r.sol"
     assert main(["generate", "rand", "--blocks", "5", "--m", "3", "--seed", "1", "-o", str(prob)]) == EXIT_OK
     capsys.readouterr()
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["solve", str(prob), "-o", str(out), "--mu-start", "1e308", "--max-iters", "200"])
     assert code == EXIT_LIMIT
-    assert capsys.readouterr().err.startswith("solver aborted: nonfinite duals at outer iteration 2 ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert re.fullmatch(r"solver aborted: nonfinite duals at outer iteration 2 \(mu=[^\n]*\)\n", capsys.readouterr().err)
+
+
+def test_solve_negative_seed_exit_1(tmp_path, capsys):
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    assert main(["solve", str(prob), "-o", str(tmp_path / "o.sol"), "--seed", "-1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
 
 
 def test_solve_saves_and_resumes_warm_start(tmp_path):
@@ -426,6 +437,18 @@ def test_readme_solver_table_matches_the_generated_flags():
             assert documented[flag] == "none", flag
         else:
             assert float(documented[flag]) == default, flag
+
+
+def test_readme_progress_keys_match_a_record(tmp_path):
+    # README's "Progress records" table names every key of a progress record
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Progress records", 1)[1].split("\n#", 1)[0]
+    documented = [re.match(r"\| `(\w+)` \|", line).group(1) for line in table.splitlines() if line.startswith("| `")]
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    rows = []
+    solve(parse_native(prob), SolverOptions(max_iters=2), progress=rows.append)
+    assert len(documented) == len(set(documented)) and set(documented) == set(rows[-1])
 
 
 def test_solve_missing_output_directory_exit_1(tmp_path, capsys):

@@ -398,9 +398,10 @@ def replace_token(prefix, token):
         ("w.ws", replace_token("V 2 ", "1.0x"), "expected value (a number), got '1.0x'"),
         ("noz.sol", renumber("ya 2", "ya -2"), "ya length must be nonnegative, got -2"),
         ("noz.sol", renumber("pinf ", "pinf abc "), "expected pinf (a number), got 'abc'"),
+        ("z.sol", renumber("dinf ", "dinf none "), "expected dinf (a number), got 'none'"),
     ],
     ids=["trailing_after_z", "trailing_without_z", "trailing_warm_start", "factor_order", "V_order", "Z_order",
-         "truncated", "not_a_number", "negative_length", "report_value"],
+         "truncated", "not_a_number", "negative_length", "report_value", "report_none"],
 )
 def test_iterate_file_rejections_name_path_and_line(tmp_path, iterate_files, source, mutate, message):
     lines, line = mutate(iterate_files[source])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdpmix.ddouble import DOUBLE_DOUBLE, norm_inf, to_float_array
-from sdpmix.lbfgs import InnerConfig, minimize_column
+from sdpmix.lbfgs import minimize_column
 
 
 def quadratic(c):
@@ -26,7 +26,7 @@ def test_quadratic_reaches_analytic_minimizer():
     rng = np.random.default_rng(0)
     c = rng.standard_normal(6)
     v0 = rng.standard_normal(6)
-    v, evals, ok = minimize_column(quadratic(c), v0, InnerConfig(eps=1e-8, delta=1e-12), identity_hessian(2.0))
+    v, evals, ok = minimize_column(quadratic(c), v0, identity_hessian(2.0), 1e-8, 1e-12, 1000)
     assert ok and evals == 2
     assert np.linalg.norm(v - c) <= 1e-14
 
@@ -38,7 +38,7 @@ def test_immediate_stop_when_start_gradient_small():
     def no_hessian(v):
         raise AssertionError("a converged start needs no Newton step")
 
-    v, evals, ok = minimize_column(quadratic(c), v0, InnerConfig(eps=0.01), no_hessian)
+    v, evals, ok = minimize_column(quadratic(c), v0, no_hessian, 0.01, 0.01, 1000)
     assert ok and evals == 1 and np.array_equal(v, v0)
 
 
@@ -58,11 +58,11 @@ def test_budget_returns_best_iterate():
     v0 = np.array([-1.2, 1.0])
     f0 = rosenbrock(v0)[0]
     for budget in (2, 3, 5, 8):
-        v, evals, ok = minimize_column(rosenbrock, v0, InnerConfig(eps=1e-12, max_evals=budget), rosenbrock_hessian)
+        v, evals, ok = minimize_column(rosenbrock, v0, rosenbrock_hessian, 1e-12, 0.01, budget)
         assert not ok and evals == budget
         assert rosenbrock(v)[0] <= f0
     # with room, the damped Newton method reaches the minimizer (1, 1)
-    v, evals, ok = minimize_column(rosenbrock, v0, InnerConfig(eps=1e-10, delta=1e-14, max_evals=200), rosenbrock_hessian)
+    v, evals, ok = minimize_column(rosenbrock, v0, rosenbrock_hessian, 1e-10, 1e-14, 200)
     assert ok and np.abs(v - 1.0).max() < 1e-8
 
 
@@ -83,7 +83,7 @@ def test_monotone_acceptance_on_random_problems():
 
         v0 = rng.standard_normal(k) * 3
         budget = int(rng.integers(2, 40))
-        v, evals, ok = minimize_column(f, v0, InnerConfig(eps=1e-9, max_evals=budget), hess)
+        v, evals, ok = minimize_column(f, v0, hess, 1e-9, 0.01, budget)
         assert f(v)[0] <= f(v0)[0]
         assert evals <= budget
 
@@ -105,20 +105,20 @@ def test_stop_rule_holds_at_returned_point():
             d = v - c
             return Q + (d @ d) * np.eye(k) + 2.0 * np.outer(d, d)
 
-        cfg = InnerConfig(eps=rng.uniform(1e-8, 1e-2), delta=rng.uniform(1e-6, 0.5))
+        eps, delta = rng.uniform(1e-8, 1e-2), rng.uniform(1e-6, 0.5)
         v0 = rng.standard_normal(k) * 2
-        v, _, ok = minimize_column(fun, v0, cfg, hess)
+        v, _, ok = minimize_column(fun, v0, hess, eps, delta, 1000)
         assert ok
         g_start = fun(v0)[1]
         g_ret = fun(v)[1]  # fresh evaluation
-        assert float(norm_inf(g_ret)) < max(cfg.eps, cfg.delta * float(norm_inf(g_start)))
+        assert float(norm_inf(g_ret)) < max(eps, delta * float(norm_inf(g_start)))
 
 
 def test_determinism():
     rng = np.random.default_rng(3)
     v0 = rng.standard_normal(2) * 2
-    r1 = minimize_column(rosenbrock, v0.copy(), InnerConfig(eps=1e-10), rosenbrock_hessian)
-    r2 = minimize_column(rosenbrock, v0.copy(), InnerConfig(eps=1e-10), rosenbrock_hessian)
+    r1 = minimize_column(rosenbrock, v0.copy(), rosenbrock_hessian, 1e-10, 0.01, 1000)
+    r2 = minimize_column(rosenbrock, v0.copy(), rosenbrock_hessian, 1e-10, 0.01, 1000)
     assert np.array_equal(r1[0], r2[0]) and r1[1:] == r2[1:]
 
 
@@ -133,7 +133,7 @@ def test_convex_quadratics_high_accuracy(k):
         return 0.5 * v @ Q @ v + b @ v, Q @ v + b
 
     v0 = rng.standard_normal(k)
-    v, evals, ok = minimize_column(f, v0, InnerConfig(eps=1e-10, delta=1e-14, max_evals=10 * 1000), lambda v: Q)
+    v, evals, ok = minimize_column(f, v0, lambda v: Q, 1e-10, 1e-14, 10 * 1000)
     assert ok
     assert evals <= 3
     assert np.abs(f(v)[1]).max() < 1e-10
@@ -149,13 +149,13 @@ def test_nonfinite_objective_returns_start():
         return float(v @ v + 10), 2.0 * v
 
     v0 = np.array([3.0, 4.0])
-    v, evals, ok = minimize_column(f, v0, InnerConfig(eps=1e-12), identity_hessian(2.0))
+    v, evals, ok = minimize_column(f, v0, identity_hessian(2.0), 1e-12, 0.01, 1000)
     assert not ok and evals == 2 and np.array_equal(v, v0)
 
     def inf_gradient(v):
         return 0.0, np.full_like(v, math.inf)
 
-    v, evals, ok = minimize_column(inf_gradient, v0, InnerConfig(), identity_hessian(2.0))
+    v, evals, ok = minimize_column(inf_gradient, v0, identity_hessian(2.0), 0.01, 0.01, 1000)
     assert not ok and evals == 1 and np.array_equal(v, v0)
 
 
@@ -168,7 +168,7 @@ def test_failed_eigendecomposition_returns_start():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.eigh(inf_hessian(None))
     v0 = np.array([1.0, 2.0, 3.0])
-    v, evals, ok = minimize_column(quadratic(np.zeros(3)), v0, InnerConfig(), inf_hessian)
+    v, evals, ok = minimize_column(quadratic(np.zeros(3)), v0, inf_hessian, 0.01, 0.01, 1000)
     assert v is v0 and evals == 1 and not ok
 
 
@@ -178,7 +178,7 @@ def test_concave_function_no_crash_and_monotone():
         return -(v @ v), -2.0 * v
 
     v0 = np.array([1.0, -2.0])
-    v, evals, ok = minimize_column(f, v0, InnerConfig(eps=1e-10, max_evals=100), identity_hessian(-2.0))
+    v, evals, ok = minimize_column(f, v0, identity_hessian(-2.0), 1e-10, 0.01, 100)
     assert not ok and evals == 100
     assert f(v)[0] < f(v0)[0]
 
@@ -194,7 +194,7 @@ def test_indefinite_start_stays_monotone():
         return np.array([[3 * v[0] ** 2 - 1, 0.0], [0.0, 2.0]])
 
     for v0 in (np.array([0.1, 1.0]), np.array([-0.3, -2.0]), np.array([1e-6, 0.5])):
-        v, evals, ok = minimize_column(f, v0, InnerConfig(eps=1e-10, delta=1e-12, max_evals=200), hess)
+        v, evals, ok = minimize_column(f, v0, hess, 1e-10, 1e-12, 200)
         assert ok and abs(abs(v[0]) - 1.0) < 1e-9 and abs(v[1]) < 1e-9
         assert f(v)[0] < f(v0)[0]
 
@@ -203,7 +203,7 @@ def test_empty_vector_immediate():
     def f(v):
         return 0.0, v
 
-    v, evals, ok = minimize_column(f, np.zeros(0), InnerConfig(), lambda v: np.zeros((0, 0)))
+    v, evals, ok = minimize_column(f, np.zeros(0), lambda v: np.zeros((0, 0)), 0.01, 0.01, 1000)
     assert ok and evals == 1 and v.size == 0
 
 
@@ -221,8 +221,7 @@ def test_double_double_quadratic_to_extreme_accuracy():
         def f(d):
             return g0 @ d + d @ d, g0 + 2.0 * d
 
-        cfg = InnerConfig(eps=1e-24, delta=1e-10, max_evals=500)
-        d, evals, ok = minimize_column(f, np.zeros(3), cfg, identity_hessian(2.0))
+        d, evals, ok = minimize_column(f, np.zeros(3), identity_hessian(2.0), 1e-24, 1e-10, 500)
         assert ok and d.dtype == np.float64
         if evals == 1:  # the start gradient is below eps: v is the minimizer
             break
@@ -232,10 +231,12 @@ def test_double_double_quadratic_to_extreme_accuracy():
     assert err < 1e-22
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        InnerConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        InnerConfig(delta=-1.0)
-    with pytest.raises(ValueError):
-        InnerConfig(max_evals=0)
+def test_zero_eps_accepts_a_zero_gradient():
+    # the threshold keeps a positive floor, so eps = 0 still stops at once
+    # where the gradient vanishes instead of spending the budget there
+    def f(v):
+        return 0.0, np.zeros_like(v)
+
+    v0 = np.array([1.0, -1.0])
+    v, evals, ok = minimize_column(f, v0, identity_hessian(2.0), 0.0, 0.01, 1000)
+    assert ok and evals == 1 and v is v0

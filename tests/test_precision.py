@@ -124,7 +124,7 @@ def test_dd_solve_hands_lbfgs_binary64_only(monkeypatch):
     starts, evals, hessians = [], [], []
     inner = solver.minimize_column
 
-    def recording(objective_grad, x0, config, hessian):
+    def recording(objective_grad, x0, hessian, *budget):
         def checked(x):
             f, g = objective_grad(x)
             evals.append((x.dtype, type(f), g.dtype))
@@ -136,7 +136,7 @@ def test_dd_solve_hands_lbfgs_binary64_only(monkeypatch):
             return H
 
         starts.append(x0.dtype)
-        return inner(checked, x0, config, checked_hessian)
+        return inner(checked, x0, checked_hessian, *budget)
 
     monkeypatch.setattr(solver, "minimize_column", recording)
     p = as_kind(gen_rand(5, 4, 1.0, 33), DOUBLE_DOUBLE)

@@ -136,7 +136,7 @@ def test_scale_single_equality_example():
     con, _, _, val = scaled.entries[0]
     np.testing.assert_allclose(val[con == 0], [1 / math.sqrt(3)] * 3, rtol=1e-15)
     assert rec.constraint_norms[0] == pytest.approx(math.sqrt(3), rel=1e-15)
-    assert rec.rhs_eq_norm == pytest.approx(math.sqrt(3), rel=1e-15)
+    assert rec.primal_scale == pytest.approx(math.sqrt(3), rel=1e-15)
     assert scaled.rhs[0] == pytest.approx(1.0, rel=1e-15)
 
 
@@ -145,7 +145,7 @@ def test_scale_fixed_point_on_normalized_problem():
     p = build_problem((2,), [[(0, 0, 0.6), (1, 1, 0.8)]], [{0: [(0, 0, 0.8), (1, 1, 0.6)]}], [1.0], 2)
     scaled, rec = scale(p)
     assert problem_equals(scaled, p)
-    assert rec.cost_norm == 1.0 and rec.rhs_eq_norm == 1.0 and rec.primal_scale == 1.0
+    assert rec.cost_norm == 1.0 and rec.primal_scale == 1.0
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -156,11 +156,11 @@ def test_scale_unit_norms_and_idempotence(seed):
     for j in range(scaled.m):
         assert float(norms_sq[j]) == pytest.approx(1.0, rel=1e-15)
     assert float(norms_sq[-1]) == pytest.approx(1.0, rel=1e-14)
-    # equality sub-vector is unit norm; recorded norms normalize each sub-vector
+    # equality sub-vector is unit norm; the recorded norms map the rhs back
     assert float(norm2(scaled.rhs[: p.m_eq])) == pytest.approx(1.0, rel=1e-14)
     rbar = p.rhs / rec.constraint_norms
-    assert float(norm2(rbar[: p.m_eq] / rec.rhs_eq_norm)) == pytest.approx(1.0, rel=1e-14)
-    assert float(norm2(rbar[p.m_eq :] / rec.rhs_ineq_norm)) == pytest.approx(1.0, rel=1e-14)
+    assert float(norm2(rbar[: p.m_eq] / rec.primal_scale)) == pytest.approx(1.0, rel=1e-14)
+    np.testing.assert_allclose((rbar / rec.primal_scale).astype(float), scaled.rhs.astype(float), rtol=1e-15)
     again, rec2 = scale(scaled)
     assert float(rec2.cost_norm) == pytest.approx(1.0, rel=1e-14)
     np.testing.assert_allclose(rec2.constraint_norms.astype(float), 1.0, rtol=1e-14)
@@ -173,7 +173,7 @@ def test_scale_ineq_only_normalizes_b():
     p = random_problem(11, block_sizes=(4,), m_eq=0, m_ineq=5)
     scaled, rec = scale(p)
     assert float(norm2(scaled.rhs[p.m_eq :])) == pytest.approx(1.0, rel=1e-14)
-    assert float(rec.primal_scale) == pytest.approx(float(rec.rhs_ineq_norm))
+    assert float(rec.primal_scale) == pytest.approx(float(norm2(p.rhs / rec.constraint_norms)), rel=1e-15)
 
 
 def test_scale_rejects_zero_norm_constraint():
@@ -185,7 +185,7 @@ def test_scale_rejects_zero_norm_constraint():
 def test_scale_zero_rhs_subvector_records_one():
     p = build_problem((2,), [[(0, 0, 1.0)]], [{0: [(0, 0, 1.0), (1, 1, 1.0)]}], [0.0], 2)
     scaled, rec = scale(p)
-    assert float(rec.rhs_eq_norm) == 1.0 and float(rec.primal_scale) == 1.0
+    assert float(rec.primal_scale) == 1.0
     assert float(scaled.rhs[0]) == 0.0
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sdpmix.auglag import make_state
+from sdpmix.auglag import ColumnContext, make_state
 from sdpmix.ddouble import DOUBLE, DOUBLE_DOUBLE, kind_of, to_float_array
 from sdpmix.errors import NumericalError, ValidationError
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
@@ -308,11 +308,11 @@ def test_compute_errors_matches_dense_oracle(kind):
 
 
 def test_error_report_max_and_dict():
-    rep = ErrorReport(pinf=0.1, gap=0.2, compl_star=0.05)
-    assert rep.max_error() == 0.2
-    assert rep.as_dict()["dinf"] is None
-    rep.dinf, rep.compl = 0.5, 0.0
+    rep = ErrorReport(pinf=0.1, gap=0.2, compl_star=0.05, dinf=0.5, compl=0.0)
     assert rep.max_error() == 0.5
+    assert rep.as_dict() == {"pinf": 0.1, "gap": 0.2, "compl_star": 0.05, "dinf": 0.5, "compl": 0.0}
+    with pytest.raises(TypeError):  # a report always holds all five measures
+        ErrorReport(pinf=0.1, gap=0.2, compl_star=0.05)
 
 
 # -- solve --------------------------------------------------------------------
@@ -412,6 +412,30 @@ def test_solve_equality_only_never_runs_hinge_paths():
     assert log2[-1]["hinge_evals"] > 0
 
 
+def test_progress_counters_match_the_recounted_evaluations(monkeypatch):
+    # the loop counts from what each column solve returns; recount the model
+    # evaluations themselves: every call, and for a column with inequality
+    # slots every call plus one for its context's hinge
+    problem = maxcut_relaxation(Graph.complete(4), with_triangles=True).problem
+    assert problem.m_ineq > 0
+    calls, hinge, contexts = [0], [0], set()
+    raw = ColumnContext.value_and_grad
+
+    def counted(ctx, d):
+        calls[0] += 1
+        if bool(np.any(ctx.sup >= problem.m_eq)):
+            hinge[0] += 1 + (ctx not in contexts)
+            contexts.add(ctx)
+        return raw(ctx, d)
+
+    monkeypatch.setattr(ColumnContext, "value_and_grad", counted)
+    rows = []
+    solve(problem, SolverOptions(max_iters=30, seed=2), progress=lambda row: rows.append((row, calls[0], hinge[0])))
+    assert len(rows) == 30 and hinge[0] > calls[0] > 30 * problem.block_sizes[0]
+    for row, n_calls, n_hinge in rows:
+        assert row["column_evals"] == n_calls and row["hinge_evals"] == n_hinge, row["iter"]
+
+
 def test_solve_sweep_variants_still_converge():
     p = gen_rand(8, 5, 1.0, 11)
     for opts in (
@@ -492,6 +516,9 @@ def test_invalid_options_rejected():
         {"max_evals": 0},
         {"iters_Z": 0},
         {"mu_start": -1.0},
+        {"delta": 0.0},
+        {"epsilon": 0.0},
+        {"seed": -1},
     ):
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
