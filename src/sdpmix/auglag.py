@@ -24,7 +24,7 @@ from typing import List
 
 import numpy as np
 
-from .ddouble import dot, kind_of, segment_sum, to_float_array
+from .ddouble import dot, segment_sum, to_float_array
 from .linops import ColumnSlices, OperatorCache, _slot_matrix, column_deltas
 from .problem import SdpProblem
 
@@ -40,10 +40,6 @@ class IterateState:
     cache: OperatorCache
     prev_values: np.ndarray
     slices: ColumnSlices
-
-    @property
-    def kind(self):
-        return kind_of(self.cache.values)
 
     def residual(self) -> np.ndarray:
         """rhs_j - <A_j, X> for every constraint j."""
@@ -83,97 +79,96 @@ class ColumnContext:
         Df(d) = g0.d + g_n0[i] |d|^2 + sum_j phi_j(DV_j)
         g(d)  = g0 + 2 (g_n0[i] d + U^T phi' + (v0 + d) diag.phi')
 
-    DV are the slot increments (linops.column_deltas; the commit adds them
-    at the accepted d to the cache), phi_j the second-order remainder of
-    row j (mu DV_j^2 / 2 while the row is an equality or an inequality
-    active at both ends, the exact hinge form when its activity changes).
-    No O(1) totals are formed, so the rounding error of Df is relative to
-    Df itself. hessian(d) is the model's (semismooth) Hessian
+    DV are the slot increments (linops.column_deltas), formed once per
+    evaluation and kept for the commit at the accepted d (deltas); phi_j is
+    the second-order remainder of constraint slot j (mu DV_j^2 / 2 while it
+    is an equality or an inequality active at both ends, the exact hinge form
+    when its activity changes); the cost, linear in X, has none. No O(1)
+    totals are formed, so the rounding error of Df is relative to Df itself.
+    hessian(d) is the model's (semismooth) Hessian
 
-        2 (g_n0[i] + diag.phi') I + 4 W^T diag(phi'') W,  W = diag (v0 + d)^T + U,
+        2 (g_n0[i] + diag.phi') I + 4 mu W^T W,  W = diag (v0 + d)^T + U,
 
-    phi'' being mu on equalities and on inequalities active at d.
-
-    It reads the state only while it is built, and counts nothing.
+    over the curved slots: the equalities and the inequalities active at d.
+    The solver starts from `start`, a zero move whose value and gradient the
+    model knows. The context reads the state only while it is built.
     """
 
     def __init__(self, state: IterateState, block: int, i: int):
-        sl = state.slices.slice(block, i)
+        sl = state.slices.by_block[block][i]
         p = state.problem
-        kind = state.kind
         V = state.V_blocks[block]
         self.v_start = V[:, i].copy()
-        self.sup = sl.sup
-        self.n_eq = n_eq = int(np.searchsorted(sl.sup, p.m_eq))
-        mu = state.mu
+        self.start = np.zeros(len(self.v_start))
+        self.sup = sup = sl.sup
+        self.n_eq = n_eq = sl.n_eq
+        self.mu = float(state.mu)
+        self.curved0 = None  # the constraint slots curved at the start (None: all)
 
         # multipliers at v_start on the column's slots, then the cost slot
-        t = state.y[sl.sup] + mu * (p.rhs[sl.sup] - state.cache.values[sl.sup])
-        t0 = t[n_eq:].copy()
-        if len(t0):
-            t[n_eq:] = np.where(t0 > 0, t0, kind.scalar(0.0))
+        t = state.y[sup] + state.mu * (p.rhs[sup] - state.cache.values[sup])
+        if n_eq < len(sup):
+            t0 = t[n_eq:].copy()
+            t[n_eq:] = np.where(t0 > 0, t0, p.kind.scalar(0.0))
+            self.t0 = to_float_array(t0)
+            self.active0 = self.t0 > 0
+            self.curved0 = np.concatenate([np.ones(n_eq, dtype=bool), self.active0])
         coef = np.concatenate([-t, state.slices.cost_coef])
         n = p.block_sizes[block]
-        g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else kind.zeros(n)
+        g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else p.kind.zeros(n)
         g_n[i] += dot(coef, sl.diag)
 
-        sl64 = state.slices.slice64(block, i)
+        sl64 = state.slices.by_block64[block][i]
         self.diag = sl64.diag
         self.U = _slot_matrix(sl64, to_float_array(V))
+        self.diag_c, self.U_c = self.diag[:-1], self.U[:-1]  # the constraint slots
         self.v0 = to_float_array(self.v_start)
         self.g0 = to_float_array(2.0 * (V @ g_n))
         self.gi0 = float(g_n[i])
-        self.t0 = to_float_array(t0)
-        self.active0 = self.t0 > 0
-        self.mu = float(mu)
-        self._last = (None, 0.0, None)
-
-    def _remainders(self, d):
-        """At d: phi' (the slot coefficient changes -(lam - lam0)), the
-        remainders phi, and the inequalities' activity (None without any)."""
-        mu, n_eq = self.mu, self.n_eq
-        dv = column_deltas(self.diag, self.U, self.v0, d)
-        dv[-1] = 0.0  # the cost is linear in X: fixed coefficient, no remainder
-        # equality form first
-        dcoef = mu * dv
-        phi = 0.5 * dcoef * dv
-        if not len(self.t0):
-            return dcoef, phi, None
-        t0, a0, dvi = self.t0, self.active0, dv[n_eq:-1]
-        t1 = t0 - mu * dvi
-        a1 = t1 > 0
-        p0 = np.where(a0, t0, 0.0)
-        p1 = np.where(a1, t1, 0.0)
-        same = a0 & a1
-        dcoef[n_eq:-1] = np.where(same, dcoef[n_eq:-1], p0 - p1)
-        phi[n_eq:-1] = np.where(same, phi[n_eq:-1], (p1 * p1 - p0 * p0) / (2.0 * mu) + p0 * dvi)
-        return dcoef, phi, a1
+        self._last = (None, None, 0.0, None)  # d, DV, diag.phi' and the curved slots at d
 
     def value_and_grad(self, d):
-        """Df(d) and g(d) in binary64; d is the column's move from v_start."""
-        if not d.any():  # the start: every increment is exactly 0
-            self._last = (d, 0.0, self.active0 if len(self.t0) else None)
-            return 0.0, self.g0.copy()
-        dcoef, phi, active = self._remainders(d)
-        value = self.g0 @ d + self.gi0 * (d @ d) + np.add.reduce(phi)
-        c = self.diag @ dcoef
-        self._last = (d, c, active)  # the Newton solver asks for the Hessian here
-        return value, self.g0 + 2.0 * ((self.gi0 + c) * d + self.U.T @ dcoef + c * self.v0)
+        """Df(d) and g(d) in binary64; d is the column's move from v_start.
+        The returned gradient is not to be written to."""
+        if d is self.start:  # every increment is exactly 0
+            self._last = (d, None, 0.0, self.curved0)
+            return 0.0, self.g0
+        dv = column_deltas(self.diag, self.U, self.v0, d)
+        dv_c, n_eq, mu = dv[:-1], self.n_eq, self.mu
+        dcoef = mu * dv_c  # phi' = -(lam - lam0) on the constraint slots, equality form first
+        if n_eq == len(dv_c):
+            remainder, curved = 0.5 * (dcoef @ dv_c), None
+        else:  # the exact hinge form where an activity changes
+            t0, a0, dv_i = self.t0, self.active0, dv_c[n_eq:]
+            t1 = t0 - mu * dv_i
+            a1 = t1 > 0
+            p0, p1 = np.where(a0, t0, 0.0), np.where(a1, t1, 0.0)
+            same, phi = a0 & a1, 0.5 * dcoef * dv_c
+            dcoef[n_eq:] = np.where(same, dcoef[n_eq:], p0 - p1)
+            phi[n_eq:] = np.where(same, phi[n_eq:], (p1 * p1 - p0 * p0) / (2.0 * mu) + p0 * dv_i)
+            remainder, curved = np.add.reduce(phi), np.concatenate([self.curved0[:n_eq], a1])
+        c = self.diag_c @ dcoef
+        self._last = (d, dv, c, curved)  # for hessian(d) and the commit at d
+        value = self.g0 @ d + self.gi0 * (d @ d) + remainder
+        return value, self.g0 + 2.0 * ((self.gi0 + c) * d + self.U_c.T @ dcoef + c * self.v0)
 
     def hessian(self, d):
         """The model's k x k Hessian at d, binary64."""
-        last, c, active = self._last
-        if last is not d:
-            dcoef, _, active = self._remainders(d)
-            c = self.diag @ dcoef
-        curved = np.ones(len(self.diag), dtype=bool)
-        curved[-1] = False
-        if active is not None:
-            curved[self.n_eq:-1] = active
-        W = np.outer(self.diag[curved], self.v0 + d) + self.U[curved]
+        if self._last[0] is not d:
+            self.value_and_grad(d)
+        _, _, c, curved = self._last
+        diag, U = self.diag_c, self.U_c
+        if curved is not None:
+            diag, U = diag[curved], U[curved]
+        W = diag[:, None] * (self.v0 + d) + U
         H = (4.0 * self.mu) * (W.T @ W)
         H.flat[:: len(d) + 1] += 2.0 * (self.gi0 + c)
         return H
+
+    def deltas(self, d):
+        """DV at d: the last evaluation's when it was made at this very array."""
+        last, dv, _, _ = self._last
+        return dv if last is d and dv is not None else column_deltas(self.diag, self.U, self.v0, d)
 
 
 def refresh_cache(state: IterateState) -> None:

@@ -176,6 +176,8 @@ def _parse_blocks(spec: str):
 def cmd_generate(args) -> int:
     try:
         if args.family == "rand":
+            if args.seed < 0:
+                raise ValueError(f"--seed must be nonnegative, got {args.seed}")
             problem = gen_random_sdp(_parse_blocks(args.blocks), args.m, args.density, args.seed)
             sense, offset = 1, 0.0
         elif args.family == "maxcut":
@@ -186,11 +188,11 @@ def cmd_generate(args) -> int:
             graph = read_graph(args.graph)
             inst = theta_relaxation(graph, strengthened=args.strengthened)
             problem, sense, offset = inst.problem, inst.sense, inst.offset
+        write_native(problem, args.output)
     except (SdpmixError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_INPUT
 
-    write_native(problem, args.output)
     blocks = ",".join(str(n) for n in problem.block_sizes)
     print(f"family {args.family} blocks {blocks} m_a {problem.m_eq} m_b {problem.m_ineq}")
     if sense != 1 or offset != 0.0:

@@ -25,6 +25,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from .ddouble import norm_inf
+
 _C1 = 1e-4  # Armijo constant
 _EPS = 2.0**-53  # binary64 unit roundoff
 _FLOOR = 2.0**-26  # smallest curvature used, relative to the largest
@@ -48,9 +50,9 @@ def minimize_column(
     """
     f0, g0 = objective_grad(x0)
     evals = 1
-    if not (math.isfinite(f0) and np.isfinite(g0).all()):
+    g_start = float(norm_inf(g0))  # nonfinite when g0 is
+    if not (math.isfinite(f0) and math.isfinite(g_start)):
         return x0, evals, False
-    g_start = _norm_inf(g0)
     threshold = max(eps, 1e-300, delta * g_start)
     if g_start < threshold:
         return x0, evals, True
@@ -60,12 +62,14 @@ def minimize_column(
     while True:
         try:
             w, Q = np.linalg.eigh(hessian(x))
-        except np.linalg.LinAlgError:  # eigh fails on a nonfinite Hessian
+        except np.linalg.LinAlgError:  # eigh fails on some nonfinite Hessians
             return x0, evals, False
         curv = np.abs(w)
         floor = max(_FLOOR * float(curv.max()), _EPS * g_norm)
         p = Q @ ((Q.T @ g) / -np.maximum(curv, floor))
         slope = float(g @ p)
+        if not math.isfinite(slope):  # and returns NaNs for others: abort before any trial
+            return x0, evals, False
         # rounding level of the objective at x; an increment model's
         # value carries no O(1) total, so the level is relative to |f|
         noise = 128.0 * _EPS * abs(f)
@@ -76,7 +80,8 @@ def minimize_column(
             x_new = x + alpha * p
             f_new, g_new = objective_grad(x_new)
             evals += 1
-            if not (math.isfinite(f_new) and np.isfinite(g_new).all()):
+            g_norm_new = float(norm_inf(g_new))
+            if not (math.isfinite(f_new) and math.isfinite(g_norm_new)):
                 return x0, evals, False
             if f_new < best_f:
                 best_x, best_f = x_new, f_new
@@ -89,13 +94,8 @@ def minimize_column(
             # minimizer of the quadratic through f, slope and f_new
             excess = f_new - f - alpha * slope
             alpha *= min(0.5, max(0.1, -0.5 * alpha * slope / excess))
-        x, f, g = x_new, f_new, g_new
-        g_norm = _norm_inf(g)
+        x, f, g, g_norm = x_new, f_new, g_new, g_norm_new
         if g_norm < threshold:
             if f > f0:  # roundoff-level ascent: keep the monotone contract
                 return best_x, evals, False
             return x, evals, True
-
-
-def _norm_inf(x) -> float:
-    return float(np.maximum.reduce(np.abs(x), axis=None)) if x.size else 0.0

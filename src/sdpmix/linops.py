@@ -103,13 +103,14 @@ def _check_shapes(problem: SdpProblem, V_blocks) -> None:
 class ColSlice:
     """Everything touching one column of one block.
 
-    sup lists the constraints with any entry in this column. The slots of a
-    column are sup's positions, then one more for the cost: diag holds the
-    (i, i) coefficient per slot, and (seg, row, val) are the off-diagonal
-    full-column entries, seg giving each entry's slot and row its partner.
+    sup lists the constraints with any entry in this column, the first n_eq
+    equalities. The slots are sup's positions, then one for the cost: diag
+    holds the (i, i) coefficient per slot, and (seg, row, val) the entries
+    off the diagonal, seg giving each entry's slot and row its partner.
     """
 
     sup: np.ndarray
+    n_eq: int
     diag: np.ndarray
     seg: np.ndarray
     row: np.ndarray
@@ -123,8 +124,8 @@ class ColumnSlices:
     entry once, an off-diagonal (r, c) under column r with partner c and
     under column c with partner r. One lexsort by (column, constraint,
     partner) makes each column's slice a contiguous run, constraints in
-    ascending order and the cost (constraint m) last. slice64 gives the same
-    slice with its coefficients rounded to binary64, for the column kernel.
+    ascending order and the cost (constraint m) last; by_block64 holds them
+    with binary64 coefficients, for the column kernel.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -152,6 +153,7 @@ class ColumnSlices:
 
             # every column's len(sup) + 1 slots, laid end to end
             nsup = np.bincount(gcol[gcid < m], minlength=n)
+            n_eq = np.bincount(gcol[gcid < problem.m_eq], minlength=n).tolist()
             base = np.concatenate([[0], np.cumsum(nsup + 1)])
             on_diag = column == partner
             diag = kind.zeros(int(base[-1]))
@@ -162,7 +164,7 @@ class ColumnSlices:
             ends = np.searchsorted(column[off], np.arange(n + 1))
 
             def cut(diag, pval):
-                return [ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], diag=diag[base[i]:base[i + 1]],
+                return [ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], n_eq=n_eq[i], diag=diag[base[i]:base[i + 1]],
                                  seg=seg[ends[i]:ends[i + 1]], row=prow[ends[i]:ends[i + 1]],
                                  val=pval[ends[i]:ends[i + 1]])
                         for i in range(n)]
@@ -170,12 +172,6 @@ class ColumnSlices:
             self.by_block.append(cut(diag, pval))
             self.by_block64.append(cut(to_float_array(diag), to_float_array(pval))
                                    if kind.is_extended else self.by_block[-1])
-
-    def slice(self, block: int, i: int) -> ColSlice:
-        return self.by_block[block][i]
-
-    def slice64(self, block: int, i: int) -> ColSlice:
-        return self.by_block64[block][i]
 
 
 def _slot_matrix(sl: ColSlice, V: np.ndarray) -> np.ndarray:
@@ -195,12 +191,11 @@ def column_deltas(diag: np.ndarray, U: np.ndarray, v0: np.ndarray, d: np.ndarray
 
 def commit_column(cache: OperatorCache, V: np.ndarray, i: int, model, d: np.ndarray) -> None:
     """Install column i = model.v_start + d in the problem's kind and add the
-    increments of the column's model (auglag.ColumnContext: its sup, diag, U
-    and v0) at d to the cache, which stays accurate relative to the
-    increments until its next fresh recomputation."""
-    if not d.any():
+    increments of the column's model (auglag.ColumnContext) at d to the cache,
+    accurate relative to them until its next fresh recomputation."""
+    if d is model.start:
         return
-    delta = column_deltas(model.diag, model.U, model.v0, d)
+    delta = model.deltas(d)
     cache.values[model.sup] += delta[:-1]
     cache.cost_value = cache.cost_value + delta[-1]
     V[:, i] = model.v_start + d

@@ -380,10 +380,10 @@ def solve(
                 break
             b, i = pairs[t]
             ctx = ColumnContext(state, b, i)
-            d, evals, converged = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian,
+            d, evals, converged = minimize_column(ctx.value_and_grad, ctx.start, ctx.hessian,
                                                   eps, options.delta, options.max_evals)
             column_evals += evals
-            if len(ctx.t0):
+            if ctx.n_eq < len(ctx.sup):
                 hinge_evals += evals + 1
             inner_unconverged += not converged
             commit_column(state.cache, state.V_blocks[b], i, ctx, d)

@@ -243,7 +243,7 @@ def multipliers(state):
     lam = state.y + state.mu * state.residual()
     if m_eq < len(lam):
         t = lam[m_eq:]
-        lam[m_eq:] = np.where(t > 0, t, state.kind.scalar(0.0))
+        lam[m_eq:] = np.where(t > 0, t, state.problem.kind.scalar(0.0))
     return lam
 
 
@@ -270,7 +270,7 @@ def incremental_operator_values(cache, slices, V_blocks, block, i, v_start, v_tr
     """Operator values after substituting v_trial for column i of the given
     block, from the cached values at v_start and the binary64 increments of
     column_deltas on the column's slot matrix."""
-    sl = slices.slice64(block, i)
+    sl = slices.by_block64[block][i]
     U = _slot_matrix(sl, to_float_array(V_blocks[block]))
     delta = column_deltas(sl.diag, U, to_float_array(v_start), to_float_array(v_trial - v_start))
     out = cache.values.copy()

@@ -9,7 +9,7 @@ import pytest
 from sdpmix.auglag import ColumnContext, make_state, refresh_cache
 from sdpmix.ddouble import DOUBLE_DOUBLE, DDArray, to_float_array
 from sdpmix.instances import Graph, maxcut_relaxation
-from sdpmix.linops import OperatorCache, apply_operator, commit_column
+from sdpmix.linops import OperatorCache, apply_operator, column_deltas, commit_column
 from sdpmix.problem import as_kind
 
 from helpers import (
@@ -127,7 +127,7 @@ def test_equality_only_never_touches_hinge_paths():
     for b in range(p.q):
         for i in range(p.block_sizes[b]):
             ctx = ColumnContext(st, b, i)
-            assert ctx.n_eq == len(ctx.sup) and len(ctx.t0) == 0
+            assert ctx.n_eq == len(ctx.sup) and not hasattr(ctx, "t0")
 
 
 def test_column_grad_matches_full_gradient_column():
@@ -204,6 +204,51 @@ def test_commit_column_keeps_cache_consistent():
     assert np.abs(st.cache.values - before).max() <= 1e-11 * (1 + np.abs(before).max())
 
 
+@pytest.mark.parametrize("kind", ["double", "dd"])
+def test_commit_reuses_the_increments_of_the_last_evaluation(kind, monkeypatch):
+    # the commit at the solver's accepted d adds the DV that the model's last
+    # evaluation formed there, equal to a fresh column_deltas bit for bit; a
+    # commit at any other array, even one evaluated before, forms them again
+    from sdpmix import auglag
+    from sdpmix.lbfgs import minimize_column
+
+    formed = []
+
+    def counting(*args):
+        formed.append(True)
+        return column_deltas(*args)
+
+    monkeypatch.setattr(auglag, "column_deltas", counting)
+    commits = 0
+    for seed in range(4):
+        p, st = random_state(seed)
+        if kind == "dd":
+            dd = DOUBLE_DOUBLE
+            p = as_kind(p, dd)
+            st = make_state(p, [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y), dd.scalar(st.mu))
+        for b in range(p.q):
+            for i in range(p.block_sizes[b]):
+                ctx = ColumnContext(st, b, i)
+                d, _, _ = minimize_column(ctx.value_and_grad, ctx.start, ctx.hessian, 1e-12, 0.01, 200)
+                if d is ctx.start:
+                    continue
+                for at, evaluated_last in ((d, True), (d.copy(), False), (d, False)):
+                    if not evaluated_last and at is d:
+                        ctx.value_and_grad(0.5 * d)  # d is no longer the last evaluation
+                    fresh = column_deltas(ctx.diag, ctx.U, ctx.v0, at)
+                    cache = OperatorCache(st.cache.values.copy(), st.cache.cost_value)
+                    want = st.cache.values.copy()
+                    want[ctx.sup] += fresh[:-1]
+                    formed.clear()
+                    commit_column(cache, st.V_blocks[b].copy(), i, ctx, at)
+                    assert len(formed) == (0 if evaluated_last else 1)
+                    assert np.array_equal(cache.values, want)
+                    assert np.array_equal(cache.cost_value, st.cache.cost_value + fresh[-1])
+                commit_column(st.cache, st.V_blocks[b], i, ctx, d)
+                commits += 1
+    assert commits >= 20
+
+
 def triangle_state(seed):
     """Max-Cut of K7 with its 140 triangle inequalities at a random iterate:
     per column, 60 triangle slots of two entries each."""
@@ -260,7 +305,8 @@ def test_column_hessian_matches_central_differences(case):
 
 @pytest.mark.parametrize("case", ["double", "dd", "triangles"])
 def test_column_start_returns_full_gradient(case):
-    # at d = 0, value_and_grad returns 0 and g0 without evaluating the model
+    # at its start, value_and_grad returns 0 and g0 without evaluating the
+    # model; evaluated at another zero array, the model gives the same
     for seed in range(5):
         p, st = triangle_state(seed) if case == "triangles" else random_state(seed)
         if case == "dd":
@@ -270,9 +316,11 @@ def test_column_start_returns_full_gradient(case):
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
                 ctx = ColumnContext(st, b, i)
-                f, g = ctx.value_and_grad(np.zeros(len(ctx.v0)))
+                f, g = ctx.value_and_grad(ctx.start)
                 ref = np.asarray(grads[b][:, i], float)
                 assert f == 0.0 and np.abs(g - ref).max() <= 1e-11 * (1 + np.abs(ref).max())
+                f, g_zero = ctx.value_and_grad(np.zeros(len(ctx.v0)))
+                assert f == 0.0 and np.array_equal(g_zero, g)
 
 
 @pytest.mark.parametrize("kind", ["double", "dd"])
@@ -393,7 +441,7 @@ def test_increment_kernel_matches_mpmath_difference(kind):
         for size in 10.0 ** -np.arange(1.0, 13.0):
             b = int(rng.integers(p0.q))
             i = int(rng.integers(p0.block_sizes[b]))
-            sl = st0.slices.slice(b, i)
+            sl = st0.slices.by_block[b][i]
             ineq = sl.sup[sl.sup >= p0.m_eq]
             u = rng.standard_normal(st0.V_blocks[b].shape[0])
             d = size * u / np.linalg.norm(u)
@@ -453,7 +501,7 @@ def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
             for i in range(p.block_sizes[b]):
                 ctx = ColumnContext(st, b, i)
                 d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian, 1e-12, 0.01, 200)
-                sl = st.slices.slice64(b, i)
+                sl = st.slices.by_block64[b][i]
                 budget[np.append(sl.sup, p.m)] += increment_terms(sl, to_float_array(st.V_blocks[b]), i, d)
                 moved += bool(d.any())
                 commit_column(st.cache, st.V_blocks[b], i, ctx, d)

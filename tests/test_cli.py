@@ -223,6 +223,22 @@ def test_generate_rand_bad_block_spec_exit_1(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+def test_generate_missing_output_directory_exit_1(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "r.sdp"
+    assert main(["generate", "rand", "--blocks", "3", "--m", "2", "-o", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
+
+
+def test_generate_negative_seed_exit_1(tmp_path, capsys):
+    out = tmp_path / "r.sdp"
+    code = main(["generate", "rand", "--blocks", "3", "--m", "2", "--seed", "-1", "-o", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 def test_generate_maxcut_triangle_counts(tmp_path, capsys):
     g = tmp_path / "k3.txt"
     g.write_text(K3)

@@ -160,16 +160,47 @@ def test_nonfinite_objective_returns_start():
 
 
 def test_failed_eigendecomposition_returns_start():
-    # LAPACK gives up on an all-inf 3 x 3 Hessian (as after a penalty near
-    # the binary64 range); the subproblem aborts like a nonfinite evaluation
+    # LAPACK's eigh gives up on an all-inf 3 x 3 Hessian (as after a penalty
+    # near the binary64 range), and returns NaNs for one with a single NaN;
+    # either way the subproblem aborts like a nonfinite evaluation, before
+    # any trial
     def inf_hessian(v):
         return np.full((3, 3), math.inf)
+
+    def nan_hessian(v):
+        H = 2.0 * np.eye(3)
+        H[1, 1] = math.nan
+        return H
 
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.eigh(inf_hessian(None))
     v0 = np.array([1.0, 2.0, 3.0])
-    v, evals, ok = minimize_column(quadratic(np.zeros(3)), v0, inf_hessian, 0.01, 0.01, 1000)
-    assert v is v0 and evals == 1 and not ok
+    for hessian in (inf_hessian, nan_hessian):
+        v, evals, ok = minimize_column(quadratic(np.zeros(3)), v0, hessian, 0.01, 0.01, 1000)
+        assert v is v0 and evals == 1 and not ok
+
+
+def test_positive_definite_curvature_under_the_floor_is_floored():
+    # H = diag(2, 1e-12) is positive definite, but its small curvature is under
+    # the floor 2^-26 * 2: the step along it is the floored one (about 34), not
+    # Newton's 1e6, which would run into the wall at |v| = 1e5
+    b = np.array([1.0, 1e-6])
+
+    def f(v):
+        if norm_inf(v) > 1e5:
+            return math.inf, np.full(2, math.inf)
+        return v[0] ** 2 + 0.5e-12 * v[1] ** 2 - b @ v, np.array([2.0 * v[0], 1e-12 * v[1]]) - b
+
+    def hessian(v):
+        return np.diag([2.0, 1e-12])
+
+    v0 = np.zeros(2)
+    v, evals, ok = minimize_column(f, v0, hessian, 1e-12, 1e-12, 2)
+    assert evals == 2 and not ok
+    assert v[0] == 0.5 and v[1] == pytest.approx(1e-6 / 2.0**-25, rel=1e-12)
+    v, evals, ok = minimize_column(f, v0, hessian, 1e-12, 1e-12, 50)
+    f_v, g_v = f(v)
+    assert math.isfinite(f_v) and f_v < f(v0)[0] and np.isfinite(g_v).all()
 
 
 def test_concave_function_no_crash_and_monotone():

@@ -138,6 +138,9 @@ def test_column_slices_reassemble_exactly():
             assert reassemble(q, slices)
             # a column is never its own off-diagonal partner
             assert all(i not in sl.row for block in slices.by_block for i, sl in enumerate(block))
+            # each column's equalities are its first n_eq constraints
+            assert all(sl.n_eq == np.searchsorted(sl.sup, q.m_eq)
+                       for block in slices.by_block + slices.by_block64 for sl in block)
 
 
 @pytest.mark.parametrize("kind", ["double", "dd"])
@@ -161,7 +164,7 @@ def test_column_deltas_match_the_dense_oracle(kind):
         for b, n in enumerate(p.block_sizes):
             V64 = to_float_array(V[b])
             for i in range(n):
-                sl = slices.slice64(b, i)
+                sl = slices.by_block64[b][i]
                 d = 10.0 ** rng.uniform(-8.0, 0.0) * rng.standard_normal(V64.shape[0])
                 got = column_deltas(sl.diag, linops._slot_matrix(sl, V64), V64[:, i], d)
                 moved = [dd.asarray(W) for W in V]
