@@ -76,8 +76,6 @@ _SOLVER_HELP = {
     "iters_Z": "longest gap between dual-slack checks, which back off 1, 2, 4, ... iterations and also fall on "
                "its multiples",
     "scaling": "disable automatic data scaling",
-    "shuffling": "randomize column order each iteration",
-    "double_sweep": "forward then reverse column sweeps",
     "p": "dual step size",
     "delta": "relative column tolerance",
     "epsilon": "absolute column tolerance",
@@ -91,14 +89,13 @@ _SOLVER_HELP = {
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     """One flag per SolverOptions field: --kebab-case, or --no-<name> for a
-    switch that defaults to on."""
+    switch (each defaults to on)."""
     for f in dataclasses.fields(SolverOptions):
         name = f.name.lower().replace("_", "-")
         hint = _SOLVER_TYPES[f.name]
         help_text = _SOLVER_HELP[f.name]
         if hint is bool:
-            flag, action = (f"--no-{name}", "store_false") if f.default else (f"--{name}", "store_true")
-            p.add_argument(flag, dest=f.name, action=action, help=help_text)
+            p.add_argument(f"--no-{name}", dest=f.name, action="store_false", help=help_text)
             continue
         parse = next((t for t in typing.get_args(hint) if t is not type(None)), hint)  # Optional[T] parses as T
         if f.default is not None:
@@ -157,20 +154,18 @@ def cmd_solve(args) -> int:
 
 
 def _parse_blocks(spec: str):
-    sizes = []
+    runs = []  # (count, size) per comma-separated part
     try:
         for part in spec.split(","):
             part = part.strip()
-            if "x" in part:
-                count, size = part.split("x", 1)
-                sizes.extend([int(size)] * int(count))
-            elif part:
-                sizes.append(int(part))
+            if part:
+                count, size = part.split("x", 1) if "x" in part else (1, part)
+                runs.append((int(count), int(size)))
     except ValueError:
-        sizes = []
-    if not sizes or any(s < 1 for s in sizes):
+        runs = []
+    if not runs or any(count < 1 or size < 1 for count, size in runs):
         raise ValueError(f"bad block specification {spec!r}")
-    return tuple(sizes)
+    return tuple(size for count, size in runs for _ in range(count))
 
 
 def cmd_generate(args) -> int:
@@ -222,12 +217,22 @@ def cmd_check(args) -> int:
     return EXIT_OK if max_err < args.threshold else EXIT_LIMIT
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors (a bad value, an unknown flag, a missing
+    subcommand) exiting EXIT_INPUT rather than argparse's 2, which the exit
+    contract gives to a stopped solve; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: argparse's objects
     form reference cycles, so a parser per call would leave them for the
     cycle collector on every call."""
-    parser = argparse.ArgumentParser(prog="sdpmix", description=__doc__)
+    parser = _Parser(prog="sdpmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve a problem file (native .sdp or SDPA .dat-s)")

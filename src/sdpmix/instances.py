@@ -78,10 +78,6 @@ class GeneratedInstance:
         """Solver-space minimum mapped to the family's usual orientation."""
         return self.sense * float(solver_value) + self.offset
 
-    def shifted_objective(self, solver_value) -> float:
-        """Same, without the constant offset."""
-        return self.sense * float(solver_value)
-
 
 def _problem(block_sizes, rhs, ineq_start, pieces) -> SdpProblem:
     """The validated problem of entry pieces: (con, block, row, col, val)

@@ -2,7 +2,8 @@
 
 One outer iteration minimizes the augmented Lagrangian approximately over
 every column of every factor block (a damped Newton solve per column, on
-the column's increment model and its exact k x k Hessian), then
+the column's increment model and its exact k x k Hessian), visiting the
+columns in index order: block by block, each block's columns in turn. It then
 applies the first-order dual update and steers the penalty parameter so
 that the primal residual keeps shrinking geometrically: the ratio of the
 residual norm to mu times the per-iteration change of the constraint
@@ -69,8 +70,6 @@ class SolverOptions:
     max_iters: Optional[int] = None
     iters_Z: int = 50
     scaling: bool = True
-    shuffling: bool = False
-    double_sweep: bool = False
     p: float = 1.0
     delta: float = 0.01
     epsilon: float = 0.01
@@ -218,18 +217,6 @@ def state_from_warm(problem: SdpProblem, warm: WarmStart) -> IterateState:
     return make_state(problem, warm.V_blocks, np.concatenate([warm.y_a, warm.y_b]), warm.mu)
 
 
-def sweep_order(n: int, iteration: int, options: SolverOptions) -> np.ndarray:
-    """Column visit order for one outer iteration (0-based indices)."""
-    if options.shuffling:
-        rng = np.random.default_rng((options.seed, iteration))
-        order = rng.permutation(n)
-    else:
-        order = np.arange(n)
-    if options.double_sweep:
-        order = np.concatenate([order, order[::-1]])
-    return order
-
-
 def update_duals(state: IterateState, problem: SdpProblem, p: float) -> None:
     """First-order multiplier step; the inequality tail clipped at zero."""
     y = state.y + (p * state.mu) * state.residual()
@@ -374,11 +361,10 @@ def solve(
         iteration += 1
 
         eps = options.epsilon * min(1.0, float(err_level))
-        for t in sweep_order(len(pairs), iteration, options):
+        for b, i in pairs:
             if out_of_time():
                 status = "time"
                 break
-            b, i = pairs[t]
             ctx = ColumnContext(state, b, i)
             d, evals, converged = minimize_column(ctx.value_and_grad, ctx.start, ctx.hessian,
                                                   eps, options.delta, options.max_evals)

@@ -215,10 +215,11 @@ def test_generate_rand_multiblock_spec(tmp_path, capsys):
     assert p.block_sizes == (4, 4)
 
 
-@pytest.mark.parametrize("spec", ["2x", "x4", "2xa", "1.5"])
+@pytest.mark.parametrize("spec", ["2x", "x4", "2xa", "1.5", "-2x5,3", "0x5,3"])
 def test_generate_rand_bad_block_spec_exit_1(tmp_path, capsys, spec):
     out = tmp_path / "r.sdp"
-    assert main(["generate", "rand", "--blocks", spec, "--m", "3", "-o", str(out)]) == EXIT_INPUT
+    # --blocks=<spec>: argparse would read a separate "-2x5,3" as a flag
+    assert main(["generate", "rand", f"--blocks={spec}", "--m", "3", "-o", str(out)]) == EXIT_INPUT
     assert f"bad block specification {spec!r}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -427,10 +428,32 @@ def test_solver_flags_cover_every_option_field():
     for f in dataclasses.fields(SolverOptions):
         assert getattr(args, f.name) == f.default, f.name
     assert _options_from(args) == SolverOptions()
-    args = build_parser().parse_args(["solve", "x.sdp", "--iters-z", "7", "--no-scaling", "--shuffling",
+    args = build_parser().parse_args(["solve", "x.sdp", "--iters-z", "7", "--no-scaling", "--seed", "3",
                                       "--max-iters", "9", "--mu-start", "0.5", "--rat-max", "1.5"])
-    assert _options_from(args) == SolverOptions(iters_Z=7, scaling=False, shuffling=True, max_iters=9,
+    assert _options_from(args) == SolverOptions(iters_Z=7, scaling=False, seed=3, max_iters=9,
                                                 mu_start=0.5, rat_max=1.5)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "x.sdp", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["solve", "x.sdp", "--shuffling"], "unrecognized arguments: --shuffling"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_error_exit_1(capsys, argv, message):
+    # argparse exits 2 by default, which the exit contract gives to a stopped solve
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sdpmix") and captured.err.endswith(f"error: {message}\n")
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "--help"])
+    assert stop.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: sdpmix solve")
 
 
 def test_readme_solver_table_matches_the_generated_flags():

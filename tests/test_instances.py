@@ -169,7 +169,6 @@ def test_theta_c5_is_sqrt5():
 def test_reported_objective_orientation():
     inst = GeneratedInstance(problem=None, family="x", sense=-1, offset=1.5)
     assert inst.reported_objective(-2.0) == 3.5
-    assert inst.shifted_objective(-2.0) == 2.0
 
 
 # sha256 prefixes of `sdpmix generate` outputs that the benchmark's workloads

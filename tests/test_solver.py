@@ -23,7 +23,6 @@ from sdpmix.solver import (
     penalty_ratio,
     rank_rule,
     solve,
-    sweep_order,
     unscale_solution,
     update_duals,
     update_penalty,
@@ -103,26 +102,23 @@ def test_init_state_unit_columns_and_determinism():
     assert float(st1.mu) == math.sqrt(6)
 
 
-# -- sweep orders -------------------------------------------------------------
+# -- sweep order --------------------------------------------------------------
 
 
-def test_sweep_order_cyclic():
-    assert sweep_order(3, 1, SolverOptions()).tolist() == [0, 1, 2]
+def test_sweep_visits_each_column_once_in_index_order(monkeypatch):
+    # two blocks of orders 3 and 4: each outer iteration visits block 1's
+    # columns, then block 2's, each block in column order
+    visits = []
 
+    def recording(state, b, i):
+        visits.append((b, i))
+        return ColumnContext(state, b, i)
 
-def test_sweep_order_double_sweep():
-    opts = SolverOptions(double_sweep=True)
-    assert sweep_order(3, 1, opts).tolist() == [0, 1, 2, 2, 1, 0]
-
-
-def test_sweep_order_shuffling_reproducible():
-    opts = SolverOptions(shuffling=True, seed=5)
-    a = sweep_order(8, 3, opts)
-    b = sweep_order(8, 3, opts)
-    assert np.array_equal(a, b)
-    assert sorted(a.tolist()) == list(range(8))
-    c = sweep_order(8, 4, opts)
-    assert not np.array_equal(a, c)  # fresh permutation per outer iteration
+    monkeypatch.setattr("sdpmix.solver.ColumnContext", recording)
+    sol, _ = solve(gen_random_sdp((3, 4), 3, 1.0, 5), SolverOptions(max_iters=2))
+    assert sol.iterations == 2
+    sweep = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3)]
+    assert visits == sweep + sweep
 
 
 # -- dual update --------------------------------------------------------------
@@ -434,16 +430,6 @@ def test_progress_counters_match_the_recounted_evaluations(monkeypatch):
     assert len(rows) == 30 and hinge[0] > calls[0] > 30 * problem.block_sizes[0]
     for row, n_calls, n_hinge in rows:
         assert row["column_evals"] == n_calls and row["hinge_evals"] == n_hinge, row["iter"]
-
-
-def test_solve_sweep_variants_still_converge():
-    p = gen_rand(8, 5, 1.0, 11)
-    for opts in (
-        SolverOptions(tol=1e-9, max_iters=4000, iters_Z=10, shuffling=True, seed=4),
-        SolverOptions(tol=1e-9, max_iters=4000, iters_Z=10, double_sweep=True),
-    ):
-        sol, _ = solve(p, opts)
-        assert sol.status == "tol"
 
 
 def test_solve_warm_start_resume():
