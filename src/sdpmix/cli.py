@@ -30,7 +30,7 @@ from .formats import (
 )
 from .instances import gen_random_sdp, maxcut_relaxation, theta_relaxation
 from .precision import solve_two_stage
-from .solver import SolverOptions, check_fit, compute_errors, solve
+from .solver import SolverOptions, check_fit, check_warm, compute_errors, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -75,7 +75,6 @@ _SOLVER_HELP = {
     "max_iters": "outer iteration cap",
     "iters_Z": "longest gap between dual-slack checks, which back off 1, 2, 4, ... iterations and also fall on "
                "its multiples",
-    "scaling": "disable automatic data scaling",
     "p": "dual step size",
     "delta": "relative column tolerance",
     "epsilon": "absolute column tolerance",
@@ -88,19 +87,23 @@ _SOLVER_HELP = {
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per SolverOptions field: --kebab-case, or --no-<name> for a
-    switch (each defaults to on)."""
+    """One --kebab-case flag per SolverOptions field."""
     for f in dataclasses.fields(SolverOptions):
         name = f.name.lower().replace("_", "-")
         hint = _SOLVER_TYPES[f.name]
         help_text = _SOLVER_HELP[f.name]
-        if hint is bool:
-            p.add_argument(f"--no-{name}", dest=f.name, action="store_false", help=help_text)
-            continue
         parse = next((t for t in typing.get_args(hint) if t is not type(None)), hint)  # Optional[T] parses as T
         if f.default is not None:
             help_text += f" (default {f.default})"
         p.add_argument(f"--{name}", dest=f.name, type=parse, default=f.default, help=help_text)
+
+
+def _located(path, check, *args) -> None:
+    """check(*args), naming the file `path` in the ValidationError it raises."""
+    try:
+        check(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _options_from(args) -> SolverOptions:
@@ -113,6 +116,8 @@ def cmd_solve(args) -> int:
         problem = parse_problem(args.input)
         options = _options_from(args)
         warm = read_warmstart(args.warm_start) if args.warm_start else None
+        if warm is not None:
+            _located(args.warm_start, check_warm, problem, warm)
         for path in (out_path, args.save_warm_start):
             if path and not Path(path).parent.is_dir():
                 raise ValidationError(f"{path}: output directory {Path(path).parent} does not exist")
@@ -122,14 +127,12 @@ def cmd_solve(args) -> int:
 
     progress = _progress_printer()
     try:
+        run = solve_two_stage if args.precision == "dd" else solve
         # the solver checks finiteness itself: numpy's overflow warnings would only repeat it
         with np.errstate(all="ignore"):
-            if args.precision == "dd":
-                sol, warm_out = solve_two_stage(problem, args.tol, options, progress=progress, warm_start=warm)
-            else:
-                sol, warm_out = solve(problem, options, warm_start=warm, progress=progress)
-    except ValidationError as exc:  # input that only solve can check, e.g. a warm start's shape
-        _log(f"error: {exc}")
+            sol, warm_out = run(problem, options, warm, progress)
+    except ValidationError as exc:  # input that only solve can check: a vacuous constraint
+        _log(f"error: {args.input}: {exc}")
         return EXIT_INPUT
     except SdpmixError as exc:
         _log(f"solver aborted: {exc}")
@@ -203,7 +206,7 @@ def cmd_check(args) -> int:
         problem = parse_problem(args.problem)
         sol = read_solution(args.solution)
         # a stored Z must fit, but the report projects its own and measures with that
-        check_fit(problem, "solution", "factor", sol.factor, sol.y_a, sol.y_b, sol.Z or ())
+        _located(args.solution, check_fit, problem, "solution", "factor", sol.factor, sol.y_a, sol.y_b, sol.Z or ())
     except (SdpmixError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_INPUT

@@ -28,15 +28,15 @@ sum of the terms' magnitudes. A matrix product takes the rows of its left
 factor in chunks, so it never holds all of its products at once.
 
 The kernels are written once for both kinds: DDArray implements the numpy
-operators, ufuncs and functions they use (arithmetic, sqrt, abs,
-comparisons, where, maximum, concatenate, append, diag, sum, argsort,
-array_equal, indexing and index assignment). Indexing one element or
-reducing to a scalar gives a 0-d DDArray. The boundary to everything else
-is np.asarray(dd_array), an object array of Words records holding the
-exact words: any numpy function not listed sees that array, and
-DOUBLE_DOUBLE.asarray and to_float_array accept it back. Binary64 arrays
-stay plain float64 ndarrays and never pass through this module's
-double-double code.
+operators, ufuncs and functions they use (arithmetic, sqrt, ldexp, abs,
+comparisons, where, maximum, concatenate, diag, sum, indexing and index
+assignment), and argsort, array_equal and append for the tests and the
+benchmark's tracer. Indexing one element or reducing to a scalar gives a
+0-d DDArray. The boundary to everything else is np.asarray(dd_array), an
+object array of Words records holding the exact words: any numpy function
+not listed sees that array, and DOUBLE_DOUBLE.asarray and to_float_array
+accept it back. Binary64 arrays stay plain float64 ndarrays and never pass
+through this module's double-double code.
 """
 
 from __future__ import annotations
@@ -345,6 +345,10 @@ class DDArray:
         r = np.divide(residual, 2.0 * x, out=np.zeros_like(x), where=x > 0)
         return DDArray(*_quick_two_sum(x, r))
 
+    def ldexp(self, e) -> "DDArray":
+        """self * 2**e, word by word: exact while the words stay normal."""
+        return DDArray(np.ldexp(self.hi, e), np.ldexp(self.lo, e))
+
     # -- comparisons -------------------------------------------------------
 
     def __lt__(self, other):
@@ -487,6 +491,7 @@ _UFUNCS = {
     np.negative: DDArray.__neg__,
     np.absolute: DDArray.__abs__,
     np.sqrt: DDArray.sqrt,
+    np.ldexp: DDArray.ldexp,
     np.less: DDArray.__lt__,
     np.less_equal: DDArray.__le__,
     np.greater: DDArray.__gt__,

@@ -31,7 +31,7 @@ from itertools import compress
 import numpy as np
 
 from .ddouble import DOUBLE, DOUBLE_DOUBLE, DDArray, ScalarKind, kind_by_name, to_float_array
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .instances import Graph
 from .problem import SdpProblem, validate
 from .solver import ErrorReport, Solution, WarmStart
@@ -323,16 +323,26 @@ def read_graph(path) -> Graph:
         raise FormatError("expected 'n m' header", path, numbers[0]) from None
     if len(texts) - 1 != m:
         raise FormatError(f"header declares {m} edges but file has {len(texts) - 1}", path, numbers[0])
-    edges = []
-    for text, line in zip(texts[1:], numbers[1:]):
-        parts = text.split()
-        try:
-            if len(parts) not in (2, 3):
-                raise ValueError
-            edges.append((int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2]) if len(parts) == 3 else 1.0))
-        except ValueError:
-            raise FormatError(f"expected 'i j [w]', got {text!r}", path, line) from None
-    return Graph.build(n, edges)
+    line = numbers[0]
+
+    def edges():
+        # Graph.build takes the edges one at a time, so `line` is the line of
+        # the edge it rejects
+        nonlocal line
+        for text, line in zip(texts[1:], numbers[1:]):
+            parts = text.split()
+            try:
+                if len(parts) not in (2, 3):
+                    raise ValueError
+                edge = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise FormatError(f"expected 'i j [w]', got {text!r}", path, line) from None
+            yield edge
+
+    try:
+        return Graph.build(n, edges())
+    except ValidationError as exc:
+        raise FormatError(str(exc), path, line) from None
 
 
 # -- solution and warm-start files ---------------------------------------------

@@ -1,10 +1,11 @@
 """Two-stage extended-precision refinement.
 
-Stage 1 solves at binary64 with tol 1e-12; stage 2 re-instantiates the
-problem data at double-double, promotes the warm start (exactly: every
-binary64 value embeds in double-double), and resumes until the target
-tolerance. Iteration and time totals cover both stages, and so do the
-max_iters and time_limit caps.
+solve_two_stage takes the same arguments as solver.solve, and options.tol
+is its target. Stage 1 solves at binary64 with tol STAGE1_TOL = 1e-12 (a
+target at or above it is met there); stage 2 re-instantiates the problem
+data at double-double, promotes the warm start (exactly: every binary64
+value embeds in double-double), and resumes until the target. Iteration and
+time totals cover both stages, and so do the max_iters and time_limit caps.
 """
 
 from __future__ import annotations
@@ -33,21 +34,20 @@ def promote(warm: WarmStart, kind: ScalarKind) -> WarmStart:
 
 def solve_two_stage(
     problem: SdpProblem,
-    target_tol: float,
     options: SolverOptions | None = None,
-    progress=None,
     warm_start: WarmStart | None = None,
+    progress=None,
 ):
-    """Binary64 solve, then extended-precision refinement to target_tol;
-    returns (Solution, WarmStart) like `solve`. A warm start skips the
-    binary64 stage: the refinement resumes from it."""
+    """Binary64 solve, then extended-precision refinement to options.tol;
+    called and returning (Solution, WarmStart) like `solve`. A warm start
+    skips the binary64 stage: the refinement resumes from it."""
     options = options or SolverOptions()
     if problem.kind is not DOUBLE:
         raise ValueError("two-stage solve starts from binary64 problem data")
     iterations, elapsed, time_limit, max_iters = 0, 0.0, options.time_limit, options.max_iters
     if warm_start is None:
         sol1, warm_start = solve(problem, replace(options, tol=STAGE1_TOL), progress=progress)
-        if sol1.status != "tol" or target_tol >= STAGE1_TOL:
+        if sol1.status != "tol" or options.tol >= STAGE1_TOL:
             # failure propagates; an already-met target needs no refinement
             return sol1, warm_start
         iterations, elapsed = sol1.iterations, sol1.elapsed
@@ -58,7 +58,7 @@ def solve_two_stage(
                 return replace(sol1, status="iter"), warm_start
             max_iters -= iterations
 
-    stage2 = replace(options, tol=target_tol, time_limit=time_limit, max_iters=max_iters)
+    stage2 = replace(options, time_limit=time_limit, max_iters=max_iters)
     sol2, warm2 = solve(as_kind(problem, DOUBLE_DOUBLE), stage2, warm_start=promote(warm_start, DOUBLE_DOUBLE),
                         progress=progress)
     sol2.iterations += iterations

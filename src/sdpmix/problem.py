@@ -31,7 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .ddouble import DDArray, ScalarKind, all_finite, kind_of, norm2, segment_sum, to_float_array
+from .ddouble import DDArray, ScalarKind, all_finite, kind_of, norm2, norm_inf, segment_sum, to_float_array
 from .errors import ValidationError
 
 # a block's entry table: (con, row, col, val) columns
@@ -132,6 +132,20 @@ def row_norms_sq(problem: SdpProblem) -> np.ndarray:
     return out
 
 
+def row_norms(problem: SdpProblem) -> np.ndarray:
+    """Frobenius norms of the m + 1 rows, the cost last: sqrt(row_norms_sq)
+    of the rows each scaled by 2**-e first, e the binary exponent of its
+    largest |entry|, so that no square overflows or underflows. Scaling by a
+    power of two is exact, so a row whose squares stay in range keeps its
+    bits."""
+    top = np.zeros(problem.m + 1)
+    for con, _, _, val in problem.entries:
+        np.maximum.at(top, con, np.abs(to_float_array(val)))
+    exps = np.frexp(top)[1]
+    entries = tuple((con, row, col, np.ldexp(val, -exps[con])) for con, row, col, val in problem.entries)
+    return np.ldexp(np.sqrt(row_norms_sq(replace(problem, entries=entries))), exps)
+
+
 def validate(problem: SdpProblem) -> None:
     """Check all SdpProblem invariants; raise ValidationError otherwise.
 
@@ -187,13 +201,6 @@ class ScalingRecord:
     constraint_norms: np.ndarray
     primal_scale: object
 
-    @classmethod
-    def identity(cls, problem: SdpProblem) -> "ScalingRecord":
-        kind = problem.kind
-        one = kind.scalar(1.0)
-        ones = kind.asarray(np.ones(problem.m))
-        return cls(one, ones, one)
-
 
 def scale(problem: SdpProblem) -> tuple[SdpProblem, ScalingRecord]:
     """Normalize the data: unit Frobenius norm for every cost/constraint
@@ -206,7 +213,7 @@ def scale(problem: SdpProblem) -> tuple[SdpProblem, ScalingRecord]:
     one = kind.scalar(1.0)
     zero = kind.scalar(0.0)
 
-    norms = np.sqrt(row_norms_sq(problem))
+    norms = row_norms(problem)
     vacuous = np.flatnonzero(~(norms[:-1] > zero).astype(bool))
     if len(vacuous):
         raise ValidationError(f"constraint {vacuous[0] + 1}: zero-norm matrix (vacuous constraint)")
@@ -218,7 +225,8 @@ def scale(problem: SdpProblem) -> tuple[SdpProblem, ScalingRecord]:
     cost_norm, norms = norms[-1], norms[:-1]
     rbar = problem.rhs / norms if problem.m else problem.rhs.copy()
     sub = rbar[: problem.m_eq] if problem.m_eq else rbar  # the inequalities' when there are no equalities
-    s = norm2(sub) if len(sub) else zero
+    e = np.frexp(float(norm_inf(sub)))[1]  # sub scaled by 2**-e before squaring, as each row in row_norms
+    s = np.ldexp(norm2(np.ldexp(sub, -e)), e)
     primal = s if s > 0 else one
     scaled_rhs = rbar / primal if problem.m else rbar
 

@@ -1,14 +1,15 @@
 """Outer loop: column sweeps, dual updates, dynamic penalty, termination.
 
-One outer iteration minimizes the augmented Lagrangian approximately over
-every column of every factor block (a damped Newton solve per column, on
-the column's increment model and its exact k x k Hessian), visiting the
-columns in index order: block by block, each block's columns in turn. It then
-applies the first-order dual update and steers the penalty parameter so
-that the primal residual keeps shrinking geometrically: the ratio of the
-residual norm to mu times the per-iteration change of the constraint
-values is held near 1, increasing mu above rat_max and decreasing it
-below rat_min.
+Every solve runs on its data scaled by problem.scale, and maps the
+solution back to the problem as given. One outer iteration minimizes the
+augmented Lagrangian approximately over every column of every factor block
+(a damped Newton solve per column, on the column's increment model and its
+exact k x k Hessian), visiting the columns in index order: block by block,
+each block's columns in turn. It then applies the first-order dual
+update and steers the penalty parameter so that the primal residual keeps
+shrinking geometrically: the ratio of the residual norm to mu times the
+per-iteration change of the constraint values is held near 1, increasing
+mu above rat_max and decreasing it below rat_min.
 
 Status tol means that all five KKT errors of the returned solution,
 measured on the problem as given, are below tol. That report needs the
@@ -49,7 +50,7 @@ from .ddouble import (
 from .errors import NumericalError, ValidationError
 from .lbfgs import minimize_column
 from .linops import combine_rows, commit_column, operator_rows, project_psd
-from .problem import ScalingRecord, SdpProblem, row_norms_sq, scale, validate
+from .problem import ScalingRecord, SdpProblem, row_norms, scale, validate
 
 
 def ceil_sqrt(x: int) -> int:
@@ -69,7 +70,6 @@ class SolverOptions:
     time_limit: Optional[float] = None
     max_iters: Optional[int] = None
     iters_Z: int = 50
-    scaling: bool = True
     p: float = 1.0
     delta: float = 0.01
     epsilon: float = 0.01
@@ -206,7 +206,9 @@ def check_fit(problem: SdpProblem, what: str, tag: str, blocks, y_a, y_b, Z_bloc
             raise ValidationError(f"{what} field {name} has a nonfinite value")
 
 
-def state_from_warm(problem: SdpProblem, warm: WarmStart) -> IterateState:
+def check_warm(problem: SdpProblem, warm: WarmStart) -> None:
+    """Raise ValidationError unless `warm` fits `problem` (check_fit), with a
+    finite positive mu and nonnegative inequality multipliers."""
     check_fit(problem, "warm start", "V", warm.V_blocks, warm.y_a, warm.y_b)
     if not all_finite(warm.mu):
         raise ValidationError("warm start field mu has a nonfinite value")
@@ -214,7 +216,6 @@ def state_from_warm(problem: SdpProblem, warm: WarmStart) -> IterateState:
         raise ValidationError("warm start has negative inequality multipliers")
     if not float(warm.mu) > 0:
         raise ValidationError("warm start has nonpositive mu")
-    return make_state(problem, warm.V_blocks, np.concatenate([warm.y_a, warm.y_b]), warm.mu)
 
 
 def update_duals(state: IterateState, problem: SdpProblem, p: float) -> None:
@@ -262,7 +263,7 @@ def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[
     resid_sq = sum(np.sum(R * R) for R in resid)
     xz = sum(np.sum(X * Z) for X, Z in zip(X_blocks, Z_blocks))
     pinf, gap, compl_star, denom = kkt_errors(problem, rows[:-1], rows[-1], y)
-    dinf = fsqrt(resid_sq) / (1.0 + float(fsqrt(row_norms_sq(problem)[-1])))
+    dinf = fsqrt(resid_sq) / (1.0 + float(row_norms(problem)[-1]))
     return ErrorReport(pinf, gap, compl_star, dinf, abs(xz) / denom), Z_blocks, rows[-1]
 
 
@@ -315,13 +316,12 @@ def solve(
     validate(problem)
     t_start = time.perf_counter()
 
-    if options.scaling:
-        scaled, record = scale(problem)
-    else:
-        scaled, record = problem, ScalingRecord.identity(problem)
+    scaled, record = scale(problem)
 
     if warm_start is not None:
-        state = state_from_warm(scaled, warm_start)
+        check_warm(scaled, warm_start)
+        state = make_state(scaled, warm_start.V_blocks, np.concatenate([warm_start.y_a, warm_start.y_b]),
+                           warm_start.mu)
     else:
         state = init_state(scaled, options)
 

@@ -147,7 +147,7 @@ def test_criterion_04_stagnation_regression():
     st = make_state(problem, V, y, 4.0)
     _, g1 = column_objective_grad(st, 0, 0, np.array([0.0]))
     warm = WarmStart([v.copy() for v in V], y.copy(), np.zeros(0), 4.0)
-    sol, wend = solve(problem, SolverOptions(max_iters=100, scaling=False), warm_start=warm)
+    sol, wend = solve(problem, SolverOptions(max_iters=100), warm_start=warm)
     v1_final = abs(float(wend.V_blocks[0][0, 0]))
     ok = v1_final <= 1e-12 and abs(float(g1[0])) <= 1e-12 and sol.iterations == 100
     finish(4, "stagnation fixture: first block stays 0 for 100 iterations, column gradient 0 (1e-12)", ok,
@@ -284,7 +284,7 @@ def test_criterion_08_scaling_suite(tmp_path):
 def test_criterion_09_extended_precision(tmp_path):
     p = gen_random_sdp((10,), 10, 1.0, seed=42)
     t0 = time.perf_counter()
-    sol, _ = solve_two_stage(p, 1e-20, SolverOptions(max_iters=100000, iters_Z=20))
+    sol, _ = solve_two_stage(p, SolverOptions(tol=1e-20, max_iters=100000, iters_Z=20))
     dt = time.perf_counter() - t0
     rep = sol.report.as_dict()
     four = [rep["pinf"], rep["gap"], rep["dinf"], rep["compl"]]

@@ -193,8 +193,15 @@ def test_solve_nonfinite_warm_start_exit_1(tmp_path, capsys):
                      "--precision", precision])
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "error: warm start field V 1 has a nonfinite value" in err
+        assert f"error: {bad}: warm start field V 1 has a nonfinite value" in err
         assert "solver aborted" not in err
+
+
+def test_solve_vacuous_constraint_names_the_problem_file(tmp_path, capsys):
+    prob = tmp_path / "vacuous.sdp"
+    prob.write_text(TOY.replace("1 1 1 1 1.0\n1 1 2 2 1.0\n", "1 1 1 1 0.0\n"))
+    assert main(["solve", str(prob), "-o", str(tmp_path / "v.sol")]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {prob}: constraint 1: zero-norm matrix (vacuous constraint)\n"
 
 
 def test_generate_rand_counts(tmp_path, capsys):
@@ -262,6 +269,40 @@ def test_generate_theta_counts(tmp_path, capsys):
 
 def test_generate_bad_graph_exit_1(tmp_path):
     assert main(["generate", "maxcut", "--graph", str(tmp_path / "no.txt"), "-o", str(tmp_path / "x.sdp")]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param("3 2\n1 2\n2 4\n", 3, "edge (2,4) out of range for 3 vertices", id="out_of_range"),
+    pytest.param("# c\n3 3\n1 2\n2 3\n\n2 1 0.5\n", 6, "duplicate edge (1,2)", id="duplicate"),
+    pytest.param("3 2\n1 2\n3 3\n", 3, "graph has a loop at vertex 3", id="loop"),
+    pytest.param("3 2\n1 2 nan\n2 3\n", 2, "edge (1,2) has nonfinite weight", id="nan_weight"),
+    pytest.param("0 0\n", 1, "graph needs at least one vertex, got 0", id="no_vertex"),
+])
+def test_generate_graph_fault_names_file_and_line(tmp_path, capsys, text, line, message):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    for family in ("maxcut", "theta"):
+        assert main(["generate", family, "--graph", str(graph), "-o", str(tmp_path / "x.sdp")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {graph}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "solve-dd", "check"])
+def test_iterate_that_does_not_fit_names_its_file(tmp_path, capsys, command):
+    # a warm start or solution of the order-2 toy given with the order-3 one
+    small, big = tmp_path / "toy.sdp", tmp_path / "toy3.sdp"
+    small.write_text(TOY)
+    big.write_text(TOY3)
+    sol, ws = tmp_path / "toy.sol", tmp_path / "toy.ws"
+    main(["solve", str(small), "-o", str(sol), "--max-iters", "3", "--save-warm-start", str(ws)])
+    capsys.readouterr()
+    if command == "check":
+        argv, message = ["check", str(big), str(sol)], f"{sol}: solution block 1: 2 columns, block size 3"
+    else:
+        argv = ["solve", str(big), "-o", str(tmp_path / "b.sol"), "--warm-start", str(ws)]
+        argv += ["--precision", "dd"] if command == "solve-dd" else []
+        message = f"{ws}: warm start block 1: 2 columns, block size 3"
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_check_reproduces_solver_errors(tmp_path, capsys):
@@ -414,9 +455,9 @@ def test_check_shape_mismatch_exit_1(tmp_path, capsys):
     order_2 = tmp_path / "order_2.sol"
     rows = [" ".join(row.split()[:2]) for row in lines[t + 1 : t + 3]]
     order_2.write_text("\n".join(lines[:t] + ["Z 1 2"] + rows) + "\n")
-    cases = ((other, out, r"error: solution block 1: 3 columns, block size 5"),
+    cases = ((other, out, rf"error: {re.escape(str(out))}: solution block 1: 3 columns, block size 5"),
              (prob, short_z, rf"error: {re.escape(str(short_z))}:{t + 3}: unexpected '\S+' after the last section"),
-             (prob, order_2, r"error: solution Z block 1 has order 2, block size is 3"))
+             (prob, order_2, rf"error: {re.escape(str(order_2))}: solution Z block 1 has order 2, block size is 3"))
     for problem, solution, message in cases:
         assert main(["check", str(problem), str(solution)]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -428,9 +469,9 @@ def test_solver_flags_cover_every_option_field():
     for f in dataclasses.fields(SolverOptions):
         assert getattr(args, f.name) == f.default, f.name
     assert _options_from(args) == SolverOptions()
-    args = build_parser().parse_args(["solve", "x.sdp", "--iters-z", "7", "--no-scaling", "--seed", "3",
+    args = build_parser().parse_args(["solve", "x.sdp", "--iters-z", "7", "--tau", "1.05", "--seed", "3",
                                       "--max-iters", "9", "--mu-start", "0.5", "--rat-max", "1.5"])
-    assert _options_from(args) == SolverOptions(iters_Z=7, scaling=False, seed=3, max_iters=9,
+    assert _options_from(args) == SolverOptions(iters_Z=7, tau=1.05, seed=3, max_iters=9,
                                                 mu_start=0.5, rat_max=1.5)
 
 
@@ -438,6 +479,7 @@ def test_solver_flags_cover_every_option_field():
     (["solve", "x.sdp", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
     (["solve", "x.sdp", "--shuffling"], "unrecognized arguments: --shuffling"),
     ([], "the following arguments are required: command"),
+    (["solve", "x.sdp", "--no-scaling"], "unrecognized arguments: --no-scaling"),
 ])
 def test_usage_error_exit_1(capsys, argv, message):
     # argparse exits 2 by default, which the exit contract gives to a stopped solve
@@ -515,7 +557,7 @@ def test_check_nonfinite_solution_value_exit_1(tmp_path, capsys):
     out.write_text("\n".join(text) + "\n")
     assert main(["check", str(prob), str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert "error: solution field ya has a nonfinite value" in err
+    assert f"error: {out}: solution field ya has a nonfinite value" in err
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):

@@ -120,7 +120,7 @@ def test_dd_solve_makes_no_object_array_and_exact_pairs_reads_its_words(tmp_path
         raise AssertionError("object array made on the double-double solve path")
 
     monkeypatch.setattr(DDArray, "__array__", refuse)
-    sol, warm = solve_two_stage(gen_random_sdp((4,), 3, 1.0, seed=5), 1e-20, solver.SolverOptions(iters_Z=10))
+    sol, warm = solve_two_stage(gen_random_sdp((4,), 3, 1.0, seed=5), solver.SolverOptions(tol=1e-20, iters_Z=10))
     formats.write_solution(sol, tmp_path / "dd.sol")
     formats.write_warmstart(warm, tmp_path / "dd.ws")
     back = formats.read_warmstart(tmp_path / "dd.ws")

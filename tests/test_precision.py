@@ -44,21 +44,21 @@ def test_promote_identity_and_narrowing():
 
 def test_two_stage_target_already_met_is_single_stage():
     p = gen_rand(6, 4, 1.0, 3)
-    sol, _ = solve_two_stage(p, 1e-6, SolverOptions(max_iters=20000, iters_Z=10))
+    sol, _ = solve_two_stage(p, SolverOptions(tol=1e-6, max_iters=20000, iters_Z=10))
     assert sol.status == "tol"
     assert sol.X[0].dtype == np.float64  # stage 2 never ran
 
 
 def test_two_stage_propagates_stage1_failure():
     p = gen_rand(8, 6, 1.0, 4)
-    sol, _ = solve_two_stage(p, 1e-20, SolverOptions(max_iters=3))
+    sol, _ = solve_two_stage(p, SolverOptions(tol=1e-20, max_iters=3))
     assert sol.status == "iter"
     assert sol.X[0].dtype == np.float64
 
 
 def test_two_stage_time_status_propagates():
     p = gen_rand(8, 6, 1.0, 5)
-    sol, _ = solve_two_stage(p, 1e-20, SolverOptions(time_limit=1e-9))
+    sol, _ = solve_two_stage(p, SolverOptions(tol=1e-20, time_limit=1e-9))
     assert sol.status == "time"
 
 
@@ -67,14 +67,14 @@ def test_two_stage_max_iters_caps_both_stages_together(cap):
     # the binary64 stage meets 1e-12 at 65 iterations (the dd_refine
     # instance); a cap it uses up, exactly or not, leaves no refinement
     p = gen_random_sdp((10,), 10, 1.0, seed=42)
-    sol, _ = solve_two_stage(p, 1e-20, SolverOptions(max_iters=cap))
+    sol, _ = solve_two_stage(p, SolverOptions(tol=1e-20, max_iters=cap))
     assert sol.status == "iter" and sol.iterations == cap
     assert isinstance(sol.X[0], DDArray) == (cap > 65)  # stage 2 ran on what was left
 
 
 def test_two_stage_reaches_extended_accuracy():
     p = gen_rand(6, 5, 1.0, 21)
-    sol, warm = solve_two_stage(p, 1e-20, SolverOptions(max_iters=20000, iters_Z=20))
+    sol, warm = solve_two_stage(p, SolverOptions(tol=1e-20, max_iters=20000, iters_Z=20))
     assert sol.status == "tol"
     assert isinstance(sol.X[0], DDArray)  # refined stage output
     assert warm.kind is DOUBLE_DOUBLE
@@ -100,7 +100,7 @@ def test_dd_solve_from_scratch_reaches_below_1e20(name):
 def test_two_stage_rejects_extended_input():
     p = as_kind(gen_rand(4, 3, 1.0, 6), DOUBLE_DOUBLE)
     with pytest.raises(ValueError, match="binary64"):
-        solve_two_stage(p, 1e-20)
+        solve_two_stage(p, SolverOptions(tol=1e-20))
 
 
 def test_first_iterate_agrees_across_kinds():

@@ -9,7 +9,7 @@ import pytest
 
 from sdpmix.ddouble import DOUBLE_DOUBLE, norm2, to_float_array
 from sdpmix.errors import ValidationError
-from sdpmix.problem import ScalingRecord, SdpProblem, as_kind, row_norms_sq, scale, validate
+from sdpmix.problem import SdpProblem, as_kind, row_norms, row_norms_sq, scale, validate
 
 from helpers import build_problem, dense_row, dense_row_norms_sq, problem_equals, random_problem
 
@@ -182,6 +182,35 @@ def test_scale_rejects_zero_norm_constraint():
         scale(p)
 
 
+@pytest.mark.parametrize("kind", ["double", "dd"])
+def test_row_norms_keep_the_bits_of_rows_in_range(kind):
+    # scaling a row by a power of two is exact, so the norms equal the
+    # square roots of row_norms_sq word for word
+    for seed in range(4):
+        p = random_problem(seed, (3, 4), m_eq=4, m_ineq=3)
+        p = as_kind(p, DOUBLE_DOUBLE) if kind == "dd" else p
+        assert np.array_equal(row_norms(p), np.sqrt(row_norms_sq(p)))
+
+
+@pytest.mark.parametrize("kind", ["double", "dd"])
+@pytest.mark.parametrize("coef", [1e-170, 1e160])
+def test_row_norms_of_entries_whose_squares_leave_the_range(kind, coef):
+    # coef^2 underflows to 0 or overflows to inf in binary64
+    p = build_problem((2,), [[(0, 1, coef)]], [{0: [(0, 0, coef), (1, 1, coef)]}], [coef], 2)
+    p = as_kind(p, DOUBLE_DOUBLE) if kind == "dd" else p
+    np.testing.assert_allclose(to_float_array(row_norms(p)), [coef * math.sqrt(2)] * 2, rtol=1e-15)
+    scaled, rec = scale(p)
+    np.testing.assert_allclose(to_float_array(scaled.entries[0][3]), [1 / math.sqrt(2)] * 3, rtol=1e-15)
+    assert float(rec.constraint_norms[0]) == pytest.approx(coef * math.sqrt(2), rel=1e-15)
+
+
+def test_scale_rhs_whose_square_overflows():
+    p = build_problem((1,), [[(0, 0, 1.0)]], [{0: [(0, 0, 1.0)]}, {0: [(0, 0, 1.0)]}], [3e200, 4e200], 3)
+    scaled, rec = scale(p)
+    assert float(rec.primal_scale) == pytest.approx(5e200, rel=1e-15)
+    np.testing.assert_allclose(scaled.rhs, [0.6, 0.8], rtol=1e-15)
+
+
 def test_scale_zero_rhs_subvector_records_one():
     p = build_problem((2,), [[(0, 0, 1.0)]], [{0: [(0, 0, 1.0), (1, 1, 1.0)]}], [0.0], 2)
     scaled, rec = scale(p)
@@ -199,8 +228,3 @@ def test_as_kind_round_trip_exact():
     back = [float(v) for v in pdd.rhs]
     assert np.array_equal(np.asarray(p.rhs, dtype=float), back)
 
-
-def test_identity_record_shape():
-    p = random_problem(1, m_eq=2, m_ineq=1)
-    rec = ScalingRecord.identity(p)
-    assert len(rec.constraint_norms) == p.m and float(rec.primal_scale) == 1.0

@@ -12,7 +12,7 @@ from sdpmix.errors import NumericalError, ValidationError
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
 from sdpmix.linops import project_psd
 from sdpmix.precision import promote
-from sdpmix.problem import ScalingRecord, as_kind
+from sdpmix.problem import as_kind, scale
 from sdpmix.solver import (
     ErrorReport,
     Solution,
@@ -475,22 +475,46 @@ def test_solve_rejects_nonfinite_warm_start():
 
 
 def test_solve_nonfinite_aborts_with_diagnostic():
-    p = build_problem((1,), [[(0, 0, 1.0)]], [{0: [(0, 0, 1.0)]}], [1e308], 2)
+    # x = 1 and x = 2: infeasible, so the duals grow by about mu each iteration
+    p = build_problem((1,), [[(0, 0, 1.0)]], [{0: [(0, 0, 1.0)]}, {0: [(0, 0, 1.0)]}], [1.0, 2.0], 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError):
-            solve(p, SolverOptions(max_iters=50, scaling=False))
+        with pytest.raises(NumericalError, match="nonfinite duals at outer iteration"):
+            solve(p, SolverOptions(max_iters=50, mu_start=1e308))
 
 
 def test_stagnation_fixture_blocks_do_not_move():
-    problem, V, y = stagnation_fixture()
+    problem, _, _ = stagnation_fixture()
+    # the fixture's iterate in scaled space: the rows (1, 1)/sqrt(2) and
+    # (0, 1) with rhs (sqrt(2), 1)/sqrt(3); x2 is the least-squares
+    # compromise 4/(3 sqrt(3)) of the two rows, 4/3 unscaled
+    V = [np.array([[0.0]]), np.array([[math.sqrt(4 / (3 * math.sqrt(3)))]])]
+    y = np.array([2 * math.sqrt(2), -2.0])
     warm = WarmStart([v.copy() for v in V], y.copy(), np.zeros(0), 4.0)
     log = []
-    sol, wend = solve(problem, SolverOptions(max_iters=100, scaling=False), warm_start=warm, progress=log.append)
+    sol, wend = solve(problem, SolverOptions(max_iters=100), warm_start=warm, progress=log.append)
     assert sol.status == "iter"
     assert abs(float(wend.V_blocks[0][0, 0])) <= 1e-12  # first block stays at 0
-    assert abs(float(wend.V_blocks[1][0, 0]) - math.sqrt(1.5)) <= 1e-10
+    assert abs(float(wend.V_blocks[1][0, 0]) - float(V[1][0, 0])) <= 1e-10
     # duals keep drifting in the (+1, -1) direction
     assert float(wend.y_a[0]) > float(y[0]) and float(wend.y_a[1]) < float(y[1])
+
+
+@pytest.mark.parametrize("coef, rhs, objective", [(1e-170, 1e-170, 1.0), (1e160, 1e160, 1.0), (1.0, 1e200, 1e200)])
+def test_solve_data_whose_squares_leave_the_range(coef, rhs, objective):
+    # minimize x s.t. coef * x = rhs on a 1x1 block: x = rhs / coef; a square
+    # of coef or rhs underflows or overflows in binary64
+    p = build_problem((1,), [[(0, 0, 1.0)]], [{0: [(0, 0, coef)]}], [rhs], 2)
+    sol, _ = solve(p, SolverOptions(tol=1e-10, max_iters=300))
+    assert sol.status == "tol"
+    assert float(sol.objective) == pytest.approx(objective, rel=1e-10)
+
+
+def test_report_of_a_cost_whose_square_overflows():
+    # min 1e160 x s.t. x = 1, at x = 1 and y = 1e160 (1 + 1e-10): the dual
+    # residual is about 1e150, and dinf its ratio to 1 + |C| = 1 + 1e160
+    p = build_problem((1,), [[(0, 0, 1e160)]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
+    report, _, _ = compute_errors(p, [np.array([[1.0]])], np.array([1e160 * (1 + 1e-10)]))
+    assert float(report.dinf) == pytest.approx(1e-10, rel=1e-5)
 
 
 def test_invalid_options_rejected():
@@ -535,7 +559,7 @@ def test_unscale_rejects_a_factor_with_the_wrong_block_count(count):
     sol = Solution([np.ones((2, 3))] * count, np.zeros(p.m_eq), np.zeros(p.m_ineq), Z=None, status="iter",
                    report=None)
     with pytest.raises(ValidationError, match=f"solution has {count} blocks, problem has 2"):
-        unscale_solution(sol, ScalingRecord.identity(p), p)
+        unscale_solution(sol, scale(p)[1], p)
 
 
 def test_report_pieces_formed_once_match_a_fresh_report():
