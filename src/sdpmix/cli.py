@@ -59,7 +59,8 @@ def _progress_printer():
             zcheck = "-" if row["zcheck"] is None else f"{row['zcheck']:9.3e}"
             _log(
                 "iter {iter:6d}  mu {mu:9.3e}  ratio {ratio:9.3e}  pinf {pinf:9.3e}  "
-                "gap {gap:9.3e}  compl* {compl_star:9.3e}  zcheck {zcheck:>9}  t {elapsed:8.2f}s".format(
+                "gap {gap:9.3e}  compl* {compl_star:9.3e}  zcheck {zcheck:>9}  aa {aa_accepted}/{aa_rejected}  "
+                "t {elapsed:8.2f}s".format(
                     **{**row, "zcheck": zcheck})
             )
 

@@ -11,6 +11,15 @@ shrinking geometrically: the ratio of the residual norm to mu times the
 per-iteration change of the constraint values is held near 1, increasing
 mu above rat_max and decreasing it below rat_min.
 
+That iteration is a fixed-point map T of s = (the factor blocks, y), and
+its tail is linear; Anderson accelerates it. After an iteration's tol
+check, once the last AA_MEMORY differences of T(s) and of g = T(s) - s are
+known and |g| has fallen over them, the next iterate is their type-II
+combination instead of T(s_k). The iteration from it is the safeguard:
+unless its |g| is below |g_k|, the state goes back to T(s_k) with its mu,
+and the memory is cleared. Each solve call starts with an empty memory;
+see Anderson for the rules.
+
 Status tol means that all five KKT errors of the returned solution,
 measured on the problem as given, are below tol. That report needs the
 dual slack matrix (a PSD projection), so it is built only once the three
@@ -25,7 +34,8 @@ that report meets tol.
 
 The loop counts for its progress rows from what each column solve returns:
 the evaluations, the hinge's (those of a column with inequality slots,
-plus one at its start) and the unconverged solves.
+plus one at its start) and the unconverged solves; and the Anderson steps
+kept and undone.
 """
 
 from __future__ import annotations
@@ -46,10 +56,11 @@ from .ddouble import (
     kind_of,
     norm2,
     norm_inf,
+    to_float_array,
 )
 from .errors import NumericalError, ValidationError
 from .lbfgs import minimize_column
-from .linops import combine_rows, commit_column, operator_rows, project_psd
+from .linops import OperatorCache, combine_rows, commit_column, operator_rows, project_psd
 from .problem import ScalingRecord, SdpProblem, row_norms, scale, validate
 
 
@@ -250,6 +261,113 @@ def update_penalty(state: IterateState, ratio: float, options: SolverOptions) ->
     # unchanged otherwise
 
 
+AA_MEMORY = 5  # the differences an Anderson step combines
+AA_DROP = 1e-8  # a difference of g shorter than AA_DROP |g_k| is left out of the fit
+AA_RCOND = 1e-10  # the fit's cutoff on the differences' singular values
+AA_MAX_STEP = 100.0  # a combination farther than AA_MAX_STEP |g_k| from s_k is not taken
+
+
+def flat_iterate(state: IterateState):
+    """s = (every factor block flattened, y), in the problem's kind."""
+    return np.concatenate([V.reshape(-1) for V in state.V_blocks] + [state.y])
+
+
+class Anderson:
+    """Safeguarded type-II Anderson acceleration of the outer iteration
+    (Walker and Ni 2011; safeguarded after Zhang, O'Donoghue and Boyd 2020).
+
+    One outer iteration maps s = flat_iterate(state) to T(s); g = T(s) - s.
+    The memory holds the last AA_MEMORY differences dT_j of T and dg_j of g,
+    formed in the problem's kind. Once it is full, the last step was plain,
+    and |g| fell in each of the last AA_MEMORY iterations (a steady linear
+    tail), the next input is the combination T(s_k) - sum_j gamma_j dT_j
+    (dT_j = ds_j + dg_j), still in the kind, gamma the binary64
+    least-squares fit of g_k by the rounded dg_j. The iteration from a
+    combination is its trial: unless its |g| is below |g_k|, the state goes
+    back to T(s_k) with its cache, mu and error level, and the memory is
+    cleared. The memory starts empty and is kept across changes of mu.
+
+    The falls are asked of the whole window, not only of the last step: a
+    fixed point that the plain iteration leaves (a saddle of the factored
+    problem, where the dual slack is not PSD) still draws the combination,
+    and near one |g| falls now and then while the iteration drifts away.
+    """
+
+    def __init__(self):
+        self.accepted = self.rejected = 0
+        self.s = None  # the input of the iteration under way; unknown for the first
+        self.trial = None  # (T(s_k), its cache, mu, error level, |g_k|) while a step is on trial
+        self.clear()
+
+    def clear(self) -> None:
+        self.t = self.g = None  # T(s) and g of the last iteration
+        self.dT, self.dG, self.gnorms = [], [], []  # dG rounded; gnorms the last AA_MEMORY + 1 |g|
+
+    def after_iteration(self, state: IterateState, err_level):
+        """Take the state at T(s) after an iteration, and move it on to the
+        next input; returns the error level the next sweep starts from."""
+        t = flat_iterate(state)
+        s, self.s = self.s, t
+        if s is None:
+            return err_level
+        g = t - s
+        gnorm = float(np.linalg.norm(to_float_array(g)))
+        trial, self.trial = self.trial, None
+        if trial is not None:
+            t_k, cache, mu, level, gnorm_k = trial
+            if not gnorm < gnorm_k:
+                self.rejected += 1
+                self.clear()
+                self.s = t_k
+                install_iterate(state, t_k)
+                state.cache, state.mu, state.prev_values = cache, mu, cache.values.copy()
+                return level
+            self.accepted += 1
+        if self.t is not None:
+            self.dT = (self.dT + [t - self.t])[-AA_MEMORY:]
+            self.dG = (self.dG + [to_float_array(g - self.g)])[-AA_MEMORY:]
+        self.t, self.g = t, g
+        self.gnorms = (self.gnorms + [gnorm])[-AA_MEMORY - 1 :]
+        steady = len(self.dG) == AA_MEMORY and all(a > b for a, b in zip(self.gnorms, self.gnorms[1:]))
+        if trial is None and steady:
+            self.propose(state, s, err_level)
+        return err_level
+
+    def propose(self, state: IterateState, s, err_level) -> None:
+        """Move the state to the combination, unless no dg_j is long enough
+        to fit or the combination lies farther than AA_MAX_STEP |g_k| from s."""
+        gnorm = self.gnorms[-1]
+        keep = [j for j, dg in enumerate(self.dG) if np.linalg.norm(dg) >= AA_DROP * gnorm]
+        if not keep:
+            return
+        G = np.stack([self.dG[j] for j in keep], axis=1)
+        gamma = np.linalg.lstsq(G, to_float_array(self.g), rcond=AA_RCOND)[0]
+        combo = self.t
+        for j, c in zip(keep, gamma.tolist()):
+            combo = combo - c * self.dT[j]
+        if not np.linalg.norm(to_float_array(combo - s)) <= AA_MAX_STEP * gnorm:
+            return
+        self.trial = (self.t, state.cache, state.mu, err_level, gnorm)
+        self.s = combo
+        install_iterate(state, combo)
+        m_eq = state.problem.m_eq
+        state.y[m_eq:] = np.maximum(state.y[m_eq:], 0.0)
+        # a fresh cache, not refresh_cache: there is no incremental update
+        # at the combination to measure a drift of
+        state.cache = OperatorCache.fresh(state.problem, state.V_blocks)
+        state.prev_values = state.cache.values.copy()
+
+
+def install_iterate(state: IterateState, s) -> None:
+    """Write the flat iterate s (flat_iterate's layout) into the state's
+    factor blocks and a new y."""
+    at = 0
+    for V in state.V_blocks:
+        V[...] = s[at : at + V.size].reshape(V.shape)
+        at += V.size
+    state.y = s[at:].copy()
+
+
 def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[np.ndarray], object]:
     """The report of dense X and the multipliers y in row order, measured
     with the dual slack Z: C - A^T y projected onto the PSD cone. Returns
@@ -259,11 +377,14 @@ def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[
     # C - sum_j y_j A_j per block: the rows' combination with coefficients -y and 1
     slack = combine_rows(problem, np.concatenate([-y, problem.kind.asarray([1.0])]))
     Z_blocks = [project_psd(S) for S in slack]
+    # the residual's norm taken on its entries scaled by 2**-e, e the binary
+    # exponent of the largest, so that no square overflows (as row_norms does)
     resid = [S - Z for S, Z in zip(slack, Z_blocks)]
-    resid_sq = sum(np.sum(R * R) for R in resid)
+    e = int(np.frexp(max(float(np.max(np.abs(to_float_array(R)), initial=0.0)) for R in resid))[1])
+    resid_sq = sum(np.sum(Q * Q) for Q in (np.ldexp(R, -e) for R in resid))
     xz = sum(np.sum(X * Z) for X, Z in zip(X_blocks, Z_blocks))
     pinf, gap, compl_star, denom = kkt_errors(problem, rows[:-1], rows[-1], y)
-    dinf = fsqrt(resid_sq) / (1.0 + float(row_norms(problem)[-1]))
+    dinf = np.ldexp(fsqrt(resid_sq), e) / (1.0 + float(row_norms(problem)[-1]))
     return ErrorReport(pinf, gap, compl_star, dinf, abs(xz) / denom), Z_blocks, rows[-1]
 
 
@@ -337,6 +458,7 @@ def solve(
     # the next dual-slack check falls due at next_check (see the module docstring)
     next_check, check_gap = 0, 1
     column_evals = hinge_evals = inner_unconverged = 0  # see the module docstring
+    anderson = Anderson()
 
     def elapsed() -> float:
         return time.perf_counter() - t_start
@@ -398,6 +520,8 @@ def solve(
                 status = "tol"
             else:
                 next_check, check_gap = iteration + check_gap, min(2 * check_gap, options.iters_Z)
+        if status is None:
+            err_level = anderson.after_iteration(state, err_level)
         if progress is not None:
             progress(
                 {
@@ -412,6 +536,8 @@ def solve(
                     "hinge_evals": hinge_evals,
                     "column_evals": column_evals,
                     "inner_unconverged": inner_unconverged,
+                    "aa_accepted": anderson.accepted,
+                    "aa_rejected": anderson.rejected,
                 }
             )
 

@@ -49,6 +49,21 @@ def test_verbose_rows_show_the_dual_slack_checks(tmp_path, capsys, monkeypatch):
     assert all(z == "-" or float(z) >= 1e-9 for z in zcheck[:-1])
 
 
+def test_verbose_rows_show_the_anderson_counts(tmp_path, capsys, monkeypatch):
+    # each row prints the running counts of kept and undone Anderson steps,
+    # as its progress record holds them
+    monkeypatch.setenv("SDPMIX_VERBOSE", "2")
+    prob = tmp_path / "rand.sdp"
+    write_native(gen_random_sdp((15,), 10, 0.5, seed=5), prob)
+    records = []
+    solve(parse_native(prob), SolverOptions(tol=1e-9), progress=records.append)
+    assert main(["solve", str(prob), "-o", str(tmp_path / "rand.sol"), "--tol", "1e-9"]) == EXIT_OK
+    rows = [line for line in capsys.readouterr().err.splitlines() if line.startswith("iter")]
+    shown = [tuple(map(int, re.search(r" aa (\d+)/(\d+) ", line).groups())) for line in rows]
+    assert shown == [(r["aa_accepted"], r["aa_rejected"]) for r in records]
+    assert shown[-1][0] > 0
+
+
 def test_solve_toy_exit_ok(tmp_path, capsys):
     prob = tmp_path / "toy.sdp"
     prob.write_text(TOY)

@@ -62,14 +62,25 @@ def test_two_stage_time_status_propagates():
     assert sol.status == "time"
 
 
-@pytest.mark.parametrize("cap", [64, 65, 70])
+@pytest.mark.parametrize("cap", [45, 46, 50, 64, 65, 70])
 def test_two_stage_max_iters_caps_both_stages_together(cap):
-    # the binary64 stage meets 1e-12 at 65 iterations (the dd_refine
-    # instance); a cap it uses up, exactly or not, leaves no refinement
+    # the binary64 stage meets 1e-12 at 46 iterations (the dd_refine
+    # instance); a cap it uses up, exactly or not, leaves no refinement,
+    # and a larger cap ends inside the double-double stage (79 in all)
     p = gen_random_sdp((10,), 10, 1.0, seed=42)
     sol, _ = solve_two_stage(p, SolverOptions(tol=1e-20, max_iters=cap))
     assert sol.status == "iter" and sol.iterations == cap
-    assert isinstance(sol.X[0], DDArray) == (cap > 65)  # stage 2 ran on what was left
+    assert isinstance(sol.X[0], DDArray) == (cap > 46)  # stage 2 ran on what was left
+
+
+def test_two_stage_linear_tail_is_accelerated():
+    # rand_10_10 seed 2 converges at a steady linear rate to 1e-20: the
+    # plain iteration took 4320 outer iterations; Anderson steps, kept in
+    # double-double in the second stage, at least halve that
+    sol, warm = solve_two_stage(gen_random_sdp((10,), 10, 1.0, seed=2), SolverOptions(tol=1e-20))
+    assert sol.status == "tol" and isinstance(sol.factor[0], DDArray) and warm.kind is DOUBLE_DOUBLE
+    assert sol.iterations <= 2160
+    assert float(sol.report.max_error()) < 1e-20
 
 
 def test_two_stage_reaches_extended_accuracy():

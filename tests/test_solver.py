@@ -426,10 +426,79 @@ def test_progress_counters_match_the_recounted_evaluations(monkeypatch):
 
     monkeypatch.setattr(ColumnContext, "value_and_grad", counted)
     rows = []
-    solve(problem, SolverOptions(max_iters=30, seed=2), progress=lambda row: rows.append((row, calls[0], hinge[0])))
-    assert len(rows) == 30 and hinge[0] > calls[0] > 30 * problem.block_sizes[0]
+    solve(problem, SolverOptions(max_iters=20, seed=2), progress=lambda row: rows.append((row, calls[0], hinge[0])))
+    assert len(rows) == 20 and hinge[0] > calls[0] > 20 * problem.block_sizes[0]
     for row, n_calls, n_hinge in rows:
         assert row["column_evals"] == n_calls and row["hinge_evals"] == n_hinge, row["iter"]
+
+
+def test_anderson_counts_match_a_recount(monkeypatch):
+    # recount the steps from the iterates themselves: every iteration's T(s)
+    # (flat_iterate after the tol check) and every iterate written back
+    # (install_iterate). A write in an iteration whose input was a plain
+    # T(s) is a step; the next iteration is its trial, kept iff its |g| is
+    # below the |g| of the iteration that took the step, else undone by
+    # writing back that iteration's T(s)
+    from sdpmix import solver
+
+    events = []
+    raw_flat, raw_install = solver.flat_iterate, solver.install_iterate
+
+    def flat(state):
+        out = raw_flat(state)
+        events.append(("T", out.copy()))
+        return out
+
+    def install(state, s):
+        events.append(("write", s.copy()))
+        raw_install(state, s)
+
+    monkeypatch.setattr(solver, "flat_iterate", flat)
+    monkeypatch.setattr(solver, "install_iterate", install)
+    rows = []
+    sol, _ = solve(theta_relaxation(Graph.cycle(9), strengthened=True).problem, SolverOptions(tol=1e-8),
+                   progress=lambda row: rows.append((row, len(events))))
+    assert sol.status == "tol"
+    accepted = rejected = 0
+    s = T_step = gnorm_step = None  # the input, and the T(s) and |g| of the iteration that took a step
+    start = 0
+    for row, stop in rows:
+        mine, start = events[start:stop], stop
+        if row is rows[-1][0]:  # the tol iteration ends the loop before flat_iterate
+            assert mine == []
+            break
+        (tag, T), writes = mine[0], [vec for tag, vec in mine[1:]]
+        assert tag == "T" and len(writes) <= 1
+        gnorm = None if s is None else np.linalg.norm(T - s)
+        if T_step is not None:  # the trial of the step taken in the iteration before
+            if gnorm < gnorm_step:
+                accepted += 1
+                assert writes == []
+            else:
+                rejected += 1
+                assert len(writes) == 1 and np.array_equal(writes[0], T_step)
+            s, T_step = (writes or [T])[0], None
+        else:
+            if writes:
+                T_step, gnorm_step = T, gnorm
+            s = (writes or [T])[0]
+        assert (row["aa_accepted"], row["aa_rejected"]) == (accepted, rejected), row["iter"]
+    assert accepted > 0 and rejected > 0
+
+
+def test_solve_writes_equal_solution_files_for_one_seed(tmp_path):
+    # Anderson steps included, a solve is deterministic: two solves of one
+    # problem with one seed write the same solution file, but for its clock
+    from sdpmix.cli import main
+    from sdpmix.formats import write_native
+
+    prob = tmp_path / "p.sdp"
+    write_native(theta_relaxation(Graph.cycle(9), strengthened=True).problem, prob)
+    texts = []
+    for name in ("a.sol", "b.sol"):
+        assert main(["solve", str(prob), "-o", str(tmp_path / name), "--tol", "1e-8", "--seed", "4"]) == 0
+        texts.append([ln for ln in (tmp_path / name).read_text().splitlines() if not ln.startswith("elapsed ")])
+    assert texts[0] == texts[1]
 
 
 def test_solve_warm_start_resume():
@@ -510,11 +579,13 @@ def test_solve_data_whose_squares_leave_the_range(coef, rhs, objective):
 
 
 def test_report_of_a_cost_whose_square_overflows():
-    # min 1e160 x s.t. x = 1, at x = 1 and y = 1e160 (1 + 1e-10): the dual
-    # residual is about 1e150, and dinf its ratio to 1 + |C| = 1 + 1e160
+    # min 1e160 x s.t. x = 1, at x = 1 and y = 1e160 (1 + f): the dual
+    # residual is about 1e160 f, and dinf its ratio to 1 + |C| = 1 + 1e160;
+    # at f = 1e-5 the residual's square overflows
     p = build_problem((1,), [[(0, 0, 1e160)]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
-    report, _, _ = compute_errors(p, [np.array([[1.0]])], np.array([1e160 * (1 + 1e-10)]))
-    assert float(report.dinf) == pytest.approx(1e-10, rel=1e-5)
+    for f in (1e-10, 1e-5):
+        report, _, _ = compute_errors(p, [np.array([[1.0]])], np.array([1e160 * (1 + f)]))
+        assert float(report.dinf) == pytest.approx(f, rel=1e-5), f
 
 
 def test_invalid_options_rejected():
@@ -622,8 +693,8 @@ def test_checks_back_off_and_fall_on_multiples_of_iters_Z(monkeypatch):
             break
         want.append(t)
     assert sorted(checks) == want
-    # 41, then + 1, + 2, + 4 = 48 (also 3 * 16), + 8 = 56; the capped gap of 16 is cut at 64 = 4 * 16
-    assert first == 41 and want[:9] == [41, 42, 44, 48, 56, 64, 80, 96, 112]
+    # 29, then + 1, + 2, + 4, + 8 = 44; the capped gap of 16 is cut at 48 = 3 * 16
+    assert first == 29 and want[:9] == [29, 30, 32, 36, 44, 48, 64, 80, 96]
     # the progress rows mark each check with the max error the solver saw
     assert [r["iter"] for r in rows if r["zcheck"] is not None] == want
     assert all(r["zcheck"] in (None, math.inf) for r in rows)
@@ -663,13 +734,13 @@ def test_back_off_stops_no_later_than_checking_at_multiples(monkeypatch, name):
 
 
 def test_capped_solve_whose_final_report_meets_tol_is_labelled_tol():
-    # the cap falls between the backed-off checks at 190 (which fails) and
-    # 198; the report built on the iterate at the cap meets tol
-    tol, rows = 1e-10, []
-    sol, _ = solve(gen_random_sdp((30,), 20, 1.0, 1), SolverOptions(tol=tol, max_iters=194), progress=rows.append)
+    # the cap falls between the backed-off checks at 59 (which fails) and
+    # 63; the report built on the iterate at the cap meets tol
+    tol, rows = 1e-12, []
+    sol, _ = solve(gen_random_sdp((30,), 20, 1.0, 1), SolverOptions(tol=tol, max_iters=61), progress=rows.append)
     checks = {r["iter"]: r["zcheck"] for r in rows if r["zcheck"] is not None}
-    assert max(checks) == 190 and checks[190] >= tol
-    assert sol.iterations == 194 and sol.status == "tol" and sol.report.max_error() < tol
+    assert max(checks) == 59 and checks[59] >= tol
+    assert sol.iterations == 61 and sol.status == "tol" and sol.report.max_error() < tol
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
