@@ -8,7 +8,7 @@ dynamically. A double-double mode refines solutions far past binary64.
 
 from .ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, ScalarKind, kind_by_name
 from .errors import FormatError, NumericalError, SdpmixError, ValidationError
-from .linops import apply_adjoint, apply_operator, project_psd
+from .linops import project_psd
 from .precision import promote, solve_two_stage
 from .problem import ScalingRecord, SdpProblem, as_kind, scale, validate
 from .solver import (
@@ -39,8 +39,6 @@ __all__ = [
     "SolverOptions",
     "ValidationError",
     "WarmStart",
-    "apply_adjoint",
-    "apply_operator",
     "as_kind",
     "compute_errors",
     "kind_by_name",

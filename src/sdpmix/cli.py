@@ -9,11 +9,9 @@ and stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -67,38 +65,6 @@ def _progress_printer():
     return emit
 
 
-# help text per SolverOptions field; flag names, types and defaults come from the fields
-_SOLVER_TYPES = typing.get_type_hints(SolverOptions)
-_SOLVER_HELP = {
-    "tol": "stopping tolerance",
-    "mu_start": "initial penalty (default sqrt of largest block)",
-    "time_limit": "wall-clock limit in seconds",
-    "max_iters": "outer iteration cap",
-    "iters_Z": "longest gap between dual-slack checks, which back off 1, 2, 4, ... iterations and also fall on "
-               "its multiples",
-    "p": "dual step size",
-    "delta": "relative column tolerance",
-    "epsilon": "absolute column tolerance",
-    "max_evals": "evaluation budget per column update",
-    "tau": "penalty update factor",
-    "rat_min": "lower ratio threshold",
-    "rat_max": "upper ratio threshold",
-    "seed": "initialization seed",
-}
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    """One --kebab-case flag per SolverOptions field."""
-    for f in dataclasses.fields(SolverOptions):
-        name = f.name.lower().replace("_", "-")
-        hint = _SOLVER_TYPES[f.name]
-        help_text = _SOLVER_HELP[f.name]
-        parse = next((t for t in typing.get_args(hint) if t is not type(None)), hint)  # Optional[T] parses as T
-        if f.default is not None:
-            help_text += f" (default {f.default})"
-        p.add_argument(f"--{name}", dest=f.name, type=parse, default=f.default, help=help_text)
-
-
 def _located(path, check, *args) -> None:
     """check(*args), naming the file `path` in the ValidationError it raises."""
     try:
@@ -107,15 +73,11 @@ def _located(path, check, *args) -> None:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _options_from(args) -> SolverOptions:
-    return SolverOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolverOptions)})
-
-
 def cmd_solve(args) -> int:
     out_path = args.output or str(Path(str(args.input)).with_suffix(".sol"))
     try:
         problem = parse_problem(args.input)
-        options = _options_from(args)
+        options = SolverOptions(tol=args.tol, time_limit=args.time_limit, max_iters=args.max_iters, seed=args.seed)
         warm = read_warmstart(args.warm_start) if args.warm_start else None
         if warm is not None:
             _located(args.warm_start, check_warm, problem, warm)
@@ -224,7 +186,12 @@ def cmd_check(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors (a bad value, an unknown flag, a missing
     subcommand) exiting EXIT_INPUT rather than argparse's 2, which the exit
-    contract gives to a stopped solve; subparsers inherit the class."""
+    contract gives to a stopped solve, and with no abbreviated flags, so
+    that a removed flag (--p) is not taken for a prefix of another
+    (--precision); subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -247,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--no-z", action="store_true", help="omit the dual slack matrix from the solution file")
     ps.add_argument("--precision", choices=("double", "dd"), default="double",
                     help="dd runs the two-stage double-double refinement to --tol")
-    _add_solver_flags(ps)
+    ps.add_argument("--tol", type=float, default=SolverOptions.tol, help="stopping tolerance (default %(default)s)")
+    ps.add_argument("--time-limit", type=float, help="wall-clock limit in seconds")
+    ps.add_argument("--max-iters", type=int, help="outer iteration cap")
+    ps.add_argument("--seed", type=int, default=SolverOptions.seed, help="initialization seed (default %(default)s)")
     ps.set_defaults(func=cmd_solve)
 
     pg = sub.add_parser("generate", help="generate a problem file")

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .linops import apply_operator
+from .linops import OperatorCache
 from .problem import SdpProblem, validate
 
 
@@ -118,7 +118,7 @@ def gen_random_sdp(block_sizes: Sequence[int], m: int, density: float, seed: int
         entries += drawn
 
     shell = SdpProblem.from_entries(block_sizes, np.zeros(m), m + 1, *zip(*entries))
-    problem = replace(shell, rhs=apply_operator(shell, [np.eye(n) for n in block_sizes]))
+    problem = replace(shell, rhs=OperatorCache.fresh(shell, [np.eye(n) for n in block_sizes]).values)
     validate(problem)
     return problem
 

@@ -42,7 +42,7 @@ def minimize_column(
     max_evals: int,
 ) -> Tuple[np.ndarray, int, bool]:
     """Minimize from x0 in at most max_evals >= 1 evaluations, with delta > 0
-    (SolverOptions checks both); returns (x, evals, converged).
+    (the caller guarantees both); returns (x, evals, converged).
 
     The returned objective value never exceeds the start value: on budget
     exhaustion or line-search failure the best iterate found is returned,

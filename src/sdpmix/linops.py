@@ -74,13 +74,11 @@ class OperatorCache:
         return cls(out[:-1], out[-1])
 
 
-def apply_operator(problem: SdpProblem, V_blocks) -> np.ndarray:
-    """Constraint values <A_j, V^T V> summed over blocks, no dense X."""
-    return OperatorCache.fresh(problem, V_blocks).values
-
-
 def apply_adjoint(problem: SdpProblem, y: np.ndarray) -> List[np.ndarray]:
-    """sum_j y_j A_j as one dense symmetric matrix per block."""
+    """sum_j y_j A_j as one dense symmetric matrix per block.
+
+    The solver calls combine_rows; this stays only because perfbench's
+    tracer (perfbench/tracer.py) wraps it by name."""
     if len(y) != problem.m:
         raise ValueError(f"dual vector length {len(y)} does not match {problem.m} constraints")
     return combine_rows(problem, np.concatenate([y, problem.kind.zeros(1)]))

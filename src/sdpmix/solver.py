@@ -9,7 +9,9 @@ each block's columns in turn. It then applies the first-order dual
 update and steers the penalty parameter so that the primal residual keeps
 shrinking geometrically: the ratio of the residual norm to mu times the
 per-iteration change of the constraint values is held near 1, increasing
-mu above rat_max and decreasing it below rat_min.
+mu by the factor TAU above RAT_MAX and decreasing it by TAU below RAT_MIN.
+These, the column solve's EPSILON, DELTA and MAX_EVALS and the check gap
+ITERS_Z are fixed module constants; SolverOptions holds the limits and seed.
 
 That iteration is a fixed-point map T of s = (the factor blocks, y), and
 its tail is linear; Anderson accelerates it. After an iteration's tol
@@ -25,9 +27,9 @@ measured on the problem as given, are below tol. That report needs the
 dual slack matrix (a PSD projection), so it is built only once the three
 cheap measures (pinf, gap, compl*) of the scaled iterate are below tol:
 first at the first such iteration, then, while it fails, after gaps of 1,
-2, 4, ... iterations capped at iters_Z, and at every multiple of iters_Z.
+2, 4, ... iterations capped at ITERS_Z, and at every multiple of ITERS_Z.
 A check leaves the iterate untouched, so this stops no later than checking
-at the multiples of iters_Z alone. The solution the passing report is
+at the multiples of ITERS_Z alone. The solution the passing report is
 built on is the one returned. A run stopped by max_iters or time_limit
 builds the report of its last iterate anyway, and is labelled tol when
 that report meets tol.
@@ -74,44 +76,31 @@ def rank_rule(n: int, m_eq: int, m_ineq: int) -> int:
     return min(n, ceil_sqrt(2 * (m_eq + m_ineq)))
 
 
+ITERS_Z = 50  # the longest gap between dual-slack checks (see the module docstring)
+EPSILON = DELTA = 0.01  # a column solve's absolute (before tightening) and relative tolerances
+MAX_EVALS = 1000  # the evaluation budget of one column solve
+TAU = 1.03  # the factor mu moves by
+RAT_MIN, RAT_MAX = 0.8, 1.2  # mu falls below RAT_MIN and rises above RAT_MAX
+
+
 @dataclass(frozen=True)
 class SolverOptions:
+    """The limits of a solve and its seed; the tuning constants above are fixed."""
+
     tol: float = 1e-12
-    mu_start: Optional[float] = None  # default sqrt(max block size)
-    time_limit: Optional[float] = None
+    time_limit: Optional[float] = None  # may be inf: no limit
     max_iters: Optional[int] = None
-    iters_Z: int = 50
-    p: float = 1.0
-    delta: float = 0.01
-    epsilon: float = 0.01
-    max_evals: int = 1000
-    tau: float = 1.03
-    rat_min: float = 0.8
-    rat_max: float = 1.2
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("tol", "mu_start", "p", "tau", "delta", "epsilon"):  # time_limit and rat_max may be inf
-            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.mu_start is not None and not self.mu_start > 0:
-            raise ValueError("mu_start must be positive")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.iters_Z < 1:
-            raise ValueError("iters_Z must be at least 1")
-        if not self.p > 0:
-            raise ValueError("p must be positive")
-        if not self.tau > 1:
-            raise ValueError("tau must exceed 1")
-        if not (0 < self.rat_min < self.rat_max):
-            raise ValueError("need 0 < rat_min < rat_max")
-        if not self.delta > 0 or not self.epsilon > 0 or self.max_evals < 1:
-            raise ValueError("delta/epsilon must be positive and max_evals at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -178,7 +167,8 @@ class Solution:
 
 
 def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
-    """Columns i.i.d. uniform on the unit sphere, zero duals, mu = mu_start."""
+    """Columns i.i.d. uniform on the unit sphere, zero duals, mu = sqrt(the
+    largest block size)."""
     kind = problem.kind
     rng = np.random.default_rng(options.seed)
     V_blocks = []
@@ -191,8 +181,7 @@ def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
             if float(nrm) > 0:
                 V[:, i] = col / nrm
         V_blocks.append(V)
-    mu0 = options.mu_start if options.mu_start is not None else math.sqrt(max(problem.block_sizes))
-    return make_state(problem, V_blocks, kind.zeros(problem.m), mu0)
+    return make_state(problem, V_blocks, kind.zeros(problem.m), math.sqrt(max(problem.block_sizes)))
 
 
 def check_fit(problem: SdpProblem, what: str, tag: str, blocks, y_a, y_b, Z_blocks=()) -> None:
@@ -229,9 +218,9 @@ def check_warm(problem: SdpProblem, warm: WarmStart) -> None:
         raise ValidationError("warm start has nonpositive mu")
 
 
-def update_duals(state: IterateState, problem: SdpProblem, p: float) -> None:
-    """First-order multiplier step; the inequality tail clipped at zero."""
-    y = state.y + (p * state.mu) * state.residual()
+def update_duals(state: IterateState, problem: SdpProblem) -> None:
+    """First-order multiplier step y + mu r; the inequality tail clipped at zero."""
+    y = state.y + state.mu * state.residual()
     y[problem.m_eq :] = np.maximum(y[problem.m_eq :], 0.0)
     state.y = y
 
@@ -253,11 +242,11 @@ def penalty_ratio(state: IterateState, problem: SdpProblem):
     return float(num / den)
 
 
-def update_penalty(state: IterateState, ratio: float, options: SolverOptions) -> None:
-    if ratio > options.rat_max:  # also catches the +inf sentinel
-        state.mu = state.mu * options.tau
-    elif ratio < options.rat_min:
-        state.mu = state.mu / options.tau
+def update_penalty(state: IterateState, ratio: float) -> None:
+    if ratio > RAT_MAX:  # also catches the +inf sentinel
+        state.mu = state.mu * TAU
+    elif ratio < RAT_MIN:
+        state.mu = state.mu / TAU
     # unchanged otherwise
 
 
@@ -453,7 +442,7 @@ def solve(
     # The absolute part of the column stopping rule follows the outer KKT
     # error downward: a fixed floor would freeze all columns once their
     # gradients drop below it and stall the solve at that level, while the
-    # relative part (delta) alone would over-solve the early subproblems.
+    # relative part (DELTA) alone would over-solve the early subproblems.
     err_level = 1.0
     # the next dual-slack check falls due at next_check (see the module docstring)
     next_check, check_gap = 0, 1
@@ -482,14 +471,13 @@ def solve(
             break
         iteration += 1
 
-        eps = options.epsilon * min(1.0, float(err_level))
+        eps = EPSILON * min(1.0, float(err_level))
         for b, i in pairs:
             if out_of_time():
                 status = "time"
                 break
             ctx = ColumnContext(state, b, i)
-            d, evals, converged = minimize_column(ctx.value_and_grad, ctx.start, ctx.hessian,
-                                                  eps, options.delta, options.max_evals)
+            d, evals, converged = minimize_column(ctx.value_and_grad, ctx.start, ctx.hessian, eps, DELTA, MAX_EVALS)
             column_evals += evals
             if ctx.n_eq < len(ctx.sup):
                 hinge_evals += evals + 1
@@ -502,24 +490,24 @@ def solve(
         if not all_finite(state.cache.values) or not all_finite(state.cache.cost_value):
             raise NumericalError(f"nonfinite iterate at outer iteration {iteration} (mu={float(state.mu):.3e})")
 
-        update_duals(state, scaled, options.p)
+        update_duals(state, scaled)
         if not (all_finite(state.y) and all_finite(state.mu)):
             raise NumericalError(f"nonfinite duals at outer iteration {iteration} (mu={float(state.mu):.3e})")
         assert bool(np.all(state.y[m_eq:] >= 0))
         ratio = penalty_ratio(state, scaled)
-        update_penalty(state, ratio, options)
+        update_penalty(state, ratio)
         state.prev_values = state.cache.values.copy()
 
         pinf, gap, compl_star, _ = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y)
         err_level = max(pinf, gap, compl_star)
         zcheck = None
-        if err_level < options.tol and (iteration >= next_check or iteration % options.iters_Z == 0):
+        if err_level < options.tol and (iteration >= next_check or iteration % ITERS_Z == 0):
             solution = unscaled("tol")
             zcheck = float(solution.report.max_error())
             if solution.report.max_error() < options.tol:
                 status = "tol"
             else:
-                next_check, check_gap = iteration + check_gap, min(2 * check_gap, options.iters_Z)
+                next_check, check_gap = iteration + check_gap, min(2 * check_gap, ITERS_Z)
         if status is None:
             err_level = anderson.after_iteration(state, err_level)
         if progress is not None:

@@ -11,8 +11,9 @@ import numpy as np
 from sdpmix.auglag import ColumnContext
 from sdpmix.ddouble import dot, to_float_array
 from sdpmix.errors import NumericalError
-from sdpmix.linops import _slot_matrix, apply_adjoint, column_deltas, commit_column
-from sdpmix.problem import SdpProblem
+from sdpmix.linops import OperatorCache, _slot_matrix, apply_adjoint, column_deltas, commit_column
+from sdpmix.problem import SdpProblem, scale
+from sdpmix.solver import SolverOptions, WarmStart, init_state
 
 
 def build_problem(block_sizes, costs, constraints, rhs, ineq_start):
@@ -23,6 +24,14 @@ def build_problem(block_sizes, costs, constraints, rhs, ineq_start):
     lines = [(m, b, r, c, v) for b, ents in enumerate(costs) for r, c, v in ents]
     lines += [(j, b, r, c, v) for j, con in enumerate(constraints) for b, ents in dict(con).items() for r, c, v in ents]
     return SdpProblem.from_entries(block_sizes, rhs, ineq_start, *(zip(*lines) if lines else ([],) * 5))
+
+
+def start_at_mu(problem, mu):
+    """The start of a solve of `problem` at the default seed, as a warm
+    start in its scaled space, with the penalty mu in place of the default."""
+    scaled = scale(problem)[0]
+    start = init_state(scaled, SolverOptions())
+    return WarmStart(start.V_blocks, np.zeros(scaled.m_eq), np.zeros(scaled.m_ineq), mu)
 
 
 def dense_row(problem, j, b):
@@ -264,6 +273,12 @@ def column_objective_grad(state, block, i, v_trial):
     ctx = ColumnContext(state, block, i)
     increment, grad = ctx.value_and_grad(to_float_array(v_trial - ctx.v_start))
     return eval_auglag(state) + increment, grad
+
+
+def apply_operator(problem, V_blocks):
+    """Constraint values <A_j, V^T V> summed over blocks, from a fresh
+    operator cache (no dense X)."""
+    return OperatorCache.fresh(problem, V_blocks).values
 
 
 def incremental_operator_values(cache, slices, V_blocks, block, i, v_start, v_trial):

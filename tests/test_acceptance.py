@@ -15,12 +15,12 @@ from sdpmix.auglag import make_state
 from sdpmix.ddouble import norm2
 from sdpmix.formats import parse_native, read_solution, write_native, write_solution
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
-from sdpmix.linops import ColumnSlices, OperatorCache, apply_operator
+from sdpmix.linops import ColumnSlices, OperatorCache
 from sdpmix.precision import solve_two_stage
 from sdpmix.problem import row_norms_sq, scale
 from sdpmix.solver import SolverOptions, WarmStart, compute_errors, rank_rule, solve, update_duals, update_penalty
 
-from helpers import column_objective_grad, commit_move, incremental_operator_values, random_problem
+from helpers import apply_operator, column_objective_grad, commit_move, incremental_operator_values, random_problem
 from test_auglag import random_state, stagnation_fixture
 from test_instances import maxcut_enumeration_oracle
 from test_perfbench_hooks import load_perfbench_module
@@ -36,9 +36,9 @@ def finish(num: int, desc: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num}: {desc} {detail}"
 
 
-def _solve_reported(inst, tol, max_iters=30000, iters_Z=10):
+def _solve_reported(inst, tol, max_iters=30000):
     t0 = time.perf_counter()
-    sol, _ = solve(inst.problem, SolverOptions(tol=tol, max_iters=max_iters, iters_Z=iters_Z))
+    sol, _ = solve(inst.problem, SolverOptions(tol=tol, max_iters=max_iters))
     dt = time.perf_counter() - t0
     return inst.reported_objective(sol.objective), sol, dt
 
@@ -132,7 +132,7 @@ def test_criterion_03_random_sdps():
     for name, blocks, m, dens in (("rand_30_20_1.0", (30,), 20, 1.0), ("rand_2x20_15_0.5", (20, 20), 15, 0.5)):
         p = gen_random_sdp(blocks, m, dens, seed=0)
         t0 = time.perf_counter()
-        sol, _ = solve(p, SolverOptions(tol=1e-10, max_iters=100000, iters_Z=50))
+        sol, _ = solve(p, SolverOptions(tol=1e-10, max_iters=100000))
         dt = time.perf_counter() - t0
         rep = sol.report.as_dict()
         four = [rep["pinf"], rep["gap"], rep["dinf"], rep["compl"]]
@@ -225,11 +225,10 @@ def test_criterion_07_penalty_and_dual_rules():
     p = random_problem(2, block_sizes=(3,), m_eq=2, m_ineq=0)
     rng = np.random.default_rng(5)
     st = make_state(p, [rng.standard_normal((2, 3))], np.zeros(2), 1.0)
-    opts = SolverOptions()
     branch_ok = True
     for ratio, factor in ((1.2000000001, 1.03), (1.2, 1.0), (1.0, 1.0), (0.8, 1.0), (0.7999999999, 1 / 1.03), (math.inf, 1.03)):
         st.mu = 1.0
-        update_penalty(st, ratio, opts)
+        update_penalty(st, ratio)
         branch_ok = branch_ok and abs(float(st.mu) - factor) < 1e-15
 
     fuzz = random_problem(7, block_sizes=(4,), m_eq=2, m_ineq=5)
@@ -239,7 +238,7 @@ def test_criterion_07_penalty_and_dual_rules():
         stf.y[2:] = np.abs(rng.standard_normal(5)) * rng.choice([0.0, 1.0], size=5)
         stf.cache.values = rng.standard_normal(fuzz.m) * 3
         stf.mu = rng.uniform(0.05, 20.0)
-        update_duals(stf, fuzz, rng.uniform(0.1, 2.0))
+        update_duals(stf, fuzz)
         nonneg = nonneg and bool(np.all(stf.y[2:] >= 0))
     ok = branch_ok and nonneg
     finish(7, "penalty branches fire exactly at 0.8/1.2 with tau 1.03; y_b >= 0 in 1000-step fuzz", ok)
@@ -269,7 +268,7 @@ def test_criterion_08_scaling_suite(tmp_path):
     p = gen_random_sdp((6,), 5, 1.0, seed=3)
     prob_path, sol_path = tmp_path / "p.sdp", tmp_path / "p.sol"
     write_native(p, prob_path)
-    sol, _ = solve(parse_native(prob_path), SolverOptions(tol=1e-10, max_iters=20000, iters_Z=10))
+    sol, _ = solve(parse_native(prob_path), SolverOptions(tol=1e-10, max_iters=20000))
     write_solution(sol, sol_path)
     back = read_solution(sol_path)
     rep, _, _ = compute_errors(parse_native(prob_path), back.X, back.y)
@@ -284,7 +283,7 @@ def test_criterion_08_scaling_suite(tmp_path):
 def test_criterion_09_extended_precision(tmp_path):
     p = gen_random_sdp((10,), 10, 1.0, seed=42)
     t0 = time.perf_counter()
-    sol, _ = solve_two_stage(p, SolverOptions(tol=1e-20, max_iters=100000, iters_Z=20))
+    sol, _ = solve_two_stage(p, SolverOptions(tol=1e-20, max_iters=100000))
     dt = time.perf_counter() - t0
     rep = sol.report.as_dict()
     four = [rep["pinf"], rep["gap"], rep["dinf"], rep["compl"]]

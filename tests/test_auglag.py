@@ -9,10 +9,11 @@ import pytest
 from sdpmix.auglag import ColumnContext, make_state, refresh_cache
 from sdpmix.ddouble import DOUBLE_DOUBLE, DDArray, to_float_array
 from sdpmix.instances import Graph, maxcut_relaxation
-from sdpmix.linops import OperatorCache, apply_operator, column_deltas, commit_column
+from sdpmix.linops import OperatorCache, column_deltas, commit_column
 from sdpmix.problem import as_kind
 
 from helpers import (
+    apply_operator,
     build_problem,
     column_objective_grad,
     commit_move,

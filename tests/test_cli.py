@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdpmix.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, _options_from, build_parser, main
-from sdpmix.formats import parse_native, read_solution, read_warmstart, write_native, write_solution
+from sdpmix.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, build_parser, main
+from sdpmix.formats import parse_native, read_solution, read_warmstart, write_native, write_solution, write_warmstart
 
 from sdpmix.instances import gen_random_sdp
 from sdpmix.solver import SolverOptions, solve
 
-from helpers import dense_adjoint_oracle, dense_cost
+from helpers import dense_adjoint_oracle, dense_cost, start_at_mu
 
 
 K3 = "3 3\n1 2\n1 3\n2 3\n"
@@ -68,7 +68,7 @@ def test_solve_toy_exit_ok(tmp_path, capsys):
     prob = tmp_path / "toy.sdp"
     prob.write_text(TOY)
     out = tmp_path / "toy.sol"
-    code = main(["solve", str(prob), "-o", str(out), "--tol", "1e-10", "--iters-z", "5", "--max-iters", "500"])
+    code = main(["solve", str(prob), "-o", str(out), "--tol", "1e-10", "--max-iters", "500"])
     assert code == EXIT_OK
     stdout = capsys.readouterr().out
     assert "status tol" in stdout
@@ -107,7 +107,7 @@ TOY3 = """\
 """
 
 
-@pytest.mark.parametrize("flag", ["tol", "mu-start", "p", "tau", "delta", "epsilon"])
+@pytest.mark.parametrize("flag", ["tol"])
 def test_solve_infinite_option_exit_1(tmp_path, capsys, flag):
     prob = tmp_path / "toy.sdp"
     prob.write_text(TOY)
@@ -116,16 +116,18 @@ def test_solve_infinite_option_exit_1(tmp_path, capsys, flag):
 
 
 def test_solve_overflowing_penalty_aborts_without_traceback(tmp_path, capsys):
-    # mu near the binary64 range overflows the column Hessians to inf, on
-    # which LAPACK's eigensolver fails; the column moves are abandoned and
-    # the nonfinite duals stop the solve. The solver checks finiteness
-    # itself, so numpy's overflow warnings stay off stderr
-    prob, out = tmp_path / "r.sdp", tmp_path / "r.sol"
+    # the solve's own start but at mu = 1e308, near the binary64 range,
+    # overflows the column Hessians to inf, on which LAPACK's eigensolver
+    # fails; the column moves are abandoned and the nonfinite duals stop the
+    # solve. The solver checks finiteness itself, so numpy's overflow
+    # warnings stay off stderr
+    prob, out, ws = tmp_path / "r.sdp", tmp_path / "r.sol", tmp_path / "r.ws"
     assert main(["generate", "rand", "--blocks", "5", "--m", "3", "--seed", "1", "-o", str(prob)]) == EXIT_OK
     capsys.readouterr()
+    write_warmstart(start_at_mu(parse_native(prob), 1e308), ws)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["solve", str(prob), "-o", str(out), "--mu-start", "1e308", "--max-iters", "200"])
+        code = main(["solve", str(prob), "-o", str(out), "--warm-start", str(ws), "--max-iters", "200"])
     assert code == EXIT_LIMIT
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert re.fullmatch(r"solver aborted: nonfinite duals at outer iteration 2 \(mu=[^\n]*\)\n", capsys.readouterr().err)
@@ -148,7 +150,7 @@ def test_solve_saves_and_resumes_warm_start(tmp_path):
     warm = read_warmstart(ws)
     assert warm.V_blocks[0].shape == (2, 2)
     code = main(["solve", str(prob), "-o", str(tmp_path / "b.sol"), "--tol", "1e-10",
-                 "--iters-z", "5", "--max-iters", "500", "--warm-start", str(ws)])
+                 "--max-iters", "500", "--warm-start", str(ws)])
     assert code == EXIT_OK
 
 
@@ -156,7 +158,7 @@ def test_dd_solve_saves_and_resumes_warm_start(tmp_path, capsys):
     prob = tmp_path / "toy.sdp"
     prob.write_text(TOY)
     ws = tmp_path / "toy.ws"
-    flags = ["--precision", "dd", "--tol", "1e-14", "--iters-z", "5", "--max-iters", "500"]
+    flags = ["--precision", "dd", "--tol", "1e-14", "--max-iters", "500"]
     code = main(["solve", str(prob), "-o", str(tmp_path / "a.sol"), *flags, "--save-warm-start", str(ws)])
     assert code == EXIT_OK
     assert read_warmstart(ws).kind.name == "dd"
@@ -324,7 +326,7 @@ def test_check_reproduces_solver_errors(tmp_path, capsys):
     prob = tmp_path / "p.sdp"
     write_native(gen_random_sdp((4,), 3, 1.0, seed=5), prob)
     out = tmp_path / "p.sol"
-    code = main(["solve", str(prob), "-o", str(out), "--tol", "1e-9", "--iters-z", "5", "--max-iters", "8000"])
+    code = main(["solve", str(prob), "-o", str(out), "--tol", "1e-9", "--max-iters", "8000"])
     assert code == EXIT_OK
     solve_out = capsys.readouterr().out
     reported = {}
@@ -345,7 +347,7 @@ def test_check_without_stored_z(tmp_path, capsys):
     prob = tmp_path / "p.sdp"
     write_native(gen_random_sdp((3,), 3, 1.0, seed=6), prob)
     out = tmp_path / "p.sol"
-    main(["solve", str(prob), "-o", str(out), "--tol", "1e-9", "--iters-z", "5",
+    main(["solve", str(prob), "-o", str(out), "--tol", "1e-9",
           "--max-iters", "8000", "--no-z"])
     capsys.readouterr()
     code = main(["check", str(prob), str(out), "--threshold", "1e-6"])
@@ -366,7 +368,7 @@ def test_check_passes_a_tol_solution_at_its_tol(tmp_path, capsys):
     prob = tmp_path / "r.sdp"
     out = tmp_path / "r.sol"
     assert main(["generate", "rand", "--blocks", "12", "--m", "8", "--seed", "1", "-o", str(prob)]) == EXIT_OK
-    assert main(["solve", str(prob), "-o", str(out), "--tol", "1e-10", "--iters-z", "10"]) == EXIT_OK
+    assert main(["solve", str(prob), "-o", str(out), "--tol", "1e-10"]) == EXIT_OK
     assert "status tol" in capsys.readouterr().out
     assert main(["check", str(prob), str(out), "--threshold", "1e-10"]) == EXIT_OK
 
@@ -375,7 +377,7 @@ def test_check_perturbed_duals_show_dinf(tmp_path, capsys):
     prob = tmp_path / "p.sdp"
     write_native(gen_random_sdp((3,), 2, 1.0, seed=8), prob)
     out = tmp_path / "p.sol"
-    main(["solve", str(prob), "-o", str(out), "--tol", "1e-9", "--iters-z", "5", "--max-iters", "8000"])
+    main(["solve", str(prob), "-o", str(out), "--tol", "1e-9", "--max-iters", "8000"])
     capsys.readouterr()
     # perturb a dual in the solution file
     text = out.read_text().splitlines()
@@ -480,14 +482,13 @@ def test_check_shape_mismatch_exit_1(tmp_path, capsys):
 
 
 def test_solver_flags_cover_every_option_field():
+    names = [f.name for f in dataclasses.fields(SolverOptions)]
     args = build_parser().parse_args(["solve", "x.sdp"])
-    for f in dataclasses.fields(SolverOptions):
-        assert getattr(args, f.name) == f.default, f.name
-    assert _options_from(args) == SolverOptions()
-    args = build_parser().parse_args(["solve", "x.sdp", "--iters-z", "7", "--tau", "1.05", "--seed", "3",
-                                      "--max-iters", "9", "--mu-start", "0.5", "--rat-max", "1.5"])
-    assert _options_from(args) == SolverOptions(iters_Z=7, tau=1.05, seed=3, max_iters=9,
-                                                mu_start=0.5, rat_max=1.5)
+    assert SolverOptions(**{name: getattr(args, name) for name in names}) == SolverOptions()
+    args = build_parser().parse_args(["solve", "x.sdp", "--tol", "1e-9", "--time-limit", "2.5", "--max-iters", "9",
+                                      "--seed", "3"])
+    got = SolverOptions(**{name: getattr(args, name) for name in names})
+    assert got == SolverOptions(tol=1e-9, time_limit=2.5, max_iters=9, seed=3)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -495,6 +496,10 @@ def test_solver_flags_cover_every_option_field():
     (["solve", "x.sdp", "--shuffling"], "unrecognized arguments: --shuffling"),
     ([], "the following arguments are required: command"),
     (["solve", "x.sdp", "--no-scaling"], "unrecognized arguments: --no-scaling"),
+    # the tuning constants are fixed in the solver module, not flags
+    *[(["solve", "x.sdp", flag, "1"], f"unrecognized arguments: {flag} 1")
+      for flag in ("--mu-start", "--iters-z", "--p", "--delta", "--epsilon", "--max-evals", "--tau", "--rat-min",
+                   "--rat-max")],
 ])
 def test_usage_error_exit_1(capsys, argv, message):
     # argparse exits 2 by default, which the exit contract gives to a stopped solve

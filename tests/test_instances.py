@@ -11,11 +11,10 @@ from sdpmix import cli
 from sdpmix.errors import ValidationError
 from sdpmix.formats import parse_native, write_native
 from sdpmix.instances import GeneratedInstance, Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
-from sdpmix.linops import apply_operator
 from sdpmix.problem import validate
 from sdpmix.solver import SolverOptions, solve
 
-from helpers import problem_equals
+from helpers import apply_operator, problem_equals
 
 
 def maxcut_enumeration_oracle(graph: Graph) -> float:
@@ -106,7 +105,7 @@ def test_maxcut_k3_basic_value_against_grid_oracle():
     grid_best = maxcut_k3_grid_oracle()
     assert grid_best == pytest.approx(9 / 4, abs=2e-2)
     inst = maxcut_relaxation(Graph.complete(3))
-    sol, _ = solve(inst.problem, SolverOptions(tol=1e-11, max_iters=5000, iters_Z=10))
+    sol, _ = solve(inst.problem, SolverOptions(tol=1e-11, max_iters=5000))
     assert sol.status == "tol"
     assert inst.reported_objective(sol.objective) == pytest.approx(9 / 4, abs=1e-8)
 
@@ -115,7 +114,7 @@ def test_maxcut_k3_triangles_reaches_exact_cut():
     want = maxcut_enumeration_oracle(Graph.complete(3))
     assert want == 2.0
     inst = maxcut_relaxation(Graph.complete(3), with_triangles=True)
-    sol, _ = solve(inst.problem, SolverOptions(tol=1e-11, max_iters=8000, iters_Z=10))
+    sol, _ = solve(inst.problem, SolverOptions(tol=1e-11, max_iters=8000))
     assert sol.status == "tol"
     assert inst.reported_objective(sol.objective) == pytest.approx(2.0, abs=1e-8)
 
@@ -125,7 +124,7 @@ def test_maxcut_weighted_path_triangles_matches_enumeration():
     want = maxcut_enumeration_oracle(g)  # tree: all edges cut
     assert want == 6.0
     inst = maxcut_relaxation(g, with_triangles=True)
-    sol, _ = solve(inst.problem, SolverOptions(tol=1e-10, max_iters=8000, iters_Z=10))
+    sol, _ = solve(inst.problem, SolverOptions(tol=1e-10, max_iters=8000))
     assert sol.status == "tol"
     assert inst.reported_objective(sol.objective) == pytest.approx(6.0, abs=1e-7)
 
@@ -147,21 +146,21 @@ def test_theta_counts_random_graphs():
 
 def test_theta_complete_graph_is_one():
     inst = theta_relaxation(Graph.complete(5))
-    sol, _ = solve(inst.problem, SolverOptions(tol=1e-11, max_iters=5000, iters_Z=10))
+    sol, _ = solve(inst.problem, SolverOptions(tol=1e-11, max_iters=5000))
     assert sol.status == "tol"
     assert inst.reported_objective(sol.objective) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_theta_empty_graph_is_n():
     inst = theta_relaxation(Graph.empty(5))
-    sol, _ = solve(inst.problem, SolverOptions(tol=1e-10, max_iters=5000, iters_Z=10))
+    sol, _ = solve(inst.problem, SolverOptions(tol=1e-10, max_iters=5000))
     assert sol.status == "tol"
     assert inst.reported_objective(sol.objective) == pytest.approx(5.0, abs=1e-8)
 
 
 def test_theta_c5_is_sqrt5():
     inst = theta_relaxation(Graph.cycle(5))
-    sol, _ = solve(inst.problem, SolverOptions(tol=1e-10, max_iters=8000, iters_Z=10))
+    sol, _ = solve(inst.problem, SolverOptions(tol=1e-10, max_iters=8000))
     assert sol.status == "tol"
     assert inst.reported_objective(sol.objective) == pytest.approx(math.sqrt(5), abs=1e-7)
 

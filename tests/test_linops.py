@@ -13,13 +13,13 @@ from sdpmix.linops import (
     OperatorCache,
     OperatorTables,
     apply_adjoint,
-    apply_operator,
     column_deltas,
     project_psd,
 )
 from sdpmix.problem import as_kind, scale
 
 from helpers import (
+    apply_operator,
     build_problem,
     commit_move,
     dense_adjoint_oracle,

@@ -44,7 +44,7 @@ def test_promote_identity_and_narrowing():
 
 def test_two_stage_target_already_met_is_single_stage():
     p = gen_rand(6, 4, 1.0, 3)
-    sol, _ = solve_two_stage(p, SolverOptions(tol=1e-6, max_iters=20000, iters_Z=10))
+    sol, _ = solve_two_stage(p, SolverOptions(tol=1e-6, max_iters=20000))
     assert sol.status == "tol"
     assert sol.X[0].dtype == np.float64  # stage 2 never ran
 
@@ -85,7 +85,7 @@ def test_two_stage_linear_tail_is_accelerated():
 
 def test_two_stage_reaches_extended_accuracy():
     p = gen_rand(6, 5, 1.0, 21)
-    sol, warm = solve_two_stage(p, SolverOptions(tol=1e-20, max_iters=20000, iters_Z=20))
+    sol, warm = solve_two_stage(p, SolverOptions(tol=1e-20, max_iters=20000))
     assert sol.status == "tol"
     assert isinstance(sol.X[0], DDArray)  # refined stage output
     assert warm.kind is DOUBLE_DOUBLE

@@ -52,8 +52,10 @@ def rungs():
         "theta_prime_C5": (1e-8, False, None, lambda: theta_relaxation(Graph.cycle(5), strengthened=True).problem),
         "maxcut_G16_triangles": (1e-8, False, None, maxcut(16)),
         "maxcut_G24_triangles": (1e-8, False, None, maxcut(24)),
+        "maxcut_G40_triangles": (1e-8, False, None, maxcut(40)),
         "dd_refine": (1e-20, True, None, rand((10,), 10, 1.0, 42)),
         "order1_10+200_s3": (1e-8, False, 40.0, rand((10,) + (1,) * 200, 20, 0.5, 3)),
+        "lp_60_15_s2": (1e-8, False, 30.0, rand((1,) * 60, 15, 0.5, 2)),
         "tail_rand_10_10_s1": (1e-20, True, None, rand((10,), 10, 1.0, 1)),
         "tail_rand_10_10_s2": (1e-20, True, None, rand((10,), 10, 1.0, 2)),
         "tail_rand_2x8_6_s3": (1e-20, True, None, rand((8, 8), 6, 1.0, 3)),
