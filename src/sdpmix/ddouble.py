@@ -30,13 +30,15 @@ factor in chunks, so it never holds all of its products at once.
 The kernels are written once for both kinds: DDArray implements the numpy
 operators, ufuncs and functions they use (arithmetic, sqrt, ldexp, abs,
 comparisons, where, maximum, concatenate, diag, sum, indexing and index
-assignment), and argsort, array_equal and append for the tests and the
-benchmark's tracer. Indexing one element or reducing to a scalar gives a
-0-d DDArray. The boundary to everything else is np.asarray(dd_array), an
-object array of Words records holding the exact words: any numpy function
-not listed sees that array, and DOUBLE_DOUBLE.asarray and to_float_array
-accept it back. Binary64 arrays stay plain float64 ndarrays and never pass
-through this module's double-double code.
+assignment). Indexing one element or reducing to a scalar gives a 0-d
+DDArray. Any other numpy function raises TypeError naming DDArray, and an
+object array is no operand. Three more pieces of numpy boundary stay:
+- np.asarray(dd_array), an object array of Words with the exact words that
+  to_float_array rounds back, is how perfbench's worker reads a solution;
+- np.asarray(dd_array, dtype=float) rounds to binary64, for float readers;
+- np.append joins double-double arrays for perfbench's drift hook.
+Binary64 arrays stay plain float64 ndarrays and never pass through this
+module's double-double code.
 """
 
 from __future__ import annotations
@@ -195,14 +197,12 @@ def _matmul_chunk(ah, al, bh, bl):
 
 def _words(x):
     """(hi, lo) of a double-double or binary64 operand; lo is None for
-    binary64. None for anything else."""
+    binary64. None for anything else, an object array included."""
     if isinstance(x, DDArray):
         return x.hi, x.lo
     if isinstance(x, (float, int, np.floating, np.integer)):
         return float(x), None
-    if isinstance(x, np.ndarray):
-        if x.dtype == object:
-            return _object_words(x)
+    if isinstance(x, np.ndarray) and x.dtype != object:
         return x.astype(np.float64, copy=False), None
     return None
 
@@ -417,20 +417,7 @@ class DDArray:
 
     def __array_function__(self, func, types, args, kwargs):
         impl = _FUNCTIONS.get(func)
-        if impl is not None:
-            return impl(*args, **kwargs)
-        return func(*_objects(args), **_objects(kwargs))
-
-
-def _objects(x):
-    """x with every DDArray in it replaced by its object array."""
-    if isinstance(x, DDArray):
-        return np.asarray(x)
-    if isinstance(x, (list, tuple)):
-        return type(x)(map(_objects, x))
-    if isinstance(x, dict):
-        return {k: _objects(v) for k, v in x.items()}
-    return x
+        return NotImplemented if impl is None else impl(*args, **kwargs)
 
 
 def _full_words(x):
@@ -471,17 +458,6 @@ def _sum(a, axis=None):
     return a.sum(axis)
 
 
-def _argsort(a, kind=None):
-    if a.ndim != 1:
-        raise ValueError("argsort of a DDArray needs a 1-d array")
-    return np.lexsort((a.lo, a.hi))
-
-
-def _array_equal(a1, a2):
-    (h1, l1), (h2, l2) = _full_words(a1), _full_words(a2)
-    return bool(np.array_equal(h1, h2) and np.array_equal(l1, l2))
-
-
 _UFUNCS = {
     np.add: DDArray.__add__,
     np.subtract: DDArray.__sub__,
@@ -507,8 +483,6 @@ _FUNCTIONS = {
     np.append: _append,
     np.diag: _diag,
     np.sum: _sum,
-    np.argsort: _argsort,
-    np.array_equal: _array_equal,
 }
 
 
@@ -531,7 +505,8 @@ class ScalarKind:
         return x if isinstance(x, DDArray) else DDArray(np.float64(x), np.float64(0.0))
 
     def asarray(self, values):
-        """Copy `values` into a new array of this kind (exact promotion)."""
+        """Copy `values`, a DDArray or binary64 data (lists of floats
+        included), into a new array of this kind (exact promotion)."""
         if not self.is_extended:
             return np.array(to_float_array(values), dtype=np.float64)
         hi, lo = _full_words(values)
@@ -559,8 +534,6 @@ def kind_by_name(name: str) -> ScalarKind:
 def kind_of(arr) -> ScalarKind:
     """Infer the kind of an array (or scalar)."""
     if isinstance(arr, DDArray):
-        return DOUBLE_DOUBLE
-    if isinstance(arr, np.ndarray) and arr.dtype == object:
         return DOUBLE_DOUBLE
     return DOUBLE
 

@@ -100,22 +100,18 @@ def gen_random_sdp(block_sizes: Sequence[int], m: int, density: float, seed: int
     block_sizes = tuple(int(n) for n in block_sizes)
     rng = np.random.default_rng(seed)
 
+    positions = [(b, r, c) for b, n in enumerate(block_sizes) for r in range(n) for c in range(r, n)]
+
     def random_sym(j: int):
         """Entries (j, block, row, col, value) of one random matrix per block;
         each upper-triangle position is kept with probability density."""
-        return [(j, b, r, c, rng.uniform(-1.0, 1.0))
-                for b, n in enumerate(block_sizes)
-                for r in range(n)
-                for c in range(r, n)
-                if rng.random() < density]
+        return [(j, *at, rng.uniform(-1.0, 1.0)) for at in positions if rng.random() < density]
 
     entries = random_sym(m)  # the cost
     entries += [(0, b, i, i, 1.0) for b, n in enumerate(block_sizes) for i in range(n)]
     for j in range(1, m):
-        drawn = random_sym(j)
-        while not drawn:
-            drawn = random_sym(j)
-        entries += drawn
+        # a constraint drawn empty gets one entry at a uniformly drawn position
+        entries += random_sym(j) or [(j, *positions[rng.integers(len(positions))], rng.uniform(-1.0, 1.0))]
 
     shell = SdpProblem.from_entries(block_sizes, np.zeros(m), m + 1, *zip(*entries))
     problem = replace(shell, rhs=OperatorCache.fresh(shell, [np.eye(n) for n in block_sizes]).values)

@@ -9,11 +9,24 @@ from dataclasses import replace
 import numpy as np
 
 from sdpmix.auglag import ColumnContext
-from sdpmix.ddouble import dot, to_float_array
+from sdpmix.ddouble import DDArray, dot, to_float_array
 from sdpmix.errors import NumericalError
 from sdpmix.linops import OperatorCache, _slot_matrix, apply_adjoint, column_deltas, commit_column
 from sdpmix.problem import SdpProblem, scale
 from sdpmix.solver import SolverOptions, WarmStart, init_state
+
+
+def words_equal(a, b) -> bool:
+    """Whether a and b, arrays or scalars of either kind, have the same
+    shape and the same words bit for bit (a binary64 value's low word is 0)."""
+    def words(x):
+        if isinstance(x, DDArray):
+            return x.hi, x.lo
+        hi = np.asarray(x, dtype=np.float64)
+        return hi, np.zeros_like(hi)
+
+    (ah, al), (bh, bl) = words(a), words(b)
+    return bool(np.array_equal(ah, bh) and np.array_equal(al, bl))
 
 
 def build_problem(block_sizes, costs, constraints, rhs, ineq_start):
@@ -57,7 +70,7 @@ def problem_equals(p, q):
     """Same block sizes, ineq_start, right-hand side and entry tables, value for value."""
     if p.block_sizes != q.block_sizes or p.ineq_start != q.ineq_start or p.m != q.m:
         return False
-    if not np.array_equal(p.rhs, q.rhs):
+    if not words_equal(p.rhs, q.rhs):
         return False
     return all(
         len(a) == len(b) and bool(np.all(a == b))

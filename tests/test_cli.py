@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import re
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from sdpmix.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, build_parser, main
-from sdpmix.formats import parse_native, read_solution, read_warmstart, write_native, write_solution, write_warmstart
+from sdpmix.formats import parse_native, parse_problem, read_solution, read_warmstart, write_native, write_solution, write_warmstart
 
 from sdpmix.instances import gen_random_sdp
 from sdpmix.solver import SolverOptions, solve
@@ -229,6 +230,18 @@ def test_generate_rand_counts(tmp_path, capsys):
     assert "m_a 5 m_b 0" in capsys.readouterr().out
     p = parse_native(out)
     assert p.block_sizes == (8,) and p.m_eq == 5 and p.m_ineq == 0
+
+
+def test_generate_rand_at_a_tiny_density_ends(tmp_path, capsys):
+    # a constraint drawn empty gets one entry in place of a redraw, which at
+    # density 1e-9 would take about 1e9 draws
+    out = tmp_path / "tiny.sdp"
+    start = time.perf_counter()
+    code = main(["generate", "rand", "--blocks", "1", "--m", "2", "--density", "1e-9", "-o", str(out)])
+    assert code == EXIT_OK and time.perf_counter() - start < 1.0
+    p = parse_problem(out)
+    assert p.block_sizes == (1,) and p.m_eq == 2
+    assert len(p.entries[0][0]) == 2 and set(p.entries[0][0].tolist()) == {0, 1}  # A_1 = I and one entry of A_2
 
 
 def test_generate_rand_multiblock_spec(tmp_path, capsys):

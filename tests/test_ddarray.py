@@ -1,9 +1,11 @@
-"""DDArray, the struct-of-arrays double-double, against 60-digit mpmath.
+"""DDArray, the struct-of-arrays double-double, against 60-digit mpmath,
+and the scalar-kind helpers.
 
 Field operations must stay within 2**-99 (1 + |want|) of the exact result
-of their exact operands, and an addition that cancels within 2**-104 of
-its result; reductions of N terms within N 2**-104 times the sum of the
-terms' magnitudes. Operands carry nonzero low words.
+of their exact operands, sqrt within 2**-100 (1 + |want|), and an addition
+that cancels within 2**-104 of its result; reductions of N terms within
+N 2**-104 times the sum of the terms' magnitudes. Operands carry nonzero
+low words.
 """
 
 import math
@@ -15,7 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpmix import ddouble
-from sdpmix.ddouble import DOUBLE_DOUBLE, DDArray, Words, dot, segment_sum, to_float_array
+from sdpmix.ddouble import (
+    DOUBLE,
+    DOUBLE_DOUBLE,
+    DDArray,
+    Words,
+    all_finite,
+    dot,
+    kind_by_name,
+    kind_of,
+    norm2,
+    norm_inf,
+    segment_sum,
+    to_float_array,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 FIELD = mpmath.mpf(2) ** -99
@@ -128,6 +143,50 @@ def test_scalar_field_ops_match_mpmath(a, b, c):
             assert_scalar(got)
             assert_normalized(got)
             assert abs(mp(got) - want) <= FIELD * (1 + abs(want))
+
+
+def test_sqrt_matches_mpmath():
+    rng = np.random.default_rng(3)
+    with mpmath.workdps(60):
+        for _ in range(200):
+            a = scalar(abs(rng.normal()) + 1e-6, rng.normal() * 1e-20)
+            want = mpmath.sqrt(mp(a))
+            got = np.sqrt(a)
+            assert_scalar(got)
+            err = abs(mp(got) - want)
+            assert err <= mpmath.mpf(2) ** -100 * (1 + abs(want))
+    assert float(np.sqrt(scalar(0.0))) == 0.0
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert math.isnan(float(np.sqrt(scalar(-1.0))))  # as numpy's sqrt of a negative array element
+
+
+def test_exact_tail_addition():
+    tiny = 2.0**-80
+    x = (DOUBLE_DOUBLE.scalar(1.0) + tiny) - 1.0
+    assert_scalar(x)
+    assert x.hi == tiny and x.lo == 0.0
+
+
+def test_promotion_roundtrip_exact():
+    for v in [0.0, 1.0, -3.75, 1e300, 5e-324, math.pi]:
+        x = DOUBLE_DOUBLE.scalar(v)
+        assert_scalar(x)
+        assert float(x) == v and DOUBLE_DOUBLE.scalar(x) is x and DOUBLE.scalar(x) == v
+
+
+def test_ordering_uses_low_word():
+    a = scalar(1.0, 1e-20)
+    b = scalar(1.0, -1e-20)
+    assert b < a and a > b and a != b and a >= b and not (a <= b)
+    assert scalar(2.0) > 1.5 and scalar(2.0) < 3
+    assert max([b, a, scalar(-1.0)]) is a
+
+
+def test_mixed_scalar_ops():
+    a = scalar(2.0)
+    for got, want in [(1 + a, 3.0), (1.5 * a, 3.0), (1.0 - a, -1.0), (6.0 / a, 3.0), (sum([a, a]), 4.0)]:
+        assert_scalar(got)
+        assert float(got) == want
 
 
 @SETTINGS
@@ -300,7 +359,6 @@ def test_compare_where_maximum_and_indexing():
     top = np.maximum(x, 0.0)
     assert top[1].lo == -(2.0**-60) and top[2].hi == 0.0
     assert np.where(x > 0, x, one)[3].hi == 1.0
-    assert np.argsort(x, kind="stable").tolist() == [2, 3, 1, 0]
     assert np.maximum.reduce(x, axis=None).lo == 2.0**-60
     y = x.copy()
     y[1:3] = np.array([5.0, 6.0])
@@ -332,18 +390,22 @@ def test_object_array_boundary_is_exact():
     assert all(isinstance(v, Words) for v in objects.ravel())
     with pytest.raises(TypeError):
         objects - objects  # the words records carry no arithmetic
-    back = DOUBLE_DOUBLE.asarray(objects)
-    assert np.array_equal(back.hi, x.hi) and np.array_equal(back.lo, x.lo)
     assert np.array_equal(to_float_array(objects), to_float_array(x))
     assert np.asarray(x, dtype=float).dtype == np.float64
-    # a numpy function DDArray does not implement sees the object array
-    flipped = np.flip(x, axis=1)
-    assert flipped.dtype == object and flipped[0, 0].lo == 2.0**-60
-    assert np.array_equal(DOUBLE_DOUBLE.asarray(flipped).lo, x.lo[:, ::-1])
     assert np.asarray(x[0, 1])[()] == Words(-3.0, 2.0**-60)
     # numpy keeps the 0-d DDArrays of a list in its object array
-    scalars = DOUBLE_DOUBLE.asarray([x[0, 1], x[0, 0]])
-    assert scalars.hi.tolist() == [-3.0, 1.0] and scalars.lo.tolist() == [2.0**-60, 2.0**-70]
+    scalars = np.asarray([x[0, 1], x[0, 0]])
+    assert scalars.dtype == object and to_float_array(scalars).tolist() == [-3.0, 1.0]
+    # the object array goes one way: it is no operand and no kind's input
+    assert kind_of(objects) is DOUBLE
+    for refused in (lambda: x + objects, lambda: objects * x, lambda: DOUBLE_DOUBLE.asarray(objects),
+                    lambda: DOUBLE_DOUBLE.asarray([x[0, 1], x[0, 0]])):
+        with pytest.raises(TypeError):
+            refused()
+    # a numpy function DDArray does not implement raises, naming DDArray
+    for refused in (lambda: np.flip(x, axis=1), lambda: np.argsort(x[0])):
+        with pytest.raises(TypeError, match="DDArray"):
+            refused()
 
 
 @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (2, 3)])
@@ -352,3 +414,43 @@ def test_shape_helpers(shape):
     assert x.shape == shape and x.size == int(np.prod(shape)) and x.ndim == len(shape)
     assert x.T.shape == shape[::-1]
     assert len(list(x)) == shape[0]
+
+
+def test_kind_helpers():
+    kind = DOUBLE_DOUBLE
+    x = kind.asarray([1.0, -2.0, 3.0])
+    y = kind.asarray([4.0, 5.0, 6.0])
+    assert float(dot(x, y)) == pytest.approx(12.0)
+    assert float(norm2(kind.asarray([3.0, 4.0]))) == pytest.approx(5.0)
+    assert float(norm_inf(x)) == 3.0
+    assert kind_of(x) is kind and kind_of(np.zeros(2)) is DOUBLE
+    assert all_finite(x)
+    bad = x.copy()
+    bad[1] = DOUBLE_DOUBLE.scalar(math.inf)
+    assert not all_finite(bad)
+    assert all_finite(x[1]) and not all_finite(bad[1]) and not all_finite(scalar(1.0, math.nan))
+    assert all_finite(1.0) and not all_finite(math.nan)
+    assert np.array_equal(to_float_array(x), [1.0, -2.0, 3.0])
+
+
+def test_kind_lookup():
+    assert kind_by_name("double") is DOUBLE
+    assert kind_by_name("dd") is DOUBLE_DOUBLE
+    with pytest.raises(ValueError):
+        kind_by_name("binary128")
+
+
+def test_segment_sum_both_kinds():
+    ids = np.array([0, 2, 0, 2, 1])
+    vals64 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert np.allclose(segment_sum(vals64, ids, 4), [4.0, 5.0, 6.0, 0.0])
+    got = segment_sum(DOUBLE_DOUBLE.asarray(vals64), ids, 4)
+    assert [float(v) for v in got] == [4.0, 5.0, 6.0, 0.0]
+
+
+def test_empty_reductions_are_zero():
+    for kind in (DOUBLE, DOUBLE_DOUBLE):
+        e = kind.zeros(0)
+        assert float(norm2(e)) == 0.0
+        assert float(norm_inf(e)) == 0.0
+        assert float(dot(e, e)) == 0.0

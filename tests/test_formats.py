@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sdpmix.ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, Words
+from sdpmix.ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE
 from sdpmix.errors import FormatError, ValidationError
 from sdpmix.formats import (
     parse_native,
@@ -22,7 +22,7 @@ from sdpmix.formats import (
 from sdpmix.precision import promote
 from sdpmix.solver import SolverOptions, WarmStart, solve
 
-from helpers import build_problem, dense_row, problem_equals, random_problem
+from helpers import build_problem, dense_row, problem_equals, random_problem, words_equal
 
 
 def reflowed(lines, rng):
@@ -276,13 +276,6 @@ def test_solution_without_z(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def words(values):
-    """The exact (hi, lo) words of every value; lo is 0 for binary64. numpy
-    keeps the 0-d DDArrays of a list in its object array."""
-    return [(float(x.hi), float(x.lo)) if isinstance(x, (Words, DDArray)) else (float(x), 0.0)
-            for x in np.asarray(values).reshape(-1)]
-
-
 def more_warm_starts(kind):
     """Two blocks; a k = 0 factor with empty ya and yb (an m = 0 problem);
     at double-double, nonzero low words in V, ya, yb and mu."""
@@ -293,7 +286,7 @@ def more_warm_starts(kind):
     out = [promote(w, kind) for w in (two, empty)]
     if kind is DOUBLE_DOUBLE:
         def low(a):
-            return np.array([Words(h, h * 2.0**-60) for h in a.hi.reshape(-1).tolist()], dtype=object).reshape(a.shape)
+            return DDArray(a.hi, a.hi * 2.0**-60)
 
         out.append(WarmStart([low(V) for V in out[0].V_blocks], low(out[0].y_a), low(out[0].y_b),
                              DDArray(np.float64(0.75), np.float64(2.0**-70))))
@@ -306,8 +299,8 @@ def assert_warmstart_round_trip(warm, path):
     back = read_warmstart(path)
     assert back.kind is warm.kind and len(back.V_blocks) == len(warm.V_blocks)
     for got, want in zip(back.V_blocks + [back.y_a, back.y_b], warm.V_blocks + [warm.y_a, warm.y_b]):
-        assert got.shape == want.shape and words(got) == words(want)
-    assert words([back.mu]) == words([warm.mu])
+        assert words_equal(got, want)
+    assert words_equal(back.mu, warm.mu)
     again = path.with_suffix(".again")
     write_warmstart(back, again)
     assert again.read_bytes() == path.read_bytes()

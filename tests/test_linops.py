@@ -33,6 +33,7 @@ from helpers import (
     random_problem,
     random_V_blocks,
     reassemble,
+    words_equal,
     uneven_problem,
 )
 
@@ -112,9 +113,9 @@ def test_tables_built_once_per_problem():
     for q in (scale(p)[0], as_kind(p, DOUBLE_DOUBLE)):
         assert q.tables is q.tables and q.tables is not p.tables
         fresh = OperatorTables(q)
-        assert all(np.array_equal(a, b) for a, b in zip(q.tables.wval, fresh.wval))
+        assert all(words_equal(a, b) for a, b in zip(q.tables.wval, fresh.wval))
         for got, want in zip(q.tables.pairs, fresh.pairs):
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert all(words_equal(a, b) for a, b in zip(got, want))
     assert kind_of(as_kind(p, DOUBLE_DOUBLE).tables.wval[0]) is DOUBLE_DOUBLE
 
 

@@ -2,9 +2,14 @@
 functions and methods by name, and its worker (perfbench/worker.py) times
 the set-up of a solve by stopping it at the first solver.ColumnContext,
 keeps the Solution the CLI writes by swapping cli.write_solution and hands
-the oracle its exact double-double words (exact_pairs)."""
+the oracle its exact double-double words (exact_pairs). The instance ladder
+(tools/ladder.py) reads a tree's progress rows."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +17,11 @@ import pytest
 
 from sdpmix import cli, formats, linops, solver
 from sdpmix.ddouble import DDArray
-from sdpmix.instances import gen_random_sdp
+from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation
 from sdpmix.precision import solve_two_stage
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 K3 = "3 3\n1 2\n1 3\n2 3\n"
 
 
@@ -115,7 +121,8 @@ def test_write_hook_keeps_the_solution_the_cli_writes(tmp_path, capsys, monkeypa
 def test_dd_solve_makes_no_object_array_and_exact_pairs_reads_its_words(tmp_path, monkeypatch):
     # np.asarray(dd_array) is the only way to an object array of Words; a
     # two-stage solve, or writing and reading back its files, that reached it
-    # would fail here
+    # would fail here, on the equality path and on the hinge path of
+    # Max-Cut K4 with its triangle inequalities
     def refuse(self, dtype=None, copy=None):
         raise AssertionError("object array made on the double-double solve path")
 
@@ -124,7 +131,12 @@ def test_dd_solve_makes_no_object_array_and_exact_pairs_reads_its_words(tmp_path
     formats.write_solution(sol, tmp_path / "dd.sol")
     formats.write_warmstart(warm, tmp_path / "dd.ws")
     back = formats.read_warmstart(tmp_path / "dd.ws")
+    k4 = maxcut_relaxation(Graph.complete(4), with_triangles=True).problem
+    hinge, _ = solve_two_stage(k4, solver.SolverOptions(tol=1e-20))
+    formats.write_solution(hinge, tmp_path / "k4.sol")
     monkeypatch.undo()
+    assert hinge.status == "tol" and isinstance(hinge.y_b, DDArray) and len(hinge.y_b) == 16
+    assert np.any(hinge.y_b.hi > 0.0)  # some triangle inequality is active
     assert np.array_equal(back.V_blocks[0].lo, warm.V_blocks[0].lo) and back.mu == warm.mu
     assert sol.status == "tol" and isinstance(sol.factor[0], DDArray) and isinstance(sol.objective, DDArray)
     assert sol.objective.shape == ()
@@ -157,3 +169,18 @@ def test_oracle_reads_the_cli_solution_and_agrees_with_its_report(tmp_path, caps
     report = formats.read_solution(out).report.as_dict()
     for key in ("pinf", "gap", "dinf", "compl"):
         assert abs(errors[key] - report[key]) <= 1e-12, key
+
+
+def test_ladder_writes_a_record_of_one_rung(tmp_path):
+    out = tmp_path / "ladder.json"
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ladder.py"), str(ROOT), "-o", str(out), "--runs", "1",
+                           "--rung", "theta_prime_C5"], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text())
+    assert set(record) == {"tree", "python", "numpy", "machine", "runs", "rungs"}
+    assert list(record["rungs"]) == ["theta_prime_C5"]
+    rung = record["rungs"]["theta_prime_C5"]
+    assert set(rung) == {"status", "iterations", "column_evals", "aa_accepted", "aa_rejected", "max_error", "wall_s",
+                         "wall_s_runs", "tol", "two_stage", "time_limit", "max_iters"}
+    assert rung["status"] == "tol" and rung["max_error"] <= rung["tol"] and rung["iterations"] > 0

@@ -11,7 +11,7 @@ from sdpmix.ddouble import DOUBLE_DOUBLE, norm2, to_float_array
 from sdpmix.errors import ValidationError
 from sdpmix.problem import SdpProblem, as_kind, row_norms, row_norms_sq, scale, validate
 
-from helpers import build_problem, dense_row, dense_row_norms_sq, problem_equals, random_problem
+from helpers import build_problem, dense_row, dense_row_norms_sq, problem_equals, random_problem, words_equal
 
 
 def minimal_problem():
@@ -104,7 +104,7 @@ def test_row_norms_match_dense_oracle(kind):
         bound = (1e-30 if kind == "dd" else 1e-15) * (1.0 + np.abs(to_float_array(want)))
         assert np.all(np.abs(to_float_array(got - want)) <= bound)
         _, rec = scale(p)
-        norms = np.concatenate([rec.constraint_norms, [rec.cost_norm]])
+        norms = np.append(rec.constraint_norms, rec.cost_norm)
         assert np.all(np.abs(to_float_array(norms * norms - want)) <= 4 * bound)
 
 
@@ -189,7 +189,7 @@ def test_row_norms_keep_the_bits_of_rows_in_range(kind):
     for seed in range(4):
         p = random_problem(seed, (3, 4), m_eq=4, m_ineq=3)
         p = as_kind(p, DOUBLE_DOUBLE) if kind == "dd" else p
-        assert np.array_equal(row_norms(p), np.sqrt(row_norms_sq(p)))
+        assert words_equal(row_norms(p), np.sqrt(row_norms_sq(p)))
 
 
 @pytest.mark.parametrize("kind", ["double", "dd"])

@@ -12,7 +12,11 @@ holds the status, the outer iterations, the column evaluations, the
 accepted and rejected Anderson steps (0 where the tree's progress rows have
 no such count), the reported max error and the median wall time of the
 runs. The counts come from the last run; a solve is deterministic, so every
-run gives the same ones. The ladder is not a gate: BENCHMARK.json is.
+run gives the same ones, and two trees' counts compare. A rung with a time
+limit (order1_10+200_s3, 40 s) compares only while it ends before the
+limit; the LP rung, which does not converge, is capped by iterations
+instead, so that it ends `iter` at the same count on any machine. The
+ladder is not a gate: BENCHMARK.json is.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from pathlib import Path
 
 
 def rungs():
-    """name -> (tol, two-stage, time limit, problem builder)."""
+    """name -> (tol, two-stage, limits, problem builder); the limits are
+    SolverOptions fields."""
     import numpy as np
     from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
 
@@ -45,29 +50,29 @@ def rungs():
         return build
 
     return {
-        "rand_30_20_1.0_s1": (1e-10, False, None, rand((30,), 20, 1.0, 1)),
-        "rand_dense": (1e-10, False, None, rand((30,), 20, 1.0, 0)),
-        "rand_2x20_15_0.5_s1": (1e-10, False, None, rand((20, 20), 15, 0.5, 1)),
-        "big_block": (1e-8, False, None, rand((100,), 3, 0.05, 0)),
-        "theta_prime_C5": (1e-8, False, None, lambda: theta_relaxation(Graph.cycle(5), strengthened=True).problem),
-        "maxcut_G16_triangles": (1e-8, False, None, maxcut(16)),
-        "maxcut_G24_triangles": (1e-8, False, None, maxcut(24)),
-        "maxcut_G40_triangles": (1e-8, False, None, maxcut(40)),
-        "dd_refine": (1e-20, True, None, rand((10,), 10, 1.0, 42)),
-        "order1_10+200_s3": (1e-8, False, 40.0, rand((10,) + (1,) * 200, 20, 0.5, 3)),
-        "lp_60_15_s2": (1e-8, False, 30.0, rand((1,) * 60, 15, 0.5, 2)),
-        "tail_rand_10_10_s1": (1e-20, True, None, rand((10,), 10, 1.0, 1)),
-        "tail_rand_10_10_s2": (1e-20, True, None, rand((10,), 10, 1.0, 2)),
-        "tail_rand_2x8_6_s3": (1e-20, True, None, rand((8, 8), 6, 1.0, 3)),
+        "rand_30_20_1.0_s1": (1e-10, False, {}, rand((30,), 20, 1.0, 1)),
+        "rand_dense": (1e-10, False, {}, rand((30,), 20, 1.0, 0)),
+        "rand_2x20_15_0.5_s1": (1e-10, False, {}, rand((20, 20), 15, 0.5, 1)),
+        "big_block": (1e-8, False, {}, rand((100,), 3, 0.05, 0)),
+        "theta_prime_C5": (1e-8, False, {}, lambda: theta_relaxation(Graph.cycle(5), strengthened=True).problem),
+        "maxcut_G16_triangles": (1e-8, False, {}, maxcut(16)),
+        "maxcut_G24_triangles": (1e-8, False, {}, maxcut(24)),
+        "maxcut_G40_triangles": (1e-8, False, {}, maxcut(40)),
+        "dd_refine": (1e-20, True, {}, rand((10,), 10, 1.0, 42)),
+        "order1_10+200_s3": (1e-8, False, {"time_limit": 40.0}, rand((10,) + (1,) * 200, 20, 0.5, 3)),
+        "lp_60_15_s2": (1e-8, False, {"max_iters": 3000}, rand((1,) * 60, 15, 0.5, 2)),
+        "tail_rand_10_10_s1": (1e-20, True, {}, rand((10,), 10, 1.0, 1)),
+        "tail_rand_10_10_s2": (1e-20, True, {}, rand((10,), 10, 1.0, 2)),
+        "tail_rand_2x8_6_s3": (1e-20, True, {}, rand((8, 8), 6, 1.0, 3)),
     }
 
 
 def run_rung(spec, runs: int) -> dict:
     from sdpmix import SolverOptions, solve, solve_two_stage
 
-    tol, two_stage, time_limit, build = spec
+    tol, two_stage, limits, build = spec
     entry = solve_two_stage if two_stage else solve
-    options = SolverOptions(tol=tol, time_limit=time_limit)
+    options = SolverOptions(tol=tol, **limits)
     times = []
     for _ in range(runs):
         problem = build()
@@ -88,7 +93,8 @@ def run_rung(spec, runs: int) -> dict:
         "wall_s_runs": times,
         "tol": tol,
         "two_stage": two_stage,
-        "time_limit": time_limit,
+        "time_limit": options.time_limit,
+        "max_iters": options.max_iters,
     }
 
 
