@@ -68,7 +68,7 @@ class OperatorCache:
         Each distinct position of a block's table is one product of two
         columns of V, formed once and gathered for every entry there."""
         _check_shapes(problem, V_blocks)
-        prods = [np.sum(V[:, prow] * V[:, pcol], axis=0)[inverse] if V.shape[0] else problem.kind.zeros(len(inverse))
+        prods = [np.sum(V[:, prow] * V[:, pcol], axis=0)[inverse]
                  for V, (prow, pcol, inverse) in zip(V_blocks, problem.tables.pairs)]
         out = operator_rows(problem, prods)
         return cls(out[:-1], out[-1])

@@ -56,7 +56,6 @@ from .ddouble import (
     dot,
     fsqrt,
     kind_of,
-    norm2,
     norm_inf,
     to_float_array,
 )
@@ -168,20 +167,13 @@ class Solution:
 
 def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
     """Columns i.i.d. uniform on the unit sphere, zero duals, mu = sqrt(the
-    largest block size)."""
-    kind = problem.kind
+    largest block size). The columns are drawn and normalized in binary64,
+    each squared norm summed along a contiguous row as norm2 sums a column;
+    make_state's conversion to double-double is exact."""
     rng = np.random.default_rng(options.seed)
-    V_blocks = []
-    for n in problem.block_sizes:
-        ki = rank_rule(n, problem.m_eq, problem.m_ineq)
-        V = kind.asarray(rng.standard_normal((ki, n)))
-        for i in range(n):
-            col = V[:, i]
-            nrm = norm2(col)
-            if float(nrm) > 0:
-                V[:, i] = col / nrm
-        V_blocks.append(V)
-    return make_state(problem, V_blocks, kind.zeros(problem.m), math.sqrt(max(problem.block_sizes)))
+    drawn = [rng.standard_normal((rank_rule(n, problem.m_eq, problem.m_ineq), n)) for n in problem.block_sizes]
+    V_blocks = [V / np.sqrt(np.add.reduce(np.ascontiguousarray((V * V).T), axis=1)) for V in drawn]
+    return make_state(problem, V_blocks, np.zeros(problem.m), math.sqrt(max(problem.block_sizes)))
 
 
 def check_fit(problem: SdpProblem, what: str, tag: str, blocks, y_a, y_b, Z_blocks=()) -> None:
@@ -251,7 +243,6 @@ def update_penalty(state: IterateState, ratio: float) -> None:
 
 
 AA_MEMORY = 5  # the differences an Anderson step combines
-AA_DROP = 1e-8  # a difference of g shorter than AA_DROP |g_k| is left out of the fit
 AA_RCOND = 1e-10  # the fit's cutoff on the differences' singular values
 AA_MAX_STEP = 100.0  # a combination farther than AA_MAX_STEP |g_k| from s_k is not taken
 
@@ -323,17 +314,13 @@ class Anderson:
         return err_level
 
     def propose(self, state: IterateState, s, err_level) -> None:
-        """Move the state to the combination, unless no dg_j is long enough
-        to fit or the combination lies farther than AA_MAX_STEP |g_k| from s."""
+        """Move the state to the combination, unless it lies farther than
+        AA_MAX_STEP |g_k| from s."""
         gnorm = self.gnorms[-1]
-        keep = [j for j, dg in enumerate(self.dG) if np.linalg.norm(dg) >= AA_DROP * gnorm]
-        if not keep:
-            return
-        G = np.stack([self.dG[j] for j in keep], axis=1)
-        gamma = np.linalg.lstsq(G, to_float_array(self.g), rcond=AA_RCOND)[0]
+        gamma = np.linalg.lstsq(np.stack(self.dG, axis=1), to_float_array(self.g), rcond=AA_RCOND)[0]
         combo = self.t
-        for j, c in zip(keep, gamma.tolist()):
-            combo = combo - c * self.dT[j]
+        for dT, c in zip(self.dT, gamma.tolist()):
+            combo = combo - c * dT
         if not np.linalg.norm(to_float_array(combo - s)) <= AA_MAX_STEP * gnorm:
             return
         self.trial = (self.t, state.cache, state.mu, err_level, gnorm)
@@ -508,13 +495,14 @@ def solve(
                 status = "tol"
             else:
                 next_check, check_gap = iteration + check_gap, min(2 * check_gap, ITERS_Z)
+        mu = float(state.mu)  # this iteration's; undoing a step puts back an earlier one
         if status is None:
             err_level = anderson.after_iteration(state, err_level)
         if progress is not None:
             progress(
                 {
                     "iter": iteration,
-                    "mu": float(state.mu),
+                    "mu": mu,
                     "ratio": ratio,
                     "pinf": float(pinf),
                     "gap": float(gap),

@@ -9,11 +9,11 @@ from dataclasses import replace
 import numpy as np
 
 from sdpmix.auglag import ColumnContext
-from sdpmix.ddouble import DDArray, dot, to_float_array
+from sdpmix.ddouble import DDArray, dot, norm2, to_float_array
 from sdpmix.errors import NumericalError
 from sdpmix.linops import OperatorCache, _slot_matrix, apply_adjoint, column_deltas, commit_column
 from sdpmix.problem import SdpProblem, scale
-from sdpmix.solver import SolverOptions, WarmStart, init_state
+from sdpmix.solver import SolverOptions, WarmStart, init_state, rank_rule
 
 
 def words_equal(a, b) -> bool:
@@ -45,6 +45,20 @@ def start_at_mu(problem, mu):
     scaled = scale(problem)[0]
     start = init_state(scaled, SolverOptions())
     return WarmStart(start.V_blocks, np.zeros(scaled.m_eq), np.zeros(scaled.m_ineq), mu)
+
+
+def start_factor_oracle(problem, seed):
+    """The binary64 start factor of init_state, column by column: each
+    block drawn from default_rng(seed) in block order, and each column
+    divided by its own norm2."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in problem.block_sizes:
+        V = rng.standard_normal((rank_rule(n, problem.m_eq, problem.m_ineq), n))
+        for i in range(n):
+            V[:, i] = V[:, i] / norm2(V[:, i])
+        out.append(V)
+    return out
 
 
 def dense_row(problem, j, b):

@@ -215,6 +215,39 @@ def test_solve_nonfinite_warm_start_exit_1(tmp_path, capsys):
         assert "solver aborted" not in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("ya 1\n", "ya 2\n0.5\n"), "warm start dual vector lengths do not match the problem"),
+    (lambda text: re.sub(r"^mu .*$", "mu 0.0", text, flags=re.M), "warm start has nonpositive mu"),
+    (lambda text: re.sub(r"^mu .*$", "mu -1.5", text, flags=re.M), "warm start has nonpositive mu"),
+], ids=["dual_lengths", "zero_mu", "negative_mu"])
+def test_solve_warm_start_that_does_not_fit_the_problem_exit_1(tmp_path, capsys, edit, message):
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    ws = tmp_path / "toy.ws"
+    main(["solve", str(prob), "-o", str(tmp_path / "a.sol"), "--max-iters", "3", "--save-warm-start", str(ws)])
+    capsys.readouterr()
+    bad = tmp_path / "bad.ws"
+    bad.write_text(edit(ws.read_text()))
+    for precision in ("double", "dd"):
+        code = main(["solve", str(prob), "-o", str(tmp_path / "b.sol"), "--warm-start", str(bad),
+                     "--precision", precision, "--max-iters", "5"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("name, text, line, message", [
+    ("no_blocks.sdp", "0\n", 1, "block count must be positive, got 0"),
+    ("negative_m.dat-s", "-1\n1\n2\n", 1, "malformed header: negative constraint count -1"),
+    ("no_blocks.dat-s", "1\n0\n", 2, "malformed header: block count 0"),
+    ("zero_size.dat-s", "1\n2\n{2, 0}\n1.0\n", 3, "malformed header: zero block size"),
+])
+def test_solve_malformed_header_names_path_and_line(tmp_path, capsys, name, text, line, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["solve", str(path), "-o", str(tmp_path / "x.sol")]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
+
 def test_solve_vacuous_constraint_names_the_problem_file(tmp_path, capsys):
     prob = tmp_path / "vacuous.sdp"
     prob.write_text(TOY.replace("1 1 1 1 1.0\n1 1 2 2 1.0\n", "1 1 1 1 0.0\n"))

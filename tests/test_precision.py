@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sdpmix import precision
 from sdpmix.ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, to_float_array
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation
 from sdpmix.precision import promote, solve_two_stage
@@ -60,6 +61,25 @@ def test_two_stage_time_status_propagates():
     p = gen_rand(8, 6, 1.0, 5)
     sol, _ = solve_two_stage(p, SolverOptions(tol=1e-20, time_limit=1e-9))
     assert sol.status == "time"
+
+
+@pytest.mark.parametrize("limit, spent, left", [(10.0, 2.5, 7.5), (3.0, 5.0, 1e-3)])
+def test_two_stage_gives_stage_2_the_time_left(monkeypatch, limit, spent, left):
+    # stage 2's time_limit is time_limit less stage 1's elapsed time, but
+    # at least 1e-3; a stand-in records each stage's options and reports
+    # `spent` as stage 1's time
+    limits = []
+
+    def recording(problem, options, warm_start=None, progress=None):
+        sol, warm = solve(problem, options, warm_start=warm_start, progress=progress)
+        if not limits:
+            sol.elapsed = spent
+        limits.append(options.time_limit)
+        return sol, warm
+
+    monkeypatch.setattr(precision, "solve", recording)
+    solve_two_stage(gen_rand(6, 4, 1.0, 3), SolverOptions(tol=1e-20, time_limit=limit))
+    assert limits == [limit, left]
 
 
 @pytest.mark.parametrize("cap", [45, 46, 50, 64, 65, 70])

@@ -45,6 +45,20 @@ def test_validate_nonfinite_and_empty_constraint():
         validate(q)
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda p: replace(p, block_sizes=(), entries=()), "problem needs at least one block"),
+    (lambda p: replace(p, block_sizes=(0,)), "block 1: size must be positive, got 0"),
+    (lambda p: replace(p, block_sizes=(-2,)), "block 1: size must be positive, got -2"),
+    (lambda p: replace(p, entries=p.entries * 2), "expected 1 entry tables, got 2"),
+    (lambda p: replace(p, rhs=np.array([math.inf])), "nonfinite value in rhs"),
+    (lambda p: replace(p, entries=((p.entries[0][0] + 2,) + p.entries[0][1:],)),
+     "block 1: constraint index out of range 0..1"),
+], ids=["no_blocks", "zero_size", "negative_size", "table_count", "nonfinite_rhs", "constraint_index"])
+def test_validate_rejects_malformed_problems(mutate, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate(mutate(minimal_problem()))
+
+
 def test_validate_accepts_random_problems():
     for seed in range(20):
         validate(random_problem(seed, block_sizes=(3, 2), m_eq=4, m_ineq=3))

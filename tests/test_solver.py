@@ -1,18 +1,20 @@
 """Outer loop: rank rule, updates, error measures, termination, determinism."""
 
 import math
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sdpmix import solver
 from sdpmix.auglag import ColumnContext, make_state
-from sdpmix.ddouble import DOUBLE, DOUBLE_DOUBLE, kind_of, to_float_array
+from sdpmix.ddouble import DOUBLE, DOUBLE_DOUBLE, all_finite, kind_of, to_float_array
 from sdpmix.errors import NumericalError, ValidationError
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
 from sdpmix.linops import project_psd
-from sdpmix.precision import promote
+from sdpmix.precision import promote, solve_two_stage
 from sdpmix.problem import as_kind, scale
 from sdpmix.solver import (
     ErrorReport,
@@ -39,6 +41,7 @@ from helpers import (
     random_problem,
     random_V_blocks,
     start_at_mu,
+    start_factor_oracle,
     uneven_problem,
     words_equal,
 )
@@ -103,6 +106,29 @@ def test_init_state_unit_columns_and_determinism():
     assert not np.array_equal(st1.V_blocks[0], st3.V_blocks[0])
     assert st1.V_blocks[0].shape[0] == rank_rule(6, 4, 2)
     assert float(st1.mu) == math.sqrt(6)
+
+
+def diagonal_problem(block_sizes, m):
+    """m equalities on diagonal entries of the first block and no cost: a
+    problem whose rank rule gives k = min(n, ceil(sqrt(2 m))) per block."""
+    n = block_sizes[0]
+    return build_problem(block_sizes, [[] for _ in block_sizes], [{0: [(j % n, j % n, j + 1.0)]} for j in range(m)],
+                         [1.0] * m, m + 1)
+
+
+@pytest.mark.parametrize("m", [1, 4, 24, 32, 128, 1800])
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_init_state_keeps_the_bits_of_the_per_column_start(kind, m):
+    # init_state normalizes a whole block at once; at every rank (k = 2, 3,
+    # 7, 8, 16, 60 here) its columns keep the bits of the column-by-column
+    # norm2 loop, unit to 2 ulp, and the double-double start holds them
+    # exactly (determinism per seed: test_init_state_unit_columns_and_determinism)
+    p = as_kind(diagonal_problem((70, 5), m), kind)
+    start, oracle = init_state(p, SolverOptions(seed=5)), start_factor_oracle(p, 5)
+    assert [V.shape for V in oracle] == [(rank_rule(70, m, 0), 70), (rank_rule(5, m, 0), 5)]
+    for V, W in zip(start.V_blocks, oracle):
+        assert words_equal(V, W)
+        assert np.all(np.abs(np.linalg.norm(W, axis=0) - 1.0) <= 2 * np.finfo(float).eps)
 
 
 # -- sweep order --------------------------------------------------------------
@@ -386,6 +412,50 @@ def test_solve_mu_changes_by_tau_factors_only():
         prev = row["mu"]
 
 
+def test_progress_mu_is_the_update_of_the_mu_its_iteration_started_from():
+    # big_block's instance undoes one Anderson step. Every row reports the
+    # mu its own penalty update gave; the iteration after an undone step
+    # starts from the mu put back, that of the row before the undone one
+    rows = []
+    sol, _ = solve(gen_random_sdp((100,), 3, 0.05, seed=0), SolverOptions(tol=1e-8), progress=rows.append)
+    assert sol.status == "tol" and rows[-1]["aa_rejected"] == 1
+    mus, rejected = [math.sqrt(100)], [0]
+    for row in rows:
+        undone = len(rejected) > 1 and rejected[-1] > rejected[-2]
+        expected = SimpleNamespace(mu=mus[-2] if undone else mus[-1])
+        update_penalty(expected, row["ratio"])
+        assert row["mu"] == expected.mu, row["iter"]
+        mus.append(row["mu"])
+        rejected.append(row["aa_rejected"])
+
+
+def test_time_limit_stops_inside_a_sweep(monkeypatch):
+    # a clock that runs out once the third sweep has built its third column
+    # context: the solve stops before the fourth column, reports the
+    # half-swept iterate, and its warm start resumes to tol
+    problem = gen_random_sdp((6,), 4, 1.0, seed=3)
+    _, before = solve(problem, SolverOptions(max_iters=2))
+    contexts = [0]
+
+    def counted(state, b, i):
+        contexts[0] += 1
+        return ColumnContext(state, b, i)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "ColumnContext", counted)
+        patch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: 0.0 if contexts[0] < 15 else 10.0))
+        sol, warm = solve(problem, SolverOptions(time_limit=1.0))
+    assert sol.status == "time" and sol.iterations == 3 and contexts[0] == 15
+    # the sweep moved columns 1 to 3 and stopped before the dual update
+    V, V_before = warm.V_blocks[0], before.V_blocks[0]
+    assert np.array_equal(V[:, 3:], V_before[:, 3:]) and not np.array_equal(V[:, :3], V_before[:, :3])
+    assert np.array_equal(warm.y_a, before.y_a) and warm.mu == before.mu
+    half_swept = Solution(warm.V_blocks, warm.y_a, warm.y_b, Z=None, status="time", report=None)
+    assert sol.report.as_dict() == unscale_solution(half_swept, scale(problem)[1], problem).report.as_dict()
+    resumed, _ = solve(problem, SolverOptions(tol=1e-9), warm_start=warm)
+    assert resumed.status == "tol"
+
+
 def test_solve_equality_only_never_runs_hinge_paths(monkeypatch):
     p = gen_rand(8, 5, 1.0, 10)
     assert p.m_ineq == 0
@@ -486,6 +556,34 @@ def test_anderson_counts_match_a_recount(monkeypatch):
             s = (writes or [T])[0]
         assert (row["aa_accepted"], row["aa_rejected"]) == (accepted, rejected), row["iter"]
     assert accepted > 0 and rejected > 0
+
+
+@pytest.mark.parametrize("dT_size, taken", [(1e-4, True), (1e4, False)], ids=["trial", "refusal"])
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_anderson_fit_of_a_repeated_and_a_vanishing_difference(kind, dT_size, taken):
+    # a memory whose dg holds one difference twice and one 1e-12 |g_k|
+    # long: the fit's rcond cuts both directions, and the step is a finite
+    # trial, or a refusal when the dT put the combination farther than
+    # AA_MAX_STEP |g_k|; no warning either way
+    state = init_state(scale(as_kind(gen_rand(6, 4, 1.0, 3), kind))[0], SolverOptions())
+    s = solver.flat_iterate(state)
+    rng = np.random.default_rng(0)
+    g = kind.asarray(1e-3 * rng.standard_normal(len(s)))
+    gnorm = float(np.linalg.norm(to_float_array(g)))
+    dg = [1e-4 * rng.standard_normal(len(s)) for _ in range(4)]
+    aa = solver.Anderson()
+    aa.t, aa.g, aa.gnorms = s + g, g, [gnorm * 2.0 ** j for j in range(solver.AA_MEMORY, -1, -1)]
+    aa.dG = [dg[0], dg[0].copy(), 1e-12 * gnorm * dg[1] / np.linalg.norm(dg[1]), dg[2], dg[3]]
+    aa.dT = [kind.asarray(dT_size * rng.standard_normal(len(s))) for _ in range(solver.AA_MEMORY)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        aa.propose(state, s, 1.0)
+    moved = solver.flat_iterate(state)
+    assert (aa.trial is not None) == taken
+    if taken:
+        assert all_finite(moved) and all_finite(state.cache.values) and aa.trial[4] == gnorm
+    else:
+        assert words_equal(moved, s)
 
 
 def test_solve_writes_equal_solution_files_for_one_seed(tmp_path):
@@ -750,10 +848,33 @@ def test_status_tol_means_the_reported_errors(seed):
     assert sol.report.max_error() < tol
 
 
-def test_solve_unconstrained_psd_cost():
-    # m = 0: rank rule gives the empty factor, X = 0 is optimal for PSD C
-    p = build_problem((2,), [[(0, 0, 1.0), (1, 1, 2.0)]], [], [], ineq_start=1)
-    sol, _ = solve(p, SolverOptions(tol=1e-10, max_iters=200))
+SOLVES = {  # name -> (entry point, kind of the problem passed, tol)
+    "double": (solve, DOUBLE, 1e-10),
+    "dd": (solve, DOUBLE_DOUBLE, 1e-20),
+    "two_stage": (solve_two_stage, DOUBLE, 1e-20),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SOLVES))
+def test_solve_unconstrained_psd_cost(entry):
+    # m = 0: rank rule gives the empty factor, X = 0 is optimal for PSD C;
+    # the operator values of the empty factor are sums over an empty axis
+    run, kind, tol = SOLVES[entry]
+    p = as_kind(build_problem((2,), [[(0, 0, 1.0), (1, 1, 2.0)]], [], [], ineq_start=1), kind)
+    sol, _ = run(p, SolverOptions(tol=tol, max_iters=200))
     assert sol.status == "tol"
     assert float(sol.objective) == 0.0
     assert sol.factor[0].shape == (0, 2)
+
+
+@pytest.mark.parametrize("entry", ["double", "two_stage"])
+def test_solve_problem_without_cost_entries(entry):
+    # a feasibility problem: scale records the zero cost norm as 1, and the
+    # solve reaches tol, the two-stage one at double-double
+    p = build_problem((3,), [[]], [{0: [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]}, {0: [(0, 1, 0.5), (1, 2, 0.25)]}],
+                      [1.0, 0.1], 3)
+    assert all(words_equal(scale(as_kind(p, kind))[1].cost_norm, 1.0) for kind in KINDS)
+    run, _, tol = SOLVES[entry]
+    sol, _ = run(p, SolverOptions(tol=tol))
+    assert sol.status == "tol" and sol.report.max_error() < tol
+    assert float(sol.objective) == 0.0
