@@ -7,25 +7,31 @@ value is identical either way by continuity).
 
 A column subproblem is solved on its increment model (ColumnContext), in
 the manner of mixed-precision iterative refinement: the multipliers and
-the gradient at the column's start are formed once, in the problem's
-scalar kind, and rounded to binary64; every trial point then evaluates
-only the change of the objective, its gradient and its k x k Hessian, in
-binary64, from the column's slot matrix (O(k slots)). The accepted column
-v_start + d is installed in the problem's kind, so a double-double solve
-keeps double-double iterates while the Newton column solver sees binary64
-alone; the operator cache takes the model's binary64 slot increments at d,
-and refresh_cache recomputes it in the problem's kind after every sweep.
+the gradient at the column's start are rounded to binary64 once, and every
+trial point then evaluates only the change of the objective, its gradient
+and its k x k Hessian, in binary64, from the column's slot matrix (O(k
+slots)). A binary64 problem forms them per column. An extended-kind problem
+takes the residual once per sweep (SweepResidual): the multipliers, the
+slack C - A^T lam and the factor gradient at the sweep's start, in the
+kind; a context adds to its binary64 rounding the binary64 corrections for
+what the sweep's earlier columns moved, each bounded by that movement, so
+their rounding error shrinks with the outer residual as the iterate
+converges. The accepted column v_start + d is installed in the problem's
+kind, so a double-double solve keeps double-double iterates while the
+Newton column solver sees binary64 alone; the operator cache takes the
+model's binary64 slot increments at d, and refresh_cache recomputes it in
+the problem's kind after every sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
-from .ddouble import dot, segment_sum, to_float_array
-from .linops import ColumnSlices, OperatorCache, _slot_matrix, column_deltas
+from .ddouble import dot, rounded_difference, segment_sum, to_float_array
+from .linops import ColumnSlices, OperatorCache, _slot_matrix, column_deltas, combine_rows
 from .problem import SdpProblem
 
 
@@ -40,6 +46,7 @@ class IterateState:
     cache: OperatorCache
     prev_values: np.ndarray
     slices: ColumnSlices
+    sweep: Optional["SweepResidual"] = None  # an extended-kind solve's, formed at the top of each sweep
 
     def residual(self) -> np.ndarray:
         """rhs_j - <A_j, X> for every constraint j."""
@@ -63,15 +70,63 @@ def make_state(problem: SdpProblem, V_blocks, y, mu) -> IterateState:
     )
 
 
+class SweepResidual:
+    """The column gradients' residual at the start of a sweep of an
+    extended-kind problem, formed in the problem's kind:
+
+        lam0 = y + mu (b - A(X)),  S0_b = C_b - sum_j lam0+_j A_j,  G0_b = 2 V_b S0_b,
+
+    lam0+ the multipliers with the inequality tail clipped at 0. It keeps
+    the kind's copies of the cache values and of every factor block as they
+    stand, the binary64 roundings of lam0, S0 and G0 that the column
+    contexts read, and the y, mu and cache objects it was formed from: a
+    context raises unless they are still the state's (update_duals, the
+    penalty update, an Anderson step and refresh_cache all rebind one).
+    """
+
+    def __init__(self, state: IterateState):
+        p = state.problem
+        self.y, self.mu, self.cache = state.y, state.mu, state.cache
+        self.values0 = state.cache.values.copy()
+        self.V0 = [V.copy() for V in state.V_blocks]
+        lam = state.y + state.mu * (p.rhs - self.values0)
+        self.lam0 = to_float_array(lam)
+        lam[p.m_eq :] = np.maximum(lam[p.m_eq :], 0.0)
+        S = combine_rows(p, np.concatenate([-lam, p.kind.asarray([1.0])]))
+        self.S0 = [to_float_array(M) for M in S]
+        self.G0 = [to_float_array(2.0 * (V @ M)) for V, M in zip(self.V0, S)]
+
+
+_COST_COEF = np.ones(1)  # the cost slot's coefficient in a binary64 column gradient
+
+
 class ColumnContext:
     """The increment model of one column's restricted objective.
 
-    Built once per column in the problem's kind: the slot multipliers
-    lam0_j = y[j] + mu s_j at v_start over the column's slots j (for an
-    inequality, max(t0_j, 0) of that activity argument t0_j), the n-vector
-    g_n0 = C_(i) - sum_j lam0_j (A_j)_(i) and the column gradient
-    g0 = 2 V g_n0, then rounded to binary64; so is the slot matrix U, whose
-    row j is sum val V[:, partner] over slot j's off-diagonal entries.
+    Built once per column: the activity arguments t0_j = y[j] + mu s_j at
+    v_start of the column's inequality slots j, the n-vector
+    g_n0 = C_(i) - sum_j lam0_j (A_j)_(i), lam0_j the slot multipliers (for
+    an inequality, max(t0_j, 0)), and the column gradient g0 = 2 V g_n0, all
+    in binary64, and the slot matrix U, whose row j is sum val V[:, partner]
+    over slot j's off-diagonal entries.
+
+    A binary64 problem forms them from the state. An extended-kind problem
+    reads the state's SweepResidual, and from the kind's words only the
+    changes since the sweep began, DA = A(X)[sup] - A(X0)[sup] and
+    DV = V - V0, rounded to binary64 relative to themselves
+    (rounded_difference); the rest is binary64. The multiplier change
+    c_j = lam_j - lam0_j is -mu DA_j on the equalities and the inequalities
+    active at both the sweep's start and now, 0 on those inactive at both,
+    and max(t_j, 0) - max(lam0_j, 0) where the activity flipped
+    (t_j = lam0_j - mu DA_j, so |c_j| <= mu |DA_j|); never t_j - lam0_j on
+    a both-active slot, which would round at u |lam0_j|. With
+    E = sum_j c_j (A_j)_(i),
+
+        g_n0[i] = S0[i, i] - E[i],  g0 = G0[:, i] + 2 (DV S0[:, i] - V E).
+
+    Each binary64 term is bounded by how far the iterate moved since the
+    sweep began, so its rounding error, u times that movement, shrinks with
+    the outer residual: the refinement argument, taken per sweep.
     value_and_grad(d) evaluates, in binary64 only, the increment
     f(v_start + d) - f(v_start) and the gradient at v_start + d:
 
@@ -95,37 +150,66 @@ class ColumnContext:
     """
 
     def __init__(self, state: IterateState, block: int, i: int):
-        sl = state.slices.by_block[block][i]
-        p = state.problem
+        sl = state.slices.by_block64[block][i]
         V = state.V_blocks[block]
         self.v_start = V[:, i].copy()
         self.start = np.zeros(len(self.v_start))
-        self.sup = sup = sl.sup
+        self.sup = sl.sup
         self.n_eq = n_eq = sl.n_eq
         self.mu = float(state.mu)
-        self.curved0 = None  # the constraint slots curved at the start (None: all)
-
-        # multipliers at v_start on the column's slots, then the cost slot
-        t = state.y[sup] + state.mu * (p.rhs[sup] - state.cache.values[sup])
-        if n_eq < len(sup):
-            t0 = t[n_eq:].copy()
-            t[n_eq:] = np.where(t0 > 0, t0, p.kind.scalar(0.0))
-            self.t0 = to_float_array(t0)
-            self.active0 = self.t0 > 0
-            self.curved0 = np.concatenate([np.ones(n_eq, dtype=bool), self.active0])
-        coef = np.concatenate([-t, state.slices.cost_coef])
-        n = p.block_sizes[block]
-        g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else p.kind.zeros(n)
-        g_n[i] += dot(coef, sl.diag)
-
-        sl64 = state.slices.by_block64[block][i]
-        self.diag = sl64.diag
-        self.U = _slot_matrix(sl64, to_float_array(V))
+        self.diag = sl.diag
+        V64 = to_float_array(V)
+        self.U = _slot_matrix(sl, V64)
         self.diag_c, self.U_c = self.diag[:-1], self.U[:-1]  # the constraint slots
         self.v0 = to_float_array(self.v_start)
-        self.g0 = to_float_array(2.0 * (V @ g_n))
-        self.gi0 = float(g_n[i])
+        if state.problem.kind.is_extended:
+            t0, self.g0, self.gi0 = self._from_sweep(state, block, i, sl, V64)
+        else:
+            t0, self.g0, self.gi0 = self._from_state(state, i, sl, V)
+        self.curved0 = None  # the constraint slots curved at the start (None: all)
+        if n_eq < len(self.sup):
+            self.t0 = t0
+            self.active0 = t0 > 0
+            self.curved0 = np.concatenate([np.ones(n_eq, dtype=bool), self.active0])
         self._last = (None, None, 0.0, None)  # d, DV, diag.phi' and the curved slots at d
+
+    def _from_state(self, state: IterateState, i: int, sl, V):
+        """(t0, g0, g_n0[i]) of a binary64 problem, from the state."""
+        p, sup, n_eq = state.problem, self.sup, self.n_eq
+        # multipliers at v_start on the column's slots, then the cost slot
+        t = state.y[sup] + state.mu * (p.rhs[sup] - state.cache.values[sup])
+        t0 = None
+        if n_eq < len(sup):
+            t0 = t[n_eq:].copy()
+            t[n_eq:] = np.where(t0 > 0, t0, 0.0)
+        coef = np.concatenate([-t, _COST_COEF])
+        n = V.shape[1]
+        g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else np.zeros(n)
+        g_n[i] += dot(coef, sl.diag)
+        return t0, 2.0 * (V @ g_n), float(g_n[i])
+
+    def _from_sweep(self, state: IterateState, block: int, i: int, sl, V64):
+        """(t0, g0, g_n0[i]) of an extended-kind problem, from the sweep
+        residual and the binary64 corrections for what moved since."""
+        r = state.sweep
+        if r is None or r.y is not state.y or r.mu is not state.mu or r.cache is not state.cache:
+            raise RuntimeError("the sweep residual was not formed at the state's y, mu and cache")
+        sup, n_eq = self.sup, self.n_eq
+        c = -self.mu * rounded_difference(state.cache.values[sup], r.values0[sup])
+        t0 = None
+        if n_eq < len(sup):
+            lam0 = r.lam0[sup[n_eq:]]
+            t0 = lam0 + c[n_eq:]
+            flipped = (lam0 > 0) != (t0 > 0)
+            c[n_eq:] = np.where(flipped, np.maximum(t0, 0.0) - np.maximum(lam0, 0.0), np.where(t0 > 0, c[n_eq:], 0.0))
+        # E over the column's slots (the cost's coefficient stays 1); an
+        # empty slice's bincount is int64, which E[i] += ... would truncate
+        E = np.bincount(sl.row, weights=sl.val * np.append(c, 0.0)[sl.seg], minlength=V64.shape[1])
+        E = E.astype(np.float64, copy=False)
+        E[i] += self.diag_c @ c
+        S0 = r.S0[block]
+        dV = rounded_difference(state.V_blocks[block], r.V0[block])
+        return t0, r.G0[block][:, i] + 2.0 * (dV @ S0[:, i] - V64 @ E), float(S0[i, i] - E[i])
 
     def value_and_grad(self, d):
         """Df(d) and g(d) in binary64; d is the column's move from v_start.

@@ -376,12 +376,12 @@ class DDArray:
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis=None):
-        """Compensated sum over all elements (a 0-d DDArray) or along one axis."""
+        """Compensated sum over all elements (a 0-d DDArray) or along axis 0."""
         hi, lo = self.hi, self.lo
         if axis is None:
             hi, lo = hi.reshape(-1), lo.reshape(-1)
         elif axis != 0:
-            hi, lo = np.moveaxis(hi, axis, 0), np.moveaxis(lo, axis, 0)
+            raise ValueError(f"DDArray sums over all elements or along axis 0, not axis {axis}")
         return DDArray(*_reduce(hi, np.add.reduce(lo, axis=0)))
 
     def max(self):
@@ -565,6 +565,14 @@ def to_float_array(arr) -> np.ndarray:
         hi, lo = _object_words(a)
         return hi + lo
     return a.astype(np.float64, copy=False)
+
+
+def rounded_difference(a: DDArray, b: DDArray) -> np.ndarray:
+    """a - b of two double-double arrays, rounded to binary64. The words
+    subtract pairwise in binary64, with no error-free transform: the hi
+    words' difference rounds once, at u |a.hi - b.hi|, so the result is
+    within about 2 u |a - b| + 2 u^2 (|a| + |b|) of a - b."""
+    return (a.hi - b.hi) + (a.lo - b.lo)
 
 
 def dot(x, y):

@@ -129,7 +129,6 @@ class ColumnSlices:
     def __init__(self, problem: SdpProblem):
         kind = problem.kind
         m = problem.m
-        self.cost_coef = kind.asarray([1.0])  # the cost slot's coefficient in a column gradient
         self.by_block: List[List[ColSlice]] = []
         self.by_block64: List[List[ColSlice]] = []
         for n, (con, row, col, val) in zip(problem.block_sizes, problem.entries):

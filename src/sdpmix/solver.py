@@ -49,7 +49,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .auglag import ColumnContext, IterateState, make_state, refresh_cache
+from .auglag import ColumnContext, IterateState, SweepResidual, make_state, refresh_cache
 from .ddouble import (
     ScalarKind,
     all_finite,
@@ -459,6 +459,8 @@ def solve(
         iteration += 1
 
         eps = EPSILON * min(1.0, float(err_level))
+        if scaled.kind.is_extended:  # the column contexts' residual, once per sweep
+            state.sweep = SweepResidual(state)
         for b, i in pairs:
             if out_of_time():
                 status = "time"

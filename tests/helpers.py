@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from sdpmix.auglag import ColumnContext
+from sdpmix.auglag import ColumnContext, SweepResidual
 from sdpmix.ddouble import DDArray, dot, norm2, to_float_array
 from sdpmix.errors import NumericalError
 from sdpmix.linops import OperatorCache, _slot_matrix, apply_adjoint, column_deltas, commit_column
@@ -292,6 +292,14 @@ def full_gradient(state):
         M = dense_row(state.problem, state.problem.m, b) - combo[b]
         out.append(2.0 * (V @ M))
     return out
+
+
+def sweep_start(state):
+    """`state` with its sweep residual formed, as solve forms it at the top
+    of each sweep of an extended-kind problem; the column contexts of a
+    double-double state read it until its y, mu or cache is rebound."""
+    state.sweep = SweepResidual(state)
+    return state
 
 
 def column_objective_grad(state, block, i, v_trial):

@@ -9,7 +9,7 @@ import pytest
 from sdpmix.auglag import ColumnContext, make_state, refresh_cache
 from sdpmix.ddouble import DOUBLE_DOUBLE, DDArray, to_float_array
 from sdpmix.instances import Graph, maxcut_relaxation
-from sdpmix.linops import OperatorCache, column_deltas, commit_column
+from sdpmix.linops import OperatorCache, apply_adjoint, column_deltas, commit_column
 from sdpmix.problem import as_kind
 
 from helpers import (
@@ -28,6 +28,7 @@ from helpers import (
     multipliers,
     random_problem,
     random_V_blocks,
+    sweep_start,
     words_equal,
 )
 
@@ -227,7 +228,7 @@ def test_commit_reuses_the_increments_of_the_last_evaluation(kind, monkeypatch):
         if kind == "dd":
             dd = DOUBLE_DOUBLE
             p = as_kind(p, dd)
-            st = make_state(p, [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y), dd.scalar(st.mu))
+            st = sweep_start(make_state(p, [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y), dd.scalar(st.mu)))
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
                 ctx = ColumnContext(st, b, i)
@@ -282,7 +283,8 @@ def test_column_hessian_matches_central_differences(case):
         p, st = triangle_state(seed) if case == "triangles" else random_state(seed)
         if case == "dd":
             dd = DOUBLE_DOUBLE
-            st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y), dd.scalar(st.mu))
+            st = sweep_start(make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y),
+                                        dd.scalar(st.mu)))
         rng = np.random.default_rng(40_000 + seed)
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
@@ -313,7 +315,8 @@ def test_column_start_returns_full_gradient(case):
         p, st = triangle_state(seed) if case == "triangles" else random_state(seed)
         if case == "dd":
             dd = DOUBLE_DOUBLE
-            st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y), dd.scalar(st.mu))
+            st = sweep_start(make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks], dd.asarray(st.y),
+                                        dd.scalar(st.mu)))
         grads = full_gradient(st)
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
@@ -459,8 +462,8 @@ def test_increment_kernel_matches_mpmath_difference(kind):
             st = make_state(p, st0.V_blocks, st0.y, st0.mu)
             if kind == "dd":
                 dd = DOUBLE_DOUBLE
-                st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks],
-                                dd.asarray(st.y), dd.scalar(st.mu))
+                st = sweep_start(make_state(as_kind(p, dd), [dd.asarray(V) for V in st.V_blocks],
+                                            dd.asarray(st.y), dd.scalar(st.mu)))
             df, g = ColumnContext(st, b, i).value_and_grad(d)
             assert isinstance(df, float) and g.dtype == np.float64
 
@@ -496,8 +499,8 @@ def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
     moved = 0
     for seed in range(3):
         p, st64 = random_state(seed)
-        st = make_state(as_kind(p, dd), [dd.asarray(V) / 3.0 for V in st64.V_blocks],
-                        dd.asarray(st64.y), dd.scalar(st64.mu))
+        st = sweep_start(make_state(as_kind(p, dd), [dd.asarray(V) / 3.0 for V in st64.V_blocks],
+                                    dd.asarray(st64.y), dd.scalar(st64.mu)))
         budget = np.zeros(p.m + 1)
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
@@ -519,11 +522,11 @@ def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
 
 
 def test_column_refinement_reaches_double_double_stationarity():
-    # rounds of the solver's column step at double-double: each round builds
-    # the context (gradient formed in dd), minimizes the binary64 increment,
-    # installs v_start + d in dd and adds the binary64 slot increments to
-    # the cache, which refresh_cache then recomputes in dd, as the solver
-    # does after each sweep. The increments are accurate relative to
+    # rounds of the solver's column step at double-double: each round forms
+    # the sweep residual in dd, builds the context on it, minimizes the
+    # binary64 increment, installs v_start + d in dd and adds the binary64
+    # slot increments to the cache, which refresh_cache then recomputes in
+    # dd, as the solver does after each sweep. The increments are accurate relative to
     # themselves, so the rounds drive the column gradient far below
     # binary64 resolution; the 40-digit gradient at the result confirms it.
     import mpmath
@@ -537,7 +540,7 @@ def test_column_refinement_reaches_double_double_stationarity():
                         dd.asarray(st64.y), dd.scalar(st64.mu))
         b, i = 0, seed
         for _ in range(4):
-            ctx = ColumnContext(st, b, i)
+            ctx = ColumnContext(sweep_start(st), b, i)
             d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian, 1e-30, 1e-10, 500)
             commit_column(st.cache, st.V_blocks[b], i, ctx, d)
             refresh_cache(st)
@@ -545,3 +548,116 @@ def test_column_refinement_reaches_double_double_stationarity():
             V = [[[_mp(x) for x in row] for row in W] for W in st.V_blocks]
             _, g, _ = _mp_auglag(p, V, [_mp(x) for x in st.y], _mp(st.mu), b, i)
             assert max(abs(float(x)) for x in g) < 1e-26
+
+
+def _mp_column_gradient(p, st, i):
+    """The 40-digit hinge multipliers lam+ (row order), g_n = C_(i) -
+    sum_j lam+_j (A_j)_(i) and the gradient 2 V g_n in column i of the
+    one-block state st, from the exact words of its iterate; the problem's
+    entries must be binary64 values."""
+    import mpmath
+
+    dense = [to_float_array(dense_row(p, j, 0)) for j in range(p.m + 1)]
+    with mpmath.workdps(40):
+        V = [[_mp(x) for x in row] for row in st.V_blocks[0]]
+        n = len(V[0])
+        X = [[mpmath.fsum(col[r] * col[c] for col in V) for c in range(n)] for r in range(n)]
+        mu = _mp(st.mu)
+        lam = [_mp(st.y[j]) + mu * (_mp(p.rhs[j]) - mpmath.fsum(A[r, c] * X[r][c] for r, c in zip(*np.nonzero(A))))
+               for j, A in enumerate(dense[:-1])]
+        lam = [t if j < p.m_eq else max(t, 0) for j, t in enumerate(lam)]
+        g_n = [dense[-1][r, i] - mpmath.fsum(lam[j] * dense[j][r, i] for j in range(p.m)) for r in range(n)]
+        return lam, g_n, [2 * mpmath.fsum(row[r] * g_n[r] for r in range(n)) for row in V], dense
+
+
+def test_sweep_context_gradient_matches_mpmath_after_commits():
+    # A double-double sweep near a KKT point of Max-Cut of C5 with its
+    # triangles (10 of 40 active): twelve inactive inequalities get their
+    # activity argument at the sweep's start set to +-1e-9, and every column
+    # in turn moves by 1e-6, so the later contexts see multipliers that
+    # changed on both-active slots and flipped both ways. Each context's g0
+    # and g_n0[i] are checked against the 40-digit values at the column's
+    # start. Besides dd roundoff, g0 rounds its own value and the binary64
+    # terms bounded by the movement since the sweep began: with c_j =
+    # lam+_j - lam0+_j and E+ = sum_j |c_j| |(A_j)_(i)|,
+    #     |g0 - g| <= 8 u (|g| + 2 |DV| |S0_(i)| + 2 |V| E+) + 1e-28,
+    #     |g_n0[i] - g_n[i]| <= 8 u (|S0_ii| + E+_i) + 1e-28.
+    # Forming a both-active c_j as t_j - lam0_j would add u |lam0_j| terms,
+    # about 1e4 times this bound here.
+    import mpmath
+
+    from sdpmix.problem import scale
+    from sdpmix.solver import SolverOptions, solve
+
+    dd, u = DOUBLE_DOUBLE, 2.0**-53
+    p = maxcut_relaxation(Graph.cycle(5), with_triangles=True).problem
+    _, warm = solve(p, SolverOptions(tol=1e-10))
+    q = as_kind(scale(p)[0], dd)  # the warm start's space; its entries are binary64 values
+    st = make_state(q, warm.V_blocks, np.concatenate([warm.y_a, warm.y_b]), warm.mu)
+    rng = np.random.default_rng(0)
+    near = q.m_eq + rng.choice(np.flatnonzero(warm.y_b == 0), 12, replace=False)  # y_j = 0 there
+    rhs = q.rhs.copy()
+    rhs[near] = rhs[near] + (dd.asarray(1e-9 * rng.choice([-1.0, 1.0], 12)) - st.residual()[near] * st.mu) / st.mu
+    q = replace(q, rhs=rhs)
+    st = sweep_start(make_state(q, st.V_blocks, st.y, st.mu))
+    sweep = st.sweep
+    lam0 = np.where(np.arange(q.m) < q.m_eq, sweep.lam0, np.maximum(sweep.lam0, 0.0))
+    seen = set()
+    for i in range(q.block_sizes[0]):
+        ctx = ColumnContext(st, 0, i)
+        lam, g_n, g, dense = _mp_column_gradient(q, st, i)
+        seen.update((bool(sweep.lam0[j] > 0), bool(lam[j] > 0)) for j in ctx.sup[ctx.n_eq:])
+        c = np.abs(np.array([float(x) for x in lam]) - lam0)
+        E = sum(c[j] * np.abs(dense[j][:, i]) for j in range(q.m))
+        dV = to_float_array(st.V_blocks[0] - sweep.V0[0])
+        S0 = sweep.S0[0]
+        with mpmath.workdps(40):
+            err = np.array([abs(float(mpmath.mpf(float(a)) - b)) for a, b in zip(ctx.g0, g)])
+            err_i = abs(float(mpmath.mpf(ctx.gi0) - g_n[i]))
+        size = np.array([abs(float(x)) for x in g])
+        V = to_float_array(st.V_blocks[0])
+        assert np.all(err <= 8 * u * (size + 2 * np.abs(dV) @ np.abs(S0[:, i]) + 2 * np.abs(V) @ E) + 1e-28)
+        assert err_i <= 8 * u * (abs(S0[i, i]) + E[i]) + 1e-28
+        commit_column(st.cache, st.V_blocks[0], i, ctx, 1e-6 * rng.standard_normal(len(ctx.v0)))
+    assert seen == {(True, True), (False, False), (True, False), (False, True)}
+
+
+def test_sweep_context_of_an_order_one_column_follows_the_commits():
+    # an order-1 column has no off-diagonal entries, so its E comes from the
+    # diagonal alone; after the sweep's earlier commits its g0 and g_n0[i]
+    # still match the dense gradient of the moved iterate
+    dd = DOUBLE_DOUBLE
+    p = as_kind(random_problem(4, block_sizes=(3, 1, 1), m_eq=2, m_ineq=2, density=0.8), dd)
+    rng = np.random.default_rng(4)
+    y = np.concatenate([rng.standard_normal(p.m_eq), np.abs(rng.standard_normal(p.m_ineq))])
+    st = sweep_start(make_state(p, random_V_blocks(rng, p), y, 1.5))
+    checked = 0
+    for b in range(p.q):
+        for i in range(p.block_sizes[b]):
+            ctx = ColumnContext(st, b, i)
+            grad = to_float_array(full_gradient(st)[b][:, i])
+            M = to_float_array(dense_row(p, p.m, b) - apply_adjoint(p, multipliers(st))[b])
+            assert np.abs(ctx.g0 - grad).max() <= 1e-12 * (1 + np.abs(grad).max())
+            assert abs(ctx.gi0 - M[i, i]) <= 1e-12 * (1 + abs(M[i, i]))
+            checked += len(st.slices.by_block64[b][i].row) == 0  # no off-diagonal entry
+            commit_column(st.cache, st.V_blocks[b], i, ctx, 0.1 * rng.standard_normal(len(ctx.v0)))
+    assert checked == 2
+
+
+def test_a_stale_sweep_residual_raises():
+    # update_duals, the penalty update and refresh_cache each rebind an
+    # object the residual was formed at; a dd context then refuses it, and
+    # so it does without any residual
+    from sdpmix.solver import update_duals
+
+    dd = DOUBLE_DOUBLE
+    p, st64 = random_state(0)
+    st = make_state(as_kind(p, dd), [dd.asarray(V) for V in st64.V_blocks], dd.asarray(st64.y), dd.scalar(st64.mu))
+    with pytest.raises(RuntimeError, match="sweep residual"):
+        ColumnContext(st, 0, 0)
+    for rebind in (lambda: update_duals(st, st.problem), lambda: setattr(st, "mu", st.mu * 1.03),
+                   lambda: refresh_cache(st)):
+        ColumnContext(sweep_start(st), 0, 0)
+        rebind()
+        with pytest.raises(RuntimeError, match="sweep residual"):
+            ColumnContext(st, 0, 1)

@@ -5,7 +5,7 @@ import pytest
 
 from sdpmix import precision
 from sdpmix.ddouble import DDArray, DOUBLE, DOUBLE_DOUBLE, to_float_array
-from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation
+from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
 from sdpmix.precision import promote, solve_two_stage
 from sdpmix.problem import as_kind
 from sdpmix.solver import SolverOptions, WarmStart, solve
@@ -126,6 +126,21 @@ def test_dd_solve_from_scratch_reaches_below_1e20(name):
     sol, _ = solve(as_kind(p, DOUBLE_DOUBLE), SolverOptions(tol=1e-20))
     assert sol.status == "tol" and isinstance(sol.factor[0], DDArray)
     assert float(sol.report.max_error()) < 1e-20
+
+
+def test_two_stage_theta_prime_c5_reaches_sqrt5():
+    # the double-double stage with inequalities, X_ij >= 0, to 1e-20: the
+    # objective is theta'(C5) = sqrt 5, the closed form of criterion 02, to
+    # 1e-18 when its double-double words are read in 40 digits
+    import mpmath
+
+    inst = theta_relaxation(Graph.cycle(5), strengthened=True)
+    assert inst.problem.m_ineq > 0
+    sol, _ = solve_two_stage(inst.problem, SolverOptions(tol=1e-20))
+    assert sol.status == "tol" and isinstance(sol.objective, DDArray)
+    with mpmath.workdps(40):
+        value = inst.sense * (mpmath.mpf(sol.objective.hi) + mpmath.mpf(sol.objective.lo)) + inst.offset
+        assert abs(value - mpmath.sqrt(5)) < 1e-18
 
 
 def test_two_stage_rejects_extended_input():

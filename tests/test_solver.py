@@ -401,15 +401,21 @@ def test_solve_trajectory_determinism():
 
 
 def test_solve_mu_changes_by_tau_factors_only():
-    p = gen_rand(8, 5, 1.0, 9)
+    # each iteration moves mu by TAU, 1 / TAU or not at all from the mu it
+    # started from. After an undone Anderson step that is the mu put back,
+    # the one of the row before the undone one, so the ratio to the previous
+    # row can be TAU^2; this instance undoes steps (at iteration 24 so)
+    p = gen_rand(8, 5, 1.0, 10)
     log = []
     solve(p, SolverOptions(max_iters=60, seed=1), progress=log.append)
-    mu0 = math.sqrt(8)
-    prev = mu0
+    assert log[-1]["aa_rejected"] >= 2
+    mus, rejected = [math.sqrt(8)], [0]
     for row in log:
-        ratio = row["mu"] / prev
-        assert min(abs(ratio - 1.03), abs(ratio - 1 / 1.03), abs(ratio - 1.0)) < 1e-12
-        prev = row["mu"]
+        undone = len(rejected) > 1 and rejected[-1] > rejected[-2]
+        ratio = row["mu"] / (mus[-2] if undone else mus[-1])
+        assert min(abs(ratio - 1.03), abs(ratio - 1 / 1.03), abs(ratio - 1.0)) < 1e-12, row["iter"]
+        mus.append(row["mu"])
+        rejected.append(row["aa_rejected"])
 
 
 def test_progress_mu_is_the_update_of_the_mu_its_iteration_started_from():

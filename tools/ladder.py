@@ -64,6 +64,8 @@ def rungs():
         "tail_rand_10_10_s1": (1e-20, True, {}, rand((10,), 10, 1.0, 1)),
         "tail_rand_10_10_s2": (1e-20, True, {}, rand((10,), 10, 1.0, 2)),
         "tail_rand_2x8_6_s3": (1e-20, True, {}, rand((8, 8), 6, 1.0, 3)),
+        "dd_theta_prime_C5": (1e-20, True, {}, lambda: theta_relaxation(Graph.cycle(5), strengthened=True).problem),
+        "dd_maxcut_G10_triangles": (1e-20, True, {}, maxcut(10)),
     }
 
 
