@@ -26,7 +26,7 @@ the problem's kind after every sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,9 +37,18 @@ from .problem import SdpProblem
 
 @dataclass
 class IterateState:
-    """Mutable state owned by one solve."""
+    """Mutable state owned by one solve.
+
+    The factor is one matrix V of the problem's kind, of shape
+    (k_max, sum of the block sizes): block b is V[blocks[b]], its columns
+    OperatorTables.offsets[b] : offsets[b + 1] and its rows 0 : k_b, k_b
+    its rank; the rows from k_b on are zero and stay so. V_blocks[b] is
+    that view, so a write to a block's column is a write to V.
+    """
 
     problem: SdpProblem
+    V: np.ndarray
+    blocks: List[Tuple[slice, slice]]
     V_blocks: List[np.ndarray]
     y: np.ndarray  # one multiplier per constraint, in the problem's row order
     mu: object
@@ -54,20 +63,18 @@ class IterateState:
 
 
 def make_state(problem: SdpProblem, V_blocks, y, mu) -> IterateState:
-    """A state owning copies of V_blocks and y in the problem's kind, its
-    cache formed from those copies."""
+    """A state owning copies of V_blocks, laid into one factor matrix, and of
+    y, in the problem's kind; its cache formed from those copies. The
+    blocks may have any ranks."""
     kind = problem.kind
-    V_blocks = [kind.asarray(V) for V in V_blocks]
-    cache = OperatorCache.fresh(problem, V_blocks)
-    return IterateState(
-        problem=problem,
-        V_blocks=V_blocks,
-        y=kind.asarray(y),
-        mu=kind.scalar(mu),
-        cache=cache,
-        prev_values=cache.values.copy(),
-        slices=ColumnSlices(problem),
-    )
+    at = problem.tables.offsets
+    blocks = [(slice(0, len(W)), slice(at[b], at[b + 1])) for b, W in enumerate(V_blocks)]
+    V = kind.zeros((max(len(W) for W in V_blocks), int(at[-1])))
+    for index, W in zip(blocks, V_blocks):
+        V[index] = kind.asarray(W)
+    cache = OperatorCache.fresh(problem, V)
+    return IterateState(problem, V, blocks, [V[index] for index in blocks], kind.asarray(y), kind.scalar(mu), cache,
+                        cache.values.copy(), ColumnSlices(problem))
 
 
 class SweepResidual:
@@ -88,13 +95,13 @@ class SweepResidual:
         p = state.problem
         self.y, self.mu, self.cache = state.y, state.mu, state.cache
         self.values0 = state.cache.values.copy()
-        self.V0 = [V.copy() for V in state.V_blocks]
+        self.V0 = state.V.copy()
         lam = state.y + state.mu * (p.rhs - self.values0)
         self.lam0 = to_float_array(lam)
         lam[p.m_eq :] = np.maximum(lam[p.m_eq :], 0.0)
         S = combine_rows(p, np.concatenate([-lam, p.kind.asarray([1.0])]))
         self.S0 = [to_float_array(M) for M in S]
-        self.G0 = [to_float_array(2.0 * (V @ M)) for V, M in zip(self.V0, S)]
+        self.G0 = [to_float_array(2.0 * (V @ M)) for V, M in zip(state.V_blocks, S)]
 
 
 _COST_COEF = np.ones(1)  # the cost slot's coefficient in a binary64 column gradient
@@ -150,7 +157,7 @@ class ColumnContext:
     """
 
     def __init__(self, state: IterateState, block: int, i: int):
-        sl = state.slices.by_block64[block][i]
+        sl = state.slices.by_block[block][i]
         V = state.V_blocks[block]
         self.v_start = V[:, i].copy()
         self.start = np.zeros(len(self.v_start))
@@ -208,7 +215,7 @@ class ColumnContext:
         E = E.astype(np.float64, copy=False)
         E[i] += self.diag_c @ c
         S0 = r.S0[block]
-        dV = rounded_difference(state.V_blocks[block], r.V0[block])
+        dV = rounded_difference(state.V_blocks[block], r.V0[state.blocks[block]])
         return t0, r.G0[block][:, i] + 2.0 * (dV @ S0[:, i] - V64 @ E), float(S0[i, i] - E[i])
 
     def value_and_grad(self, d):
@@ -257,4 +264,4 @@ class ColumnContext:
 
 def refresh_cache(state: IterateState) -> None:
     """Recompute the cached operator values in the problem's kind."""
-    state.cache = OperatorCache.fresh(state.problem, state.V_blocks)
+    state.cache = OperatorCache.fresh(state.problem, state.V)

@@ -15,7 +15,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .linops import OperatorCache
 from .problem import SdpProblem, validate
 
 
@@ -114,7 +113,10 @@ def gen_random_sdp(block_sizes: Sequence[int], m: int, density: float, seed: int
         entries += random_sym(j) or [(j, *positions[rng.integers(len(positions))], rng.uniform(-1.0, 1.0))]
 
     shell = SdpProblem.from_entries(block_sizes, np.zeros(m), m + 1, *zip(*entries))
-    problem = replace(shell, rhs=OperatorCache.fresh(shell, [np.eye(n) for n in block_sizes]).values)
+    # rhs = A(I), block by block: the bits every generated instance has
+    trace = sum(np.bincount(con[row == col], weights=val[row == col], minlength=m + 1)
+                for con, row, col, val in shell.entries)
+    problem = replace(shell, rhs=trace[:m])
     validate(problem)
     return problem
 

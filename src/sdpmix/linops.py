@@ -1,9 +1,13 @@
 """Sparse constraint-operator kernels on factored iterates.
 
-The primal matrix is never materialized: every kernel works on the factors
-V_i (shape k_i x n_i, X_i = V_i^T V_i) and on one entry table per block
+The primal matrix is never materialized: every kernel works on the factor
+matrix V (auglag.IterateState.V), whose block b holds V_b of shape
+k_b x n_b with X_b = V_b^T V_b, and on one entry table per block
 (SdpProblem.entries), which holds the constraints and, as row m, the cost,
-and on what SdpProblem.tables derives from them.
+and on what SdpProblem.tables derives from them: every block's entries in
+one list, with one table of their distinct positions in V's columns. So
+the operator's rows at V are one gather of column products and one
+segment sum, whatever the number of blocks.
 The error report's dense kernels (operator_rows on a dense X, combine_rows)
 read the same tables.
 Off-diagonal stored entries carry an implicit factor 2 in inner products;
@@ -29,15 +33,12 @@ from .problem import OperatorTables, SdpProblem  # noqa: F401  (OperatorTables r
 def operator_rows(problem: SdpProblem, entry_values) -> np.ndarray:
     """<A_j, X> for every row j of the operator, the cost as row m.
 
-    entry_values[b] holds X_b at block b's table entries; the rows are one
-    segment sum per block, each row summed in table order.
+    entry_values holds X at every table entry, in OperatorTables' order
+    (block by block, each in table order); the rows are one segment sum,
+    each row summed in that order.
     """
-    m = problem.m
-    out = problem.kind.zeros(m + 1)
-    for x, (con, *_), wval in zip(entry_values, problem.entries, problem.tables.wval):
-        if len(con):
-            out = out + segment_sum(wval * x, con, m + 1)
-    return out
+    tables = problem.tables
+    return segment_sum(tables.wval * entry_values, tables.con, problem.m + 1)
 
 
 def combine_rows(problem: SdpProblem, coef: np.ndarray) -> List[np.ndarray]:
@@ -62,15 +63,15 @@ class OperatorCache:
     cost_value: object
 
     @classmethod
-    def fresh(cls, problem: SdpProblem, V_blocks) -> "OperatorCache":
-        """Every row of the operator, cost included, from the entries of V^T V.
+    def fresh(cls, problem: SdpProblem, V) -> "OperatorCache":
+        """Every row of the operator, cost included, from the entries of V^T V,
+        V the factor matrix (auglag.IterateState.V).
 
-        Each distinct position of a block's table is one product of two
-        columns of V, formed once and gathered for every entry there."""
-        _check_shapes(problem, V_blocks)
-        prods = [np.sum(V[:, prow] * V[:, pcol], axis=0)[inverse]
-                 for V, (prow, pcol, inverse) in zip(V_blocks, problem.tables.pairs)]
-        out = operator_rows(problem, prods)
+        Each distinct position of the tables is one product of two columns
+        of V, formed once and gathered for every entry there; the rows
+        beyond a block's rank are zero and add nothing."""
+        prow, pcol, inverse = problem.tables.pairs
+        out = operator_rows(problem, np.sum(V[:, prow] * V[:, pcol], axis=0)[inverse])
         return cls(out[:-1], out[-1])
 
 
@@ -82,16 +83,6 @@ def apply_adjoint(problem: SdpProblem, y: np.ndarray) -> List[np.ndarray]:
     if len(y) != problem.m:
         raise ValueError(f"dual vector length {len(y)} does not match {problem.m} constraints")
     return combine_rows(problem, np.concatenate([y, problem.kind.zeros(1)]))
-
-
-def _check_shapes(problem: SdpProblem, V_blocks) -> None:
-    if len(V_blocks) != problem.q:
-        raise ValueError(f"expected {problem.q} factor blocks, got {len(V_blocks)}")
-    for b, V in enumerate(V_blocks):
-        if V.ndim != 2 or V.shape[1] != problem.block_sizes[b]:
-            raise ValueError(
-                f"factor block {b + 1} has shape {V.shape}, expected (k, {problem.block_sizes[b]})"
-            )
 
 
 # -- column slices and incremental updates ----------------------------------
@@ -116,27 +107,26 @@ class ColSlice:
 
 
 class ColumnSlices:
-    """Per-column views of the entry tables, cost included.
+    """Per-column views of the entry tables, cost included, with binary64
+    coefficients (the column kernel's arithmetic) at either kind.
 
     Each table entry is listed under every column it lies in: a diagonal
     entry once, an off-diagonal (r, c) under column r with partner c and
     under column c with partner r. One lexsort by (column, constraint,
     partner) makes each column's slice a contiguous run, constraints in
-    ascending order and the cost (constraint m) last; by_block64 holds them
-    with binary64 coefficients, for the column kernel.
+    ascending order and the cost (constraint m) last; by_block[b][i] is
+    column i of block b.
     """
 
     def __init__(self, problem: SdpProblem):
-        kind = problem.kind
         m = problem.m
         self.by_block: List[List[ColSlice]] = []
-        self.by_block64: List[List[ColSlice]] = []
         for n, (con, row, col, val) in zip(problem.block_sizes, problem.entries):
             mirror = row != col
             column = np.concatenate([row, col[mirror]])
             partner = np.concatenate([col, row[mirror]])
             cid = np.concatenate([con, con[mirror]])
-            v = np.concatenate([val, val[mirror]])
+            v = to_float_array(np.concatenate([val, val[mirror]]))
             order = np.lexsort((partner, cid, column))
             column, partner, cid, v = column[order], partner[order], cid[order], v[order]
 
@@ -153,22 +143,16 @@ class ColumnSlices:
             n_eq = np.bincount(gcol[gcid < problem.m_eq], minlength=n).tolist()
             base = np.concatenate([[0], np.cumsum(nsup + 1)])
             on_diag = column == partner
-            diag = kind.zeros(int(base[-1]))
+            diag = np.zeros(int(base[-1]))
             diag[(base[column] + slot)[on_diag]] = v[on_diag]
 
             off = ~on_diag
             seg, prow, pval = slot[off], partner[off], v[off]
             ends = np.searchsorted(column[off], np.arange(n + 1))
-
-            def cut(diag, pval):
-                return [ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], n_eq=n_eq[i], diag=diag[base[i]:base[i + 1]],
-                                 seg=seg[ends[i]:ends[i + 1]], row=prow[ends[i]:ends[i + 1]],
-                                 val=pval[ends[i]:ends[i + 1]])
-                        for i in range(n)]
-
-            self.by_block.append(cut(diag, pval))
-            self.by_block64.append(cut(to_float_array(diag), to_float_array(pval))
-                                   if kind.is_extended else self.by_block[-1])
+            self.by_block.append([ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], n_eq=n_eq[i],
+                                           diag=diag[base[i]:base[i + 1]], seg=seg[ends[i]:ends[i + 1]],
+                                           row=prow[ends[i]:ends[i + 1]], val=pval[ends[i]:ends[i + 1]])
+                                  for i in range(n)])
 
 
 def _slot_matrix(sl: ColSlice, V: np.ndarray) -> np.ndarray:

@@ -103,22 +103,28 @@ class SdpProblem:
 
 
 class OperatorTables:
-    """Per-block data the kernels derive from the entry tables.
+    """What the kernels derive from the entry tables, over all blocks at once.
 
-    wval[b] is block b's val with the off-diagonal factor 2 applied.
+    The factor matrix of a solve (auglag.IterateState.V) lays block b's
+    columns at offsets[b] : offsets[b + 1], in block order. Every table
+    entry is listed once, block by block and each block in table order: con
+    holds its row of the operator, wval its val with the off-diagonal
+    factor 2 applied.
 
-    pairs[b] = (prow, pcol, inverse) lists the distinct (row, col) positions
-    of block b's table, and inverse maps each table entry to its position,
-    so that (prow[inverse], pcol[inverse]) == (row, col).
+    pairs = (prow, pcol, inverse) lists the distinct (row, col) positions of
+    all tables in the factor matrix's columns, and inverse maps each entry
+    to its position, so that (prow[inverse], pcol[inverse]) is (row, col)
+    shifted by its block's offset. No table depends on the factor's rank.
     """
 
     def __init__(self, problem: SdpProblem):
-        self.wval = []
-        self.pairs = []
-        for n, (_, row, col, val) in zip(problem.block_sizes, problem.entries):
-            self.wval.append(val * np.where(row == col, 1.0, 2.0))
-            keys, inverse = np.unique(row * n + col, return_inverse=True)
-            self.pairs.append((keys // n, keys % n, inverse))
+        self.offsets = np.cumsum((0,) + problem.block_sizes)
+        shift = np.repeat(self.offsets[:-1], [len(con) for con, *_ in problem.entries])
+        self.con, row, col, val = (np.concatenate(column) for column in zip(*problem.entries))
+        self.wval = val * np.where(row == col, 1.0, 2.0)
+        n = int(self.offsets[-1])
+        keys, inverse = np.unique((row + shift) * n + col + shift, return_inverse=True)
+        self.pairs = (keys // n, keys % n, inverse)
 
 
 def row_norms_sq(problem: SdpProblem) -> np.ndarray:

@@ -13,7 +13,7 @@ mu by the factor TAU above RAT_MAX and decreasing it by TAU below RAT_MIN.
 These, the column solve's EPSILON, DELTA and MAX_EVALS and the check gap
 ITERS_Z are fixed module constants; SolverOptions holds the limits and seed.
 
-That iteration is a fixed-point map T of s = (the factor blocks, y), and
+That iteration is a fixed-point map T of s = (the factor matrix, y), and
 its tail is linear; Anderson accelerates it. After an iteration's tol
 check, once the last AA_MEMORY differences of T(s) and of g = T(s) - s are
 known and |g| has fallen over them, the next iterate is their type-II
@@ -248,8 +248,8 @@ AA_MAX_STEP = 100.0  # a combination farther than AA_MAX_STEP |g_k| from s_k is 
 
 
 def flat_iterate(state: IterateState):
-    """s = (every factor block flattened, y), in the problem's kind."""
-    return np.concatenate([V.reshape(-1) for V in state.V_blocks] + [state.y])
+    """s = (the factor matrix flattened, y), in the problem's kind."""
+    return np.concatenate([state.V.reshape(-1), state.y])
 
 
 class Anderson:
@@ -330,18 +330,15 @@ class Anderson:
         state.y[m_eq:] = np.maximum(state.y[m_eq:], 0.0)
         # a fresh cache, not refresh_cache: there is no incremental update
         # at the combination to measure a drift of
-        state.cache = OperatorCache.fresh(state.problem, state.V_blocks)
+        state.cache = OperatorCache.fresh(state.problem, state.V)
         state.prev_values = state.cache.values.copy()
 
 
 def install_iterate(state: IterateState, s) -> None:
     """Write the flat iterate s (flat_iterate's layout) into the state's
-    factor blocks and a new y."""
-    at = 0
-    for V in state.V_blocks:
-        V[...] = s[at : at + V.size].reshape(V.shape)
-        at += V.size
-    state.y = s[at:].copy()
+    factor matrix and a new y."""
+    state.V[...] = s[: state.V.size].reshape(state.V.shape)
+    state.y = s[state.V.size :].copy()
 
 
 def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[np.ndarray], object]:
@@ -349,7 +346,8 @@ def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[
     with the dual slack Z: C - A^T y projected onto the PSD cone. Returns
     (ErrorReport, Z_blocks, <C, X>); independent of the factored-iterate
     caches."""
-    rows = operator_rows(problem, [X[row, col] for X, (_, row, col, _) in zip(X_blocks, problem.entries)])
+    entry_values = [X[row, col] for X, (_, row, col, _) in zip(X_blocks, problem.entries)]
+    rows = operator_rows(problem, np.concatenate(entry_values))
     # C - sum_j y_j A_j per block: the rows' combination with coefficients -y and 1
     slack = combine_rows(problem, np.concatenate([-y, problem.kind.asarray([1.0])]))
     Z_blocks = [project_psd(S) for S in slack]

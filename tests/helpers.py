@@ -8,10 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from sdpmix.auglag import ColumnContext, SweepResidual
+from sdpmix.auglag import ColumnContext, SweepResidual, make_state
 from sdpmix.ddouble import DDArray, dot, norm2, to_float_array
 from sdpmix.errors import NumericalError
-from sdpmix.linops import OperatorCache, _slot_matrix, apply_adjoint, column_deltas, commit_column
+from sdpmix.linops import _slot_matrix, apply_adjoint, column_deltas, commit_column
 from sdpmix.problem import SdpProblem, scale
 from sdpmix.solver import SolverOptions, WarmStart, init_state, rank_rule
 
@@ -310,17 +310,23 @@ def column_objective_grad(state, block, i, v_trial):
     return eval_auglag(state) + increment, grad
 
 
+def fresh_cache(problem, V_blocks):
+    """OperatorCache.fresh of the factor blocks, laid into one factor
+    matrix by make_state."""
+    return make_state(problem, V_blocks, problem.kind.zeros(problem.m), 1.0).cache
+
+
 def apply_operator(problem, V_blocks):
     """Constraint values <A_j, V^T V> summed over blocks, from a fresh
     operator cache (no dense X)."""
-    return OperatorCache.fresh(problem, V_blocks).values
+    return fresh_cache(problem, V_blocks).values
 
 
 def incremental_operator_values(cache, slices, V_blocks, block, i, v_start, v_trial):
     """Operator values after substituting v_trial for column i of the given
     block, from the cached values at v_start and the binary64 increments of
     column_deltas on the column's slot matrix."""
-    sl = slices.by_block64[block][i]
+    sl = slices.by_block[block][i]
     U = _slot_matrix(sl, to_float_array(V_blocks[block]))
     delta = column_deltas(sl.diag, U, to_float_array(v_start), to_float_array(v_trial - v_start))
     out = cache.values.copy()

@@ -15,7 +15,7 @@ from sdpmix.auglag import make_state
 from sdpmix.ddouble import norm2
 from sdpmix.formats import parse_native, read_solution, write_native, write_solution
 from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation, theta_relaxation
-from sdpmix.linops import ColumnSlices, OperatorCache
+from sdpmix.linops import ColumnSlices
 from sdpmix.precision import solve_two_stage
 from sdpmix.problem import row_norms_sq, scale
 from sdpmix.solver import SolverOptions, WarmStart, compute_errors, rank_rule, solve, update_duals, update_penalty
@@ -191,10 +191,10 @@ def test_criterion_06_incremental_operator_oracle():
         p = random_problem(seed, block_sizes=(5, 3), m_eq=4, m_ineq=3, density=0.5)
         slices = ColumnSlices(p)
         rng = np.random.default_rng(7000 + seed)
-        from helpers import random_V_blocks
+        from helpers import fresh_cache, random_V_blocks
 
         V = random_V_blocks(rng, p)
-        cache = OperatorCache.fresh(p, V)
+        cache = fresh_cache(p, V)
         for _ in range(40):
             b = int(rng.integers(p.q))
             i = int(rng.integers(p.block_sizes[b]))

@@ -506,13 +506,13 @@ def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
             for i in range(p.block_sizes[b]):
                 ctx = ColumnContext(st, b, i)
                 d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian, 1e-12, 0.01, 200)
-                sl = st.slices.by_block64[b][i]
+                sl = st.slices.by_block[b][i]
                 budget[np.append(sl.sup, p.m)] += increment_terms(sl, to_float_array(st.V_blocks[b]), i, d)
                 moved += bool(d.any())
                 commit_column(st.cache, st.V_blocks[b], i, ctx, d)
         incremental = np.append(st.cache.values, st.cache.cost_value)
         refresh_cache(st)
-        fresh = OperatorCache.fresh(st.problem, st.V_blocks)
+        fresh = OperatorCache.fresh(st.problem, st.V)
         exact = np.append(fresh.values, fresh.cost_value)
         refreshed = np.append(st.cache.values, st.cache.cost_value)
         assert np.array_equal(refreshed.hi, exact.hi) and np.array_equal(refreshed.lo, exact.lo)
@@ -609,7 +609,7 @@ def test_sweep_context_gradient_matches_mpmath_after_commits():
         seen.update((bool(sweep.lam0[j] > 0), bool(lam[j] > 0)) for j in ctx.sup[ctx.n_eq:])
         c = np.abs(np.array([float(x) for x in lam]) - lam0)
         E = sum(c[j] * np.abs(dense[j][:, i]) for j in range(q.m))
-        dV = to_float_array(st.V_blocks[0] - sweep.V0[0])
+        dV = to_float_array(st.V - sweep.V0)  # one block: the factor matrix
         S0 = sweep.S0[0]
         with mpmath.workdps(40):
             err = np.array([abs(float(mpmath.mpf(float(a)) - b)) for a, b in zip(ctx.g0, g)])
@@ -639,7 +639,7 @@ def test_sweep_context_of_an_order_one_column_follows_the_commits():
             M = to_float_array(dense_row(p, p.m, b) - apply_adjoint(p, multipliers(st))[b])
             assert np.abs(ctx.g0 - grad).max() <= 1e-12 * (1 + np.abs(grad).max())
             assert abs(ctx.gi0 - M[i, i]) <= 1e-12 * (1 + abs(M[i, i]))
-            checked += len(st.slices.by_block64[b][i].row) == 0  # no off-diagonal entry
+            checked += len(st.slices.by_block[b][i].row) == 0  # no off-diagonal entry
             commit_column(st.cache, st.V_blocks[b], i, ctx, 0.1 * rng.standard_normal(len(ctx.v0)))
     assert checked == 2
 

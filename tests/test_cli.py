@@ -65,6 +65,14 @@ def test_verbose_rows_show_the_anderson_counts(tmp_path, capsys, monkeypatch):
     assert shown[-1][0] > 0
 
 
+def test_a_verbosity_that_is_no_integer_prints_no_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SDPMIX_VERBOSE", "loud")
+    prob = tmp_path / "toy.sdp"
+    prob.write_text(TOY)
+    assert main(["solve", str(prob), "-o", str(tmp_path / "toy.sol")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_toy_exit_ok(tmp_path, capsys):
     prob = tmp_path / "toy.sdp"
     prob.write_text(TOY)
@@ -609,6 +617,11 @@ def test_solve_missing_output_directory_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing_dir" in err
     assert not missing.exists()
+    # a warm-start path that is a directory fails when it is written, after the solve
+    assert main(["solve", str(prob), "--max-iters", "3", "-o", str(tmp_path / "x.sol"),
+                 "--save-warm-start", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_check_nonfinite_solution_value_exit_1(tmp_path, capsys):

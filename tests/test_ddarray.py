@@ -402,6 +402,16 @@ def test_object_array_boundary_is_exact():
                     lambda: DOUBLE_DOUBLE.asarray([x[0, 1], x[0, 0]])):
         with pytest.raises(TypeError):
             refused()
+    # nor is a string, to an operator, a ufunc method or an index assignment;
+    # == with one is False, as for any two unrelated objects
+    for refused in (lambda: "x" / x, lambda: x @ "x", lambda: np.maximum.reduce(x, axis=0),
+                    lambda: np.add.at(x, [0], 1.0), lambda: x.__setitem__((0, 0), "x")):
+        with pytest.raises(TypeError):
+            refused()
+    assert (x == "x") is False
+    # numpy gets the words only as a copy
+    with pytest.raises(ValueError, match="only by a copy"):
+        np.asarray(x, copy=False)
     # a numpy function DDArray does not implement raises, naming DDArray
     for refused in (lambda: np.flip(x, axis=1), lambda: np.argsort(x[0])):
         with pytest.raises(TypeError, match="DDArray"):

@@ -58,6 +58,10 @@ def test_native_unconstrained_problem(tmp_path):
     write_native(p, path)
     q = parse_native(path)
     assert problem_equals(q, p) and q.m == 0
+    # no entry line at all: the file ends with its header
+    bare = build_problem((2,), [[]], [], [], ineq_start=1)
+    write_native(bare, path)
+    assert problem_equals(parse_native(path), bare)
 
 
 def test_native_malformed_triplet_reports_line(tmp_path):

@@ -26,6 +26,7 @@ from helpers import (
     dense_apply_oracle,
     dense_cost,
     dense_row,
+    fresh_cache,
     gram_blocks,
     increment_terms,
     incremental_operator_values,
@@ -76,7 +77,7 @@ def test_apply_cost_matches_dense():
     rng = np.random.default_rng(7)
     V = random_V_blocks(rng, p)
     want = sum(np.tensordot(C, X) for C, X in zip(dense_cost(p), gram_blocks(V)))
-    assert OperatorCache.fresh(p, V).cost_value == pytest.approx(want, rel=1e-12)
+    assert fresh_cache(p, V).cost_value == pytest.approx(want, rel=1e-12)
 
 
 def test_apply_adjoint_cases():
@@ -141,7 +142,7 @@ def test_column_slices_reassemble_exactly():
             assert all(i not in sl.row for block in slices.by_block for i, sl in enumerate(block))
             # each column's equalities are its first n_eq constraints
             assert all(sl.n_eq == np.searchsorted(sl.sup, q.m_eq)
-                       for block in slices.by_block + slices.by_block64 for sl in block)
+                       for block in slices.by_block for sl in block)
 
 
 @pytest.mark.parametrize("kind", ["double", "dd"])
@@ -161,16 +162,16 @@ def test_column_deltas_match_the_dense_oracle(kind):
             V = [dd.asarray(W) / 3.0 for W in V]
         slices = ColumnSlices(p)
         exact = as_kind(p, dd)
-        before = OperatorCache.fresh(exact, [dd.asarray(W) for W in V])
+        before = fresh_cache(exact, [dd.asarray(W) for W in V])
         for b, n in enumerate(p.block_sizes):
             V64 = to_float_array(V[b])
             for i in range(n):
-                sl = slices.by_block64[b][i]
+                sl = slices.by_block[b][i]
                 d = 10.0 ** rng.uniform(-8.0, 0.0) * rng.standard_normal(V64.shape[0])
                 got = column_deltas(sl.diag, linops._slot_matrix(sl, V64), V64[:, i], d)
                 moved = [dd.asarray(W) for W in V]
                 moved[b][:, i] = moved[b][:, i] + d
-                after = OperatorCache.fresh(exact, moved)
+                after = fresh_cache(exact, moved)
                 want = np.append(after.values[sl.sup] - before.values[sl.sup], after.cost_value - before.cost_value)
                 err = np.abs(to_float_array(want - got))
                 assert np.all(err <= 8 * 2.0**-53 * increment_terms(sl, V64, i, d))
@@ -181,7 +182,7 @@ def test_incremental_identity_when_column_unchanged():
     slices = ColumnSlices(p)
     rng = np.random.default_rng(2)
     V = random_V_blocks(rng, p)
-    cache = OperatorCache.fresh(p, V)
+    cache = fresh_cache(p, V)
     v = V[0][:, 1].copy()
     out = incremental_operator_values(cache, slices, V, 0, 1, v, v)
     assert np.array_equal(out, cache.values)
@@ -193,7 +194,7 @@ def test_incremental_diagonal_only_constraint():
     slices = ColumnSlices(p)
     rng = np.random.default_rng(3)
     V = [rng.standard_normal((2, 3))]
-    cache = OperatorCache.fresh(p, V)
+    cache = fresh_cache(p, V)
     v_start = V[0][:, 0].copy()
     v_trial = v_start * 2.0
     out = incremental_operator_values(cache, slices, V, 0, 0, v_start, v_trial)
@@ -208,7 +209,7 @@ def test_incremental_random_vs_direct_recomputation():
         slices = ColumnSlices(p)
         rng = np.random.default_rng(500 + seed)
         V = random_V_blocks(rng, p)
-        cache = OperatorCache.fresh(p, V)
+        cache = fresh_cache(p, V)
         for _ in range(40):
             b = rng.integers(p.q)
             i = rng.integers(p.block_sizes[b])
@@ -234,7 +235,7 @@ def test_commit_column_agrees_with_direct_values():
     commit_move(st, 1, 2, st.V_blocks[1][:, 2] + rng.standard_normal(st.V_blocks[1].shape[0]))
     direct = apply_operator(p, st.V_blocks)
     assert np.all(np.abs(st.cache.values - direct) <= 1e-12 * (1 + np.abs(direct)))
-    assert st.cache.cost_value == pytest.approx(OperatorCache.fresh(p, st.V_blocks).cost_value, rel=1e-12)
+    assert st.cache.cost_value == pytest.approx(OperatorCache.fresh(p, st.V).cost_value, rel=1e-12)
 
 
 def test_commit_identical_column_keeps_cache_bitwise():

@@ -615,6 +615,50 @@ def test_solve_warm_start_resume():
     assert sol2.status == "tol"
 
 
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_warm_start_blocks_of_unequal_ranks_are_views_of_one_factor_matrix(kind, monkeypatch):
+    # blocks of ranks 1, 3 and 2 share one factor matrix of 3 rows; each
+    # block is a view of its columns, and its rows beyond its rank stay zero
+    p64 = random_problem(6, block_sizes=(3, 4, 2), m_eq=3, m_ineq=2)
+    p = as_kind(p64, kind)
+    rng = np.random.default_rng(6)
+    ranks, offsets = (1, 3, 2), (0, 3, 7, 9)
+    V = [rng.standard_normal((k, n)) for k, n in zip(ranks, p.block_sizes)]
+    y = np.concatenate([rng.standard_normal(p.m_eq), np.abs(rng.standard_normal(p.m_ineq))])
+    st = make_state(p, V, y, 1.0)
+    assert st.V.shape == (3, 9)
+    # the fresh cache against a per-block dense <A_j, V^T V>
+    want = np.append(dense_apply_oracle(p64, gram_blocks(V)),
+                     sum(np.tensordot(C, X) for C, X in zip(dense_cost(p64), gram_blocks(V))))
+    got = to_float_array(np.append(st.cache.values, st.cache.cost_value))
+    assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+    # a write through a block's view is a write to the matrix
+    st.V_blocks[1][:, 2] = kind.asarray([1.0, 2.0, 3.0])
+    assert words_equal(st.V[:, 5], kind.asarray([1.0, 2.0, 3.0]))
+    # an Anderson write-back fills the views in place
+    before = [W.copy() for W in st.V_blocks]
+    solver.install_iterate(st, solver.flat_iterate(st) * 0.5)
+    assert all(words_equal(W, B * 0.5) for W, B in zip(st.V_blocks, before))
+
+    # a solve from the warm start: after its Anderson steps the blocks it
+    # returns are still the matrix's, and the padding is exactly zero
+    states = []
+
+    def keep(*args):
+        states.append(make_state(*args))
+        return states[-1]
+
+    monkeypatch.setattr(solver, "make_state", keep)
+    rows = []
+    warm = WarmStart([kind.asarray(W) for W in V], kind.asarray(y[:p.m_eq]), kind.asarray(y[p.m_eq:]), 1.0)
+    _, wend = solve(p, SolverOptions(max_iters=60), warm_start=warm, progress=rows.append)
+    assert rows[-1]["aa_accepted"] + rows[-1]["aa_rejected"] > 0
+    V_end = states[-1].V
+    for W, k, a, b in zip(wend.V_blocks, ranks, offsets, offsets[1:]):
+        assert words_equal(W, V_end[:k, a:b])
+        assert not np.any(to_float_array(V_end[k:, a:b]))
+
+
 def test_solve_warm_start_shape_mismatch():
     p = gen_rand(10, 6, 1.0, 13)
     bad = WarmStart([np.zeros((2, 4))], np.zeros(6), np.zeros(0), 1.0)
@@ -731,6 +775,15 @@ def test_unscale_rejects_a_factor_with_the_wrong_block_count(count):
                    report=None)
     with pytest.raises(ValidationError, match=f"solution has {count} blocks, problem has 2"):
         unscale_solution(sol, scale(p)[1], p)
+
+
+def test_unscale_rejects_a_scaling_record_of_another_problem():
+    p = gen_rand(3, 2, 1.0, 0, blocks=2)
+    sol = Solution([np.ones((2, 3))] * 2, np.zeros(p.m_eq), np.zeros(p.m_ineq), Z=None, status="iter", report=None)
+    record = scale(p)[1]
+    short = replace(record, constraint_norms=record.constraint_norms[:-1])
+    with pytest.raises(ValidationError, match=r"scaling record does not match the problem \(constraint count\)"):
+        unscale_solution(sol, short, p)
 
 
 def test_report_pieces_formed_once_match_a_fresh_report():
