@@ -253,11 +253,10 @@ def write_native(problem: SdpProblem, path) -> None:
     lines.append(f"{problem.m} {problem.ineq_start}")
     lines.append(" ".join(map(repr, to_float_array(problem.rhs).tolist())))
 
-    con, row, col, val = (np.concatenate(column) for column in zip(*problem.entries))
-    block = np.repeat(np.arange(1, problem.q + 1), [len(c) for c, *_ in problem.entries])
+    block, con, row, col, val = problem.entries
     cons = (con + 1) % (problem.m + 1)
     order = np.lexsort((block, cons))  # stable: each matrix keeps its (row, col) order
-    columns = (cons[order], block[order], row[order] + 1, col[order] + 1)
+    columns = (cons[order], block[order] + 1, row[order] + 1, col[order] + 1)
     lines.extend(f"{j} {b} {r} {c} {v!r}" for j, b, r, c, v in
                  zip(*(a.tolist() for a in columns), to_float_array(val)[order].tolist()))
     _write_lines(path, lines)

@@ -113,10 +113,12 @@ def gen_random_sdp(block_sizes: Sequence[int], m: int, density: float, seed: int
         entries += random_sym(j) or [(j, *positions[rng.integers(len(positions))], rng.uniform(-1.0, 1.0))]
 
     shell = SdpProblem.from_entries(block_sizes, np.zeros(m), m + 1, *zip(*entries))
-    # rhs = A(I), block by block: the bits every generated instance has
-    trace = sum(np.bincount(con[row == col], weights=val[row == col], minlength=m + 1)
-                for con, row, col, val in shell.entries)
-    problem = replace(shell, rhs=trace[:m])
+    # rhs = A(I): each block's diagonal summed, then the blocks added in
+    # order, the bits every generated instance has
+    block, con, row, col, val = shell.entries
+    on = row == col
+    traces = np.bincount(block[on] * (m + 1) + con[on], weights=val[on], minlength=len(block_sizes) * (m + 1))
+    problem = replace(shell, rhs=sum(traces.reshape(-1, m + 1))[:m])
     validate(problem)
     return problem
 

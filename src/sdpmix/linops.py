@@ -2,14 +2,14 @@
 
 The primal matrix is never materialized: every kernel works on the factor
 matrix V (auglag.IterateState.V), whose block b holds V_b of shape
-k_b x n_b with X_b = V_b^T V_b, and on one entry table per block
+k_b x n_b with X_b = V_b^T V_b, on the one entry table
 (SdpProblem.entries), which holds the constraints and, as row m, the cost,
-and on what SdpProblem.tables derives from them: every block's entries in
-one list, with one table of their distinct positions in V's columns. So
-the operator's rows at V are one gather of column products and one
-segment sum, whatever the number of blocks.
-The error report's dense kernels (operator_rows on a dense X, combine_rows)
-read the same tables.
+block by block, and on what SdpProblem.tables derives from it: the table
+of its distinct positions in V's columns and each block's run of the
+table. So the operator's rows at V are one gather of column products and
+one segment sum, and the column slices one sort, whatever the number of
+blocks. The error report's dense kernels (operator_rows on a dense X,
+combine_rows) read the same table, combine_rows one block's run at a time.
 Off-diagonal stored entries carry an implicit factor 2 in inner products;
 the column slices below store each off-diagonal entry once per incident
 column, so the factor 2 appears exactly once in each formula.
@@ -33,24 +33,25 @@ from .problem import OperatorTables, SdpProblem  # noqa: F401  (OperatorTables r
 def operator_rows(problem: SdpProblem, entry_values) -> np.ndarray:
     """<A_j, X> for every row j of the operator, the cost as row m.
 
-    entry_values holds X at every table entry, in OperatorTables' order
-    (block by block, each in table order); the rows are one segment sum,
-    each row summed in that order.
+    entry_values holds X at every table entry, in table order; the rows are
+    one segment sum, each row summed in that order.
     """
-    tables = problem.tables
-    return segment_sum(tables.wval * entry_values, tables.con, problem.m + 1)
+    return segment_sum(problem.tables.wval * entry_values, problem.entries.con, problem.m + 1)
 
 
 def combine_rows(problem: SdpProblem, coef: np.ndarray) -> List[np.ndarray]:
     """sum_j coef_j A_j over the m+1 rows (coef[m] weighs the cost), one
     dense symmetric matrix per block.
 
-    Each upper-triangle entry is one segment sum in table order, so it adds
-    the constraints' terms in constraint order and the cost's last.
+    Each upper-triangle entry is one segment sum over its block's run of the
+    table, in table order, so it adds the constraints' terms in constraint
+    order and the cost's last.
     """
+    _, con, row, col, val = problem.entries
+    cuts = problem.tables.cuts
     out = []
-    for n, (con, row, col, val) in zip(problem.block_sizes, problem.entries):
-        upper = segment_sum(val * coef[con], row * n + col, n * n).reshape(n, n)
+    for n, s, e in zip(problem.block_sizes, cuts[:-1], cuts[1:]):
+        upper = segment_sum(val[s:e] * coef[con[s:e]], row[s:e] * n + col[s:e], n * n).reshape(n, n)
         out.append(upper + upper.T - np.diag(np.diag(upper)))
     return out
 
@@ -107,52 +108,55 @@ class ColSlice:
 
 
 class ColumnSlices:
-    """Per-column views of the entry tables, cost included, with binary64
+    """Per-column views of the entry table, cost included, with binary64
     coefficients (the column kernel's arithmetic) at either kind.
 
     Each table entry is listed under every column it lies in: a diagonal
     entry once, an off-diagonal (r, c) under column r with partner c and
-    under column c with partner r. One lexsort by (column, constraint,
-    partner) makes each column's slice a contiguous run, constraints in
-    ascending order and the cost (constraint m) last; by_block[b][i] is
-    column i of block b.
+    under column c with partner r. A column is numbered by its column in the
+    factor matrix, a partner by its row within the block. One lexsort by
+    (column, constraint, partner) makes each column's slice a contiguous
+    run, constraints in ascending order and the cost (constraint m) last;
+    by_block[b][i] is column i of block b.
     """
 
     def __init__(self, problem: SdpProblem):
         m = problem.m
-        self.by_block: List[List[ColSlice]] = []
-        for n, (con, row, col, val) in zip(problem.block_sizes, problem.entries):
-            mirror = row != col
-            column = np.concatenate([row, col[mirror]])
-            partner = np.concatenate([col, row[mirror]])
-            cid = np.concatenate([con, con[mirror]])
-            v = to_float_array(np.concatenate([val, val[mirror]]))
-            order = np.lexsort((partner, cid, column))
-            column, partner, cid, v = column[order], partner[order], cid[order], v[order]
+        block, con, row, col, val = problem.entries
+        at = problem.tables.offsets
+        n = int(at[-1])
+        mirror = row != col
+        local = np.concatenate([row, col[mirror]])
+        column = local + at[np.concatenate([block, block[mirror]])]
+        partner = np.concatenate([col, row[mirror]])
+        cid = np.concatenate([con, con[mirror]])
+        v = to_float_array(np.concatenate([val, val[mirror]]))
+        order = np.lexsort((partner, cid, column))
+        local, column, partner, cid, v = local[order], column[order], partner[order], cid[order], v[order]
 
-            # a group is one (column, constraint) run; its slot is its rank in
-            # the column, so the cost, when present, takes slot len(sup)
-            first = np.ones(len(cid), dtype=bool)
-            first[1:] = (column[1:] != column[:-1]) | (cid[1:] != cid[:-1])
-            gcid, gcol = cid[first], column[first]
-            gstart = np.searchsorted(gcol, np.arange(n + 1))
-            slot = np.cumsum(first) - 1 - gstart[column]
+        # a group is one (column, constraint) run; its slot is its rank in
+        # the column, so the cost, when present, takes slot len(sup)
+        first = np.ones(len(cid), dtype=bool)
+        first[1:] = (column[1:] != column[:-1]) | (cid[1:] != cid[:-1])
+        gcid, gcol = cid[first], column[first]
+        gstart = np.searchsorted(gcol, np.arange(n + 1))
+        slot = np.cumsum(first) - 1 - gstart[column]
 
-            # every column's len(sup) + 1 slots, laid end to end
-            nsup = np.bincount(gcol[gcid < m], minlength=n)
-            n_eq = np.bincount(gcol[gcid < problem.m_eq], minlength=n).tolist()
-            base = np.concatenate([[0], np.cumsum(nsup + 1)])
-            on_diag = column == partner
-            diag = np.zeros(int(base[-1]))
-            diag[(base[column] + slot)[on_diag]] = v[on_diag]
+        # every column's len(sup) + 1 slots, laid end to end
+        nsup = np.bincount(gcol[gcid < m], minlength=n)
+        n_eq = np.bincount(gcol[gcid < problem.m_eq], minlength=n).tolist()
+        base = np.concatenate([[0], np.cumsum(nsup + 1)])
+        on_diag = local == partner
+        diag = np.zeros(int(base[-1]))
+        diag[(base[column] + slot)[on_diag]] = v[on_diag]
 
-            off = ~on_diag
-            seg, prow, pval = slot[off], partner[off], v[off]
-            ends = np.searchsorted(column[off], np.arange(n + 1))
-            self.by_block.append([ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], n_eq=n_eq[i],
-                                           diag=diag[base[i]:base[i + 1]], seg=seg[ends[i]:ends[i + 1]],
-                                           row=prow[ends[i]:ends[i + 1]], val=pval[ends[i]:ends[i + 1]])
-                                  for i in range(n)])
+        off = ~on_diag
+        seg, prow, pval = slot[off], partner[off], v[off]
+        ends = np.searchsorted(column[off], np.arange(n + 1))
+        columns = [ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], n_eq=n_eq[i], diag=diag[base[i]:base[i + 1]],
+                            seg=seg[ends[i]:ends[i + 1]], row=prow[ends[i]:ends[i + 1]], val=pval[ends[i]:ends[i + 1]])
+                   for i in range(n)]
+        self.by_block: List[List[ColSlice]] = [columns[s:e] for s, e in zip(at[:-1], at[1:])]
 
 
 def _slot_matrix(sl: ColSlice, V: np.ndarray) -> np.ndarray:

@@ -346,7 +346,8 @@ def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[
     with the dual slack Z: C - A^T y projected onto the PSD cone. Returns
     (ErrorReport, Z_blocks, <C, X>); independent of the factored-iterate
     caches."""
-    entry_values = [X[row, col] for X, (_, row, col, _) in zip(X_blocks, problem.entries)]
+    row, col, cuts = problem.entries.row, problem.entries.col, problem.tables.cuts
+    entry_values = [X[row[s:e], col[s:e]] for X, s, e in zip(X_blocks, cuts[:-1], cuts[1:])]
     rows = operator_rows(problem, np.concatenate(entry_values))
     # C - sum_j y_j A_j per block: the rows' combination with coefficients -y and 1
     slack = combine_rows(problem, np.concatenate([-y, problem.kind.asarray([1.0])]))

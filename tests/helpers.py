@@ -64,10 +64,10 @@ def start_factor_oracle(problem, seed):
 def dense_row(problem, j, b):
     """Row j of the operator (the cost when j == m) in block b, as a dense
     symmetric matrix of the problem's kind, from the entry table."""
-    con, row, col, val = problem.entries[b]
+    block, con, row, col, val = problem.entries
     n = problem.block_sizes[b]
     out = problem.kind.zeros((n, n))
-    at = con == j
+    at = (block == b) & (con == j)
     out[row[at], col[at]] = val[at]
     out[col[at], row[at]] = val[at]
     return out
@@ -81,16 +81,12 @@ def dense_entries(M):
 
 
 def problem_equals(p, q):
-    """Same block sizes, ineq_start, right-hand side and entry tables, value for value."""
+    """Same block sizes, ineq_start, right-hand side and entry table, value for value."""
     if p.block_sizes != q.block_sizes or p.ineq_start != q.ineq_start or p.m != q.m:
         return False
     if not words_equal(p.rhs, q.rhs):
         return False
-    return all(
-        len(a) == len(b) and bool(np.all(a == b))
-        for ta, tb in zip(p.entries, q.entries)
-        for a, b in zip(ta, tb)
-    )
+    return all(len(a) == len(b) and bool(np.all(a == b)) for a, b in zip(p.entries, q.entries))
 
 
 def random_triplets(rng, n, density=0.6, ensure_nonzero=True):
@@ -370,7 +366,7 @@ def reassemble(problem, slices):
                 got.setdefault(j, kind.zeros((n, n)))[i, i] += sl.diag[t]
             for s, r, v in zip(sl.seg.tolist(), sl.row.tolist(), list(sl.val)):
                 got.setdefault(ids[s], kind.zeros((n, n)))[r, i] += v
-        for j in set(got) | set(problem.entries[b][0].tolist()) | {m}:
+        for j in set(got) | set(problem.entries.con[problem.entries.block == b].tolist()) | {m}:
             if not np.all(got.get(j, kind.zeros((n, n))) == dense_row(problem, j, b)):
                 return False
     return True

@@ -282,7 +282,7 @@ def test_generate_rand_at_a_tiny_density_ends(tmp_path, capsys):
     assert code == EXIT_OK and time.perf_counter() - start < 1.0
     p = parse_problem(out)
     assert p.block_sizes == (1,) and p.m_eq == 2
-    assert len(p.entries[0][0]) == 2 and set(p.entries[0][0].tolist()) == {0, 1}  # A_1 = I and one entry of A_2
+    assert len(p.entries.con) == 2 and set(p.entries.con.tolist()) == {0, 1}  # A_1 = I and one entry of A_2
 
 
 def test_generate_rand_multiblock_spec(tmp_path, capsys):

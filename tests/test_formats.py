@@ -95,7 +95,7 @@ def test_native_comments_and_mirrored_entries(tmp_path):
     for entries in ("0 1 1 1 1.0\n1 1 3 1 0.5\n", "0 1 1 1 1.0\n1 1 0_3 1 0.500_0\n"):
         path.write_text("# header comment\n1\n3\n1 2\n2.5\n" + entries)
         p = parse_native(path)
-        con, row, col, val = p.entries[0]
+        _, con, row, col, val = p.entries
         assert con.tolist() == [0, 1] and row.tolist() == [0, 0] and col.tolist() == [2, 0]
         assert val.tolist() == [0.5, 1.0]
 

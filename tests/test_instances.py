@@ -58,7 +58,7 @@ def test_gen_random_sdp_structure():
     # A_1 is the identity, so a_1 = sum of block sizes
     assert float(p.rhs[0]) == 5.0
     # density 1: every upper-triangle cost position present
-    assert np.count_nonzero(p.entries[0][0] == p.m) == 5 * 6 // 2
+    assert np.count_nonzero(p.entries.con == p.m) == 5 * 6 // 2
 
 
 def test_gen_random_sdp_multiblock_identity_rhs():

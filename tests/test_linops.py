@@ -92,9 +92,9 @@ def test_apply_adjoint_cases():
     # multi-block with inequalities, and one with an untouched block, a zero
     # cost and a constraint that skips a block; at both scalar kinds
     uneven = uneven_problem(5)
-    con = [c for c, *_ in uneven.entries]
-    assert 0 not in con[0] and set(con[2].tolist()) == {uneven.m}
-    assert uneven.m not in con[1] and uneven.m_ineq == 2
+    block, con = uneven.entries.block, uneven.entries.con
+    assert 0 not in con[block == 0] and set(con[block == 2].tolist()) == {uneven.m}
+    assert uneven.m not in con[block == 1] and uneven.m_ineq == 2
     for prob in (p, uneven):
         y = rng.standard_normal(prob.m)
         want = dense_adjoint_oracle(prob, y)
@@ -126,23 +126,19 @@ def test_apply_adjoint_length_mismatch():
         apply_adjoint(p, np.zeros(p.m + 1))
 
 
-def test_apply_operator_shape_mismatch():
-    p = random_problem(1, block_sizes=(4,))
-    with pytest.raises(ValueError, match="shape"):
-        apply_operator(p, [np.zeros((2, 5))])
-
-
 def test_column_slices_reassemble_exactly():
     for seed in range(10):
-        p = random_problem(seed, block_sizes=(4, 3), m_eq=3, m_ineq=2, density=0.5)
-        for q in (p, as_kind(p, DOUBLE_DOUBLE)):
-            slices = ColumnSlices(q)
-            assert reassemble(q, slices)
-            # a column is never its own off-diagonal partner
-            assert all(i not in sl.row for block in slices.by_block for i, sl in enumerate(block))
-            # each column's equalities are its first n_eq constraints
-            assert all(sl.n_eq == np.searchsorted(sl.sup, q.m_eq)
-                       for block in slices.by_block for sl in block)
+        # order-1 blocks between larger ones: every block is one run of the sort
+        for sizes in ((4, 3), (3, 1, 1, 4)):
+            p = random_problem(seed, block_sizes=sizes, m_eq=3, m_ineq=2, density=0.5)
+            for q in (p, as_kind(p, DOUBLE_DOUBLE)):
+                slices = ColumnSlices(q)
+                assert reassemble(q, slices)
+                # a column is never its own off-diagonal partner
+                assert all(i not in sl.row for block in slices.by_block for i, sl in enumerate(block))
+                # each column's equalities are its first n_eq constraints
+                assert all(sl.n_eq == np.searchsorted(sl.sup, q.m_eq)
+                           for block in slices.by_block for sl in block)
 
 
 @pytest.mark.parametrize("kind", ["double", "dd"])

@@ -45,20 +45,6 @@ def test_validate_nonfinite_and_empty_constraint():
         validate(q)
 
 
-@pytest.mark.parametrize("mutate, message", [
-    (lambda p: replace(p, block_sizes=(), entries=()), "problem needs at least one block"),
-    (lambda p: replace(p, block_sizes=(0,)), "block 1: size must be positive, got 0"),
-    (lambda p: replace(p, block_sizes=(-2,)), "block 1: size must be positive, got -2"),
-    (lambda p: replace(p, entries=p.entries * 2), "expected 1 entry tables, got 2"),
-    (lambda p: replace(p, rhs=np.array([math.inf])), "nonfinite value in rhs"),
-    (lambda p: replace(p, entries=((p.entries[0][0] + 2,) + p.entries[0][1:],)),
-     "block 1: constraint index out of range 0..1"),
-], ids=["no_blocks", "zero_size", "negative_size", "table_count", "nonfinite_rhs", "constraint_index"])
-def test_validate_rejects_malformed_problems(mutate, message):
-    with pytest.raises(ValidationError, match=re.escape(message)):
-        validate(mutate(minimal_problem()))
-
-
 def test_validate_accepts_random_problems():
     for seed in range(20):
         validate(random_problem(seed, block_sizes=(3, 2), m_eq=4, m_ineq=3))
@@ -98,6 +84,37 @@ FAULTS = {
 }
 
 
+def set_entry(p, t, **values):
+    """p with the named columns of table entry t set to the given values."""
+    columns = {name: getattr(p.entries, name).copy() for name in values}
+    for name, value in values.items():
+        columns[name][t] = value
+    return replace(p, entries=p.entries._replace(**columns))
+
+
+def three_block_problem():
+    return many_constraint_problem(many_constraint_lines())
+
+
+@pytest.mark.parametrize("build, mutate, message", [
+    (minimal_problem, lambda p: replace(p, block_sizes=()), "problem needs at least one block"),
+    (minimal_problem, lambda p: replace(p, block_sizes=(0,)), "block 1: size must be positive, got 0"),
+    (minimal_problem, lambda p: replace(p, block_sizes=(-2,)), "block 1: size must be positive, got -2"),
+    (minimal_problem, lambda p: set_entry(p, 0, block=1), "constraint 1, block 2: block index out of range 1..1"),
+    (minimal_problem, lambda p: set_entry(replace(p, block_sizes=(2, 2)), 0, block=1),
+     "constraint 1, block 1: entry out of table order at (2,2)"),
+    (minimal_problem, lambda p: replace(p, rhs=np.array([math.inf])), "nonfinite value in rhs"),
+    (minimal_problem, lambda p: replace(p, entries=p.entries._replace(con=p.entries.con + 2)),
+     "block 1: constraint index out of range 0..1"),
+    (three_block_problem, lambda p: set_entry(p, -1, col=0), "cost block 3: duplicate entry at (1,1)"),
+    (three_block_problem, lambda p: set_entry(p, -1, con=M - 1), "constraint 40, block 3: entry out of table order"),
+], ids=["no_blocks", "zero_size", "negative_size", "block_index", "block_order", "nonfinite_rhs",
+        "constraint_index", "block3_duplicate", "block3_order"])
+def test_validate_rejects_malformed_problems(build, mutate, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate(mutate(build()))
+
+
 def test_many_constraint_problem_is_valid():
     validate(many_constraint_problem(many_constraint_lines()))
 
@@ -124,7 +141,7 @@ def test_row_norms_match_dense_oracle(kind):
 
 def test_from_entries_mirrors_lower_triangle_and_sorts():
     p = build_problem((3,), [[(2, 0, 5.0), (1, 1, 2.0)]], [], [], 1)
-    con, row, col, val = p.entries[0]
+    _, con, row, col, val = p.entries
     assert row.tolist() == [0, 1] and col.tolist() == [2, 1] and val.tolist() == [5.0, 2.0]
     D = dense_row(p, p.m, 0)
     assert D[0, 2] == 5.0 and D[2, 0] == 5.0 and D[1, 1] == 2.0
@@ -139,7 +156,7 @@ def test_scale_identity_cost():
     # C = 2*I2 has Frobenius norm 2*sqrt(2); scaled cost is I2/sqrt(2)
     p = build_problem((2,), [[(0, 0, 2.0), (1, 1, 2.0)]], [{0: [(0, 0, 1.0)]}], [1.0], 2)
     scaled, _ = scale(p)
-    con, _, _, val = scaled.entries[0]
+    _, con, _, _, val = scaled.entries
     np.testing.assert_allclose(val[con == p.m], [1 / math.sqrt(2)] * 2, rtol=1e-15)
 
 
@@ -147,7 +164,7 @@ def test_scale_single_equality_example():
     # A1 = I3, a1 = 3: matrix scaled by 1/sqrt(3), rhs ends up exactly 1
     p = build_problem((3,), [[(0, 1, 1.0)]], [{0: [(i, i, 1.0) for i in range(3)]}], [3.0], 2)
     scaled, rec = scale(p)
-    con, _, _, val = scaled.entries[0]
+    _, con, _, _, val = scaled.entries
     np.testing.assert_allclose(val[con == 0], [1 / math.sqrt(3)] * 3, rtol=1e-15)
     assert rec.constraint_norms[0] == pytest.approx(math.sqrt(3), rel=1e-15)
     assert rec.primal_scale == pytest.approx(math.sqrt(3), rel=1e-15)
@@ -179,8 +196,7 @@ def test_scale_unit_norms_and_idempotence(seed):
     assert float(rec2.cost_norm) == pytest.approx(1.0, rel=1e-14)
     np.testing.assert_allclose(rec2.constraint_norms.astype(float), 1.0, rtol=1e-14)
     np.testing.assert_allclose(again.rhs.astype(float), scaled.rhs.astype(float), rtol=1e-14)
-    for (_, _, _, v1), (_, _, _, v2) in zip(again.entries, scaled.entries):
-        np.testing.assert_allclose(v1.astype(float), v2.astype(float), rtol=1e-15)
+    np.testing.assert_allclose(again.entries.val.astype(float), scaled.entries.val.astype(float), rtol=1e-15)
 
 
 def test_scale_ineq_only_normalizes_b():
@@ -214,7 +230,7 @@ def test_row_norms_of_entries_whose_squares_leave_the_range(kind, coef):
     p = as_kind(p, DOUBLE_DOUBLE) if kind == "dd" else p
     np.testing.assert_allclose(to_float_array(row_norms(p)), [coef * math.sqrt(2)] * 2, rtol=1e-15)
     scaled, rec = scale(p)
-    np.testing.assert_allclose(to_float_array(scaled.entries[0][3]), [1 / math.sqrt(2)] * 3, rtol=1e-15)
+    np.testing.assert_allclose(to_float_array(scaled.entries.val), [1 / math.sqrt(2)] * 3, rtol=1e-15)
     assert float(rec.constraint_norms[0]) == pytest.approx(coef * math.sqrt(2), rel=1e-15)
 
 
@@ -236,9 +252,8 @@ def test_as_kind_round_trip_exact():
     p = random_problem(5, block_sizes=(3,), m_eq=2, m_ineq=1)
     pdd = as_kind(p, DOUBLE_DOUBLE)
     assert pdd.kind is DOUBLE_DOUBLE
-    for t64, tdd in zip(p.entries, pdd.entries):
-        assert all(np.array_equal(a, b) for a, b in zip(t64[:3], tdd[:3]))
-        assert np.array_equal(t64[3], np.array([float(v) for v in tdd[3]]))
+    assert all(np.array_equal(a, b) for a, b in zip(p.entries[:4], pdd.entries[:4]))
+    assert np.array_equal(p.entries.val, np.array([float(v) for v in pdd.entries.val]))
     back = [float(v) for v in pdd.rhs]
     assert np.array_equal(np.asarray(p.rhs, dtype=float), back)
 

@@ -1,6 +1,7 @@
 """Outer loop: rank rule, updates, error measures, termination, determinism."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -662,8 +663,11 @@ def test_warm_start_blocks_of_unequal_ranks_are_views_of_one_factor_matrix(kind,
 def test_solve_warm_start_shape_mismatch():
     p = gen_rand(10, 6, 1.0, 13)
     bad = WarmStart([np.zeros((2, 4))], np.zeros(6), np.zeros(0), 1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=re.escape("warm start block 1: 4 columns, block size 10")):
         solve(p, SolverOptions(max_iters=5), warm_start=bad)
+    empty = WarmStart([], np.zeros(6), np.zeros(0), 1.0)
+    with pytest.raises(ValidationError, match=re.escape("warm start has 0 blocks, problem has 1")):
+        solve(p, SolverOptions(max_iters=5), warm_start=empty)
 
 
 def test_solve_rejects_negative_warm_duals():
