@@ -9,7 +9,7 @@ of its distinct positions in V's columns and each block's run of the
 table. So the operator's rows at V are one gather of column products and
 one segment sum, and the column slices one sort, whatever the number of
 blocks. The error report's dense kernels (operator_rows on a dense X,
-combine_rows) read the same table, combine_rows one block's run at a time.
+combine_rows) read the same table, combine_rows as one segment sum too.
 Off-diagonal stored entries carry an implicit factor 2 in inner products;
 the column slices below store each off-diagonal entry once per incident
 column, so the factor 2 appears exactly once in each formula.
@@ -43,16 +43,18 @@ def combine_rows(problem: SdpProblem, coef: np.ndarray) -> List[np.ndarray]:
     """sum_j coef_j A_j over the m+1 rows (coef[m] weighs the cost), one
     dense symmetric matrix per block.
 
-    Each upper-triangle entry is one segment sum over its block's run of the
-    table, in table order, so it adds the constraints' terms in constraint
-    order and the cost's last.
+    The upper-triangle entries of all blocks are one segment sum over the
+    table, each entry in table order, so it adds the constraints' terms in
+    constraint order and the cost's last.
     """
-    _, con, row, col, val = problem.entries
-    cuts = problem.tables.cuts
+    block, con, row, col, val = problem.entries
+    sizes = np.array(problem.block_sizes)
+    base = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    upper = segment_sum(val * coef[con], base[block] + row * sizes[block] + col, int(base[-1]))
     out = []
-    for n, s, e in zip(problem.block_sizes, cuts[:-1], cuts[1:]):
-        upper = segment_sum(val[s:e] * coef[con[s:e]], row[s:e] * n + col[s:e], n * n).reshape(n, n)
-        out.append(upper + upper.T - np.diag(np.diag(upper)))
+    for n, start in zip(problem.block_sizes, base):
+        u = upper[start:start + n * n].reshape(n, n)
+        out.append(u + u.T - np.diag(np.diag(u)))
     return out
 
 

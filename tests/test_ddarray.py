@@ -301,6 +301,89 @@ def test_segment_sum_memory_is_linear_for_unequal_buckets():
     assert got[1].hi == 1.0 / 3.0 and got[1].lo == 2.0**-60
 
 
+def reductions(x):
+    """The sum of the terms x (a 1-d DDArray) by DDArray.sum, by
+    segment_sum (bucket 1 of 3), and by dot and @ as the exact products of
+    x 2**-511 and 2**511, so that no product's splitting overflows."""
+    half, two = x.ldexp(-511), np.full(len(x), 2.0**511)
+    return {
+        "sum": x.sum(),
+        "segment_sum": segment_sum(x, np.ones(len(x), dtype=np.int64), 3)[1],
+        "dot": dot(half, two),
+        "@": (half.reshape(1, -1) @ two.reshape(-1, 1))[0, 0],
+    }
+
+
+def check_reductions(x):
+    with mpmath.workdps(60):
+        terms = exact(x)
+        want, magnitude = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+        for name, got in reductions(x).items():
+            assert np.isfinite(got.hi) and np.isfinite(got.lo), name
+            check_reduction(got, want, magnitude, len(terms))
+
+
+def with_low_words(rng, hi):
+    """hi with random normalized low words about 2**-54 |hi|."""
+    lo = hi * rng.uniform(-1.0, 1.0, len(hi)) * 2.0**-54
+    s = hi + lo
+    return DDArray(s, lo - (s - hi))
+
+
+def test_reductions_near_overflow_with_a_finite_sum():
+    # alternating terms of falling magnitude up to 2**1023: the sum is
+    # finite, while 2**g times the largest term, the first splitting constant
+    # of an unscaled extraction, is not
+    rng = np.random.default_rng(5)
+    hi = np.sort(rng.uniform(1.0, 2.0, 9))[::-1] * 2.0**1022 * (-1.0) ** np.arange(9)
+    check_reductions(with_low_words(rng, hi))
+
+
+def test_reductions_of_one_bucket_with_heavy_cancellation():
+    # 2**17 terms, every one cancelled by a partner but for about 2**-40 of it
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal(2**16) * 2.0 ** rng.integers(-20, 21, 2**16)
+    hi = np.concatenate([a, -a * (1.0 + rng.uniform(-1.0, 1.0, 2**16) * 2.0**-40)])
+    check_reductions(with_low_words(rng, hi[rng.permutation(2**17)]))
+
+
+def test_reductions_over_exponents_from_2_to_the_minus_500_to_500():
+    rng = np.random.default_rng(7)
+    hi = rng.uniform(-2.0, 2.0, 1001) * 2.0 ** np.arange(-500, 501)
+    check_reductions(with_low_words(rng, hi[rng.permutation(len(hi))]))
+
+
+def test_a_value_and_its_negation_sum_to_zero_words():
+    # the extraction rounds sigma + w and sigma - w on different grids, so
+    # the heads of x and -x differ; their sum must still be exactly (0, 0)
+    rng = np.random.default_rng(8)
+    x = with_low_words(rng, rng.uniform(-2.0, 2.0, 60) * 2.0 ** rng.integers(-1000, 1023, 60))
+    for i in range(len(x)):
+        pair = np.concatenate([x[i:i + 1], -x[i:i + 1]])
+        for name, got in reductions(pair).items():
+            assert (got.hi, got.lo) == (0.0, 0.0), name
+    y = with_low_words(rng, rng.uniform(-1.0, 1.0, 5))
+    for got in (np.concatenate([x, -x]).reshape(2, -1).sum(0),
+                segment_sum(np.concatenate([x, -x]), np.tile(np.arange(60), 2), 60),
+                DDArray(np.stack([x.hi, x.hi], 1), np.stack([x.lo, x.lo], 1)).ldexp(-512)
+                @ np.concatenate([y, -y]).reshape(2, 5).ldexp(511)):
+        assert not np.any(got.hi) and not np.any(got.lo)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_nonfinite_term_gives_a_nonfinite_sum(bad):
+    rng = np.random.default_rng(9)
+    x = with_low_words(rng, rng.standard_normal(6))
+    x[3] = DOUBLE_DOUBLE.scalar(bad)
+    with np.errstate(invalid="ignore"):
+        for name, got in reductions(x).items():
+            assert not all_finite(got), name
+        columns = DDArray(np.stack([x.hi, np.ones(6)], 1), np.zeros((6, 2))).sum(0)
+        buckets = segment_sum(x, np.array([0, 0, 1, 1, 2, 2]), 3)
+    assert not all_finite(columns[0]) and float(columns[1]) == 6.0
+    assert not all_finite(buckets[1]) and all_finite(buckets[0]) and all_finite(buckets[2])
+
+
 def test_matmul_memory_is_bounded():
     # the products of a 2-d @ 2-d product come a chunk of rows at a time: all
     # 200**3 at once would be 64 MB a temporary, with several alive

@@ -6,8 +6,9 @@ import pytest
 from sdpmix import linops
 from sdpmix.auglag import make_state
 from sdpmix import problem as problem_module
-from sdpmix.ddouble import DOUBLE_DOUBLE, kind_of, to_float_array
+from sdpmix.ddouble import DOUBLE_DOUBLE, kind_of, segment_sum, to_float_array
 from sdpmix.errors import NumericalError
+from sdpmix.instances import gen_random_sdp
 from sdpmix.linops import (
     ColumnSlices,
     OperatorCache,
@@ -105,6 +106,22 @@ def test_apply_adjoint_cases():
                 np.testing.assert_allclose(to_float_array(G), W, atol=1e-13)
             if prob is uneven:
                 assert np.all(to_float_array(got[2]) == 0)
+
+
+def test_combine_rows_equals_the_sums_of_each_block_alone():
+    # one segment sum over every block's positions gives, bit for bit, what
+    # a segment sum over each block's run of the table gives on its own
+    rng = np.random.default_rng(11)
+    problems = (gen_random_sdp((10,), 10, 1.0, 42), gen_random_sdp((20, 20), 15, 0.5, 1),
+                gen_random_sdp((10,) + (1,) * 200, 20, 0.5, 3), random_problem(2, (3, 1, 4), 3, 2), uneven_problem(5))
+    for p in problems:
+        coef = rng.standard_normal(p.m + 1)
+        for q, c in ((p, coef), (as_kind(p, DOUBLE_DOUBLE), DOUBLE_DOUBLE.asarray(coef) / 3.0)):
+            _, con, row, col, val = q.entries
+            cuts = q.tables.cuts
+            for n, s, e, got in zip(q.block_sizes, cuts[:-1], cuts[1:], linops.combine_rows(q, c)):
+                upper = segment_sum(val[s:e] * c[con[s:e]], row[s:e] * n + col[s:e], n * n).reshape(n, n)
+                assert words_equal(got, upper + upper.T - np.diag(np.diag(upper)))
 
 
 def test_tables_built_once_per_problem():
