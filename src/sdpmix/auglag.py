@@ -30,8 +30,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ddouble import dot, rounded_difference, segment_sum, to_float_array
-from .linops import ColumnSlices, OperatorCache, _slot_matrix, column_deltas, combine_rows
+from .ddouble import rounded_difference, to_float_array
+from .linops import ColumnSlices, OperatorCache, column_deltas, combine_rows, slot_matrix
 from .problem import SdpProblem
 
 
@@ -104,9 +104,6 @@ class SweepResidual:
         self.G0 = [to_float_array(2.0 * (V @ M)) for V, M in zip(state.V_blocks, S)]
 
 
-_COST_COEF = np.ones(1)  # the cost slot's coefficient in a binary64 column gradient
-
-
 class ColumnContext:
     """The increment model of one column's restricted objective.
 
@@ -114,20 +111,23 @@ class ColumnContext:
     v_start of the column's inequality slots j, the n-vector
     g_n0 = C_(i) - sum_j lam0_j (A_j)_(i), lam0_j the slot multipliers (for
     an inequality, max(t0_j, 0)), and the column gradient g0 = 2 V g_n0, all
-    in binary64, and the slot matrix U, whose row j is sum val V[:, partner]
-    over slot j's off-diagonal entries.
+    in binary64, and W0 = M V^T, M the column's slot matrix
+    (linops.slot_matrix), whose column i, diag, holds each slot's (i, i)
+    coefficient: row j of W0 is diag_j v0 + sum val V[:, partner] over slot
+    j's off-diagonal entries.
 
-    A binary64 problem forms them from the state. An extended-kind problem
-    reads the state's SweepResidual, and from the kind's words only the
-    changes since the sweep began, DA = A(X)[sup] - A(X0)[sup] and
-    DV = V - V0, rounded to binary64 relative to themselves
-    (rounded_difference); the rest is binary64. The multiplier change
-    c_j = lam_j - lam0_j is -mu DA_j on the equalities and the inequalities
-    active at both the sweep's start and now, 0 on those inactive at both,
-    and max(t_j, 0) - max(lam0_j, 0) where the activity flipped
+    A binary64 problem forms them from the state: g_n0 = C_(i) - t M_c,
+    M_c M's constraint rows and t the slot multipliers, summed slot by
+    slot. An extended-kind problem reads the state's SweepResidual, and
+    from the kind's words only the changes since the sweep began,
+    DA = A(X)[sup] - A(X0)[sup] and DV = V - V0, rounded to binary64
+    relative to themselves (rounded_difference); the rest is binary64. The
+    multiplier change c_j = lam_j - lam0_j is -mu DA_j on the equalities
+    and the inequalities active at both the sweep's start and now, 0 on
+    those inactive at both, and max(t_j, 0) - max(lam0_j, 0) where the activity flipped
     (t_j = lam0_j - mu DA_j, so |c_j| <= mu |DA_j|); never t_j - lam0_j on
     a both-active slot, which would round at u |lam0_j|. With
-    E = sum_j c_j (A_j)_(i),
+    E = c M_c = sum_j c_j (A_j)_(i),
 
         g_n0[i] = S0[i, i] - E[i],  g0 = G0[:, i] + 2 (DV S0[:, i] - V E).
 
@@ -137,9 +137,9 @@ class ColumnContext:
     value_and_grad(d) evaluates, in binary64 only, the increment
     f(v_start + d) - f(v_start) and the gradient at v_start + d:
 
-        DV    = diag (2 v0.d + |d|^2) + 2 U d
+        DV    = 2 W0 d + diag |d|^2
         Df(d) = g0.d + g_n0[i] |d|^2 + sum_j phi_j(DV_j)
-        g(d)  = g0 + 2 (g_n0[i] d + U^T phi' + (v0 + d) diag.phi')
+        g(d)  = g0 + 2 ((g_n0[i] + diag.phi') d + W0^T phi')
 
     DV are the slot increments (linops.column_deltas), formed once per
     evaluation and kept for the commit at the accepted d (deltas); phi_j is
@@ -147,11 +147,13 @@ class ColumnContext:
     is an equality or an inequality active at both ends, the exact hinge form
     when its activity changes); the cost, linear in X, has none. No O(1)
     totals are formed, so the rounding error of Df is relative to Df itself.
-    hessian(d) is the model's (semismooth) Hessian
+    hessian(d) returns the model's (semismooth) Hessian and a lower bound
+    on its eigenvalues,
 
-        2 (g_n0[i] + diag.phi') I + 4 mu W^T W,  W = diag (v0 + d)^T + U,
+        H = low I + 4 mu W^T W,  low = 2 (g_n0[i] + diag.phi'),  W = W0 + diag d^T,
 
-    over the curved slots: the equalities and the inequalities active at d.
+    W over the curved slots: the equalities and the inequalities active at
+    d; W^T W is positive semidefinite, so no eigenvalue of H is below low.
     The solver starts from `start`, a zero move whose value and gradient the
     model knows. The context reads the state only while it is built.
     """
@@ -160,19 +162,19 @@ class ColumnContext:
         sl = state.slices.by_block[block][i]
         V = state.V_blocks[block]
         self.v_start = V[:, i].copy()
+        self.v0 = to_float_array(self.v_start)
         self.start = np.zeros(len(self.v_start))
         self.sup = sl.sup
         self.n_eq = n_eq = sl.n_eq
         self.mu = float(state.mu)
-        self.diag = sl.diag
         V64 = to_float_array(V)
-        self.U = _slot_matrix(sl, V64)
-        self.diag_c, self.U_c = self.diag[:-1], self.U[:-1]  # the constraint slots
-        self.v0 = to_float_array(self.v_start)
+        M = slot_matrix(sl, V.shape[1])
+        self.diag, self.W0 = M[:, i], M @ V64.T
+        self.diag_c, self.W0_c = self.diag[:-1], self.W0[:-1]  # the constraint slots
         if state.problem.kind.is_extended:
-            t0, self.g0, self.gi0 = self._from_sweep(state, block, i, sl, V64)
+            t0, self.g0, self.gi0 = self._from_sweep(state, block, i, M, V64)
         else:
-            t0, self.g0, self.gi0 = self._from_state(state, i, sl, V)
+            t0, self.g0, self.gi0 = self._from_state(state, i, M, V)
         self.curved0 = None  # the constraint slots curved at the start (None: all)
         if n_eq < len(self.sup):
             self.t0 = t0
@@ -180,22 +182,20 @@ class ColumnContext:
             self.curved0 = np.concatenate([np.ones(n_eq, dtype=bool), self.active0])
         self._last = (None, None, 0.0, None)  # d, DV, diag.phi' and the curved slots at d
 
-    def _from_state(self, state: IterateState, i: int, sl, V):
+    def _from_state(self, state: IterateState, i: int, M, V):
         """(t0, g0, g_n0[i]) of a binary64 problem, from the state."""
         p, sup, n_eq = state.problem, self.sup, self.n_eq
-        # multipliers at v_start on the column's slots, then the cost slot
+        # multipliers at v_start on the column's constraint slots
         t = state.y[sup] + state.mu * (p.rhs[sup] - state.cache.values[sup])
         t0 = None
         if n_eq < len(sup):
             t0 = t[n_eq:].copy()
             t[n_eq:] = np.where(t0 > 0, t0, 0.0)
-        coef = np.concatenate([-t, _COST_COEF])
-        n = V.shape[1]
-        g_n = segment_sum(sl.val * coef[sl.seg], sl.row, n) if len(sl.row) else np.zeros(n)
-        g_n[i] += dot(coef, sl.diag)
+        # c - sum_j t_j a_j, summed slot by slot in constraint order (the cost is M's last row)
+        g_n = M[-1] - np.add.reduce(t[:, None] * M[:-1], axis=0)
         return t0, 2.0 * (V @ g_n), float(g_n[i])
 
-    def _from_sweep(self, state: IterateState, block: int, i: int, sl, V64):
+    def _from_sweep(self, state: IterateState, block: int, i: int, M, V64):
         """(t0, g0, g_n0[i]) of an extended-kind problem, from the sweep
         residual and the binary64 corrections for what moved since."""
         r = state.sweep
@@ -209,11 +209,7 @@ class ColumnContext:
             t0 = lam0 + c[n_eq:]
             flipped = (lam0 > 0) != (t0 > 0)
             c[n_eq:] = np.where(flipped, np.maximum(t0, 0.0) - np.maximum(lam0, 0.0), np.where(t0 > 0, c[n_eq:], 0.0))
-        # E over the column's slots (the cost's coefficient stays 1); an
-        # empty slice's bincount is int64, which E[i] += ... would truncate
-        E = np.bincount(sl.row, weights=sl.val * np.append(c, 0.0)[sl.seg], minlength=V64.shape[1])
-        E = E.astype(np.float64, copy=False)
-        E[i] += self.diag_c @ c
+        E = c @ M[:-1]  # the cost's multiplier (1) does not change: it has no correction
         S0 = r.S0[block]
         dV = rounded_difference(state.V_blocks[block], r.V0[state.blocks[block]])
         return t0, r.G0[block][:, i] + 2.0 * (dV @ S0[:, i] - V64 @ E), float(S0[i, i] - E[i])
@@ -224,7 +220,7 @@ class ColumnContext:
         if d is self.start:  # every increment is exactly 0
             self._last = (d, None, 0.0, self.curved0)
             return 0.0, self.g0
-        dv = column_deltas(self.diag, self.U, self.v0, d)
+        dv = column_deltas(self.diag, self.W0, d)
         dv_c, n_eq, mu = dv[:-1], self.n_eq, self.mu
         dcoef = mu * dv_c  # phi' = -(lam - lam0) on the constraint slots, equality form first
         if n_eq == len(dv_c):
@@ -241,25 +237,27 @@ class ColumnContext:
         c = self.diag_c @ dcoef
         self._last = (d, dv, c, curved)  # for hessian(d) and the commit at d
         value = self.g0 @ d + self.gi0 * (d @ d) + remainder
-        return value, self.g0 + 2.0 * ((self.gi0 + c) * d + self.U_c.T @ dcoef + c * self.v0)
+        return value, self.g0 + 2.0 * ((self.gi0 + c) * d + self.W0_c.T @ dcoef)
 
     def hessian(self, d):
-        """The model's k x k Hessian at d, binary64."""
+        """(H, low): the model's k x k Hessian at d and its eigenvalue bound, binary64."""
         if self._last[0] is not d:
             self.value_and_grad(d)
         _, _, c, curved = self._last
-        diag, U = self.diag_c, self.U_c
+        diag, W = self.diag_c, self.W0_c
         if curved is not None:
-            diag, U = diag[curved], U[curved]
-        W = diag[:, None] * (self.v0 + d) + U
+            diag, W = diag[curved], W[curved]
+        if d is not self.start:
+            W = W + diag[:, None] * d
         H = (4.0 * self.mu) * (W.T @ W)
-        H.flat[:: len(d) + 1] += 2.0 * (self.gi0 + c)
-        return H
+        low = 2.0 * (self.gi0 + c)
+        H.flat[:: len(d) + 1] += low
+        return H, low
 
     def deltas(self, d):
         """DV at d: the last evaluation's when it was made at this very array."""
         last, dv, _, _ = self._last
-        return dv if last is d and dv is not None else column_deltas(self.diag, self.U, self.v0, d)
+        return dv if last is d and dv is not None else column_deltas(self.diag, self.W0, d)
 
 
 def refresh_cache(state: IterateState) -> None:

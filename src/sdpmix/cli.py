@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SdpmixError, ValidationError
+from .errors import NumericalError, SdpmixError, ValidationError
 from .formats import (
     parse_problem,
     read_graph,
@@ -65,11 +65,12 @@ def _progress_printer():
     return emit
 
 
-def _located(path, check, *args) -> None:
-    """check(*args), naming the file `path` in the ValidationError it raises."""
+def _located(path, check, *args):
+    """check(*args), naming the file `path` in the ValidationError or
+    NumericalError it raises, raised again as a ValidationError."""
     try:
-        check(*args)
-    except ValidationError as exc:
+        return check(*args)
+    except (ValidationError, NumericalError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
@@ -170,11 +171,12 @@ def cmd_check(args) -> int:
         sol = read_solution(args.solution)
         # a stored Z must fit, but the report projects its own and measures with that
         _located(args.solution, check_fit, problem, "solution", "factor", sol.factor, sol.y_a, sol.y_b, sol.Z or ())
+        with np.errstate(all="ignore"):  # finite duals whose dual slack overflows raise NumericalError
+            report = _located(args.solution, compute_errors, problem, sol.X, sol.y)[0]
     except (SdpmixError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_INPUT
 
-    report, _, _ = compute_errors(problem, sol.X, sol.y)
     for key, val in report.as_dict().items():
         print(f"{key} {val!r}")
     max_err = float(report.max_error())

@@ -10,9 +10,12 @@ stopping rule is relative to the gradient at the start point: accept x once
 
 the floor accepting a zero gradient whatever eps the solver passes.
 
-Each step solves with the absolute eigenvalues of the Hessian, floored
-relative to the largest, so a negative or vanishing curvature still gives
-a descent direction; Armijo backtracking safeguards the step.
+A step divides by the absolute eigenvalues of the Hessian H, floored at
+max(2^-26 max |eigenvalue|, 2^-53 ||g||_inf), so a negative or vanishing
+curvature still gives a descent direction; when H's lower eigenvalue bound
+low clears that floor (low >= 2^-26 tr H and low >= 2^-53 ||g||_inf, low > 0),
+the step is -H^-1 g, one linear solve, else eigh. Armijo backtracking
+safeguards the step.
 
 The module keeps its old name, from when the column solver was L-BFGS:
 the benchmark's tracer wraps sdpmix.lbfgs.minimize_column by name.
@@ -36,13 +39,14 @@ _MIN_STEP = 2.0**-60  # backtracking gives up below this step length
 def minimize_column(
     objective_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
-    hessian: Callable[[np.ndarray], np.ndarray],
+    hessian: Callable[[np.ndarray], Tuple[np.ndarray, float]],
     eps: float,
     delta: float,
     max_evals: int,
 ) -> Tuple[np.ndarray, int, bool]:
     """Minimize from x0 in at most max_evals >= 1 evaluations, with delta > 0
-    (the caller guarantees both); returns (x, evals, converged).
+    (the caller guarantees both); returns (x, evals, converged). hessian(x)
+    returns (H, low), low a lower bound on H's eigenvalues (-inf for none).
 
     The returned objective value never exceeds the start value: on budget
     exhaustion or line-search failure the best iterate found is returned,
@@ -60,13 +64,17 @@ def minimize_column(
     x, f, g, g_norm = x0, f0, g0, g_start
     best_x, best_f = x0, f0
     while True:
+        H, low = hessian(x)
         try:
-            w, Q = np.linalg.eigh(hessian(x))
+            if low > 0.0 and low >= _FLOOR * H.trace() and low >= _EPS * g_norm:  # no eigenvalue is floored
+                p = np.linalg.solve(H, -g)
+            else:
+                w, Q = np.linalg.eigh(H)
+                curv = np.abs(w)
+                floor = max(_FLOOR * float(curv.max()), _EPS * g_norm)
+                p = Q @ ((Q.T @ g) / -np.maximum(curv, floor))
         except np.linalg.LinAlgError:  # eigh fails on some nonfinite Hessians
             return x0, evals, False
-        curv = np.abs(w)
-        floor = max(_FLOOR * float(curv.max()), _EPS * g_norm)
-        p = Q @ ((Q.T @ g) / -np.maximum(curv, floor))
         slope = float(g @ p)
         if not math.isfinite(slope):  # and returns NaNs for others: abort before any trial
             return x0, evals, False

@@ -93,19 +93,18 @@ def apply_adjoint(problem: SdpProblem, y: np.ndarray) -> List[np.ndarray]:
 
 @dataclass(frozen=True)
 class ColSlice:
-    """Everything touching one column of one block.
+    """Everything touching one column i of one block.
 
     sup lists the constraints with any entry in this column, the first n_eq
-    equalities. The slots are sup's positions, then one for the cost: diag
-    holds the (i, i) coefficient per slot, and (seg, row, val) the entries
-    off the diagonal, seg giving each entry's slot and row its partner.
+    equalities. The slots are sup's positions, then one for the cost:
+    (cell, val) holds every entry of the column, the diagonal one included,
+    at cell = slot * n_b + partner (partner i on the diagonal): the cells of
+    the slot matrix (slot_matrix).
     """
 
     sup: np.ndarray
     n_eq: int
-    diag: np.ndarray
-    seg: np.ndarray
-    row: np.ndarray
+    cell: np.ndarray
     val: np.ndarray
 
 
@@ -128,13 +127,12 @@ class ColumnSlices:
         at = problem.tables.offsets
         n = int(at[-1])
         mirror = row != col
-        local = np.concatenate([row, col[mirror]])
-        column = local + at[np.concatenate([block, block[mirror]])]
+        column = np.concatenate([row, col[mirror]]) + at[np.concatenate([block, block[mirror]])]
         partner = np.concatenate([col, row[mirror]])
         cid = np.concatenate([con, con[mirror]])
         v = to_float_array(np.concatenate([val, val[mirror]]))
         order = np.lexsort((partner, cid, column))
-        local, column, partner, cid, v = local[order], column[order], partner[order], cid[order], v[order]
+        column, partner, cid, v = column[order], partner[order], cid[order], v[order]
 
         # a group is one (column, constraint) run; its slot is its rank in
         # the column, so the cost, when present, takes slot len(sup)
@@ -143,37 +141,30 @@ class ColumnSlices:
         gcid, gcol = cid[first], column[first]
         gstart = np.searchsorted(gcol, np.arange(n + 1))
         slot = np.cumsum(first) - 1 - gstart[column]
+        cell = slot * np.repeat(np.diff(at), np.diff(at))[column] + partner
 
-        # every column's len(sup) + 1 slots, laid end to end
         nsup = np.bincount(gcol[gcid < m], minlength=n)
         n_eq = np.bincount(gcol[gcid < problem.m_eq], minlength=n).tolist()
-        base = np.concatenate([[0], np.cumsum(nsup + 1)])
-        on_diag = local == partner
-        diag = np.zeros(int(base[-1]))
-        diag[(base[column] + slot)[on_diag]] = v[on_diag]
-
-        off = ~on_diag
-        seg, prow, pval = slot[off], partner[off], v[off]
-        ends = np.searchsorted(column[off], np.arange(n + 1))
-        columns = [ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], n_eq=n_eq[i], diag=diag[base[i]:base[i + 1]],
-                            seg=seg[ends[i]:ends[i + 1]], row=prow[ends[i]:ends[i + 1]], val=pval[ends[i]:ends[i + 1]])
+        ends = np.searchsorted(column, np.arange(n + 1))
+        columns = [ColSlice(sup=gcid[gstart[i]:gstart[i] + nsup[i]], n_eq=n_eq[i],
+                            cell=cell[ends[i]:ends[i + 1]], val=v[ends[i]:ends[i + 1]])
                    for i in range(n)]
         self.by_block: List[List[ColSlice]] = [columns[s:e] for s, e in zip(at[:-1], at[1:])]
 
 
-def _slot_matrix(sl: ColSlice, V: np.ndarray) -> np.ndarray:
-    """The slot matrix U = M V^T, M holding each slot's entries by partner
-    (one bincount): row j is sum val V[:, partner] over slot j's entries."""
-    n, rows = V.shape[1], len(sl.diag)
-    return np.bincount(sl.seg * n + sl.row, weights=sl.val, minlength=rows * n).reshape(rows, n) @ V.T
+def slot_matrix(sl: ColSlice, n: int) -> np.ndarray:
+    """The slot matrix M (len(sup) + 1 slots x n) of column i of an order-n
+    block: M[j, p] = (A_j)_ip, so M's column i holds the slots' diagonal
+    coefficients and (M V^T)[j] = sum_p (A_j)_ip V[:, p]."""
+    return np.bincount(sl.cell, weights=sl.val, minlength=(len(sl.sup) + 1) * n).reshape(-1, n)
 
 
-def column_deltas(diag: np.ndarray, U: np.ndarray, v0: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Increments DV = diag (2 v0.d + |d|^2) + 2 U d of a column's slots (sup,
-    then the cost) when it moves by d from v0, in binary64 on its slot
-    matrix U. No |v|^2 terms cancel, so DV_j is accurate to a few units of
-    roundoff of its terms' magnitudes."""
-    return diag * (2.0 * (v0 @ d) + d @ d) + 2.0 * (U @ d)
+def column_deltas(diag: np.ndarray, W0: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Increments DV = 2 W0 d + diag |d|^2 of a column's slots (sup, then the
+    cost) when it moves by d from v0, in binary64 on W0 = M V^T (slot_matrix).
+    No |v|^2 terms cancel, so DV_j is accurate to a few units of roundoff of
+    its terms' magnitudes."""
+    return 2.0 * (W0 @ d) + diag * (d @ d)
 
 
 def commit_column(cache: OperatorCache, V: np.ndarray, i: int, model, d: np.ndarray) -> None:

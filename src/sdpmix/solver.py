@@ -115,7 +115,9 @@ class ErrorReport:
     compl: object
 
     def max_error(self):
-        return max(self.pinf, self.gap, self.compl_star, self.dinf, self.compl)
+        """The largest measure, or NaN when one is NaN (max drops a NaN it meets after a number)."""
+        values = list(vars(self).values())
+        return next((v for v in values if v != v), max(values))
 
     def as_dict(self) -> dict:
         return {key: float(val) for key, val in vars(self).items()}

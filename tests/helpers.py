@@ -11,7 +11,7 @@ import numpy as np
 from sdpmix.auglag import ColumnContext, SweepResidual, make_state
 from sdpmix.ddouble import DDArray, dot, norm2, to_float_array
 from sdpmix.errors import NumericalError
-from sdpmix.linops import _slot_matrix, apply_adjoint, column_deltas, commit_column
+from sdpmix.linops import apply_adjoint, column_deltas, commit_column, slot_matrix
 from sdpmix.problem import SdpProblem, scale
 from sdpmix.solver import SolverOptions, WarmStart, init_state, rank_rule
 
@@ -320,11 +320,12 @@ def apply_operator(problem, V_blocks):
 
 def incremental_operator_values(cache, slices, V_blocks, block, i, v_start, v_trial):
     """Operator values after substituting v_trial for column i of the given
-    block, from the cached values at v_start and the binary64 increments of
-    column_deltas on the column's slot matrix."""
+    block, v_start, from the cached values at v_start and the binary64
+    increments of column_deltas on the column's W0 = M V^T."""
     sl = slices.by_block[block][i]
-    U = _slot_matrix(sl, to_float_array(V_blocks[block]))
-    delta = column_deltas(sl.diag, U, to_float_array(v_start), to_float_array(v_trial - v_start))
+    V64 = to_float_array(V_blocks[block])
+    M = slot_matrix(sl, V64.shape[1])
+    delta = column_deltas(M[:, i], M @ V64.T, to_float_array(v_trial - v_start))
     out = cache.values.copy()
     if len(sl.sup):
         out[sl.sup] += delta[:-1]
@@ -333,12 +334,11 @@ def incremental_operator_values(cache, slices, V_blocks, block, i, v_start, v_tr
 
 def increment_terms(sl, V64, i, d):
     """The magnitudes of the terms of column_deltas' DV for column i of the
-    binary64 factor V64 moving by d, on the binary64 slice sl: its diagonal,
-    v0.d, |d|^2 and the slot-matrix products taken in absolute value. DV is
+    binary64 factor V64 moving by d, on the binary64 slice sl: W0 = M V^T
+    and its product with d taken in absolute value, and diag |d|^2. DV is
     accurate to a few units of binary64 roundoff of these."""
-    absolute = replace(sl, diag=np.abs(sl.diag), val=np.abs(sl.val))
-    return (absolute.diag * (2.0 * (np.abs(V64[:, i]) @ np.abs(d)) + d @ d)
-            + 2.0 * (_slot_matrix(absolute, np.abs(V64)) @ np.abs(d)))
+    M = slot_matrix(replace(sl, val=np.abs(sl.val)), V64.shape[1])
+    return 2.0 * ((M @ np.abs(V64).T) @ np.abs(d)) + M[:, i] * (d @ d)
 
 
 def commit_move(state, block, i, v_new):
@@ -353,18 +353,18 @@ def reassemble(problem, slices):
     """True when the column slices rebuild every constraint matrix and every
     block's cost matrix (slot len(sup), constraint m) exactly.
 
-    Each incidence is placed once, at (partner, column): an off-diagonal
-    entry must therefore appear under both of its columns to rebuild."""
+    Each incidence, diagonal ones included, is placed once, at (partner,
+    column): an off-diagonal entry must therefore appear under both of its
+    columns to rebuild."""
     kind = problem.kind
     m = problem.m
     for b, n in enumerate(problem.block_sizes):
         got = {}
         for i, sl in enumerate(slices.by_block[b]):
             ids = sl.sup.tolist() + [m]
-            assert len(sl.diag) == len(ids)
-            for t, j in enumerate(ids):
-                got.setdefault(j, kind.zeros((n, n)))[i, i] += sl.diag[t]
-            for s, r, v in zip(sl.seg.tolist(), sl.row.tolist(), list(sl.val)):
+            assert slot_matrix(sl, n).shape == (len(ids), n)  # every cell lies in the column's slots
+            for cell, v in zip(sl.cell.tolist(), list(sl.val)):
+                s, r = divmod(cell, n)
                 got.setdefault(ids[s], kind.zeros((n, n)))[r, i] += v
         for j in set(got) | set(problem.entries.con[problem.entries.block == b].tolist()) | {m}:
             if not np.all(got.get(j, kind.zeros((n, n))) == dense_row(problem, j, b)):

@@ -238,7 +238,7 @@ def test_commit_reuses_the_increments_of_the_last_evaluation(kind, monkeypatch):
                 for at, evaluated_last in ((d, True), (d.copy(), False), (d, False)):
                     if not evaluated_last and at is d:
                         ctx.value_and_grad(0.5 * d)  # d is no longer the last evaluation
-                    fresh = column_deltas(ctx.diag, ctx.U, ctx.v0, at)
+                    fresh = column_deltas(ctx.diag, ctx.W0, at)
                     cache = OperatorCache(st.cache.values.copy(), st.cache.cost_value)
                     want = st.cache.values.copy()
                     want[ctx.sup] += fresh[:-1]
@@ -298,8 +298,9 @@ def test_column_hessian_matches_central_differences(case):
                     continue
                 changed += bool(np.any(act != _activity(p, st, b, i, v0)))
                 checked += 1
-                H = ctx.hessian(d)
+                H, low = ctx.hessian(d)
                 assert H.dtype == np.float64 and H.shape == (k, k)
+                assert np.linalg.eigvalsh(H)[0] >= low - 1e-12 * np.abs(H).max()  # low bounds the eigenvalues
                 fd = np.column_stack([(ctx.value_and_grad(d + h * e)[1] - ctx.value_and_grad(d - h * e)[1]) / (2 * h)
                                       for e in np.eye(k)])
                 worst = max(worst, np.abs(H - fd).max() / (1.0 + np.abs(H).max()))
@@ -341,10 +342,11 @@ def test_cached_column_hessian_matches_recomputation(kind, monkeypatch):
 
     def recording(objective_grad, x0, hessian, *budget):
         def checked(x):
-            H = hessian(x)
-            assert np.array_equal(H, hessian(x.copy()))
+            H, low = hessian(x)
+            H2, low2 = hessian(x.copy())
+            assert np.array_equal(H, H2) and low == low2
             moved.append(bool(x.any()))
-            return H
+            return H, low
 
         return inner(objective_grad, x0, checked, *budget)
 
@@ -639,7 +641,7 @@ def test_sweep_context_of_an_order_one_column_follows_the_commits():
             M = to_float_array(dense_row(p, p.m, b) - apply_adjoint(p, multipliers(st))[b])
             assert np.abs(ctx.g0 - grad).max() <= 1e-12 * (1 + np.abs(grad).max())
             assert abs(ctx.gi0 - M[i, i]) <= 1e-12 * (1 + abs(M[i, i]))
-            checked += len(st.slices.by_block[b][i].row) == 0  # no off-diagonal entry
+            checked += bool(np.all(st.slices.by_block[b][i].cell % p.block_sizes[b] == i))  # no off-diagonal entry
             commit_column(st.cache, st.V_blocks[b], i, ctx, 0.1 * rng.standard_normal(len(ctx.v0)))
     assert checked == 2
 

@@ -449,6 +449,23 @@ def test_check_perturbed_duals_show_dinf(tmp_path, capsys):
     assert dinf > 1e-6
 
 
+def test_check_an_overflowing_dual_slack_exit_1(tmp_path, capsys):
+    # a finite dual of 1e308 passes the reader and check_fit, but its dual
+    # slack C - A^T y overflows: an input error naming the solution file
+    prob, out = tmp_path / "p.sdp", tmp_path / "p.sol"
+    assert main(["generate", "rand", "--blocks", "4", "--m", "3", "--seed", "1", "-o", str(prob)]) == EXIT_OK
+    assert main(["solve", str(prob), "-o", str(out), "--tol", "1e-6"]) == EXIT_OK
+    text = out.read_text().splitlines()
+    t = text.index("ya 3") + 1
+    text[t] = " ".join(["1e308"] + text[t].split()[1:])
+    bad = tmp_path / "bad.sol"
+    bad.write_text("\n".join(text) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(prob), str(bad)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: ") and "nonfinite" in captured.err and captured.out == ""
+
+
 def check_report(capsys, problem, solution):
     """Exit code and printed measures of `sdpmix check`."""
     code = main(["check", str(problem), str(solution)])

@@ -1,12 +1,17 @@
-"""The Newton column solver (sdpmix.lbfgs.minimize_column) on analytic problems."""
+"""The Newton column solver (sdpmix.lbfgs.minimize_column) on analytic problems,
+and its certified step on the Hessians that solves ask for."""
 
 import math
 
 import numpy as np
 import pytest
 
+from sdpmix import solver
 from sdpmix.ddouble import DOUBLE_DOUBLE, norm_inf, to_float_array
+from sdpmix.instances import Graph, gen_random_sdp, maxcut_relaxation
 from sdpmix.lbfgs import minimize_column
+from sdpmix.precision import STAGE1_TOL, solve_two_stage
+from sdpmix.solver import SolverOptions, solve
 
 
 def quadratic(c):
@@ -18,7 +23,8 @@ def quadratic(c):
 
 
 def identity_hessian(scale):
-    return lambda v: scale * np.eye(len(v))
+    """scale I, with its eigenvalue as the bound."""
+    return lambda v: (scale * np.eye(len(v)), scale)
 
 
 def test_quadratic_reaches_analytic_minimizer():
@@ -51,7 +57,7 @@ def rosenbrock(v):
 
 def rosenbrock_hessian(v):
     x, y = v
-    return np.array([[2 - 400 * (y - 3 * x * x), -400 * x], [-400 * x, 200.0]])
+    return np.array([[2 - 400 * (y - 3 * x * x), -400 * x], [-400 * x, 200.0]]), -math.inf
 
 
 def test_budget_returns_best_iterate():
@@ -78,8 +84,8 @@ def test_monotone_acceptance_on_random_problems():
         def f(v):
             return 0.5 * v @ Q @ v + b @ v + 3.0 * math.sin(v[0]), Q @ v + b + 3.0 * e0 * math.cos(v[0])
 
-        def hess(v):
-            return Q - 3.0 * math.sin(v[0]) * np.outer(e0, e0)
+        def hess(v):  # Q's eigenvalues are at least 0.1
+            return Q - 3.0 * math.sin(v[0]) * np.outer(e0, e0), 0.1 - 3.0 * max(math.sin(v[0]), 0.0)
 
         v0 = rng.standard_normal(k) * 3
         budget = int(rng.integers(2, 40))
@@ -103,7 +109,7 @@ def test_stop_rule_holds_at_returned_point():
 
         def hess(v):
             d = v - c
-            return Q + (d @ d) * np.eye(k) + 2.0 * np.outer(d, d)
+            return Q + (d @ d) * np.eye(k) + 2.0 * np.outer(d, d), 0.1 + d @ d
 
         eps, delta = rng.uniform(1e-8, 1e-2), rng.uniform(1e-6, 0.5)
         v0 = rng.standard_normal(k) * 2
@@ -133,7 +139,7 @@ def test_convex_quadratics_high_accuracy(k):
         return 0.5 * v @ Q @ v + b @ v, Q @ v + b
 
     v0 = rng.standard_normal(k)
-    v, evals, ok = minimize_column(f, v0, lambda v: Q, 1e-10, 1e-14, 10 * 1000)
+    v, evals, ok = minimize_column(f, v0, lambda v: (Q, 0.5), 1e-10, 1e-14, 10 * 1000)
     assert ok
     assert evals <= 3
     assert np.abs(f(v)[1]).max() < 1e-10
@@ -165,17 +171,22 @@ def test_failed_eigendecomposition_returns_start():
     # either way the subproblem aborts like a nonfinite evaluation, before
     # any trial
     def inf_hessian(v):
-        return np.full((3, 3), math.inf)
+        return np.full((3, 3), math.inf), -math.inf
 
     def nan_hessian(v):
         H = 2.0 * np.eye(3)
         H[1, 1] = math.nan
-        return H
+        return H, 2.0
+
+    def nan_off_diagonal(v):  # a bound that certifies it: the linear solve returns NaNs
+        H = 2.0 * np.eye(3)
+        H[0, 1] = math.nan
+        return H, 2.0
 
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.eigh(inf_hessian(None))
+        np.linalg.eigh(inf_hessian(None)[0])
     v0 = np.array([1.0, 2.0, 3.0])
-    for hessian in (inf_hessian, nan_hessian):
+    for hessian in (inf_hessian, nan_hessian, nan_off_diagonal):
         v, evals, ok = minimize_column(quadratic(np.zeros(3)), v0, hessian, 0.01, 0.01, 1000)
         assert v is v0 and evals == 1 and not ok
 
@@ -191,8 +202,8 @@ def test_positive_definite_curvature_under_the_floor_is_floored():
             return math.inf, np.full(2, math.inf)
         return v[0] ** 2 + 0.5e-12 * v[1] ** 2 - b @ v, np.array([2.0 * v[0], 1e-12 * v[1]]) - b
 
-    def hessian(v):
-        return np.diag([2.0, 1e-12])
+    def hessian(v):  # its bound is positive but under the floor: no certified step
+        return np.diag([2.0, 1e-12]), 1e-12
 
     v0 = np.zeros(2)
     v, evals, ok = minimize_column(f, v0, hessian, 1e-12, 1e-12, 2)
@@ -222,7 +233,7 @@ def test_indefinite_start_stays_monotone():
         return x**4 / 4 - x**2 / 2 + y**2, np.array([x**3 - x, 2 * y])
 
     def hess(v):
-        return np.array([[3 * v[0] ** 2 - 1, 0.0], [0.0, 2.0]])
+        return np.array([[3 * v[0] ** 2 - 1, 0.0], [0.0, 2.0]]), min(3 * v[0] ** 2 - 1, 2.0)
 
     for v0 in (np.array([0.1, 1.0]), np.array([-0.3, -2.0]), np.array([1e-6, 0.5])):
         v, evals, ok = minimize_column(f, v0, hess, 1e-10, 1e-12, 200)
@@ -230,11 +241,30 @@ def test_indefinite_start_stays_monotone():
         assert f(v)[0] < f(v0)[0]
 
 
+def test_a_rise_within_rounding_passes_the_line_search_but_not_the_result():
+    # f = 1 + |v - c|^2 with an error of 4 ulp(1) at every point but the
+    # start, whose true decrease to c, 2e-18, is below the rounding of f:
+    # the Newton step to c raises the value by that error, which fails
+    # Armijo's test but lies within the rounding level 128 u |f| while the
+    # slope along the step has not turned, so the line search accepts it
+    # (approximate Armijo); the gradient there meets the stopping rule, but
+    # the value is above the start's, so the start is returned, unconverged
+    c = np.array([0.5, -0.25])
+    v0 = c + 1e-9
+
+    def f(v):
+        d = v - c
+        return 1.0 + d @ d + (0.0 if v is v0 else 4 * 2.0**-52), 2.0 * d
+
+    v, evals, ok = minimize_column(f, v0, identity_hessian(2.0), 1e-12, 1e-12, 10)
+    assert v is v0 and evals == 2 and not ok
+
+
 def test_empty_vector_immediate():
     def f(v):
         return 0.0, v
 
-    v, evals, ok = minimize_column(f, np.zeros(0), lambda v: np.zeros((0, 0)), 0.01, 0.01, 1000)
+    v, evals, ok = minimize_column(f, np.zeros(0), lambda v: (np.zeros((0, 0)), -math.inf), 0.01, 0.01, 1000)
     assert ok and evals == 1 and v.size == 0
 
 
@@ -271,3 +301,114 @@ def test_zero_eps_accepts_a_zero_gradient():
     v0 = np.array([1.0, -1.0])
     v, evals, ok = minimize_column(f, v0, identity_hessian(2.0), 0.0, 0.01, 1000)
     assert ok and evals == 1 and v is v0
+
+
+def record_steps(monkeypatch, calls, active=lambda: True):
+    """Append "eigh" or "solve" to calls at every such numpy.linalg call
+    made while active()."""
+    for name in ("eigh", "solve"):
+        def call(*args, _name=name, _original=getattr(np.linalg, name)):
+            if active():
+                calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+
+def test_indefinite_start_takes_eigh_then_the_certified_solve(monkeypatch):
+    # from x = 0.1 the bound 3 x^2 - 1 is negative: the first step is the
+    # floored eigh step; near the minimum at x = 1 the bound is 2 and
+    # certifies every eigenvalue, so the later steps are linear solves
+    calls = []
+    record_steps(monkeypatch, calls)
+
+    def f(v):
+        x, y = v
+        return x**4 / 4 - x**2 / 2 + y**2, np.array([x**3 - x, 2 * y])
+
+    def hess(v):
+        return np.array([[3 * v[0] ** 2 - 1, 0.0], [0.0, 2.0]]), min(3 * v[0] ** 2 - 1, 2.0)
+
+    v, evals, ok = minimize_column(f, np.array([0.1, 1.0]), hess, 1e-10, 1e-12, 200)
+    assert ok and abs(v[0] - 1.0) < 1e-9
+    assert calls[0] == "eigh" and calls[-1] == "solve" and "solve" in calls
+
+
+# -- the certified step on the Hessians of solves ------------------------------
+
+
+def maxcut_triangles(n):
+    """Max-Cut with triangles over G(n, 1/2) drawn from default_rng(0)."""
+    rng = np.random.default_rng(0)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    return maxcut_relaxation(Graph.build(n, edges), with_triangles=True).problem
+
+
+def newton_steps(monkeypatch, run, keep=True):
+    """Run `run` with every column solve recorded: the (H, low, g) of each
+    Newton step (g the gradient at the point H is asked for) when `keep`,
+    and how many eigh and solve calls the column solves made."""
+    steps, calls, inside = [], [], []
+    inner = solver.minimize_column
+
+    def recording(objective_grad, x0, hessian, *budget):
+        last = []
+
+        def evaluated(x):
+            f, g = objective_grad(x)
+            last[:] = [g]
+            return f, g
+
+        def asked(x):
+            H, low = hessian(x)
+            if keep:
+                steps.append((H, low, last[0]))
+            return H, low
+
+        inside.append(True)
+        try:
+            return inner(evaluated, x0, asked, *budget)
+        finally:
+            inside.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "minimize_column", recording)
+        record_steps(patch, calls, lambda: bool(inside))
+        run()
+    return steps, {name: calls.count(name) for name in ("eigh", "solve")}
+
+
+def test_certified_step_equals_the_floored_eigh_step(monkeypatch):
+    # every (H, low, g) that solves of big_block, Max-Cut G(16) with
+    # triangles and dd_refine's stage 2 ask for: low bounds H's eigenvalues,
+    # and where it clears the floor the linear solve's step is the floored
+    # eigh step. The two agree to 1e-12 relative, or to 16 u tr H / low
+    # where that is larger: tr H / low bounds H's condition, which reaches
+    # about 1e4 on a few G(16) steps, whose two steps differ by about 2e-12.
+    # Coverage: no step of big_block calls eigh, and on Max-Cut G(16) and
+    # G(24) with triangles (G(24) counted only) at least 99 % of the steps
+    # are linear solves
+    u = 2.0**-53
+    p = gen_random_sdp((10,), 10, 1.0, 42)
+    _, warm = solve(p, SolverOptions(tol=STAGE1_TOL))
+    runs = {"big_block": (lambda: solve(gen_random_sdp((100,), 3, 0.05, 0), SolverOptions(tol=1e-8)), 1.0, True),
+            "maxcut_G16": (lambda: solve(maxcut_triangles(16), SolverOptions(tol=1e-8)), 0.99, True),
+            "dd_refine_stage_2": (lambda: solve_two_stage(p, SolverOptions(tol=1e-20), warm_start=warm), 1.0, True),
+            "maxcut_G24": (lambda: solve(maxcut_triangles(24), SolverOptions(tol=1e-8)), 0.99, False)}
+    for name, (run, share, keep) in runs.items():
+        steps, counts = newton_steps(monkeypatch, run, keep)
+        certified = 0
+        for H, low, g in steps:
+            w, Q = np.linalg.eigh(H)
+            assert w[0] >= low - 64 * u * np.abs(w).max(), name
+            g_norm = float(norm_inf(g))
+            if not (low > 0 and low >= 2.0**-26 * H.trace() and low >= u * g_norm):
+                continue
+            certified += 1
+            curv = np.abs(w)
+            floored = Q @ ((Q.T @ g) / -np.maximum(curv, max(2.0**-26 * curv.max(), u * g_norm)))
+            err = np.linalg.norm(np.linalg.solve(H, -g) - floored) / np.linalg.norm(floored)
+            assert err <= max(1e-12, 16 * u * H.trace() / low), name
+        if keep:
+            assert counts == {"eigh": len(steps) - certified, "solve": certified}, name
+        assert counts["solve"] >= share * (counts["solve"] + counts["eigh"]) > 0, name

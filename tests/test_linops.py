@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdpmix import linops
-from sdpmix.auglag import make_state
+from sdpmix.auglag import ColumnContext, make_state
 from sdpmix import problem as problem_module
 from sdpmix.ddouble import DOUBLE_DOUBLE, kind_of, segment_sum, to_float_array
 from sdpmix.errors import NumericalError
@@ -35,6 +35,7 @@ from helpers import (
     random_problem,
     random_V_blocks,
     reassemble,
+    sweep_start,
     words_equal,
     uneven_problem,
 )
@@ -151,8 +152,8 @@ def test_column_slices_reassemble_exactly():
             for q in (p, as_kind(p, DOUBLE_DOUBLE)):
                 slices = ColumnSlices(q)
                 assert reassemble(q, slices)
-                # a column is never its own off-diagonal partner
-                assert all(i not in sl.row for block in slices.by_block for i, sl in enumerate(block))
+                # no cell of a column's slot matrix holds two entries
+                assert all(len(np.unique(sl.cell)) == len(sl.cell) for block in slices.by_block for sl in block)
                 # each column's equalities are its first n_eq constraints
                 assert all(sl.n_eq == np.searchsorted(sl.sup, q.m_eq)
                            for block in slices.by_block for sl in block)
@@ -160,7 +161,7 @@ def test_column_slices_reassemble_exactly():
 
 @pytest.mark.parametrize("kind", ["double", "dd"])
 def test_column_deltas_match_the_dense_oracle(kind):
-    # DV of column_deltas, on the binary64 slot matrix of V, against
+    # DV of column_deltas, on the binary64 W0 = M V^T, against
     # fresh(after) - fresh(before) on the column's slots and the cost, both
     # recomputed in double-double: within a few units of binary64 roundoff of
     # the magnitudes of DV's terms. At dd the data and V carry low words
@@ -181,13 +182,43 @@ def test_column_deltas_match_the_dense_oracle(kind):
             for i in range(n):
                 sl = slices.by_block[b][i]
                 d = 10.0 ** rng.uniform(-8.0, 0.0) * rng.standard_normal(V64.shape[0])
-                got = column_deltas(sl.diag, linops._slot_matrix(sl, V64), V64[:, i], d)
+                M = linops.slot_matrix(sl, n)
+                got = column_deltas(M[:, i], M @ V64.T, d)
                 moved = [dd.asarray(W) for W in V]
                 moved[b][:, i] = moved[b][:, i] + d
                 after = fresh_cache(exact, moved)
                 want = np.append(after.values[sl.sup] - before.values[sl.sup], after.cost_value - before.cost_value)
                 err = np.abs(to_float_array(want - got))
                 assert np.all(err <= 8 * 2.0**-53 * increment_terms(sl, V64, i, d))
+
+
+@pytest.mark.parametrize("kind", ["double", "dd"])
+def test_slot_matrix_rows_match_the_dense_oracle(kind):
+    # W0 = M V^T of every column, as the column context forms it, against
+    # sum_p (A_j)_ip V[:, p] of the dense rows (the cost in slot len(sup)),
+    # within binary64 roundoff of the magnitudes of its terms: on order-1
+    # blocks among larger ones, and on column 2 of a problem whose only
+    # entry there is diagonal. At dd V carries low words that W0 rounds away.
+    u = 2.0**-53
+    cases = [random_problem(seed, block_sizes=(3, 1, 1, 4), m_eq=3, m_ineq=2, density=0.5) for seed in range(4)]
+    cases.append(one_constraint_problem(3, [(0, 0, 2.0), (1, 1, 1.0), (2, 2, -1.0), (0, 1, 0.5)]))
+    diagonal_only = 0
+    for seed, p in enumerate(cases):
+        q = as_kind(p, DOUBLE_DOUBLE) if kind == "dd" else p
+        V = [q.kind.asarray(W) / 3.0 for W in random_V_blocks(np.random.default_rng(seed), p)]
+        st = make_state(q, V, q.kind.zeros(q.m), 1.0)
+        if kind == "dd":
+            sweep_start(st)
+        for b, n in enumerate(p.block_sizes):
+            V64 = to_float_array(st.V_blocks[b])
+            for i in range(n):
+                ctx = ColumnContext(st, b, i)
+                rows = np.array([to_float_array(dense_row(q, j, b))[i] for j in [*ctx.sup.tolist(), q.m]])
+                assert np.all(np.abs(ctx.W0 - rows @ V64.T) <= 2 * n * u * (np.abs(rows) @ np.abs(V64).T))
+                assert np.array_equal(ctx.diag, rows[:, i])  # each slot's (i, i) coefficient
+                sl = st.slices.by_block[b][i]
+                diagonal_only += n > 1 and len(sl.cell) > 0 and bool(np.all(sl.cell % n == i))
+    assert diagonal_only >= 1
 
 
 def test_incremental_identity_when_column_unchanged():

@@ -177,9 +177,9 @@ def test_dd_solve_hands_lbfgs_binary64_only(monkeypatch):
             return f, g
 
         def checked_hessian(x):
-            H = hessian(x)
-            hessians.append((x.dtype, H.dtype, H.shape == (len(x), len(x))))
-            return H
+            H, low = hessian(x)
+            hessians.append((x.dtype, H.dtype, H.shape == (len(x), len(x)), type(low)))
+            return H, low
 
         starts.append(x0.dtype)
         return inner(checked, x0, checked_hessian, *budget)
@@ -189,5 +189,6 @@ def test_dd_solve_hands_lbfgs_binary64_only(monkeypatch):
     _, warm = solve(p, SolverOptions(max_iters=2, seed=2))
     assert len(starts) == 2 * 5 and set(starts) == {np.dtype(np.float64)}
     assert evals and all(xt == np.float64 and issubclass(ft, float) and gt == np.float64 for xt, ft, gt in evals)
-    assert hessians and all(xt == np.float64 and ht == np.float64 and square for xt, ht, square in hessians)
+    assert hessians and all(xt == np.float64 and ht == np.float64 and square and issubclass(lt, float)
+                            for xt, ht, square, lt in hessians)
     assert isinstance(warm.V_blocks[0], DDArray)

@@ -340,6 +340,15 @@ def test_error_report_max_and_dict():
         ErrorReport(pinf=0.1, gap=0.2, compl_star=0.05)
 
 
+@pytest.mark.parametrize("at", range(5))
+def test_error_report_max_is_nan_when_any_measure_is(at):
+    # Python's max keeps the first of two values it cannot compare, so it
+    # would drop a NaN after a number; a NaN report must never pass a tol
+    values = [1e-12] * 5
+    values[at] = math.nan
+    assert math.isnan(ErrorReport(*values).max_error())
+
+
 # -- solve --------------------------------------------------------------------
 
 
