@@ -43,7 +43,10 @@ class IterateState:
     (k_max, sum of the block sizes): block b is V[blocks[b]], its columns
     OperatorTables.offsets[b] : offsets[b + 1] and its rows 0 : k_b, k_b
     its rank; the rows from k_b on are zero and stay so. V_blocks[b] is
-    that view, so a write to a block's column is a write to V.
+    that view, so a write to a block's column is a write to V. The cache
+    holds the operator values at V: a column commit updates it in place,
+    and refresh_cache and an Anderson move (solver.install_iterate) form
+    it afresh.
     """
 
     problem: SdpProblem
@@ -53,7 +56,6 @@ class IterateState:
     y: np.ndarray  # one multiplier per constraint, in the problem's row order
     mu: object
     cache: OperatorCache
-    prev_values: np.ndarray
     slices: ColumnSlices
     sweep: Optional["SweepResidual"] = None  # an extended-kind solve's, formed at the top of each sweep
 
@@ -72,9 +74,8 @@ def make_state(problem: SdpProblem, V_blocks, y, mu) -> IterateState:
     V = kind.zeros((max(len(W) for W in V_blocks), int(at[-1])))
     for index, W in zip(blocks, V_blocks):
         V[index] = kind.asarray(W)
-    cache = OperatorCache.fresh(problem, V)
-    return IterateState(problem, V, blocks, [V[index] for index in blocks], kind.asarray(y), kind.scalar(mu), cache,
-                        cache.values.copy(), ColumnSlices(problem))
+    return IterateState(problem, V, blocks, [V[index] for index in blocks], kind.asarray(y), kind.scalar(mu),
+                        OperatorCache.fresh(problem, V), ColumnSlices(problem))
 
 
 class SweepResidual:
@@ -84,17 +85,18 @@ class SweepResidual:
         lam0 = y + mu (b - A(X)),  S0_b = C_b - sum_j lam0+_j A_j,  G0_b = 2 V_b S0_b,
 
     lam0+ the multipliers with the inequality tail clipped at 0. It keeps
-    the kind's copies of the cache values and of every factor block as they
-    stand, the binary64 roundings of lam0, S0 and G0 that the column
-    contexts read, and the y, mu and cache objects it was formed from: a
-    context raises unless they are still the state's (update_duals, the
-    penalty update, an Anderson step and refresh_cache all rebind one).
+    values0, the copy of the cache values that solve takes at the top of
+    the sweep, a copy of the factor matrix as it stands, the binary64
+    roundings of lam0, S0 and G0 that the column contexts read, and the y,
+    mu and cache objects it was formed from: a context raises unless they
+    are still the state's (update_duals, the penalty update, an Anderson
+    step and refresh_cache all rebind one).
     """
 
-    def __init__(self, state: IterateState):
+    def __init__(self, state: IterateState, values0):
         p = state.problem
         self.y, self.mu, self.cache = state.y, state.mu, state.cache
-        self.values0 = state.cache.values.copy()
+        self.values0 = values0
         self.V0 = state.V.copy()
         lam = state.y + state.mu * (p.rhs - self.values0)
         self.lam0 = to_float_array(lam)
@@ -162,7 +164,6 @@ class ColumnContext:
         sl = state.slices.by_block[block][i]
         V = state.V_blocks[block]
         self.v_start = V[:, i].copy()
-        self.v0 = to_float_array(self.v_start)
         self.start = np.zeros(len(self.v_start))
         self.sup = sl.sup
         self.n_eq = n_eq = sl.n_eq

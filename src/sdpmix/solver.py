@@ -19,8 +19,11 @@ check, once the last AA_MEMORY differences of T(s) and of g = T(s) - s are
 known and |g| has fallen over them, the next iterate is their type-II
 combination instead of T(s_k). The iteration from it is the safeguard:
 unless its |g| is below |g_k|, the state goes back to T(s_k) with its mu,
-and the memory is cleared. Each solve call starts with an empty memory;
-see Anderson for the rules.
+and the memory is cleared. Both moves go through install_iterate. Each
+solve call starts with an empty memory; see Anderson for the rules.
+
+The penalty ratio and, at an extended kind, the sweep residual read one
+copy of the cache values, taken at the top of each sweep.
 
 Status tol means that all five KKT errors of the returned solution,
 measured on the problem as given, are below tol. That report needs the
@@ -161,11 +164,6 @@ class Solution:
         """The multipliers as one vector, in the problem's row order."""
         return np.concatenate([self.y_a, self.y_b])
 
-    def with_y(self, y, **changes) -> "Solution":
-        """A copy with the multipliers y (in row order) and `changes`."""
-        m_eq = len(self.y_a)
-        return replace(self, y_a=y[:m_eq], y_b=y[m_eq:], **changes)
-
 
 def init_state(problem: SdpProblem, options: SolverOptions) -> IterateState:
     """Columns i.i.d. uniform on the unit sphere, zero duals, mu = sqrt(the
@@ -219,17 +217,18 @@ def update_duals(state: IterateState, problem: SdpProblem) -> None:
     state.y = y
 
 
-def penalty_ratio(state: IterateState, problem: SdpProblem):
-    """Residual norm over mu times the constraint-value movement, on the
-    active rows: the equalities, and the inequalities with a nonnegative
-    residual or a positive multiplier."""
+def penalty_ratio(state: IterateState, problem: SdpProblem, values0):
+    """Residual norm over mu times the constraint-value movement since the
+    sweep began (values0, the cache values at its top), on the active rows:
+    the equalities, and the inequalities with a nonnegative residual or a
+    positive multiplier."""
     r = state.residual()
     active = (r >= 0) | (state.y > 0)
     active[: problem.m_eq] = True
     num = fsqrt(dot(r[active], r[active]))
     if not float(num) > 0.0:
         return 0.0
-    diff = (state.cache.values - state.prev_values)[active]
+    diff = (state.cache.values - values0)[active]
     den = state.mu * fsqrt(dot(diff, diff))
     if not float(den) > 0.0:
         return math.inf
@@ -245,8 +244,7 @@ def update_penalty(state: IterateState, ratio: float) -> None:
 
 
 AA_MEMORY = 5  # the differences an Anderson step combines
-AA_RCOND = 1e-10  # the fit's cutoff on the differences' singular values
-AA_MAX_STEP = 100.0  # a combination farther than AA_MAX_STEP |g_k| from s_k is not taken
+AA_RCOND = 1e-10  # the fit's cutoff on the differences' singular values, which bounds gamma
 
 
 def flat_iterate(state: IterateState):
@@ -265,9 +263,10 @@ class Anderson:
     tail), the next input is the combination T(s_k) - sum_j gamma_j dT_j
     (dT_j = ds_j + dg_j), still in the kind, gamma the binary64
     least-squares fit of g_k by the rounded dg_j. The iteration from a
-    combination is its trial: unless its |g| is below |g_k|, the state goes
-    back to T(s_k) with its cache, mu and error level, and the memory is
-    cleared. The memory starts empty and is kept across changes of mu.
+    combination is its trial, the one safeguard: unless its |g| is below
+    |g_k|, the state goes back to T(s_k) with its mu and error level, and
+    the memory is cleared. install_iterate makes both moves. The memory
+    starts empty and is kept across changes of mu.
 
     The falls are asked of the whole window, not only of the last step: a
     fixed point that the plain iteration leaves (a saddle of the factored
@@ -278,7 +277,7 @@ class Anderson:
     def __init__(self):
         self.accepted = self.rejected = 0
         self.s = None  # the input of the iteration under way; unknown for the first
-        self.trial = None  # (T(s_k), its cache, mu, error level, |g_k|) while a step is on trial
+        self.trial = None  # (T(s_k), mu, error level, |g_k|) while a step is on trial
         self.clear()
 
     def clear(self) -> None:
@@ -296,13 +295,13 @@ class Anderson:
         gnorm = float(np.linalg.norm(to_float_array(g)))
         trial, self.trial = self.trial, None
         if trial is not None:
-            t_k, cache, mu, level, gnorm_k = trial
+            t_k, mu, level, gnorm_k = trial
             if not gnorm < gnorm_k:
                 self.rejected += 1
                 self.clear()
                 self.s = t_k
                 install_iterate(state, t_k)
-                state.cache, state.mu, state.prev_values = cache, mu, cache.values.copy()
+                state.mu = mu
                 return level
             self.accepted += 1
         if self.t is not None:
@@ -312,35 +311,30 @@ class Anderson:
         self.gnorms = (self.gnorms + [gnorm])[-AA_MEMORY - 1 :]
         steady = len(self.dG) == AA_MEMORY and all(a > b for a, b in zip(self.gnorms, self.gnorms[1:]))
         if trial is None and steady:
-            self.propose(state, s, err_level)
+            self.propose(state, err_level)
         return err_level
 
-    def propose(self, state: IterateState, s, err_level) -> None:
-        """Move the state to the combination, unless it lies farther than
-        AA_MAX_STEP |g_k| from s."""
-        gnorm = self.gnorms[-1]
+    def propose(self, state: IterateState, err_level) -> None:
+        """Move the state to the combination and put it on trial."""
         gamma = np.linalg.lstsq(np.stack(self.dG, axis=1), to_float_array(self.g), rcond=AA_RCOND)[0]
         combo = self.t
         for dT, c in zip(self.dT, gamma.tolist()):
             combo = combo - c * dT
-        if not np.linalg.norm(to_float_array(combo - s)) <= AA_MAX_STEP * gnorm:
-            return
-        self.trial = (self.t, state.cache, state.mu, err_level, gnorm)
+        self.trial = (self.t, state.mu, err_level, self.gnorms[-1])
         self.s = combo
         install_iterate(state, combo)
-        m_eq = state.problem.m_eq
-        state.y[m_eq:] = np.maximum(state.y[m_eq:], 0.0)
-        # a fresh cache, not refresh_cache: there is no incremental update
-        # at the combination to measure a drift of
-        state.cache = OperatorCache.fresh(state.problem, state.V)
-        state.prev_values = state.cache.values.copy()
 
 
 def install_iterate(state: IterateState, s) -> None:
-    """Write the flat iterate s (flat_iterate's layout) into the state's
-    factor matrix and a new y."""
+    """Move the state to the flat iterate s (flat_iterate's layout): write
+    its factor matrix, store a new y with the inequality tail clipped at 0,
+    and form a fresh cache. That is OperatorCache.fresh, not refresh_cache:
+    there is no incremental update at s to measure a drift of."""
     state.V[...] = s[: state.V.size].reshape(state.V.shape)
-    state.y = s[state.V.size :].copy()
+    y = s[state.V.size :].copy()
+    y[state.problem.m_eq :] = np.maximum(y[state.problem.m_eq :], 0.0)
+    state.y = y
+    state.cache = OperatorCache.fresh(state.problem, state.V)
 
 
 def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[np.ndarray], object]:
@@ -395,7 +389,8 @@ def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem)
     X = [F.T @ F for F in factor]
     y = record.cost_norm / record.constraint_norms * sol.y
     report, Z, objective = compute_errors(original, X, y)
-    return sol.with_y(y, factor=factor, Z=Z, report=report, objective=objective)
+    m_eq = original.m_eq
+    return replace(sol, factor=factor, y_a=y[:m_eq], y_b=y[m_eq:], Z=Z, report=report, objective=objective)
 
 
 def solve(
@@ -460,8 +455,9 @@ def solve(
         iteration += 1
 
         eps = EPSILON * min(1.0, float(err_level))
+        values0 = state.cache.values.copy()  # the sweep's start: the penalty ratio's and the residual's
         if scaled.kind.is_extended:  # the column contexts' residual, once per sweep
-            state.sweep = SweepResidual(state)
+            state.sweep = SweepResidual(state, values0)
         for b, i in pairs:
             if out_of_time():
                 status = "time"
@@ -484,9 +480,8 @@ def solve(
         if not (all_finite(state.y) and all_finite(state.mu)):
             raise NumericalError(f"nonfinite duals at outer iteration {iteration} (mu={float(state.mu):.3e})")
         assert bool(np.all(state.y[m_eq:] >= 0))
-        ratio = penalty_ratio(state, scaled)
+        ratio = penalty_ratio(state, scaled, values0)
         update_penalty(state, ratio)
-        state.prev_values = state.cache.values.copy()
 
         pinf, gap, compl_star, _ = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y)
         err_level = max(pinf, gap, compl_star)

@@ -294,7 +294,7 @@ def sweep_start(state):
     """`state` with its sweep residual formed, as solve forms it at the top
     of each sweep of an extended-kind problem; the column contexts of a
     double-double state read it until its y, mu or cache is rebound."""
-    state.sweep = SweepResidual(state)
+    state.sweep = SweepResidual(state, state.cache.values.copy())
     return state
 
 

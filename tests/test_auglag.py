@@ -289,7 +289,7 @@ def test_column_hessian_matches_central_differences(case):
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
                 ctx = ColumnContext(st, b, i)
-                v0 = np.asarray(ctx.v0, float)
+                v0 = to_float_array(ctx.v_start)
                 k = len(v0)
                 d = rng.standard_normal(k) * rng.choice([0.05, 0.3, 1.0])
                 act = _activity(p, st, b, i, v0 + d)
@@ -325,7 +325,7 @@ def test_column_start_returns_full_gradient(case):
                 f, g = ctx.value_and_grad(ctx.start)
                 ref = np.asarray(grads[b][:, i], float)
                 assert f == 0.0 and np.abs(g - ref).max() <= 1e-11 * (1 + np.abs(ref).max())
-                f, g_zero = ctx.value_and_grad(np.zeros(len(ctx.v0)))
+                f, g_zero = ctx.value_and_grad(np.zeros(len(ctx.v_start)))
                 assert f == 0.0 and np.array_equal(g_zero, g)
 
 
@@ -620,7 +620,7 @@ def test_sweep_context_gradient_matches_mpmath_after_commits():
         V = to_float_array(st.V_blocks[0])
         assert np.all(err <= 8 * u * (size + 2 * np.abs(dV) @ np.abs(S0[:, i]) + 2 * np.abs(V) @ E) + 1e-28)
         assert err_i <= 8 * u * (abs(S0[i, i]) + E[i]) + 1e-28
-        commit_column(st.cache, st.V_blocks[0], i, ctx, 1e-6 * rng.standard_normal(len(ctx.v0)))
+        commit_column(st.cache, st.V_blocks[0], i, ctx, 1e-6 * rng.standard_normal(len(ctx.v_start)))
     assert seen == {(True, True), (False, False), (True, False), (False, True)}
 
 
@@ -642,7 +642,7 @@ def test_sweep_context_of_an_order_one_column_follows_the_commits():
             assert np.abs(ctx.g0 - grad).max() <= 1e-12 * (1 + np.abs(grad).max())
             assert abs(ctx.gi0 - M[i, i]) <= 1e-12 * (1 + abs(M[i, i]))
             checked += bool(np.all(st.slices.by_block[b][i].cell % p.block_sizes[b] == i))  # no off-diagonal entry
-            commit_column(st.cache, st.V_blocks[b], i, ctx, 0.1 * rng.standard_normal(len(ctx.v0)))
+            commit_column(st.cache, st.V_blocks[b], i, ctx, 0.1 * rng.standard_normal(len(ctx.v_start)))
     assert checked == 2
 
 

@@ -142,6 +142,23 @@ def test_solve_overflowing_penalty_aborts_without_traceback(tmp_path, capsys):
     assert re.fullmatch(r"solver aborted: nonfinite duals at outer iteration 2 \(mu=[^\n]*\)\n", capsys.readouterr().err)
 
 
+def test_solve_overflowing_warm_factor_aborts_without_traceback(tmp_path, capsys):
+    # a warm-start file whose finite factor entries (1e200) have squares
+    # that overflow: the first sweep's refreshed cache is not finite
+    prob, out, ws = tmp_path / "r.sdp", tmp_path / "r.sol", tmp_path / "r.ws"
+    assert main(["generate", "rand", "--blocks", "5", "--m", "3", "--seed", "1", "-o", str(prob)]) == EXIT_OK
+    capsys.readouterr()
+    warm = start_at_mu(parse_native(prob), 1.0)
+    write_warmstart(replace(warm, V_blocks=[np.full_like(V, 1e200) for V in warm.V_blocks]), ws)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", str(prob), "-o", str(out), "--warm-start", str(ws)])
+    assert code == EXIT_LIMIT
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert re.fullmatch(r"solver aborted: nonfinite iterate at outer iteration 1 \(mu=[^\n]*\)\n",
+                        capsys.readouterr().err)
+
+
 def test_solve_negative_seed_exit_1(tmp_path, capsys):
     prob = tmp_path / "toy.sdp"
     prob.write_text(TOY)

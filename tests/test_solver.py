@@ -201,23 +201,20 @@ def test_penalty_ratio_arithmetic():
     p, st = rigged_state_for_ratio()
     # numerator norm 1.0, mu = 2, denominator value-change norm 0.5 -> ratio 1.0
     st.cache.values = np.asarray(p.rhs, dtype=float) - np.array([0.6, 0.8])
-    st.prev_values = st.cache.values - np.array([0.3, 0.4])
     st.mu = 2.0
-    assert penalty_ratio(st, p) == pytest.approx(1.0, rel=1e-14)
+    assert penalty_ratio(st, p, st.cache.values - np.array([0.3, 0.4])) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_penalty_ratio_feasible_is_zero():
     p, st = rigged_state_for_ratio()
     st.cache.values = np.asarray(p.rhs, dtype=float).copy()
-    st.prev_values = st.cache.values + 1.0
-    assert penalty_ratio(st, p) == 0.0
+    assert penalty_ratio(st, p, st.cache.values + 1.0) == 0.0
 
 
 def test_penalty_ratio_stalled_is_inf():
     p, st = rigged_state_for_ratio()
     st.cache.values = np.asarray(p.rhs, dtype=float) + 1.0
-    st.prev_values = st.cache.values.copy()
-    assert penalty_ratio(st, p) == math.inf
+    assert penalty_ratio(st, p, st.cache.values.copy()) == math.inf
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
@@ -227,18 +224,17 @@ def test_penalty_ratio_active_set(kind):
     rng = np.random.default_rng(2)
     st = make_state(p, [rng.standard_normal((2, 3))], np.zeros(2), 1.0)
     st.cache.values = p.rhs + kind.asarray([-0.6, 0.8])  # r_eq=0.6, s=-0.8 slack
-    st.prev_values = st.cache.values - kind.asarray([0.3, 123.0])
-    assert penalty_ratio(st, p) == pytest.approx(0.6 / (1.0 * 0.3), rel=1e-12)
+    values0 = st.cache.values - kind.asarray([0.3, 123.0])  # the values at the sweep's top
+    assert penalty_ratio(st, p, values0) == pytest.approx(0.6 / (1.0 * 0.3), rel=1e-12)
     # positive multiplier pulls the inequality back in
     st.y = kind.asarray([0.0, 0.5])
     num = math.hypot(0.6, -0.8)
     den = math.hypot(0.3, 123.0)
-    assert penalty_ratio(st, p) == pytest.approx(num / den, rel=1e-12)
+    assert penalty_ratio(st, p, values0) == pytest.approx(num / den, rel=1e-12)
     # an equality counts whatever the sign of its residual and its multiplier
     st.y = kind.zeros(2)
     st.cache.values = p.rhs + kind.asarray([0.6, 0.8])  # r_eq=-0.6, s=-0.8 slack
-    st.prev_values = st.cache.values - kind.asarray([0.3, 123.0])
-    assert penalty_ratio(st, p) == pytest.approx(0.6 / 0.3, rel=1e-12)
+    assert penalty_ratio(st, p, st.cache.values - kind.asarray([0.3, 123.0])) == pytest.approx(0.6 / 0.3, rel=1e-12)
 
 
 def test_update_penalty_branches():
@@ -574,13 +570,13 @@ def test_anderson_counts_match_a_recount(monkeypatch):
     assert accepted > 0 and rejected > 0
 
 
-@pytest.mark.parametrize("dT_size, taken", [(1e-4, True), (1e4, False)], ids=["trial", "refusal"])
+@pytest.mark.parametrize("dT_size", [1e-4, 1e4], ids=["trial", "far_trial"])
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
-def test_anderson_fit_of_a_repeated_and_a_vanishing_difference(kind, dT_size, taken):
+def test_anderson_fit_of_a_repeated_and_a_vanishing_difference(kind, dT_size):
     # a memory whose dg holds one difference twice and one 1e-12 |g_k|
     # long: the fit's rcond cuts both directions, and the step is a finite
-    # trial, or a refusal when the dT put the combination farther than
-    # AA_MAX_STEP |g_k|; no warning either way
+    # trial, also when the dT put the combination about 3e7 |g_k| from s_k;
+    # no warning either way
     state = init_state(scale(as_kind(gen_rand(6, 4, 1.0, 3), kind))[0], SolverOptions())
     s = solver.flat_iterate(state)
     rng = np.random.default_rng(0)
@@ -591,15 +587,42 @@ def test_anderson_fit_of_a_repeated_and_a_vanishing_difference(kind, dT_size, ta
     aa.t, aa.g, aa.gnorms = s + g, g, [gnorm * 2.0 ** j for j in range(solver.AA_MEMORY, -1, -1)]
     aa.dG = [dg[0], dg[0].copy(), 1e-12 * gnorm * dg[1] / np.linalg.norm(dg[1]), dg[2], dg[3]]
     aa.dT = [kind.asarray(dT_size * rng.standard_normal(len(s))) for _ in range(solver.AA_MEMORY)]
+    mu = state.mu
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        aa.propose(state, s, 1.0)
+        aa.propose(state, 0.5)
     moved = solver.flat_iterate(state)
-    assert (aa.trial is not None) == taken
-    if taken:
-        assert all_finite(moved) and all_finite(state.cache.values) and aa.trial[4] == gnorm
-    else:
-        assert words_equal(moved, s)
+    assert all_finite(moved) and all_finite(state.cache.values)
+    assert (np.linalg.norm(to_float_array(moved - s)) > 1e6 * gnorm) == (dT_size > 1.0)
+    t_k, trial_mu, level, trial_gnorm = aa.trial
+    assert t_k is aa.t and trial_mu is mu and level == 0.5 and trial_gnorm == gnorm
+
+
+def test_an_undone_anderson_step_restores_the_refreshed_iterate(monkeypatch):
+    # big_block undoes one step: after the undo the iterate is T(s_k) and
+    # the cache holds the values T(s_k) had after its refresh, bit for bit
+    proposed, undone = [], []
+
+    def snapshot(state):
+        return solver.flat_iterate(state), state.cache.values.copy(), state.cache.cost_value
+
+    class Watched(solver.Anderson):
+        def propose(self, state, err_level):
+            proposed.append(snapshot(state))
+            super().propose(state, err_level)
+
+        def after_iteration(self, state, err_level):
+            rejected = self.rejected
+            level = super().after_iteration(state, err_level)
+            if self.rejected > rejected:
+                undone.append((proposed[-1], snapshot(state)))
+            return level
+
+    monkeypatch.setattr(solver, "Anderson", Watched)
+    sol, _ = solve(gen_random_sdp((100,), 3, 0.05, 0), SolverOptions(tol=1e-8))
+    assert sol.status == "tol" and len(undone) == 1
+    before, after = undone[0]
+    assert all(words_equal(a, b) for a, b in zip(after, before))
 
 
 def test_solve_writes_equal_solution_files_for_one_seed(tmp_path):
@@ -712,6 +735,18 @@ def test_solve_nonfinite_aborts_with_diagnostic():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=r"^nonfinite duals at outer iteration 4 \(mu=1\.093e\+308\)$"):
             solve(p, SolverOptions(max_iters=50), warm_start=start_at_mu(p, 1e308))
+
+
+def test_solve_overflowing_factor_aborts_with_diagnostic():
+    # a warm factor of entries 1e200 is finite, so check_warm takes it, but
+    # its squares overflow: the refreshed cache after the first sweep is
+    # not finite
+    p = gen_rand(6, 4, 1.0, 14)
+    warm = start_at_mu(p, 1.0)
+    warm = replace(warm, V_blocks=[np.full_like(V, 1e200) for V in warm.V_blocks])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=r"^nonfinite iterate at outer iteration 1 \(mu=1\.000e\+00\)$"):
+            solve(p, SolverOptions(max_iters=5), warm_start=warm)
 
 
 def test_stagnation_fixture_blocks_do_not_move():
