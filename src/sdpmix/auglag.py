@@ -10,17 +10,21 @@ the manner of mixed-precision iterative refinement: the multipliers and
 the gradient at the column's start are rounded to binary64 once, and every
 trial point then evaluates only the change of the objective, its gradient
 and its k x k Hessian, in binary64, from the column's slot matrix (O(k
-slots)). A binary64 problem forms them per column. An extended-kind problem
-takes the residual once per sweep (SweepResidual): the multipliers, the
-slack C - A^T lam and the factor gradient at the sweep's start, in the
-kind; a context adds to its binary64 rounding the binary64 corrections for
-what the sweep's earlier columns moved, each bounded by that movement, so
-their rounding error shrinks with the outer residual as the iterate
-converges. The accepted column v_start + d is installed in the problem's
-kind, so a double-double solve keeps double-double iterates while the
-Newton column solver sees binary64 alone; the operator cache takes the
-model's binary64 slot increments at d, and refresh_cache recomputes it in
-the problem's kind after every sweep.
+slots)). A binary64 problem forms them per column, installs each accepted
+column v_start + d and adds the model's slot increments at d to the
+operator cache. An extended-kind problem keeps its iterate in the kind and
+moves it in binary64 for the length of a sweep (SweepResidual): at the
+sweep's start it takes the multipliers, the slack C - A^T lam and the
+factor gradient in the kind, and rounds them once; each accepted column
+then writes only binary64 arrays, its exact move d, the sum of the slot
+increments and a binary64 shadow of the factor, and a context adds to the
+sweep's roundings the binary64 corrections for what the earlier columns
+moved, each bounded by that movement, so their rounding error shrinks with
+the outer residual as the iterate converges. SweepResidual.fold installs
+the moves in the kind once per sweep, V0 + D and values0 + DA, so a
+double-double solve keeps double-double iterates while no column runs
+double-double arithmetic; refresh_cache then recomputes the cache in the
+problem's kind.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ddouble import rounded_difference, to_float_array
+from .ddouble import to_float_array
 from .linops import ColumnSlices, OperatorCache, column_deltas, combine_rows, slot_matrix
 from .problem import SdpProblem
 
@@ -44,9 +48,10 @@ class IterateState:
     OperatorTables.offsets[b] : offsets[b + 1] and its rows 0 : k_b, k_b
     its rank; the rows from k_b on are zero and stay so. V_blocks[b] is
     that view, so a write to a block's column is a write to V. The cache
-    holds the operator values at V: a column commit updates it in place,
+    holds the operator values at V: a binary64 column commit updates V and
+    the cache in place, an extended-kind sweep's fold updates both once,
     and refresh_cache and an Anderson move (solver.install_iterate) form
-    it afresh.
+    the cache afresh.
     """
 
     problem: SdpProblem
@@ -57,7 +62,7 @@ class IterateState:
     mu: object
     cache: OperatorCache
     slices: ColumnSlices
-    sweep: Optional["SweepResidual"] = None  # an extended-kind solve's, formed at the top of each sweep
+    sweep: Optional["SweepResidual"] = None  # an extended-kind solve's, from the top of each sweep to its fold
 
     def residual(self) -> np.ndarray:
         """rhs_j - <A_j, X> for every constraint j."""
@@ -84,26 +89,52 @@ class SweepResidual:
 
         lam0 = y + mu (b - A(X)),  S0_b = C_b - sum_j lam0+_j A_j,  G0_b = 2 V_b S0_b,
 
-    lam0+ the multipliers with the inequality tail clipped at 0. It keeps
-    values0, the copy of the cache values that solve takes at the top of
-    the sweep, a copy of the factor matrix as it stands, the binary64
-    roundings of lam0, S0 and G0 that the column contexts read, and the y,
-    mu and cache objects it was formed from: a context raises unless they
-    are still the state's (update_duals, the penalty update, an Anderson
-    step and refresh_cache all rebind one).
+    lam0+ the multipliers with the inequality tail clipped at 0, and the
+    sweep's moves, in binary64: D, each moved column's exact move d, laid
+    out as the factor matrix; DA, the sum of the committed slot increments
+    of every row, the cost last; and V64, the binary64 shadow of the
+    factor that the contexts read, V0 rounded with each d added in
+    binary64. The factor and the cache stay at the sweep's start V0 and
+    values0 until fold installs the moves. It keeps the binary64 roundings
+    of lam0, S0 and G0 that the column contexts read, and the y, mu and
+    cache objects it was formed from: a context raises unless they are
+    still the state's (update_duals, the penalty update, an Anderson step
+    and refresh_cache all rebind one), and once fold has spent it.
     """
 
-    def __init__(self, state: IterateState, values0):
+    def __init__(self, state: IterateState):
         p = state.problem
         self.y, self.mu, self.cache = state.y, state.mu, state.cache
-        self.values0 = values0
-        self.V0 = state.V.copy()
-        lam = state.y + state.mu * (p.rhs - self.values0)
+        lam = state.y + state.mu * (p.rhs - state.cache.values)
         self.lam0 = to_float_array(lam)
         lam[p.m_eq :] = np.maximum(lam[p.m_eq :], 0.0)
         S = combine_rows(p, np.concatenate([-lam, p.kind.asarray([1.0])]))
         self.S0 = [to_float_array(M) for M in S]
         self.G0 = [to_float_array(2.0 * (V @ M)) for V, M in zip(state.V_blocks, S)]
+        self.V64 = to_float_array(state.V)
+        self.D = np.zeros(self.V64.shape)
+        self.DA = np.zeros(p.m + 1)
+        self.V64_blocks = [self.V64[index] for index in state.blocks]
+        self.D_blocks = [self.D[index] for index in state.blocks]
+
+    def add_move(self, block: int, i: int, sup: np.ndarray, d: np.ndarray, delta: np.ndarray) -> None:
+        """Record column i of the block moving by d, with the slot increments
+        delta (linops.column_deltas: the rows sup, then the cost)."""
+        self.D_blocks[block][:, i] += d
+        self.V64_blocks[block][:, i] += d
+        self.DA[sup] += delta[:-1]
+        self.DA[-1] += delta[-1]
+
+    def fold(self, state: IterateState) -> None:
+        """Install the sweep's moves in the problem's kind, once: V = V0 + D,
+        word for word the factor that adding each column's d to its start in
+        the kind, one column at a time, forms; and the cache values0 + DA.
+        The state's sweep is then spent."""
+        state.V[...] = state.V + self.D
+        cache = state.cache
+        cache.values = cache.values + self.DA[:-1]
+        cache.cost_value = cache.cost_value + self.DA[-1]
+        state.sweep = None
 
 
 class ColumnContext:
@@ -113,17 +144,18 @@ class ColumnContext:
     v_start of the column's inequality slots j, the n-vector
     g_n0 = C_(i) - sum_j lam0_j (A_j)_(i), lam0_j the slot multipliers (for
     an inequality, max(t0_j, 0)), and the column gradient g0 = 2 V g_n0, all
-    in binary64, and W0 = M V^T, M the column's slot matrix
+    in binary64, and W0 = M V^T, V the block's binary64 factor (at an
+    extended kind the sweep's shadow V64) and M the column's slot matrix
     (linops.slot_matrix), whose column i, diag, holds each slot's (i, i)
     coefficient: row j of W0 is diag_j v0 + sum val V[:, partner] over slot
     j's off-diagonal entries.
 
     A binary64 problem forms them from the state: g_n0 = C_(i) - t M_c,
     M_c M's constraint rows and t the slot multipliers, summed slot by
-    slot. An extended-kind problem reads the state's SweepResidual, and
-    from the kind's words only the changes since the sweep began,
-    DA = A(X)[sup] - A(X0)[sup] and DV = V - V0, rounded to binary64
-    relative to themselves (rounded_difference); the rest is binary64. The
+    slot. An extended-kind problem reads the state's SweepResidual: its
+    roundings of the sweep's start, and the changes since the sweep began,
+    DA[sup] (the summed slot increments) and DV = D (the moves), which are
+    binary64 from the start. The
     multiplier change c_j = lam_j - lam0_j is -mu DA_j on the equalities
     and the inequalities active at both the sweep's start and now, 0 on
     those inactive at both, and max(t_j, 0) - max(lam0_j, 0) where the activity flipped
@@ -157,25 +189,32 @@ class ColumnContext:
     W over the curved slots: the equalities and the inequalities active at
     d; W^T W is positive semidefinite, so no eigenvalue of H is below low.
     The solver starts from `start`, a zero move whose value and gradient the
-    model knows. The context reads the state only while it is built.
+    model knows. The context reads the state only while it is built, and
+    linops.commit_column installs its accepted move: a binary64 column as
+    v_start + d, an extended-kind one in the sweep's binary64 arrays
+    (`sweep`, None at binary64; v_start is then None).
     """
 
     def __init__(self, state: IterateState, block: int, i: int):
         sl = state.slices.by_block[block][i]
         V = state.V_blocks[block]
-        self.v_start = V[:, i].copy()
-        self.start = np.zeros(len(self.v_start))
+        self.block = block
+        self.start = np.zeros(V.shape[0])
         self.sup = sl.sup
         self.n_eq = n_eq = sl.n_eq
         self.mu = float(state.mu)
-        V64 = to_float_array(V)
         M = slot_matrix(sl, V.shape[1])
+        if state.problem.kind.is_extended:
+            r = state.sweep
+            if r is None or r.y is not state.y or r.mu is not state.mu or r.cache is not state.cache:
+                raise RuntimeError("the sweep residual was not formed at the state's y, mu and cache")
+            self.sweep, self.v_start, V64 = r, None, r.V64_blocks[block]
+            t0, self.g0, self.gi0 = self._from_sweep(block, i, M, V64)
+        else:
+            self.sweep, self.v_start, V64 = None, V[:, i].copy(), V
+            t0, self.g0, self.gi0 = self._from_state(state, i, M, V)
         self.diag, self.W0 = M[:, i], M @ V64.T
         self.diag_c, self.W0_c = self.diag[:-1], self.W0[:-1]  # the constraint slots
-        if state.problem.kind.is_extended:
-            t0, self.g0, self.gi0 = self._from_sweep(state, block, i, M, V64)
-        else:
-            t0, self.g0, self.gi0 = self._from_state(state, i, M, V)
         self.curved0 = None  # the constraint slots curved at the start (None: all)
         if n_eq < len(self.sup):
             self.t0 = t0
@@ -196,14 +235,11 @@ class ColumnContext:
         g_n = M[-1] - np.add.reduce(t[:, None] * M[:-1], axis=0)
         return t0, 2.0 * (V @ g_n), float(g_n[i])
 
-    def _from_sweep(self, state: IterateState, block: int, i: int, M, V64):
+    def _from_sweep(self, block: int, i: int, M, V64):
         """(t0, g0, g_n0[i]) of an extended-kind problem, from the sweep
         residual and the binary64 corrections for what moved since."""
-        r = state.sweep
-        if r is None or r.y is not state.y or r.mu is not state.mu or r.cache is not state.cache:
-            raise RuntimeError("the sweep residual was not formed at the state's y, mu and cache")
-        sup, n_eq = self.sup, self.n_eq
-        c = -self.mu * rounded_difference(state.cache.values[sup], r.values0[sup])
+        r, sup, n_eq = self.sweep, self.sup, self.n_eq
+        c = -self.mu * r.DA[sup]
         t0 = None
         if n_eq < len(sup):
             lam0 = r.lam0[sup[n_eq:]]
@@ -212,8 +248,7 @@ class ColumnContext:
             c[n_eq:] = np.where(flipped, np.maximum(t0, 0.0) - np.maximum(lam0, 0.0), np.where(t0 > 0, c[n_eq:], 0.0))
         E = c @ M[:-1]  # the cost's multiplier (1) does not change: it has no correction
         S0 = r.S0[block]
-        dV = rounded_difference(state.V_blocks[block], r.V0[state.blocks[block]])
-        return t0, r.G0[block][:, i] + 2.0 * (dV @ S0[:, i] - V64 @ E), float(S0[i, i] - E[i])
+        return t0, r.G0[block][:, i] + 2.0 * (r.D_blocks[block] @ S0[:, i] - V64 @ E), float(S0[i, i] - E[i])
 
     def value_and_grad(self, d):
         """Df(d) and g(d) in binary64; d is the column's move from v_start.

@@ -583,14 +583,6 @@ def to_float_array(arr) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
-def rounded_difference(a: DDArray, b: DDArray) -> np.ndarray:
-    """a - b of two double-double arrays, rounded to binary64. The words
-    subtract pairwise in binary64, with no error-free transform: the hi
-    words' difference rounds once, at u |a.hi - b.hi|, so the result is
-    within about 2 u |a - b| + 2 u^2 (|a| + |b|) of a - b."""
-    return (a.hi - b.hi) + (a.lo - b.lo)
-
-
 def dot(x, y):
     """Inner product in the arrays' own arithmetic; 0.0 for empty input.
 

@@ -168,12 +168,18 @@ def column_deltas(diag: np.ndarray, W0: np.ndarray, d: np.ndarray) -> np.ndarray
 
 
 def commit_column(cache: OperatorCache, V: np.ndarray, i: int, model, d: np.ndarray) -> None:
-    """Install column i = model.v_start + d in the problem's kind and add the
-    increments of the column's model (auglag.ColumnContext) at d to the cache,
-    accurate relative to them until its next fresh recomputation."""
+    """Install the move d of column i, whose model (auglag.ColumnContext) has
+    the slot increments at d. A binary64 column becomes model.v_start + d and
+    the increments go to the cache, accurate relative to them until its next
+    fresh recomputation; an extended-kind column's move and increments go to
+    the sweep's binary64 arrays (auglag.SweepResidual), folded into V and the
+    cache once per sweep."""
     if d is model.start:
         return
     delta = model.deltas(d)
+    if model.sweep is not None:
+        model.sweep.add_move(model.block, i, model.sup, d, delta)
+        return
     cache.values[model.sup] += delta[:-1]
     cache.cost_value = cache.cost_value + delta[-1]
     V[:, i] = model.v_start + d

@@ -22,17 +22,25 @@ unless its |g| is below |g_k|, the state goes back to T(s_k) with its mu,
 and the memory is cleared. Both moves go through install_iterate. Each
 solve call starts with an empty memory; see Anderson for the rules.
 
-The penalty ratio and, at an extended kind, the sweep residual read one
-copy of the cache values, taken at the top of each sweep.
+At an extended kind, a sweep moves the columns in binary64 on the sweep
+residual formed at its top (auglag.SweepResidual), and folds the moves
+into the factor and the cache once, at its end, before a time limit that
+stops it midway returns. The penalty ratio reads the cache values copied
+at the top of each sweep.
 
 Status tol means that all five KKT errors of the returned solution,
 measured on the problem as given, are below tol. That report needs the
-dual slack matrix (a PSD projection), so it is built only once the three
-cheap measures (pinf, gap, compl*) of the scaled iterate are below tol:
-first at the first such iteration, then, while it fails, after gaps of 1,
-2, 4, ... iterations capped at ITERS_Z, and at every multiple of ITERS_Z.
-A check leaves the iterate untouched, so this stops no later than checking
-at the multiples of ITERS_Z alone. The solution the passing report is
+dual slack matrix (a PSD projection), so it is built only where the
+three cheap measures (pinf, gap, compl*) pass. A check falls due once
+those of the scaled iterate are below tol: first at the first such
+iteration, then, while the report fails, after gaps of 1, 2, 4, ...
+iterations capped at ITERS_Z. A due check is made only if the cheap
+measures mapped to the problem as given (measures_as_given) are below tol
+too; a check so skipped leaves the back-off as it was. Every multiple of
+ITERS_Z whose scaled measures pass is checked regardless, and a check
+leaves the iterate untouched, so this stops no later than checking at the
+multiples of ITERS_Z alone. The scaled measures also set the column
+tolerance and fill the progress rows. The solution the passing report is
 built on is the one returned. A run stopped by max_iters or time_limit
 builds the report of its last iterate anyway, and is labelled tol when
 that report meets tol.
@@ -217,22 +225,23 @@ def update_duals(state: IterateState, problem: SdpProblem) -> None:
     state.y = y
 
 
-def penalty_ratio(state: IterateState, problem: SdpProblem, values0):
+def penalty_ratio(state: IterateState, problem: SdpProblem, values0) -> float:
     """Residual norm over mu times the constraint-value movement since the
     sweep began (values0, the cache values at its top), on the active rows:
     the equalities, and the inequalities with a nonnegative residual or a
-    positive multiplier."""
-    r = state.residual()
+    positive multiplier. The residual and the movement are formed in the
+    problem's kind and rounded once; the rest is binary64."""
+    r = to_float_array(state.residual())
     active = (r >= 0) | (state.y > 0)
     active[: problem.m_eq] = True
-    num = fsqrt(dot(r[active], r[active]))
-    if not float(num) > 0.0:
+    num = math.sqrt(dot(r[active], r[active]))
+    if not num > 0.0:
         return 0.0
-    diff = (state.cache.values - values0)[active]
-    den = state.mu * fsqrt(dot(diff, diff))
-    if not float(den) > 0.0:
+    diff = to_float_array(state.cache.values - values0)[active]
+    den = float(state.mu) * math.sqrt(dot(diff, diff))
+    if not den > 0.0:
         return math.inf
-    return float(num / den)
+    return num / den
 
 
 def update_penalty(state: IterateState, ratio: float) -> None:
@@ -361,18 +370,33 @@ def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[
 
 def kkt_errors(problem: SdpProblem, vals, pobj, y):
     """(pinf, gap, compl*, 1 + |pobj| + |dobj|) from the constraint values and
-    the objective value: of a dense X in compute_errors, of the cache in solve."""
-    r = problem.rhs - vals
+    the objective value: of a dense X in compute_errors, of the cache in solve.
+    The residual, pobj - b^T y and pobj - y^T A(X) are formed in the problem's
+    kind and rounded once; the norms and quotients are binary64."""
+    r = to_float_array(problem.rhs - vals)
     r[problem.m_eq :] = np.maximum(r[problem.m_eq :], 0.0)  # an inequality counts only when violated
     pinf = norm_inf(r) / (1.0 + float(norm_inf(problem.rhs)))
 
     dobj = dot(problem.rhs, y)
-    denom = 1.0 + abs(pobj) + abs(dobj)
-    gap = abs(pobj - dobj) / denom
+    denom = 1.0 + abs(float(pobj)) + abs(float(dobj))
+    gap = abs(float(pobj - dobj)) / denom
 
     dual_val = dot(y, vals)
-    compl_star = abs(pobj - dual_val) / denom
+    compl_star = abs(float(pobj - dual_val)) / denom
     return pinf, gap, compl_star, denom
+
+
+def measures_as_given(state: IterateState, record: ScalingRecord, original: SdpProblem):
+    """The cheap measures (pinf, gap, compl*) of the state's iterate on the
+    problem as given, mapped from the cache and y as unscale_solution maps
+    the solution: the rows times the constraint norms and the primal scale,
+    the objective times the cost norm and the primal scale, y times the cost
+    norm over the constraint norms."""
+    gamma = record.primal_scale
+    vals = state.cache.values * record.constraint_norms * gamma
+    pobj = state.cache.cost_value * record.cost_norm * gamma
+    y = record.cost_norm / record.constraint_norms * state.y
+    return kkt_errors(original, vals, pobj, y)[:3]
 
 
 def unscale_solution(sol: Solution, record: ScalingRecord, original: SdpProblem) -> Solution:
@@ -455,9 +479,9 @@ def solve(
         iteration += 1
 
         eps = EPSILON * min(1.0, float(err_level))
-        values0 = state.cache.values.copy()  # the sweep's start: the penalty ratio's and the residual's
+        values0 = state.cache.values.copy()  # the sweep's start, for the penalty ratio
         if scaled.kind.is_extended:  # the column contexts' residual, once per sweep
-            state.sweep = SweepResidual(state, values0)
+            state.sweep = SweepResidual(state)
         for b, i in pairs:
             if out_of_time():
                 status = "time"
@@ -469,6 +493,8 @@ def solve(
                 hinge_evals += evals + 1
             inner_unconverged += not converged
             commit_column(state.cache, state.V_blocks[b], i, ctx, d)
+        if state.sweep is not None:  # the sweep's binary64 moves, installed in the kind
+            state.sweep.fold(state)
         if status is not None:
             break
 
@@ -486,7 +512,8 @@ def solve(
         pinf, gap, compl_star, _ = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y)
         err_level = max(pinf, gap, compl_star)
         zcheck = None
-        if err_level < options.tol and (iteration >= next_check or iteration % ITERS_Z == 0):
+        if err_level < options.tol and (iteration % ITERS_Z == 0 or (
+                iteration >= next_check and max(measures_as_given(state, record, problem)) < options.tol)):
             solution = unscaled("tol")
             zcheck = float(solution.report.max_error())
             if solution.report.max_error() < options.tol:

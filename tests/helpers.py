@@ -293,8 +293,9 @@ def full_gradient(state):
 def sweep_start(state):
     """`state` with its sweep residual formed, as solve forms it at the top
     of each sweep of an extended-kind problem; the column contexts of a
-    double-double state read it until its y, mu or cache is rebound."""
-    state.sweep = SweepResidual(state, state.cache.values.copy())
+    double-double state read it, and their commits write its moves, until
+    its y, mu or cache is rebound or its fold installs the moves."""
+    state.sweep = SweepResidual(state)
     return state
 
 

@@ -211,7 +211,9 @@ def test_commit_column_keeps_cache_consistent():
 def test_commit_reuses_the_increments_of_the_last_evaluation(kind, monkeypatch):
     # the commit at the solver's accepted d adds the DV that the model's last
     # evaluation formed there, equal to a fresh column_deltas bit for bit; a
-    # commit at any other array, even one evaluated before, forms them again
+    # commit at any other array, even one evaluated before, forms them again.
+    # A binary64 commit adds them to the cache; a dd one adds them to the
+    # sweep's DA and d to its D and V64, and leaves the dd cache and factor
     from sdpmix import auglag
     from sdpmix.lbfgs import minimize_column
 
@@ -239,10 +241,25 @@ def test_commit_reuses_the_increments_of_the_last_evaluation(kind, monkeypatch):
                     if not evaluated_last and at is d:
                         ctx.value_and_grad(0.5 * d)  # d is no longer the last evaluation
                     fresh = column_deltas(ctx.diag, ctx.W0, at)
+                    formed.clear()
+                    if kind == "dd":
+                        r = st.sweep
+                        saved = [r.DA.copy(), r.D.copy(), r.V64.copy()]
+                        want = r.DA.copy()
+                        want[ctx.sup] += fresh[:-1]
+                        want[-1] += fresh[-1]
+                        V, values = st.V.copy(), st.cache.values.copy()
+                        commit_column(st.cache, st.V_blocks[b], i, ctx, at)
+                        assert len(formed) == (0 if evaluated_last else 1)
+                        assert np.array_equal(r.DA, want)
+                        assert np.array_equal(r.D_blocks[b][:, i], saved[1][st.blocks[b]][:, i] + at)
+                        assert np.array_equal(r.V64_blocks[b][:, i], saved[2][st.blocks[b]][:, i] + at)
+                        assert words_equal(st.V, V) and words_equal(st.cache.values, values)
+                        r.DA[...], r.D[...], r.V64[...] = saved
+                        continue
                     cache = OperatorCache(st.cache.values.copy(), st.cache.cost_value)
                     want = st.cache.values.copy()
                     want[ctx.sup] += fresh[:-1]
-                    formed.clear()
                     commit_column(cache, st.V_blocks[b].copy(), i, ctx, at)
                     assert len(formed) == (0 if evaluated_last else 1)
                     assert words_equal(cache.values, want)
@@ -289,7 +306,7 @@ def test_column_hessian_matches_central_differences(case):
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
                 ctx = ColumnContext(st, b, i)
-                v0 = to_float_array(ctx.v_start)
+                v0 = to_float_array(st.V_blocks[b][:, i])  # the column's start: nothing was committed
                 k = len(v0)
                 d = rng.standard_normal(k) * rng.choice([0.05, 0.3, 1.0])
                 act = _activity(p, st, b, i, v0 + d)
@@ -325,7 +342,7 @@ def test_column_start_returns_full_gradient(case):
                 f, g = ctx.value_and_grad(ctx.start)
                 ref = np.asarray(grads[b][:, i], float)
                 assert f == 0.0 and np.abs(g - ref).max() <= 1e-11 * (1 + np.abs(ref).max())
-                f, g_zero = ctx.value_and_grad(np.zeros(len(ctx.v_start)))
+                f, g_zero = ctx.value_and_grad(np.zeros(len(ctx.start)))
                 assert f == 0.0 and np.array_equal(g_zero, g)
 
 
@@ -489,12 +506,40 @@ def test_increment_kernel_matches_mpmath_difference(kind):
     assert worst_g <= 1e-14
 
 
+def test_dd_fold_installs_the_factor_a_per_column_commit_forms():
+    # a dd sweep's moves stay binary64 until the fold; V0 + D must equal, in
+    # both words, the factor that adds each column's d to its dd start one
+    # column at a time, as a commit installing v_start + d in dd would
+    from sdpmix.lbfgs import minimize_column
+
+    dd = DOUBLE_DOUBLE
+    moved = 0
+    for seed in range(3):
+        p, st64 = random_state(seed)
+        st = sweep_start(make_state(as_kind(p, dd), [dd.asarray(V) / 3.0 for V in st64.V_blocks],
+                                    dd.asarray(st64.y), dd.scalar(st64.mu)))
+        want = [V.copy() for V in st.V_blocks]
+        for b in range(p.q):
+            for i in range(p.block_sizes[b]):
+                ctx = ColumnContext(st, b, i)
+                d, _, _ = minimize_column(ctx.value_and_grad, ctx.start, ctx.hessian, 1e-12, 0.01, 200)
+                if d is not ctx.start:
+                    want[b][:, i] = want[b][:, i] + d
+                    moved += 1
+                commit_column(st.cache, st.V_blocks[b], i, ctx, d)
+        st.sweep.fold(st)
+        assert st.sweep is None
+        assert all(np.array_equal(W.hi, V.hi) and np.array_equal(W.lo, V.lo) for W, V in zip(want, st.V_blocks))
+        assert np.any(st.V.lo != 0.0)
+    assert moved >= 15
+
+
 def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
-    # one sweep of the solver's column steps at double-double adds binary64
-    # increments to the dd cache: each row then differs from its fresh
-    # recomputation by a few units of binary64 roundoff of the magnitudes of
-    # the increments' terms summed over the sweep, not of the row's value;
-    # refresh_cache makes it exact again
+    # one sweep of the solver's column steps at double-double sums binary64
+    # increments, which the fold adds to the dd cache: each row then differs
+    # from its fresh recomputation by a few units of binary64 roundoff of the
+    # magnitudes of the increments' terms summed over the sweep, not of the
+    # row's value; refresh_cache makes it exact again
     from sdpmix.lbfgs import minimize_column
 
     dd = DOUBLE_DOUBLE
@@ -507,11 +552,12 @@ def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
         for b in range(p.q):
             for i in range(p.block_sizes[b]):
                 ctx = ColumnContext(st, b, i)
-                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian, 1e-12, 0.01, 200)
+                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.start)), ctx.hessian, 1e-12, 0.01, 200)
                 sl = st.slices.by_block[b][i]
-                budget[np.append(sl.sup, p.m)] += increment_terms(sl, to_float_array(st.V_blocks[b]), i, d)
+                budget[np.append(sl.sup, p.m)] += increment_terms(sl, st.sweep.V64_blocks[b], i, d)
                 moved += bool(d.any())
                 commit_column(st.cache, st.V_blocks[b], i, ctx, d)
+        st.sweep.fold(st)
         incremental = np.append(st.cache.values, st.cache.cost_value)
         refresh_cache(st)
         fresh = OperatorCache.fresh(st.problem, st.V)
@@ -526,9 +572,10 @@ def test_dd_sweep_cache_is_accurate_relative_to_its_increments():
 def test_column_refinement_reaches_double_double_stationarity():
     # rounds of the solver's column step at double-double: each round forms
     # the sweep residual in dd, builds the context on it, minimizes the
-    # binary64 increment, installs v_start + d in dd and adds the binary64
-    # slot increments to the cache, which refresh_cache then recomputes in
-    # dd, as the solver does after each sweep. The increments are accurate relative to
+    # binary64 increment, commits it to the sweep's binary64 arrays and
+    # folds them, v_start + d into the dd factor and the slot increments into
+    # the cache, which refresh_cache then recomputes in dd, as the solver
+    # does after each sweep. The increments are accurate relative to
     # themselves, so the rounds drive the column gradient far below
     # binary64 resolution; the 40-digit gradient at the result confirms it.
     import mpmath
@@ -543,8 +590,9 @@ def test_column_refinement_reaches_double_double_stationarity():
         b, i = 0, seed
         for _ in range(4):
             ctx = ColumnContext(sweep_start(st), b, i)
-            d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian, 1e-30, 1e-10, 500)
+            d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.start)), ctx.hessian, 1e-30, 1e-10, 500)
             commit_column(st.cache, st.V_blocks[b], i, ctx, d)
+            st.sweep.fold(st)
             refresh_cache(st)
         with mpmath.workdps(40):
             V = [[[_mp(x) for x in row] for row in W] for W in st.V_blocks]
@@ -552,16 +600,16 @@ def test_column_refinement_reaches_double_double_stationarity():
             assert max(abs(float(x)) for x in g) < 1e-26
 
 
-def _mp_column_gradient(p, st, i):
+def _mp_column_gradient(p, st, V, i):
     """The 40-digit hinge multipliers lam+ (row order), g_n = C_(i) -
     sum_j lam+_j (A_j)_(i) and the gradient 2 V g_n in column i of the
-    one-block state st, from the exact words of its iterate; the problem's
-    entries must be binary64 values."""
+    one-block state st at the factor V, from the exact words of V and of the
+    state's y and mu; the problem's entries must be binary64 values."""
     import mpmath
 
     dense = [to_float_array(dense_row(p, j, 0)) for j in range(p.m + 1)]
     with mpmath.workdps(40):
-        V = [[_mp(x) for x in row] for row in st.V_blocks[0]]
+        V = [[_mp(x) for x in row] for row in V]
         n = len(V[0])
         X = [[mpmath.fsum(col[r] * col[c] for col in V) for c in range(n)] for r in range(n)]
         mu = _mp(st.mu)
@@ -579,7 +627,7 @@ def test_sweep_context_gradient_matches_mpmath_after_commits():
     # in turn moves by 1e-6, so the later contexts see multipliers that
     # changed on both-active slots and flipped both ways. Each context's g0
     # and g_n0[i] are checked against the 40-digit values at the column's
-    # start. Besides dd roundoff, g0 rounds its own value and the binary64
+    # start, the moved iterate V0 + D. Besides dd roundoff, g0 rounds its own value and the binary64
     # terms bounded by the movement since the sweep began: with c_j =
     # lam+_j - lam0+_j and E+ = sum_j |c_j| |(A_j)_(i)|,
     #     |g0 - g| <= 8 u (|g| + 2 |DV| |S0_(i)| + 2 |V| E+) + 1e-28,
@@ -607,27 +655,29 @@ def test_sweep_context_gradient_matches_mpmath_after_commits():
     seen = set()
     for i in range(q.block_sizes[0]):
         ctx = ColumnContext(st, 0, i)
-        lam, g_n, g, dense = _mp_column_gradient(q, st, i)
+        moved = st.V + sweep.D  # one block: the factor matrix, as the fold would install it
+        lam, g_n, g, dense = _mp_column_gradient(q, st, moved, i)
         seen.update((bool(sweep.lam0[j] > 0), bool(lam[j] > 0)) for j in ctx.sup[ctx.n_eq:])
         c = np.abs(np.array([float(x) for x in lam]) - lam0)
         E = sum(c[j] * np.abs(dense[j][:, i]) for j in range(q.m))
-        dV = to_float_array(st.V - sweep.V0)  # one block: the factor matrix
+        dV = sweep.D
         S0 = sweep.S0[0]
         with mpmath.workdps(40):
             err = np.array([abs(float(mpmath.mpf(float(a)) - b)) for a, b in zip(ctx.g0, g)])
             err_i = abs(float(mpmath.mpf(ctx.gi0) - g_n[i]))
         size = np.array([abs(float(x)) for x in g])
-        V = to_float_array(st.V_blocks[0])
+        V = to_float_array(moved)
         assert np.all(err <= 8 * u * (size + 2 * np.abs(dV) @ np.abs(S0[:, i]) + 2 * np.abs(V) @ E) + 1e-28)
         assert err_i <= 8 * u * (abs(S0[i, i]) + E[i]) + 1e-28
-        commit_column(st.cache, st.V_blocks[0], i, ctx, 1e-6 * rng.standard_normal(len(ctx.v_start)))
+        commit_column(st.cache, st.V_blocks[0], i, ctx, 1e-6 * rng.standard_normal(len(ctx.start)))
     assert seen == {(True, True), (False, False), (True, False), (False, True)}
 
 
 def test_sweep_context_of_an_order_one_column_follows_the_commits():
     # an order-1 column has no off-diagonal entries, so its E comes from the
     # diagonal alone; after the sweep's earlier commits its g0 and g_n0[i]
-    # still match the dense gradient of the moved iterate
+    # still match the dense gradient of the moved iterate, V0 + D with its
+    # operator values formed afresh
     dd = DOUBLE_DOUBLE
     p = as_kind(random_problem(4, block_sizes=(3, 1, 1), m_eq=2, m_ineq=2, density=0.8), dd)
     rng = np.random.default_rng(4)
@@ -637,19 +687,21 @@ def test_sweep_context_of_an_order_one_column_follows_the_commits():
     for b in range(p.q):
         for i in range(p.block_sizes[b]):
             ctx = ColumnContext(st, b, i)
-            grad = to_float_array(full_gradient(st)[b][:, i])
-            M = to_float_array(dense_row(p, p.m, b) - apply_adjoint(p, multipliers(st))[b])
+            V = st.V + st.sweep.D
+            moved = make_state(p, [V[index] for index in st.blocks], st.y, st.mu)
+            grad = to_float_array(full_gradient(moved)[b][:, i])
+            M = to_float_array(dense_row(p, p.m, b) - apply_adjoint(p, multipliers(moved))[b])
             assert np.abs(ctx.g0 - grad).max() <= 1e-12 * (1 + np.abs(grad).max())
             assert abs(ctx.gi0 - M[i, i]) <= 1e-12 * (1 + abs(M[i, i]))
             checked += bool(np.all(st.slices.by_block[b][i].cell % p.block_sizes[b] == i))  # no off-diagonal entry
-            commit_column(st.cache, st.V_blocks[b], i, ctx, 0.1 * rng.standard_normal(len(ctx.v_start)))
+            commit_column(st.cache, st.V_blocks[b], i, ctx, 0.1 * rng.standard_normal(len(ctx.start)))
     assert checked == 2
 
 
 def test_a_stale_sweep_residual_raises():
     # update_duals, the penalty update and refresh_cache each rebind an
-    # object the residual was formed at; a dd context then refuses it, and
-    # so it does without any residual
+    # object the residual was formed at, and the fold spends it; a dd
+    # context then refuses it, and so it does without any residual
     from sdpmix.solver import update_duals
 
     dd = DOUBLE_DOUBLE
@@ -658,7 +710,7 @@ def test_a_stale_sweep_residual_raises():
     with pytest.raises(RuntimeError, match="sweep residual"):
         ColumnContext(st, 0, 0)
     for rebind in (lambda: update_duals(st, st.problem), lambda: setattr(st, "mu", st.mu * 1.03),
-                   lambda: refresh_cache(st)):
+                   lambda: refresh_cache(st), lambda: st.sweep.fold(st)):
         ColumnContext(sweep_start(st), 0, 0)
         rebind()
         with pytest.raises(RuntimeError, match="sweep residual"):

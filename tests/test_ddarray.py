@@ -501,23 +501,6 @@ def test_object_array_boundary_is_exact():
             refused()
 
 
-@SETTINGS
-@given(st.lists(st.tuples(values, values, st.integers(0, 110)), min_size=1, max_size=8))
-def test_rounded_difference_within_its_bound(cases):
-    # a - b to binary64 from the words alone: within about 2 u |a - b| +
-    # 2 u^2 (|a| + |b|) of the exact difference, for b drawn apart from a
-    # and for b = a (1 + 2**-s), where the difference cancels
-    u = mpmath.mpf(2) ** -53
-    with mpmath.workdps(60):
-        a = dd([x for x, _, _ in cases])
-        one_plus = DOUBLE_DOUBLE.asarray(np.ones(len(cases))) + 2.0 ** -np.array([s for *_, s in cases], float)
-        for b in (dd([y for _, y, _ in cases]), a * one_plus):
-            got = ddouble.rounded_difference(a, b)
-            assert got.dtype == np.float64 and got.shape == a.shape
-            for g, x, y in zip(got.tolist(), exact(a), exact(b)):
-                assert abs(g - (x - y)) <= 2.001 * u * (abs(x - y) + u * (abs(x) + abs(y)))
-
-
 def test_sum_runs_over_all_elements_or_along_axis_0_only():
     # along axis 0 each column sums as the column on its own does; any other
     # axis raises ValueError naming DDArray

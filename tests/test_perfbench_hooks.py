@@ -184,3 +184,23 @@ def test_ladder_writes_a_record_of_one_rung(tmp_path):
     assert set(rung) == {"status", "iterations", "column_evals", "aa_accepted", "aa_rejected", "max_error", "wall_s",
                          "wall_s_runs", "tol", "two_stage", "time_limit", "max_iters"}
     assert rung["status"] == "tol" and rung["max_error"] <= rung["tol"] and rung["iterations"] > 0
+
+
+def test_ladder_records_the_seed_spread(tmp_path):
+    # --seeds 3: seed 0's counts are the rung's own, and the spread is the
+    # median and the maximum over the three seeds
+    out = tmp_path / "ladder.json"
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ladder.py"), str(ROOT), "-o", str(out), "--runs", "1",
+                           "--seeds", "3", "--rung", "theta_prime_C5"], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text())
+    assert record["seeds"] == 3
+    rung = record["rungs"]["theta_prime_C5"]
+    seeds = rung["seeds"]
+    assert [s["seed"] for s in seeds] == [0, 1, 2] and all(s["status"] == "tol" for s in seeds)
+    counts = ("iterations", "column_evals", "aa_accepted", "aa_rejected", "max_error")
+    assert all(seeds[0][key] == rung[key] for key in counts)
+    for key in counts:
+        values = sorted(s[key] for s in seeds)
+        assert rung["spread"][key] == {"median": values[1], "max": values[2]}

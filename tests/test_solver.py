@@ -237,6 +237,62 @@ def test_penalty_ratio_active_set(kind):
     assert penalty_ratio(st, p, st.cache.values - kind.asarray([0.3, 123.0])) == pytest.approx(0.6 / 0.3, rel=1e-12)
 
 
+def test_penalty_ratio_and_cheap_measures_of_binary64_keep_their_bits():
+    # at binary64, rounding the kind's differences once is no rounding: the
+    # ratio and the measures are those of the plain binary64 formulas
+    p = random_problem(5, block_sizes=(3, 2), m_eq=2, m_ineq=2)
+    rng = np.random.default_rng(5)
+    st = make_state(p, random_V_blocks(rng, p), np.array([0.3, -1.2, 0.0, 0.7]), 1.7)
+    values0 = st.cache.values - 1e-3 * rng.standard_normal(p.m)
+    r = p.rhs - st.cache.values
+    active = (r >= 0) | (st.y > 0)
+    active[: p.m_eq] = True
+    diff = (st.cache.values - values0)[active]
+    ratio = math.sqrt(np.add.reduce(r[active] * r[active])) / (1.7 * math.sqrt(np.add.reduce(diff * diff)))
+    assert penalty_ratio(st, p, values0) == ratio
+    vals, pobj = st.cache.values, st.cache.cost_value
+    viol = np.concatenate([r[: p.m_eq], np.maximum(r[p.m_eq :], 0.0)])
+    dobj = np.add.reduce(p.rhs * st.y)
+    denom = 1.0 + abs(pobj) + abs(dobj)
+    want = (np.max(np.abs(viol)) / (1.0 + float(np.max(np.abs(p.rhs)))), abs(pobj - dobj) / denom,
+            abs(pobj - np.add.reduce(st.y * vals)) / denom, denom)
+    assert solver.kkt_errors(p, vals, pobj, st.y) == want
+
+
+def test_penalty_ratio_and_cheap_measures_match_mpmath_at_double_double():
+    # the residual, the movement, pobj - b^T y and pobj - y^T A(X) each
+    # cancel 12 digits here; formed in dd and rounded once, the ratio and the
+    # measures keep 14 digits of the 40-digit values of the same formulas on
+    # the exact words (binary64 differences would keep about 4)
+    import mpmath
+
+    from sdpmix.ddouble import dot
+    from test_auglag import _mp
+
+    dd = DOUBLE_DOUBLE
+    p = as_kind(random_problem(5, block_sizes=(3, 2), m_eq=2, m_ineq=2), dd)
+    rng = np.random.default_rng(5)
+    st = make_state(p, random_V_blocks(rng, p), np.array([0.3, -1.2, 0.0, 0.7]), 1.7)
+    st.cache.values = p.rhs - dd.asarray(1e-12 * rng.standard_normal(p.m))
+    values0 = st.cache.values - dd.asarray(1e-12 * rng.standard_normal(p.m))
+    st.cache.cost_value = dot(p.rhs, st.y) + 3e-12
+    got = [penalty_ratio(st, p, values0), *solver.kkt_errors(p, st.cache.values, st.cache.cost_value, st.y)[:3]]
+    with mpmath.workdps(40):
+        rhs, vals, vals0, y = ([_mp(x) for x in v] for v in (p.rhs, st.cache.values, values0, st.y))
+        pobj = _mp(st.cache.cost_value)
+        r = [b - v for b, v in zip(rhs, vals)]
+        active = [j < p.m_eq or r[j] >= 0 or y[j] > 0 for j in range(p.m)]
+        num = mpmath.sqrt(mpmath.fsum(x * x for x, a in zip(r, active) if a))
+        den = _mp(st.mu) * mpmath.sqrt(mpmath.fsum((v - v0) ** 2 for v, v0, a in zip(vals, vals0, active) if a))
+        viol = [abs(x) if j < p.m_eq else max(x, 0) for j, x in enumerate(r)]
+        dobj = mpmath.fsum(b * u for b, u in zip(rhs, y))
+        denom = 1 + abs(pobj) + abs(dobj)
+        want = [num / den, max(viol) / (1 + max(abs(b) for b in rhs)), abs(pobj - dobj) / denom,
+                abs(pobj - mpmath.fsum(u * v for u, v in zip(y, vals))) / denom]
+        assert all(1e-13 < float(w) < 1e2 for w in want[1:])  # every measure is a cancelled difference
+        assert all(abs(mpmath.mpf(float(g)) - w) <= 1e-14 * w for g, w in zip(got, want))
+
+
 def test_update_penalty_branches():
     p, st = rigged_state_for_ratio()
     st.mu = 1.0
@@ -326,6 +382,24 @@ def test_compute_errors_matches_dense_oracle(kind):
         got = compute_errors(q, [kind.asarray(Xb) for Xb in X], kind.asarray(np.concatenate([y_a, y_b])))[0].as_dict()
         for key, val in want.items():
             assert got[key] == pytest.approx(val, rel=1e-12, abs=1e-15), key
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_measures_as_given_are_the_reports_cheap_measures(kind):
+    # the gate maps the scaled cache and y to the problem as given as
+    # unscale_solution maps the solution, so its pinf, gap and compl* are
+    # the report's, up to forming the rows from the cache rather than from
+    # the dense unscaled X
+    p = as_kind(random_problem(4, block_sizes=(3, 2), m_eq=2, m_ineq=2), kind)
+    scaled, record = scale(p)
+    rng = np.random.default_rng(44)
+    y = np.concatenate([rng.standard_normal(p.m_eq), np.abs(rng.standard_normal(p.m_ineq))])
+    st = make_state(scaled, random_V_blocks(rng, scaled), y, 1.0)
+    got = solver.measures_as_given(st, record, p)
+    sol = unscale_solution(Solution(st.V_blocks, st.y[: p.m_eq], st.y[p.m_eq :], None, "tol", None), record, p)
+    want = (sol.report.pinf, sol.report.gap, sol.report.compl_star)
+    assert min(map(float, want)) > 1e-3
+    assert [float(g) for g in got] == pytest.approx([float(w) for w in want], rel=1e-13)
 
 
 def test_error_report_max_and_dict():
@@ -441,11 +515,10 @@ def test_progress_mu_is_the_update_of_the_mu_its_iteration_started_from():
         rejected.append(row["aa_rejected"])
 
 
-def test_time_limit_stops_inside_a_sweep(monkeypatch):
-    # a clock that runs out once the third sweep has built its third column
-    # context: the solve stops before the fourth column, reports the
-    # half-swept iterate, and its warm start resumes to tol
-    problem = gen_random_sdp((6,), 4, 1.0, seed=3)
+def stop_inside_the_third_sweep(monkeypatch, problem):
+    """Solve with a clock that runs out once the third sweep has built its
+    third column context: the solve stops before the fourth column, reports
+    the half-swept iterate, and its warm start resumes to tol."""
     _, before = solve(problem, SolverOptions(max_iters=2))
     contexts = [0]
 
@@ -460,12 +533,22 @@ def test_time_limit_stops_inside_a_sweep(monkeypatch):
     assert sol.status == "time" and sol.iterations == 3 and contexts[0] == 15
     # the sweep moved columns 1 to 3 and stopped before the dual update
     V, V_before = warm.V_blocks[0], before.V_blocks[0]
-    assert np.array_equal(V[:, 3:], V_before[:, 3:]) and not np.array_equal(V[:, :3], V_before[:, :3])
-    assert np.array_equal(warm.y_a, before.y_a) and warm.mu == before.mu
+    assert words_equal(V[:, 3:], V_before[:, 3:]) and all(not words_equal(V[:, i], V_before[:, i]) for i in range(3))
+    assert words_equal(warm.y_a, before.y_a) and words_equal(warm.mu, before.mu)
     half_swept = Solution(warm.V_blocks, warm.y_a, warm.y_b, Z=None, status="time", report=None)
     assert sol.report.as_dict() == unscale_solution(half_swept, scale(problem)[1], problem).report.as_dict()
     resumed, _ = solve(problem, SolverOptions(tol=1e-9), warm_start=warm)
     assert resumed.status == "tol"
+
+
+def test_time_limit_stops_inside_a_sweep(monkeypatch):
+    stop_inside_the_third_sweep(monkeypatch, gen_random_sdp((6,), 4, 1.0, seed=3))
+
+
+def test_a_dd_sweep_stopped_by_the_time_limit_folds_its_moves(monkeypatch):
+    # the moves of the columns a dd sweep got through are in the returned
+    # factor and its report: the fold runs before the time-out returns
+    stop_inside_the_third_sweep(monkeypatch, as_kind(gen_random_sdp((6,), 4, 1.0, seed=3), DOUBLE_DOUBLE))
 
 
 def test_solve_equality_only_never_runs_hinge_paths(monkeypatch):
@@ -868,24 +951,45 @@ def record_checks(monkeypatch, fail=False):
     return log
 
 
+def record_gate(monkeypatch, p):
+    """Record, by iteration, the largest of the cheap measures on the problem
+    as given (solver.measures_as_given) in the single-stage solve of p that
+    follows, at every iteration, whether or not a check is due: read where
+    the penalty ratio is formed, after the dual update, at the cache and y
+    the gate reads."""
+    gate, record = {}, scale(p)[1]
+    ratio = solver.penalty_ratio
+
+    def recording(state, problem, values0):
+        gate[len(gate) + 1] = float(max(solver.measures_as_given(state, record, p)))
+        return ratio(state, problem, values0)
+
+    monkeypatch.setattr(solver, "penalty_ratio", recording)
+    return gate
+
+
 def cheap_passes(row, tol):
     return max(row["pinf"], row["gap"], row["compl_star"]) < tol
 
 
 def test_checks_back_off_and_fall_on_multiples_of_iters_Z(monkeypatch):
     # every check fails, so the whole schedule shows: the first check at the
-    # first iteration whose cheap measures pass, then gaps of 1, 2, 4, ...
-    # capped at iters_Z, cut short by each multiple of iters_Z
+    # first iteration whose cheap measures pass, scaled and on the problem as
+    # given, then gaps of 1, 2, 4, ... capped at iters_Z, cut short by each
+    # multiple of iters_Z
     checks = record_checks(monkeypatch, fail=True)
     p, tol, iters_Z = gen_rand(8, 5, 1.0, 5), 1e-9, 16
+    gate = record_gate(monkeypatch, p)
     monkeypatch.setattr(solver, "ITERS_Z", iters_Z)
     rows = []
     sol, _ = solve(p, SolverOptions(tol=tol, max_iters=140), progress=rows.append)
     # the checks were made to fail; the final report of the capped run meets tol
     assert sol.iterations == 140 and sol.status == "tol"
     first = next(r["iter"] for r in rows if cheap_passes(r, tol))
-    assert all(cheap_passes(r, tol) for r in rows[first - 1:])  # so no check waits on the cheap measures
-    want, t, gap = [first], first, 1
+    assert all(cheap_passes(r, tol) for r in rows[first - 1:])  # so no check waits on the scaled measures
+    # the measures as given fail once more, at the first scaled pass (1.5e-9), and pass from then on
+    assert gate[first] >= tol and all(gate[t] < tol for t in range(first + 1, 141))
+    want, t, gap = [first + 1], first + 1, 1
     while True:
         t = min(t + gap, (t // iters_Z + 1) * iters_Z)
         gap = min(2 * gap, iters_Z)
@@ -893,8 +997,8 @@ def test_checks_back_off_and_fall_on_multiples_of_iters_Z(monkeypatch):
             break
         want.append(t)
     assert sorted(checks) == want
-    # 29, then + 1, + 2, + 4, + 8 = 44; the capped gap of 16 is cut at 48 = 3 * 16
-    assert first == 29 and want[:9] == [29, 30, 32, 36, 44, 48, 64, 80, 96]
+    # 30, then + 1, + 2 cut at 32 = 2 * 16, + 4, + 8 = 44; the capped gap of 16 is cut at 48 = 3 * 16
+    assert first == 29 and want[:9] == [30, 31, 32, 36, 44, 48, 64, 80, 96]
     # the progress rows mark each check with the max error the solver saw
     assert [r["iter"] for r in rows if r["zcheck"] is not None] == want
     assert all(r["zcheck"] in (None, math.inf) for r in rows)
@@ -924,6 +1028,7 @@ def test_back_off_stops_no_later_than_checking_at_multiples(monkeypatch, name):
 
     monkeypatch.undo()
     checks = record_checks(monkeypatch)
+    gate = record_gate(monkeypatch, p)
     monkeypatch.setattr(solver, "ITERS_Z", iters_Z)
     rows = []
     sol, _ = solve(p, SolverOptions(tol=tol, max_iters=horizon), progress=rows.append)
@@ -932,23 +1037,113 @@ def test_back_off_stops_no_later_than_checking_at_multiples(monkeypatch, name):
     assert sol.iterations <= old_stop
     assert sol.iterations == min(t for t, err in every.items() if err < tol and t in checks)
     assert all(checks[t] == every[t] for t in checks)  # the same trajectory, bit for bit
-    assert min(checks) == min(every)  # the first check at the first cheap pass
+    # the first check at the first iteration whose cheap measures pass, scaled and as given
+    assert min(checks) == min(t for t in every if t <= sol.iterations and gate[t] < tol)
+
+
+def test_a_check_the_gate_skips_leaves_the_back_off_as_it_was(monkeypatch):
+    # every check fails (30, 31, then 32, a multiple of iters_Z, after which
+    # the next check falls due at 36 with a gap of 8), and the measures as
+    # given are made to fail at 36 and 37: the gate skips both, and the next
+    # check and the gap stay as they were, so the checks go on at 38 and
+    # 38 + 8 = 46. Had a skip backed off as a failed check does, the next
+    # check would fall at 36 + 8 = 44
+    checks = record_checks(monkeypatch, fail=True)
+    p, tol, iters_Z = gen_rand(8, 5, 1.0, 5), 1e-9, 16
+    rows, asked = [], []
+    given = solver.measures_as_given
+
+    def gate(state, record, original):
+        t = len(rows) + 1  # the iteration under way: its progress row comes after the check
+        asked.append(t)
+        return (math.inf,) * 3 if t in (36, 37) else given(state, record, original)
+
+    monkeypatch.setattr(solver, "measures_as_given", gate)
+    monkeypatch.setattr(solver, "ITERS_Z", iters_Z)
+    solve(p, SolverOptions(tol=tol, max_iters=70), progress=rows.append)
+    # asked only where a check is due and iteration is no multiple; 29 fails on its own (1.5e-9)
+    assert asked == [29, 30, 31, 36, 37, 38, 46]
+    assert sorted(checks) == [30, 31, 32, 38, 46, 48, 64]
+
+
+@pytest.mark.parametrize("name", ["dd_refine", "big_block"])
+def test_each_stage_of_the_benchmark_instances_builds_one_report(monkeypatch, name):
+    # perfbench's two workloads: the gate waits until the measures as given
+    # pass, so each stage builds only the report it stops on (compute_errors
+    # is the report's one builder)
+    kinds = []
+    errors = solver.compute_errors
+
+    def counting(problem, X, y):
+        kinds.append(problem.kind.name)
+        return errors(problem, X, y)
+
+    monkeypatch.setattr(solver, "compute_errors", counting)
+    if name == "dd_refine":
+        tol, stages = 1e-20, ["double", "dd"]
+        sol, _ = solve_two_stage(gen_random_sdp((10,), 10, 1.0, 42), SolverOptions(tol=tol))
+    else:
+        tol, stages = 1e-8, ["double"]
+        sol, _ = solve(gen_random_sdp((100,), 3, 0.05, 0), SolverOptions(tol=tol))
+    assert sol.status == "tol" and sol.report.max_error() < tol
+    assert kinds == stages
+
+
+def test_a_dd_sweep_runs_no_double_double_arithmetic(monkeypatch):
+    # from a dd sweep's first column context to its fold, the columns move
+    # in binary64 only: no double-double add or multiply runs
+    from sdpmix import ddouble
+    from sdpmix.auglag import SweepResidual
+
+    calls = {"sweep": 0, "outside": 0}
+    where = ["outside"]
+
+    def counting(fn):
+        def wrapped(*args):
+            calls[where[0]] += 1
+            return fn(*args)
+
+        return wrapped
+
+    context, fold = solver.ColumnContext, SweepResidual.fold
+
+    def entering(state, b, i):
+        where[0] = "sweep"
+        return context(state, b, i)
+
+    def folding(self, state):
+        where[0] = "outside"
+        return fold(self, state)
+
+    monkeypatch.setattr(ddouble, "_add", counting(ddouble._add))
+    monkeypatch.setattr(ddouble, "_mul", counting(ddouble._mul))
+    monkeypatch.setattr(solver, "ColumnContext", entering)
+    monkeypatch.setattr(SweepResidual, "fold", folding)
+    p = as_kind(random_problem(4, block_sizes=(3, 2), m_eq=2, m_ineq=2), DOUBLE_DOUBLE)
+    sol, _ = solve(p, SolverOptions(tol=1e-30, max_iters=5))
+    assert sol.iterations == 5 and where == ["outside"]
+    assert calls["sweep"] == 0 and calls["outside"] > 0
 
 
 def test_capped_solve_whose_final_report_meets_tol_is_labelled_tol():
-    # the cap falls between the backed-off checks at 59 (which fails) and
-    # 63; the report built on the iterate at the cap meets tol
-    tol, rows = 1e-12, []
-    sol, _ = solve(gen_random_sdp((30,), 20, 1.0, 1), SolverOptions(tol=tol, max_iters=61), progress=rows.append)
-    checks = {r["iter"]: r["zcheck"] for r in rows if r["zcheck"] is not None}
-    assert max(checks) == 59 and checks[59] >= tol
-    assert sol.iterations == 61 and sol.status == "tol" and sol.report.max_error() < tol
+    # gen_rand(8, 5, 1.0, 5) with its constraints and rhs scaled by 2**-7:
+    # the scaled iterate is the unscaled one's, pinf on the problem as given
+    # 128 times smaller. At the cap, 26, the scaled cheap measures (3.7e-9)
+    # still fail, so no check is made; the report built on the iterate at
+    # the cap meets tol
+    p, tol, rows = gen_rand(8, 5, 1.0, 5), 1e-9, []
+    e = p.entries
+    p = replace(p, entries=e._replace(val=np.where(e.con < p.m, e.val * 2.0**-7, e.val)), rhs=p.rhs * 2.0**-7)
+    sol, _ = solve(p, SolverOptions(tol=tol, max_iters=26), progress=rows.append)
+    assert all(r["zcheck"] is None for r in rows) and not cheap_passes(rows[-1], tol)
+    assert sol.iterations == 26 and sol.status == "tol" and sol.report.max_error() < tol
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_status_tol_means_the_reported_errors(seed):
-    # the scaled iterate's errors pass tol a check period before the
-    # caller's do on these instances; tol must wait for the caller's
+    # the scaled iterate's cheap measures pass tol before the caller's do on
+    # these instances; the gate reads the caller's cheap measures, and tol
+    # must wait for the caller's report, dinf and compl included
     tol = 1e-10
     sol, _ = solve(gen_random_sdp((12,), 8, 1.0, seed=seed), SolverOptions(tol=tol))
     assert sol.status == "tol"

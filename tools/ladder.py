@@ -1,6 +1,6 @@
 """Run the instance ladder on one source tree and write its JSON record.
 
-    OPENBLAS_NUM_THREADS=1 python tools/ladder.py <tree> [-o BENCH.json] [--runs 3] [--rung NAME ...]
+    OPENBLAS_NUM_THREADS=1 python tools/ladder.py <tree> [-o BENCH.json] [--runs 3] [--seeds N] [--rung NAME ...]
 
 <tree> is the root of the checkout to measure: sdpmix is imported from
 <tree>/src, ahead of anything else on the path, and the script stops if
@@ -17,6 +17,15 @@ limit (order1_10+200_s3, 40 s) compares only while it ends before the
 limit; the LP rung, which does not converge, is capped by iterations
 instead, so that it ends `iter` at the same count on any machine. The
 ladder is not a gate: BENCHMARK.json is.
+
+The counts above are those of SolverOptions.seed 0, and on some rungs
+(the Max-Cut ones above all) they hang on the seed. `--seeds N` also
+solves each chosen rung once with seeds 1 ... N - 1 and records, under
+"seeds", the counts, status and max error of every seed, 0 first, and
+under "spread" the median and the maximum of each count and of the max
+error over them. The rungs in SLOW (over about 5 s a solve) are spread
+only when named with --rung. The seed-0 fields and the wall time keep
+their meaning, so records with and without a spread compare.
 """
 
 from __future__ import annotations
@@ -69,12 +78,16 @@ def rungs():
     }
 
 
-def run_rung(spec, runs: int) -> dict:
+SLOW = {"maxcut_G40_triangles", "lp_60_15_s2"}  # spread only on request
+COUNTS = ("iterations", "column_evals", "aa_accepted", "aa_rejected", "max_error")  # the spread's fields
+
+
+def run_rung(spec, runs: int, seed: int = 0) -> dict:
     from sdpmix import SolverOptions, solve, solve_two_stage
 
     tol, two_stage, limits, build = spec
     entry = solve_two_stage if two_stage else solve
-    options = SolverOptions(tol=tol, **limits)
+    options = SolverOptions(tol=tol, seed=seed, **limits)
     times = []
     for _ in range(runs):
         problem = build()
@@ -100,15 +113,30 @@ def run_rung(spec, runs: int) -> dict:
     }
 
 
+def spread(spec, seed0: dict, seeds: int) -> dict:
+    """The counts of seed 0 (from seed0, its record) and of one solve with
+    each seed 1 ... seeds - 1, and the median and maximum of each count."""
+    per_seed = [seed0] + [run_rung(spec, 1, seed) for seed in range(1, seeds)]
+    records = [{"seed": seed, "status": out["status"], **{key: out[key] for key in COUNTS}}
+               for seed, out in enumerate(per_seed)]
+    stats = {key: {"median": statistics.median(r[key] for r in records), "max": max(r[key] for r in records)}
+             for key in COUNTS}
+    return {"seeds": records, "spread": stats}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", type=Path, help="root of the source tree to measure")
     parser.add_argument("-o", "--output", type=Path, default=Path("BENCH.json"))
     parser.add_argument("--runs", type=int, default=3, help="solves per rung; the wall time is their median")
+    parser.add_argument("--seeds", type=int, default=1,
+                        help="solve each rung with seeds 0 ... N - 1 and record the spread of the counts")
     parser.add_argument("--rung", action="append", help="run only these rungs (repeatable)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     src = (args.tree / "src").resolve()
     if not (src / "sdpmix").is_dir():
@@ -131,6 +159,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "runs": args.runs,
+        **({"seeds": args.seeds} if args.seeds > 1 else {}),
         "rungs": {},
     }
     for name in names:
@@ -139,6 +168,11 @@ def main(argv=None) -> int:
         print(f"{name:24s} {out['status']:5s} {out['iterations']:6d} it  {out['column_evals']:9d} evals  "
               f"aa {out['aa_accepted']}/{out['aa_rejected']}  {out['wall_s']:7.2f} s  err {out['max_error']:.1e}",
               flush=True)
+        if args.seeds > 1 and (name not in SLOW or args.rung):
+            out.update(spread(table[name], out, args.seeds))
+            its = " ".join(str(r["iterations"]) for r in out["seeds"])
+            print(f"{'':24s} seeds 0-{args.seeds - 1}: {its} it, median {out['spread']['iterations']['median']}",
+                  flush=True)
     args.output.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
