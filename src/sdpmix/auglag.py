@@ -9,13 +9,14 @@ A column subproblem is solved on its increment model (ColumnContext), in
 the manner of mixed-precision iterative refinement: the multipliers and
 the gradient at the column's start are rounded to binary64 once, and every
 trial point then evaluates only the change of the objective, its gradient
-and its k x k Hessian, in binary64, from the column's slot matrix (O(k
-slots)). A binary64 problem forms them per column, installs each accepted
-column v_start + d and adds the model's slot increments at d to the
-operator cache. An extended-kind problem keeps its iterate in the kind and
-moves it in binary64 for the length of a sweep (SweepResidual): at the
-sweep's start it takes the multipliers, the slack C - A^T lam and the
-factor gradient in the kind, and rounds them once; each accepted column
+and its k x k Hessian, in binary64, from the column's slot rows at V,
+W0 = M V^T (O(k slots)), which give the start gradient too. A binary64
+problem forms them per column, adds each accepted move d to its column in
+place and the slot increments at d to the operator cache. An
+extended-kind problem keeps its iterate in the kind and moves it in
+binary64 for the length of a sweep (SweepResidual): at the sweep's start
+it takes the multipliers, the slack C - A^T lam and the factor gradient in
+the kind, and rounds them once; each accepted column
 then writes only binary64 arrays, its exact move d, the sum of the slot
 increments and a binary64 shadow of the factor, and a context adds to the
 sweep's roundings the binary64 corrections for what the earlier columns
@@ -87,7 +88,7 @@ class SweepResidual:
     """The column gradients' residual at the start of a sweep of an
     extended-kind problem, formed in the problem's kind:
 
-        lam0 = y + mu (b - A(X)),  S0_b = C_b - sum_j lam0+_j A_j,  G0_b = 2 V_b S0_b,
+        lam0 = y + mu (b - A(X)),  S0_b = C_b - sum_j lam0+_j A_j,  VS0_b = V_b S0_b,
 
     lam0+ the multipliers with the inequality tail clipped at 0, and the
     sweep's moves, in binary64: D, each moved column's exact move d, laid
@@ -96,10 +97,11 @@ class SweepResidual:
     factor that the contexts read, V0 rounded with each d added in
     binary64. The factor and the cache stay at the sweep's start V0 and
     values0 until fold installs the moves. It keeps the binary64 roundings
-    of lam0, S0 and G0 that the column contexts read, and the y, mu and
-    cache objects it was formed from: a context raises unless they are
-    still the state's (update_duals, the penalty update, an Anderson step
-    and refresh_cache all rebind one), and once fold has spent it.
+    of lam0, S0 and VS0 (half the factor gradient) that the column
+    contexts read, and the y, mu and cache objects it was formed from: a
+    context raises unless they are still the state's (update_duals, the
+    penalty update, an Anderson step and refresh_cache all rebind one), and
+    once fold has spent it.
     """
 
     def __init__(self, state: IterateState):
@@ -110,7 +112,7 @@ class SweepResidual:
         lam[p.m_eq :] = np.maximum(lam[p.m_eq :], 0.0)
         S = combine_rows(p, np.concatenate([-lam, p.kind.asarray([1.0])]))
         self.S0 = [to_float_array(M) for M in S]
-        self.G0 = [to_float_array(2.0 * (V @ M)) for V, M in zip(state.V_blocks, S)]
+        self.VS0 = [to_float_array(V @ M) for V, M in zip(state.V_blocks, S)]
         self.V64 = to_float_array(state.V)
         self.D = np.zeros(self.V64.shape)
         self.DA = np.zeros(p.m + 1)
@@ -140,36 +142,37 @@ class SweepResidual:
 class ColumnContext:
     """The increment model of one column's restricted objective.
 
-    Built once per column: the activity arguments t0_j = y[j] + mu s_j at
-    v_start of the column's inequality slots j, the n-vector
-    g_n0 = C_(i) - sum_j lam0_j (A_j)_(i), lam0_j the slot multipliers (for
-    an inequality, max(t0_j, 0)), and the column gradient g0 = 2 V g_n0, all
-    in binary64, and W0 = M V^T, V the block's binary64 factor (at an
-    extended kind the sweep's shadow V64) and M the column's slot matrix
-    (linops.slot_matrix), whose column i, diag, holds each slot's (i, i)
-    coefficient: row j of W0 is diag_j v0 + sum val V[:, partner] over slot
-    j's off-diagonal entries.
+    Built once per column, in binary64: W0 = M V^T, V the block's binary64
+    factor (at an extended kind the sweep's shadow V64) and M the column's
+    slot matrix (linops.slot_matrix), whose column i, diag, holds each
+    slot's (i, i) coefficient: row j of W0 is diag_j v0 + sum val
+    V[:, partner] over slot j's off-diagonal entries, the cost's row last,
+    and W0_c, diag_c the constraint slots'. Since V M[j]^T = W0[j], the
+    column gradient g0 = 2 V (C - sum_j lam_j A_j)_(i) and that matrix's
+    (i, i) entry g_n0[i] take O(k slots), no n-vector. A binary64 problem reads the
+    state: with t the slot multipliers (for an inequality slot, max(t0_j,
+    0), t0_j = y[j] + mu s_j its activity argument at the start),
 
-    A binary64 problem forms them from the state: g_n0 = C_(i) - t M_c,
-    M_c M's constraint rows and t the slot multipliers, summed slot by
-    slot. An extended-kind problem reads the state's SweepResidual: its
+        g0 = 2 (W0[-1] - t W0_c),  g_n0[i] = diag[-1] - t diag_c.
+
+    An extended-kind problem reads the state's SweepResidual: its
     roundings of the sweep's start, and the changes since the sweep began,
     DA[sup] (the summed slot increments) and DV = D (the moves), which are
-    binary64 from the start. The
-    multiplier change c_j = lam_j - lam0_j is -mu DA_j on the equalities
-    and the inequalities active at both the sweep's start and now, 0 on
-    those inactive at both, and max(t_j, 0) - max(lam0_j, 0) where the activity flipped
-    (t_j = lam0_j - mu DA_j, so |c_j| <= mu |DA_j|); never t_j - lam0_j on
-    a both-active slot, which would round at u |lam0_j|. With
-    E = c M_c = sum_j c_j (A_j)_(i),
+    binary64 from the start. The multiplier change c_j = lam_j - lam0_j is
+    -mu DA_j on the equalities and the inequalities active at both the
+    sweep's start and now, 0 on those inactive at both, and
+    max(t_j, 0) - max(lam0_j, 0) where the activity flipped (t_j = lam0_j -
+    mu DA_j, so |c_j| <= mu |DA_j|); never t_j - lam0_j on a both-active
+    slot, which would round at u |lam0_j|. Then, the sweep's start in place
+    of the cost row,
 
-        g_n0[i] = S0[i, i] - E[i],  g0 = G0[:, i] + 2 (DV S0[:, i] - V E).
+        g0 = 2 (VS0[:, i] + DV S0[:, i] - c W0_c),  g_n0[i] = S0[i, i] - c diag_c.
 
     Each binary64 term is bounded by how far the iterate moved since the
     sweep began, so its rounding error, u times that movement, shrinks with
     the outer residual: the refinement argument, taken per sweep.
     value_and_grad(d) evaluates, in binary64 only, the increment
-    f(v_start + d) - f(v_start) and the gradient at v_start + d:
+    f(v0 + d) - f(v0) and the gradient at v0 + d, v0 the column's start:
 
         DV    = 2 W0 d + diag |d|^2
         Df(d) = g0.d + g_n0[i] |d|^2 + sum_j phi_j(DV_j)
@@ -190,90 +193,76 @@ class ColumnContext:
     d; W^T W is positive semidefinite, so no eigenvalue of H is below low.
     The solver starts from `start`, a zero move whose value and gradient the
     model knows. The context reads the state only while it is built, and
-    linops.commit_column installs its accepted move: a binary64 column as
-    v_start + d, an extended-kind one in the sweep's binary64 arrays
-    (`sweep`, None at binary64; v_start is then None).
+    linops.commit_column installs its accepted move: a binary64 column by
+    adding d to it in place, an extended-kind one in the sweep's binary64
+    arrays (`sweep`, None at binary64).
     """
 
     def __init__(self, state: IterateState, block: int, i: int):
         sl = state.slices.by_block[block][i]
-        V = state.V_blocks[block]
-        self.block = block
-        self.start = np.zeros(V.shape[0])
-        self.sup = sl.sup
-        self.n_eq = n_eq = sl.n_eq
-        self.mu = float(state.mu)
-        M = slot_matrix(sl, V.shape[1])
-        if state.problem.kind.is_extended:
-            r = state.sweep
+        r = state.sweep
+        if r is not None or not isinstance(state.V, np.ndarray):  # an extended kind
             if r is None or r.y is not state.y or r.mu is not state.mu or r.cache is not state.cache:
                 raise RuntimeError("the sweep residual was not formed at the state's y, mu and cache")
-            self.sweep, self.v_start, V64 = r, None, r.V64_blocks[block]
-            t0, self.g0, self.gi0 = self._from_sweep(block, i, M, V64)
+            V = r.V64_blocks[block]
         else:
-            self.sweep, self.v_start, V64 = None, V[:, i].copy(), V
-            t0, self.g0, self.gi0 = self._from_state(state, i, M, V)
-        self.diag, self.W0 = M[:, i], M @ V64.T
-        self.diag_c, self.W0_c = self.diag[:-1], self.W0[:-1]  # the constraint slots
+            V = state.V_blocks[block]
+        self.sweep, self.block, self.sup, self.n_eq = r, block, sl.sup, sl.n_eq
+        sup, n_eq, mu = sl.sup, sl.n_eq, float(state.mu)
+        self.mu = mu
+        self.start = np.zeros(len(V))
+        M = slot_matrix(sl, V.shape[1])
+        self.diag, self.W0 = diag, W0 = M[:, i], M.dot(V.T)
+        self.diag_c, self.W0_c = diag[:-1], W0[:-1]  # the constraint slots
+        if r is None:  # the slot multipliers at the column's start
+            lam = state.y[sup] + mu * (state.problem.rhs[sup] - state.cache.values[sup])
+            h, gi = W0[-1], diag[-1]
+        else:  # their change since the sweep's start
+            lam, S0 = -mu * r.DA[sup], r.S0[block]
+            h, gi = r.VS0[block][:, i] + r.D_blocks[block].dot(S0[:, i]), S0[i, i]
         self.curved0 = None  # the constraint slots curved at the start (None: all)
-        if n_eq < len(self.sup):
-            self.t0 = t0
+        if n_eq < len(sup):
+            lam0 = None if r is None else r.lam0[sup[n_eq:]]
+            self.t0 = t0 = lam[n_eq:] if r is None else lam0 + lam[n_eq:]
             self.active0 = t0 > 0
             self.curved0 = np.concatenate([np.ones(n_eq, dtype=bool), self.active0])
+            if r is None:  # the multipliers clipped, in a new array: t0 stays unclipped
+                lam = np.where(self.curved0, lam, 0.0)
+                self.p0 = lam[n_eq:]
+            else:
+                self.p0 = np.maximum(t0, 0.0)
+                flipped = (lam0 > 0) != self.active0
+                lam[n_eq:] = np.where(flipped, self.p0 - np.maximum(lam0, 0.0), np.where(self.active0, lam[n_eq:], 0.0))
+        h = h - lam.dot(self.W0_c)  # half the gradient; doubled by an exact addition
+        self.g0 = h + h
+        self.gi0 = float(gi - lam.dot(self.diag_c))
         self._last = (None, None, 0.0, None)  # d, DV, diag.phi' and the curved slots at d
 
-    def _from_state(self, state: IterateState, i: int, M, V):
-        """(t0, g0, g_n0[i]) of a binary64 problem, from the state."""
-        p, sup, n_eq = state.problem, self.sup, self.n_eq
-        # multipliers at v_start on the column's constraint slots
-        t = state.y[sup] + state.mu * (p.rhs[sup] - state.cache.values[sup])
-        t0 = None
-        if n_eq < len(sup):
-            t0 = t[n_eq:].copy()
-            t[n_eq:] = np.where(t0 > 0, t0, 0.0)
-        # c - sum_j t_j a_j, summed slot by slot in constraint order (the cost is M's last row)
-        g_n = M[-1] - np.add.reduce(t[:, None] * M[:-1], axis=0)
-        return t0, 2.0 * (V @ g_n), float(g_n[i])
-
-    def _from_sweep(self, block: int, i: int, M, V64):
-        """(t0, g0, g_n0[i]) of an extended-kind problem, from the sweep
-        residual and the binary64 corrections for what moved since."""
-        r, sup, n_eq = self.sweep, self.sup, self.n_eq
-        c = -self.mu * r.DA[sup]
-        t0 = None
-        if n_eq < len(sup):
-            lam0 = r.lam0[sup[n_eq:]]
-            t0 = lam0 + c[n_eq:]
-            flipped = (lam0 > 0) != (t0 > 0)
-            c[n_eq:] = np.where(flipped, np.maximum(t0, 0.0) - np.maximum(lam0, 0.0), np.where(t0 > 0, c[n_eq:], 0.0))
-        E = c @ M[:-1]  # the cost's multiplier (1) does not change: it has no correction
-        S0 = r.S0[block]
-        return t0, r.G0[block][:, i] + 2.0 * (r.D_blocks[block] @ S0[:, i] - V64 @ E), float(S0[i, i] - E[i])
-
     def value_and_grad(self, d):
-        """Df(d) and g(d) in binary64; d is the column's move from v_start.
+        """Df(d) and g(d) in binary64; d is the column's move from its start.
         The returned gradient is not to be written to."""
         if d is self.start:  # every increment is exactly 0
             self._last = (d, None, 0.0, self.curved0)
             return 0.0, self.g0
-        dv = column_deltas(self.diag, self.W0, d)
+        dsq = d.dot(d)
+        dv = column_deltas(self.diag, self.W0, d, dsq)
         dv_c, n_eq, mu = dv[:-1], self.n_eq, self.mu
         dcoef = mu * dv_c  # phi' = -(lam - lam0) on the constraint slots, equality form first
         if n_eq == len(dv_c):
-            remainder, curved = 0.5 * (dcoef @ dv_c), None
+            remainder, curved = 0.5 * dcoef.dot(dv_c), None
         else:  # the exact hinge form where an activity changes
-            t0, a0, dv_i = self.t0, self.active0, dv_c[n_eq:]
-            t1 = t0 - mu * dv_i
+            a0, p0, dv_i = self.active0, self.p0, dv_c[n_eq:]
+            t1 = self.t0 - mu * dv_i
             a1 = t1 > 0
-            p0, p1 = np.where(a0, t0, 0.0), np.where(a1, t1, 0.0)
+            p1 = np.where(a1, t1, 0.0)
             same, phi = a0 & a1, 0.5 * dcoef * dv_c
             dcoef[n_eq:] = np.where(same, dcoef[n_eq:], p0 - p1)
             phi[n_eq:] = np.where(same, phi[n_eq:], (p1 * p1 - p0 * p0) / (2.0 * mu) + p0 * dv_i)
             remainder, curved = np.add.reduce(phi), np.concatenate([self.curved0[:n_eq], a1])
-        c = self.diag_c @ dcoef
+        c = self.diag_c.dot(dcoef)
         self._last = (d, dv, c, curved)  # for hessian(d) and the commit at d
-        value = self.g0 @ d + self.gi0 * (d @ d) + remainder
-        return value, self.g0 + 2.0 * ((self.gi0 + c) * d + self.W0_c.T @ dcoef)
+        h = (self.gi0 + c) * d + dcoef.dot(self.W0_c)  # half the gradient's change
+        return self.g0.dot(d) + self.gi0 * dsq + remainder, self.g0 + (h + h)
 
     def hessian(self, d):
         """(H, low): the model's k x k Hessian at d and its eigenvalue bound, binary64."""
@@ -285,7 +274,7 @@ class ColumnContext:
             diag, W = diag[curved], W[curved]
         if d is not self.start:
             W = W + diag[:, None] * d
-        H = (4.0 * self.mu) * (W.T @ W)
+        H = (4.0 * self.mu) * W.T.dot(W)
         low = 2.0 * (self.gi0 + c)
         H.flat[:: len(d) + 1] += low
         return H, low
@@ -293,7 +282,7 @@ class ColumnContext:
     def deltas(self, d):
         """DV at d: the last evaluation's when it was made at this very array."""
         last, dv, _, _ = self._last
-        return dv if last is d and dv is not None else column_deltas(self.diag, self.W0, d)
+        return dv if last is d and dv is not None else column_deltas(self.diag, self.W0, d, d.dot(d))
 
 
 def refresh_cache(state: IterateState) -> None:

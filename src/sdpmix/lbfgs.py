@@ -28,8 +28,6 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .ddouble import norm_inf
-
 _C1 = 1e-4  # Armijo constant
 _EPS = 2.0**-53  # binary64 unit roundoff
 _FLOOR = 2.0**-26  # smallest curvature used, relative to the largest
@@ -54,7 +52,7 @@ def minimize_column(
     """
     f0, g0 = objective_grad(x0)
     evals = 1
-    g_start = float(norm_inf(g0))  # nonfinite when g0 is
+    g_start = float(np.maximum.reduce(np.abs(g0), initial=0.0))  # the inf-norm, nonfinite when g0 is
     if not (math.isfinite(f0) and math.isfinite(g_start)):
         return x0, evals, False
     threshold = max(eps, 1e-300, delta * g_start)
@@ -75,7 +73,7 @@ def minimize_column(
                 p = Q @ ((Q.T @ g) / -np.maximum(curv, floor))
         except np.linalg.LinAlgError:  # eigh fails on some nonfinite Hessians
             return x0, evals, False
-        slope = float(g @ p)
+        slope = float(g.dot(p))
         if not math.isfinite(slope):  # and returns NaNs for others: abort before any trial
             return x0, evals, False
         # rounding level of the objective at x; an increment model's
@@ -85,10 +83,10 @@ def minimize_column(
         while True:
             if evals >= max_evals or alpha < _MIN_STEP:
                 return best_x, evals, False
-            x_new = x + alpha * p
+            x_new = x + (p if alpha == 1.0 else alpha * p)
             f_new, g_new = objective_grad(x_new)
             evals += 1
-            g_norm_new = float(norm_inf(g_new))
+            g_norm_new = float(np.maximum.reduce(np.abs(g_new), initial=0.0))
             if not (math.isfinite(f_new) and math.isfinite(g_norm_new)):
                 return x0, evals, False
             if f_new < best_f:
@@ -97,7 +95,7 @@ def minimize_column(
                 break
             # a decrease below the value's rounding: accept while the
             # slope along p has not turned (approximate Armijo, Hager-Zhang)
-            if f_new <= f + noise and float(g_new @ p) <= (2.0 * _C1 - 1.0) * slope:
+            if f_new <= f + noise and float(g_new.dot(p)) <= (2.0 * _C1 - 1.0) * slope:
                 break
             # minimizer of the quadratic through f, slope and f_new
             excess = f_new - f - alpha * slope

@@ -159,21 +159,22 @@ def slot_matrix(sl: ColSlice, n: int) -> np.ndarray:
     return np.bincount(sl.cell, weights=sl.val, minlength=(len(sl.sup) + 1) * n).reshape(-1, n)
 
 
-def column_deltas(diag: np.ndarray, W0: np.ndarray, d: np.ndarray) -> np.ndarray:
+def column_deltas(diag: np.ndarray, W0: np.ndarray, d: np.ndarray, dsq: float) -> np.ndarray:
     """Increments DV = 2 W0 d + diag |d|^2 of a column's slots (sup, then the
-    cost) when it moves by d from v0, in binary64 on W0 = M V^T (slot_matrix).
-    No |v|^2 terms cancel, so DV_j is accurate to a few units of roundoff of
-    its terms' magnitudes."""
-    return 2.0 * (W0 @ d) + diag * (d @ d)
+    cost) when it moves by d from v0, dsq = d.d, in binary64 on W0 = M V^T
+    (slot_matrix). No |v|^2 terms cancel, so DV_j is accurate to a few units
+    of roundoff of its terms' magnitudes."""
+    w = W0.dot(d)
+    return w + w + diag * dsq
 
 
 def commit_column(cache: OperatorCache, V: np.ndarray, i: int, model, d: np.ndarray) -> None:
     """Install the move d of column i, whose model (auglag.ColumnContext) has
-    the slot increments at d. A binary64 column becomes model.v_start + d and
-    the increments go to the cache, accurate relative to them until its next
-    fresh recomputation; an extended-kind column's move and increments go to
-    the sweep's binary64 arrays (auglag.SweepResidual), folded into V and the
-    cache once per sweep."""
+    the slot increments at d. A binary64 column becomes its start plus d, d
+    added in place, and the increments go to the cache, accurate relative to
+    them until its next fresh recomputation; an extended-kind column's move
+    and increments go to the sweep's binary64 arrays (auglag.SweepResidual),
+    folded into V and the cache once per sweep."""
     if d is model.start:
         return
     delta = model.deltas(d)
@@ -182,7 +183,7 @@ def commit_column(cache: OperatorCache, V: np.ndarray, i: int, model, d: np.ndar
         return
     cache.values[model.sup] += delta[:-1]
     cache.cost_value = cache.cost_value + delta[-1]
-    V[:, i] = model.v_start + d
+    V[:, i] += d
 
 
 # -- PSD projection -------------------------------------------------------------

@@ -42,8 +42,9 @@ leaves the iterate untouched, so this stops no later than checking at the
 multiples of ITERS_Z alone. The scaled measures also set the column
 tolerance and fill the progress rows. The solution the passing report is
 built on is the one returned. A run stopped by max_iters or time_limit
-builds the report of its last iterate anyway, and is labelled tol when
-that report meets tol.
+withdraws an Anderson step still on trial (back to T(s_k) with its mu),
+builds the report of that iterate anyway, and is labelled tol when the
+report meets tol.
 
 The loop counts for its progress rows from what each column solve returns:
 the evaluations, the hinge's (those of a column with inequality slots,
@@ -323,6 +324,14 @@ class Anderson:
             self.propose(state, err_level)
         return err_level
 
+    def withdraw(self, state: IterateState) -> None:
+        """Put the state back at T(s_k) with its mu if a step is on trial."""
+        if self.trial is not None:
+            t_k, mu, _, _ = self.trial
+            self.trial = None
+            install_iterate(state, t_k)
+            state.mu = mu
+
     def propose(self, state: IterateState, err_level) -> None:
         """Move the state to the combination and put it on trial."""
         gamma = np.linalg.lstsq(np.stack(self.dG, axis=1), to_float_array(self.g), rcond=AA_RCOND)[0]
@@ -496,6 +505,7 @@ def solve(
         if state.sweep is not None:  # the sweep's binary64 moves, installed in the kind
             state.sweep.fold(state)
         if status is not None:
+            iteration -= anderson.trial is not None  # a trial's cut sweep is withdrawn below
             break
 
         refresh_cache(state)
@@ -542,6 +552,8 @@ def solve(
                 }
             )
 
+    if status != "tol":
+        anderson.withdraw(state)  # the last tested iterate, T(s_k), not an untested combination
     warm = WarmStart([V.copy() for V in state.V_blocks], state.y[:m_eq].copy(), state.y[m_eq:].copy(), state.mu)
     if status != "tol":
         solution = unscaled(status)

@@ -303,7 +303,7 @@ def column_objective_grad(state, block, i, v_trial):
     """Restricted augmented Lagrangian and its gradient at one trial column:
     eval_auglag at the current column plus the column kernel's increment."""
     ctx = ColumnContext(state, block, i)
-    increment, grad = ctx.value_and_grad(to_float_array(v_trial - ctx.v_start))
+    increment, grad = ctx.value_and_grad(to_float_array(v_trial - state.V_blocks[block][:, i]))
     return eval_auglag(state) + increment, grad
 
 
@@ -326,7 +326,8 @@ def incremental_operator_values(cache, slices, V_blocks, block, i, v_start, v_tr
     sl = slices.by_block[block][i]
     V64 = to_float_array(V_blocks[block])
     M = slot_matrix(sl, V64.shape[1])
-    delta = column_deltas(M[:, i], M @ V64.T, to_float_array(v_trial - v_start))
+    d = to_float_array(v_trial - v_start)
+    delta = column_deltas(M[:, i], M @ V64.T, d, d @ d)
     out = cache.values.copy()
     if len(sl.sup):
         out[sl.sup] += delta[:-1]
@@ -347,7 +348,7 @@ def commit_move(state, block, i, v_new):
     the move d = v_new - v_start, rounded to binary64, through the column
     model at the current iterate."""
     ctx = ColumnContext(state, block, i)
-    commit_column(state.cache, state.V_blocks[block], i, ctx, to_float_array(v_new - ctx.v_start))
+    commit_column(state.cache, state.V_blocks[block], i, ctx, to_float_array(v_new - state.V_blocks[block][:, i]))
 
 
 def reassemble(problem, slices):

@@ -144,27 +144,42 @@ def test_column_grad_matches_full_gradient_column():
                 assert np.abs(g - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
 
 
-def test_column_gradient_rounds_like_cost_minus_constraint_sum():
-    # the cost is the last slot of a column, so summing -lam_j a_j and then
-    # adding c rounds exactly like c - sum_j lam_j a_j summed in constraint
-    # order (here at most 7 terms per column, where numpy's sum is sequential)
+def test_column_gradient_matches_mpmath_within_its_bound():
+    # g0 and g_n0[i] of a binary64 context against their 40-digit values at
+    # the state's V, y, mu and cached operator values, hinge applied: with
+    # L_j = |y_j| + mu |b_j - A_j(X)| and m_r = |c_ri| + sum_j L_j |(A_j)_ri|
+    # over the column's s slots (the magnitudes of g_n's terms),
+    #     |g0 - g| <= 2 (n + s + 4) u |V| m,  |g_n0[i] - g_n[i]| <= (s + 4) u m_i,
+    # n the block order: W0 = M V^T sums n terms, the multiplier sums s
+    import mpmath
+
+    u = 2.0**-53
+    activities = set()
     for seed in range(8):
         p, st = random_state(seed)
-        lam = multipliers(st)
+        mu = float(st.mu)
+        resid = p.rhs - st.cache.values
+        L = np.abs(st.y) + mu * np.abs(resid)
         for b in range(p.q):
-            V = st.V_blocks[b]
+            V, n = st.V_blocks[b], p.block_sizes[b]
             C = dense_row(p, p.m, b)
             A = [dense_constraint(p, j)[b] for j in range(p.m)]
-            for i in range(p.block_sizes[b]):
-                g_n = np.empty(p.block_sizes[b])
-                for r in range(len(g_n)):
-                    total = 0.0
-                    for j in range(p.m):
-                        if A[j][r, i] != 0:
-                            total += lam[j] * A[j][r, i]
-                    g_n[r] = C[r, i] - total
-                _, got = column_objective_grad(st, b, i, V[:, i].copy())
-                assert np.array_equal(got, 2.0 * (V @ g_n))
+            with mpmath.workdps(40):
+                lam = [mpmath.mpf(float(st.y[j])) + mu * (mpmath.mpf(float(p.rhs[j])) - float(st.cache.values[j]))
+                       for j in range(p.m)]
+                lam = [t if j < p.m_eq else max(t, 0) for j, t in enumerate(lam)]
+                activities.update(bool(t > 0) for t in lam[p.m_eq:])
+                for i in range(n):
+                    ctx = ColumnContext(st, b, i)
+                    g_n = [C[r, i] - mpmath.fsum(lam[j] * A[j][r, i] for j in range(p.m)) for r in range(n)]
+                    g = [2 * mpmath.fsum(V[a, r] * g_n[r] for r in range(n)) for a in range(len(V))]
+                    err = np.array([abs(float(mpmath.mpf(float(x)) - y)) for x, y in zip(ctx.g0, g)])
+                    err_i = abs(float(mpmath.mpf(ctx.gi0) - g_n[i]))
+                    m = np.abs(C[:, i]) + sum(L[j] * np.abs(A[j][:, i]) for j in range(p.m))
+                    s = len(ctx.sup)
+                    assert np.all(err <= 2 * (n + s + 4) * u * (np.abs(V) @ m))
+                    assert err_i <= (s + 4) * u * m[i]
+    assert activities == {True, False}  # hinge slots on both branches
 
 
 def test_column_value_matches_eval_at_current_column():
@@ -240,7 +255,7 @@ def test_commit_reuses_the_increments_of_the_last_evaluation(kind, monkeypatch):
                 for at, evaluated_last in ((d, True), (d.copy(), False), (d, False)):
                     if not evaluated_last and at is d:
                         ctx.value_and_grad(0.5 * d)  # d is no longer the last evaluation
-                    fresh = column_deltas(ctx.diag, ctx.W0, at)
+                    fresh = column_deltas(ctx.diag, ctx.W0, at, at @ at)
                     formed.clear()
                     if kind == "dd":
                         r = st.sweep
@@ -400,7 +415,7 @@ def test_accepted_column_updates_never_increase_value():
             for i in range(p.block_sizes[b]):
                 before = eval_auglag(st)
                 ctx = ColumnContext(st, b, i)
-                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.v_start)), ctx.hessian, 1e-8, 0.01, 200)
+                d, _, _ = minimize_column(ctx.value_and_grad, np.zeros(len(ctx.start)), ctx.hessian, 1e-8, 0.01, 200)
                 commit_column(st.cache, st.V_blocks[b], i, ctx, d)
                 after = eval_auglag(st)
                 assert float(after) <= float(before) + 1e-10 * (1 + abs(float(before)))

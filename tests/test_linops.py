@@ -183,7 +183,7 @@ def test_column_deltas_match_the_dense_oracle(kind):
                 sl = slices.by_block[b][i]
                 d = 10.0 ** rng.uniform(-8.0, 0.0) * rng.standard_normal(V64.shape[0])
                 M = linops.slot_matrix(sl, n)
-                got = column_deltas(M[:, i], M @ V64.T, d)
+                got = column_deltas(M[:, i], M @ V64.T, d, d @ d)
                 moved = [dd.asarray(W) for W in V]
                 moved[b][:, i] = moved[b][:, i] + d
                 after = fresh_cache(exact, moved)

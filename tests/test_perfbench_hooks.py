@@ -204,3 +204,23 @@ def test_ladder_records_the_seed_spread(tmp_path):
     for key in counts:
         values = sorted(s[key] for s in seeds)
         assert rung["spread"][key] == {"median": values[1], "max": values[2]}
+
+
+def test_ladder_prints_each_rungs_changes_against_an_old_record(tmp_path):
+    # --against OLD.json: under the rung's own line, each field that moved
+    # as `old -> new`, the others `same`, and the wall-time ratio
+    old = {"rungs": {"theta_prime_C5": {"status": "iter", "iterations": 1, "column_evals": 2, "aa_accepted": 0,
+                                        "aa_rejected": 0, "max_error": 1.5, "wall_s": 1e-3}}}
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    out = tmp_path / "ladder.json"
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ladder.py"), str(ROOT), "-o", str(out), "--runs", "1",
+                           "--rung", "theta_prime_C5", "--against", str(tmp_path / "old.json")],
+                          capture_output=True, text=True, timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    rung = json.loads(out.read_text())["rungs"]["theta_prime_C5"]
+    assert rung["status"] == "tol" and rung["iterations"] > 1 and rung["aa_accepted"] > 0 == rung["aa_rejected"]
+    changes = done.stdout.splitlines()[1].strip().split(", ")
+    assert changes == ["status iter -> tol", f"iterations 1 -> {rung['iterations']}",
+                       f"column_evals 2 -> {rung['column_evals']}", f"aa_accepted 0 -> {rung['aa_accepted']}",
+                       "aa_rejected same", f"max_error 1.500e+00 -> {rung['max_error']:.3e}",
+                       f"wall x{rung['wall_s'] / 1e-3:.2f}"]

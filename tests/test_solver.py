@@ -1131,12 +1131,53 @@ def test_capped_solve_whose_final_report_meets_tol_is_labelled_tol():
     # 128 times smaller. At the cap, 26, the scaled cheap measures (3.7e-9)
     # still fail, so no check is made; the report built on the iterate at
     # the cap meets tol
-    p, tol, rows = gen_rand(8, 5, 1.0, 5), 1e-9, []
-    e = p.entries
-    p = replace(p, entries=e._replace(val=np.where(e.con < p.m, e.val * 2.0**-7, e.val)), rhs=p.rhs * 2.0**-7)
+    p, tol, rows = scaled_rand_8_5(), 1e-9, []
     sol, _ = solve(p, SolverOptions(tol=tol, max_iters=26), progress=rows.append)
     assert all(r["zcheck"] is None for r in rows) and not cheap_passes(rows[-1], tol)
     assert sol.iterations == 26 and sol.status == "tol" and sol.report.max_error() < tol
+
+
+def scaled_rand_8_5():
+    """gen_rand(8, 5, 1.0, 5) with its constraints and rhs scaled by 2**-7."""
+    p = gen_rand(8, 5, 1.0, 5)
+    e = p.entries
+    return replace(p, entries=e._replace(val=np.where(e.con < p.m, e.val * 2.0**-7, e.val)), rhs=p.rhs * 2.0**-7)
+
+
+@pytest.mark.parametrize("limit", ["max_iters", "time_limit"])
+def test_a_limit_that_stops_an_anderson_trial_returns_the_tested_iterate(limit, monkeypatch):
+    # At tol 1e-9 this instance has Anderson propose a step after iteration
+    # 27 (and earlier ones). A limit that stops the solve then, before the
+    # trial's iteration has judged the combination, must return T(s_27)
+    # with its mu, report and warm start alike, and 27 iterations: capped
+    # at 27 the combination's report read 1.7e-9 and the status `iter`,
+    # while T(s_27)'s meets tol. The time limit strikes three columns into
+    # the trial's sweep, which is then not counted.
+    p, tol, cap = scaled_rand_8_5(), 1e-9, 27
+    proposals = {}  # iteration -> (T(s_k), mu)
+    rows, columns, clock = [], [0], [0.0]
+
+    class Watched(solver.Anderson):
+        def propose(self, state, err_level):
+            proposals[len(rows) + 1] = (self.t.copy(), state.mu)
+            super().propose(state, err_level)
+
+    def counted(state, b, i):
+        if cap in proposals:
+            columns[0] += 1
+            clock[0] = 1e9 if columns[0] > 2 else 0.0
+        return ColumnContext(state, b, i)
+
+    monkeypatch.setattr(solver, "Anderson", Watched)
+    monkeypatch.setattr(solver, "ColumnContext", counted)
+    monkeypatch.setattr(solver.time, "perf_counter", lambda: clock[0])
+    limits = {"max_iters": cap} if limit == "max_iters" else {"time_limit": 1.0}
+    sol, warm = solve(p, SolverOptions(tol=tol, **limits), progress=rows.append)
+    assert cap in proposals and len(rows) == cap and columns[0] == 3 * (limit == "time_limit")
+    t_k, mu = proposals[cap]
+    assert np.array_equal(np.concatenate([warm.V_blocks[0].reshape(-1), warm.y_a, warm.y_b]), t_k)
+    assert warm.mu == mu
+    assert sol.iterations == cap and sol.status == "tol" and sol.report.max_error() < tol
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,6 +1,7 @@
 """Run the instance ladder on one source tree and write its JSON record.
 
     OPENBLAS_NUM_THREADS=1 python tools/ladder.py <tree> [-o BENCH.json] [--runs 3] [--seeds N] [--rung NAME ...]
+                                                  [--against OLD.json]
 
 <tree> is the root of the checkout to measure: sdpmix is imported from
 <tree>/src, ahead of anything else on the path, and the script stops if
@@ -26,6 +27,13 @@ under "spread" the median and the maximum of each count and of the max
 error over them. The rungs in SLOW (over about 5 s a solve) are spread
 only when named with --rung. The seed-0 fields and the wall time keep
 their meaning, so records with and without a spread compare.
+
+`--against OLD.json` reads an earlier record and prints, under each rung
+that OLD.json holds too, how its status, counts and max error moved
+(`same`, or `old -> new`) and the ratio of its wall time to the old one:
+the "same behaviour" check of a change, field by field. The ratio means
+little unless both records were made back to back on one machine; a
+speed claim needs alternating runs.
 """
 
 from __future__ import annotations
@@ -82,6 +90,21 @@ SLOW = {"maxcut_G40_triangles", "lp_60_15_s2"}  # spread only on request
 COUNTS = ("iterations", "column_evals", "aa_accepted", "aa_rejected", "max_error")  # the spread's fields
 
 
+def against(old: dict, name: str, new: dict) -> str:
+    """The rung's status, counts and max error in the record `old` against
+    its new record `new`, and the ratio of the wall times."""
+    was = old["rungs"].get(name)
+    if was is None:
+        return f"{'':24s} not in the old record"
+
+    def show(v):
+        return f"{v:.3e}" if isinstance(v, float) else str(v)
+
+    moved = [f"{key} {show(was[key])} -> {show(new[key])}" if was[key] != new[key] else f"{key} same"
+             for key in ("status",) + COUNTS]
+    return f"{'':24s} " + ", ".join(moved) + f", wall x{new['wall_s'] / was['wall_s']:.2f}"
+
+
 def run_rung(spec, runs: int, seed: int = 0) -> dict:
     from sdpmix import SolverOptions, solve, solve_two_stage
 
@@ -132,11 +155,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=1,
                         help="solve each rung with seeds 0 ... N - 1 and record the spread of the counts")
     parser.add_argument("--rung", action="append", help="run only these rungs (repeatable)")
+    parser.add_argument("--against", type=Path, help="an earlier record to print each rung's changes against")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
+    old = json.loads(args.against.read_text()) if args.against else None
 
     src = (args.tree / "src").resolve()
     if not (src / "sdpmix").is_dir():
@@ -168,6 +193,8 @@ def main(argv=None) -> int:
         print(f"{name:24s} {out['status']:5s} {out['iterations']:6d} it  {out['column_evals']:9d} evals  "
               f"aa {out['aa_accepted']}/{out['aa_rejected']}  {out['wall_s']:7.2f} s  err {out['max_error']:.1e}",
               flush=True)
+        if old is not None:
+            print(against(old, name, out), flush=True)
         if args.seeds > 1 and (name not in SLOW or args.rung):
             out.update(spread(table[name], out, args.seeds))
             its = " ".join(str(r["iterations"]) for r in out["seeds"])
