@@ -598,7 +598,11 @@ def dot(x, y):
 
 
 def norm2(x):
-    return fsqrt(dot(x, x))
+    """The 2-norm of either kind: x scaled by 2**-e (exact) before squaring,
+    e the binary exponent of its largest |entry|, so no square overflows."""
+    e = int(np.frexp(np.maximum.reduce(np.abs(to_float_array(x)), axis=None, initial=0.0))[1])
+    y = np.ldexp(x, -e)
+    return np.ldexp(fsqrt(dot(y, y)), e)
 
 
 def norm_inf(x):

@@ -33,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .ddouble import DDArray, ScalarKind, all_finite, kind_of, norm2, norm_inf, segment_sum, to_float_array
+from .ddouble import DDArray, ScalarKind, all_finite, kind_of, norm2, segment_sum, to_float_array
 from .errors import ValidationError
 
 # the entry table's columns, 0-based: one element per stored entry
@@ -205,12 +205,9 @@ def scale(problem: SdpProblem) -> tuple[SdpProblem, ScalingRecord]:
     no equalities). The last step is a change of primal variable X -> X/s, so
     the scaled problem is an exact reparametrization of the original.
     """
-    kind = problem.kind
-    one = kind.scalar(1.0)
-    zero = kind.scalar(0.0)
-
+    one = problem.kind.scalar(1.0)
     norms = row_norms(problem)
-    vacuous = np.flatnonzero(~(norms[:-1] > zero).astype(bool))
+    vacuous = np.flatnonzero(~(norms[:-1] > 0).astype(bool))
     if len(vacuous):
         raise ValidationError(f"constraint {vacuous[0] + 1}: zero-norm matrix (vacuous constraint)")
     if not norms[-1] > 0:
@@ -220,9 +217,7 @@ def scale(problem: SdpProblem) -> tuple[SdpProblem, ScalingRecord]:
 
     cost_norm, norms = norms[-1], norms[:-1]
     rbar = problem.rhs / norms if problem.m else problem.rhs.copy()
-    sub = rbar[: problem.m_eq] if problem.m_eq else rbar  # the inequalities' when there are no equalities
-    e = np.frexp(float(norm_inf(sub)))[1]  # sub scaled by 2**-e before squaring, as each row in row_norms
-    s = np.ldexp(norm2(np.ldexp(sub, -e)), e)
+    s = norm2(rbar[: problem.m_eq] if problem.m_eq else rbar)  # the inequalities' when there are no equalities
     primal = s if s > 0 else one
     scaled_rhs = rbar / primal if problem.m else rbar
 

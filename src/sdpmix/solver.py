@@ -31,14 +31,14 @@ at the top of each sweep.
 Status tol means that all five KKT errors of the returned solution,
 measured on the problem as given, are below tol. That report needs the
 dual slack matrix (a PSD projection), so it is built only where the
-three cheap measures (pinf, gap, compl*) pass. A check falls due once
-those of the scaled iterate are below tol: first at the first such
-iteration, then, while the report fails, after gaps of 1, 2, 4, ...
-iterations capped at ITERS_Z. A due check is made only if the cheap
-measures mapped to the problem as given (measures_as_given) are below tol
-too; a check so skipped leaves the back-off as it was. Every multiple of
-ITERS_Z whose scaled measures pass is checked regardless, and a check
-leaves the iterate untouched, so this stops no later than checking at the
+three cheap measures (pinf, gap, compl*) pass. A check is made at each
+iteration divisible by the check gap whose cheap measures pass: first
+those of the scaled iterate, then those mapped to the problem as given
+(measures_as_given). The gap starts at 1; each report that fails moves
+it to the smallest divisor of ITERS_Z at least twice as long (1, 2, 5,
+10, 25, 50), and an iteration the measures fail leaves it as it was.
+Every multiple of ITERS_Z is a multiple of the gap, and a check leaves
+the iterate untouched, so this stops no later than checking at the
 multiples of ITERS_Z alone. The scaled measures also set the column
 tolerance and fill the progress rows. The solution the passing report is
 built on is the one returned. A run stopped by max_iters or time_limit
@@ -68,6 +68,7 @@ from .ddouble import (
     dot,
     fsqrt,
     kind_of,
+    norm2,
     norm_inf,
     to_float_array,
 )
@@ -87,7 +88,7 @@ def rank_rule(n: int, m_eq: int, m_ineq: int) -> int:
     return min(n, ceil_sqrt(2 * (m_eq + m_ineq)))
 
 
-ITERS_Z = 50  # the longest gap between dual-slack checks (see the module docstring)
+ITERS_Z = 50  # the longest dual-slack check gap, a multiple of every gap (see the module docstring)
 EPSILON = DELTA = 0.01  # a column solve's absolute (before tightening) and relative tolerances
 MAX_EVALS = 1000  # the evaluation budget of one column solve
 TAU = 1.03  # the factor mu moves by
@@ -110,8 +111,12 @@ class SolverOptions:
             raise ValueError("tol must be positive")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
+        if self.max_iters is not None and not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError("max_iters must be an integer")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -366,14 +371,10 @@ def compute_errors(problem: SdpProblem, X_blocks, y) -> Tuple[ErrorReport, List[
     # C - sum_j y_j A_j per block: the rows' combination with coefficients -y and 1
     slack = combine_rows(problem, np.concatenate([-y, problem.kind.asarray([1.0])]))
     Z_blocks = [project_psd(S) for S in slack]
-    # the residual's norm taken on its entries scaled by 2**-e, e the binary
-    # exponent of the largest, so that no square overflows (as row_norms does)
-    resid = [S - Z for S, Z in zip(slack, Z_blocks)]
-    e = int(np.frexp(max(float(np.max(np.abs(to_float_array(R)), initial=0.0)) for R in resid))[1])
-    resid_sq = sum(np.sum(Q * Q) for Q in (np.ldexp(R, -e) for R in resid))
+    resid = np.concatenate([S - Z for S, Z in zip(slack, Z_blocks)], axis=None)
     xz = sum(np.sum(X * Z) for X, Z in zip(X_blocks, Z_blocks))
     pinf, gap, compl_star, denom = kkt_errors(problem, rows[:-1], rows[-1], y)
-    dinf = np.ldexp(fsqrt(resid_sq), e) / (1.0 + float(row_norms(problem)[-1]))
+    dinf = norm2(resid) / (1.0 + float(row_norms(problem)[-1]))
     return ErrorReport(pinf, gap, compl_star, dinf, abs(xz) / denom), Z_blocks, rows[-1]
 
 
@@ -460,8 +461,7 @@ def solve(
     # gradients drop below it and stall the solve at that level, while the
     # relative part (DELTA) alone would over-solve the early subproblems.
     err_level = 1.0
-    # the next dual-slack check falls due at next_check (see the module docstring)
-    next_check, check_gap = 0, 1
+    check_gap = 1  # a dual-slack check falls on a multiple of it (see the module docstring)
     column_evals = hinge_evals = inner_unconverged = 0  # see the module docstring
     anderson = Anderson()
 
@@ -522,14 +522,14 @@ def solve(
         pinf, gap, compl_star, _ = kkt_errors(scaled, state.cache.values, state.cache.cost_value, state.y)
         err_level = max(pinf, gap, compl_star)
         zcheck = None
-        if err_level < options.tol and (iteration % ITERS_Z == 0 or (
-                iteration >= next_check and max(measures_as_given(state, record, problem)) < options.tol)):
+        if (iteration % check_gap == 0 and err_level < options.tol
+                and max(measures_as_given(state, record, problem)) < options.tol):
             solution = unscaled("tol")
             zcheck = float(solution.report.max_error())
             if solution.report.max_error() < options.tol:
                 status = "tol"
-            else:
-                next_check, check_gap = iteration + check_gap, min(2 * check_gap, ITERS_Z)
+            else:  # the smallest divisor of ITERS_Z at least twice the gap
+                check_gap = next((d for d in range(2 * check_gap, ITERS_Z) if ITERS_Z % d == 0), ITERS_Z)
         mu = float(state.mu)  # this iteration's; undoing a step puts back an earlier one
         if status is None:
             err_level = anderson.after_iteration(state, err_level)
@@ -554,10 +554,9 @@ def solve(
 
     if status != "tol":
         anderson.withdraw(state)  # the last tested iterate, T(s_k), not an untested combination
-    warm = WarmStart([V.copy() for V in state.V_blocks], state.y[:m_eq].copy(), state.y[m_eq:].copy(), state.mu)
-    if status != "tol":
         solution = unscaled(status)
         if solution.report.max_error() < options.tol:  # stopped by a limit, yet the report meets tol
             solution.status = "tol"
+    warm = WarmStart([V.copy() for V in state.V_blocks], state.y[:m_eq].copy(), state.y[m_eq:].copy(), state.mu)
     solution.elapsed = elapsed()
     return solution, warm

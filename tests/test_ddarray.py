@@ -24,6 +24,7 @@ from sdpmix.ddouble import (
     Words,
     all_finite,
     dot,
+    fsqrt,
     kind_by_name,
     kind_of,
     norm2,
@@ -31,6 +32,8 @@ from sdpmix.ddouble import (
     segment_sum,
     to_float_array,
 )
+
+from helpers import words_equal
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 FIELD = mpmath.mpf(2) ** -99
@@ -553,6 +556,16 @@ def test_segment_sum_both_kinds():
     assert np.allclose(segment_sum(vals64, ids, 4), [4.0, 5.0, 6.0, 0.0])
     got = segment_sum(DOUBLE_DOUBLE.asarray(vals64), ids, 4)
     assert [float(v) for v in got] == [4.0, 5.0, 6.0, 0.0]
+
+
+@pytest.mark.parametrize("kind", [DOUBLE, DOUBLE_DOUBLE])
+def test_norm2_of_entries_whose_squares_overflow_or_underflow(kind):
+    # norm2 scales by a power of two before squaring: the norm of a vector
+    # stays finite and nonzero, and one whose squares are in range keeps its bits
+    for top in (2.0**600, 2.0**-600):
+        assert float(norm2(kind.asarray([3.0 * top, 4.0 * top]))) == 5.0 * top
+    x = np.random.default_rng(0).standard_normal(7)
+    assert words_equal(norm2(kind.asarray(x)), fsqrt(dot(kind.asarray(x), kind.asarray(x))))
 
 
 def test_empty_reductions_are_zero():

@@ -181,14 +181,15 @@ def test_ladder_writes_a_record_of_one_rung(tmp_path):
     assert set(record) == {"tree", "python", "numpy", "machine", "runs", "rungs"}
     assert list(record["rungs"]) == ["theta_prime_C5"]
     rung = record["rungs"]["theta_prime_C5"]
-    assert set(rung) == {"status", "iterations", "column_evals", "aa_accepted", "aa_rejected", "max_error", "wall_s",
-                         "wall_s_runs", "tol", "two_stage", "time_limit", "max_iters"}
+    assert set(rung) == {"status", "iterations", "column_evals", "aa_accepted", "aa_rejected", "reports", "max_error",
+                         "wall_s", "wall_s_runs", "tol", "two_stage", "time_limit", "max_iters"}
     assert rung["status"] == "tol" and rung["max_error"] <= rung["tol"] and rung["iterations"] > 0
+    assert 1 <= rung["reports"] <= rung["iterations"]
 
 
 def test_ladder_records_the_seed_spread(tmp_path):
     # --seeds 3: seed 0's counts are the rung's own, and the spread is the
-    # median and the maximum over the three seeds
+    # median and the maximum over the three seeds, the reports among them
     out = tmp_path / "ladder.json"
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "ladder.py"), str(ROOT), "-o", str(out), "--runs", "1",
                            "--seeds", "3", "--rung", "theta_prime_C5"], capture_output=True, text=True, timeout=120,
@@ -199,8 +200,9 @@ def test_ladder_records_the_seed_spread(tmp_path):
     rung = record["rungs"]["theta_prime_C5"]
     seeds = rung["seeds"]
     assert [s["seed"] for s in seeds] == [0, 1, 2] and all(s["status"] == "tol" for s in seeds)
-    counts = ("iterations", "column_evals", "aa_accepted", "aa_rejected", "max_error")
+    counts = ("iterations", "column_evals", "aa_accepted", "aa_rejected", "reports", "max_error")
     assert all(seeds[0][key] == rung[key] for key in counts)
+    assert all(s["reports"] >= 1 for s in seeds)
     for key in counts:
         values = sorted(s[key] for s in seeds)
         assert rung["spread"][key] == {"median": values[1], "max": values[2]}
@@ -208,7 +210,8 @@ def test_ladder_records_the_seed_spread(tmp_path):
 
 def test_ladder_prints_each_rungs_changes_against_an_old_record(tmp_path):
     # --against OLD.json: under the rung's own line, each field that moved
-    # as `old -> new`, the others `same`, and the wall-time ratio
+    # as `old -> new`, the others `same`, and the wall-time ratio; the old
+    # record predates the reports count, which shows as `-`
     old = {"rungs": {"theta_prime_C5": {"status": "iter", "iterations": 1, "column_evals": 2, "aa_accepted": 0,
                                         "aa_rejected": 0, "max_error": 1.5, "wall_s": 1e-3}}}
     (tmp_path / "old.json").write_text(json.dumps(old))
@@ -222,5 +225,6 @@ def test_ladder_prints_each_rungs_changes_against_an_old_record(tmp_path):
     changes = done.stdout.splitlines()[1].strip().split(", ")
     assert changes == ["status iter -> tol", f"iterations 1 -> {rung['iterations']}",
                        f"column_evals 2 -> {rung['column_evals']}", f"aa_accepted 0 -> {rung['aa_accepted']}",
-                       "aa_rejected same", f"max_error 1.500e+00 -> {rung['max_error']:.3e}",
+                       "aa_rejected same", f"reports - -> {rung['reports']}",
+                       f"max_error 1.500e+00 -> {rung['max_error']:.3e}",
                        f"wall x{rung['wall_s'] / 1e-3:.2f}"]

@@ -881,6 +881,16 @@ def test_invalid_options_rejected():
     SolverOptions(time_limit=math.inf)  # no time limit
 
 
+@pytest.mark.parametrize("field", ["max_iters", "seed"])
+@pytest.mark.parametrize("value", [2.5, 1.0, "3"])
+def test_non_integer_options_rejected(field, value):
+    # a fractional cap would run to its ceiling, and numpy's SeedSequence
+    # takes no float seed
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        SolverOptions(**{field: value})
+    SolverOptions(**{field: np.int64(3)})
+
+
 @pytest.mark.parametrize("field", ["tol"])
 def test_infinite_options_rejected(field):
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
@@ -975,32 +985,28 @@ def cheap_passes(row, tol):
 def test_checks_back_off_and_fall_on_multiples_of_iters_Z(monkeypatch):
     # every check fails, so the whole schedule shows: the first check at the
     # first iteration whose cheap measures pass, scaled and on the problem as
-    # given, then gaps of 1, 2, 4, ... capped at iters_Z, cut short by each
-    # multiple of iters_Z
+    # given, then each at the next multiple of a gap that runs through the
+    # divisors 1, 2, 5, 10, 25, 50 of ITERS_Z, each at least twice the last
     checks = record_checks(monkeypatch, fail=True)
-    p, tol, iters_Z = gen_rand(8, 5, 1.0, 5), 1e-9, 16
+    p, tol = gen_rand(8, 5, 1.0, 5), 1e-9
     gate = record_gate(monkeypatch, p)
-    monkeypatch.setattr(solver, "ITERS_Z", iters_Z)
     rows = []
-    sol, _ = solve(p, SolverOptions(tol=tol, max_iters=140), progress=rows.append)
+    sol, _ = solve(p, SolverOptions(tol=tol, max_iters=160), progress=rows.append)
     # the checks were made to fail; the final report of the capped run meets tol
-    assert sol.iterations == 140 and sol.status == "tol"
+    assert solver.ITERS_Z == 50 and sol.iterations == 160 and sol.status == "tol"
     first = next(r["iter"] for r in rows if cheap_passes(r, tol))
     assert all(cheap_passes(r, tol) for r in rows[first - 1:])  # so no check waits on the scaled measures
     # the measures as given fail once more, at the first scaled pass (1.5e-9), and pass from then on
-    assert gate[first] >= tol and all(gate[t] < tol for t in range(first + 1, 141))
-    want, t, gap = [first + 1], first + 1, 1
-    while True:
-        t = min(t + gap, (t // iters_Z + 1) * iters_Z)
-        gap = min(2 * gap, iters_Z)
-        if t > 140:
-            break
-        want.append(t)
-    assert sorted(checks) == want
-    # 30, then + 1, + 2 cut at 32 = 2 * 16, + 4, + 8 = 44; the capped gap of 16 is cut at 48 = 3 * 16
-    assert first == 29 and want[:9] == [30, 31, 32, 36, 44, 48, 64, 80, 96]
+    assert first == 29 and gate[first] >= tol and all(gate[t] < tol for t in range(first + 1, 161))
+    gaps = [1, 2, 5, 10, 25, 50, 50]
+    assert sorted(checks) == [30, 32, 35, 40, 50, 100, 150]
+    # each check on the first multiple of the gap in force after the last
+    last = first
+    for t, gap in zip(sorted(checks), gaps):
+        assert t == (last // gap + 1) * gap
+        last = t
     # the progress rows mark each check with the max error the solver saw
-    assert [r["iter"] for r in rows if r["zcheck"] is not None] == want
+    assert [r["iter"] for r in rows if r["zcheck"] is not None] == sorted(checks)
     assert all(r["zcheck"] in (None, math.inf) for r in rows)
 
 
@@ -1042,28 +1048,26 @@ def test_back_off_stops_no_later_than_checking_at_multiples(monkeypatch, name):
 
 
 def test_a_check_the_gate_skips_leaves_the_back_off_as_it_was(monkeypatch):
-    # every check fails (30, 31, then 32, a multiple of iters_Z, after which
-    # the next check falls due at 36 with a gap of 8), and the measures as
-    # given are made to fail at 36 and 37: the gate skips both, and the next
-    # check and the gap stay as they were, so the checks go on at 38 and
-    # 38 + 8 = 46. Had a skip backed off as a failed check does, the next
-    # check would fall at 36 + 8 = 44
+    # every check fails (30, then 32 with a gap of 2, after which the gap is
+    # 5), and the measures as given are made to fail at 35: the gate skips
+    # it and the gap stays 5, so the checks go on at 40, the next multiple
+    # of 5, and from there on multiples of the gaps 10, 25, 50. A back-off
+    # anchored at its checks would be carried off these multiples by the skip
     checks = record_checks(monkeypatch, fail=True)
-    p, tol, iters_Z = gen_rand(8, 5, 1.0, 5), 1e-9, 16
+    p, tol = gen_rand(8, 5, 1.0, 5), 1e-9
     rows, asked = [], []
     given = solver.measures_as_given
 
     def gate(state, record, original):
         t = len(rows) + 1  # the iteration under way: its progress row comes after the check
         asked.append(t)
-        return (math.inf,) * 3 if t in (36, 37) else given(state, record, original)
+        return (math.inf,) * 3 if t == 35 else given(state, record, original)
 
     monkeypatch.setattr(solver, "measures_as_given", gate)
-    monkeypatch.setattr(solver, "ITERS_Z", iters_Z)
-    solve(p, SolverOptions(tol=tol, max_iters=70), progress=rows.append)
-    # asked only where a check is due and iteration is no multiple; 29 fails on its own (1.5e-9)
-    assert asked == [29, 30, 31, 36, 37, 38, 46]
-    assert sorted(checks) == [30, 31, 32, 38, 46, 48, 64]
+    solve(p, SolverOptions(tol=tol, max_iters=160), progress=rows.append)
+    # asked only on multiples of the gap whose scaled measures pass; 29 fails on its own (1.5e-9)
+    assert asked == [29, 30, 32, 35, 40, 50, 75, 100, 150]
+    assert sorted(checks) == [30, 32, 40, 50, 75, 100, 150]
 
 
 @pytest.mark.parametrize("name", ["dd_refine", "big_block"])

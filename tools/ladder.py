@@ -11,13 +11,14 @@ running this script once on each, from either one.
 Every rung is solved in this process, `--runs` times. Per rung the record
 holds the status, the outer iterations, the column evaluations, the
 accepted and rejected Anderson steps (0 where the tree's progress rows have
-no such count), the reported max error and the median wall time of the
-runs. The counts come from the last run; a solve is deterministic, so every
-run gives the same ones, and two trees' counts compare. A rung with a time
-limit (order1_10+200_s3, 40 s) compares only while it ends before the
-limit; the LP rung, which does not converge, is capped by iterations
-instead, so that it ends `iter` at the same count on any machine. The
-ladder is not a gate: BENCHMARK.json is.
+no such count), the dual-slack reports (the progress rows that carry a
+zcheck, both stages summed), the reported max error and the median wall
+time of the runs. The counts come from the last run; a solve is
+deterministic, so every run gives the same ones, and two trees' counts
+compare. A rung with a time limit (order1_10+200_s3, 40 s) compares only
+while it ends before the limit; the LP rung, which does not converge, is
+capped by iterations instead, so that it ends `iter` at the same count on
+any machine. The ladder is not a gate: BENCHMARK.json is.
 
 The counts above are those of SolverOptions.seed 0, and on some rungs
 (the Max-Cut ones above all) they hang on the seed. `--seeds N` also
@@ -30,7 +31,8 @@ their meaning, so records with and without a spread compare.
 
 `--against OLD.json` reads an earlier record and prints, under each rung
 that OLD.json holds too, how its status, counts and max error moved
-(`same`, or `old -> new`) and the ratio of its wall time to the old one:
+(`same`, or `old -> new`, with `-` for a field the old record lacks) and
+the ratio of its wall time to the old one:
 the "same behaviour" check of a change, field by field. The ratio means
 little unless both records were made back to back on one machine; a
 speed claim needs alternating runs.
@@ -87,7 +89,7 @@ def rungs():
 
 
 SLOW = {"maxcut_G40_triangles", "lp_60_15_s2"}  # spread only on request
-COUNTS = ("iterations", "column_evals", "aa_accepted", "aa_rejected", "max_error")  # the spread's fields
+COUNTS = ("iterations", "column_evals", "aa_accepted", "aa_rejected", "reports", "max_error")  # the spread's fields
 
 
 def against(old: dict, name: str, new: dict) -> str:
@@ -98,9 +100,9 @@ def against(old: dict, name: str, new: dict) -> str:
         return f"{'':24s} not in the old record"
 
     def show(v):
-        return f"{v:.3e}" if isinstance(v, float) else str(v)
+        return f"{v:.3e}" if isinstance(v, float) else "-" if v is None else str(v)
 
-    moved = [f"{key} {show(was[key])} -> {show(new[key])}" if was[key] != new[key] else f"{key} same"
+    moved = [f"{key} {show(was.get(key))} -> {show(new[key])}" if was.get(key) != new[key] else f"{key} same"
              for key in ("status",) + COUNTS]
     return f"{'':24s} " + ", ".join(moved) + f", wall x{new['wall_s'] / was['wall_s']:.2f}"
 
@@ -126,6 +128,7 @@ def run_rung(spec, runs: int, seed: int = 0) -> dict:
         "status": sol.status,
         "iterations": sol.iterations,
         **total,
+        "reports": sum(row.get("zcheck") is not None for row in rows),
         "max_error": float(sol.report.max_error()),
         "wall_s": statistics.median(times),
         "wall_s_runs": times,
@@ -191,7 +194,8 @@ def main(argv=None) -> int:
         out = run_rung(table[name], args.runs)
         record["rungs"][name] = out
         print(f"{name:24s} {out['status']:5s} {out['iterations']:6d} it  {out['column_evals']:9d} evals  "
-              f"aa {out['aa_accepted']}/{out['aa_rejected']}  {out['wall_s']:7.2f} s  err {out['max_error']:.1e}",
+              f"aa {out['aa_accepted']}/{out['aa_rejected']}  {out['reports']} reports  {out['wall_s']:7.2f} s  "
+              f"err {out['max_error']:.1e}",
               flush=True)
         if old is not None:
             print(against(old, name, out), flush=True)
